@@ -383,8 +383,10 @@ def game_from_dict(data: dict) -> GameMatrix:
             if not (0 <= r < n * n and 0 <= c < n * n):
                 raise FormatError(f"entry index ({r}, {c}) out of range")
             m[r, c] = float(e["re"]) + 1j * float(e["im"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed game file: {exc}") from exc
+    if not np.all(np.isfinite(m)):
+        raise FormatError("game file has a non-finite entry")
     return validate(m, n)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sdp as sdp_mod
-from .errors import BadArgsError, DimensionMismatchError
+from .errors import BadArgsError, DimensionMismatchError, SdpError
 from .games import ClassicalGame, GameMatrix
 from .linalg import trace_norm
 from .report import BiasReport
@@ -337,7 +337,7 @@ def beta_os(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult
 
 def _check_close(what: str, got: float, want: float):
     if abs(got - want) > 1e-5 * max(1.0, abs(want)):
-        raise AssertionError(f"{what} {got:.8g} drifted from solver value {want:.8g}")
+        raise SdpError(f"{what} {got:.8g} drifted from solver value {want:.8g}")
 
 
 # --- closed forms and chain checks ----------------------------------------------

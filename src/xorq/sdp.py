@@ -2,8 +2,9 @@
 
 An instance asks to maximize sum_b Re Tr(C_b^dagger Z_b) over PSD Hermitian
 blocks Z_b subject to equality constraints sum_b Re Tr(F_qb^dagger Z_b) =
-rhs_q. Hermitian data is doubled into real symmetric form and solved by an
-infeasible primal-dual interior-point method with Nesterov-Todd scaling.
+rhs_q. It is solved on the complex blocks themselves by an infeasible
+primal-dual interior-point method with Nesterov-Todd scaling; the Schur
+complement M[p, q] = Re Tr(F_p W F_q W) and the multipliers y are real.
 
 Boundedness is enforced internally with a trace cap Tr(Z) + t = M_big
 (slack scalar t >= 0, M_big = 10 * total dimension * rhs scale); a binding
@@ -14,7 +15,9 @@ produced by this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import time
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -89,8 +92,30 @@ class SdpInstance:
 
 
 @dataclass(frozen=True)
+class IpmIteration:
+    """One interior-point iteration: the residuals, relative gap and mu of
+    the iterate it starts from, the centering weight and step sizes it took,
+    and the seconds it spent per phase. An iteration that stops the solver
+    takes no step and leaves the later fields at 0."""
+
+    pres: float
+    dres: float
+    rel_gap: float
+    mu: float
+    sigma: float = 0.0
+    alpha_p: float = 0.0
+    alpha_d: float = 0.0
+    nt_s: float = 0.0
+    schur_s: float = 0.0
+    chol_s: float = 0.0
+    newton_s: float = 0.0
+    step_s: float = 0.0
+
+
+@dataclass(frozen=True)
 class SdpSolution:
-    """Primal blocks, dual multipliers, objective values, and the gap."""
+    """Primal blocks, dual multipliers, objective values, the gap, and the
+    per-iteration trace (kept out of every serialized payload)."""
 
     blocks: dict[str, np.ndarray]
     y: np.ndarray
@@ -99,6 +124,7 @@ class SdpSolution:
     gap: float
     iterations: int
     status: str  # "optimal" or "max_iterations" (best iterate, non-certified)
+    trace: tuple[IpmIteration, ...] = ()
 
     @property
     def certified(self) -> bool:
@@ -123,139 +149,54 @@ def objective_value(inst: SdpInstance, blocks) -> float:
     return total
 
 
-# --- Hermitian-to-symmetric doubling -----------------------------------------
-
-
-def _embed_matrix(h: np.ndarray) -> np.ndarray:
-    """H -> [[Re H, -Im H], [Im H, Re H]]; symmetric when H is Hermitian."""
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _unembed_matrix(t: np.ndarray) -> np.ndarray:
-    """Average back to the complex form: values are halved by design."""
-    m = t.shape[0] // 2
-    z11, z12 = t[:m, :m], t[:m, m:]
-    z21, z22 = t[m:, :m], t[m:, m:]
-    return ((z11 + z22) + 1j * (z21 - z12)) / 2
-
-
-def _embed_entries(entries, dims) -> list[tuple[str, int, int, float]]:
-    """Sparse real symmetric entries (upper triangle) of the doubled F."""
-    # Expand to the full complex matrix first; each real coordinate of the
-    # doubled matrix is then produced by exactly one complex coordinate.
-    full_complex: dict[tuple[str, int, int], complex] = {}
-    for b, r, c, v in entries:
-        v = complex(v)
-        full_complex[(b, r, c)] = full_complex.get((b, r, c), 0.0) + v
-        if r != c:
-            full_complex[(b, c, r)] = full_complex.get((b, c, r), 0.0) + v.conjugate()
-    out = {}
-    for (b, i, j), w in full_complex.items():
-        m = dims[b]
-        for ei, ej, ew in (
-            (i, j, w.real),
-            (i, j + m, -w.imag),
-            (i + m, j, w.imag),
-            (i + m, j + m, w.real),
-        ):
-            if ei <= ej and ew != 0.0:
-                out[(b, ei, ej)] = ew
-    return [(b, i, j, w) for (b, i, j), w in sorted(out.items())]
-
-
-def real_embedding(inst: SdpInstance):
-    """Double every complex block into a real symmetric block of twice the
-    dimension. Objective and rhs values double; the returned back-map undoes
-    the factor and restores complex Hermitian primal blocks."""
-    dims = inst.block_dims
-    blocks = tuple((label, 2 * d) for label, d in inst.blocks)
-    objective = {
-        label: _embed_matrix(c) for label, c in inst.objective.items()
-    }
-    constraints = []
-    for con in inst.constraints:
-        emb = _embed_entries(con.entries, dims)
-        constraints.append(
-            SdpConstraint(
-                entries=tuple((b, i, j, complex(w)) for b, i, j, w in emb),
-                rhs=2.0 * con.rhs,
-            )
-        )
-    embedded = SdpInstance(
-        blocks=blocks, objective=objective, constraints=tuple(constraints)
-    )
-
-    def back_map(sol: SdpSolution) -> SdpSolution:
-        return SdpSolution(
-            blocks={
-                label: _unembed_matrix(sol.blocks[label]) for label, _ in inst.blocks
-            },
-            y=sol.y,
-            primal_value=sol.primal_value / 2.0,
-            dual_value=sol.dual_value / 2.0,
-            gap=sol.gap / 2.0,
-            iterations=sol.iterations,
-            status=sol.status,
-        )
-
-    return embedded, back_map
-
-
-# --- interior-point core (real symmetric data) --------------------------------
+# --- interior-point core (complex Hermitian blocks) ---------------------------
 
 
 class _BlockData:
-    """Per-block constraint entries in full symmetric form, CSR by owner."""
+    """One block's stored constraint entries (r <= c) in constraint order:
+    entries q_ptr[i]:q_ptr[i + 1] belong to constraint q_list[i].
 
-    def __init__(self, dim: int, cobj: np.ndarray):
+    F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
+    weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
+    A^T y = U + U^H where U holds half * y[owner] at (r, c), half being v with
+    the diagonal halved.
+    """
+
+    def __init__(self, dim: int, cobj: np.ndarray, rows, cols, vals, owner):
         self.dim = dim
         self.cobj = cobj
-        self.rows = np.zeros(0, dtype=np.intp)
-        self.cols = np.zeros(0, dtype=np.intp)
-        self.vals = np.zeros(0)
-        self.owner = np.zeros(0, dtype=np.intp)
-        self.q_list = np.zeros(0, dtype=np.intp)
-        self.q_ptr = np.zeros(1, dtype=np.intp)
-
-    def finalize(self, rows, cols, vals, owner):
-        order = np.argsort(owner, kind="stable")
-        self.rows = np.asarray(rows, dtype=np.intp)[order]
-        self.cols = np.asarray(cols, dtype=np.intp)[order]
-        self.vals = np.asarray(vals, dtype=float)[order]
-        self.owner = np.asarray(owner, dtype=np.intp)[order]
-        qs, starts = np.unique(self.owner, return_index=True)
-        self.q_list = qs
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.owner = np.asarray(owner, dtype=np.intp)
+        diag = self.rows == self.cols
+        vals = np.asarray(vals, dtype=complex)
+        vals = np.where(diag, vals.real, vals)
+        self.flat = self.rows * dim + self.cols
+        self.flat_t = self.cols * dim + self.rows
+        self.weight = np.where(diag, 1.0, 2.0) * vals.conj()
+        self.half = np.where(diag, 0.5, 1.0) * vals
+        self.q_list, starts = np.unique(self.owner, return_index=True)
         self.q_ptr = np.append(starts, self.owner.size)
 
 
-def _compile_real(inst: SdpInstance) -> tuple[list[_BlockData], np.ndarray, list[str]]:
+def _compile(inst: SdpInstance) -> tuple[list[_BlockData], np.ndarray, list[str]]:
     labels = [label for label, _ in inst.blocks]
     dims = inst.block_dims
-    data = {
-        label: {"rows": [], "cols": [], "vals": [], "owner": []} for label in labels
-    }
+    parts = {label: ([], [], [], []) for label in labels}
     for q, con in enumerate(inst.constraints):
         for b, r, c, v in con.entries:
-            w = float(np.real(v))
-            d = data[b]
-            d["rows"].append(r)
-            d["cols"].append(c)
-            d["vals"].append(w)
-            d["owner"].append(q)
-            if r != c:
-                d["rows"].append(c)
-                d["cols"].append(r)
-                d["vals"].append(w)
-                d["owner"].append(q)
+            rows, cols, vals, owner = parts[b]
+            rows.append(r)
+            cols.append(c)
+            vals.append(complex(v))
+            owner.append(q)
     blocks = []
     for label in labels:
         dim = dims[label]
-        cobj = np.real(inst.objective.get(label, np.zeros((dim, dim)))).astype(float)
-        blk = _BlockData(dim, (cobj + cobj.T) / 2)
-        d = data[label]
-        blk.finalize(d["rows"], d["cols"], d["vals"], d["owner"])
-        blocks.append(blk)
+        cobj = np.asarray(
+            inst.objective.get(label, np.zeros((dim, dim))), dtype=complex
+        )
+        blocks.append(_BlockData(dim, (cobj + cobj.conj().T) / 2, *parts[label]))
     b_vec = np.array([con.rhs for con in inst.constraints], dtype=float)
     return blocks, b_vec, labels
 
@@ -264,7 +205,7 @@ def _a_of(blocks, zs, m) -> np.ndarray:
     out = np.zeros(m)
     for blk, z in zip(blocks, zs):
         if blk.owner.size:
-            w = blk.vals * z[blk.rows, blk.cols]
+            w = (blk.weight * z.take(blk.flat)).real
             out += np.bincount(blk.owner, weights=w, minlength=m)
     return out
 
@@ -272,16 +213,19 @@ def _a_of(blocks, zs, m) -> np.ndarray:
 def _at_of(blocks, y) -> list[np.ndarray]:
     outs = []
     for blk in blocks:
-        out = np.zeros((blk.dim, blk.dim))
-        if blk.owner.size:
-            np.add.at(out, (blk.rows, blk.cols), blk.vals * y[blk.owner])
-        outs.append((out + out.T) / 2)
+        n2 = blk.dim * blk.dim
+        u = blk.half * y[blk.owner]
+        up = np.bincount(blk.flat, weights=u.real, minlength=n2) + 1j * np.bincount(
+            blk.flat, weights=u.imag, minlength=n2
+        )
+        up = up.reshape(blk.dim, blk.dim)
+        outs.append(up + up.conj().T)
     return outs
 
 
 def _chol_psd(x: np.ndarray) -> np.ndarray:
     jitter = 0.0
-    base = max(float(np.trace(x)) / x.shape[0], 1e-300)
+    base = max(float(np.trace(x).real) / x.shape[0], 1e-300)
     for _ in range(12):
         try:
             return np.linalg.cholesky(
@@ -292,57 +236,68 @@ def _chol_psd(x: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix not positive definite")
 
 
-def _nt_scaling(z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    lz = _chol_psd(z)
-    k = lz.T @ s @ lz
-    w, q = np.linalg.eigh((k + k.T) / 2)
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    return (x + x.conj().T) / 2
+
+
+def _nt_scaling(lz: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """W with W S W = Z, from the Cholesky factor of Z."""
+    k = lz.conj().T @ s @ lz
+    w, q = np.linalg.eigh(_hermitian(k))
     w = np.clip(w, 1e-300, None)
-    inv_sqrt = (q * (w**-0.5)) @ q.T
-    wmat = lz @ inv_sqrt @ lz.T
-    return (wmat + wmat.T) / 2
+    inv_sqrt = (q * (w**-0.5)) @ q.conj().T
+    return _hermitian(lz @ inv_sqrt @ lz.conj().T)
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha dx >= 0, via L^-1 dx L^-T eigenvalues."""
-    l = _chol_psd(x)
+def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with L L^H + alpha dx >= 0, via L^-1 dx L^-H eigenvalues."""
     g = scipy.linalg.solve_triangular(l, dx, lower=True)
-    g = scipy.linalg.solve_triangular(l, g.T, lower=True).T
-    lam = float(np.linalg.eigvalsh((g + g.T) / 2)[0])
+    g = scipy.linalg.solve_triangular(l, g.conj().T, lower=True).conj().T
+    lam = float(np.linalg.eigvalsh(_hermitian(g))[0])
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
 
 
 def _schur(blocks, ws, m) -> np.ndarray:
+    """Upper triangle of M[p, q] = Re Tr(F_p W F_q W), one row M[q, q:] at a
+    time; the lower triangle stays zero, as the Cholesky factor reads only
+    the upper one.
+
+    W F_q W = P + P^H with P = W U_q W, U_q the stored upper triangle of F_q
+    (diagonal halved). That Hermitian product is needed only at the stored
+    entries (r, c) of the constraints p >= q, where it is P[r, c] + conj P[c, r].
+    """
     mat = np.zeros((m, m))
     for blk, w in zip(blocks, ws):
-        if not blk.q_list.size:
-            continue
-        for qi in range(blk.q_list.size):
-            q = int(blk.q_list[qi])
-            lo, hi = blk.q_ptr[qi], blk.q_ptr[qi + 1]
-            k = blk.rows[lo:hi]
-            l = blk.cols[lo:hi]
-            v = blk.vals[lo:hi]
-            h = (w[:, k] * v) @ w[l, :]
-            contrib = np.bincount(
-                blk.owner, weights=blk.vals * h[blk.rows, blk.cols], minlength=m
-            )
-            mat[:, q] += contrib
-    return (mat + mat.T) / 2
+        ptr = blk.q_ptr
+        for qi, q in enumerate(blk.q_list):
+            lo, hi = ptr[qi], ptr[qi + 1]
+            p = (w[:, blk.rows[lo:hi]] * blk.half[lo:hi]) @ w[blk.cols[lo:hi], :]
+            h = p.take(blk.flat[lo:]) + p.take(blk.flat_t[lo:]).conj()
+            g = (blk.weight[lo:] * h).real
+            mat[q, blk.q_list[qi:]] += np.add.reduceat(g, ptr[qi:-1] - lo)
+    return mat
 
 
-def _solve_real(inst: SdpInstance, tol: float) -> SdpSolution:
-    blocks, b_vec, labels = _compile_real(inst)
+def _lap(t0: float) -> tuple[float, float]:
+    """(now, seconds since t0), for the per-phase times of the trace."""
+    t = time.perf_counter()
+    return t, t - t0
+
+
+def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
+    blocks, b_vec, labels = _compile(inst)
     m = b_vec.size
     nu = sum(blk.dim for blk in blocks)
     scale_b = 1.0 + float(np.max(np.abs(b_vec))) if m else 1.0
     scale_c = 1.0 + max(
         (float(np.linalg.norm(blk.cobj, 2)) for blk in blocks), default=0.0
     )
-    zs = [10.0 * scale_b * np.eye(blk.dim) for blk in blocks]
-    ss = [10.0 * scale_c * np.eye(blk.dim) for blk in blocks]
+    zs = [10.0 * scale_b * np.eye(blk.dim, dtype=complex) for blk in blocks]
+    ss = [10.0 * scale_c * np.eye(blk.dim, dtype=complex) for blk in blocks]
     y = np.zeros(m)
+    trace = []
 
     best = None
     best_merit = np.inf
@@ -350,12 +305,13 @@ def _solve_real(inst: SdpInstance, tol: float) -> SdpSolution:
         rp = b_vec - _a_of(blocks, zs, m)
         aty = _at_of(blocks, y)
         rd = [blk.cobj + s - at for blk, s, at in zip(blocks, ss, aty)]
-        mu = sum(float(np.sum(z * s)) for z, s in zip(zs, ss)) / nu
-        pobj = sum(float(np.sum(blk.cobj * z)) for blk, z in zip(blocks, zs))
+        mu = sum(float(np.vdot(z, s).real) for z, s in zip(zs, ss)) / nu
+        pobj = sum(float(np.vdot(blk.cobj, z).real) for blk, z in zip(blocks, zs))
         dobj = float(b_vec @ y)
         rel_gap = abs(dobj - pobj) / max(1.0, abs(pobj))
         pres = float(np.linalg.norm(rp)) / scale_b
         dres = max(float(np.linalg.norm(r)) for r in rd) / scale_c
+        record = dict(pres=pres, dres=dres, rel_gap=rel_gap, mu=mu)
         merit = max(pres, dres, rel_gap)
         if merit < best_merit:
             best_merit = merit
@@ -363,8 +319,10 @@ def _solve_real(inst: SdpInstance, tol: float) -> SdpSolution:
         if pres <= FEAS_TOL and dres <= FEAS_TOL and (
             rel_gap <= tol or nu * mu / max(1.0, abs(pobj)) <= 0.5 * tol
         ):
-            return _finish(labels, zs, y, pobj, dobj, it + 1, "optimal")
+            trace.append(IpmIteration(**record))
+            return _finish(labels, zs, y, pobj, dobj, it + 1, "optimal", trace)
         if mu / max(1.0, abs(pobj)) < MU_FLOOR:
+            trace.append(IpmIteration(**record))
             break  # numerical floor: no further progress is possible
 
         # Divergence heuristics: Farkas certificate for infeasibility.
@@ -378,69 +336,78 @@ def _solve_real(inst: SdpInstance, tol: float) -> SdpSolution:
                     "primal infeasible (dual improving ray found)", certificate=yhat
                 )
 
-        ws = [_nt_scaling(z, s) for z, s in zip(zs, ss)]
+        t = time.perf_counter()
+        lzs = [_chol_psd(z) for z in zs]
+        lss = [_chol_psd(s) for s in ss]
+        ws = [_nt_scaling(lz, s) for lz, s in zip(lzs, ss)]
+        t, record["nt_s"] = _lap(t)
         schur = _schur(blocks, ws, m)
-        diag_scale = max(float(np.max(np.diag(schur))), 1e-300)
-        ridge = 1e-14 * diag_scale
+        t, record["schur_s"] = _lap(t)
+        diag = np.diag(schur).copy()
+        ridge = 1e-14 * max(float(np.max(diag)), 1e-300)
         factor = None
         for _ in range(10):
+            np.fill_diagonal(schur, diag + ridge)
             try:
-                factor = scipy.linalg.cho_factor(
-                    schur + ridge * np.eye(m), lower=True
-                )
+                factor = scipy.linalg.cho_factor(schur)
                 break
             except np.linalg.LinAlgError:
                 ridge *= 100.0
+        t, record["chol_s"] = _lap(t)
         if factor is None:
+            trace.append(IpmIteration(**record))
             break
 
         s_inv = []
-        for s in ss:
-            ls = _chol_psd(s)
+        for ls in lss:
             inv = scipy.linalg.solve_triangular(ls, np.eye(ls.shape[0]), lower=True)
-            s_inv.append(inv.T @ inv)
+            s_inv.append(inv.conj().T @ inv)
 
         def newton(sigma_mu: float):
-            rcs = [
-                sigma_mu * si - z for si, z in zip(s_inv, zs)
-            ]
-            wrdw = [w @ r @ w for w, r in zip(ws, rd)]
-            rhs = _a_of(blocks, rcs, m) + _a_of(blocks, wrdw, m) - rp
+            rcs = [sigma_mu * si - z for si, z in zip(s_inv, zs)]
+            rhs = _a_of(
+                blocks, [rc + w @ r @ w for rc, w, r in zip(rcs, ws, rd)], m
+            ) - rp
             dy = scipy.linalg.cho_solve(factor, rhs)
-            daty = _at_of(blocks, dy)
-            dss = [da - r for da, r in zip(daty, rd)]
-            dzs = [
-                rc - w @ ds @ w for rc, w, ds in zip(rcs, ws, dss)
-            ]
-            dzs = [(dz + dz.T) / 2 for dz in dzs]
-            dss = [(ds + ds.T) / 2 for ds in dss]
+            dss = [da - r for da, r in zip(_at_of(blocks, dy), rd)]
+            dzs = [_hermitian(rc - w @ ds @ w) for rc, w, ds in zip(rcs, ws, dss)]
             return dzs, dy, dss
 
+        def steps(dzs, dss):
+            ap = min((_max_step(l, dz) for l, dz in zip(lzs, dzs)), default=np.inf)
+            ad = min((_max_step(l, ds) for l, ds in zip(lss, dss)), default=np.inf)
+            return ap, ad
+
         # Predictor (affine direction) fixes the centering weight.
-        dza, dya, dsa = newton(0.0)
-        ap = min((_max_step(z, dz) for z, dz in zip(zs, dza)), default=np.inf)
-        ad = min((_max_step(s, ds) for s, ds in zip(ss, dsa)), default=np.inf)
+        dza, _, dsa = newton(0.0)
+        t, newton_s = _lap(t)
+        ap, ad = steps(dza, dsa)
         ap, ad = min(1.0, 0.99 * ap), min(1.0, 0.99 * ad)
         mu_aff = sum(
-            float(np.sum((z + ap * dz) * (s + ad * ds)))
+            float(np.vdot(z + ap * dz, s + ad * ds).real)
             for z, dz, s, ds in zip(zs, dza, ss, dsa)
         ) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
+        t, step_s = _lap(t)
 
         dzs, dy, dss = newton(sigma * mu)
-        ap = min((_max_step(z, dz) for z, dz in zip(zs, dzs)), default=np.inf)
-        ad = min((_max_step(s, ds) for s, ds in zip(ss, dss)), default=np.inf)
+        t, dt = _lap(t)
+        record["newton_s"] = newton_s + dt
+        ap, ad = steps(dzs, dss)
+        t, dt = _lap(t)
+        record["step_s"] = step_s + dt
         tau = 0.98
         ap, ad = min(1.0, tau * ap), min(1.0, tau * ad)
         zs = [z + ap * dz for z, dz in zip(zs, dzs)]
         ss = [s + ad * ds for s, ds in zip(ss, dss)]
         y = y + ad * dy
+        trace.append(IpmIteration(sigma=sigma, alpha_p=ap, alpha_d=ad, **record))
 
     zs, y, pobj, dobj, it = best
-    return _finish(labels, zs, y, pobj, dobj, it + 1, "max_iterations")
+    return _finish(labels, zs, y, pobj, dobj, it + 1, "max_iterations", trace)
 
 
-def _finish(labels, zs, y, pobj, dobj, iters, status) -> SdpSolution:
+def _finish(labels, zs, y, pobj, dobj, iters, status, trace) -> SdpSolution:
     return SdpSolution(
         blocks={label: z for label, z in zip(labels, zs)},
         y=y,
@@ -449,6 +416,7 @@ def _finish(labels, zs, y, pobj, dobj, iters, status) -> SdpSolution:
         gap=dobj - pobj,
         iterations=iters,
         status=status,
+        trace=tuple(trace),
     )
 
 
@@ -485,9 +453,7 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     if tol <= 0:
         raise BadArgsError("tol must be positive")
     bounded, m_big = _with_trace_bound(inst)
-    embedded, back1 = real_embedding(bounded)
-    sol = _solve_real(embedded, tol)
-    sol = back1(sol)
+    sol = _solve(bounded, tol)
     trace_total = sum(
         float(np.real(np.trace(sol.blocks[label]))) for label, _ in inst.blocks
     )
@@ -503,6 +469,7 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
         gap=sol.gap,
         iterations=sol.iterations,
         status=sol.status,
+        trace=sol.trace,
     )
 
 
@@ -579,6 +546,13 @@ def instance_to_dict(inst: SdpInstance) -> dict:
     }
 
 
+def _finite(x) -> float:
+    v = float(x)
+    if not math.isfinite(v):
+        raise FormatError(f"non-finite number {v}")
+    return v
+
+
 def instance_from_dict(data: dict) -> SdpInstance:
     if not isinstance(data, dict) or data.get("format") != SDP_FORMAT:
         raise FormatError(f"expected format {SDP_FORMAT!r}")
@@ -588,18 +562,18 @@ def instance_from_dict(data: dict) -> SdpInstance:
         objective = {label: np.zeros((d, d), dtype=complex) for label, d in blocks}
         for e in data["objective"]:
             label, r, c = str(e["b"]), int(e["r"]), int(e["c"])
-            v = complex(float(e["re"]), float(e["im"]))
+            v = complex(_finite(e["re"]), _finite(e["im"]))
             objective[label][r, c] = v
             objective[label][c, r] = v.conjugate()
         objective = {k: v for k, v in objective.items() if np.any(v)}
         constraints = []
         for con in data["constraints"]:
             entries = tuple(
-                (str(e["b"]), int(e["r"]), int(e["c"]), complex(float(e["re"]), float(e["im"])))
+                (str(e["b"]), int(e["r"]), int(e["c"]), complex(_finite(e["re"]), _finite(e["im"])))
                 for e in con["entries"]
             )
-            constraints.append(SdpConstraint(entries=entries, rhs=float(con["rhs"])))
-    except (KeyError, TypeError, ValueError) as exc:
+            constraints.append(SdpConstraint(entries=entries, rhs=_finite(con["rhs"])))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed SDP file: {exc}") from exc
     return SdpInstance(blocks=blocks, objective=objective, constraints=tuple(constraints))
 

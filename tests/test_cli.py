@@ -180,3 +180,37 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
     code = run(["bias", str(bad), "--out", str(target)])
     assert code == cli.EXIT_ARGS
     assert not target.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_cmd_sdp_solve_non_finite_exits_2(tmp_path, bad):
+    inst = sdp.SdpInstance(
+        blocks=(("z", 1),),
+        objective={"z": np.eye(1, dtype=complex)},
+        constraints=(
+            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=1.0),
+        ),
+    )
+    data = sdp.instance_to_dict(inst)
+    data["constraints"][0]["rhs"] = bad
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert run(["sdp", "solve", str(path)]) == cli.EXIT_ARGS
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_cmd_bias_non_finite_game_exits_2(tmp_path, bad):
+    path = tmp_path / "t1.json"
+    run(["game", "--name", "tn", "--param", "1", "--out", str(path)])
+    data = json.loads(path.read_text())
+    data["entries"][0]["re"] = bad
+    path.write_text(json.dumps(data))
+    assert run(["bias", str(path), "--quantities", "beta-nc"]) == cli.EXIT_ARGS
+
+
+def test_cmd_bias_witness_drift_exits_4(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "t1.json"
+    run(["game", "--name", "tn", "--param", "1", "--out", str(path)])
+    monkeypatch.setattr(relaxations, "nc_objective", lambda g, x, y: 123.0)
+    assert run(["bias", str(path), "--quantities", "beta-nc"]) == cli.EXIT_SOLVER
+    assert "drifted from solver value" in capsys.readouterr().err

@@ -6,6 +6,8 @@ import pytest
 from xorq import games, relaxations, sdp
 from xorq.errors import BadArgsError, InfeasibleError, UnboundedError
 
+from doubling import double_instance, undouble_matrix
+
 
 def _scalar_instance(value=1.0):
     return sdp.SdpInstance(
@@ -127,44 +129,121 @@ def test_invariance_under_permutation_and_relabeling():
     assert abs(sol.primal_value - sol2.primal_value) <= 2e-8 * max(1.0, abs(sol.primal_value))
 
 
-def test_real_embedding_purely_real():
+def test_doubling_oracle_purely_real():
     inst = _scalar_instance()
-    emb, back = sdp.real_embedding(inst)
-    assert dict(emb.blocks)["z"] == 2
-    sol = sdp._solve_real(emb, 1e-8)
-    mapped = back(sol)
-    assert abs(mapped.primal_value - 1.0) <= 1e-6
+    doubled = double_instance(inst)
+    assert dict(doubled.blocks)["z"] == 2
+    value = sdp.solve(inst, 1e-8).primal_value
+    assert abs(value - 1.0) <= 1e-6
+    assert abs(sdp.solve(doubled, 1e-8).primal_value / 2.0 - value) <= 2e-6
 
 
-def test_real_embedding_one_dim_complex_block():
+def test_doubling_oracle_one_dim_complex_block():
     inst = _scalar_instance()
-    emb, _ = sdp.real_embedding(inst)
-    con = emb.constraints[0]
+    con = double_instance(inst).constraints[0]
     # 1x1 complex block becomes a rotationally symmetric 2x2 block
     assert {(r, c) for _, r, c, _ in con.entries} == {(0, 0), (1, 1)}
     assert con.rhs == 2.0
+    # while the complex core keeps it 1x1
+    assert sdp.solve(inst, 1e-8).blocks["z"].shape == (1, 1)
 
 
-def test_real_embedding_round_trip_feasibility(rng):
-    for seed in range(10):
-        inst = _random_instance(seed + 50)
-        emb, back = sdp.real_embedding(inst)
-        sol = sdp._solve_real(emb, 1e-8)
-        mapped = back(sol)
-        for con in inst.constraints:
-            got = sdp.constraint_value(inst, con, mapped.blocks)
-            assert abs(got - con.rhs) <= 1e-8 * max(1.0, abs(con.rhs))
-        z = mapped.blocks["z"]
+def _assert_feasible_psd(inst, blocks):
+    for con in inst.constraints:
+        got = sdp.constraint_value(inst, con, blocks)
+        assert abs(got - con.rhs) <= 1e-8 * max(1.0, abs(con.rhs))
+    for z in blocks.values():
         assert np.linalg.eigvalsh((z + z.conj().T) / 2)[0] >= -1e-8
 
 
-def test_embedding_soundness_values_agree():
+def test_complex_core_feasibility_against_doubling():
+    for seed in range(10):
+        inst = _random_instance(seed + 50)
+        sol = sdp._solve(inst, 1e-8)
+        _assert_feasible_psd(inst, sol.blocks)
+        doubled = sdp._solve(double_instance(inst), 1e-8)
+        _assert_feasible_psd(inst, {"z": undouble_matrix(doubled.blocks["z"])})
+        assert abs(doubled.primal_value / 2.0 - sol.primal_value) <= 2e-6 * max(
+            1.0, abs(sol.primal_value)
+        )
+
+
+def test_doubling_soundness_values_agree():
     for seed in range(50):
         inst = _random_instance(seed + 200, dim=2, m=2)
         v1 = sdp.solve(inst, 1e-7).primal_value
-        emb, _ = sdp.real_embedding(inst)
-        v2 = sdp.solve(emb, 1e-7).primal_value
+        v2 = sdp.solve(double_instance(inst), 1e-7).primal_value
         assert abs(v2 / 2.0 - v1) <= 2e-6 * max(1.0, abs(v1))
+
+
+def _random_pd(rng, d):
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return x @ x.conj().T / d + 0.1 * np.eye(d)
+
+
+def test_schur_matches_dense_oracle():
+    rng = np.random.default_rng(11)
+    dims = {"a": 5, "b": 3}
+    kinds = ("diag", "real", "complex")
+    cons = []
+    for q in range(12):
+        labels = ("a", "b") if q % 3 == 0 else (("b",) if q % 5 == 1 else ("a",))
+        entries = []
+        for label in labels:
+            for _ in range(1 + q % 3):
+                kind = kinds[int(rng.integers(3))]
+                r, c = sorted(int(i) for i in rng.choice(dims[label], 2, replace=False))
+                if kind == "diag":
+                    entries.append((label, r, r, complex(rng.standard_normal())))
+                elif kind == "real":
+                    entries.append((label, r, c, complex(rng.standard_normal())))
+                else:
+                    entries.append((label, r, c, complex(*rng.standard_normal(2))))
+        cons.append(sdp.SdpConstraint(entries=tuple(entries), rhs=0.0))
+    inst = sdp.SdpInstance(
+        blocks=tuple(dims.items()), objective={}, constraints=tuple(cons)
+    )
+    bounded, _ = sdp._with_trace_bound(inst)  # adds the trace-cap row
+    blocks, b_vec, labels = sdp._compile(bounded)
+    ws = [_random_pd(rng, blk.dim) for blk in blocks]
+    m = b_vec.size
+    got = sdp._schur(blocks, ws, m)
+
+    dense = np.zeros((m, len(labels)), dtype=object)
+    for q, con in enumerate(bounded.constraints):
+        fs = {label: np.zeros((blk.dim, blk.dim), dtype=complex) for label, blk in zip(labels, blocks)}
+        for b, r, c, v in con.entries:
+            fs[b][r, c] += v
+            if r != c:
+                fs[b][c, r] += np.conj(v)
+        for k, label in enumerate(labels):
+            dense[q, k] = fs[label]
+    want = np.array(
+        [
+            [
+                sum(
+                    np.trace(dense[p, k] @ w @ dense[q, k] @ w).real
+                    for k, w in enumerate(ws)
+                )
+                for q in range(m)
+            ]
+            for p in range(m)
+        ]
+    )
+    assert np.abs(got - np.triu(want)).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solution_trace_one_record_per_iteration():
+    inst = _random_instance(4)
+    sol = sdp.solve(inst, 1e-8)
+    assert len(sol.trace) == sol.iterations
+    for rec in sol.trace[:-1]:
+        assert 0.0 < rec.alpha_p <= 1.0 and 0.0 < rec.alpha_d <= 1.0
+        assert 0.0 < rec.sigma <= 1.0
+        assert min(rec.nt_s, rec.schur_s, rec.chol_s, rec.newton_s, rec.step_s) >= 0.0
+    last = sol.trace[-1]
+    assert max(last.pres, last.dres) <= sdp.FEAS_TOL
+    assert (last.sigma, last.alpha_p, last.alpha_d) == (0.0, 0.0, 0.0)
 
 
 def test_infeasible_detected():
