@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import games, heuristics, relaxations, sdp, strategies
-from .errors import FormatError, SdpError, XorqError
+from .errors import FormatError, SdpError, SeesawError, XorqError
 from .linalg import trace_norm
 from .report import BiasReport
 
@@ -78,14 +78,6 @@ def _emit(payload: bytes, out: str | None):
 
 def _log(msg: str):
     print(msg, file=sys.stderr, flush=True)
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("XORQ_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 # --- game construction ----------------------------------------------------------
@@ -162,7 +154,7 @@ def compute_report(
     seed: int,
     name: str = "game",
 ) -> BiasReport:
-    cfg = heuristics.OptimizerConfig(restarts=restarts, seed=seed)
+    ladder = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=restarts, seed=seed))
     rep = BiasReport(
         game=name, n=g.n, seed=seed, restarts=restarts, tol=tol,
         trace_norm=trace_norm(g.m),
@@ -170,15 +162,15 @@ def compute_report(
     for kind, param in quantities:
         t0 = time.monotonic()
         if kind == "omega":
-            rep.omega_lower = heuristics.omega_lower(g, cfg).value
+            rep.omega_lower = ladder.omega().value
         elif kind == "omega-c":
-            rep.omega_c_lower = heuristics.omega_c_lower(g, cfg).value
+            rep.omega_c_lower = ladder.omega_c().value
         elif kind == "me":
             rep.me_d = param
-            rep.me_lower = heuristics.me_lower(g, param, cfg).value
+            rep.me_lower = ladder.me(param).value
         elif kind == "ent":
             rep.entangled_dims = param
-            rep.entangled_lower = heuristics.entangled_lower(g, *param, cfg).value
+            rep.entangled_lower = ladder.entangled(*param).value
         elif kind == "beta-sdp":
             rep.beta_sdp = relaxations.beta_sdp(_classical_from_diagonal(g), tol).value
         elif kind == "beta-nc":
@@ -300,12 +292,11 @@ def paper_table_rows(tol: float, restarts: int, seed: int) -> list[dict]:
         _log(f"paper-table {game} {quantity}: {computed:.8f} vs {expected:.8f} "
              f"({'pass' if ok else 'FAIL'})")
 
-    chsh_game = games.from_classical(games.chsh())
+    chsh = heuristics.Ladder(games.from_classical(games.chsh()), cfg)
     row("CHSH", "beta_sdp", relaxations.beta_sdp(games.chsh(), tol).value,
         math.sqrt(2) / 2, 1e-4)
-    row("CHSH", "omega_lower", heuristics.omega_lower(chsh_game, cfg).value, 0.5, 1e-6)
-    row("CHSH", "omega_c_lower", heuristics.omega_c_lower(chsh_game, cfg).value,
-        math.sqrt(2) / 2, 1e-3)
+    row("CHSH", "omega_lower", chsh.omega().value, 0.5, 1e-6)
+    row("CHSH", "omega_c_lower", chsh.omega_c().value, math.sqrt(2) / 2, 1e-3)
 
     for n in range(1, 5):
         tg = games.t_game(n)
@@ -316,10 +307,10 @@ def paper_table_rows(tol: float, restarts: int, seed: int) -> list[dict]:
         row(f"T{n}", "beta_os", relaxations.beta_os(tg, tol).value, 1.0, 1e-3)
 
     hg = games.h_game(1)
-    row("H1", "omega_lower", heuristics.omega_lower(hg, cfg).value, 0.4, 1e-3)
-    row("H1", "omega_c_lower", heuristics.omega_c_lower(hg, cfg).value, 0.4, 1e-3)
-    row("H1", "me_lower(d=3)", heuristics.me_lower(hg, 3, cfg).value, 5 / 9, 1e-3,
-        compare="ge")
+    h1 = heuristics.Ladder(hg, cfg)
+    row("H1", "omega_lower", h1.omega().value, 0.4, 1e-3)
+    row("H1", "omega_c_lower", h1.omega_c().value, 0.4, 1e-3)
+    row("H1", "me_lower(d=3)", h1.me(3).value, 5 / 9, 1e-3, compare="ge")
     row("H1", "explicit_5_9_bias", strategies.bias(hg, strategies.h1_me_strategy()),
         5 / 9, 1e-9)
     row("H1", "beta_nc", relaxations.beta_nc(hg, tol).value, 0.6, 1e-4)
@@ -445,7 +436,6 @@ def _common_flags(p: argparse.ArgumentParser):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _threads_cap()  # parallelism cap; computation is sequential in-process
     try:
         if args.command == "game":
             return cmd_game(args)
@@ -464,6 +454,9 @@ def main(argv=None) -> int:
         cert = getattr(exc, "certificate", None)
         if cert is not None:
             _log(f"certificate: {np.array2string(np.asarray(cert), precision=6)}")
+        return EXIT_SOLVER
+    except SeesawError as exc:
+        _log(f"see-saw failure: {exc}")
         return EXIT_SOLVER
     except XorqError as exc:
         _log(f"error: {exc}")

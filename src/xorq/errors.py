@@ -53,6 +53,11 @@ class FormatError(XorqError):
     """Raised on malformed serialized files."""
 
 
+class SeesawError(XorqError):
+    """A see-saw invariant failed: a half-step or state step lowered the
+    value, or an effective operator lost Hermiticity."""
+
+
 class SdpError(XorqError):
     pass
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import BadArgsError, DimensionMismatchError
+from .errors import BadArgsError, DimensionMismatchError, SeesawError
 from .games import GameMatrix
 from .strategies import (
     ComplexStrategy,
@@ -66,23 +66,30 @@ def _as_bipartite(m, nb: int) -> tuple[np.ndarray, int]:
     return m, na
 
 
-def effective_operator_for_a(m, b_part: np.ndarray) -> np.ndarray:
+def effective_operator_for_a(
+    m, b_part: np.ndarray, m_hermitian: bool | None = None
+) -> np.ndarray:
     """K with Tr(A K) = Tr((A (x) B) M) for every A.
 
     K[k, i] = sum_jl B[j, l] M[(k, l), (i, j)]. Hermitian whenever M and the
-    B side are (asserted).
+    B side are (checked; SeesawError otherwise). `m_hermitian` is the verdict
+    on M of a caller that checked it once for a whole see-saw run; None
+    checks M here.
     """
     b = linalg.as_complex(b_part)
     m, na = _as_bipartite(m, b.shape[0])
     nb = b.shape[0]
     m4 = m.reshape(na, nb, na, nb)
     k = np.einsum("jl,klij->ki", b, m4)
-    _assert_hermitian_if(m, b, k)
+    _check_hermitian_if(m, m_hermitian, b, k)
     return k
 
 
-def effective_operator_for_b(m, a_part: np.ndarray) -> np.ndarray:
-    """L with Tr(B L) = Tr((A (x) B) M) for every B."""
+def effective_operator_for_b(
+    m, a_part: np.ndarray, m_hermitian: bool | None = None
+) -> np.ndarray:
+    """L with Tr(B L) = Tr((A (x) B) M) for every B; `m_hermitian` as for
+    effective_operator_for_a."""
     a = linalg.as_complex(a_part)
     m_arr = linalg.as_complex(m.m if isinstance(m, GameMatrix) else m)
     na = a.shape[0]
@@ -91,20 +98,25 @@ def effective_operator_for_b(m, a_part: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("coefficient matrix incompatible with A side")
     m4 = m_arr.reshape(na, nb, na, nb)
     l = np.einsum("ik,klij->lj", a, m4)
-    _assert_hermitian_if(m_arr, a, l)
+    _check_hermitian_if(m_arr, m_hermitian, a, l)
     return l
 
 
-def _assert_hermitian_if(m: np.ndarray, part: np.ndarray, k: np.ndarray):
-    scale = max(1.0, float(np.linalg.norm(k)))
-    if (
-        np.linalg.norm(m - m.conj().T) <= 1e-9 * max(1.0, float(np.linalg.norm(m)))
-        and np.linalg.norm(part - part.conj().T)
-        <= 1e-9 * max(1.0, float(np.linalg.norm(part)))
-    ):
-        assert np.linalg.norm(k - k.conj().T) <= 1e-9 * scale, (
-            "effective operator lost Hermiticity"
-        )
+def _is_hermitian(x: np.ndarray) -> bool:
+    return np.linalg.norm(x - x.conj().T) <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
+
+
+def _check_hermitian_if(m, m_hermitian, part, k):
+    if m_hermitian is None:
+        m_hermitian = _is_hermitian(m)
+    if m_hermitian and _is_hermitian(part) and not _is_hermitian(k):
+        raise SeesawError("effective operator lost Hermiticity")
+
+
+def _check_monotone(value: float, prev: float, what: str):
+    # Written as "not >=" so that a NaN value fails too.
+    if not value >= prev - MONOTONE_SLACK * max(1.0, abs(prev)):
+        raise SeesawError(f"{what}: {value!r} after {prev!r}")
 
 
 def folded_game_matrix(
@@ -118,13 +130,9 @@ def folded_game_matrix(
     return linalg.permute_systems(big, (g.n, g.n, da, db), (0, 2, 1, 3))
 
 
-def _pair_objective(m: np.ndarray, nb: int, a: np.ndarray, b: np.ndarray) -> complex:
-    k = effective_operator_for_a(m, b)
-    return complex(np.trace(a @ k))
-
-
 def _seesaw_pair(
     m: np.ndarray,
+    m_hermitian: bool,
     b0: np.ndarray,
     step,
     max_iters: int,
@@ -137,14 +145,14 @@ def _seesaw_pair(
     value = 0.0
     iters = 0
     for it in range(max_iters):
-        k = effective_operator_for_a(m, b)
+        k = effective_operator_for_a(m, b, m_hermitian)
         a = step(k)
         val_a = float(np.real(np.trace(a @ k)))
-        assert val_a >= prev - MONOTONE_SLACK * max(1.0, abs(prev)), "half-step decreased"
-        l = effective_operator_for_b(m, a)
+        _check_monotone(val_a, prev, "half-step decreased")
+        l = effective_operator_for_b(m, a, m_hermitian)
         b = step(l)
         value = float(np.real(np.trace(b @ l)))
-        assert value >= val_a - MONOTONE_SLACK * max(1.0, abs(val_a)), "half-step decreased"
+        _check_monotone(value, val_a, "half-step decreased")
         iters = it + 1
         if value - prev < tol:
             break
@@ -188,7 +196,7 @@ def _spectral_start(m: np.ndarray, nb: int) -> np.ndarray:
     return linalg.sign_of_hermitian(herm)
 
 
-def _run_restarts(m, nb, step, cfg, warm_b=None, start=_gaussian_start):
+def _run_restarts(m, m_hermitian, nb, step, cfg, warm_b=None, start=_gaussian_start):
     values, finals = [], []
     total_iters = 0
     for r in range(cfg.restarts):
@@ -196,7 +204,9 @@ def _run_restarts(m, nb, step, cfg, warm_b=None, start=_gaussian_start):
             b0 = warm_b if warm_b is not None else _spectral_start(m, nb)
         else:
             b0 = start(cfg.seed, r, nb)
-        value, a, b, iters = _seesaw_pair(m, b0, step, cfg.max_iters, cfg.improvement_tol)
+        value, a, b, iters = _seesaw_pair(
+            m, m_hermitian, b0, step, cfg.max_iters, cfg.improvement_tol
+        )
         values.append(value)
         finals.append((a, b))
         total_iters += iters
@@ -206,7 +216,7 @@ def _run_restarts(m, nb, step, cfg, warm_b=None, start=_gaussian_start):
 
 def omega_lower(g: GameMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> HeuristicResult:
     """Lower bound on the unentangled bias via sign-step see-saw."""
-    values, (a, b), iters = _run_restarts(g.m, g.n, _sign_step, cfg)
+    values, (a, b), iters = _run_restarts(g.m, _is_hermitian(g.m), g.n, _sign_step, cfg)
     return HeuristicResult(
         value=max(values),
         strategy=UnentangledStrategy(a=a, b=b),
@@ -215,12 +225,19 @@ def omega_lower(g: GameMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> Heur
     )
 
 
-def omega_c_lower(g: GameMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> HeuristicResult:
+def omega_c_lower(
+    g: GameMatrix,
+    cfg: OptimizerConfig = OptimizerConfig(),
+    omega: HeuristicResult | None = None,
+) -> HeuristicResult:
     """Lower bound on the complex bias via polar-step see-saw, warm-started
-    from the unentangled optimum (so it never falls below it)."""
-    warm = omega_lower(g, cfg)
+    from the unentangled optimum `omega` (so it never falls below it);
+    `omega` is omega_lower(g, cfg), computed here when not given."""
+    if omega is None:
+        omega = omega_lower(g, cfg)
     values, (a, b), iters = _run_restarts(
-        g.m, g.n, _polar_step, cfg, warm_b=warm.strategy.b, start=_haar_start
+        g.m, _is_hermitian(g.m), g.n, _polar_step, cfg,
+        warm_b=omega.strategy.b, start=_haar_start,
     )
     return HeuristicResult(
         value=max(values),
@@ -245,29 +262,44 @@ def _epr_embed(op: np.ndarray, n: int, d: int) -> np.ndarray | None:
 
 
 def me_lower(
-    g: GameMatrix, d: int, cfg: OptimizerConfig = OptimizerConfig()
+    g: GameMatrix,
+    d: int,
+    cfg: OptimizerConfig = OptimizerConfig(),
+    omega: HeuristicResult | None = None,
+    omega_c: HeuristicResult | None = None,
 ) -> HeuristicResult:
-    """Lower bound on the maximally entangled bias at dimension d."""
+    """Lower bound on the maximally entangled bias at dimension d.
+
+    Restart 0 starts from the better of the unentangled optimum `omega` and,
+    for even d, the complex optimum `omega_c` played on shared qubit pairs;
+    each is computed here (omega_lower / omega_c_lower at `cfg`) when not
+    given.
+    """
     if d < 1:
         raise BadArgsError("d must be >= 1")
     n = g.n
     m_fold = folded_game_matrix(g, linalg.max_entangled_state(d), d, d)
+    m_hermitian = _is_hermitian(m_fold)
     nb = n * d
 
     def half_step_value(b0: np.ndarray) -> float:
-        k = effective_operator_for_a(m_fold, b0)
+        k = effective_operator_for_a(m_fold, b0, m_hermitian)
         return float(np.real(np.trace(_sign_step(k) @ k)))
 
     warm_candidates = []
-    unent = omega_lower(g, cfg)
-    warm_candidates.append(np.kron(unent.strategy.b, np.eye(d)))
+    if omega is None:
+        omega = omega_lower(g, cfg)
+    warm_candidates.append(np.kron(omega.strategy.b, np.eye(d)))
     if d % 2 == 0:
-        comp = omega_c_lower(g, cfg)
-        emb = _epr_embed(comp.strategy.b, n, d)
+        if omega_c is None:
+            omega_c = omega_c_lower(g, cfg, omega)
+        emb = _epr_embed(omega_c.strategy.b, n, d)
         if emb is not None:
             warm_candidates.append(emb)
     best_warm = max(warm_candidates, key=half_step_value)
-    values, (a, b), iters = _run_restarts(m_fold, nb, _sign_step, cfg, warm_b=best_warm)
+    values, (a, b), iters = _run_restarts(
+        m_fold, m_hermitian, nb, _sign_step, cfg, warm_b=best_warm
+    )
     return HeuristicResult(
         value=max(values),
         strategy=MaxEntangledStrategy(d=d, a=a, b=b),
@@ -276,18 +308,35 @@ def me_lower(
     )
 
 
+def _state_operator(
+    m: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, da: int, db: int
+) -> np.ndarray:
+    """T = Tr_msg((A (x) B)(M (x) I)) on C^dA (x) C^dB, as one contraction:
+    T[(a, b), (c, d)] = sum A[(i, a), (k, c)] B[(j, b), (l, d)] M[(k, l), (i, j)].
+
+    Contracted pairwise (optimize=True), which is much faster than one loop
+    over all eight indices once n is about 6 or more. Its rounding also
+    reproduces the 12-digit values of the Kronecker construction on every
+    report recorded in perfbench/references.json, where the single loop
+    changes the last digit of one.
+    """
+    t = np.einsum(
+        "iakc,jbld,klij->abcd",
+        a.reshape(n, da, n, da),
+        b.reshape(n, db, n, db),
+        m.reshape(n, n, n, n),
+        optimize=True,
+    )
+    return t.reshape(da * db, da * db)
+
+
 def _state_step(
     g: GameMatrix, a: np.ndarray, b: np.ndarray, da: int, db: int
 ) -> tuple[np.ndarray, float]:
     """Optimal shared state for fixed operators: top eigenvector by
     magnitude of T = Tr_msg((A (x) B)(M (x) I)), with a fixed tie-break and
     phase convention (largest entry real positive)."""
-    n = g.n
-    x = np.kron(a, b)
-    x = linalg.permute_systems(x, (n, da, n, db), (0, 2, 1, 3))
-    t = x @ np.kron(g.m, np.eye(da * db))
-    t = linalg.partial_trace(t, (n * n, da * db), "first")
-    t = linalg.hermitian_part(t)
+    t = linalg.hermitian_part(_state_operator(g.m, a, b, g.n, da, db))
     w, vecs = np.linalg.eigh(t)
     top = float(np.max(np.abs(w)))
     cands = []
@@ -303,22 +352,34 @@ def _state_step(
 
 
 def entangled_lower(
-    g: GameMatrix, da: int, db: int, cfg: OptimizerConfig = OptimizerConfig()
+    g: GameMatrix,
+    da: int,
+    db: int,
+    cfg: OptimizerConfig = OptimizerConfig(),
+    me: HeuristicResult | None = None,
 ) -> HeuristicResult:
     """Lower bound on the entangled bias: three-block see-saw over A, B,
-    and the shared state, monotone in |bias|."""
+    and the shared state, monotone in |bias|.
+
+    Restart 0 starts from the maximally entangled optimum `me` at
+    min(da, db), embedded; it is me_lower(g, min(da, db), cfg), computed here
+    when not given.
+    """
     if da < 1 or db < 1:
         raise BadArgsError("dimensions must be >= 1")
     n = g.n
 
     dm = min(da, db)
-    warm = me_lower(g, dm, cfg)
+    warm = me if me is not None else me_lower(g, dm, cfg)
     ea = np.eye(da, dtype=complex)[:, :dm]
     eb = np.eye(db, dtype=complex)[:, :dm]
     warm_a = np.kron(np.eye(n), ea) @ warm.strategy.a @ np.kron(np.eye(n), ea).conj().T
     warm_b = np.kron(np.eye(n), eb) @ warm.strategy.b @ np.kron(np.eye(n), eb).conj().T
     warm_psi = np.kron(ea, eb) @ linalg.max_entangled_state(dm)
 
+    # Each folded matrix below is M (x) |psi><psi| with a unit psi, permuted,
+    # so it is Hermitian exactly when M is: M is checked once for the run.
+    m_hermitian = _is_hermitian(g.m)
     values, finals = [], []
     total_iters = 0
     for r in range(cfg.restarts):
@@ -334,17 +395,15 @@ def entangled_lower(
         value = 0.0
         for it in range(cfg.max_iters):
             m_fold = folded_game_matrix(g, psi, da, db)
-            a = _sign_step(effective_operator_for_a(m_fold, b))
-            l = effective_operator_for_b(m_fold, a)
+            a = _sign_step(effective_operator_for_a(m_fold, b, m_hermitian))
+            l = effective_operator_for_b(m_fold, a, m_hermitian)
             b = _sign_step(l)
             psi, lam = _state_step(g, a, b, da, db)
             if lam < 0:
                 a = -a
                 lam = -lam
             value = lam
-            assert value >= prev - MONOTONE_SLACK * max(1.0, abs(prev)), (
-                "state step decreased |bias|"
-            )
+            _check_monotone(value, prev, "state step decreased |bias|")
             total_iters += 1
             if value - prev < cfg.improvement_tol:
                 break
@@ -359,6 +418,43 @@ def entangled_lower(
         iterations_used=total_iters,
         restart_values=tuple(values),
     )
+
+
+class Ladder:
+    """The see-saw ladder of one game at one config:
+    omega -> omega_c -> me:d -> ent:dA x dB.
+
+    Each class is computed at most once (me once per d) and handed to the
+    next class as its warm start, so a report that asks for every class runs
+    omega_lower once. The values equal those of standalone calls. Create one
+    per report; it holds the results until it is dropped.
+    """
+
+    def __init__(self, g: GameMatrix, cfg: OptimizerConfig):
+        self.g = g
+        self.cfg = cfg
+        self._omega = None
+        self._omega_c = None
+        self._me = {}
+
+    def omega(self) -> HeuristicResult:
+        if self._omega is None:
+            self._omega = omega_lower(self.g, self.cfg)
+        return self._omega
+
+    def omega_c(self) -> HeuristicResult:
+        if self._omega_c is None:
+            self._omega_c = omega_c_lower(self.g, self.cfg, self.omega())
+        return self._omega_c
+
+    def me(self, d: int) -> HeuristicResult:
+        if d not in self._me:
+            omega_c = self.omega_c() if d % 2 == 0 else None
+            self._me[d] = me_lower(self.g, d, self.cfg, self.omega(), omega_c)
+        return self._me[d]
+
+    def entangled(self, da: int, db: int) -> HeuristicResult:
+        return entangled_lower(self.g, da, db, self.cfg, self.me(min(da, db)))
 
 
 def round_complex_to_real(g: GameMatrix, s: ComplexStrategy) -> UnentangledStrategy:

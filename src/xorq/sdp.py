@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     FormatError,
     InfeasibleError,
+    SdpError,
     UnboundedError,
 )
 
@@ -142,13 +143,6 @@ def constraint_value(inst: SdpInstance, con: SdpConstraint, blocks) -> float:
     return total
 
 
-def objective_value(inst: SdpInstance, blocks) -> float:
-    total = 0.0
-    for label, c in inst.objective.items():
-        total += float(np.real(np.trace(c.conj().T @ blocks[label])))
-    return total
-
-
 # --- interior-point core (complex Hermitian blocks) ---------------------------
 
 
@@ -251,8 +245,10 @@ def _nt_scaling(lz: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with L L^H + alpha dx >= 0, via L^-1 dx L^-H eigenvalues."""
-    g = scipy.linalg.solve_triangular(l, dx, lower=True)
-    g = scipy.linalg.solve_triangular(l, g.conj().T, lower=True).conj().T
+    g = scipy.linalg.solve_triangular(l, dx, lower=True, check_finite=False)
+    g = scipy.linalg.solve_triangular(
+        l, g.conj().T, lower=True, check_finite=False
+    ).conj().T
     lam = float(np.linalg.eigvalsh(_hermitian(g))[0])
     if lam >= -1e-14:
         return np.inf
@@ -311,6 +307,8 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
         rel_gap = abs(dobj - pobj) / max(1.0, abs(pobj))
         pres = float(np.linalg.norm(rp)) / scale_b
         dres = max(float(np.linalg.norm(r)) for r in rd) / scale_c
+        if not all(map(math.isfinite, (pres, dres, mu))):
+            raise SdpError(f"non-finite residual or mu at iteration {it}")
         record = dict(pres=pres, dres=dres, rel_gap=rel_gap, mu=mu)
         merit = max(pres, dres, rel_gap)
         if merit < best_merit:
@@ -349,7 +347,7 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
         for _ in range(10):
             np.fill_diagonal(schur, diag + ridge)
             try:
-                factor = scipy.linalg.cho_factor(schur)
+                factor = scipy.linalg.cho_factor(schur, check_finite=False)
                 break
             except np.linalg.LinAlgError:
                 ridge *= 100.0
@@ -360,7 +358,9 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
 
         s_inv = []
         for ls in lss:
-            inv = scipy.linalg.solve_triangular(ls, np.eye(ls.shape[0]), lower=True)
+            inv = scipy.linalg.solve_triangular(
+                ls, np.eye(ls.shape[0]), lower=True, check_finite=False
+            )
             s_inv.append(inv.conj().T @ inv)
 
         def newton(sigma_mu: float):
@@ -368,7 +368,9 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
             rhs = _a_of(
                 blocks, [rc + w @ r @ w for rc, w, r in zip(rcs, ws, rd)], m
             ) - rp
-            dy = scipy.linalg.cho_solve(factor, rhs)
+            dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            if not np.isfinite(dy).all():
+                raise SdpError(f"non-finite Newton step at iteration {it}")
             dss = [da - r for da, r in zip(_at_of(blocks, dy), rd)]
             dzs = [_hermitian(rc - w @ ds @ w) for rc, w, ds in zip(rcs, ws, dss)]
             return dzs, dy, dss

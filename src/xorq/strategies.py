@@ -17,7 +17,6 @@ state. A guard caps the total amplitude count at 2^24.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -169,24 +168,6 @@ def bias(g: GameMatrix, s: Strategy) -> float:
     if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(val)):
         raise BadArgsError(f"bias has non-negligible imaginary part {val.imag:.3e}")
     return float(val.real)
-
-
-def bias_dense(g: GameMatrix, s: Strategy) -> float:
-    """Reference evaluator: forms the full permuted operator product.
-
-    Only usable at small dimensions; cross-checked against bias() in tests.
-    """
-    n, da, db = _message_dim(s)
-    if isinstance(s, (UnentangledStrategy, ComplexStrategy)):
-        psi = np.ones(1, dtype=complex)
-    elif isinstance(s, MaxEntangledStrategy):
-        psi = linalg.max_entangled_state(s.d)
-    else:
-        psi = s.psi
-    big = np.kron(g.m, np.outer(psi, psi.conj()))
-    big = linalg.permute_systems(big, (n, n, da, db), (0, 2, 1, 3))
-    val = complex(np.trace(np.kron(s.a, s.b) @ big))
-    return abs(val) if isinstance(s, ComplexStrategy) else float(val.real)
 
 
 # --- explicit strategies -----------------------------------------------------
@@ -598,12 +579,3 @@ def strategy_from_dict(data: dict) -> Strategy:
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed strategy file: {exc}") from exc
     raise FormatError(f"unknown strategy kind {data.get('kind')!r}")
-
-
-def load_strategy(path) -> Strategy:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    return strategy_from_dict(data)

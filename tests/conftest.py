@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xorq import games
+from xorq import games, heuristics
 from xorq.linalg import hermitian_part, trace_norm
 
 
@@ -18,6 +18,20 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def decreasing_sign_step():
+    """A see-saw step that is the exact sign step on its first call and its
+    negation afterwards, so the second half-step lowers the value."""
+    sign_step = heuristics._sign_step  # the real one, even if patched later
+    calls = []
+
+    def step(k):
+        calls.append(None)
+        s = sign_step(k)
+        return s if len(calls) == 1 else -s
+
+    return step
 
 
 @pytest.fixture

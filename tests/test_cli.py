@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from xorq import cli, games, relaxations, sdp
+from conftest import decreasing_sign_step
+from xorq import cli, games, heuristics, relaxations, sdp
 
 
 def run(argv):
@@ -214,3 +215,35 @@ def test_cmd_bias_witness_drift_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(relaxations, "nc_objective", lambda g, x, y: 123.0)
     assert run(["bias", str(path), "--quantities", "beta-nc"]) == cli.EXIT_SOLVER
     assert "drifted from solver value" in capsys.readouterr().err
+
+
+def test_cmd_bias_seesaw_decrease_exits_4(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "h1.json"
+    run(["game", "--name", "hn", "--param", "1", "--out", str(path)])
+    monkeypatch.setattr(heuristics, "_sign_step", decreasing_sign_step())
+    assert run(["bias", str(path), "--quantities", "omega"]) == cli.EXIT_SOLVER
+    assert "see-saw failure: half-step decreased" in capsys.readouterr().err
+
+
+def _nan_like(x):
+    return np.full_like(x, np.nan)
+
+
+@pytest.mark.parametrize(
+    "target,name,wrap,message",
+    [
+        (sdp, "_a_of", lambda real: lambda *a: _nan_like(real(*a)),
+         "non-finite residual or mu"),
+        (sdp.scipy.linalg, "cho_solve",
+         lambda real: lambda *a, **k: _nan_like(real(*a, **k)), "non-finite Newton step"),
+    ],
+    ids=["residual", "newton-step"],
+)
+def test_cmd_bias_non_finite_iterate_exits_4(
+    tmp_path, monkeypatch, capsys, target, name, wrap, message
+):
+    path = tmp_path / "t2.json"
+    run(["game", "--name", "tn", "--param", "2", "--out", str(path)])
+    monkeypatch.setattr(target, name, wrap(getattr(target, name)))
+    assert run(["bias", str(path), "--quantities", "beta-nc"]) == cli.EXIT_SOLVER
+    assert f"solver failure: {message}" in capsys.readouterr().err

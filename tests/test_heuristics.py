@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from conftest import random_game
-from xorq import games, heuristics, linalg, strategies
+from conftest import decreasing_sign_step, random_game
+from dense import state_operator_dense
+from xorq import cli, games, heuristics, linalg, strategies
+from xorq.errors import SeesawError
 
 CFG = heuristics.OptimizerConfig(restarts=10, seed=0)
 SMALL = heuristics.OptimizerConfig(restarts=4, seed=0)
@@ -162,3 +168,105 @@ def test_optimizer_config_validation():
         heuristics.OptimizerConfig(restarts=0)
     with pytest.raises(Exception):
         heuristics.OptimizerConfig(improvement_tol=0.0)
+
+
+def _contraction(rng, dim):
+    h = strategies.random_hermitian(rng, dim)
+    return h / linalg.op_norm(h)
+
+
+@pytest.mark.parametrize("n,da,db", [(2, 1, 2), (2, 2, 2), (3, 2, 3), (3, 3, 3)])
+def test_state_operator_matches_kronecker_oracle(rng, n, da, db):
+    g = random_game(n, seed=10 * n + da + db)
+    a = _contraction(rng, n * da)
+    b = _contraction(rng, n * db)
+    got = heuristics._state_operator(g.m, a, b, n, da, db)
+    want = state_operator_dense(g.m, a, b, n, da, db)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_seesaw_decreasing_half_step_raises_typed_error():
+    g = random_game(2, seed=3)
+    b0 = heuristics._spectral_start(g.m, g.n)
+    with pytest.raises(SeesawError, match="half-step decreased"):
+        heuristics._seesaw_pair(g.m, True, b0, decreasing_sign_step(), 50, 1e-9)
+
+
+def test_seesaw_typed_error_survives_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from conftest import decreasing_sign_step, random_game
+        from xorq import heuristics
+        from xorq.errors import SeesawError
+
+        g = random_game(2, seed=3)
+        b0 = heuristics._spectral_start(g.m, g.n)
+        try:
+            heuristics._seesaw_pair(g.m, True, b0, decreasing_sign_step(), 50, 1e-9)
+        except SeesawError as exc:
+            print("SeesawError", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "half-step decreased" in out.stdout
+
+
+def test_entangled_state_step_decrease_raises_typed_error(monkeypatch):
+    real = heuristics._state_step
+    calls = []
+
+    def shrinking(g, a, b, da, db):
+        psi, lam = real(g, a, b, da, db)
+        calls.append(None)
+        return psi, abs(lam) / len(calls)
+
+    monkeypatch.setattr(heuristics, "_state_step", shrinking)
+    cfg = heuristics.OptimizerConfig(restarts=1, improvement_tol=1e-300)
+    with pytest.raises(SeesawError, match="state step decreased"):
+        heuristics.entangled_lower(random_game(2, seed=9), 2, 2, cfg)
+
+
+def test_effective_operator_hermiticity_check(rng):
+    g = random_game(2, seed=4)
+    b = strategies.random_hermitian(rng, 2)
+    skew = g.m + 0.1j * np.eye(4)  # not Hermitian, so K is not either
+    heuristics.effective_operator_for_a(skew, b)  # checked here: no claim on K
+    heuristics.effective_operator_for_b(skew, b)
+    with pytest.raises(SeesawError, match="lost Hermiticity"):
+        heuristics.effective_operator_for_a(skew, b, m_hermitian=True)
+    with pytest.raises(SeesawError, match="lost Hermiticity"):
+        heuristics.effective_operator_for_b(skew, b, m_hermitian=True)
+
+
+def test_report_ladder_runs_omega_once_with_standalone_values(monkeypatch):
+    g = random_game(2, seed=21)
+    cfg = heuristics.OptimizerConfig(restarts=3, seed=5)
+    standalone = (
+        heuristics.omega_lower(g, cfg).value,
+        heuristics.omega_c_lower(g, cfg).value,
+        heuristics.me_lower(g, 2, cfg).value,
+        heuristics.entangled_lower(g, 2, 2, cfg).value,
+    )
+    real = heuristics.omega_lower
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(heuristics, "omega_lower", counted)
+    quantities = cli._parse_quantities("omega,omega-c,me:2,ent:2x2")
+    rep = cli.compute_report(g, quantities, 1e-6, cfg.restarts, cfg.seed)
+    assert len(calls) == 1
+    got = (rep.omega_lower, rep.omega_c_lower, rep.me_lower, rep.entangled_lower)
+    assert got == standalone
