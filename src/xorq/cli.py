@@ -135,15 +135,22 @@ def _parse_quantities(spec: str):
         if not raw:
             continue
         if raw.startswith("me:"):
-            out.append(("me", int(raw[3:])))
+            out.append(("me", _dimension(raw, raw[3:])))
         elif raw.startswith("ent:"):
             da, _, db = raw[4:].partition("x")
-            out.append(("ent", (int(da), int(db or da))))
+            out.append(("ent", (_dimension(raw, da), _dimension(raw, db or da))))
         elif raw in ("omega", "omega-c", "beta-sdp", "beta-nc", "beta-os", "chains"):
             out.append((raw, None))
         else:
             raise FormatError(f"unknown quantity {raw!r}")
     return out
+
+
+def _dimension(quantity: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"bad dimension {text!r} in quantity {quantity!r}") from None
 
 
 def compute_report(

@@ -37,8 +37,12 @@ class ZeroGameError(XorqError):
     pass
 
 
+# Entries of the largest dense array the package builds from input sizes.
+DENSE_AMPLITUDE_CAP = 2**24
+
+
 class TooLargeError(XorqError):
-    pass
+    """Raised before building a dense array above DENSE_AMPLITUDE_CAP entries."""
 
 
 class BadArgsError(XorqError):

@@ -23,9 +23,11 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    DENSE_AMPLITUDE_CAP,
     BadArgsError,
     DimensionMismatchError,
     FormatError,
+    TooLargeError,
     TraceNormExceededError,
     ZeroGameError,
 )
@@ -377,6 +379,8 @@ def game_from_dict(data: dict) -> GameMatrix:
         n = int(data["n"])
         if n < 1:
             raise FormatError("n must be >= 1")
+        if n**4 > DENSE_AMPLITUDE_CAP:
+            raise TooLargeError(f"a game with n = {n} has {n**4} entries (> 2^24)")
         m = np.zeros((n * n, n * n), dtype=complex)
         for e in data["entries"]:
             r, c = int(e["r"]), int(e["c"])
@@ -387,6 +391,9 @@ def game_from_dict(data: dict) -> GameMatrix:
         raise FormatError(f"malformed game file: {exc}") from exc
     if not np.all(np.isfinite(m)):
         raise FormatError("game file has a non-finite entry")
+    # |M_rc| <= ||M||_1, and the check keeps overflow out of validate.
+    if np.max(np.abs(m)) > 1.0 + TRACE_NORM_SLACK:
+        raise FormatError("game entry of modulus above 1: the trace norm exceeds 1")
     return validate(m, n)
 
 

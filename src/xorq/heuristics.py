@@ -1,11 +1,14 @@
 """Heuristic lower bounds on the biases via alternating maximization.
 
-The bias is linear in each player's operator (and in the shared state's
-density matrix), so each block subproblem has an exact closed-form
-maximizer: the spectral sign of the effective operator for Hermitian
-classes, its polar unitary for the complex class, and a top eigenvector
-for the state. Alternating these half-steps gives a monotone see-saw; a
-deterministic multi-restart driver takes the best value.
+Every class maximizes one form, Tr((A (x) B)(M (x) |psi><psi|)), where psi
+is the scalar 1 (unentangled and complex classes), the maximally entangled
+state (me:d) or a free unit state (ent:dA x dB). The form is linear in each
+player's operator (and in psi's density matrix), so each block subproblem
+has an exact closed-form maximizer: the spectral sign of the effective
+operator for Hermitian classes, its polar unitary for the complex class,
+and a top eigenvector for the state. One see-saw loop alternates these
+steps for every class; one deterministic multi-restart driver takes the
+best value.
 
 Restart 0 is a deterministic warm start (the previous class's optimum
 embedded, where one exists); restarts 1..k-1 draw Gaussian Hermitian
@@ -20,7 +23,13 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import BadArgsError, DimensionMismatchError, SeesawError
+from .errors import (
+    DENSE_AMPLITUDE_CAP,
+    BadArgsError,
+    DimensionMismatchError,
+    SeesawError,
+    TooLargeError,
+)
 from .games import GameMatrix
 from .strategies import (
     ComplexStrategy,
@@ -28,11 +37,12 @@ from .strategies import (
     MaxEntangledStrategy,
     Strategy,
     UnentangledStrategy,
-    bias,
     random_hermitian,
 )
 
 MONOTONE_SLACK = 1e-10
+ONE = np.ones(1, dtype=complex)  # the shared state of the two unentangled classes
+ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise BadArgsError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise BadArgsError("max_iters must be >= 1")
         if self.improvement_tol <= 0:
             raise BadArgsError("improvement_tol must be positive")
 
@@ -57,60 +69,59 @@ class HeuristicResult:
     restart_values: tuple[float, ...]
 
 
-def _as_bipartite(m, nb: int) -> tuple[np.ndarray, int]:
-    m = linalg.as_complex(m.m if isinstance(m, GameMatrix) else m)
-    dim = m.shape[0]
-    na, rem = divmod(dim, nb)
-    if rem or m.shape != (dim, dim):
-        raise DimensionMismatchError("coefficient matrix incompatible with B side")
-    return m, na
-
-
 def effective_operator_for_a(
-    m, b_part: np.ndarray, m_hermitian: bool | None = None
+    g: GameMatrix, b_part: np.ndarray, psi: np.ndarray = ONE
 ) -> np.ndarray:
-    """K with Tr(A K) = Tr((A (x) B) M) for every A.
+    """K with Tr(A K) = Tr((A (x) B)(M (x) |psi><psi|)) for every A, where
+    psi is the dA*dB shared state and each player's registers are ordered
+    (message, private).
 
-    K[k, i] = sum_jl B[j, l] M[(k, l), (i, j)]. Hermitian whenever M and the
-    B side are (checked; SeesawError otherwise). `m_hermitian` is the verdict
-    on M of a caller that checked it once for a whole see-saw run; None
-    checks M here.
+    With P = psi as a dA x dB matrix and B_jl[d, b] = B[(j, d), (l, b)],
+    X_jl = P B_jl^T P^dagger and K[(k, a), (i, c)] = sum_jl X_jl[a, c]
+    M[(k, l), (i, j)]. Hermitian whenever B is (checked; SeesawError
+    otherwise), since a validated M is.
     """
+    n = g.n
     b = linalg.as_complex(b_part)
-    m, na = _as_bipartite(m, b.shape[0])
-    nb = b.shape[0]
-    m4 = m.reshape(na, nb, na, nb)
-    k = np.einsum("jl,klij->ki", b, m4)
-    _check_hermitian_if(m, m_hermitian, b, k)
-    return k
+    db, da = _private_dims(n, b, psi)
+    p = psi.reshape(da, db)
+    x = p @ b.reshape(n, db, n, db).transpose(0, 2, 3, 1) @ p.conj().T
+    k = np.einsum("jlab,klij->kaib", x, g.m.reshape(n, n, n, n))
+    return _check_hermitian(b, k.reshape(n * da, n * da))
 
 
 def effective_operator_for_b(
-    m, a_part: np.ndarray, m_hermitian: bool | None = None
+    g: GameMatrix, a_part: np.ndarray, psi: np.ndarray = ONE
 ) -> np.ndarray:
-    """L with Tr(B L) = Tr((A (x) B) M) for every B; `m_hermitian` as for
-    effective_operator_for_a."""
+    """L with Tr(B L) = Tr((A (x) B)(M (x) |psi><psi|)) for every B; the
+    mirror of effective_operator_for_a, with Y_ik = P^T A_ik^T conj(P)."""
+    n = g.n
     a = linalg.as_complex(a_part)
-    m_arr = linalg.as_complex(m.m if isinstance(m, GameMatrix) else m)
-    na = a.shape[0]
-    nb, rem = divmod(m_arr.shape[0], na)
-    if rem:
-        raise DimensionMismatchError("coefficient matrix incompatible with A side")
-    m4 = m_arr.reshape(na, nb, na, nb)
-    l = np.einsum("ik,klij->lj", a, m4)
-    _check_hermitian_if(m_arr, m_hermitian, a, l)
-    return l
+    da, db = _private_dims(n, a, psi)
+    p = psi.reshape(da, db)
+    y = p.T @ a.reshape(n, da, n, da).transpose(0, 2, 3, 1) @ p.conj()
+    l = np.einsum("ikab,klij->lajb", y, g.m.reshape(n, n, n, n))
+    return _check_hermitian(a, l.reshape(n * db, n * db))
+
+
+def _private_dims(n: int, part: np.ndarray, psi: np.ndarray) -> tuple[int, int]:
+    """The private dimensions of the part's player and of the other one."""
+    d = part.shape[0] // n
+    if d < 1 or part.shape != (n * d, n * d) or psi.ndim != 1 or psi.shape[0] % d:
+        raise DimensionMismatchError("operator or state incompatible with the game")
+    return d, psi.shape[0] // d
 
 
 def _is_hermitian(x: np.ndarray) -> bool:
-    return np.linalg.norm(x - x.conj().T) <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
+    """||x - x^dagger||_F <= 1e-9 max(1, ||x||_F), squared (vdot beats norm here)."""
+    d = x - x.conj().T
+    return np.vdot(d, d).real <= 1e-18 * max(1.0, np.vdot(x, x).real)
 
 
-def _check_hermitian_if(m, m_hermitian, part, k):
-    if m_hermitian is None:
-        m_hermitian = _is_hermitian(m)
-    if m_hermitian and _is_hermitian(part) and not _is_hermitian(k):
+def _check_hermitian(part: np.ndarray, k: np.ndarray) -> np.ndarray:
+    if _is_hermitian(part) and not _is_hermitian(k):
         raise SeesawError("effective operator lost Hermiticity")
+    return k
 
 
 def _check_monotone(value: float, prev: float, what: str):
@@ -119,45 +130,55 @@ def _check_monotone(value: float, prev: float, what: str):
         raise SeesawError(f"{what}: {value!r} after {prev!r}")
 
 
-def folded_game_matrix(
-    g: GameMatrix, psi: np.ndarray, da: int, db: int
-) -> np.ndarray:
-    """M (x) |psi><psi| permuted to the players' (message, private) split."""
-    psi = linalg.as_complex(psi).reshape(-1)
-    if psi.shape[0] != da * db:
-        raise DimensionMismatchError("state size must be da * db")
-    big = np.kron(g.m, np.outer(psi, psi.conj()))
-    return linalg.permute_systems(big, (g.n, g.n, da, db), (0, 2, 1, 3))
+def _check_size(*sides: int):
+    """TooLargeError when a dense see-saw operator of one of these sides
+    would exceed the package's dense cap; called before any allocation."""
+    side = max(sides)
+    if side * side > DENSE_AMPLITUDE_CAP:
+        raise TooLargeError(f"see-saw operator of side {side} exceeds the dense cap 2^24")
 
 
-def _seesaw_pair(
-    m: np.ndarray,
-    m_hermitian: bool,
-    b0: np.ndarray,
-    step,
-    max_iters: int,
-    tol: float,
-) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Alternate exact half-steps from an initial B; monotone by construction."""
+def _seesaw(g: GameMatrix, psi, b0, step, cfg, dims=None):
+    """Alternate exact half-steps from an initial B; with dims = (dA, dB),
+    each iteration then also takes the optimal state step (a free psi).
+    Monotone by construction, and checked. Returns (value, (A, B, psi),
+    iterations)."""
     b = b0
-    a = None
     prev = -np.inf
-    value = 0.0
-    iters = 0
-    for it in range(max_iters):
-        k = effective_operator_for_a(m, b, m_hermitian)
+    for it in range(cfg.max_iters):
+        k = effective_operator_for_a(g, b, psi)
         a = step(k)
         val_a = float(np.real(np.trace(a @ k)))
         _check_monotone(val_a, prev, "half-step decreased")
-        l = effective_operator_for_b(m, a, m_hermitian)
+        l = effective_operator_for_b(g, a, psi)
         b = step(l)
         value = float(np.real(np.trace(b @ l)))
         _check_monotone(value, val_a, "half-step decreased")
-        iters = it + 1
-        if value - prev < tol:
+        if dims is not None:
+            psi, lam = _state_step(g, a, b, *dims)
+            if lam < 0:  # play -A, so the bias is |lam|
+                a = -a
+                lam = -lam
+            _check_monotone(lam, value, "state step decreased |bias|")
+            value = lam
+        if value - prev < cfg.improvement_tol:
             break
         prev = value
-    return value, a, b, iters
+    return value, (a, b, psi), it + 1
+
+
+def _run_restarts(g: GameMatrix, starts, step, cfg, dims=None):
+    """The see-saw from each start (B, psi) = starts(r), r < cfg.restarts.
+    Returns (restart values, the best run's (A, B, psi), total iterations)."""
+    values, finals = [], []
+    total_iters = 0
+    for r in range(cfg.restarts):
+        b0, psi = starts(r)
+        value, final, iters = _seesaw(g, psi, b0, step, cfg, dims)
+        values.append(value)
+        finals.append(final)
+        total_iters += iters
+    return values, finals[int(np.argmax(values))], total_iters
 
 
 def _sign_step(k: np.ndarray) -> np.ndarray:
@@ -183,46 +204,28 @@ def _haar_start(seed: int, restart: int, dim: int) -> np.ndarray:
     return u @ v.conj().T
 
 
-def _spectral_start(m: np.ndarray, nb: int) -> np.ndarray:
+def _starts(warm: np.ndarray, draw, cfg: OptimizerConfig, dim: int, psi=ONE):
+    """Restart 0 from `warm`, restart r >= 1 from draw(seed, r, dim); psi fixed."""
+    return lambda r: (draw(cfg.seed, r, dim) if r else warm, psi)
+
+
+def _spectral_start(g: GameMatrix) -> np.ndarray:
     """Deterministic start: spectral sign of the top question state,
     matricized on the B side (identity when that vanishes)."""
-    w, vecs = np.linalg.eigh(m)
+    w, vecs = np.linalg.eigh(g.m)
     idx = int(np.argmax(np.abs(w)))
-    na = m.shape[0] // nb
-    mat = vecs[:, idx].reshape(na, nb)
+    mat = vecs[:, idx].reshape(g.n, g.n)
     herm = linalg.hermitian_part(mat.conj().T @ mat)
     if np.linalg.norm(herm) < 1e-12:
-        return np.eye(nb, dtype=complex)
+        return np.eye(g.n, dtype=complex)
     return linalg.sign_of_hermitian(herm)
-
-
-def _run_restarts(m, m_hermitian, nb, step, cfg, warm_b=None, start=_gaussian_start):
-    values, finals = [], []
-    total_iters = 0
-    for r in range(cfg.restarts):
-        if r == 0:
-            b0 = warm_b if warm_b is not None else _spectral_start(m, nb)
-        else:
-            b0 = start(cfg.seed, r, nb)
-        value, a, b, iters = _seesaw_pair(
-            m, m_hermitian, b0, step, cfg.max_iters, cfg.improvement_tol
-        )
-        values.append(value)
-        finals.append((a, b))
-        total_iters += iters
-    best = int(np.argmax(values))
-    return values, finals[best], total_iters
 
 
 def omega_lower(g: GameMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> HeuristicResult:
     """Lower bound on the unentangled bias via sign-step see-saw."""
-    values, (a, b), iters = _run_restarts(g.m, _is_hermitian(g.m), g.n, _sign_step, cfg)
-    return HeuristicResult(
-        value=max(values),
-        strategy=UnentangledStrategy(a=a, b=b),
-        iterations_used=iters,
-        restart_values=tuple(values),
-    )
+    starts = _starts(_spectral_start(g), _gaussian_start, cfg, g.n)
+    values, (a, b, _), iters = _run_restarts(g, starts, _sign_step, cfg)
+    return HeuristicResult(max(values), UnentangledStrategy(a=a, b=b), iters, tuple(values))
 
 
 def omega_c_lower(
@@ -235,30 +238,20 @@ def omega_c_lower(
     `omega` is omega_lower(g, cfg), computed here when not given."""
     if omega is None:
         omega = omega_lower(g, cfg)
-    values, (a, b), iters = _run_restarts(
-        g.m, _is_hermitian(g.m), g.n, _polar_step, cfg,
-        warm_b=omega.strategy.b, start=_haar_start,
-    )
-    return HeuristicResult(
-        value=max(values),
-        strategy=ComplexStrategy(a=a, b=b),
-        iterations_used=iters,
-        restart_values=tuple(values),
-    )
+    starts = _starts(omega.strategy.b, _haar_start, cfg, g.n)
+    values, (a, b, _), iters = _run_restarts(g, starts, _polar_step, cfg)
+    return HeuristicResult(max(values), ComplexStrategy(a=a, b=b), iters, tuple(values))
 
 
-def _epr_embed(op: np.ndarray, n: int, d: int) -> np.ndarray | None:
+def _epr_embed(op: np.ndarray, n: int, d: int) -> np.ndarray:
     """Embed a complex contraction as a Hermitian contraction on message (x)
     C^d for even d, playing it on half of one shared qubit pair."""
-    if d % 2:
-        return None
     flip = np.zeros((2, 2), dtype=complex)
     flip[0, 1] = 1.0
     tilde = np.kron(
         linalg.permute_systems(np.kron(flip, op), (2, n), (1, 0)), np.eye(d // 2)
     )
-    tilde = tilde + tilde.conj().T
-    return tilde
+    return tilde + tilde.conj().T
 
 
 def me_lower(
@@ -278,12 +271,11 @@ def me_lower(
     if d < 1:
         raise BadArgsError("d must be >= 1")
     n = g.n
-    m_fold = folded_game_matrix(g, linalg.max_entangled_state(d), d, d)
-    m_hermitian = _is_hermitian(m_fold)
-    nb = n * d
+    _check_size(n * d)
+    psi = linalg.max_entangled_state(d)
 
     def half_step_value(b0: np.ndarray) -> float:
-        k = effective_operator_for_a(m_fold, b0, m_hermitian)
+        k = effective_operator_for_a(g, b0, psi)
         return float(np.real(np.trace(_sign_step(k) @ k)))
 
     warm_candidates = []
@@ -293,19 +285,12 @@ def me_lower(
     if d % 2 == 0:
         if omega_c is None:
             omega_c = omega_c_lower(g, cfg, omega)
-        emb = _epr_embed(omega_c.strategy.b, n, d)
-        if emb is not None:
-            warm_candidates.append(emb)
+        warm_candidates.append(_epr_embed(omega_c.strategy.b, n, d))
     best_warm = max(warm_candidates, key=half_step_value)
-    values, (a, b), iters = _run_restarts(
-        m_fold, m_hermitian, nb, _sign_step, cfg, warm_b=best_warm
-    )
-    return HeuristicResult(
-        value=max(values),
-        strategy=MaxEntangledStrategy(d=d, a=a, b=b),
-        iterations_used=iters,
-        restart_values=tuple(values),
-    )
+    starts = _starts(best_warm, _gaussian_start, cfg, n * d, psi)
+    values, (a, b, _), iters = _run_restarts(g, starts, _sign_step, cfg)
+    strategy = MaxEntangledStrategy(d=d, a=a, b=b)
+    return HeuristicResult(max(values), strategy, iters, tuple(values))
 
 
 def _state_operator(
@@ -368,56 +353,27 @@ def entangled_lower(
     if da < 1 or db < 1:
         raise BadArgsError("dimensions must be >= 1")
     n = g.n
-
+    _check_size(n * da, n * db, da * db)
     dm = min(da, db)
     warm = me if me is not None else me_lower(g, dm, cfg)
     ea = np.eye(da, dtype=complex)[:, :dm]
     eb = np.eye(db, dtype=complex)[:, :dm]
-    warm_a = np.kron(np.eye(n), ea) @ warm.strategy.a @ np.kron(np.eye(n), ea).conj().T
-    warm_b = np.kron(np.eye(n), eb) @ warm.strategy.b @ np.kron(np.eye(n), eb).conj().T
+    lift_b = np.kron(np.eye(n), eb)
+    warm_b = lift_b @ warm.strategy.b @ lift_b.conj().T
     warm_psi = np.kron(ea, eb) @ linalg.max_entangled_state(dm)
 
-    # Each folded matrix below is M (x) |psi><psi| with a unit psi, permuted,
-    # so it is Hermitian exactly when M is: M is checked once for the run.
-    m_hermitian = _is_hermitian(g.m)
-    values, finals = [], []
-    total_iters = 0
-    for r in range(cfg.restarts):
+    def starts(r):
         if r == 0:
-            a, b, psi = warm_a, warm_b, warm_psi
-        else:
-            rng = np.random.default_rng((cfg.seed, r))
-            a = linalg.sign_of_hermitian(random_hermitian(rng, n * da))
-            b = linalg.sign_of_hermitian(random_hermitian(rng, n * db))
-            psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-            psi /= np.linalg.norm(psi)
-        prev = -np.inf
-        value = 0.0
-        for it in range(cfg.max_iters):
-            m_fold = folded_game_matrix(g, psi, da, db)
-            a = _sign_step(effective_operator_for_a(m_fold, b, m_hermitian))
-            l = effective_operator_for_b(m_fold, a, m_hermitian)
-            b = _sign_step(l)
-            psi, lam = _state_step(g, a, b, da, db)
-            if lam < 0:
-                a = -a
-                lam = -lam
-            value = lam
-            _check_monotone(value, prev, "state step decreased |bias|")
-            total_iters += 1
-            if value - prev < cfg.improvement_tol:
-                break
-            prev = value
-        values.append(value)
-        finals.append((a, b, psi))
-    best = int(np.argmax(values))
-    a, b, psi = finals[best]
-    return HeuristicResult(
-        value=max(values),
-        strategy=EntangledStrategy(d_a=da, d_b=db, a=a, b=b, psi=psi),
-        iterations_used=total_iters,
-        restart_values=tuple(values),
-    )
+            return warm_b, warm_psi
+        rng = np.random.default_rng((cfg.seed, r))
+        random_hermitian(rng, n * da)  # A's draw: the first half-step replaces A
+        b = linalg.sign_of_hermitian(random_hermitian(rng, n * db))
+        psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
+        return b, psi / np.linalg.norm(psi)
+
+    values, (a, b, psi), iters = _run_restarts(g, starts, _sign_step, cfg, dims=(da, db))
+    strategy = EntangledStrategy(d_a=da, d_b=db, a=a, b=b, psi=psi)
+    return HeuristicResult(max(values), strategy, iters, tuple(values))
 
 
 class Ladder:
@@ -454,6 +410,8 @@ class Ladder:
         return self._me[d]
 
     def entangled(self, da: int, db: int) -> HeuristicResult:
+        # Checked before the me warm start runs, not only in entangled_lower.
+        _check_size(self.g.n * da, self.g.n * db, da * db)
         return entangled_lower(self.g, da, db, self.cfg, self.me(min(da, db)))
 
 

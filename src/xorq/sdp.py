@@ -23,11 +23,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DENSE_AMPLITUDE_CAP,
     BadArgsError,
     DimensionMismatchError,
     FormatError,
     InfeasibleError,
     SdpError,
+    TooLargeError,
     UnboundedError,
 )
 
@@ -76,7 +78,10 @@ class SdpInstance:
                 1.0, float(np.linalg.norm(c))
             ):
                 raise BadArgsError(f"objective block {label!r} is not Hermitian")
-            self.objective[label] = (c + c.conj().T) / 2
+            c = (c + c.conj().T) / 2
+            if not np.all(np.isfinite(c)):
+                raise BadArgsError(f"objective block {label!r} is not finite")
+            self.objective[label] = c
         for q, con in enumerate(self.constraints):
             for b, r, c, v in con.entries:
                 if b not in labels:
@@ -560,10 +565,15 @@ def instance_from_dict(data: dict) -> SdpInstance:
         raise FormatError(f"expected format {SDP_FORMAT!r}")
     try:
         blocks = tuple((str(b["label"]), int(b["dim"])) for b in data["blocks"])
-        dims = dict(blocks)
+        for label, d in blocks:
+            if d > 0 and d * d > DENSE_AMPLITUDE_CAP:
+                raise TooLargeError(f"block {label!r} of dim {d} is above the dense cap")
         objective = {label: np.zeros((d, d), dtype=complex) for label, d in blocks}
         for e in data["objective"]:
             label, r, c = str(e["b"]), int(e["r"]), int(e["c"])
+            d = objective[label].shape[0]
+            if not (0 <= r < d and 0 <= c < d):
+                raise FormatError(f"objective entry index ({r}, {c}) out of range")
             v = complex(_finite(e["re"]), _finite(e["im"]))
             objective[label][r, c] = v
             objective[label][c, r] = v.conjugate()

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    DENSE_AMPLITUDE_CAP,
     BadArgsError,
     DimensionMismatchError,
     FormatError,
@@ -34,7 +35,6 @@ from .games import GameMatrix, RankOneGame, rank_one_matrix, rank_one_to_xor
 OP_NORM_SLACK = 1e-9
 STATE_NORM_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-9
-DENSE_AMPLITUDE_CAP = 2**24
 
 
 def _check_contraction(name: str, a: np.ndarray, hermitian: bool) -> np.ndarray:

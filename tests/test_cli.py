@@ -6,6 +6,7 @@ import pytest
 
 from conftest import decreasing_sign_step
 from xorq import cli, games, heuristics, relaxations, sdp
+from xorq.errors import FormatError
 
 
 def run(argv):
@@ -107,6 +108,27 @@ def test_cmd_bias_parse_error(tmp_path):
     assert run(["bias", str(missing)]) == cli.EXIT_ARGS
 
 
+@pytest.mark.parametrize("quantity", ["me:x", "ent:2xy", "ent:x"])
+def test_cmd_bias_bad_dimension_exits_2(tmp_path, capsys, quantity):
+    path = tmp_path / "t1.json"
+    run(["game", "--name", "tn", "--param", "1", "--out", str(path)])
+    capsys.readouterr()
+    assert run(["bias", str(path), "--quantities", quantity]) == cli.EXIT_ARGS
+    err = capsys.readouterr().err
+    assert "bad dimension" in err and "Traceback" not in err
+
+
+def test_cmd_bias_oversized_inputs_exit_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"format": "xorq-game-v1", "n": 400, "entries": []}))
+    assert run(["bias", str(path), "--quantities", "omega"]) == cli.EXIT_ARGS
+    t1 = tmp_path / "t1.json"
+    run(["game", "--name", "tn", "--param", "1", "--out", str(t1)])
+    for quantity in ("me:5000", "ent:2x9000"):
+        assert run(["bias", str(t1), "--quantities", quantity]) == cli.EXIT_ARGS
+    assert "dense cap" in capsys.readouterr().err
+
+
 def test_cmd_bias_byte_stable_output(tmp_path):
     path = tmp_path / "t1.json"
     run(["game", "--name", "tn", "--param", "1", "--out", str(path)])
@@ -152,6 +174,22 @@ def test_cmd_sdp_solve_corrupted_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "other"}')
     assert run(["sdp", "solve", str(bad)]) == cli.EXIT_ARGS
+
+
+@pytest.mark.parametrize("r", [1, -1])
+def test_cmd_sdp_solve_objective_index_out_of_range_exits_2(tmp_path, capsys, r):
+    data = {
+        "format": "xorq-sdp-v1",
+        "blocks": [{"label": "z", "dim": 1}],
+        "objective": [{"b": "z", "r": r, "c": 0, "re": 1.0, "im": 0.0}],
+        "constraints": [],
+    }
+    with pytest.raises(FormatError, match="out of range"):
+        sdp.instance_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["sdp", "solve", str(path)]) == cli.EXIT_ARGS
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cmd_sdp_solve_infeasible_exits_4(tmp_path, capsys):

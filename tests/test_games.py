@@ -9,6 +9,7 @@ from xorq import games, linalg
 from xorq.errors import (
     DimensionMismatchError,
     FormatError,
+    TooLargeError,
     TraceNormExceededError,
     ZeroGameError,
 )
@@ -344,3 +345,17 @@ def test_game_reader_rejects_garbage():
         games.game_from_dict(
             {"format": "xorq-game-v1", "n": 2, "entries": [{"r": 99, "c": 0, "re": 1, "im": 0}]}
         )
+
+
+def test_game_reader_rejects_oversized_and_huge_entries():
+    with pytest.raises(TooLargeError):
+        games.game_from_dict({"format": "xorq-game-v1", "n": 400, "entries": []})
+    # Each entry is finite; symmetrizing or a trace-norm SVD would overflow.
+    for entries in (
+        [(0, 0, 1e308, 0), (1, 1, 1e308, 0), (0, 1, 1e308, 0), (1, 0, 1e308, 0)],
+        [(0, 3, 1.7e308, 1.7e308), (3, 0, 1.7e308, -1.7e308)],
+    ):
+        data = {"format": "xorq-game-v1", "n": 2,
+                "entries": [{"r": r, "c": c, "re": x, "im": y} for r, c, x, y in entries]}
+        with pytest.raises(FormatError, match="modulus above 1"):
+            games.game_from_dict(data)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import decreasing_sign_step, random_game
-from dense import state_operator_dense
+from dense import effective_operators_dense, state_operator_dense
 from xorq import cli, games, heuristics, linalg, strategies
-from xorq.errors import SeesawError
+from xorq.errors import BadArgsError, SeesawError, TooLargeError
 
 CFG = heuristics.OptimizerConfig(restarts=10, seed=0)
 SMALL = heuristics.OptimizerConfig(restarts=4, seed=0)
@@ -168,11 +168,47 @@ def test_optimizer_config_validation():
         heuristics.OptimizerConfig(restarts=0)
     with pytest.raises(Exception):
         heuristics.OptimizerConfig(improvement_tol=0.0)
+    with pytest.raises(BadArgsError, match="max_iters"):
+        heuristics.OptimizerConfig(max_iters=0)
 
 
 def _contraction(rng, dim):
     h = strategies.random_hermitian(rng, dim)
     return h / linalg.op_norm(h)
+
+
+def _state(rng, kind, da, db):
+    if kind == "one":
+        return heuristics.ONE
+    if kind == "me":
+        return linalg.max_entangled_state(da)
+    psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize(
+    "n,da,db,kind",
+    [(2, 1, 1, "one"), (3, 1, 1, "one"), (2, 2, 2, "me"), (3, 3, 3, "me")]
+    + [(n, da, db, "random") for n, da, db in [(2, 1, 2), (2, 2, 2), (3, 2, 3), (3, 3, 3)]],
+)
+def test_effective_operators_match_fold_oracle(rng, n, da, db, kind):
+    g = random_game(n, seed=10 * n + da + db)
+    a = _contraction(rng, n * da)
+    b = _contraction(rng, n * db)
+    psi = _state(rng, kind, da, db)
+    want_k, want_l = effective_operators_dense(g, a, b, psi, da, db)
+    assert np.max(np.abs(heuristics.effective_operator_for_a(g, b, psi) - want_k)) <= 1e-12
+    assert np.max(np.abs(heuristics.effective_operator_for_b(g, a, psi) - want_l)) <= 1e-12
+
+
+def test_seesaw_sizes_checked_before_allocation():
+    g = games.t_game(1)
+    with pytest.raises(TooLargeError):
+        heuristics.me_lower(g, 3000, SMALL)
+    with pytest.raises(TooLargeError):
+        heuristics.entangled_lower(g, 1, 5000, SMALL)
+    with pytest.raises(TooLargeError):  # the state operator is (dA dB)^2
+        heuristics.Ladder(g, SMALL).entangled(70, 70)
 
 
 @pytest.mark.parametrize("n,da,db", [(2, 1, 2), (2, 2, 2), (3, 2, 3), (3, 3, 3)])
@@ -187,9 +223,10 @@ def test_state_operator_matches_kronecker_oracle(rng, n, da, db):
 
 def test_seesaw_decreasing_half_step_raises_typed_error():
     g = random_game(2, seed=3)
-    b0 = heuristics._spectral_start(g.m, g.n)
+    b0 = heuristics._spectral_start(g)
+    cfg = heuristics.OptimizerConfig(max_iters=50, improvement_tol=1e-9)
     with pytest.raises(SeesawError, match="half-step decreased"):
-        heuristics._seesaw_pair(g.m, True, b0, decreasing_sign_step(), 50, 1e-9)
+        heuristics._seesaw(g, heuristics.ONE, b0, decreasing_sign_step(), cfg)
 
 
 def test_seesaw_typed_error_survives_python_O():
@@ -201,9 +238,10 @@ def test_seesaw_typed_error_survives_python_O():
         from xorq.errors import SeesawError
 
         g = random_game(2, seed=3)
-        b0 = heuristics._spectral_start(g.m, g.n)
+        b0 = heuristics._spectral_start(g)
+        cfg = heuristics.OptimizerConfig(max_iters=50, improvement_tol=1e-9)
         try:
-            heuristics._seesaw_pair(g.m, True, b0, decreasing_sign_step(), 50, 1e-9)
+            heuristics._seesaw(g, heuristics.ONE, b0, decreasing_sign_step(), cfg)
         except SeesawError as exc:
             print("SeesawError", exc)
             sys.exit(0)
@@ -239,13 +277,15 @@ def test_entangled_state_step_decrease_raises_typed_error(monkeypatch):
 def test_effective_operator_hermiticity_check(rng):
     g = random_game(2, seed=4)
     b = strategies.random_hermitian(rng, 2)
-    skew = g.m + 0.1j * np.eye(4)  # not Hermitian, so K is not either
-    heuristics.effective_operator_for_a(skew, b)  # checked here: no claim on K
-    heuristics.effective_operator_for_b(skew, b)
+    # Not Hermitian, so K is not either; built directly, past games.validate.
+    skew = games.GameMatrix(n=2, m=g.m + 0.1j * np.eye(4))
+    part = b + 0.5j * np.eye(2)  # not Hermitian either: no claim on K
+    heuristics.effective_operator_for_a(skew, part)
+    heuristics.effective_operator_for_b(skew, part)
     with pytest.raises(SeesawError, match="lost Hermiticity"):
-        heuristics.effective_operator_for_a(skew, b, m_hermitian=True)
+        heuristics.effective_operator_for_a(skew, b)
     with pytest.raises(SeesawError, match="lost Hermiticity"):
-        heuristics.effective_operator_for_b(skew, b, m_hermitian=True)
+        heuristics.effective_operator_for_b(skew, b)
 
 
 def test_report_ladder_runs_omega_once_with_standalone_values(monkeypatch):

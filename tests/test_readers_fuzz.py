@@ -1,0 +1,94 @@
+"""Fuzz tests for the game and SDP file readers: on any small JSON-like
+dict, a reader returns or raises an XorqError, never another exception."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from xorq import games, sdp  # noqa: E402
+from xorq.errors import XorqError  # noqa: E402
+
+FUZZ = settings(derandomize=True, max_examples=400, deadline=None, database=None)
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+# Numbers a reader must tell apart: in range, huge, tiny, non-finite.
+numbers = st.one_of(
+    st.floats(-1, 1),
+    st.integers(-2, 2),
+    st.sampled_from([1e308, -1.7e308, 1e-320, float("nan"), float("inf"), "0.5"]),
+)
+indices = st.integers(-2, 5)
+
+
+def mostly(good):
+    """`good` in about nine draws of ten, any JSON value otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: good if i else values)
+
+
+def entry(**fields):
+    return mostly(st.fixed_dictionaries({k: mostly(v) for k, v in fields.items()}))
+
+
+game_dicts = mostly(
+    st.fixed_dictionaries(
+        {
+            "format": mostly(st.just(games.GAME_FORMAT)),
+            "n": mostly(st.sampled_from([2, 1, 3, 0])),
+            "entries": mostly(
+                st.lists(entry(r=indices, c=indices, re=numbers, im=numbers), max_size=6)
+            ),
+        }
+    )
+)
+
+labels = st.sampled_from(["z", "w"])
+sdp_entries = mostly(
+    st.lists(entry(b=labels, r=indices, c=indices, re=numbers, im=numbers), max_size=3)
+)
+sdp_dicts = mostly(
+    st.fixed_dictionaries(
+        {
+            "format": mostly(st.just(sdp.SDP_FORMAT)),
+            "blocks": mostly(st.lists(entry(label=labels, dim=st.integers(-1, 4)), max_size=2)),
+            "objective": sdp_entries,
+            "constraints": mostly(
+                st.lists(entry(entries=sdp_entries, rhs=numbers), max_size=2)
+            ),
+        }
+    )
+)
+
+
+@FUZZ
+@given(game_dicts)
+def test_game_reader_returns_or_raises_xorq_error(data):
+    try:
+        g = games.game_from_dict(data)
+    except XorqError:
+        return
+    assert g.m.shape == (g.n * g.n, g.n * g.n) and np.all(np.isfinite(g.m))
+
+
+@FUZZ
+@given(sdp_dicts)
+def test_sdp_reader_returns_or_raises_xorq_error(data):
+    try:
+        inst = sdp.instance_from_dict(data)
+    except XorqError:
+        return
+    assert all(np.all(np.isfinite(c)) for c in inst.objective.values())
