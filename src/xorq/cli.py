@@ -25,7 +25,8 @@ import os
 import sys
 import tempfile
 import time
-from fractions import Fraction
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,10 +96,7 @@ def _build_game(args) -> games.GameMatrix:
     if name == "classical-file":
         if not args.file:
             raise FormatError("--name classical-file requires --file")
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        r = np.asarray(data["r"] if isinstance(data, dict) else data, dtype=float)
-        return games.from_classical(games.ClassicalGame(n=r.shape[0], r=r))
+        return games.load_classical_game(args.file)
     if name == "matrix-file":
         if not args.file:
             raise FormatError("--name matrix-file requires --file")
@@ -271,69 +269,115 @@ def cmd_bias(args) -> int:
 # --- paper value table --------------------------------------------------------------
 
 
-def paper_table_rows(tol: float, restarts: int, seed: int) -> list[dict]:
-    """Computed-versus-expected rows for the named families.
+@dataclass(frozen=True)
+class PaperRow:
+    """One expected value of the paper.
 
+    `quantity` names a BiasReport field ("me_lower(d=3)" is me_lower at
+    d = 3), unless `exact` computes the value from the game instead.
     Comparison "abs" checks |computed - expected| <= tolerance; "ge" checks
     computed >= expected - tolerance.
     """
-    cfg = heuristics.OptimizerConfig(restarts=restarts, seed=seed)
-    rows = []
 
-    def row(game, quantity, computed, expected, tolerance, compare="abs"):
-        if compare == "abs":
-            ok = abs(computed - expected) <= tolerance
-        else:
-            ok = computed >= expected - tolerance
-        rows.append(
-            {
-                "game": game,
-                "quantity": quantity,
-                "computed": float(computed),
-                "expected": float(expected),
-                "tolerance": tolerance,
-                "compare": compare,
-                "pass": bool(ok),
-            }
+    game: str
+    quantity: str
+    expected: float
+    tolerance: float
+    compare: str = "abs"
+    exact: Callable[[games.GameMatrix], float] | None = None
+
+
+PAPER_GAMES = {
+    "CHSH": lambda: games.from_classical(games.chsh()),
+    **{f"T{n}": lambda n=n: games.t_game(n) for n in range(1, 5)},
+    "H1": lambda: games.h_game(1),
+    **{f"C{n}": lambda n=n: games.c_game(n) for n in range(2, 5)},
+    **{
+        f"C{n}xC{n}": lambda n=n: games.tensor_games(games.c_game(n), games.c_game(n))
+        for n in range(2, 5)
+    },
+    "H2": lambda: games.h_game(2),
+}
+
+PAPER_TABLE = (
+    PaperRow("CHSH", "beta_sdp", math.sqrt(2) / 2, 1e-4),
+    PaperRow("CHSH", "omega_lower", 0.5, 1e-6),
+    PaperRow("CHSH", "omega_c_lower", math.sqrt(2) / 2, 1e-3),
+    *(
+        row
+        for n in range(1, 5)
+        for row in (
+            PaperRow(f"T{n}", "omega_lower", 1 / math.sqrt(n), 1e-3),
+            PaperRow(f"T{n}", "beta_nc", 1 / math.sqrt(n), 1e-4),
+            PaperRow(f"T{n}", "beta_os", 1.0, 1e-3),
         )
-        _log(f"paper-table {game} {quantity}: {computed:.8f} vs {expected:.8f} "
+    ),
+    PaperRow("H1", "omega_lower", 0.4, 1e-3),
+    PaperRow("H1", "omega_c_lower", 0.4, 1e-3),
+    PaperRow("H1", "me_lower(d=3)", 5 / 9, 1e-3, "ge"),
+    PaperRow("H1", "explicit_5_9_bias", 5 / 9, 1e-9,
+             exact=lambda g: strategies.bias(g, strategies.h1_me_strategy())),
+    PaperRow("H1", "beta_nc", 0.6, 1e-4),
+    PaperRow("H1", "beta_os", 0.6, 1e-4),
+    *(
+        row
+        for n in range(2, 5)
+        for row in (
+            PaperRow(f"C{n}", "beta_os", 1 / n, 1e-4),
+            PaperRow(f"C{n}xC{n}", "omega_lower", 1 / (2 * n), 1e-3, "ge"),
+        )
+    ),
+    PaperRow("H2", "closed_form_omega", 2 / 7, 0.0,
+             exact=lambda g: float(relaxations.h_n_closed_forms(2)[0])),
+    PaperRow("H2", "closed_form_beta_nc", 10 / 21, 0.0,
+             exact=lambda g: float(relaxations.h_n_closed_forms(2)[1])),
+)
+
+_FIELD_QUANTITY = {
+    "omega_lower": "omega", "omega_c_lower": "omega-c", "me_lower": "me",
+    "beta_sdp": "beta-sdp", "beta_nc": "beta-nc", "beta_os": "beta-os",
+}
+
+
+def _field_and_quantity(label: str) -> tuple[str, str]:
+    """BiasReport field and compute_report quantity of a row label;
+    "me_lower(d=3)" is the field me_lower and the quantity me:3."""
+    field, _, d = label.partition("(d=")
+    return field, _FIELD_QUANTITY[field] + (f":{d.rstrip(')')}" if d else "")
+
+
+def paper_game_rows(game: str, tol: float, restarts: int, seed: int) -> list[dict]:
+    """Computed-versus-expected rows of PAPER_TABLE for one game, with every
+    BiasReport field taken from a single compute_report call."""
+    table = [r for r in PAPER_TABLE if r.game == game]
+    g = PAPER_GAMES[game]()
+    fields = {r.quantity: _field_and_quantity(r.quantity) for r in table if r.exact is None}
+    quantities = _parse_quantities(",".join(q for _, q in fields.values()))
+    rep = compute_report(g, quantities, tol, restarts, seed, game)
+    rows = []
+    for r in table:
+        computed = r.exact(g) if r.exact else getattr(rep, fields[r.quantity][0])
+        if r.compare == "abs":
+            ok = abs(computed - r.expected) <= r.tolerance
+        else:
+            ok = computed >= r.expected - r.tolerance
+        rows.append({
+            "game": game, "quantity": r.quantity, "computed": float(computed),
+            "expected": r.expected, "tolerance": r.tolerance,
+            "compare": r.compare, "pass": bool(ok),
+        })
+        _log(f"paper-table {game} {r.quantity}: {computed:.8f} vs {r.expected:.8f} "
              f"({'pass' if ok else 'FAIL'})")
-
-    chsh = heuristics.Ladder(games.from_classical(games.chsh()), cfg)
-    row("CHSH", "beta_sdp", relaxations.beta_sdp(games.chsh(), tol).value,
-        math.sqrt(2) / 2, 1e-4)
-    row("CHSH", "omega_lower", chsh.omega().value, 0.5, 1e-6)
-    row("CHSH", "omega_c_lower", chsh.omega_c().value, math.sqrt(2) / 2, 1e-3)
-
-    for n in range(1, 5):
-        tg = games.t_game(n)
-        row(f"T{n}", "omega_lower", heuristics.omega_lower(tg, cfg).value,
-            1 / math.sqrt(n), 1e-3)
-        row(f"T{n}", "beta_nc", relaxations.beta_nc(tg, tol).value,
-            1 / math.sqrt(n), 1e-4)
-        row(f"T{n}", "beta_os", relaxations.beta_os(tg, tol).value, 1.0, 1e-3)
-
-    hg = games.h_game(1)
-    h1 = heuristics.Ladder(hg, cfg)
-    row("H1", "omega_lower", h1.omega().value, 0.4, 1e-3)
-    row("H1", "omega_c_lower", h1.omega_c().value, 0.4, 1e-3)
-    row("H1", "me_lower(d=3)", h1.me(3).value, 5 / 9, 1e-3, compare="ge")
-    row("H1", "explicit_5_9_bias", strategies.bias(hg, strategies.h1_me_strategy()),
-        5 / 9, 1e-9)
-    row("H1", "beta_nc", relaxations.beta_nc(hg, tol).value, 0.6, 1e-4)
-    row("H1", "beta_os", relaxations.beta_os(hg, tol).value, 0.6, 1e-4)
-
-    for n in range(2, 5):
-        cg = games.c_game(n)
-        row(f"C{n}", "beta_os", relaxations.beta_os(cg, tol).value, 1 / n, 1e-4)
-        doubled = games.tensor_games(cg, cg)
-        row(f"C{n}xC{n}", "omega_lower", heuristics.omega_lower(doubled, cfg).value,
-            1 / (2 * n), 1e-3, compare="ge")
-
-    om2, nc2 = relaxations.h_n_closed_forms(2)
-    row("H2", "closed_form_omega", float(om2), float(Fraction(2, 7)), 0.0)
-    row("H2", "closed_form_beta_nc", float(nc2), float(Fraction(10, 21)), 0.0)
     return rows
+
+
+def paper_table_rows(tol: float, restarts: int, seed: int) -> list[dict]:
+    """Every row of PAPER_TABLE, in table order."""
+    return [
+        row
+        for game in dict.fromkeys(r.game for r in PAPER_TABLE)
+        for row in paper_game_rows(game, tol, restarts, seed)
+    ]
 
 
 def cmd_report_paper_table(args) -> int:

@@ -76,7 +76,3 @@ class InfeasibleError(SdpError):
 
 class UnboundedError(SdpError):
     pass
-
-
-class MaxIterationsError(SdpError):
-    """Iteration cap hit with no usable iterate at all."""

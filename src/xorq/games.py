@@ -94,11 +94,19 @@ def from_classical(g: ClassicalGame) -> GameMatrix:
     return validate(m, n)
 
 
+def _check_size(n: int):
+    """Raise TooLargeError before building a game on n levels whose
+    (n^2)^2 entries exceed DENSE_AMPLITUDE_CAP."""
+    if n**4 > DENSE_AMPLITUDE_CAP:
+        raise TooLargeError(f"a game with n = {n} has {n**4} entries (> 2^24)")
+
+
 def t_game(n: int) -> GameMatrix:
     """M = (1/(2 sqrt n)) sum_i (|00><ii| + |ii><00|) on n+1 levels."""
     if n < 1:
         raise BadArgsError("n must be >= 1")
     loc = n + 1
+    _check_size(loc)
     m = np.zeros((loc * loc, loc * loc), dtype=complex)
     w = 1.0 / (2.0 * math.sqrt(n))
     for i in range(1, n + 1):
@@ -113,6 +121,7 @@ def c_game(n: int) -> GameMatrix:
     if n < 1:
         raise BadArgsError("n must be >= 1")
     loc = n + 1
+    _check_size(loc)
     m = np.zeros((loc * loc, loc * loc), dtype=complex)
     w = 1.0 / (2.0 * n)
     for k in range(1, n + 1):
@@ -155,6 +164,9 @@ def h_c_matrices(n: int) -> list[np.ndarray]:
 
 def h_game(n: int) -> GameMatrix:
     """M = C(4n+1, 2n)^(-1) sum_i C_i (x) C_i on C(2n+1, n) levels."""
+    if n < 1:
+        raise BadArgsError("n must be >= 1")
+    _check_size(math.comb(2 * n + 1, n))
     mats = h_c_matrices(n)
     big = mats[0].shape[0]
     m = np.zeros((big * big, big * big), dtype=complex)
@@ -170,6 +182,7 @@ def tensor_games(g1: GameMatrix, g2: GameMatrix) -> GameMatrix:
     Register order of the result is (A1 A2)(B1 B2); local dimension n1*n2.
     """
     n1, n2 = g1.n, g2.n
+    _check_size(n1 * n2)
     raw = np.kron(g1.m, g2.m)  # order (A1, B1, A2, B2)
     m = linalg.permute_systems(raw, (n1, n1, n2, n2), (0, 2, 1, 3))
     return validate(m, n1 * n2)
@@ -354,7 +367,7 @@ def _unit(dim: int, i: int) -> np.ndarray:
     return e
 
 
-# --- xorq-game-v1 wire format ------------------------------------------------
+# --- game files: xorq-game-v1 and classical coefficients ----------------------
 
 GAME_FORMAT = "xorq-game-v1"
 
@@ -379,8 +392,7 @@ def game_from_dict(data: dict) -> GameMatrix:
         n = int(data["n"])
         if n < 1:
             raise FormatError("n must be >= 1")
-        if n**4 > DENSE_AMPLITUDE_CAP:
-            raise TooLargeError(f"a game with n = {n} has {n**4} entries (> 2^24)")
+        _check_size(n)
         m = np.zeros((n * n, n * n), dtype=complex)
         for e in data["entries"]:
             r, c = int(e["r"]), int(e["c"])
@@ -397,10 +409,31 @@ def game_from_dict(data: dict) -> GameMatrix:
     return validate(m, n)
 
 
-def load_game(path) -> GameMatrix:
+def classical_game_from_dict(data) -> GameMatrix:
+    """Embedded classical game from {"r": n x n coefficients} or the bare list."""
+    try:
+        r = np.asarray(data["r"] if isinstance(data, dict) else data, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed classical game file: {exc}") from exc
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
+        raise FormatError(f"classical coefficients must be n x n, got shape {r.shape}")
+    _check_size(r.shape[0])
+    if not np.all(np.isfinite(r)):
+        raise FormatError("classical game file has a non-finite coefficient")
+    return from_classical(ClassicalGame(n=r.shape[0], r=r))
+
+
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
-    return game_from_dict(data)
+
+
+def load_game(path) -> GameMatrix:
+    return game_from_dict(_load_json(path))
+
+
+def load_classical_game(path) -> GameMatrix:
+    return classical_game_from_dict(_load_json(path))

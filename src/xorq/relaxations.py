@@ -28,7 +28,6 @@ from .games import ClassicalGame, GameMatrix
 from .linalg import trace_norm
 from .report import BiasReport
 
-WITNESS_TOL = 1e-6
 RANK_CUT = 1e-10
 
 
@@ -110,18 +109,34 @@ def _functional(terms, rhs: complex):
     return out
 
 
-def _cap_constraints(gram: str, slack: str, dim: int, groups) -> list:
+def _cap_constraints(slack: str, n: int, base: int, rows: bool) -> list:
     """Compile Q <= I as Q + S = I over Hermitian entries, S a PSD slack.
 
-    groups(a, a2) yields the Gram index pairs whose entries sum to Q[a, a2].
+    Q is the row product sum_k X_ik X_jk^* (rows) or the column product
+    sum_k X_ki X_kj^* of the family whose entry (i, k) is Gram index
+    base + i*n + k.
     """
+
+    def idx(i, k):
+        return base + (i * n + k if rows else k * n + i)
+
     cons = []
-    for a in range(dim):
-        for a2 in range(a, dim):
-            terms = [(gram, i, j, 1.0 + 0.0j) for i, j in groups(a, a2)]
+    for a in range(n):
+        for a2 in range(a, n):
+            terms = [("gram", idx(a, k), idx(a2, k), 1.0 + 0.0j) for k in range(n)]
             terms.append((slack, a, a2, 1.0 + 0.0j))
             cons.extend(_functional(terms, 1.0 if a == a2 else 0.0))
     return cons
+
+
+def _gram_objective(g: GameMatrix, dim: int, xb: int, yb: int) -> np.ndarray:
+    """c + c^+ with c[xb + a*n + c, yb + b*n + e] = conj(M[(c, e), (a, b)]) / 2:
+    the game pairing the X family at base xb with the Y family at base yb."""
+    n = g.n
+    nn = n * n
+    c = np.zeros((dim, dim), dtype=complex)
+    c[xb:xb + nn, yb:yb + nn] = np.conj(_m4(g)).transpose(2, 0, 3, 1).reshape(nn, nn) / 2
+    return c + c.conj().T
 
 
 def _gram_vectors(z: np.ndarray) -> np.ndarray:
@@ -189,49 +204,23 @@ def _m4(g: GameMatrix) -> np.ndarray:
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n = g.n
     nn = n * n
-    m4 = _m4(g)
-
-    def w_idx(a, c):
-        return a * n + c
-
-    def v_idx(b, e):
-        return nn + b * n + e
-
-    c = np.zeros((2 * nn, 2 * nn), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for cc in range(n):
-                for e in range(n):
-                    c[w_idx(a, cc), v_idx(b, e)] += np.conj(m4[cc, e, a, b]) / 2
-    c = c + c.conj().T
-
-    cons = []
-    cons += _cap_constraints(
-        "gram", "xrow", n, lambda a, a2: [(w_idx(a, cc), w_idx(a2, cc)) for cc in range(n)]
-    )
-    cons += _cap_constraints(
-        "gram", "xcol", n, lambda cc, c2: [(w_idx(a, cc), w_idx(a, c2)) for a in range(n)]
-    )
-    cons += _cap_constraints(
-        "gram", "yrow", n, lambda b, b2: [(v_idx(b, e), v_idx(b2, e)) for e in range(n)]
-    )
-    cons += _cap_constraints(
-        "gram", "ycol", n, lambda e, e2: [(v_idx(b, e), v_idx(b, e2)) for b in range(n)]
+    cons = (
+        _cap_constraints("xrow", n, 0, rows=True)
+        + _cap_constraints("xcol", n, 0, rows=False)
+        + _cap_constraints("yrow", n, nn, rows=True)
+        + _cap_constraints("ycol", n, nn, rows=False)
     )
     blocks = (("gram", 2 * nn), ("xrow", n), ("xcol", n), ("yrow", n), ("ycol", n))
     return sdp_mod.SdpInstance(
-        blocks=blocks, objective={"gram": c}, constraints=tuple(cons)
+        blocks=blocks,
+        objective={"gram": _gram_objective(g, 2 * nn, 0, nn)},
+        constraints=tuple(cons),
     )
 
 
 def _extract_vvm(w: np.ndarray, n: int, base: int, conjugate: bool) -> VectorValuedMatrix:
-    d = w.shape[0]
-    mats = np.zeros((d, n, n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            vec = w[:, base + i * n + k]
-            mats[:, i, k] = np.conj(vec) if conjugate else vec
-    return VectorValuedMatrix(n=n, d=d, mats=mats)
+    mats = w[:, base:base + n * n].reshape(-1, n, n)
+    return VectorValuedMatrix(n=n, d=w.shape[0], mats=np.conj(mats) if conjugate else mats)
 
 
 def nc_objective(g: GameMatrix, x: VectorValuedMatrix, y: VectorValuedMatrix) -> float:
@@ -259,50 +248,25 @@ def beta_nc(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult
 def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n = g.n
     nn = n * n
-    m4 = _m4(g)
-
-    def idx(family, i, k):
-        return {"wr": 0, "wc": 1, "vr": 2, "vc": 3}[family] * nn + i * n + k
-
-    c = np.zeros((4 * nn, 4 * nn), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for cc in range(n):
-                for e in range(n):
-                    c[idx("wr", a, cc), idx("vc", b, e)] += np.conj(m4[cc, e, a, b]) / 2
-    c = c + c.conj().T
+    wr, wc, vr, vc = 0, nn, 2 * nn, 3 * nn  # base index of each family
 
     cons = []
     # Consistency X_R . Y_C = X_C . Y_R, entrywise on the composite space.
-    for a in range(n):
-        for cc in range(n):
-            for b in range(n):
-                for e in range(n):
-                    cons.extend(
-                        _functional(
-                            [
-                                ("gram", idx("wr", a, cc), idx("vc", b, e), 1.0 + 0.0j),
-                                ("gram", idx("wc", a, cc), idx("vr", b, e), -1.0 + 0.0j),
-                            ],
-                            0.0,
-                        )
-                    )
-    cons += _cap_constraints(
-        "gram", "xr_row", n,
-        lambda a, a2: [(idx("wr", a, cc), idx("wr", a2, cc)) for cc in range(n)],
-    )
-    cons += _cap_constraints(
-        "gram", "yr_row", n,
-        lambda b, b2: [(idx("vr", b, e), idx("vr", b2, e)) for e in range(n)],
-    )
-    cons += _cap_constraints(
-        "gram", "xc_col", n,
-        lambda cc, c2: [(idx("wc", a, cc), idx("wc", a, c2)) for a in range(n)],
-    )
-    cons += _cap_constraints(
-        "gram", "yc_col", n,
-        lambda e, e2: [(idx("vc", b, e), idx("vc", b, e2)) for b in range(n)],
-    )
+    for ac in range(nn):
+        for be in range(nn):
+            cons.extend(
+                _functional(
+                    [
+                        ("gram", wr + ac, vc + be, 1.0 + 0.0j),
+                        ("gram", wc + ac, vr + be, -1.0 + 0.0j),
+                    ],
+                    0.0,
+                )
+            )
+    cons += _cap_constraints("xr_row", n, wr, rows=True)
+    cons += _cap_constraints("yr_row", n, vr, rows=True)
+    cons += _cap_constraints("xc_col", n, wc, rows=False)
+    cons += _cap_constraints("yc_col", n, vc, rows=False)
     blocks = (
         ("gram", 4 * nn),
         ("xr_row", n),
@@ -311,7 +275,9 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
         ("yc_col", n),
     )
     return sdp_mod.SdpInstance(
-        blocks=blocks, objective={"gram": c}, constraints=tuple(cons)
+        blocks=blocks,
+        objective={"gram": _gram_objective(g, 4 * nn, wr, vc)},
+        constraints=tuple(cons),
     )
 
 
@@ -411,33 +377,3 @@ def check_chains(g: GameMatrix, report: BiasReport, tol: float = 1e-6) -> list[C
         None if report.entangled_lower is None else 2.0 * report.entangled_lower,
     )
     return checks
-
-
-# --- xorq-result-v1 wire format ---------------------------------------------------
-
-RESULT_FORMAT = "xorq-result-v1"
-
-
-def _vvm_to_json(x: VectorValuedMatrix) -> dict:
-    return {
-        "n": x.n,
-        "d": x.d,
-        "mats": [[[float(z.real), float(z.imag)] for z in mat.reshape(-1)] for mat in x.mats],
-    }
-
-
-def result_to_dict(kind: str, res: RelaxationResult) -> dict:
-    witness = {}
-    for key, val in res.witness.items():
-        if isinstance(val, VectorValuedMatrix):
-            witness[key] = _vvm_to_json(val)
-        else:
-            arr = np.asarray(val)
-            witness[key] = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
-    return {
-        "format": RESULT_FORMAT,
-        "kind": kind,
-        "value": float(res.value),
-        "solver_gap": float(res.solver_gap),
-        "witness": witness,
-    }

@@ -27,7 +27,6 @@ from .errors import (
     DENSE_AMPLITUDE_CAP,
     BadArgsError,
     DimensionMismatchError,
-    FormatError,
     TooLargeError,
 )
 from .games import GameMatrix, RankOneGame, rank_one_matrix, rank_one_to_xor
@@ -518,64 +517,3 @@ def random_strategy(kind: str, g: GameMatrix, dims, seed: int) -> Strategy:
             psi=psi,
         )
     raise BadArgsError(f"unknown strategy kind {kind!r}")
-
-
-# --- xorq-strategy-v1 wire format ---------------------------------------------
-
-STRATEGY_FORMAT = "xorq-strategy-v1"
-
-
-def _matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-
-
-def _pairs_to_array(pairs, count: int) -> np.ndarray:
-    if len(pairs) != count:
-        raise FormatError(f"expected {count} entries, got {len(pairs)}")
-    return np.array([complex(p[0], p[1]) for p in pairs])
-
-
-def strategy_to_dict(s: Strategy) -> dict:
-    n, da, db = _message_dim(s)
-    kind = {
-        UnentangledStrategy: "unentangled",
-        ComplexStrategy: "complex",
-        MaxEntangledStrategy: "maxent",
-        EntangledStrategy: "entangled",
-    }[type(s)]
-    data = {
-        "format": STRATEGY_FORMAT,
-        "kind": kind,
-        "n": n,
-        "dA": da,
-        "dB": db,
-        "A": _matrix_to_pairs(s.a),
-        "B": _matrix_to_pairs(s.b),
-        "psi": _matrix_to_pairs(s.psi) if isinstance(s, EntangledStrategy) else None,
-    }
-    return data
-
-
-def strategy_from_dict(data: dict) -> Strategy:
-    if not isinstance(data, dict) or data.get("format") != STRATEGY_FORMAT:
-        raise FormatError(f"expected format {STRATEGY_FORMAT!r}")
-    try:
-        kind = data["kind"]
-        n, da, db = int(data["n"]), int(data["dA"]), int(data["dB"])
-        if kind in ("unentangled", "complex"):
-            a = _pairs_to_array(data["A"], n * n).reshape(n, n)
-            b = _pairs_to_array(data["B"], n * n).reshape(n, n)
-            cls = UnentangledStrategy if kind == "unentangled" else ComplexStrategy
-            return cls(a=a, b=b)
-        if kind == "maxent":
-            a = _pairs_to_array(data["A"], (n * da) ** 2).reshape(n * da, n * da)
-            b = _pairs_to_array(data["B"], (n * db) ** 2).reshape(n * db, n * db)
-            return MaxEntangledStrategy(d=da, a=a, b=b)
-        if kind == "entangled":
-            a = _pairs_to_array(data["A"], (n * da) ** 2).reshape(n * da, n * da)
-            b = _pairs_to_array(data["B"], (n * db) ** 2).reshape(n * db, n * db)
-            psi = _pairs_to_array(data["psi"], da * db)
-            return EntangledStrategy(d_a=da, d_b=db, a=a, b=b, psi=psi)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise FormatError(f"malformed strategy file: {exc}") from exc
-    raise FormatError(f"unknown strategy kind {data.get('kind')!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -56,6 +57,32 @@ def test_cmd_game_invalid_name_exits_2():
     with pytest.raises(SystemExit) as err:
         run(["game", "--name", "nope"])
     assert err.value.code == 2
+
+
+def test_cmd_game_classical_file(tmp_path):
+    path = tmp_path / "chsh_r.json"
+    path.write_text(json.dumps({"r": games.chsh().r.tolist()}))
+    out = tmp_path / "chsh.json"
+    assert run(["game", "--name", "classical-file", "--file", str(path),
+                "--out", str(out)]) == 0
+    assert np.array_equal(games.load_game(out).m, games.from_classical(games.chsh()).m)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"r": [[NaN, 0], [0, 0]]}', '{"r": [[0.5, 0], [0]]}', '{"x": 1}'],
+    ids=["nan", "ragged", "no-r"],
+)
+def test_cmd_game_bad_classical_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    assert run(["game", "--name", "classical-file", "--file", str(path)]) == cli.EXIT_ARGS
+    assert "error: " in capsys.readouterr().err
+
+
+def test_cmd_game_oversized_family_exits_2(capsys):
+    assert run(["game", "--name", "tn", "--param", "400"]) == cli.EXIT_ARGS
+    assert "entries (> 2^24)" in capsys.readouterr().err
 
 
 def test_cmd_bias_json_payload(tmp_path, capsys):
@@ -143,6 +170,32 @@ def test_cmd_bias_byte_stable_output(tmp_path):
     d1 = {k: v for k, v in data.items() if k != "runtimes"}
     d2 = {k: v for k, v in json.loads(out2.read_text()).items() if k != "runtimes"}
     assert d1 == d2
+
+
+def test_cmd_report_paper_table(tmp_path, monkeypatch, capsys):
+    h2 = tuple(r for r in cli.PAPER_TABLE if r.game == "H2")
+    assert [r.quantity for r in h2] == ["closed_form_omega", "closed_form_beta_nc"]
+    monkeypatch.setattr(cli, "PAPER_TABLE", h2)
+    written = []
+    for name in ("a", "b"):
+        base = tmp_path / name
+        assert run(["report", "paper-table", "--out", str(base)]) == 0
+        assert capsys.readouterr().out == (
+            f"paper-table: 2/2 rows pass; wrote {base}.json and {base}.csv\n"
+        )
+        written.append((tmp_path / f"{name}.json").read_bytes())
+        written.append((tmp_path / f"{name}.csv").read_bytes())
+    assert written[:2] == written[2:]
+    rows = json.loads(written[0])["rows"]
+    assert [(r["quantity"], r["pass"]) for r in rows] == [
+        ("closed_form_omega", True), ("closed_form_beta_nc", True)
+    ]
+
+    monkeypatch.setattr(cli, "PAPER_TABLE", (dataclasses.replace(h2[0], expected=0.3), h2[1]))
+    base = tmp_path / "c"
+    assert run(["report", "paper-table", "--out", str(base)]) == cli.EXIT_CHECK
+    rows = json.loads((tmp_path / "c.json").read_text())["rows"]
+    assert [r["pass"] for r in rows] == [False, True]
 
 
 def test_cmd_sdp_solve(tmp_path, capsys):

@@ -359,3 +359,19 @@ def test_game_reader_rejects_oversized_and_huge_entries():
                 "entries": [{"r": r, "c": c, "re": x, "im": y} for r, c, x, y in entries]}
         with pytest.raises(FormatError, match="modulus above 1"):
             games.game_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: games.t_game(400),
+        lambda: games.c_game(400),
+        lambda: games.h_game(4),
+        # t_game(8) has 9 levels, so the tensor has 81 and 81^4 > 2^24 entries.
+        lambda: games.tensor_games(games.t_game(8), games.t_game(8)),
+    ],
+    ids=["t400", "c400", "h4", "t8xt8"],
+)
+def test_named_families_refuse_oversized_games(build):
+    with pytest.raises(TooLargeError):
+        build()

@@ -1,5 +1,6 @@
-"""Fuzz tests for the game and SDP file readers: on any small JSON-like
-dict, a reader returns or raises an XorqError, never another exception."""
+"""Fuzz tests for the game, classical game and SDP file readers: on any
+small JSON-like value, a reader returns or raises an XorqError, never
+another exception."""
 
 import numpy as np
 import pytest
@@ -56,6 +57,9 @@ game_dicts = mostly(
     )
 )
 
+coefficients = mostly(st.lists(mostly(st.lists(numbers, max_size=3)), max_size=3))
+classical_dicts = mostly(st.one_of(st.fixed_dictionaries({"r": coefficients}), coefficients))
+
 labels = st.sampled_from(["z", "w"])
 sdp_entries = mostly(
     st.lists(entry(b=labels, r=indices, c=indices, re=numbers, im=numbers), max_size=3)
@@ -79,6 +83,16 @@ sdp_dicts = mostly(
 def test_game_reader_returns_or_raises_xorq_error(data):
     try:
         g = games.game_from_dict(data)
+    except XorqError:
+        return
+    assert g.m.shape == (g.n * g.n, g.n * g.n) and np.all(np.isfinite(g.m))
+
+
+@FUZZ
+@given(classical_dicts)
+def test_classical_reader_returns_or_raises_xorq_error(data):
+    try:
+        g = games.classical_game_from_dict(data)
     except XorqError:
         return
     assert g.m.shape == (g.n * g.n, g.n * g.n) and np.all(np.isfinite(g.m))

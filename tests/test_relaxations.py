@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -103,6 +104,23 @@ def test_gram_bookkeeping_soundness(rng):
         for c2 in range(n):
             got = sum(gram[a * n + c, a * n + c2] for a in range(n))
             assert abs(got - right[c2, c]) <= 1e-10  # transpose of X^+ X
+
+
+def test_gram_objective_matches_entrywise_loop():
+    """The objective blocks equal the entrywise definition
+    c[x(a, c), y(b, e)] = conj(M[(c, e), (a, b)]) / 2, then c + c^+."""
+    for g in (games.t_game(2), games.h_game(1), random_game(3, seed=72)):
+        n = g.n
+        nn = n * n
+        m4 = g.m.reshape(n, n, n, n)
+        for inst, size, yb in (
+            (relaxations.beta_nc_instance(g), 2 * nn, nn),
+            (relaxations.beta_os_instance(g), 4 * nn, 3 * nn),
+        ):
+            c = np.zeros((size, size), dtype=complex)
+            for a, b, cc, e in itertools.product(range(n), repeat=4):
+                c[a * n + cc, yb + b * n + e] += np.conj(m4[cc, e, a, b]) / 2
+            assert np.array_equal(inst.objective["gram"], c + c.conj().T)
 
 
 def test_beta_sdp_values():
@@ -290,11 +308,3 @@ def test_check_chains_zero_game():
     assert abs(rep.beta_nc) <= 1e-6 and abs(rep.beta_os) <= 1e-6
     checks = relaxations.check_chains(g, rep, 1e-6)
     assert all(c.passed for c in checks if c.hard)
-
-
-def test_result_serialization():
-    res = relaxations.beta_nc(games.t_game(1), 1e-6)
-    data = relaxations.result_to_dict("beta_nc", res)
-    assert data["format"] == "xorq-result-v1"
-    assert abs(data["value"] - res.value) < 1e-12
-    assert "x" in data["witness"] and "y" in data["witness"]

@@ -245,24 +245,6 @@ def test_random_strategy_determinism():
         assert np.linalg.norm(s.a @ s.a - np.eye(dim)) <= 1e-9  # observable
 
 
-def test_strategy_serialization_round_trip():
-    g = games.t_game(2)
-    for kind, dims in [
-        ("unentangled", None),
-        ("complex", None),
-        ("maxent", 2),
-        ("entangled", (2, 3)),
-    ]:
-        s = strategies.random_strategy(kind, g, dims, seed=13)
-        back = strategies.strategy_from_dict(strategies.strategy_to_dict(s))
-        assert type(back) is type(s)
-        assert np.allclose(back.a, s.a)
-        assert np.allclose(back.b, s.b)
-        if isinstance(s, strategies.EntangledStrategy):
-            assert np.allclose(back.psi, s.psi)
-        assert abs(strategies.bias(g, back) - strategies.bias(g, s)) < 1e-12
-
-
 def test_strategy_validation():
     with pytest.raises(BadArgsError):
         strategies.UnentangledStrategy(a=2.0 * np.eye(2), b=np.eye(2))
