@@ -420,6 +420,8 @@ def classical_game_from_dict(data) -> GameMatrix:
     _check_size(r.shape[0])
     if not np.all(np.isfinite(r)):
         raise FormatError("classical game file has a non-finite coefficient")
+    if np.max(np.abs(r)) > 1.0 + CLASSICAL_NORM_SLACK:
+        raise FormatError("classical coefficient of modulus above 1")
     return from_classical(ClassicalGame(n=r.shape[0], r=r))
 
 

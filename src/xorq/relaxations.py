@@ -2,16 +2,29 @@
 
 Three Gram-matrix semidefinite programs are compiled and solved:
 
-  beta_sdp  classical games; unit-ball vectors replacing the +/-1 signs.
+  beta_sdp  classical games; unit vectors replacing the +/-1 signs.
   beta_nc   vector-valued matrices X, Y with all four products
-            XX^+, X^+X, YY^+, Y^+Y capped at the identity.
+            XX^+, X^+X, YY^+, Y^+Y equal to the identity.
   beta_os   row/column-weighted families (X_R, X_C, Y_R, Y_C) with the
             consistency constraint X_R . Y_C = X_C . Y_R, upper-bounding
             the entangled bias.
 
 The Gram variables are the conjugated X-entry vectors and the plain
 Y-entry vectors; maximizing the real part of the objective is exact by the
-global-phase freedom of each family.
+global-phase freedom of each family. Each program is one PSD Gram block.
+
+The caps are equalities, where the relaxations of the paper ask for
+products <= I; the optimum is the same. An equality-feasible point is
+<=-feasible. Conversely, let a family X have XX^+ <= I and X^+X <= I, and
+write I - sum_r X_r X_r^+ = sum_i a_i u_i u_i^+ and I - sum_r X_r^+ X_r =
+sum_j b_j v_j v_j^+; both have trace t = n - sum |x|^2. If t > 0, append
+vector coordinates (i, j) carrying X = sqrt(a_i b_j / t) u_i v_j^+, zero in
+every other family: both caps then hold with equality. The objective
+sum_r Tr((X_r (x) Y_r) M) is unchanged, as every new coordinate is zero in
+the partner family, and so are beta_os's consistency products X_R . Y_C and
+X_C . Y_R. A beta_os family has only one cap, say the row one; there the
+coordinates i carrying X = sqrt(a_i) u_i e^+, e a fixed unit vector, fill
+it. For beta_sdp, pad each vector to unit norm with a coordinate of its own.
 """
 
 from __future__ import annotations
@@ -109,8 +122,8 @@ def _functional(terms, rhs: complex):
     return out
 
 
-def _cap_constraints(slack: str, n: int, base: int, rows: bool) -> list:
-    """Compile Q <= I as Q + S = I over Hermitian entries, S a PSD slack.
+def _cap_constraints(n: int, base: int, rows: bool) -> list:
+    """Compile Q = I over Hermitian entries of the Gram block.
 
     Q is the row product sum_k X_ik X_jk^* (rows) or the column product
     sum_k X_ki X_kj^* of the family whose entry (i, k) is Gram index
@@ -124,7 +137,6 @@ def _cap_constraints(slack: str, n: int, base: int, rows: bool) -> list:
     for a in range(n):
         for a2 in range(a, n):
             terms = [("gram", idx(a, k), idx(a2, k), 1.0 + 0.0j) for k in range(n)]
-            terms.append((slack, a, a2, 1.0 + 0.0j))
             cons.extend(_functional(terms, 1.0 if a == a2 else 0.0))
     return cons
 
@@ -162,15 +174,10 @@ def beta_sdp_instance(g: ClassicalGame) -> sdp_mod.SdpInstance:
             c[s, n + t] = g.r[s, t] / 2  # real coefficients: conj is itself
     c = c + c.conj().T
     cons = []
-    blocks = [("gram", 2 * n)]
     for u in range(2 * n):
-        label = f"slack{u}"
-        blocks.append((label, 1))
-        cons.extend(
-            _functional([("gram", u, u, 1.0 + 0.0j), (label, 0, 0, 1.0 + 0.0j)], 1.0)
-        )
+        cons.extend(_functional([("gram", u, u, 1.0 + 0.0j)], 1.0))
     return sdp_mod.SdpInstance(
-        blocks=tuple(blocks), objective={"gram": c}, constraints=tuple(cons)
+        blocks=(("gram", 2 * n),), objective={"gram": c}, constraints=tuple(cons)
     )
 
 
@@ -205,14 +212,13 @@ def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n = g.n
     nn = n * n
     cons = (
-        _cap_constraints("xrow", n, 0, rows=True)
-        + _cap_constraints("xcol", n, 0, rows=False)
-        + _cap_constraints("yrow", n, nn, rows=True)
-        + _cap_constraints("ycol", n, nn, rows=False)
+        _cap_constraints(n, 0, rows=True)
+        + _cap_constraints(n, 0, rows=False)
+        + _cap_constraints(n, nn, rows=True)
+        + _cap_constraints(n, nn, rows=False)
     )
-    blocks = (("gram", 2 * nn), ("xrow", n), ("xcol", n), ("yrow", n), ("ycol", n))
     return sdp_mod.SdpInstance(
-        blocks=blocks,
+        blocks=(("gram", 2 * nn),),
         objective={"gram": _gram_objective(g, 2 * nn, 0, nn)},
         constraints=tuple(cons),
     )
@@ -263,19 +269,12 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
                     0.0,
                 )
             )
-    cons += _cap_constraints("xr_row", n, wr, rows=True)
-    cons += _cap_constraints("yr_row", n, vr, rows=True)
-    cons += _cap_constraints("xc_col", n, wc, rows=False)
-    cons += _cap_constraints("yc_col", n, vc, rows=False)
-    blocks = (
-        ("gram", 4 * nn),
-        ("xr_row", n),
-        ("yr_row", n),
-        ("xc_col", n),
-        ("yc_col", n),
-    )
+    cons += _cap_constraints(n, wr, rows=True)
+    cons += _cap_constraints(n, vr, rows=True)
+    cons += _cap_constraints(n, wc, rows=False)
+    cons += _cap_constraints(n, vc, rows=False)
     return sdp_mod.SdpInstance(
-        blocks=blocks,
+        blocks=(("gram", 4 * nn),),
         objective={"gram": _gram_objective(g, 4 * nn, wr, vc)},
         constraints=tuple(cons),
     )

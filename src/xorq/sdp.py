@@ -2,14 +2,21 @@
 
 An instance asks to maximize sum_b Re Tr(C_b^dagger Z_b) over PSD Hermitian
 blocks Z_b subject to equality constraints sum_b Re Tr(F_qb^dagger Z_b) =
-rhs_q. It is solved on the complex blocks themselves by an infeasible
-primal-dual interior-point method with Nesterov-Todd scaling; the Schur
-complement M[p, q] = Re Tr(F_p W F_q W) and the multipliers y are real.
+rhs_q. It is solved by an infeasible primal-dual interior-point method with
+Nesterov-Todd scaling; the Schur complement M[p, q] = Re Tr(F_p W F_q W) and
+the multipliers y are real.
+
+The core holds an instance as one Hermitian matrix Z with the blocks on its
+diagonal, each entry shifted by its block's offset. That is the same
+program: a PSD Z with those diagonal blocks exists exactly when every block
+is PSD (take zero off-diagonal blocks), and C, every F_q, hence every
+iterate, is block-diagonal up to rounding. solve returns the diagonal
+blocks under their labels.
 
 Boundedness is enforced internally with a trace cap Tr(Z) + t = M_big
-(slack scalar t >= 0, M_big = 10 * total dimension * rhs scale); a binding
-cap is reported as unboundedness. The cap is redundant for every instance
-produced by this package.
+(one more diagonal entry t >= 0, M_big = 10 * total dimension * rhs
+scale); a binding cap is reported as unboundedness. The cap is redundant
+for every instance produced by this package.
 """
 
 from __future__ import annotations
@@ -92,10 +99,6 @@ class SdpInstance:
                 if r == c and abs(complex(v).imag) > COEFF_HERMITICITY_TOL:
                     raise BadArgsError(f"constraint {q}: diagonal entry not real")
 
-    @property
-    def block_dims(self) -> dict[str, int]:
-        return dict(self.blocks)
-
 
 @dataclass(frozen=True)
 class IpmIteration:
@@ -148,12 +151,14 @@ def constraint_value(inst: SdpInstance, con: SdpConstraint, blocks) -> float:
     return total
 
 
-# --- interior-point core (complex Hermitian blocks) ---------------------------
+# --- interior-point core (one complex Hermitian matrix) -----------------------
 
 
-class _BlockData:
-    """One block's stored constraint entries (r <= c) in constraint order:
-    entries q_ptr[i]:q_ptr[i + 1] belong to constraint q_list[i].
+class _Program:
+    """The instance's blocks on the diagonal of one Hermitian matrix of side
+    dim, and its stored constraint entries (r <= c, shifted by their block's
+    offset) in constraint order: entries q_ptr[i]:q_ptr[i + 1] belong to
+    constraint q_list[i].
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
@@ -161,9 +166,26 @@ class _BlockData:
     the diagonal halved.
     """
 
-    def __init__(self, dim: int, cobj: np.ndarray, rows, cols, vals, owner):
-        self.dim = dim
-        self.cobj = cobj
+    def __init__(self, inst: SdpInstance):
+        self.spans = {}
+        offset = 0
+        for label, d in inst.blocks:
+            self.spans[label] = slice(offset, offset + d)
+            offset += d
+        self.dim = dim = offset
+        self.cobj = np.zeros((dim, dim), dtype=complex)
+        for label, c in inst.objective.items():
+            self.cobj[self.spans[label], self.spans[label]] = c
+        rows, cols, vals, owner = [], [], [], []
+        for q, con in enumerate(inst.constraints):
+            for b, r, c, v in con.entries:
+                base = self.spans[b].start
+                rows.append(base + r)
+                cols.append(base + c)
+                vals.append(complex(v))
+                owner.append(q)
+        self.m = len(inst.constraints)
+        self.b = np.array([con.rhs for con in inst.constraints], dtype=float)
         self.rows = np.asarray(rows, dtype=np.intp)
         self.cols = np.asarray(cols, dtype=np.intp)
         self.owner = np.asarray(owner, dtype=np.intp)
@@ -178,48 +200,19 @@ class _BlockData:
         self.q_ptr = np.append(starts, self.owner.size)
 
 
-def _compile(inst: SdpInstance) -> tuple[list[_BlockData], np.ndarray, list[str]]:
-    labels = [label for label, _ in inst.blocks]
-    dims = inst.block_dims
-    parts = {label: ([], [], [], []) for label in labels}
-    for q, con in enumerate(inst.constraints):
-        for b, r, c, v in con.entries:
-            rows, cols, vals, owner = parts[b]
-            rows.append(r)
-            cols.append(c)
-            vals.append(complex(v))
-            owner.append(q)
-    blocks = []
-    for label in labels:
-        dim = dims[label]
-        cobj = np.asarray(
-            inst.objective.get(label, np.zeros((dim, dim))), dtype=complex
-        )
-        blocks.append(_BlockData(dim, (cobj + cobj.conj().T) / 2, *parts[label]))
-    b_vec = np.array([con.rhs for con in inst.constraints], dtype=float)
-    return blocks, b_vec, labels
+def _a_of(prog: _Program, z: np.ndarray) -> np.ndarray:
+    w = (prog.weight * z.take(prog.flat)).real
+    return np.bincount(prog.owner, weights=w, minlength=prog.m)
 
 
-def _a_of(blocks, zs, m) -> np.ndarray:
-    out = np.zeros(m)
-    for blk, z in zip(blocks, zs):
-        if blk.owner.size:
-            w = (blk.weight * z.take(blk.flat)).real
-            out += np.bincount(blk.owner, weights=w, minlength=m)
-    return out
-
-
-def _at_of(blocks, y) -> list[np.ndarray]:
-    outs = []
-    for blk in blocks:
-        n2 = blk.dim * blk.dim
-        u = blk.half * y[blk.owner]
-        up = np.bincount(blk.flat, weights=u.real, minlength=n2) + 1j * np.bincount(
-            blk.flat, weights=u.imag, minlength=n2
-        )
-        up = up.reshape(blk.dim, blk.dim)
-        outs.append(up + up.conj().T)
-    return outs
+def _at_of(prog: _Program, y: np.ndarray) -> np.ndarray:
+    u = prog.half * y[prog.owner]
+    size = prog.dim * prog.dim
+    up = np.bincount(prog.flat, weights=u.real, minlength=size) + 1j * np.bincount(
+        prog.flat, weights=u.imag, minlength=size
+    )
+    up = up.reshape(prog.dim, prog.dim)
+    return up + up.conj().T
 
 
 def _chol_psd(x: np.ndarray) -> np.ndarray:
@@ -260,7 +253,7 @@ def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _schur(blocks, ws, m) -> np.ndarray:
+def _schur(prog: _Program, w: np.ndarray) -> np.ndarray:
     """Upper triangle of M[p, q] = Re Tr(F_p W F_q W), one row M[q, q:] at a
     time; the lower triangle stays zero, as the Cholesky factor reads only
     the upper one.
@@ -269,15 +262,14 @@ def _schur(blocks, ws, m) -> np.ndarray:
     (diagonal halved). That Hermitian product is needed only at the stored
     entries (r, c) of the constraints p >= q, where it is P[r, c] + conj P[c, r].
     """
-    mat = np.zeros((m, m))
-    for blk, w in zip(blocks, ws):
-        ptr = blk.q_ptr
-        for qi, q in enumerate(blk.q_list):
-            lo, hi = ptr[qi], ptr[qi + 1]
-            p = (w[:, blk.rows[lo:hi]] * blk.half[lo:hi]) @ w[blk.cols[lo:hi], :]
-            h = p.take(blk.flat[lo:]) + p.take(blk.flat_t[lo:]).conj()
-            g = (blk.weight[lo:] * h).real
-            mat[q, blk.q_list[qi:]] += np.add.reduceat(g, ptr[qi:-1] - lo)
+    mat = np.zeros((prog.m, prog.m))
+    ptr = prog.q_ptr
+    for qi, q in enumerate(prog.q_list):
+        lo, hi = ptr[qi], ptr[qi + 1]
+        p = (w[:, prog.rows[lo:hi]] * prog.half[lo:hi]) @ w[prog.cols[lo:hi], :]
+        h = p.take(prog.flat[lo:]) + p.take(prog.flat_t[lo:]).conj()
+        g = (prog.weight[lo:] * h).real
+        mat[q, prog.q_list[qi:]] = np.add.reduceat(g, ptr[qi:-1] - lo)
     return mat
 
 
@@ -288,42 +280,38 @@ def _lap(t0: float) -> tuple[float, float]:
 
 
 def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
-    blocks, b_vec, labels = _compile(inst)
-    m = b_vec.size
-    nu = sum(blk.dim for blk in blocks)
-    scale_b = 1.0 + float(np.max(np.abs(b_vec))) if m else 1.0
-    scale_c = 1.0 + max(
-        (float(np.linalg.norm(blk.cobj, 2)) for blk in blocks), default=0.0
-    )
-    zs = [10.0 * scale_b * np.eye(blk.dim, dtype=complex) for blk in blocks]
-    ss = [10.0 * scale_c * np.eye(blk.dim, dtype=complex) for blk in blocks]
-    y = np.zeros(m)
+    prog = _Program(inst)
+    b_vec, nu = prog.b, prog.dim
+    scale_b = 1.0 + float(np.max(np.abs(b_vec))) if prog.m else 1.0
+    scale_c = 1.0 + float(np.linalg.norm(prog.cobj, 2))
+    z = 10.0 * scale_b * np.eye(nu, dtype=complex)
+    s = 10.0 * scale_c * np.eye(nu, dtype=complex)
+    y = np.zeros(prog.m)
     trace = []
 
     best = None
     best_merit = np.inf
     for it in range(MAX_ITERS):
-        rp = b_vec - _a_of(blocks, zs, m)
-        aty = _at_of(blocks, y)
-        rd = [blk.cobj + s - at for blk, s, at in zip(blocks, ss, aty)]
-        mu = sum(float(np.vdot(z, s).real) for z, s in zip(zs, ss)) / nu
-        pobj = sum(float(np.vdot(blk.cobj, z).real) for blk, z in zip(blocks, zs))
+        rp = b_vec - _a_of(prog, z)
+        rd = prog.cobj + s - _at_of(prog, y)
+        mu = float(np.vdot(z, s).real) / nu
+        pobj = float(np.vdot(prog.cobj, z).real)
         dobj = float(b_vec @ y)
         rel_gap = abs(dobj - pobj) / max(1.0, abs(pobj))
         pres = float(np.linalg.norm(rp)) / scale_b
-        dres = max(float(np.linalg.norm(r)) for r in rd) / scale_c
+        dres = float(np.linalg.norm(rd)) / scale_c
         if not all(map(math.isfinite, (pres, dres, mu))):
             raise SdpError(f"non-finite residual or mu at iteration {it}")
         record = dict(pres=pres, dres=dres, rel_gap=rel_gap, mu=mu)
         merit = max(pres, dres, rel_gap)
         if merit < best_merit:
             best_merit = merit
-            best = (zs, y.copy(), pobj, dobj, it)
+            best = (z, y.copy(), pobj, dobj, it)
         if pres <= FEAS_TOL and dres <= FEAS_TOL and (
             rel_gap <= tol or nu * mu / max(1.0, abs(pobj)) <= 0.5 * tol
         ):
             trace.append(IpmIteration(**record))
-            return _finish(labels, zs, y, pobj, dobj, it + 1, "optimal", trace)
+            return _finish(prog, z, y, pobj, dobj, it + 1, "optimal", trace)
         if mu / max(1.0, abs(pobj)) < MU_FLOOR:
             trace.append(IpmIteration(**record))
             break  # numerical floor: no further progress is possible
@@ -332,19 +320,18 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
         ynorm = float(np.linalg.norm(y, np.inf))
         if ynorm > 1e8 * scale_b or dobj < -1e9 * scale_b:
             yhat = y / max(float(np.linalg.norm(y)), 1e-300)
-            athat = _at_of(blocks, yhat)
-            mineig = min(float(np.linalg.eigvalsh(a)[0]) for a in athat)
+            mineig = float(np.linalg.eigvalsh(_at_of(prog, yhat))[0])
             if mineig > -1e-6 and float(b_vec @ yhat) < -1e-8:
                 raise InfeasibleError(
                     "primal infeasible (dual improving ray found)", certificate=yhat
                 )
 
         t = time.perf_counter()
-        lzs = [_chol_psd(z) for z in zs]
-        lss = [_chol_psd(s) for s in ss]
-        ws = [_nt_scaling(lz, s) for lz, s in zip(lzs, ss)]
+        lz = _chol_psd(z)
+        ls = _chol_psd(s)
+        w = _nt_scaling(lz, s)
         t, record["nt_s"] = _lap(t)
-        schur = _schur(blocks, ws, m)
+        schur = _schur(prog, w)
         t, record["schur_s"] = _lap(t)
         diag = np.diag(schur).copy()
         ridge = 1e-14 * max(float(np.max(diag)), 1e-300)
@@ -361,62 +348,48 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
             trace.append(IpmIteration(**record))
             break
 
-        s_inv = []
-        for ls in lss:
-            inv = scipy.linalg.solve_triangular(
-                ls, np.eye(ls.shape[0]), lower=True, check_finite=False
-            )
-            s_inv.append(inv.conj().T @ inv)
+        inv = scipy.linalg.solve_triangular(
+            ls, np.eye(nu), lower=True, check_finite=False
+        )
+        s_inv = inv.conj().T @ inv
 
         def newton(sigma_mu: float):
-            rcs = [sigma_mu * si - z for si, z in zip(s_inv, zs)]
-            rhs = _a_of(
-                blocks, [rc + w @ r @ w for rc, w, r in zip(rcs, ws, rd)], m
-            ) - rp
+            rc = sigma_mu * s_inv - z
+            rhs = _a_of(prog, rc + w @ rd @ w) - rp
             dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
             if not np.isfinite(dy).all():
                 raise SdpError(f"non-finite Newton step at iteration {it}")
-            dss = [da - r for da, r in zip(_at_of(blocks, dy), rd)]
-            dzs = [_hermitian(rc - w @ ds @ w) for rc, w, ds in zip(rcs, ws, dss)]
-            return dzs, dy, dss
-
-        def steps(dzs, dss):
-            ap = min((_max_step(l, dz) for l, dz in zip(lzs, dzs)), default=np.inf)
-            ad = min((_max_step(l, ds) for l, ds in zip(lss, dss)), default=np.inf)
-            return ap, ad
+            ds = _at_of(prog, dy) - rd
+            return _hermitian(rc - w @ ds @ w), dy, ds
 
         # Predictor (affine direction) fixes the centering weight.
         dza, _, dsa = newton(0.0)
         t, newton_s = _lap(t)
-        ap, ad = steps(dza, dsa)
-        ap, ad = min(1.0, 0.99 * ap), min(1.0, 0.99 * ad)
-        mu_aff = sum(
-            float(np.vdot(z + ap * dz, s + ad * ds).real)
-            for z, dz, s, ds in zip(zs, dza, ss, dsa)
-        ) / nu
+        ap = min(1.0, 0.99 * _max_step(lz, dza))
+        ad = min(1.0, 0.99 * _max_step(ls, dsa))
+        mu_aff = float(np.vdot(z + ap * dza, s + ad * dsa).real) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
         t, step_s = _lap(t)
 
-        dzs, dy, dss = newton(sigma * mu)
+        dz, dy, ds = newton(sigma * mu)
         t, dt = _lap(t)
         record["newton_s"] = newton_s + dt
-        ap, ad = steps(dzs, dss)
+        ap = min(1.0, 0.98 * _max_step(lz, dz))
+        ad = min(1.0, 0.98 * _max_step(ls, ds))
         t, dt = _lap(t)
         record["step_s"] = step_s + dt
-        tau = 0.98
-        ap, ad = min(1.0, tau * ap), min(1.0, tau * ad)
-        zs = [z + ap * dz for z, dz in zip(zs, dzs)]
-        ss = [s + ad * ds for s, ds in zip(ss, dss)]
+        z = z + ap * dz
+        s = s + ad * ds
         y = y + ad * dy
         trace.append(IpmIteration(sigma=sigma, alpha_p=ap, alpha_d=ad, **record))
 
-    zs, y, pobj, dobj, it = best
-    return _finish(labels, zs, y, pobj, dobj, it + 1, "max_iterations", trace)
+    z, y, pobj, dobj, it = best
+    return _finish(prog, z, y, pobj, dobj, it + 1, "max_iterations", trace)
 
 
-def _finish(labels, zs, y, pobj, dobj, iters, status, trace) -> SdpSolution:
+def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
     return SdpSolution(
-        blocks={label: z for label, z in zip(labels, zs)},
+        blocks={label: z[span, span].copy() for label, span in prog.spans.items()},
         y=y,
         primal_value=pobj,
         dual_value=dobj,
@@ -455,10 +428,18 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
 
     Deterministic for a fixed instance and tolerance. Raises Infeasible or
     Unbounded when detected; an iteration-capped run returns the best
-    iterate with status "max_iterations" (certify() will fail it).
+    iterate with status "max_iterations" (certify() will fail it). Raises
+    TooLargeError, before allocating, when the matrix side or the Schur
+    matrix (m + 1 rows, with the trace cap) is above the dense cap.
     """
     if tol <= 0:
         raise BadArgsError("tol must be positive")
+    side = 1 + sum(d for _, d in inst.blocks)
+    m = 1 + len(inst.constraints)
+    if max(side, m) ** 2 > DENSE_AMPLITUDE_CAP:
+        raise TooLargeError(
+            f"SDP of side {side} with {m} constraints is above the dense cap"
+        )
     bounded, m_big = _with_trace_bound(inst)
     sol = _solve(bounded, tol)
     trace_total = sum(
@@ -565,9 +546,9 @@ def instance_from_dict(data: dict) -> SdpInstance:
         raise FormatError(f"expected format {SDP_FORMAT!r}")
     try:
         blocks = tuple((str(b["label"]), int(b["dim"])) for b in data["blocks"])
-        for label, d in blocks:
-            if d > 0 and d * d > DENSE_AMPLITUDE_CAP:
-                raise TooLargeError(f"block {label!r} of dim {d} is above the dense cap")
+        side = sum(max(d, 0) for _, d in blocks)
+        if side * side > DENSE_AMPLITUDE_CAP:
+            raise TooLargeError(f"blocks of total side {side} are above the dense cap")
         objective = {label: np.zeros((d, d), dtype=complex) for label, d in blocks}
         for e in data["objective"]:
             label, r, c = str(e["b"]), int(e["r"]), int(e["c"])

@@ -47,7 +47,7 @@ def _double_entries(entries, dims):
 
 
 def double_instance(inst: sdp.SdpInstance) -> sdp.SdpInstance:
-    dims = inst.block_dims
+    dims = dict(inst.blocks)
     return sdp.SdpInstance(
         blocks=tuple((label, 2 * d) for label, d in inst.blocks),
         objective={label: double_matrix(c) for label, c in inst.objective.items()},

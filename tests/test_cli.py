@@ -154,6 +154,21 @@ def test_cmd_bias_oversized_inputs_exit_2(tmp_path, capsys):
     for quantity in ("me:5000", "ent:2x9000"):
         assert run(["bias", str(t1), "--quantities", quantity]) == cli.EXIT_ARGS
     assert "dense cap" in capsys.readouterr().err
+    # beta_os(H2) has 20,400 constraints: a 20,401^2 Schur matrix.
+    h2 = tmp_path / "h2.json"
+    run(["game", "--name", "hn", "--param", "2", "--out", str(h2)])
+    assert run(["bias", str(h2), "--quantities", "beta-os"]) == cli.EXIT_ARGS
+    # Two blocks each under the cap, held as one matrix of side 6000.
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps({
+        "format": "xorq-sdp-v1",
+        "blocks": [{"label": "a", "dim": 3000}, {"label": "b", "dim": 3000}],
+        "objective": [],
+        "constraints": [],
+    }))
+    assert run(["sdp", "solve", str(raw)]) == cli.EXIT_ARGS
+    err = capsys.readouterr().err
+    assert err.count("dense cap") == 2 and "Traceback" not in err
 
 
 def test_cmd_bias_byte_stable_output(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,14 @@ def test_game_reader_rejects_oversized_and_huge_entries():
                 "entries": [{"r": r, "c": c, "re": x, "im": y} for r, c, x, y in entries]}
         with pytest.raises(FormatError, match="modulus above 1"):
             games.game_from_dict(data)
+
+
+def test_classical_reader_rejects_huge_coefficients_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in ([[1e308, 1e308], [1e308, 0]], [[0.0, -1.7e308], [0.0, 0.0]]):
+            with pytest.raises(FormatError, match="modulus above 1"):
+                games.classical_game_from_dict({"r": r})
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_game
 from xorq import games, heuristics, linalg, relaxations, sdp
-from xorq.errors import DimensionMismatchError
+from xorq.errors import DimensionMismatchError, TooLargeError
 from xorq.report import BiasReport
 
 
@@ -308,3 +308,9 @@ def test_check_chains_zero_game():
     assert abs(rep.beta_nc) <= 1e-6 and abs(rep.beta_os) <= 1e-6
     checks = relaxations.check_chains(g, rep, 1e-6)
     assert all(c.passed for c in checks if c.hard)
+
+
+def test_beta_os_refuses_oversized_instance():
+    # H2 has n = 10: 20,400 constraints, so a 20,401^2 Schur matrix
+    with pytest.raises(TooLargeError, match="dense cap"):
+        relaxations.beta_os(games.h_game(2))

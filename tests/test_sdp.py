@@ -204,31 +204,25 @@ def test_schur_matches_dense_oracle():
         blocks=tuple(dims.items()), objective={}, constraints=tuple(cons)
     )
     bounded, _ = sdp._with_trace_bound(inst)  # adds the trace-cap row
-    blocks, b_vec, labels = sdp._compile(bounded)
-    ws = [_random_pd(rng, blk.dim) for blk in blocks]
-    m = b_vec.size
-    got = sdp._schur(blocks, ws, m)
+    offsets, side = {}, 0
+    for label, d in bounded.blocks:  # the blocks on one diagonal, in order
+        offsets[label], side = side, side + d
+    prog = sdp._Program(bounded)
+    assert prog.dim == side
+    w = _random_pd(rng, side)  # full, not block-diagonal
+    got = sdp._schur(prog, w)
 
-    dense = np.zeros((m, len(labels)), dtype=object)
-    for q, con in enumerate(bounded.constraints):
-        fs = {label: np.zeros((blk.dim, blk.dim), dtype=complex) for label, blk in zip(labels, blocks)}
+    dense = []
+    for con in bounded.constraints:
+        f = np.zeros((side, side), dtype=complex)
         for b, r, c, v in con.entries:
-            fs[b][r, c] += v
+            r, c = r + offsets[b], c + offsets[b]
+            f[r, c] += v
             if r != c:
-                fs[b][c, r] += np.conj(v)
-        for k, label in enumerate(labels):
-            dense[q, k] = fs[label]
+                f[c, r] += np.conj(v)
+        dense.append(f)
     want = np.array(
-        [
-            [
-                sum(
-                    np.trace(dense[p, k] @ w @ dense[q, k] @ w).real
-                    for k, w in enumerate(ws)
-                )
-                for q in range(m)
-            ]
-            for p in range(m)
-        ]
+        [[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense]
     )
     assert np.abs(got - np.triu(want)).max() <= 1e-12 * np.abs(want).max()
 
