@@ -6,9 +6,11 @@ state (me:d) or a free unit state (ent:dA x dB). The form is linear in each
 player's operator (and in psi's density matrix), so each block subproblem
 has an exact closed-form maximizer: the spectral sign of the effective
 operator for Hermitian classes, its polar unitary for the complex class,
-and a top eigenvector for the state. One see-saw loop alternates these
-steps for every class; one deterministic multi-restart driver takes the
-best value.
+and a top eigenvector for the state. The effective operators are the
+contraction that strategies.bias evaluates the form with
+(strategies.effective_operator_for_a/_b). One see-saw loop alternates
+these steps for every class; one deterministic multi-restart driver takes
+the best value.
 
 Restart 0 is a deterministic warm start (the previous class's optimum
 embedded, where one exists); restarts 1..k-1 draw Gaussian Hermitian
@@ -26,39 +28,35 @@ from . import linalg
 from .errors import (
     DENSE_AMPLITUDE_CAP,
     BadArgsError,
-    DimensionMismatchError,
     SeesawError,
     TooLargeError,
 )
 from .games import GameMatrix
 from .strategies import (
+    ONE,
     ComplexStrategy,
     EntangledStrategy,
     MaxEntangledStrategy,
     Strategy,
     UnentangledStrategy,
+    effective_operator_for_a,
+    effective_operator_for_b,
     random_hermitian,
 )
 
 MONOTONE_SLACK = 1e-10
-ONE = np.ones(1, dtype=complex)  # the shared state of the two unentangled classes
-ONE.setflags(write=False)
+MAX_ITERS = 500  # see-saw iterations per restart
+IMPROVEMENT_TOL = 1e-9  # a restart stops once an iteration gains less
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 50
-    max_iters: int = 500
-    improvement_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise BadArgsError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise BadArgsError("max_iters must be >= 1")
-        if self.improvement_tol <= 0:
-            raise BadArgsError("improvement_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -69,59 +67,17 @@ class HeuristicResult:
     restart_values: tuple[float, ...]
 
 
-def effective_operator_for_a(
-    g: GameMatrix, b_part: np.ndarray, psi: np.ndarray = ONE
-) -> np.ndarray:
-    """K with Tr(A K) = Tr((A (x) B)(M (x) |psi><psi|)) for every A, where
-    psi is the dA*dB shared state and each player's registers are ordered
-    (message, private).
-
-    With P = psi as a dA x dB matrix and B_jl[d, b] = B[(j, d), (l, b)],
-    X_jl = P B_jl^T P^dagger and K[(k, a), (i, c)] = sum_jl X_jl[a, c]
-    M[(k, l), (i, j)]. Hermitian whenever B is (checked; SeesawError
-    otherwise), since a validated M is.
-    """
-    n = g.n
-    b = linalg.as_complex(b_part)
-    db, da = _private_dims(n, b, psi)
-    p = psi.reshape(da, db)
-    x = p @ b.reshape(n, db, n, db).transpose(0, 2, 3, 1) @ p.conj().T
-    k = np.einsum("jlab,klij->kaib", x, g.m.reshape(n, n, n, n))
-    return _check_hermitian(b, k.reshape(n * da, n * da))
-
-
-def effective_operator_for_b(
-    g: GameMatrix, a_part: np.ndarray, psi: np.ndarray = ONE
-) -> np.ndarray:
-    """L with Tr(B L) = Tr((A (x) B)(M (x) |psi><psi|)) for every B; the
-    mirror of effective_operator_for_a, with Y_ik = P^T A_ik^T conj(P)."""
-    n = g.n
-    a = linalg.as_complex(a_part)
-    da, db = _private_dims(n, a, psi)
-    p = psi.reshape(da, db)
-    y = p.T @ a.reshape(n, da, n, da).transpose(0, 2, 3, 1) @ p.conj()
-    l = np.einsum("ikab,klij->lajb", y, g.m.reshape(n, n, n, n))
-    return _check_hermitian(a, l.reshape(n * db, n * db))
-
-
-def _private_dims(n: int, part: np.ndarray, psi: np.ndarray) -> tuple[int, int]:
-    """The private dimensions of the part's player and of the other one."""
-    d = part.shape[0] // n
-    if d < 1 or part.shape != (n * d, n * d) or psi.ndim != 1 or psi.shape[0] % d:
-        raise DimensionMismatchError("operator or state incompatible with the game")
-    return d, psi.shape[0] // d
-
-
 def _is_hermitian(x: np.ndarray) -> bool:
     """||x - x^dagger||_F <= 1e-9 max(1, ||x||_F), squared (vdot beats norm here)."""
     d = x - x.conj().T
     return np.vdot(d, d).real <= 1e-18 * max(1.0, np.vdot(x, x).real)
 
 
-def _check_hermitian(part: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _check_hermitian(part: np.ndarray, k: np.ndarray, player: str):
+    """SeesawError when a Hermitian part gave a non-Hermitian effective
+    operator, which a validated (Hermitian) game matrix never does."""
     if _is_hermitian(part) and not _is_hermitian(k):
-        raise SeesawError("effective operator lost Hermiticity")
-    return k
+        raise SeesawError(f"effective operator for {player} lost Hermiticity")
 
 
 def _check_monotone(value: float, prev: float, what: str):
@@ -138,19 +94,21 @@ def _check_size(*sides: int):
         raise TooLargeError(f"see-saw operator of side {side} exceeds the dense cap 2^24")
 
 
-def _seesaw(g: GameMatrix, psi, b0, step, cfg, dims=None):
+def _seesaw(g: GameMatrix, psi, b0, step, dims=None):
     """Alternate exact half-steps from an initial B; with dims = (dA, dB),
     each iteration then also takes the optimal state step (a free psi).
-    Monotone by construction, and checked. Returns (value, (A, B, psi),
-    iterations)."""
+    Monotone and Hermiticity-preserving by construction, and checked.
+    Returns (value, (A, B, psi), iterations)."""
     b = b0
     prev = -np.inf
-    for it in range(cfg.max_iters):
+    for it in range(MAX_ITERS):
         k = effective_operator_for_a(g, b, psi)
+        _check_hermitian(b, k, "A")
         a = step(k)
         val_a = float(np.real(np.trace(a @ k)))
         _check_monotone(val_a, prev, "half-step decreased")
         l = effective_operator_for_b(g, a, psi)
+        _check_hermitian(a, l, "B")
         b = step(l)
         value = float(np.real(np.trace(b @ l)))
         _check_monotone(value, val_a, "half-step decreased")
@@ -161,7 +119,7 @@ def _seesaw(g: GameMatrix, psi, b0, step, cfg, dims=None):
                 lam = -lam
             _check_monotone(lam, value, "state step decreased |bias|")
             value = lam
-        if value - prev < cfg.improvement_tol:
+        if value - prev < IMPROVEMENT_TOL:
             break
         prev = value
     return value, (a, b, psi), it + 1
@@ -174,7 +132,7 @@ def _run_restarts(g: GameMatrix, starts, step, cfg, dims=None):
     total_iters = 0
     for r in range(cfg.restarts):
         b0, psi = starts(r)
-        value, final, iters = _seesaw(g, psi, b0, step, cfg, dims)
+        value, final, iters = _seesaw(g, psi, b0, step, dims)
         values.append(value)
         finals.append(final)
         total_iters += iters

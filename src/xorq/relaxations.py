@@ -25,6 +25,11 @@ the partner family, and so are beta_os's consistency products X_R . Y_C and
 X_C . Y_R. A beta_os family has only one cap, say the row one; there the
 coordinates i carrying X = sqrt(a_i) u_i e^+, e a fixed unit vector, fill
 it. For beta_sdp, pad each vector to unit norm with a coordinate of its own.
+
+Every constraint row is independent. A beta_nc family keeps both caps but
+not the (n-1, n-1) diagonal of the column one: the traces of both products
+are sum |x|^2, so once the row cap holds and the other column diagonals are
+1, that entry is n - (n - 1) = 1 as well.
 """
 
 from __future__ import annotations
@@ -127,7 +132,7 @@ def _cap_constraints(n: int, base: int, rows: bool) -> list:
 
     Q is the row product sum_k X_ik X_jk^* (rows) or the column product
     sum_k X_ki X_kj^* of the family whose entry (i, k) is Gram index
-    base + i*n + k.
+    base + i*n + k. The row of the (n-1, n-1) diagonal comes last.
     """
 
     def idx(i, k):
@@ -211,11 +216,13 @@ def _m4(g: GameMatrix) -> np.ndarray:
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n = g.n
     nn = n * n
+    # The last column-cap row, the (n-1, n-1) diagonal, is implied by the
+    # others (see the module docstring), so each family drops it.
     cons = (
         _cap_constraints(n, 0, rows=True)
-        + _cap_constraints(n, 0, rows=False)
+        + _cap_constraints(n, 0, rows=False)[:-1]
         + _cap_constraints(n, nn, rows=True)
-        + _cap_constraints(n, nn, rows=False)
+        + _cap_constraints(n, nn, rows=False)[:-1]
     )
     return sdp_mod.SdpInstance(
         blocks=(("gram", 2 * nn),),

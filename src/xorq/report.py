@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -32,31 +32,6 @@ class BiasReport:
     runtimes: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "n": self.n,
-            "trace_norm": self.trace_norm,
-            "omega_lower": self.omega_lower,
-            "omega_c_lower": self.omega_c_lower,
-            "me_lower": self.me_lower,
-            "me_d": self.me_d,
-            "entangled_lower": self.entangled_lower,
-            "entangled_dims": list(self.entangled_dims)
-            if self.entangled_dims
-            else None,
-            "beta_sdp": self.beta_sdp,
-            "beta_nc": self.beta_nc,
-            "beta_os": self.beta_os,
-            "chains": [
-                {
-                    "label": c.label,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "passed": c.passed,
-                    "hard": c.hard,
-                }
-                for c in self.chains
-            ],
-            "cfg": {"seed": self.seed, "restarts": self.restarts, "tol": self.tol},
-            "runtimes": self.runtimes,
-        }
+        data = asdict(self)
+        data["cfg"] = {key: data.pop(key) for key in ("seed", "restarts", "tol")}
+        return data

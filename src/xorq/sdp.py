@@ -471,7 +471,8 @@ class CertifyReport:
 
 
 def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> CertifyReport:
-    """Recompute residuals, PSD slacks, and the duality gap of a solution."""
+    """Recompute residuals, PSD slacks, the objective sum_b Re Tr(C_b^dagger Z_b)
+    against primal_value, and the duality gap of a solution."""
     checks = []
     for label, _ in inst.blocks:
         z = sol.blocks[label]
@@ -484,6 +485,9 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
     for con in inst.constraints:
         worst = max(worst, abs(constraint_value(inst, con, sol.blocks) - con.rhs))
     checks.append(("residual", worst, RESIDUAL_SCALE_TOL * rhs_scale, None))
+    objective = sum(float(np.vdot(c, sol.blocks[b]).real) for b, c in inst.objective.items())
+    checks.append(("objective", abs(objective - sol.primal_value),
+                   RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)), None))
     gap = sol.dual_value - sol.primal_value
     checks.append(("gap_nonneg", gap, -RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)), None))
     checks.append(("gap_small", abs(gap), tol * max(1.0, abs(sol.primal_value)), None))

@@ -9,9 +9,11 @@ Four resource classes are represented:
   Entangled     Hermitian contractions on message (x) private space plus an
                 arbitrary shared unit state.
 
-Bias is evaluated on the dense permuted tensor space: the game matrix is
-expanded spectrally and operators are applied in full to each question
-state. A guard caps the total amplitude count at 2^24.
+Every class is scored by one form, Tr((A (x) B)(M (x) |psi><psi|)), with psi
+the scalar 1, the maximally entangled state or the free state. One
+contraction evaluates it: the effective operator K of B and psi, with
+Tr(A K) equal to the form. bias takes Tr(A K), and the see-saw's two
+half-steps take K in both orientations (effective_operator_for_a/_b).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
     DENSE_AMPLITUDE_CAP,
     BadArgsError,
     DimensionMismatchError,
+    PreconditionViolatedError,
     TooLargeError,
 )
 from .games import GameMatrix, RankOneGame, rank_one_matrix, rank_one_to_xor
@@ -34,6 +37,8 @@ from .games import GameMatrix, RankOneGame, rank_one_matrix, rank_one_to_xor
 OP_NORM_SLACK = 1e-9
 STATE_NORM_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-9
+ONE = np.ones(1, dtype=complex)  # the shared state of the two unentangled classes
+ONE.setflags(write=False)
 
 
 def _check_contraction(name: str, a: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -104,66 +109,78 @@ class EntangledStrategy:
 Strategy = UnentangledStrategy | ComplexStrategy | MaxEntangledStrategy | EntangledStrategy
 
 
-def _message_dim(s: Strategy) -> tuple[int, int, int]:
-    """(n, d_a, d_b) implied by the strategy's operator shapes."""
-    if isinstance(s, (UnentangledStrategy, ComplexStrategy)):
-        return s.a.shape[0], 1, 1
-    if isinstance(s, MaxEntangledStrategy):
-        n, rem = divmod(s.a.shape[0], s.d)
-        if rem:
-            raise DimensionMismatchError("operator dimension not divisible by d")
-        return n, s.d, s.d
-    na, ra = divmod(s.a.shape[0], s.d_a)
-    nb, rb = divmod(s.b.shape[0], s.d_b)
-    if ra or rb or na != nb:
-        raise DimensionMismatchError("operator dimensions inconsistent with d_a, d_b")
-    return na, s.d_a, s.d_b
+def _effective_operator(m4: np.ndarray, part: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """K with Tr(A K) = Tr((A (x) B)(M (x) |psi><psi|)) for every A, where
+    m4[k, l, i, j] = M[(k, l), (i, j)], part is B and p is psi as a dA x dB
+    matrix; each player's registers are ordered (message, private).
 
-
-def _bias_with_state(
-    m: np.ndarray, n: int, a: np.ndarray, b: np.ndarray, da: int, db: int, psi: np.ndarray
-) -> complex:
-    """Tr((A (x) B)(M (x) |psi><psi|)) with registers permuted to players."""
-    if n * da * n * db > DENSE_AMPLITUDE_CAP:
-        raise TooLargeError(
-            f"dense evaluation needs {n * da * n * db} amplitudes (> 2^24)"
+    With B_jl[d, b] = B[(j, d), (l, b)], X_jl = P B_jl^T P^dagger and
+    K[(k, a), (i, c)] = sum_jl X_jl[a, c] M[(k, l), (i, j)]. The same code
+    gives B's operator on the players-swapped view m4.transpose(1, 0, 3, 2)
+    with A as the part and P^T.
+    """
+    n = m4.shape[0]
+    da, db = p.shape
+    if part.shape != (n * db, n * db):
+        raise DimensionMismatchError(
+            f"operator of shape {part.shape} does not act on C^{n} (x) C^{db}"
         )
-    w, vecs = np.linalg.eigh(m)
-    val = 0.0 + 0.0j
-    for lam, phi in zip(w, vecs.T):
-        if abs(lam) <= 1e-14:
-            continue
-        full = np.kron(phi, psi)  # (msgA, msgB, privA, privB)
-        full = linalg.permute_systems(full, (n, n, da, db), (0, 2, 1, 3))
-        mat = full.reshape(n * da, n * db)
-        out = a @ mat @ b.T
-        val += lam * np.vdot(full, out.reshape(-1))
-    return val
+    x = p @ part.reshape(n, db, n, db).transpose(0, 2, 3, 1) @ p.conj().T
+    k = np.einsum("jlab,klij->kaib", x, m4)
+    return k.reshape(n * da, n * da)
+
+
+def _private_dim(n: int, part: np.ndarray, psi: np.ndarray) -> int:
+    """The private dimension of the part's player, which must divide psi's size."""
+    d = part.shape[0] // n
+    if d < 1 or psi.ndim != 1 or psi.shape[0] % d:
+        raise DimensionMismatchError("operator or state incompatible with the game")
+    return d
+
+
+def effective_operator_for_a(
+    g: GameMatrix, b_part: np.ndarray, psi: np.ndarray = ONE
+) -> np.ndarray:
+    """K with Tr(A K) = Tr((A (x) B)(M (x) |psi><psi|)) for every A, psi the
+    dA*dB shared state; Hermitian whenever B is, since a validated M is."""
+    b = linalg.as_complex(b_part)
+    p = psi.reshape(-1, _private_dim(g.n, b, psi))
+    return _effective_operator(g.m.reshape((g.n,) * 4), b, p)
+
+
+def effective_operator_for_b(
+    g: GameMatrix, a_part: np.ndarray, psi: np.ndarray = ONE
+) -> np.ndarray:
+    """L with Tr(B L) = Tr((A (x) B)(M (x) |psi><psi|)) for every B: the
+    operator for A of the players-swapped game and state."""
+    a = linalg.as_complex(a_part)
+    p = psi.reshape(_private_dim(g.n, a, psi), -1)
+    m4 = g.m.reshape((g.n,) * 4).transpose(1, 0, 3, 2)
+    return _effective_operator(m4, a, p.T)
 
 
 def bias(g: GameMatrix, s: Strategy) -> float:
-    """Exact bias of a strategy in a game.
+    """Exact bias of a strategy in a game: Tr(A K) with K the effective
+    operator of B and the strategy's shared state (1 without entanglement).
 
     Hermitian strategy classes must yield a real value (the imaginary
-    residue is asserted below 1e-9, then discarded); the complex class
+    residue is checked below 1e-9, then discarded); the complex class
     returns the modulus.
     """
-    n, da, db = _message_dim(s)
-    if n != g.n:
-        raise DimensionMismatchError(
-            f"strategy message dimension {n} does not match game dimension {g.n}"
-        )
-    if isinstance(s, ComplexStrategy):
-        return abs(complex(np.trace(np.kron(s.a, s.b) @ g.m)))
-    if isinstance(s, UnentangledStrategy):
-        val = complex(np.trace(np.kron(s.a, s.b) @ g.m))
+    if isinstance(s, MaxEntangledStrategy):
+        p = linalg.max_entangled_state(s.d).reshape(s.d, s.d)
+    elif isinstance(s, EntangledStrategy):
+        p = s.psi.reshape(s.d_a, s.d_b)
     else:
-        psi = (
-            linalg.max_entangled_state(s.d)
-            if isinstance(s, MaxEntangledStrategy)
-            else s.psi
+        p = ONE.reshape(1, 1)
+    k = _effective_operator(g.m.reshape((g.n,) * 4), s.b, p)
+    if s.a.shape != k.shape:
+        raise DimensionMismatchError(
+            f"operator A of shape {s.a.shape} does not act on C^{g.n} (x) C^{p.shape[0]}"
         )
-        val = _bias_with_state(g.m, n, s.a, s.b, da, db, psi)
+    val = complex(np.sum(s.a * k.T))  # Tr(A K)
+    if isinstance(s, ComplexStrategy):
+        return abs(val)
     if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(val)):
         raise BadArgsError(f"bias has non-negligible imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -400,7 +417,8 @@ def symmetrize(g: GameMatrix, s: EntangledStrategy) -> EntangledStrategy:
     registers (true for every family built here). The shared state is
     restricted to its Schmidt support, a flag qubit routes each player to
     one of the original operators, and a final dilation by one ancilla
-    qubit turns the Hermitian contraction into an observable.
+    qubit turns the Hermitian contraction into an observable. The bias of
+    the output is checked against the input's (PreconditionViolatedError).
     """
     if not isinstance(s, EntangledStrategy):
         raise BadArgsError("symmetrize expects an entangled strategy")
@@ -456,9 +474,8 @@ def symmetrize(g: GameMatrix, s: EntangledStrategy) -> EntangledStrategy:
 
     out = EntangledStrategy(d_a=d_out, d_b=d_out, a=a_out, b=a_out.copy(), psi=psi_out)
     after = bias(g, out)
-    assert abs(after - before) <= 1e-8 * max(1.0, abs(before)), (
-        f"symmetrization changed the bias: {before} -> {after}"
-    )
+    if abs(after - before) > 1e-8 * max(1.0, abs(before)):
+        raise PreconditionViolatedError(f"symmetrization changed the bias: {before} -> {after}")
     return out
 
 

@@ -11,13 +11,12 @@ from xorq import linalg, strategies
 
 def bias_dense(g, s) -> float:
     """Bias of a strategy from the full permuted operator product."""
-    n, da, db = strategies._message_dim(s)
     if isinstance(s, (strategies.UnentangledStrategy, strategies.ComplexStrategy)):
-        psi = np.ones(1, dtype=complex)
+        psi, da, db = np.ones(1, dtype=complex), 1, 1
     elif isinstance(s, strategies.MaxEntangledStrategy):
-        psi = linalg.max_entangled_state(s.d)
+        psi, da, db = linalg.max_entangled_state(s.d), s.d, s.d
     else:
-        psi = s.psi
+        psi, da, db = s.psi, s.d_a, s.d_b
     val = complex(np.trace(np.kron(s.a, s.b) @ folded_game_matrix(g, psi, da, db)))
     return abs(val) if isinstance(s, strategies.ComplexStrategy) else float(val.real)
 

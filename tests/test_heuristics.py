@@ -84,8 +84,9 @@ def test_entangled_lower_t1():
     assert abs(r.value - 1.0) <= 1e-6
 
 
-def test_entangled_lower_t2_warm_start_dominates_me():
-    cfg = heuristics.OptimizerConfig(restarts=1, max_iters=25, seed=0)
+def test_entangled_lower_t2_warm_start_dominates_me(monkeypatch):
+    monkeypatch.setattr(heuristics, "MAX_ITERS", 25)
+    cfg = heuristics.OptimizerConfig(restarts=1, seed=0)
     rme = heuristics.me_lower(games.t_game(2), 3, cfg)
     rent = heuristics.entangled_lower(games.t_game(2), 9, 9, cfg)
     assert rent.value >= rme.value - 1e-6
@@ -164,12 +165,8 @@ def test_round_complex_to_real_h1_and_corpus():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(BadArgsError, match="restarts"):
         heuristics.OptimizerConfig(restarts=0)
-    with pytest.raises(Exception):
-        heuristics.OptimizerConfig(improvement_tol=0.0)
-    with pytest.raises(BadArgsError, match="max_iters"):
-        heuristics.OptimizerConfig(max_iters=0)
 
 
 def _contraction(rng, dim):
@@ -221,12 +218,12 @@ def test_state_operator_matches_kronecker_oracle(rng, n, da, db):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_seesaw_decreasing_half_step_raises_typed_error():
+def test_seesaw_decreasing_half_step_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(heuristics, "MAX_ITERS", 50)
     g = random_game(2, seed=3)
     b0 = heuristics._spectral_start(g)
-    cfg = heuristics.OptimizerConfig(max_iters=50, improvement_tol=1e-9)
     with pytest.raises(SeesawError, match="half-step decreased"):
-        heuristics._seesaw(g, heuristics.ONE, b0, decreasing_sign_step(), cfg)
+        heuristics._seesaw(g, heuristics.ONE, b0, decreasing_sign_step())
 
 
 def test_seesaw_typed_error_survives_python_O():
@@ -237,11 +234,11 @@ def test_seesaw_typed_error_survives_python_O():
         from xorq import heuristics
         from xorq.errors import SeesawError
 
+        heuristics.MAX_ITERS = 50
         g = random_game(2, seed=3)
         b0 = heuristics._spectral_start(g)
-        cfg = heuristics.OptimizerConfig(max_iters=50, improvement_tol=1e-9)
         try:
-            heuristics._seesaw(g, heuristics.ONE, b0, decreasing_sign_step(), cfg)
+            heuristics._seesaw(g, heuristics.ONE, b0, decreasing_sign_step())
         except SeesawError as exc:
             print("SeesawError", exc)
             sys.exit(0)
@@ -269,23 +266,29 @@ def test_entangled_state_step_decrease_raises_typed_error(monkeypatch):
         return psi, abs(lam) / len(calls)
 
     monkeypatch.setattr(heuristics, "_state_step", shrinking)
-    cfg = heuristics.OptimizerConfig(restarts=1, improvement_tol=1e-300)
+    monkeypatch.setattr(heuristics, "IMPROVEMENT_TOL", 1e-300)
+    cfg = heuristics.OptimizerConfig(restarts=1)
     with pytest.raises(SeesawError, match="state step decreased"):
         heuristics.entangled_lower(random_game(2, seed=9), 2, 2, cfg)
 
 
 def test_effective_operator_hermiticity_check(rng):
-    g = random_game(2, seed=4)
-    b = strategies.random_hermitian(rng, 2)
-    # Not Hermitian, so K is not either; built directly, past games.validate.
-    skew = games.GameMatrix(n=2, m=g.m + 0.1j * np.eye(4))
-    part = b + 0.5j * np.eye(2)  # not Hermitian either: no claim on K
-    heuristics.effective_operator_for_a(skew, part)
-    heuristics.effective_operator_for_b(skew, part)
-    with pytest.raises(SeesawError, match="lost Hermiticity"):
-        heuristics.effective_operator_for_a(skew, b)
-    with pytest.raises(SeesawError, match="lost Hermiticity"):
-        heuristics.effective_operator_for_b(skew, b)
+    # Game matrices built directly, past games.validate.
+    g = random_game(3, seed=4)
+    eye = np.eye(3, dtype=complex)
+    # M + 0.1i I is not Hermitian, so K of a Hermitian B is not either.
+    skew = games.GameMatrix(n=3, m=g.m + 0.1j * np.eye(9))
+    with pytest.raises(SeesawError, match="for A lost Hermiticity"):
+        heuristics._seesaw(skew, heuristics.ONE, eye, heuristics._sign_step)
+    # M + I (x) iE, E Hermitian and traceless, adds I Tr(iE B) = 0 to K at
+    # B = I, but iE Tr(A) to L, and Tr(A) != 0 for an observable on C^3.
+    e = strategies.random_hermitian(rng, 3)
+    e -= np.trace(e) / 3 * eye
+    lopsided = games.GameMatrix(n=3, m=g.m + np.kron(eye, 1j * e))
+    with pytest.raises(SeesawError, match="for B lost Hermiticity"):
+        heuristics._seesaw(lopsided, heuristics.ONE, eye, heuristics._sign_step)
+    # The complex class's non-Hermitian parts make no claim on K.
+    heuristics._seesaw(g, heuristics.ONE, heuristics._haar_start(0, 1, 3), heuristics._polar_step)
 
 
 def test_report_ladder_runs_omega_once_with_standalone_values(monkeypatch):

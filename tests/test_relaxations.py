@@ -310,6 +310,40 @@ def test_check_chains_zero_game():
     assert all(c.passed for c in checks if c.hard)
 
 
+def _real_constraint_matrix(inst: sdp.SdpInstance) -> np.ndarray:
+    """Row q holds the real coefficients of A(Z)_q on the real and
+    imaginary parts of the (one-block) Hermitian Z."""
+    prog = sdp._Program(inst)
+    size = prog.dim * prog.dim
+    a = np.zeros((prog.m, 2 * size))
+    np.add.at(a, (prog.owner, prog.flat), prog.weight.real)
+    np.add.at(a, (prog.owner, size + prog.flat), -prog.weight.imag)
+    return a
+
+
+RANK_CASES = {
+    "CHSH/sdp": (games.chsh, "sdp"),
+    "diag3/sdp": (lambda: games.ClassicalGame(3, np.eye(3) / 3), "sdp"),
+    **{
+        f"{name}/{kind}": (build, kind)
+        for name, build in (
+            ("H1", lambda: games.h_game(1)),
+            ("T3", lambda: games.t_game(3)),
+            ("R2", lambda: random_game(2, seed=7)),
+        )
+        for kind in ("nc", "os")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_constraint_matrix_has_full_row_rank(case):
+    build, kind = RANK_CASES[case]
+    inst = getattr(relaxations, f"beta_{kind}_instance")(build())
+    a = _real_constraint_matrix(inst)
+    assert np.linalg.matrix_rank(a) == len(inst.constraints)
+
+
 def test_beta_os_refuses_oversized_instance():
     # H2 has n = 10: 20,400 constraints, so a 20,401^2 Schur matrix
     with pytest.raises(TooLargeError, match="dense cap"):

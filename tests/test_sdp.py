@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ def test_certify_rejects_corrupted_solution():
     report = sdp.certify(inst, bad, 1e-6)
     assert not report.passed
     assert "residual" in report.failures()
+
+
+def test_certify_recomputes_the_objective():
+    inst = relaxations.beta_nc_instance(games.h_game(1))
+    sol = sdp.solve(inst)
+    assert sdp.certify(inst, sol).passed
+    # Both values shifted alike: the gap checks alone cannot see it.
+    shifted = replace(sol, primal_value=sol.primal_value + 0.1, dual_value=sol.dual_value + 0.1)
+    report = sdp.certify(inst, shifted)
+    assert report.failures() == ["objective"]
 
 
 def test_certify_zero_instance():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -6,7 +10,12 @@ import pytest
 from conftest import random_game, random_unitary
 from dense import bias_dense
 from xorq import games, linalg, strategies
-from xorq.errors import BadArgsError, DimensionMismatchError, TooLargeError
+from xorq.errors import (
+    BadArgsError,
+    DimensionMismatchError,
+    PreconditionViolatedError,
+    TooLargeError,
+)
 
 
 def test_bias_zero_operators():
@@ -20,6 +29,13 @@ def test_bias_dimension_mismatch():
     s = strategies.t_unentangled_strategy(3)
     with pytest.raises(DimensionMismatchError):
         strategies.bias(g, s)
+    psi = np.full(4, 0.5, dtype=complex)
+    a_off = strategies.EntangledStrategy(d_a=2, d_b=2, a=np.eye(5), b=np.eye(6), psi=psi)
+    with pytest.raises(DimensionMismatchError, match="operator A"):
+        strategies.bias(g, a_off)  # C^5 is not C^3 (x) C^2
+    me_off = strategies.MaxEntangledStrategy(d=2, a=np.eye(7), b=np.eye(7))
+    with pytest.raises(DimensionMismatchError):
+        strategies.bias(g, me_off)  # 7 is not divisible by d = 2
 
 
 def test_t_unentangled_bias_matches_closed_form():
@@ -50,19 +66,23 @@ def test_h1_me_strategy_value_and_structure():
     assert abs(b - 5.0 / 9.0) <= 1e-9
 
 
-def test_bias_agrees_with_dense_reference(rng):
+@pytest.mark.parametrize("kind", ["unentangled", "complex", "maxent", "entangled"])
+@pytest.mark.parametrize("n,da,db", [(2, 1, 1), (2, 2, 3), (3, 3, 3)])
+def test_bias_agrees_with_dense_reference(kind, n, da, db):
+    # The unentangled classes have no private spaces; maxent shares d = dA.
+    dims = {"unentangled": None, "complex": None, "maxent": da, "entangled": (da, db)}
+    g = random_game(n, seed=10 * n + da + db)
+    s = strategies.random_strategy(kind, g, dims[kind], seed=da * db)
+    assert abs(strategies.bias(g, s) - bias_dense(g, s)) <= 1e-12
+
+
+def test_unentangled_bias_equals_one_dimensional_entangled_bias():
     g = random_game(2, seed=42)
-    # unentangled embedded as entangled with one-dimensional private spaces
     u = strategies.random_strategy("unentangled", g, None, seed=3)
     emb = strategies.EntangledStrategy(
         d_a=1, d_b=1, a=u.a, b=u.b, psi=np.ones(1, dtype=complex)
     )
     assert abs(strategies.bias(g, u) - strategies.bias(g, emb)) <= 1e-10
-    assert abs(strategies.bias(g, emb) - bias_dense(g, emb)) <= 1e-10
-    e = strategies.random_strategy("entangled", g, (2, 3), seed=4)
-    assert abs(strategies.bias(g, e) - bias_dense(g, e)) <= 1e-10
-    m = strategies.random_strategy("maxent", g, 2, seed=5)
-    assert abs(strategies.bias(g, m) - bias_dense(g, m)) <= 1e-10
 
 
 def test_bias_bounded_by_trace_norm():
@@ -212,6 +232,55 @@ def test_symmetrize_restricts_support():
     # Schmidt rank <= 2, flag doubles it, dilation at most doubles again
     assert out.d_a <= 8
     assert abs(strategies.bias(g, out) - strategies.bias(g, padded)) <= 1e-8
+
+
+def test_symmetrize_changed_bias_raises_typed_error(monkeypatch):
+    real = strategies.bias
+    calls = []
+
+    def drifting(g, s):
+        calls.append(None)
+        return real(g, s) + 0.1 * len(calls)  # the second call reads higher
+
+    monkeypatch.setattr(strategies, "bias", drifting)
+    g = games.h_game(1)
+    s = strategies.random_strategy("entangled", g, (2, 2), seed=5)
+    with pytest.raises(PreconditionViolatedError, match="changed the bias"):
+        strategies.symmetrize(g, s)
+
+
+def test_symmetrize_typed_error_survives_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from xorq import games, strategies
+        from xorq.errors import PreconditionViolatedError
+
+        real = strategies.bias
+        calls = []
+
+        def drifting(g, s):
+            calls.append(None)
+            return real(g, s) + 0.1 * len(calls)
+
+        strategies.bias = drifting
+        g = games.h_game(1)
+        s = strategies.random_strategy("entangled", g, (2, 2), seed=5)
+        try:
+            strategies.symmetrize(g, s)
+        except PreconditionViolatedError as exc:
+            print("PreconditionViolatedError", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "changed the bias" in out.stdout
 
 
 def test_max_bias_upper_bound_formula():
