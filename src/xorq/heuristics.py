@@ -19,6 +19,7 @@ starts seeded by (seed, restart index).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,24 +252,38 @@ def me_lower(
     return HeuristicResult(max(values), strategy, iters, tuple(values))
 
 
+_STATE_SUBSCRIPTS = "iakc,jbld,klij->abcd"
+
+
+@functools.cache
+def _state_path(n: int, da: int, db: int) -> list:
+    """The pairwise contraction order einsum(optimize=True) picks for
+    _state_operator at these sizes; it depends on the shapes only."""
+    shapes = ((n, da, n, da), (n, db, n, db), (n, n, n, n))
+    return np.einsum_path(
+        _STATE_SUBSCRIPTS, *(np.empty(shape) for shape in shapes), optimize=True
+    )[0]
+
+
 def _state_operator(
     m: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, da: int, db: int
 ) -> np.ndarray:
     """T = Tr_msg((A (x) B)(M (x) I)) on C^dA (x) C^dB, as one contraction:
     T[(a, b), (c, d)] = sum A[(i, a), (k, c)] B[(j, b), (l, d)] M[(k, l), (i, j)].
 
-    Contracted pairwise (optimize=True), which is much faster than one loop
-    over all eight indices once n is about 6 or more. Its rounding also
-    reproduces the 12-digit values of the Kronecker construction on every
-    report recorded in perfbench/references.json, where the single loop
-    changes the last digit of one.
+    Contracted pairwise in the order optimize=True picks (computed once per
+    size by _state_path), which is much faster than one loop over all eight
+    indices once n is about 6 or more. Its rounding also reproduces the
+    12-digit values of the Kronecker construction on every report recorded
+    in perfbench/references.json, where the single loop changes the last
+    digit of one.
     """
     t = np.einsum(
-        "iakc,jbld,klij->abcd",
+        _STATE_SUBSCRIPTS,
         a.reshape(n, da, n, da),
         b.reshape(n, db, n, db),
         m.reshape(n, n, n, n),
-        optimize=True,
+        optimize=_state_path(n, da, db),
     )
     return t.reshape(da * db, da * db)
 

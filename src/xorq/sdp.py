@@ -4,7 +4,14 @@ An instance asks to maximize sum_b Re Tr(C_b^dagger Z_b) over PSD Hermitian
 blocks Z_b subject to equality constraints sum_b Re Tr(F_qb^dagger Z_b) =
 rhs_q. It is solved by an infeasible primal-dual interior-point method with
 Nesterov-Todd scaling; the Schur complement M[p, q] = Re Tr(F_p W F_q W) and
-the multipliers y are real.
+the multipliers y are real. Each iteration is a Mehrotra predictor-corrector
+step in the NT frame G (W = G G^H, G^-1 Z G^-H = G^H S G = diag(lam)): the
+affine predictor fixes sigma = (mu_aff / mu)^3, and the corrector adds to
+the centering term the second-order term of the predictor (Mehrotra, SIAM
+J. Optim. 2, 1992; Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999). One
+Cholesky factor and its inverse per iterate serve the NT frame, S^-1 and
+all four step-length searches. The Schur matrix is assembled a group of
+constraints at a time, each group's stack at most 1 MB (see _schur).
 
 The core holds an instance as one Hermitian matrix Z with the blocks on its
 diagonal, each entry shifted by its block's offset. That is the same
@@ -12,6 +19,10 @@ program: a PSD Z with those diagonal blocks exists exactly when every block
 is PSD (take zero off-diagonal blocks), and C, every F_q, hence every
 iterate, is block-diagonal up to rounding. solve returns the diagonal
 blocks under their labels.
+
+C and the right-hand sides are scaled by exact powers of two when an entry
+exceeds 1, so that huge finite coefficients solve; the solution is mapped
+back (see _scaled).
 
 Boundedness is enforced internally with a trace cap Tr(Z) + t = M_big
 (one more diagonal entry t >= 0, M_big = 10 * total dimension * rhs
@@ -47,6 +58,8 @@ PSD_SLACK = 1e-8
 RESIDUAL_SCALE_TOL = 1e-7
 MAX_ITERS = 120
 MU_FLOOR = 1e-13
+SHORT_STEP = 0.1  # corrector step below which the centering direction is tried
+SCHUR_GROUP_ENTRIES = 1 << 16  # complex entries (1 MB) in one Schur group array
 
 Entry = tuple[str, int, int, complex]
 
@@ -81,8 +94,11 @@ class SdpInstance:
             c = np.asarray(c, dtype=complex)
             if c.shape != (d, d):
                 raise DimensionMismatchError(f"objective block {label!r} shape")
-            if np.linalg.norm(c - c.conj().T) > COEFF_HERMITICITY_TOL * max(
-                1.0, float(np.linalg.norm(c))
+            # ||C - C^H|| <= tol * max(1, ||C||), both sides divided by the
+            # largest entry so that huge coefficients do not overflow.
+            top = max(1.0, float(np.max(np.abs(c))))
+            if np.linalg.norm((c - c.conj().T) / top) > COEFF_HERMITICITY_TOL * max(
+                1.0 / top, float(np.linalg.norm(c / top))
             ):
                 raise BadArgsError(f"objective block {label!r} is not Hermitian")
             c = (c + c.conj().T) / 2
@@ -198,6 +214,21 @@ class _Program:
         self.half = np.where(diag, 0.5, 1.0) * vals
         self.q_list, starts = np.unique(self.owner, return_index=True)
         self.q_ptr = np.append(starts, self.owner.size)
+        self.groups = _schur_groups(np.diff(self.q_ptr), dim)
+
+
+def _schur_groups(counts: np.ndarray, dim: int) -> list[tuple[int, int]]:
+    """Runs [start, stop) of consecutive constraints with equal entry counts,
+    each at most SCHUR_GROUP_ENTRIES / max(dim^2, entries) long, so that
+    both the (G, dim, dim) stack of a group's products and its gather of
+    the entries of every later constraint hold at most 1 MB."""
+    cap = max(1, SCHUR_GROUP_ENTRIES // max(dim * dim, int(counts.sum())))
+    groups, start = [], 0
+    for i in range(1, counts.size + 1):
+        if i == counts.size or counts[i] != counts[start] or i - start == cap:
+            groups.append((start, i))
+            start = i
+    return groups
 
 
 def _a_of(prog: _Program, z: np.ndarray) -> np.ndarray:
@@ -232,44 +263,64 @@ def _hermitian(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
-def _nt_scaling(lz: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W with W S W = Z, from the Cholesky factor of Z."""
+def _nt_scaling(lz: np.ndarray, lz_inv: np.ndarray, s: np.ndarray):
+    """The NT frame of (Z, S) from the Cholesky factor L of Z and its inverse.
+
+    With K = L^H S L = Q diag(omega) Q^H, G = L Q diag(omega^-1/4) gives the
+    scaling W = G G^H (W S W = Z) and G^-1 Z G^-H = G^H S G = diag(lam),
+    lam = omega^1/2. Returns W, G, G^-1 = diag(omega^1/4) Q^H L^-1 and lam.
+    """
     k = lz.conj().T @ s @ lz
-    w, q = np.linalg.eigh(_hermitian(k))
-    w = np.clip(w, 1e-300, None)
-    inv_sqrt = (q * (w**-0.5)) @ q.conj().T
-    return _hermitian(lz @ inv_sqrt @ lz.conj().T)
+    omega, q = np.linalg.eigh(_hermitian(k))
+    omega = np.clip(omega, 1e-300, None)
+    g = lz @ (q * omega**-0.25)
+    g_inv = (omega**0.25)[:, None] * (q.conj().T @ lz_inv)
+    return _hermitian(g @ g.conj().T), g, g_inv, np.sqrt(omega)
 
 
-def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    return scipy.linalg.solve_triangular(
+        l, np.eye(l.shape[0]), lower=True, check_finite=False
+    )
+
+
+def _max_step(l_inv: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with L L^H + alpha dx >= 0, via L^-1 dx L^-H eigenvalues."""
-    g = scipy.linalg.solve_triangular(l, dx, lower=True, check_finite=False)
-    g = scipy.linalg.solve_triangular(
-        l, g.conj().T, lower=True, check_finite=False
-    ).conj().T
-    lam = float(np.linalg.eigvalsh(_hermitian(g))[0])
+    lam = float(np.linalg.eigvalsh(_hermitian(l_inv @ dx @ l_inv.conj().T))[0])
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
 
 
 def _schur(prog: _Program, w: np.ndarray) -> np.ndarray:
-    """Upper triangle of M[p, q] = Re Tr(F_p W F_q W), one row M[q, q:] at a
-    time; the lower triangle stays zero, as the Cholesky factor reads only
-    the upper one.
+    """Upper triangle of M[p, q] = Re Tr(F_p W F_q W), the rows of a group
+    of constraints at a time; the lower triangle stays zero, as the Cholesky
+    factor reads only the upper one.
 
     W F_q W = P + P^H with P = W U_q W, U_q the stored upper triangle of F_q
     (diagonal halved). That Hermitian product is needed only at the stored
     entries (r, c) of the constraints p >= q, where it is P[r, c] + conj P[c, r].
+    A group is a run of G consecutive constraints with k entries each
+    (_schur_groups, at most 1 MB per stacked array): their products W U_q W
+    are one matmul of a (G, dim, k) by a (G, k, dim) stack, gathered at the
+    entries of every constraint from the group's first on and summed per
+    constraint at once. The columns of a group's own earlier constraints
+    fall below the diagonal and are zeroed.
     """
     mat = np.zeros((prog.m, prog.m))
-    ptr = prog.q_ptr
-    for qi, q in enumerate(prog.q_list):
-        lo, hi = ptr[qi], ptr[qi + 1]
-        p = (w[:, prog.rows[lo:hi]] * prog.half[lo:hi]) @ w[prog.cols[lo:hi], :]
-        h = p.take(prog.flat[lo:]) + p.take(prog.flat_t[lo:]).conj()
-        g = (prog.weight[lo:] * h).real
-        mat[q, prog.q_list[qi:]] = np.add.reduceat(g, ptr[qi:-1] - lo)
+    ptr, q_list = prog.q_ptr, prog.q_list
+    for start, stop in prog.groups:
+        size = stop - start
+        lo, hi = ptr[start], ptr[stop]
+        rows = prog.rows[lo:hi].reshape(size, -1)
+        cols = prog.cols[lo:hi].reshape(size, -1)
+        left = w[:, rows].transpose(1, 0, 2) * prog.half[lo:hi].reshape(size, 1, -1)
+        p = np.matmul(left, w[cols, :]).reshape(size, -1)
+        h = p.take(prog.flat[lo:], axis=1) + p.take(prog.flat_t[lo:], axis=1).conj()
+        block = np.add.reduceat((prog.weight[lo:] * h).real, ptr[start:-1] - lo, axis=1)
+        if size > 1:
+            block[:, :size] = np.triu(block[:, :size])
+        mat[q_list[start:stop, None], q_list[start:]] = block
     return mat
 
 
@@ -279,7 +330,9 @@ def _lap(t0: float) -> tuple[float, float]:
     return t, t - t0
 
 
-def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
+def _solve(inst: SdpInstance, tol: float, unit: float = 1.0) -> SdpSolution:
+    """The interior-point loop. Gaps are relative to max(unit, |primal|):
+    unit is the objective value 1 in the units the instance was scaled to."""
     prog = _Program(inst)
     b_vec, nu = prog.b, prog.dim
     scale_b = 1.0 + float(np.max(np.abs(b_vec))) if prog.m else 1.0
@@ -297,7 +350,8 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
         mu = float(np.vdot(z, s).real) / nu
         pobj = float(np.vdot(prog.cobj, z).real)
         dobj = float(b_vec @ y)
-        rel_gap = abs(dobj - pobj) / max(1.0, abs(pobj))
+        value_scale = max(unit, abs(pobj))
+        rel_gap = abs(dobj - pobj) / value_scale
         pres = float(np.linalg.norm(rp)) / scale_b
         dres = float(np.linalg.norm(rd)) / scale_c
         if not all(map(math.isfinite, (pres, dres, mu))):
@@ -308,11 +362,11 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
             best_merit = merit
             best = (z, y.copy(), pobj, dobj, it)
         if pres <= FEAS_TOL and dres <= FEAS_TOL and (
-            rel_gap <= tol or nu * mu / max(1.0, abs(pobj)) <= 0.5 * tol
+            rel_gap <= tol or nu * mu / value_scale <= 0.5 * tol
         ):
             trace.append(IpmIteration(**record))
             return _finish(prog, z, y, pobj, dobj, it + 1, "optimal", trace)
-        if mu / max(1.0, abs(pobj)) < MU_FLOOR:
+        if mu / value_scale < MU_FLOOR:
             trace.append(IpmIteration(**record))
             break  # numerical floor: no further progress is possible
 
@@ -329,7 +383,9 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
         t = time.perf_counter()
         lz = _chol_psd(z)
         ls = _chol_psd(s)
-        w = _nt_scaling(lz, s)
+        lz_inv = _lower_inverse(lz)
+        ls_inv = _lower_inverse(ls)
+        w, g, g_inv, lam = _nt_scaling(lz, lz_inv, s)
         t, record["nt_s"] = _lap(t)
         schur = _schur(prog, w)
         t, record["schur_s"] = _lap(t)
@@ -348,36 +404,54 @@ def _solve(inst: SdpInstance, tol: float) -> SdpSolution:
             trace.append(IpmIteration(**record))
             break
 
-        inv = scipy.linalg.solve_triangular(
-            ls, np.eye(nu), lower=True, check_finite=False
-        )
-        s_inv = inv.conj().T @ inv
+        s_inv = ls_inv.conj().T @ ls_inv
+        w_rd_w = w @ rd @ w
 
-        def newton(sigma_mu: float):
-            rc = sigma_mu * s_inv - z
-            rhs = _a_of(prog, rc + w @ rd @ w) - rp
+        def newton(rc: np.ndarray):
+            """The NT direction with dZ + W dS W = rc."""
+            rhs = _a_of(prog, rc + w_rd_w) - rp
             dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
             if not np.isfinite(dy).all():
                 raise SdpError(f"non-finite Newton step at iteration {it}")
             ds = _at_of(prog, dy) - rd
             return _hermitian(rc - w @ ds @ w), dy, ds
 
+        def steps(dz: np.ndarray, ds: np.ndarray, fraction: float) -> tuple[float, float]:
+            return (
+                min(1.0, fraction * _max_step(lz_inv, dz)),
+                min(1.0, fraction * _max_step(ls_inv, ds)),
+            )
+
         # Predictor (affine direction) fixes the centering weight.
-        dza, _, dsa = newton(0.0)
-        t, newton_s = _lap(t)
-        ap = min(1.0, 0.99 * _max_step(lz, dza))
-        ad = min(1.0, 0.99 * _max_step(ls, dsa))
+        dza, _, dsa = newton(-z)
+        t, record["newton_s"] = _lap(t)
+        ap, ad = steps(dza, dsa, 0.99)
         mu_aff = float(np.vdot(z + ap * dza, s + ad * dsa).real) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
-        t, step_s = _lap(t)
+        t, record["step_s"] = _lap(t)
 
-        dz, dy, ds = newton(sigma * mu)
+        # Corrector: centering plus Mehrotra's second-order term, in the NT
+        # frame where Z and S are both diag(lam).
+        second = _hermitian(g_inv @ dza @ dsa @ g)
+        second = 2.0 * second / (lam[:, None] + lam[None, :])
+        centering = sigma * mu * s_inv - z
+        dz, dy, ds = newton(centering - g @ second @ g.conj().T)
         t, dt = _lap(t)
-        record["newton_s"] = newton_s + dt
-        ap = min(1.0, 0.98 * _max_step(lz, dz))
-        ad = min(1.0, 0.98 * _max_step(ls, ds))
+        record["newton_s"] += dt
+        ap, ad = steps(dz, ds, 0.98)
+        if min(ap, ad) < SHORT_STEP:
+            # Near the boundary the second-order term can block the step;
+            # the centering direction alone is taken when it goes further.
+            t, dt = _lap(t)
+            record["step_s"] += dt
+            fallback = newton(centering)
+            t, dt = _lap(t)
+            record["newton_s"] += dt
+            fallback_steps = steps(fallback[0], fallback[2], 0.98)
+            if min(fallback_steps) > min(ap, ad):
+                (dz, dy, ds), (ap, ad) = fallback, fallback_steps
         t, dt = _lap(t)
-        record["step_s"] = step_s + dt
+        record["step_s"] += dt
         z = z + ap * dz
         s = s + ad * ds
         y = y + ad * dy
@@ -423,6 +497,34 @@ def _with_trace_bound(inst: SdpInstance) -> tuple[SdpInstance, float]:
     return bounded, m_big
 
 
+def _scale_exponent(top: float) -> int:
+    """e with top * 2^-e in [0.5, 1) when top > 1, else 0 (no scaling)."""
+    return math.frexp(top)[1] if top > 1.0 else 0
+
+
+def _scaled(inst: SdpInstance) -> tuple[SdpInstance, int, int]:
+    """The instance with C scaled by 2^-ec and every rhs by 2^-eb, exactly,
+    so that no entry of either exceeds 1 in real or imaginary part; the
+    instance itself when none does. Its solution maps back as Z 2^eb,
+    y 2^ec and both values 2^(ec + eb)."""
+    ec = _scale_exponent(max(
+        (float(np.max(np.abs(part))) for c in inst.objective.values() for part in (c.real, c.imag)),
+        default=0.0,
+    ))
+    eb = _scale_exponent(max((abs(con.rhs) for con in inst.constraints), default=0.0))
+    if not (ec or eb):
+        return inst, 0, 0
+    scaled = SdpInstance(
+        blocks=inst.blocks,
+        objective={label: c * math.ldexp(1.0, -ec) for label, c in inst.objective.items()},
+        constraints=tuple(
+            SdpConstraint(entries=con.entries, rhs=math.ldexp(con.rhs, -eb))
+            for con in inst.constraints
+        ),
+    )
+    return scaled, ec, eb
+
+
 def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve a complex-block SDP to the requested relative gap tolerance.
 
@@ -431,6 +533,8 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     iterate with status "max_iterations" (certify() will fail it). Raises
     TooLargeError, before allocating, when the matrix side or the Schur
     matrix (m + 1 rows, with the trace cap) is above the dense cap.
+    C and the rhs are solved scaled by powers of two when an entry exceeds
+    1 (see _scaled); the trace then stays in the scaled units.
     """
     if tol <= 0:
         raise BadArgsError("tol must be positive")
@@ -440,8 +544,9 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
         raise TooLargeError(
             f"SDP of side {side} with {m} constraints is above the dense cap"
         )
-    bounded, m_big = _with_trace_bound(inst)
-    sol = _solve(bounded, tol)
+    scaled, ec, eb = _scaled(inst)
+    bounded, m_big = _with_trace_bound(scaled)
+    sol = _solve(bounded, tol, math.ldexp(1.0, -(ec + eb)))
     trace_total = sum(
         float(np.real(np.trace(sol.blocks[label]))) for label, _ in inst.blocks
     )
@@ -449,12 +554,13 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
         raise UnboundedError(
             f"objective unbounded (trace cap {m_big:.3g} is active)"
         )
+    z_unit, y_unit, value_unit = (math.ldexp(1.0, e) for e in (eb, ec, ec + eb))
     return SdpSolution(
-        blocks={label: sol.blocks[label] for label, _ in inst.blocks},
-        y=sol.y[: len(inst.constraints)],
-        primal_value=sol.primal_value,
-        dual_value=sol.dual_value,
-        gap=sol.gap,
+        blocks={label: sol.blocks[label] * z_unit for label, _ in inst.blocks},
+        y=sol.y[: len(inst.constraints)] * y_unit,
+        primal_value=sol.primal_value * value_unit,
+        dual_value=sol.dual_value * value_unit,
+        gap=sol.gap * value_unit,
         iterations=sol.iterations,
         status=sol.status,
         trace=sol.trace,

@@ -50,6 +50,17 @@ def _check_contraction(name: str, a: np.ndarray, hermitian: bool) -> np.ndarray:
     return a
 
 
+def _check_sides(a: np.ndarray, b: np.ndarray, da: int, db: int) -> None:
+    """A acts on C^n (x) C^da and B on C^n (x) C^db, one message space C^n."""
+    if da < 1 or db < 1:
+        raise BadArgsError("private dimensions must be >= 1")
+    sides = a.shape[0], b.shape[0]
+    if sides[0] % da or sides[1] % db or sides[0] // da != sides[1] // db:
+        raise DimensionMismatchError(
+            f"operators of sides {sides} do not act on C^n (x) C^{da} and C^n (x) C^{db}"
+        )
+
+
 def _check_state(psi: np.ndarray) -> np.ndarray:
     psi = linalg.as_complex(psi).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
@@ -84,10 +95,9 @@ class MaxEntangledStrategy:
     b: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1:
-            raise BadArgsError("d must be >= 1")
         object.__setattr__(self, "a", _check_contraction("A", self.a, True))
         object.__setattr__(self, "b", _check_contraction("B", self.b, True))
+        _check_sides(self.a, self.b, self.d, self.d)
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,7 @@ class EntangledStrategy:
     def __post_init__(self):
         object.__setattr__(self, "a", _check_contraction("A", self.a, True))
         object.__setattr__(self, "b", _check_contraction("B", self.b, True))
+        _check_sides(self.a, self.b, self.d_a, self.d_b)
         object.__setattr__(self, "psi", _check_state(self.psi))
         if self.psi.shape[0] != self.d_a * self.d_b:
             raise DimensionMismatchError("shared state size must be d_a * d_b")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,27 @@ def test_cmd_sdp_solve_chsh_instance(tmp_path, capsys):
     assert run(["sdp", "solve", str(path), "--tol", "1e-8"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["primal_value"] - math.sqrt(2) / 2) <= 1e-6
+
+
+def test_cmd_sdp_solve_huge_coefficients(tmp_path, capsys):
+    # max 2e200 Re Z[0, 1] with a unit diagonal: solved scaled, mapped back.
+    data = {
+        "format": "xorq-sdp-v1",
+        "blocks": [{"label": "z", "dim": 2}],
+        "objective": [{"b": "z", "r": 0, "c": 1, "re": 1e200, "im": 0.0}],
+        "constraints": [
+            {"entries": [{"b": "z", "r": i, "c": i, "re": 1.0, "im": 0.0}], "rhs": 1.0}
+            for i in (0, 1)
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sdp", "solve", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["primal_value"] == pytest.approx(2e200, rel=1e-6)
+    assert payload["certify"]["passed"] is True
 
 
 def test_cmd_sdp_solve_corrupted_file(tmp_path):

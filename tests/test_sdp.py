@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from xorq import games, relaxations, sdp
 from xorq.errors import BadArgsError, InfeasibleError, UnboundedError
 
+from conftest import random_game
 from doubling import double_instance, undouble_matrix
 
 
@@ -236,6 +238,111 @@ def test_schur_matches_dense_oracle():
         [[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense]
     )
     assert np.abs(got - np.triu(want)).max() <= 1e-12 * np.abs(want).max()
+
+
+def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
+    """Every F_q as one dense Hermitian matrix, the blocks on one diagonal."""
+    offsets, side = {}, 0
+    for label, d in inst.blocks:
+        offsets[label], side = side, side + d
+    dense = []
+    for con in inst.constraints:
+        f = np.zeros((side, side), dtype=complex)
+        for b, r, c, v in con.entries:
+            r, c = r + offsets[b], c + offsets[b]
+            f[r, c] += v
+            if r != c:
+                f[c, r] += np.conj(v)
+        dense.append(f)
+    return dense
+
+
+@pytest.mark.parametrize("group_cap", [None, 3])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: relaxations.beta_os_instance(random_game(2, 5)),
+        lambda: relaxations.beta_nc_instance(games.h_game(1)),
+    ],
+    ids=["beta_os_random_n2", "beta_nc_h1"],
+)
+def test_schur_groups_match_dense_oracle(monkeypatch, make, group_cap):
+    bounded, _ = sdp._with_trace_bound(make())
+    side = sum(d for _, d in bounded.blocks)
+    if group_cap:  # at most group_cap constraints per stacked matmul
+        width = max(side * side, sum(len(con.entries) for con in bounded.constraints))
+        monkeypatch.setattr(sdp, "SCHUR_GROUP_ENTRIES", group_cap * width)
+    prog = sdp._Program(bounded)
+    sizes = [stop - start for start, stop in prog.groups]
+    counts = np.diff(prog.q_ptr)
+    assert len(set(counts)) > 1 and len(prog.groups) > 1 and max(sizes) > 1
+    if group_cap:
+        assert max(sizes) == group_cap
+    w = _random_pd(np.random.default_rng(3), side)
+    got = sdp._schur(prog, w)
+
+    dense = _dense_constraints(bounded)
+    want = np.array([[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense])
+    upper = np.triu_indices(prog.m)
+    assert np.abs(got[upper] - want[upper]).max() <= 1e-12 * np.abs(want).max()
+    assert not np.tril(got, -1).any()
+
+
+def _paper_table_instances() -> dict[str, sdp.SdpInstance]:
+    """The 15 solves of the paper's value table and criterion 4."""
+    insts = {"CHSH/beta_sdp": relaxations.beta_sdp_instance(games.chsh())}
+    named = [(f"T{n}", games.t_game(n)) for n in range(1, 5)] + [("H1", games.h_game(1))]
+    for name, g in named:
+        insts[f"{name}/beta_nc"] = relaxations.beta_nc_instance(g)
+        insts[f"{name}/beta_os"] = relaxations.beta_os_instance(g)
+    for n in range(2, 5):
+        insts[f"C{n}/beta_os"] = relaxations.beta_os_instance(games.c_game(n))
+    insts["H2/beta_nc"] = relaxations.beta_nc_instance(games.h_game(2))
+    return insts
+
+
+def test_paper_table_solves_take_few_iterations():
+    # The second-order corrector's iteration counts; the centering-only
+    # corrector took 15 on beta_os(T3) and 155 in total.
+    iterations = {}
+    for name, inst in _paper_table_instances().items():
+        sol = sdp.solve(inst)
+        assert sdp.certify(inst, sol).passed, name
+        iterations[name] = sol.iterations
+    assert len(iterations) == 15
+    assert iterations["T3/beta_os"] <= 11
+    assert sum(iterations.values()) <= 140
+
+
+def _two_by_two(c: float, rhs: float) -> sdp.SdpInstance:
+    """max 2 c Re Z[0, 1] with Z[0, 0] = Z[1, 1] = rhs: the value is 2 c rhs."""
+    return sdp.SdpInstance(
+        blocks=(("z", 2),),
+        objective={"z": np.array([[0.0, c], [c, 0.0]], dtype=complex)},
+        constraints=tuple(
+            sdp.SdpConstraint(entries=(("z", i, i, 1.0 + 0.0j),), rhs=rhs) for i in (0, 1)
+        ),
+    )
+
+
+@pytest.mark.parametrize("c, rhs", [(1e200, 1.0), (1.0, 1e150), (3e100, 5e99), (-1e300, 1e-3)])
+def test_huge_coefficients_solve(c, rhs):
+    inst = _two_by_two(c, rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = sdp.solve(inst)
+        report = sdp.certify(inst, sol)
+    assert report.passed, report.failures()
+    assert sol.status == "optimal"
+    assert sol.primal_value == pytest.approx(2.0 * abs(c) * rhs, rel=1e-6)
+
+
+def test_unit_instances_are_not_scaled():
+    for inst in _paper_table_instances().values():
+        assert sdp._scaled(inst) == (inst, 0, 0)
+    scaled, ec, eb = sdp._scaled(_two_by_two(3.0, 0.5))
+    assert (ec, eb) == (2, 0)
+    assert scaled.objective["z"][0, 1] == 0.75
 
 
 def test_solution_trace_one_record_per_iteration():

@@ -29,13 +29,39 @@ def test_bias_dimension_mismatch():
     s = strategies.t_unentangled_strategy(3)
     with pytest.raises(DimensionMismatchError):
         strategies.bias(g, s)
-    psi = np.full(4, 0.5, dtype=complex)
-    a_off = strategies.EntangledStrategy(d_a=2, d_b=2, a=np.eye(5), b=np.eye(6), psi=psi)
+    a_off = strategies.UnentangledStrategy(a=np.eye(5), b=np.eye(3))
     with pytest.raises(DimensionMismatchError, match="operator A"):
-        strategies.bias(g, a_off)  # C^5 is not C^3 (x) C^2
-    me_off = strategies.MaxEntangledStrategy(d=2, a=np.eye(7), b=np.eye(7))
+        strategies.bias(g, a_off)  # C^5 is not C^3
+    me_off = strategies.MaxEntangledStrategy(d=2, a=np.eye(4), b=np.eye(4))
     with pytest.raises(DimensionMismatchError):
-        strategies.bias(g, me_off)  # 7 is not divisible by d = 2
+        strategies.bias(g, me_off)  # C^2 (x) C^2 is not C^3 (x) C^2
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: strategies.MaxEntangledStrategy(d=2, a=np.eye(7), b=np.eye(7)), DimensionMismatchError),
+        (lambda: strategies.MaxEntangledStrategy(d=2, a=np.eye(6), b=np.eye(7)), DimensionMismatchError),
+        (lambda: strategies.MaxEntangledStrategy(d=2, a=np.eye(4), b=np.eye(6)), DimensionMismatchError),
+        (lambda: strategies.MaxEntangledStrategy(d=0, a=np.eye(2), b=np.eye(2)), BadArgsError),
+        (lambda: strategies.EntangledStrategy(d_a=2, d_b=2, a=np.eye(5), b=np.eye(6), psi=np.full(4, 0.5)), DimensionMismatchError),
+        (lambda: strategies.EntangledStrategy(d_a=2, d_b=3, a=np.eye(6), b=np.eye(8), psi=np.full(6, 6**-0.5)), DimensionMismatchError),
+        (lambda: strategies.EntangledStrategy(d_a=2, d_b=1, a=np.eye(4), b=np.eye(3), psi=np.full(2, 0.5**0.5)), DimensionMismatchError),
+        (lambda: strategies.EntangledStrategy(d_a=0, d_b=1, a=np.eye(2), b=np.eye(2), psi=np.ones(1)), BadArgsError),
+        (lambda: strategies.EntangledStrategy(d_a=1, d_b=-1, a=np.eye(2), b=np.eye(2), psi=np.ones(1)), BadArgsError),
+    ],
+)
+def test_strategy_sides_checked_at_construction(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_strategy_sides_accept_one_message_space():
+    psi = np.full(6, 6**-0.5, dtype=complex)
+    s = strategies.EntangledStrategy(d_a=2, d_b=3, a=np.eye(6), b=np.eye(9), psi=psi)
+    assert strategies.bias(games.t_game(2), s) == pytest.approx(
+        bias_dense(games.t_game(2), s), abs=1e-12
+    )
 
 
 def test_t_unentangled_bias_matches_closed_form():
