@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import games, heuristics, relaxations, sdp, strategies
-from .errors import FormatError, SdpError, SeesawError, XorqError
+from .errors import BadArgsError, FormatError, SdpError, SeesawError, XorqError
 from .linalg import trace_norm
 from .report import BiasReport
 
@@ -159,6 +159,8 @@ def compute_report(
     seed: int,
     name: str = "game",
 ) -> BiasReport:
+    if not 0 < tol < math.inf:  # the chains' slack, also when no SDP is solved
+        raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
     ladder = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=restarts, seed=seed))
     rep = BiasReport(
         game=name, n=g.n, seed=seed, restarts=restarts, tol=tol,

@@ -10,7 +10,9 @@ and a top eigenvector for the state. The effective operators are the
 contraction that strategies.bias evaluates the form with
 (strategies.effective_operator_for_a/_b). One see-saw loop alternates
 these steps for every class; one deterministic multi-restart driver takes
-the best value.
+the best value. A sign step checks its effective operator for Hermiticity
+once, within linalg.HERMITICITY_RTOL, and symmetrizes it
+(linalg.check_hermitian); a failure is a SeesawError naming the player.
 
 Restart 0 is a deterministic warm start (the previous class's optimum
 embedded, where one exists); restarts 1..k-1 draw Gaussian Hermitian
@@ -29,6 +31,7 @@ from . import linalg
 from .errors import (
     DENSE_AMPLITUDE_CAP,
     BadArgsError,
+    NotHermitianError,
     SeesawError,
     TooLargeError,
 )
@@ -68,17 +71,13 @@ class HeuristicResult:
     restart_values: tuple[float, ...]
 
 
-def _is_hermitian(x: np.ndarray) -> bool:
-    """||x - x^dagger||_F <= 1e-9 max(1, ||x||_F), squared (vdot beats norm here)."""
-    d = x - x.conj().T
-    return np.vdot(d, d).real <= 1e-18 * max(1.0, np.vdot(x, x).real)
-
-
-def _check_hermitian(part: np.ndarray, k: np.ndarray, player: str):
-    """SeesawError when a Hermitian part gave a non-Hermitian effective
-    operator, which a validated (Hermitian) game matrix never does."""
-    if _is_hermitian(part) and not _is_hermitian(k):
-        raise SeesawError(f"effective operator for {player} lost Hermiticity")
+def _half_step(step, k: np.ndarray, player: str) -> np.ndarray:
+    """step(k), where a K that the sign step's check rejects is a SeesawError
+    naming the player: a Hermitian part in a validated game gives a Hermitian K."""
+    try:
+        return step(k)
+    except NotHermitianError:
+        raise SeesawError(f"effective operator for {player} lost Hermiticity") from None
 
 
 def _check_monotone(value: float, prev: float, what: str):
@@ -98,19 +97,18 @@ def _check_size(*sides: int):
 def _seesaw(g: GameMatrix, psi, b0, step, dims=None):
     """Alternate exact half-steps from an initial B; with dims = (dA, dB),
     each iteration then also takes the optimal state step (a free psi).
-    Monotone and Hermiticity-preserving by construction, and checked.
+    Monotone and Hermiticity-preserving by construction, and checked: the
+    sign step checks each effective operator once (linalg.check_hermitian).
     Returns (value, (A, B, psi), iterations)."""
     b = b0
     prev = -np.inf
     for it in range(MAX_ITERS):
         k = effective_operator_for_a(g, b, psi)
-        _check_hermitian(b, k, "A")
-        a = step(k)
+        a = _half_step(step, k, "A")
         val_a = float(np.real(np.trace(a @ k)))
         _check_monotone(val_a, prev, "half-step decreased")
         l = effective_operator_for_b(g, a, psi)
-        _check_hermitian(a, l, "B")
-        b = step(l)
+        b = _half_step(step, l, "B")
         value = float(np.real(np.trace(b @ l)))
         _check_monotone(value, val_a, "half-step decreased")
         if dims is not None:
@@ -141,7 +139,7 @@ def _run_restarts(g: GameMatrix, starts, step, cfg, dims=None):
 
 
 def _sign_step(k: np.ndarray) -> np.ndarray:
-    return linalg.sign_of_hermitian(linalg.hermitian_part(k))
+    return linalg.sign_of_hermitian(k)
 
 
 def _polar_step(k: np.ndarray) -> np.ndarray:

@@ -176,11 +176,12 @@ def sign_of_hermitian(k: np.ndarray) -> np.ndarray:
 
     Eigenvalues with |lambda| < 1e-12 map to +1, extending the scalar
     convention sign(0) = 1. The result is an observable: Hermitian and
-    squaring to the identity.
+    squaring to the identity. K is checked and symmetrized first
+    (check_hermitian), so a non-Hermitian K raises NotHermitianError.
     """
-    dec = herm_eig(k)
-    signs = np.where(dec.eigenvalues < -SIGN_ZERO_TOL, -1.0, 1.0)
-    u = dec.eigenvectors
+    w, u = np.linalg.eigh(check_hermitian(k))
+    u = u[:, ::-1]  # descending, the order the products are summed in
+    signs = np.where(w[::-1] < -SIGN_ZERO_TOL, -1.0, 1.0)
     return hermitian_part((u * signs) @ u.conj().T)
 
 

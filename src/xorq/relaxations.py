@@ -70,16 +70,6 @@ class VectorValuedMatrix:
         return self.mats[:, i, k]
 
 
-def odot(x: VectorValuedMatrix, y: VectorValuedMatrix) -> np.ndarray:
-    """sum_r X_r (x) Y_r on the n^2-dimensional composite space."""
-    if x.d != y.d:
-        raise DimensionMismatchError("vector lengths differ")
-    out = np.zeros((x.n * y.n, x.n * y.n), dtype=complex)
-    for xr, yr in zip(x.mats, y.mats):
-        out += np.kron(xr, yr)
-    return out
-
-
 def vvm_products(x: VectorValuedMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(sum_r X_r X_r^+,  sum_r X_r^+ X_r); both Hermitian PSD."""
     left = np.einsum("rik,rjk->ij", x.mats, x.mats.conj())
@@ -237,7 +227,8 @@ def _extract_vvm(w: np.ndarray, n: int, base: int, conjugate: bool) -> VectorVal
 
 
 def nc_objective(g: GameMatrix, x: VectorValuedMatrix, y: VectorValuedMatrix) -> float:
-    return float(np.real(np.trace(odot(x, y) @ g.m)))
+    """Re Tr((sum_r X_r (x) Y_r) M) = Re sum X_r[i, k] Y_r[j, l] M[(k, l), (i, j)]."""
+    return float(np.einsum("rik,rjl,klij->", x.mats, y.mats, _m4(g)).real)
 
 
 def beta_nc(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:

@@ -8,10 +8,14 @@ the multipliers y are real. Each iteration is a Mehrotra predictor-corrector
 step in the NT frame G (W = G G^H, G^-1 Z G^-H = G^H S G = diag(lam)): the
 affine predictor fixes sigma = (mu_aff / mu)^3, and the corrector adds to
 the centering term the second-order term of the predictor (Mehrotra, SIAM
-J. Optim. 2, 1992; Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999). One
-Cholesky factor and its inverse per iterate serve the NT frame, S^-1 and
-all four step-length searches. The Schur matrix is assembled a group of
-constraints at a time, each group's stack at most 1 MB (see _schur).
+J. Optim. 2, 1992; Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999). Z
+is the only matrix factored: its Cholesky factor and that factor's inverse
+give the NT frame, S^-1 = G diag(1/lam) G^H, and all four step-length
+searches, taken in the frame (Todd-Toh-Tutuncu, SIAM J. Optim. 8, 1998).
+The Schur matrix is assembled a group of constraints at a time, each
+group's stack at most 1 MB (see _schur). A solve stops "optimal" when both
+residuals are below FEAS_TOL and the relative duality gap is at most tol,
+the gap test that certify makes.
 
 The core holds an instance as one Hermitian matrix Z with the blocks on its
 diagonal, each entry shifted by its block's offset. That is the same
@@ -268,7 +272,8 @@ def _nt_scaling(lz: np.ndarray, lz_inv: np.ndarray, s: np.ndarray):
 
     With K = L^H S L = Q diag(omega) Q^H, G = L Q diag(omega^-1/4) gives the
     scaling W = G G^H (W S W = Z) and G^-1 Z G^-H = G^H S G = diag(lam),
-    lam = omega^1/2. Returns W, G, G^-1 = diag(omega^1/4) Q^H L^-1 and lam.
+    lam = omega^1/2, so Z = G diag(lam) G^H and S^-1 = G diag(1/lam) G^H.
+    Returns W, G, G^-1 = diag(omega^1/4) Q^H L^-1 and lam.
     """
     k = lz.conj().T @ s @ lz
     omega, q = np.linalg.eigh(_hermitian(k))
@@ -284,9 +289,10 @@ def _lower_inverse(l: np.ndarray) -> np.ndarray:
     )
 
 
-def _max_step(l_inv: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with L L^H + alpha dx >= 0, via L^-1 dx L^-H eigenvalues."""
-    lam = float(np.linalg.eigvalsh(_hermitian(l_inv @ dx @ l_inv.conj().T))[0])
+def _max_step(dx: np.ndarray) -> float:
+    """Largest alpha with I + alpha dx >= 0, for a direction scaled in the NT
+    frame: Lam^-1/2 G^-1 dZ G^-H Lam^-1/2 for Z, Lam^-1/2 G^H dS G Lam^-1/2 for S."""
+    lam = float(np.linalg.eigvalsh(_hermitian(dx))[0])
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -361,9 +367,7 @@ def _solve(inst: SdpInstance, tol: float, unit: float = 1.0) -> SdpSolution:
         if merit < best_merit:
             best_merit = merit
             best = (z, y.copy(), pobj, dobj, it)
-        if pres <= FEAS_TOL and dres <= FEAS_TOL and (
-            rel_gap <= tol or nu * mu / value_scale <= 0.5 * tol
-        ):
+        if pres <= FEAS_TOL and dres <= FEAS_TOL and rel_gap <= tol:
             trace.append(IpmIteration(**record))
             return _finish(prog, z, y, pobj, dobj, it + 1, "optimal", trace)
         if mu / value_scale < MU_FLOOR:
@@ -382,10 +386,7 @@ def _solve(inst: SdpInstance, tol: float, unit: float = 1.0) -> SdpSolution:
 
         t = time.perf_counter()
         lz = _chol_psd(z)
-        ls = _chol_psd(s)
-        lz_inv = _lower_inverse(lz)
-        ls_inv = _lower_inverse(ls)
-        w, g, g_inv, lam = _nt_scaling(lz, lz_inv, s)
+        w, g, g_inv, lam = _nt_scaling(lz, _lower_inverse(lz), s)
         t, record["nt_s"] = _lap(t)
         schur = _schur(prog, w)
         t, record["schur_s"] = _lap(t)
@@ -404,7 +405,10 @@ def _solve(inst: SdpInstance, tol: float, unit: float = 1.0) -> SdpSolution:
             trace.append(IpmIteration(**record))
             break
 
-        s_inv = ls_inv.conj().T @ ls_inv
+        s_inv = (g / lam) @ g.conj().T
+        root = lam**-0.5
+        frame_z = root[:, None] * g_inv  # Lam^-1/2 G^-1
+        frame_s = (g * root).conj().T  # Lam^-1/2 G^H
         w_rd_w = w @ rd @ w
 
         def newton(rc: np.ndarray):
@@ -418,8 +422,8 @@ def _solve(inst: SdpInstance, tol: float, unit: float = 1.0) -> SdpSolution:
 
         def steps(dz: np.ndarray, ds: np.ndarray, fraction: float) -> tuple[float, float]:
             return (
-                min(1.0, fraction * _max_step(lz_inv, dz)),
-                min(1.0, fraction * _max_step(ls_inv, ds)),
+                min(1.0, fraction * _max_step(frame_z @ dz @ frame_z.conj().T)),
+                min(1.0, fraction * _max_step(frame_s @ ds @ frame_s.conj().T)),
             )
 
         # Predictor (affine direction) fixes the centering weight.
@@ -528,7 +532,8 @@ def _scaled(inst: SdpInstance) -> tuple[SdpInstance, int, int]:
 def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve a complex-block SDP to the requested relative gap tolerance.
 
-    Deterministic for a fixed instance and tolerance. Raises Infeasible or
+    Deterministic for a fixed instance and tolerance, which must be positive
+    and finite (else BadArgsError). Raises Infeasible or
     Unbounded when detected; an iteration-capped run returns the best
     iterate with status "max_iterations" (certify() will fail it). Raises
     TooLargeError, before allocating, when the matrix side or the Schur
@@ -536,8 +541,8 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     C and the rhs are solved scaled by powers of two when an entry exceeds
     1 (see _scaled); the trace then stays in the scaled units.
     """
-    if tol <= 0:
-        raise BadArgsError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
     side = 1 + sum(d for _, d in inst.blocks)
     m = 1 + len(inst.constraints)
     if max(side, m) ** 2 > DENSE_AMPLITUDE_CAP:

@@ -1,12 +1,13 @@
-"""Dense Kronecker-product oracles for the strategy bias and the see-saw
-effective operators and state step. They form the full permuted operators,
-so they are only usable at small dimensions; tests compare the package's
-contractions against them.
+"""Dense Kronecker-product oracles for the strategy bias, the see-saw
+effective operators and state step, and the beta_nc objective. They form
+the full permuted operators, so they are only usable at small dimensions;
+tests compare the package's contractions against them.
 """
 
 import numpy as np
 
 from xorq import linalg, strategies
+from xorq.errors import DimensionMismatchError
 
 
 def bias_dense(g, s) -> float:
@@ -42,3 +43,14 @@ def state_operator_dense(m, a, b, n: int, da: int, db: int) -> np.ndarray:
     x = linalg.permute_systems(x, (n, da, n, db), (0, 2, 1, 3))
     t = x @ np.kron(m, np.eye(da * db))
     return linalg.partial_trace(t, (n * n, da * db), "first")
+
+
+def odot(x, y) -> np.ndarray:
+    """sum_r X_r (x) Y_r on the n^2-dimensional composite space, for two
+    relaxations.VectorValuedMatrix of one vector length."""
+    if x.d != y.d:
+        raise DimensionMismatchError("vector lengths differ")
+    out = np.zeros((x.n * y.n, x.n * y.n), dtype=complex)
+    for xr, yr in zip(x.mats, y.mats):
+        out += np.kron(xr, yr)
+    return out

@@ -337,6 +337,26 @@ def test_cmd_bias_non_finite_game_exits_2(tmp_path, bad):
     assert run(["bias", str(path), "--quantities", "beta-nc"]) == cli.EXIT_ARGS
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("quantities", ["beta-nc,chains", "omega,chains"])
+def test_cmd_bias_non_finite_tol_exits_2(tmp_path, capsys, tol, quantities):
+    # An infinite tol once stopped beta_nc(T2) at 0.0249 and passed every
+    # chain on its 4 * tol slack; a report without SDPs uses tol as that slack.
+    path = tmp_path / "t2.json"
+    run(["game", "--name", "tn", "--param", "2", "--out", str(path)])
+    argv = ["bias", str(path), "--quantities", quantities, "--restarts", "1", "--tol", tol]
+    assert run(argv) == cli.EXIT_ARGS
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_cmd_sdp_solve_non_finite_tol_exits_2(tmp_path, capsys, tol):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(sdp.instance_to_dict(relaxations.beta_nc_instance(games.t_game(1)))))
+    assert run(["sdp", "solve", str(path), "--tol", tol]) == cli.EXIT_ARGS
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_cmd_bias_witness_drift_exits_4(tmp_path, monkeypatch, capsys):
     path = tmp_path / "t1.json"
     run(["game", "--name", "tn", "--param", "1", "--out", str(path)])

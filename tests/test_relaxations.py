@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_game
+from dense import odot
 from xorq import games, heuristics, linalg, relaxations, sdp
 from xorq.errors import DimensionMismatchError, TooLargeError
 from xorq.report import BiasReport
@@ -19,13 +20,13 @@ def _random_vvm(rng, n, d) -> relaxations.VectorValuedMatrix:
 def test_odot_d1_is_kron(rng):
     x = _random_vvm(rng, 2, 1)
     y = _random_vvm(rng, 2, 1)
-    assert np.allclose(relaxations.odot(x, y), np.kron(x.mats[0], y.mats[0]))
+    assert np.allclose(odot(x, y), np.kron(x.mats[0], y.mats[0]))
 
 
 def test_odot_entry_formula(rng):
     x = _random_vvm(rng, 2, 3)
     y = _random_vvm(rng, 2, 3)
-    k = relaxations.odot(x, y)
+    k = odot(x, y)
     for i in range(2):
         for j in range(2):
             for a in range(2):
@@ -38,9 +39,17 @@ def test_odot_entry_formula(rng):
 
 def test_odot_zero_and_mismatch(rng):
     z = relaxations.VectorValuedMatrix(n=2, d=2, mats=np.zeros((2, 2, 2)))
-    assert np.allclose(relaxations.odot(z, z), 0)
+    assert np.allclose(odot(z, z), 0)
     with pytest.raises(DimensionMismatchError):
-        relaxations.odot(z, _random_vvm(rng, 2, 3))
+        odot(z, _random_vvm(rng, 2, 3))
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 5), (3, 4)])
+def test_nc_objective_matches_odot_oracle(rng, n, d):
+    g = random_game(n, seed=n + d)
+    x, y = _random_vvm(rng, n, d), _random_vvm(rng, n, d)
+    want = float(np.real(np.trace(odot(x, y) @ g.m)))
+    assert abs(relaxations.nc_objective(g, x, y) - want) <= 1e-12
 
 
 def test_vvm_products_unitary():
@@ -64,7 +73,7 @@ def test_vvm_products_t_counterexample():
     want[0, 0] = n
     assert np.allclose(right, want)
     # and the capped-constraint violation pays off: objective sqrt(n)/2
-    val = np.trace(relaxations.odot(x, x) @ games.t_game(n).m)
+    val = np.trace(odot(x, x) @ games.t_game(n).m)
     assert abs(val - math.sqrt(n) / 2) < 1e-12
 
 
@@ -92,7 +101,7 @@ def test_gram_bookkeeping_soundness(rng):
 
     inst = relaxations.beta_nc_instance(g)
     obj = float(np.real(np.trace(inst.objective["gram"].conj().T @ gram)))
-    want_obj = float(np.real(np.trace(relaxations.odot(x, y) @ g.m)))
+    want_obj = float(np.real(np.trace(odot(x, y) @ g.m)))
     assert abs(obj - want_obj) <= 1e-10
 
     left, right = relaxations.vvm_products(x)
@@ -215,7 +224,7 @@ def test_beta_os_t_explicit_witness():
         g = games.t_game(n)
         xr, xc, yr, yc = _t_os_witness(n)
         assert np.linalg.norm(
-            relaxations.odot(xr, yc) - relaxations.odot(xc, yr)
+            odot(xr, yc) - odot(xc, yr)
         ) <= 1e-10
         assert linalg.op_norm(relaxations.vvm_products(xr)[0]) <= 1 + 1e-10
         assert linalg.op_norm(relaxations.vvm_products(yr)[0]) <= 1 + 1e-10
@@ -233,7 +242,7 @@ def test_beta_os_witness_round_trip():
     yr, yc = res.witness["y_r"], res.witness["y_c"]
     assert abs(relaxations.nc_objective(g, xr, yc) - res.value) <= 1e-6
     assert np.linalg.norm(
-        relaxations.odot(xr, yc) - relaxations.odot(xc, yr)
+        odot(xr, yc) - odot(xc, yr)
     ) <= 1e-6
     assert linalg.op_norm(relaxations.vvm_products(xr)[0]) <= 1 + 1e-6
     assert linalg.op_norm(relaxations.vvm_products(yr)[0]) <= 1 + 1e-6

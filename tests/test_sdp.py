@@ -90,6 +90,19 @@ def test_weak_duality_and_certify_on_random(rng):
         assert report.passed, report.failures()
 
 
+@pytest.mark.parametrize(
+    "seed, dim, m", [(27, 8, 20), (106, 8, 20), (129, 5, 8), (133, 5, 8), (191, 5, 8)]
+)
+def test_optimal_status_passes_certify(seed, dim, m):
+    # These solves once stopped on n * mu <= tol / 2 with a duality gap
+    # above tol, so "optimal" failed certify's gap_small.
+    inst = _random_instance(seed, dim, m)
+    sol = sdp.solve(inst, 1e-8)
+    report = sdp.certify(inst, sol, 1e-8)
+    assert sol.status == "optimal"
+    assert report.passed, report.failures()
+
+
 def test_certify_rejects_corrupted_solution():
     inst = _scalar_instance()
     sol = sdp.solve(inst, 1e-8)
