@@ -16,7 +16,10 @@ once, within linalg.HERMITICITY_RTOL, and symmetrizes it
 
 Restart 0 is a deterministic warm start (the previous class's optimum
 embedded, where one exists); restarts 1..k-1 draw Gaussian Hermitian
-starts seeded by (seed, restart index).
+starts seeded by (seed, restart index). Ladder is the only code that
+chains the classes: omega_c_lower, me_lower and entangled_lower take their
+predecessors' results as arguments, and Ladder computes each class once
+and hands it on.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .strategies import (
     UnentangledStrategy,
     effective_operator_for_a,
     effective_operator_for_b,
-    random_hermitian,
 )
 
 MONOTONE_SLACK = 1e-10
@@ -61,6 +63,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise BadArgsError("restarts must be >= 1")
+        if self.seed < 0:
+            raise BadArgsError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,11 @@ def _polar_step(k: np.ndarray) -> np.ndarray:
     return linalg.polar_unitary(k)
 
 
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return linalg.hermitian_part(z)
+
+
 def _gaussian_start(seed: int, restart: int, dim: int) -> np.ndarray:
     rng = np.random.default_rng((seed, restart))
     return linalg.sign_of_hermitian(random_hermitian(rng, dim))
@@ -186,15 +195,10 @@ def omega_lower(g: GameMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> Heur
 
 
 def omega_c_lower(
-    g: GameMatrix,
-    cfg: OptimizerConfig = OptimizerConfig(),
-    omega: HeuristicResult | None = None,
+    g: GameMatrix, cfg: OptimizerConfig, omega: HeuristicResult
 ) -> HeuristicResult:
     """Lower bound on the complex bias via polar-step see-saw, warm-started
-    from the unentangled optimum `omega` (so it never falls below it);
-    `omega` is omega_lower(g, cfg), computed here when not given."""
-    if omega is None:
-        omega = omega_lower(g, cfg)
+    from the unentangled optimum `omega` (so it never falls below it)."""
     starts = _starts(omega.strategy.b, _haar_start, cfg, g.n)
     values, (a, b, _), iters = _run_restarts(g, starts, _polar_step, cfg)
     return HeuristicResult(max(values), ComplexStrategy(a=a, b=b), iters, tuple(values))
@@ -214,34 +218,25 @@ def _epr_embed(op: np.ndarray, n: int, d: int) -> np.ndarray:
 def me_lower(
     g: GameMatrix,
     d: int,
-    cfg: OptimizerConfig = OptimizerConfig(),
-    omega: HeuristicResult | None = None,
-    omega_c: HeuristicResult | None = None,
+    cfg: OptimizerConfig,
+    omega: HeuristicResult,
+    omega_c: HeuristicResult | None,
 ) -> HeuristicResult:
     """Lower bound on the maximally entangled bias at dimension d.
 
     Restart 0 starts from the better of the unentangled optimum `omega` and,
-    for even d, the complex optimum `omega_c` played on shared qubit pairs;
-    each is computed here (omega_lower / omega_c_lower at `cfg`) when not
-    given.
+    for even d, the complex optimum `omega_c` played on shared qubit pairs
+    (None for odd d). Ladder.me checks d first.
     """
-    if d < 1:
-        raise BadArgsError("d must be >= 1")
     n = g.n
-    _check_size(n * d)
     psi = linalg.max_entangled_state(d)
 
     def half_step_value(b0: np.ndarray) -> float:
         k = effective_operator_for_a(g, b0, psi)
         return float(np.real(np.trace(_sign_step(k) @ k)))
 
-    warm_candidates = []
-    if omega is None:
-        omega = omega_lower(g, cfg)
-    warm_candidates.append(np.kron(omega.strategy.b, np.eye(d)))
+    warm_candidates = [np.kron(omega.strategy.b, np.eye(d))]
     if d % 2 == 0:
-        if omega_c is None:
-            omega_c = omega_c_lower(g, cfg, omega)
         warm_candidates.append(_epr_embed(omega_c.strategy.b, n, d))
     best_warm = max(warm_candidates, key=half_step_value)
     starts = _starts(best_warm, _gaussian_start, cfg, n * d, psi)
@@ -308,29 +303,20 @@ def _state_step(
 
 
 def entangled_lower(
-    g: GameMatrix,
-    da: int,
-    db: int,
-    cfg: OptimizerConfig = OptimizerConfig(),
-    me: HeuristicResult | None = None,
+    g: GameMatrix, da: int, db: int, cfg: OptimizerConfig, me: HeuristicResult
 ) -> HeuristicResult:
     """Lower bound on the entangled bias: three-block see-saw over A, B,
     and the shared state, monotone in |bias|.
 
     Restart 0 starts from the maximally entangled optimum `me` at
-    min(da, db), embedded; it is me_lower(g, min(da, db), cfg), computed here
-    when not given.
+    min(da, db), embedded. Ladder.entangled checks the dimensions first.
     """
-    if da < 1 or db < 1:
-        raise BadArgsError("dimensions must be >= 1")
     n = g.n
-    _check_size(n * da, n * db, da * db)
     dm = min(da, db)
-    warm = me if me is not None else me_lower(g, dm, cfg)
     ea = np.eye(da, dtype=complex)[:, :dm]
     eb = np.eye(db, dtype=complex)[:, :dm]
     lift_b = np.kron(np.eye(n), eb)
-    warm_b = lift_b @ warm.strategy.b @ lift_b.conj().T
+    warm_b = lift_b @ me.strategy.b @ lift_b.conj().T
     warm_psi = np.kron(ea, eb) @ linalg.max_entangled_state(dm)
 
     def starts(r):
@@ -351,9 +337,10 @@ class Ladder:
     """The see-saw ladder of one game at one config:
     omega -> omega_c -> me:d -> ent:dA x dB.
 
-    Each class is computed at most once (me once per d) and handed to the
-    next class as its warm start, so a report that asks for every class runs
-    omega_lower once. The values equal those of standalone calls. Create one
+    The only code that chains the classes. Each class is computed at most
+    once (me once per d) and handed to the next class as its warm start, so
+    a report that asks for every class runs omega_lower once. The
+    dimensions of me and ent are checked before any class runs. Create one
     per report; it holds the results until it is dropped.
     """
 
@@ -375,13 +362,17 @@ class Ladder:
         return self._omega_c
 
     def me(self, d: int) -> HeuristicResult:
+        if d < 1:
+            raise BadArgsError("d must be >= 1")
+        _check_size(self.g.n * d)
         if d not in self._me:
             omega_c = self.omega_c() if d % 2 == 0 else None
             self._me[d] = me_lower(self.g, d, self.cfg, self.omega(), omega_c)
         return self._me[d]
 
     def entangled(self, da: int, db: int) -> HeuristicResult:
-        # Checked before the me warm start runs, not only in entangled_lower.
+        if da < 1 or db < 1:
+            raise BadArgsError("dimensions must be >= 1")
         _check_size(self.g.n * da, self.g.n * db, da * db)
         return entangled_lower(self.g, da, db, self.cfg, self.me(min(da, db)))
 

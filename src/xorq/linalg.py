@@ -54,15 +54,17 @@ def check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Validate Hermiticity within relative Frobenius tolerance; return the
-    symmetrized matrix (removes spurious imaginary parts downstream)."""
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity within relative Frobenius tolerance
+    HERMITICITY_RTOL; return the symmetrized matrix (removes spurious
+    imaginary parts downstream)."""
     a = check_square(a)
     scale = max(1.0, float(np.linalg.norm(a)))
     resid = float(np.linalg.norm(a - a.conj().T))
-    if resid > rtol * scale:
+    if resid > HERMITICITY_RTOL * scale:
         raise NotHermitianError(
-            f"matrix is not Hermitian: residual {resid:.3e} > {rtol:.1e} * {scale:.3e}"
+            f"matrix is not Hermitian: residual {resid:.3e} > "
+            f"{HERMITICITY_RTOL:.1e} * {scale:.3e}"
         )
     return hermitian_part(a)
 
@@ -110,11 +112,6 @@ def op_norm(a: np.ndarray) -> float:
     """Operator norm: the largest singular value (0 for empty matrices)."""
     s = singular_values(a)
     return float(s[0]) if s.size else 0.0
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product under the global composite-index convention."""
-    return np.kron(as_complex(a), as_complex(b))
 
 
 def partial_trace(p: np.ndarray, dims: tuple[int, int], which: str) -> np.ndarray:

@@ -66,16 +66,6 @@ class VectorValuedMatrix:
             )
         object.__setattr__(self, "mats", mats)
 
-    def entry_vector(self, i: int, k: int) -> np.ndarray:
-        return self.mats[:, i, k]
-
-
-def vvm_products(x: VectorValuedMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_r X_r X_r^+,  sum_r X_r^+ X_r); both Hermitian PSD."""
-    left = np.einsum("rik,rjk->ij", x.mats, x.mats.conj())
-    right = np.einsum("rki,rkj->ij", x.mats.conj(), x.mats)
-    return left, right
-
 
 @dataclass(frozen=True)
 class RelaxationResult:

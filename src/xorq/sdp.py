@@ -84,6 +84,8 @@ class SdpInstance:
     constraints: tuple[SdpConstraint, ...]
 
     def __post_init__(self):
+        if not self.blocks:
+            raise BadArgsError("an SDP instance needs at least one block")
         labels = {}
         for label, dim in self.blocks:
             if dim < 1:
@@ -155,12 +157,8 @@ class SdpSolution:
     status: str  # "optimal" or "max_iterations" (best iterate, non-certified)
     trace: tuple[IpmIteration, ...] = ()
 
-    @property
-    def certified(self) -> bool:
-        return self.status == "optimal"
 
-
-def constraint_value(inst: SdpInstance, con: SdpConstraint, blocks) -> float:
+def constraint_value(con: SdpConstraint, blocks) -> float:
     total = 0.0
     for b, r, c, v in con.entries:
         z = blocks[b][r, c]
@@ -594,7 +592,7 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
     rhs_scale = max([1.0] + [abs(c.rhs) for c in inst.constraints])
     worst = 0.0
     for con in inst.constraints:
-        worst = max(worst, abs(constraint_value(inst, con, sol.blocks) - con.rhs))
+        worst = max(worst, abs(constraint_value(con, sol.blocks) - con.rhs))
     checks.append(("residual", worst, RESIDUAL_SCALE_TOL * rhs_scale, None))
     objective = sum(float(np.vdot(c, sol.blocks[b]).real) for b, c in inst.objective.items())
     checks.append(("objective", abs(objective - sol.primal_value),
@@ -620,33 +618,6 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
 # --- xorq-sdp-v1 wire format ----------------------------------------------------
 
 SDP_FORMAT = "xorq-sdp-v1"
-
-
-def _entries_to_json(entries) -> list[dict]:
-    out = []
-    for b, r, c, v in entries:
-        v = complex(v)
-        out.append({"b": b, "r": r, "c": c, "re": v.real, "im": v.imag})
-    return sorted(out, key=lambda e: (e["b"], e["r"], e["c"]))
-
-
-def instance_to_dict(inst: SdpInstance) -> dict:
-    obj_entries = []
-    for label, c in sorted(inst.objective.items()):
-        for r in range(c.shape[0]):
-            for s in range(r, c.shape[1]):
-                v = c[r, s]
-                if v != 0:
-                    obj_entries.append((label, r, s, complex(v)))
-    return {
-        "format": SDP_FORMAT,
-        "blocks": [{"label": label, "dim": dim} for label, dim in inst.blocks],
-        "objective": _entries_to_json(obj_entries),
-        "constraints": [
-            {"entries": _entries_to_json(con.entries), "rhs": con.rhs}
-            for con in inst.constraints
-        ],
-    }
 
 
 def _finite(x) -> float:

@@ -504,44 +504,3 @@ def max_bias_upper_bound_tn(n: int, d: int) -> float:
     gap = min(1.0 / (4.0 * math.e**2), s**2 / (16.0 * math.log2(3.0 * d) ** 2))
     return math.sqrt(min(max(1.0 - gap, 0.0), 1.0))
 
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return linalg.hermitian_part(z)
-
-
-def random_strategy(kind: str, g: GameMatrix, dims, seed: int) -> Strategy:
-    """Seeded random strategy: spectral signs of Gaussian Hermitian draws
-    (Haar unitaries for the complex class) and a Gaussian unit state."""
-    rng = np.random.default_rng(seed)
-    n = g.n
-    if kind == "unentangled":
-        return UnentangledStrategy(
-            a=linalg.sign_of_hermitian(random_hermitian(rng, n)),
-            b=linalg.sign_of_hermitian(random_hermitian(rng, n)),
-        )
-    if kind == "complex":
-        za = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        zb = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ua, _, va = linalg.svd(za)
-        ub, _, vb = linalg.svd(zb)
-        return ComplexStrategy(a=ua @ va.conj().T, b=ub @ vb.conj().T)
-    if kind == "maxent":
-        d = int(dims)
-        return MaxEntangledStrategy(
-            d=d,
-            a=linalg.sign_of_hermitian(random_hermitian(rng, n * d)),
-            b=linalg.sign_of_hermitian(random_hermitian(rng, n * d)),
-        )
-    if kind == "entangled":
-        da, db = dims
-        psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-        psi /= np.linalg.norm(psi)
-        return EntangledStrategy(
-            d_a=da,
-            d_b=db,
-            a=linalg.sign_of_hermitian(random_hermitian(rng, n * da)),
-            b=linalg.sign_of_hermitian(random_hermitian(rng, n * db)),
-            psi=psi,
-        )
-    raise BadArgsError(f"unknown strategy kind {kind!r}")

@@ -1,13 +1,47 @@
 """Dense Kronecker-product oracles for the strategy bias, the see-saw
 effective operators and state step, and the beta_nc objective. They form
 the full permuted operators, so they are only usable at small dimensions;
-tests compare the package's contractions against them.
+tests compare the package's contractions against them. Also the seeded
+random strategies and the products of a vector-valued matrix that the
+tests feed them.
 """
 
 import numpy as np
 
-from xorq import linalg, strategies
+from xorq import heuristics, linalg, strategies
 from xorq.errors import DimensionMismatchError
+
+
+def random_strategy(kind: str, g, dims, seed: int):
+    """Seeded random strategy of one class, drawn as the see-saw draws its
+    restart starts: spectral signs of Gaussian Hermitian matrices (Haar
+    unitaries for the complex class), A from stream (seed, 0) and B from
+    (seed, 1), and a Gaussian unit state from (seed, 2)."""
+    n = g.n
+    if kind == "complex":
+        return strategies.ComplexStrategy(
+            a=heuristics._haar_start(seed, 0, n), b=heuristics._haar_start(seed, 1, n)
+        )
+    da, db = {"unentangled": (1, 1), "maxent": (dims, dims), "entangled": dims}[kind]
+    a = heuristics._gaussian_start(seed, 0, n * da)
+    b = heuristics._gaussian_start(seed, 1, n * db)
+    if kind == "unentangled":
+        return strategies.UnentangledStrategy(a=a, b=b)
+    if kind == "maxent":
+        return strategies.MaxEntangledStrategy(d=da, a=a, b=b)
+    rng = np.random.default_rng((seed, 2))
+    psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
+    return strategies.EntangledStrategy(
+        d_a=da, d_b=db, a=a, b=b, psi=psi / np.linalg.norm(psi)
+    )
+
+
+def vvm_products(x) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_r X_r X_r^+,  sum_r X_r^+ X_r) of a relaxations.VectorValuedMatrix;
+    both Hermitian PSD."""
+    left = np.einsum("rik,rjk->ij", x.mats, x.mats.conj())
+    right = np.einsum("rki,rkj->ij", x.mats.conj(), x.mats)
+    return left, right
 
 
 def bias_dense(g, s) -> float:

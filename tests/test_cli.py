@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import decreasing_sign_step
+from sdpfile import instance_to_dict
 from xorq import cli, games, heuristics, relaxations, sdp
 from xorq.errors import FormatError
 
@@ -189,7 +190,7 @@ def test_cmd_bias_byte_stable_output(tmp_path):
 
 
 def test_cmd_report_paper_table(tmp_path, monkeypatch, capsys):
-    h2 = tuple(r for r in cli.PAPER_TABLE if r.game == "H2")
+    h2 = tuple(r for r in cli.PAPER_TABLE if r.game == "H2" and r.exact)
     assert [r.quantity for r in h2] == ["closed_form_omega", "closed_form_beta_nc"]
     monkeypatch.setattr(cli, "PAPER_TABLE", h2)
     written = []
@@ -214,6 +215,23 @@ def test_cmd_report_paper_table(tmp_path, monkeypatch, capsys):
     assert [r["pass"] for r in rows] == [False, True]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bias", "{t1}", "--seed", "-1", "--restarts", "2"],
+     ["report", "paper-table", "--seed", "-1", "--out", "{out}"]],
+    ids=["bias", "paper-table"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    t1 = tmp_path / "t1.json"
+    run(["game", "--name", "tn", "--param", "1", "--out", str(t1)])
+    out = tmp_path / "table"
+    argv = [a.format(t1=t1, out=out) for a in argv]
+    assert run(argv) == cli.EXIT_ARGS
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "table.json").exists()
+
+
 def test_cmd_sdp_solve(tmp_path, capsys):
     inst = sdp.SdpInstance(
         blocks=(("z", 1),),
@@ -223,7 +241,7 @@ def test_cmd_sdp_solve(tmp_path, capsys):
         ),
     )
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(sdp.instance_to_dict(inst)))
+    path.write_text(json.dumps(instance_to_dict(inst)))
     assert run(["sdp", "solve", str(path), "--tol", "1e-8"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["primal_value"] - 1.0) <= 1e-6
@@ -233,7 +251,7 @@ def test_cmd_sdp_solve(tmp_path, capsys):
 def test_cmd_sdp_solve_chsh_instance(tmp_path, capsys):
     inst = relaxations.beta_sdp_instance(games.chsh())
     path = tmp_path / "chsh_sdp.json"
-    path.write_text(json.dumps(sdp.instance_to_dict(inst)))
+    path.write_text(json.dumps(instance_to_dict(inst)))
     assert run(["sdp", "solve", str(path), "--tol", "1e-8"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["primal_value"] - math.sqrt(2) / 2) <= 1e-6
@@ -258,6 +276,16 @@ def test_cmd_sdp_solve_huge_coefficients(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["primal_value"] == pytest.approx(2e200, rel=1e-6)
     assert payload["certify"]["passed"] is True
+
+
+def test_cmd_sdp_solve_no_blocks_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(
+        {"format": "xorq-sdp-v1", "blocks": [], "objective": [], "constraints": []}
+    ))
+    assert run(["sdp", "solve", str(path)]) == cli.EXIT_ARGS
+    err = capsys.readouterr().err
+    assert "at least one block" in err and "Traceback" not in err
 
 
 def test_cmd_sdp_solve_corrupted_file(tmp_path):
@@ -292,7 +320,7 @@ def test_cmd_sdp_solve_infeasible_exits_4(tmp_path, capsys):
         ),
     )
     path = tmp_path / "inf.json"
-    path.write_text(json.dumps(sdp.instance_to_dict(inst)))
+    path.write_text(json.dumps(instance_to_dict(inst)))
     assert run(["sdp", "solve", str(path)]) == cli.EXIT_SOLVER
 
 
@@ -320,7 +348,7 @@ def test_cmd_sdp_solve_non_finite_exits_2(tmp_path, bad):
             sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=1.0),
         ),
     )
-    data = sdp.instance_to_dict(inst)
+    data = instance_to_dict(inst)
     data["constraints"][0]["rhs"] = bad
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(data))
@@ -352,7 +380,7 @@ def test_cmd_bias_non_finite_tol_exits_2(tmp_path, capsys, tol, quantities):
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_cmd_sdp_solve_non_finite_tol_exits_2(tmp_path, capsys, tol):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(sdp.instance_to_dict(relaxations.beta_nc_instance(games.t_game(1)))))
+    path.write_text(json.dumps(instance_to_dict(relaxations.beta_nc_instance(games.t_game(1)))))
     assert run(["sdp", "solve", str(path), "--tol", tol]) == cli.EXIT_ARGS
     assert "tol must be positive and finite" in capsys.readouterr().err
 

@@ -27,8 +27,8 @@ def test_effective_operator_classical_diagonal():
 def test_effective_operator_zero_and_linearity(rng):
     g = random_game(3, seed=5)
     assert np.allclose(heuristics.effective_operator_for_a(g, np.zeros((3, 3))), 0)
-    a = strategies.random_hermitian(rng, 3)
-    b = strategies.random_hermitian(rng, 3)
+    a = heuristics.random_hermitian(rng, 3)
+    b = heuristics.random_hermitian(rng, 3)
     k = heuristics.effective_operator_for_a(g, b)
     want = np.trace(np.kron(a, b) @ g.m)
     assert abs(np.trace(a @ k) - want) < 1e-10
@@ -52,43 +52,44 @@ def test_omega_lower_t3_and_h1():
 
 def test_omega_c_lower_values():
     assert abs(
-        heuristics.omega_c_lower(games.from_classical(games.chsh()), CFG).value
+        heuristics.Ladder(games.from_classical(games.chsh()), CFG).omega_c().value
         - math.sqrt(2) / 2
     ) <= 1e-4
-    assert abs(heuristics.omega_c_lower(games.h_game(1), CFG).value - 0.4) <= 1e-3
+    assert abs(heuristics.Ladder(games.h_game(1), CFG).omega_c().value - 0.4) <= 1e-3
     zero = games.validate(np.zeros((4, 4)), 2)
-    assert abs(heuristics.omega_c_lower(zero, SMALL).value) <= 1e-12
+    assert abs(heuristics.Ladder(zero, SMALL).omega_c().value) <= 1e-12
 
 
 def test_me_lower_h1_reaches_five_ninths():
-    r = heuristics.me_lower(games.h_game(1), 3, CFG)
+    r = heuristics.Ladder(games.h_game(1), CFG).me(3)
     assert r.value >= 5.0 / 9.0 - 1e-3
     assert abs(strategies.bias(games.h_game(1), r.strategy) - r.value) <= 1e-9
 
 
 def test_me_lower_d1_reduces_to_omega():
-    g = games.h_game(1)
-    r1 = heuristics.me_lower(g, 1, SMALL)
-    r0 = heuristics.omega_lower(g, SMALL)
+    ladder = heuristics.Ladder(games.h_game(1), SMALL)
+    r1 = ladder.me(1)
+    r0 = ladder.omega()
     assert abs(r1.value - r0.value) <= 1e-6
 
 
 def test_me_lower_t4_respects_value():
-    r = heuristics.me_lower(games.t_game(4), 4, SMALL)
+    r = heuristics.Ladder(games.t_game(4), SMALL).me(4)
     assert r.value <= 0.5 + 1e-6
     assert r.value >= 0.5 - 1e-6  # warm start already achieves 1/sqrt(n)
 
 
 def test_entangled_lower_t1():
-    r = heuristics.entangled_lower(games.t_game(1), 1, 1, SMALL)
+    r = heuristics.Ladder(games.t_game(1), SMALL).entangled(1, 1)
     assert abs(r.value - 1.0) <= 1e-6
 
 
 def test_entangled_lower_t2_warm_start_dominates_me(monkeypatch):
     monkeypatch.setattr(heuristics, "MAX_ITERS", 25)
     cfg = heuristics.OptimizerConfig(restarts=1, seed=0)
-    rme = heuristics.me_lower(games.t_game(2), 3, cfg)
-    rent = heuristics.entangled_lower(games.t_game(2), 9, 9, cfg)
+    ladder = heuristics.Ladder(games.t_game(2), cfg)
+    rme = ladder.me(3)
+    rent = ladder.entangled(9, 9)
     assert rent.value >= rme.value - 1e-6
 
 
@@ -99,11 +100,11 @@ def test_half_steps_are_exactly_optimal(rng):
     k = heuristics.effective_operator_for_a(g, b)
     val = float(np.real(np.trace(a @ k)))
     for trial in range(1000):
-        cand = linalg.sign_of_hermitian(strategies.random_hermitian(rng, 3))
+        cand = linalg.sign_of_hermitian(heuristics.random_hermitian(rng, 3))
         assert np.real(np.trace(cand @ k)) <= val + 1e-9
     # perturbed contenders around the optimum do no better either
     for trial in range(200):
-        pert = a + 0.05 * strategies.random_hermitian(rng, 3)
+        pert = a + 0.05 * heuristics.random_hermitian(rng, 3)
         pert = pert / max(1.0, linalg.op_norm(pert))
         assert np.real(np.trace(pert @ k)) <= val + 1e-9
 
@@ -116,18 +117,18 @@ def test_determinism_bit_for_bit():
     assert r1.restart_values == r2.restart_values
     assert np.array_equal(r1.strategy.a, r2.strategy.a)
     assert np.array_equal(r1.strategy.b, r2.strategy.b)
-    e1 = heuristics.entangled_lower(g, 2, 2, SMALL)
-    e2 = heuristics.entangled_lower(g, 2, 2, SMALL)
+    e1 = heuristics.Ladder(g, SMALL).entangled(2, 2)
+    e2 = heuristics.Ladder(g, SMALL).entangled(2, 2)
     assert e1.value == e2.value
     assert np.array_equal(e1.strategy.psi, e2.strategy.psi)
 
 
 def test_chain_monotonicity_on_corpus():
     for seed in range(6):
-        g = random_game(2, seed=500 + seed)
-        om = heuristics.omega_lower(g, SMALL).value
-        oc = heuristics.omega_c_lower(g, SMALL).value
-        me = heuristics.me_lower(g, 2, SMALL).value
+        ladder = heuristics.Ladder(random_game(2, seed=500 + seed), SMALL)
+        om = ladder.omega().value
+        oc = ladder.omega_c().value
+        me = ladder.me(2).value
         assert om <= oc + 1e-6
         assert oc <= me + 1e-6  # even d: one shared qubit pair replays omega_c
 
@@ -146,7 +147,7 @@ def test_round_complex_real_signed_fixed_point():
 
 def test_round_complex_to_real_chsh():
     g = games.from_classical(games.chsh())
-    rc = heuristics.omega_c_lower(g, CFG)
+    rc = heuristics.Ladder(g, CFG).omega_c()
     out = heuristics.round_complex_to_real(g, rc.strategy)
     val = strategies.bias(g, out)
     assert val >= rc.value / math.sqrt(2) - 1e-6
@@ -159,7 +160,7 @@ def test_round_complex_to_real_h1_and_corpus():
     assert strategies.bias(g, out) >= 0.4 / math.sqrt(2) - 1e-9
     for seed in range(6):
         gg = random_game(2, seed=800 + seed)
-        rc = heuristics.omega_c_lower(gg, SMALL)
+        rc = heuristics.Ladder(gg, SMALL).omega_c()
         out = heuristics.round_complex_to_real(gg, rc.strategy)
         assert strategies.bias(gg, out) >= rc.value / math.sqrt(2) - 1e-6
 
@@ -167,10 +168,12 @@ def test_round_complex_to_real_h1_and_corpus():
 def test_optimizer_config_validation():
     with pytest.raises(BadArgsError, match="restarts"):
         heuristics.OptimizerConfig(restarts=0)
+    with pytest.raises(BadArgsError, match="seed"):
+        heuristics.OptimizerConfig(seed=-1)
 
 
 def _contraction(rng, dim):
-    h = strategies.random_hermitian(rng, dim)
+    h = heuristics.random_hermitian(rng, dim)
     return h / linalg.op_norm(h)
 
 
@@ -201,9 +204,9 @@ def test_effective_operators_match_fold_oracle(rng, n, da, db, kind):
 def test_seesaw_sizes_checked_before_allocation():
     g = games.t_game(1)
     with pytest.raises(TooLargeError):
-        heuristics.me_lower(g, 3000, SMALL)
+        heuristics.Ladder(g, SMALL).me(3000)
     with pytest.raises(TooLargeError):
-        heuristics.entangled_lower(g, 1, 5000, SMALL)
+        heuristics.Ladder(g, SMALL).entangled(1, 5000)
     with pytest.raises(TooLargeError):  # the state operator is (dA dB)^2
         heuristics.Ladder(g, SMALL).entangled(70, 70)
 
@@ -269,7 +272,7 @@ def test_entangled_state_step_decrease_raises_typed_error(monkeypatch):
     monkeypatch.setattr(heuristics, "IMPROVEMENT_TOL", 1e-300)
     cfg = heuristics.OptimizerConfig(restarts=1)
     with pytest.raises(SeesawError, match="state step decreased"):
-        heuristics.entangled_lower(random_game(2, seed=9), 2, 2, cfg)
+        heuristics.Ladder(random_game(2, seed=9), cfg).entangled(2, 2)
 
 
 def test_effective_operator_hermiticity_check(rng):
@@ -282,7 +285,7 @@ def test_effective_operator_hermiticity_check(rng):
         heuristics._seesaw(skew, heuristics.ONE, eye, heuristics._sign_step)
     # M + I (x) iE, E Hermitian and traceless, adds I Tr(iE B) = 0 to K at
     # B = I, but iE Tr(A) to L, and Tr(A) != 0 for an observable on C^3.
-    e = strategies.random_hermitian(rng, 3)
+    e = heuristics.random_hermitian(rng, 3)
     e -= np.trace(e) / 3 * eye
     lopsided = games.GameMatrix(n=3, m=g.m + np.kron(eye, 1j * e))
     with pytest.raises(SeesawError, match="for B lost Hermiticity"):
@@ -294,11 +297,12 @@ def test_effective_operator_hermiticity_check(rng):
 def test_report_ladder_runs_omega_once_with_standalone_values(monkeypatch):
     g = random_game(2, seed=21)
     cfg = heuristics.OptimizerConfig(restarts=3, seed=5)
+    # One fresh ladder per class recomputes that class's predecessors.
     standalone = (
-        heuristics.omega_lower(g, cfg).value,
-        heuristics.omega_c_lower(g, cfg).value,
-        heuristics.me_lower(g, 2, cfg).value,
-        heuristics.entangled_lower(g, 2, 2, cfg).value,
+        heuristics.Ladder(g, cfg).omega().value,
+        heuristics.Ladder(g, cfg).omega_c().value,
+        heuristics.Ladder(g, cfg).me(2).value,
+        heuristics.Ladder(g, cfg).entangled(2, 2).value,
     )
     real = heuristics.omega_lower
     calls = []

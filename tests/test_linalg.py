@@ -94,16 +94,16 @@ def test_op_norm_contraction(rng):
 
 
 def test_tensor_identities(rng):
-    assert np.allclose(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
     a, b, c, d = (
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         for _ in range(4)
     )
-    left = linalg.tensor(a, b) @ linalg.tensor(c, d)
-    right = linalg.tensor(a @ c, b @ d)
+    left = np.kron(a, b) @ np.kron(c, d)
+    right = np.kron(a @ c, b @ d)
     assert np.allclose(left, right)
     assert np.isclose(
-        np.trace(linalg.tensor(a, b)), np.trace(a) * np.trace(b)
+        np.trace(np.kron(a, b)), np.trace(a) * np.trace(b)
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_game
-from dense import odot
+from dense import odot, vvm_products
 from xorq import games, heuristics, linalg, relaxations, sdp
 from xorq.errors import DimensionMismatchError, TooLargeError
 from xorq.report import BiasReport
@@ -32,7 +32,7 @@ def test_odot_entry_formula(rng):
             for a in range(2):
                 for b in range(2):
                     want = np.vdot(
-                        np.conj(x.entry_vector(i, a)), y.entry_vector(j, b)
+                        np.conj(x.mats[:, i, a]), y.mats[:, j, b]
                     )
                     assert abs(k[i * 2 + j, a * 2 + b] - want) < 1e-12
 
@@ -55,7 +55,7 @@ def test_nc_objective_matches_odot_oracle(rng, n, d):
 def test_vvm_products_unitary():
     u = np.array([[0, 1.0], [1.0, 0]], dtype=complex)
     x = relaxations.VectorValuedMatrix(n=2, d=1, mats=u[None])
-    left, right = relaxations.vvm_products(x)
+    left, right = vvm_products(x)
     assert np.allclose(left, np.eye(2))
     assert np.allclose(right, np.eye(2))
 
@@ -67,7 +67,7 @@ def test_vvm_products_t_counterexample():
     for r in range(1, n + 1):
         mats[r - 1, r, 0] = 1.0
     x = relaxations.VectorValuedMatrix(n=n + 1, d=n, mats=mats)
-    left, right = relaxations.vvm_products(x)
+    left, right = vvm_products(x)
     assert np.allclose(left, np.diag([0.0] + [1.0] * n))
     want = np.zeros((n + 1, n + 1))
     want[0, 0] = n
@@ -79,7 +79,7 @@ def test_vvm_products_t_counterexample():
 
 def test_vvm_products_psd(rng):
     x = _random_vvm(rng, 3, 4)
-    left, right = relaxations.vvm_products(x)
+    left, right = vvm_products(x)
     assert np.linalg.eigvalsh(left)[0] >= -1e-10
     assert np.linalg.eigvalsh(right)[0] >= -1e-10
 
@@ -95,8 +95,8 @@ def test_gram_bookkeeping_soundness(rng):
     vecs = np.zeros((d, 2 * n * n), dtype=complex)
     for a in range(n):
         for c in range(n):
-            vecs[:, a * n + c] = np.conj(x.entry_vector(a, c))
-            vecs[:, n * n + a * n + c] = y.entry_vector(a, c)
+            vecs[:, a * n + c] = np.conj(x.mats[:, a, c])
+            vecs[:, n * n + a * n + c] = y.mats[:, a, c]
     gram = vecs.conj().T @ vecs
 
     inst = relaxations.beta_nc_instance(g)
@@ -104,7 +104,7 @@ def test_gram_bookkeeping_soundness(rng):
     want_obj = float(np.real(np.trace(odot(x, y) @ g.m)))
     assert abs(obj - want_obj) <= 1e-10
 
-    left, right = relaxations.vvm_products(x)
+    left, right = vvm_products(x)
     for a in range(n):
         for a2 in range(n):
             got = sum(gram[a * n + c, a2 * n + c] for c in range(n))
@@ -138,10 +138,10 @@ def test_beta_sdp_values():
     single = games.ClassicalGame(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert abs(relaxations.beta_sdp(single, 1e-7).value - 1.0) <= 1e-6
     # sandwich against the complex heuristic
-    oc = heuristics.omega_c_lower(
+    oc = heuristics.Ladder(
         games.from_classical(games.chsh()),
         heuristics.OptimizerConfig(restarts=8, seed=0),
-    )
+    ).omega_c()
     assert res.value >= oc.value - 1e-4
 
 
@@ -178,7 +178,7 @@ def test_beta_nc_witness_round_trip():
     val = relaxations.nc_objective(g, x, y)
     assert abs(val - res.value) <= 1e-6
     for v in (x, y):
-        left, right = relaxations.vvm_products(v)
+        left, right = vvm_products(v)
         assert linalg.op_norm(left) <= 1.0 + 1e-6
         assert linalg.op_norm(right) <= 1.0 + 1e-6
 
@@ -188,7 +188,7 @@ def test_beta_nc_h1_explicit_witness():
     cs = games.h_c_matrices(1)
     mats = np.array(cs, dtype=complex) / math.sqrt(2)
     x = relaxations.VectorValuedMatrix(n=3, d=3, mats=mats)
-    left, right = relaxations.vvm_products(x)
+    left, right = vvm_products(x)
     assert np.allclose(left, np.eye(3), atol=1e-10)
     assert np.allclose(right, np.eye(3), atol=1e-10)
     val = relaxations.nc_objective(games.h_game(1), x, x)
@@ -226,10 +226,10 @@ def test_beta_os_t_explicit_witness():
         assert np.linalg.norm(
             odot(xr, yc) - odot(xc, yr)
         ) <= 1e-10
-        assert linalg.op_norm(relaxations.vvm_products(xr)[0]) <= 1 + 1e-10
-        assert linalg.op_norm(relaxations.vvm_products(yr)[0]) <= 1 + 1e-10
-        assert linalg.op_norm(relaxations.vvm_products(xc)[1]) <= 1 + 1e-10
-        assert linalg.op_norm(relaxations.vvm_products(yc)[1]) <= 1 + 1e-10
+        assert linalg.op_norm(vvm_products(xr)[0]) <= 1 + 1e-10
+        assert linalg.op_norm(vvm_products(yr)[0]) <= 1 + 1e-10
+        assert linalg.op_norm(vvm_products(xc)[1]) <= 1 + 1e-10
+        assert linalg.op_norm(vvm_products(yc)[1]) <= 1 + 1e-10
         val = relaxations.nc_objective(g, xr, yc)
         assert abs(val - 1.0) <= 1e-10
         assert relaxations.beta_os(g, 1e-6).value >= val - 1e-3
@@ -244,10 +244,10 @@ def test_beta_os_witness_round_trip():
     assert np.linalg.norm(
         odot(xr, yc) - odot(xc, yr)
     ) <= 1e-6
-    assert linalg.op_norm(relaxations.vvm_products(xr)[0]) <= 1 + 1e-6
-    assert linalg.op_norm(relaxations.vvm_products(yr)[0]) <= 1 + 1e-6
-    assert linalg.op_norm(relaxations.vvm_products(xc)[1]) <= 1 + 1e-6
-    assert linalg.op_norm(relaxations.vvm_products(yc)[1]) <= 1 + 1e-6
+    assert linalg.op_norm(vvm_products(xr)[0]) <= 1 + 1e-6
+    assert linalg.op_norm(vvm_products(yr)[0]) <= 1 + 1e-6
+    assert linalg.op_norm(vvm_products(xc)[1]) <= 1 + 1e-6
+    assert linalg.op_norm(vvm_products(yc)[1]) <= 1 + 1e-6
 
 
 def test_maximizing_negated_objective_matches():
@@ -301,7 +301,7 @@ def test_check_chains_h1_ratio_diagnostic():
     g = games.h_game(1)
     cfg = heuristics.OptimizerConfig(restarts=8, seed=0)
     rep = BiasReport(game="h1", n=g.n, trace_norm=linalg.trace_norm(g.m))
-    rep.omega_c_lower = heuristics.omega_c_lower(g, cfg).value
+    rep.omega_c_lower = heuristics.Ladder(g, cfg).omega_c().value
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
     checks = relaxations.check_chains(g, rep, 1e-6)
     assert all(c.passed for c in checks if c.hard)

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xorq import games, relaxations, sdp
+from xorq import cli, games, relaxations, sdp
 from xorq.errors import BadArgsError, InfeasibleError, UnboundedError
 
 from conftest import random_game
 from doubling import double_instance, undouble_matrix
+from sdpfile import instance_to_dict
 
 
 def _scalar_instance(value=1.0):
@@ -176,7 +177,7 @@ def test_doubling_oracle_one_dim_complex_block():
 
 def _assert_feasible_psd(inst, blocks):
     for con in inst.constraints:
-        got = sdp.constraint_value(inst, con, blocks)
+        got = sdp.constraint_value(con, blocks)
         assert abs(got - con.rhs) <= 1e-8 * max(1.0, abs(con.rhs))
     for z in blocks.values():
         assert np.linalg.eigvalsh((z + z.conj().T) / 2)[0] >= -1e-8
@@ -302,16 +303,17 @@ def test_schur_groups_match_dense_oracle(monkeypatch, make, group_cap):
 
 
 def _paper_table_instances() -> dict[str, sdp.SdpInstance]:
-    """The 15 solves of the paper's value table and criterion 4."""
-    insts = {"CHSH/beta_sdp": relaxations.beta_sdp_instance(games.chsh())}
-    named = [(f"T{n}", games.t_game(n)) for n in range(1, 5)] + [("H1", games.h_game(1))]
-    for name, g in named:
-        insts[f"{name}/beta_nc"] = relaxations.beta_nc_instance(g)
-        insts[f"{name}/beta_os"] = relaxations.beta_os_instance(g)
-    for n in range(2, 5):
-        insts[f"C{n}/beta_os"] = relaxations.beta_os_instance(games.c_game(n))
-    insts["H2/beta_nc"] = relaxations.beta_nc_instance(games.h_game(2))
-    return insts
+    """The solves of the paper's value table: one per beta_* row."""
+    compile_for = {
+        "beta_sdp": lambda g: relaxations.beta_sdp_instance(cli._classical_from_diagonal(g)),
+        "beta_nc": relaxations.beta_nc_instance,
+        "beta_os": relaxations.beta_os_instance,
+    }
+    return {
+        f"{r.game}/{r.quantity}": compile_for[r.quantity](cli.PAPER_GAMES[r.game]())
+        for r in cli.PAPER_TABLE
+        if r.quantity in compile_for
+    }
 
 
 def test_paper_table_solves_take_few_iterations():
@@ -413,7 +415,7 @@ def test_instance_validation():
 
 def test_instance_serialization_round_trip(tmp_path):
     inst = relaxations.beta_nc_instance(games.t_game(1))
-    data = sdp.instance_to_dict(inst)
+    data = instance_to_dict(inst)
     assert data["format"] == "xorq-sdp-v1"
     back = sdp.instance_from_dict(data)
     assert back.blocks == inst.blocks

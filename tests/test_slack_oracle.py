@@ -8,6 +8,8 @@ import pytest
 
 import slack
 from conftest import random_game
+from dense import vvm_products
+from sdpfile import instance_to_dict
 from xorq import cli, games, relaxations, sdp
 
 CASES = {
@@ -75,7 +77,7 @@ def test_cmd_sdp_solve_multi_block(tmp_path, capsys, case):
     if case.endswith(":gram-last"):
         inst = _gram_last(inst)
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(sdp.instance_to_dict(inst)))
+    path.write_text(json.dumps(instance_to_dict(inst)))
     assert cli.main(["sdp", "solve", str(path), "--tol", "1e-7"]) == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["certify"]["passed"] is True
@@ -89,6 +91,6 @@ def test_cmd_sdp_solve_multi_block(tmp_path, capsys, case):
 def test_beta_nc_h1_witness_is_unitary():
     res = relaxations.beta_nc(games.h_game(1), 1e-7)
     for v in (res.witness["x"], res.witness["y"]):
-        left, right = relaxations.vvm_products(v)
+        left, right = vvm_products(v)
         assert np.abs(left - np.eye(v.n)).max() <= 1e-6
         assert np.abs(right - np.eye(v.n)).max() <= 1e-6

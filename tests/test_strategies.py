@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_game, random_unitary
-from dense import bias_dense
+from dense import bias_dense, random_strategy
 from xorq import games, linalg, strategies
 from xorq.errors import (
     BadArgsError,
@@ -98,13 +98,13 @@ def test_bias_agrees_with_dense_reference(kind, n, da, db):
     # The unentangled classes have no private spaces; maxent shares d = dA.
     dims = {"unentangled": None, "complex": None, "maxent": da, "entangled": (da, db)}
     g = random_game(n, seed=10 * n + da + db)
-    s = strategies.random_strategy(kind, g, dims[kind], seed=da * db)
+    s = random_strategy(kind, g, dims[kind], seed=da * db)
     assert abs(strategies.bias(g, s) - bias_dense(g, s)) <= 1e-12
 
 
 def test_unentangled_bias_equals_one_dimensional_entangled_bias():
     g = random_game(2, seed=42)
-    u = strategies.random_strategy("unentangled", g, None, seed=3)
+    u = random_strategy("unentangled", g, None, seed=3)
     emb = strategies.EntangledStrategy(
         d_a=1, d_b=1, a=u.a, b=u.b, psi=np.ones(1, dtype=complex)
     )
@@ -121,13 +121,13 @@ def test_bias_bounded_by_trace_norm():
             ("maxent", 2),
             ("entangled", (2, 2)),
         ]:
-            s = strategies.random_strategy(kind, g, dims, seed=seed)
+            s = random_strategy(kind, g, dims, seed=seed)
             assert abs(strategies.bias(g, s)) <= tn + 1e-8
 
 
 def test_bias_invariant_under_local_unitaries(rng):
     g = random_game(2, seed=77)
-    s = strategies.random_strategy("entangled", g, (3, 3), seed=8)
+    s = random_strategy("entangled", g, (3, 3), seed=8)
     u = random_unitary(rng, 3)
     v = random_unitary(rng, 3)
     a2 = np.kron(np.eye(2), u) @ s.a @ np.kron(np.eye(2), u).conj().T
@@ -225,7 +225,7 @@ def test_lemma_rank_one_t2_cross_check():
 
 def test_symmetrize_preserves_bias_and_outputs_observable():
     g = games.h_game(1)
-    s = strategies.random_strategy("entangled", g, (3, 3), seed=21)
+    s = random_strategy("entangled", g, (3, 3), seed=21)
     before = strategies.bias(g, s)
     out = strategies.symmetrize(g, s)
     after = strategies.bias(g, out)
@@ -247,7 +247,7 @@ def test_symmetrize_fixed_point_bias():
 
 def test_symmetrize_restricts_support():
     g = games.h_game(1)
-    base = strategies.random_strategy("entangled", g, (2, 2), seed=5)
+    base = random_strategy("entangled", g, (2, 2), seed=5)
     # pad the private spaces with two unused levels (zero Schmidt directions)
     e = np.eye(4, dtype=complex)[:, :2]
     a = np.kron(np.eye(3), e) @ base.a @ np.kron(np.eye(3), e).conj().T
@@ -270,7 +270,7 @@ def test_symmetrize_changed_bias_raises_typed_error(monkeypatch):
 
     monkeypatch.setattr(strategies, "bias", drifting)
     g = games.h_game(1)
-    s = strategies.random_strategy("entangled", g, (2, 2), seed=5)
+    s = random_strategy("entangled", g, (2, 2), seed=5)
     with pytest.raises(PreconditionViolatedError, match="changed the bias"):
         strategies.symmetrize(g, s)
 
@@ -279,6 +279,7 @@ def test_symmetrize_typed_error_survives_python_O():
     script = textwrap.dedent(
         """
         import sys
+        from dense import random_strategy
         from xorq import games, strategies
         from xorq.errors import PreconditionViolatedError
 
@@ -291,7 +292,7 @@ def test_symmetrize_typed_error_survives_python_O():
 
         strategies.bias = drifting
         g = games.h_game(1)
-        s = strategies.random_strategy("entangled", g, (2, 2), seed=5)
+        s = random_strategy("entangled", g, (2, 2), seed=5)
         try:
             strategies.symmetrize(g, s)
         except PreconditionViolatedError as exc:
@@ -300,9 +301,11 @@ def test_symmetrize_typed_error_survives_python_O():
         sys.exit(1)
         """
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
     out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, here])),
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
@@ -330,12 +333,12 @@ def test_embezzlement_respects_dimension_bound():
 
 def test_random_strategy_determinism():
     g = games.t_game(2)
-    s1 = strategies.random_strategy("entangled", g, (2, 2), seed=9)
-    s2 = strategies.random_strategy("entangled", g, (2, 2), seed=9)
+    s1 = random_strategy("entangled", g, (2, 2), seed=9)
+    s2 = random_strategy("entangled", g, (2, 2), seed=9)
     assert np.array_equal(s1.a, s2.a)
     assert np.array_equal(s1.psi, s2.psi)
     for kind, dims in [("unentangled", None), ("maxent", 2)]:
-        s = strategies.random_strategy(kind, g, dims, seed=1)
+        s = random_strategy(kind, g, dims, seed=1)
         dim = s.a.shape[0]
         assert np.linalg.norm(s.a @ s.a - np.eye(dim)) <= 1e-9  # observable
 
