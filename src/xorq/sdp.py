@@ -24,6 +24,18 @@ is PSD (take zero off-diagonal blocks), and C, every F_q, hence every
 iterate, is block-diagonal up to rounding. solve returns the diagonal
 blocks under their labels.
 
+A real instance is solved in real arithmetic. It is real when C is real
+and every row is real, or purely imaginary with rhs 0 (_real_rows), as for
+every Gram relaxation of a game with a real matrix M. Restricting to real
+symmetric Z then loses nothing: if Z is feasible so is its conjugate (a
+real row has the same value on both, a purely imaginary one the negated
+value, 0), hence Re Z = (Z + conj Z) / 2 is PSD, feasible and has the same
+objective. On real Z each purely imaginary row vanishes, so solve drops
+those rows, and a dual point of the real program, padded with 0 at the
+dropped rows, is a dual point of the complex one: A^T y - C is unchanged.
+Any other instance, a complex C or a row with a complex entry of another
+kind, is solved over complex Hermitian Z.
+
 C and the right-hand sides are scaled by exact powers of two when an entry
 exceeds 1, so that huge finite coefficients solve; the solution is mapped
 back (see _scaled).
@@ -169,7 +181,7 @@ def constraint_value(con: SdpConstraint, blocks) -> float:
     return total
 
 
-# --- interior-point core (one complex Hermitian matrix) -----------------------
+# --- interior-point core (one Hermitian matrix, real or complex) -------------
 
 
 class _Program:
@@ -181,19 +193,21 @@ class _Program:
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
     A^T y = U + U^H where U holds half * y[owner] at (r, c), half being v with
-    the diagonal halved.
+    the diagonal halved. A real program (C and every entry real) holds them
+    as real arrays, and so does every iterate over it.
     """
 
-    def __init__(self, inst: SdpInstance):
+    def __init__(self, inst: SdpInstance, real: bool = False):
         self.spans = {}
         offset = 0
         for label, d in inst.blocks:
             self.spans[label] = slice(offset, offset + d)
             offset += d
         self.dim = dim = offset
-        self.cobj = np.zeros((dim, dim), dtype=complex)
+        self.dtype = dtype = float if real else complex
+        self.cobj = np.zeros((dim, dim), dtype=dtype)
         for label, c in inst.objective.items():
-            self.cobj[self.spans[label], self.spans[label]] = c
+            self.cobj[self.spans[label], self.spans[label]] = c.real if real else c
         rows, cols, vals, owner = [], [], [], []
         for q, con in enumerate(inst.constraints):
             for b, r, c, v in con.entries:
@@ -209,7 +223,7 @@ class _Program:
         self.owner = np.asarray(owner, dtype=np.intp)
         diag = self.rows == self.cols
         vals = np.asarray(vals, dtype=complex)
-        vals = np.where(diag, vals.real, vals)
+        vals = vals.real if real else np.where(diag, vals.real, vals)
         self.flat = self.rows * dim + self.cols
         self.flat_t = self.cols * dim + self.rows
         self.weight = np.where(diag, 1.0, 2.0) * vals.conj()
@@ -241,9 +255,9 @@ def _a_of(prog: _Program, z: np.ndarray) -> np.ndarray:
 def _at_of(prog: _Program, y: np.ndarray) -> np.ndarray:
     u = prog.half * y[prog.owner]
     size = prog.dim * prog.dim
-    up = np.bincount(prog.flat, weights=u.real, minlength=size) + 1j * np.bincount(
-        prog.flat, weights=u.imag, minlength=size
-    )
+    up = np.bincount(prog.flat, weights=u.real, minlength=size)
+    if prog.dtype is complex:
+        up = up + 1j * np.bincount(prog.flat, weights=u.imag, minlength=size)
     up = up.reshape(prog.dim, prog.dim)
     return up + up.conj().T
 
@@ -334,15 +348,18 @@ def _lap(t0: float) -> tuple[float, float]:
     return t, t - t0
 
 
-def _solve(inst: SdpInstance, tol: float, unit: float = 1.0) -> SdpSolution:
-    """The interior-point loop. Gaps are relative to max(unit, |primal|):
+def _solve(
+    inst: SdpInstance, tol: float, unit: float = 1.0, real: bool = False
+) -> SdpSolution:
+    """The interior-point loop, over real symmetric Z when real (C and every
+    entry must then be real). Gaps are relative to max(unit, |primal|):
     unit is the objective value 1 in the units the instance was scaled to."""
-    prog = _Program(inst)
+    prog = _Program(inst, real)
     b_vec, nu = prog.b, prog.dim
     scale_b = 1.0 + float(np.max(np.abs(b_vec))) if prog.m else 1.0
     scale_c = 1.0 + float(np.linalg.norm(prog.cobj, 2))
-    z = 10.0 * scale_b * np.eye(nu, dtype=complex)
-    s = 10.0 * scale_c * np.eye(nu, dtype=complex)
+    z = 10.0 * scale_b * np.eye(nu, dtype=prog.dtype)
+    s = 10.0 * scale_c * np.eye(nu, dtype=prog.dtype)
     y = np.zeros(prog.m)
     trace = []
 
@@ -527,29 +544,52 @@ def _scaled(inst: SdpInstance) -> tuple[SdpInstance, int, int]:
     return scaled, ec, eb
 
 
+def _real_rows(inst: SdpInstance) -> list[int] | None:
+    """The rows a real symmetric Z must meet, when the instance is real: C
+    real, and every row real or purely imaginary with rhs 0, a row that
+    vanishes on every real symmetric Z. None for any other instance; the
+    scan stops at the first complex entry that decides it."""
+    if any(c.imag.any() for c in inst.objective.values()):
+        return None
+    keep = []
+    for q, con in enumerate(inst.constraints):
+        if not any(complex(v).imag for *_, v in con.entries):
+            keep.append(q)
+        elif con.rhs or any(complex(v).real for *_, v in con.entries):
+            return None
+    return keep
+
+
 def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve a complex-block SDP to the requested relative gap tolerance.
 
     Deterministic for a fixed instance and tolerance, which must be positive
     and finite (else BadArgsError). Raises Infeasible or
     Unbounded when detected; an iteration-capped run returns the best
-    iterate with status "max_iterations" (certify() will fail it). Raises
-    TooLargeError, before allocating, when the matrix side or the Schur
-    matrix (m + 1 rows, with the trace cap) is above the dense cap.
-    C and the rhs are solved scaled by powers of two when an entry exceeds
-    1 (see _scaled); the trace then stays in the scaled units.
+    iterate with status "max_iterations" (certify() will fail it).
+    A real instance (see _real_rows) is solved over real symmetric Z
+    without its purely imaginary rows; y is returned in the caller's row
+    order, 0 at each dropped row, and the blocks are then real arrays.
+    Raises TooLargeError, before allocating, when the matrix side or the
+    Schur matrix (the rows solved, plus one for the trace cap) is above the
+    dense cap. C and the rhs are solved scaled by powers of two when an
+    entry exceeds 1 (see _scaled); the trace then stays in the scaled units.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
+    keep = _real_rows(inst)
+    kept = inst if keep is None else SdpInstance(
+        inst.blocks, dict(inst.objective), tuple(inst.constraints[q] for q in keep)
+    )
     side = 1 + sum(d for _, d in inst.blocks)
-    m = 1 + len(inst.constraints)
+    m = 1 + len(kept.constraints)
     if max(side, m) ** 2 > DENSE_AMPLITUDE_CAP:
         raise TooLargeError(
             f"SDP of side {side} with {m} constraints is above the dense cap"
         )
-    scaled, ec, eb = _scaled(inst)
+    scaled, ec, eb = _scaled(kept)
     bounded, m_big = _with_trace_bound(scaled)
-    sol = _solve(bounded, tol, math.ldexp(1.0, -(ec + eb)))
+    sol = _solve(bounded, tol, math.ldexp(1.0, -(ec + eb)), real=keep is not None)
     trace_total = sum(
         float(np.real(np.trace(sol.blocks[label]))) for label, _ in inst.blocks
     )
@@ -558,9 +598,11 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
             f"objective unbounded (trace cap {m_big:.3g} is active)"
         )
     z_unit, y_unit, value_unit = (math.ldexp(1.0, e) for e in (eb, ec, ec + eb))
+    y = np.zeros(len(inst.constraints))  # a dropped row's multiplier is 0
+    y[slice(None) if keep is None else keep] = sol.y[: len(kept.constraints)] * y_unit
     return SdpSolution(
         blocks={label: sol.blocks[label] * z_unit for label, _ in inst.blocks},
-        y=sol.y[: len(inst.constraints)] * y_unit,
+        y=y,
         primal_value=sol.primal_value * value_unit,
         dual_value=sol.dual_value * value_unit,
         gap=sol.gap * value_unit,

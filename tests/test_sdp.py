@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xorq import cli, games, relaxations, sdp
-from xorq.errors import BadArgsError, InfeasibleError, UnboundedError
+from xorq.errors import BadArgsError, InfeasibleError, TooLargeError, UnboundedError
 
 from conftest import random_game
 from doubling import double_instance, undouble_matrix
@@ -203,55 +203,19 @@ def test_doubling_soundness_values_agree():
         assert abs(v2 / 2.0 - v1) <= 2e-6 * max(1.0, abs(v1))
 
 
-def _random_pd(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def _random_pd(rng, d, real=False):
+    x = rng.standard_normal((d, d)) + (0 if real else 1j) * rng.standard_normal((d, d))
     return x @ x.conj().T / d + 0.1 * np.eye(d)
 
 
-def test_schur_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    dims = {"a": 5, "b": 3}
-    kinds = ("diag", "real", "complex")
-    cons = []
-    for q in range(12):
-        labels = ("a", "b") if q % 3 == 0 else (("b",) if q % 5 == 1 else ("a",))
-        entries = []
-        for label in labels:
-            for _ in range(1 + q % 3):
-                kind = kinds[int(rng.integers(3))]
-                r, c = sorted(int(i) for i in rng.choice(dims[label], 2, replace=False))
-                if kind == "diag":
-                    entries.append((label, r, r, complex(rng.standard_normal())))
-                elif kind == "real":
-                    entries.append((label, r, c, complex(rng.standard_normal())))
-                else:
-                    entries.append((label, r, c, complex(*rng.standard_normal(2))))
-        cons.append(sdp.SdpConstraint(entries=tuple(entries), rhs=0.0))
-    inst = sdp.SdpInstance(
-        blocks=tuple(dims.items()), objective={}, constraints=tuple(cons)
-    )
-    bounded, _ = sdp._with_trace_bound(inst)  # adds the trace-cap row
-    offsets, side = {}, 0
-    for label, d in bounded.blocks:  # the blocks on one diagonal, in order
-        offsets[label], side = side, side + d
-    prog = sdp._Program(bounded)
-    assert prog.dim == side
-    w = _random_pd(rng, side)  # full, not block-diagonal
-    got = sdp._schur(prog, w)
-
-    dense = []
-    for con in bounded.constraints:
-        f = np.zeros((side, side), dtype=complex)
-        for b, r, c, v in con.entries:
-            r, c = r + offsets[b], c + offsets[b]
-            f[r, c] += v
-            if r != c:
-                f[c, r] += np.conj(v)
-        dense.append(f)
-    want = np.array(
-        [[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense]
-    )
-    assert np.abs(got - np.triu(want)).max() <= 1e-12 * np.abs(want).max()
+def _bounded_program(inst: sdp.SdpInstance):
+    """The trace-capped instance and _Program that solve builds: without
+    the purely imaginary rows, over real Z, when the instance is real."""
+    keep = sdp._real_rows(inst)
+    if keep is not None:
+        inst = replace(inst, constraints=tuple(inst.constraints[q] for q in keep))
+    bounded, _ = sdp._with_trace_bound(inst)
+    return bounded, sdp._Program(bounded, real=keep is not None)
 
 
 def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
@@ -271,28 +235,76 @@ def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
     return dense
 
 
+def _mixed_instance() -> sdp.SdpInstance:
+    """Random constraints on two blocks: diagonal, real and complex entries."""
+    rng = np.random.default_rng(11)
+    dims = {"a": 5, "b": 3}
+    kinds = ("diag", "real", "complex")
+    cons = []
+    for q in range(12):
+        labels = ("a", "b") if q % 3 == 0 else (("b",) if q % 5 == 1 else ("a",))
+        entries = []
+        for label in labels:
+            for _ in range(1 + q % 3):
+                kind = kinds[int(rng.integers(3))]
+                r, c = sorted(int(i) for i in rng.choice(dims[label], 2, replace=False))
+                if kind == "diag":
+                    entries.append((label, r, r, complex(rng.standard_normal())))
+                elif kind == "real":
+                    entries.append((label, r, c, complex(rng.standard_normal())))
+                else:
+                    entries.append((label, r, c, complex(*rng.standard_normal(2))))
+        cons.append(sdp.SdpConstraint(entries=tuple(entries), rhs=0.0))
+    return sdp.SdpInstance(
+        blocks=tuple(dims.items()), objective={}, constraints=tuple(cons)
+    )
+
+
+def test_schur_matches_dense_oracle():
+    # A complex program on two blocks, and the real program of beta_os(T2).
+    for inst, real in (
+        (_mixed_instance(), False),
+        (relaxations.beta_os_instance(games.t_game(2)), True),
+    ):
+        bounded, prog = _bounded_program(inst)  # with the trace-cap row
+        assert prog.dtype is (float if real else complex)
+        side = sum(d for _, d in bounded.blocks)  # the blocks on one diagonal
+        assert prog.dim == side
+        w = _random_pd(np.random.default_rng(11), side, real)  # full, not block-diagonal
+        got = sdp._schur(prog, w)
+
+        dense = _dense_constraints(bounded)
+        want = np.array(
+            [[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense]
+        )
+        assert np.abs(got - np.triu(want)).max() <= 1e-12 * np.abs(want).max()
+        assert not np.tril(got, -1).any()
+
+
 @pytest.mark.parametrize("group_cap", [None, 3])
 @pytest.mark.parametrize(
-    "make",
+    "make, real",
     [
-        lambda: relaxations.beta_os_instance(random_game(2, 5)),
-        lambda: relaxations.beta_nc_instance(games.h_game(1)),
+        (lambda: relaxations.beta_os_instance(random_game(2, 5)), False),
+        (lambda: relaxations.beta_nc_instance(games.h_game(1)), True),
     ],
-    ids=["beta_os_random_n2", "beta_nc_h1"],
+    ids=["beta_os_random_n2", "beta_nc_h1"],  # complex, real
 )
-def test_schur_groups_match_dense_oracle(monkeypatch, make, group_cap):
-    bounded, _ = sdp._with_trace_bound(make())
-    side = sum(d for _, d in bounded.blocks)
+def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
+    inst = make()
     if group_cap:  # at most group_cap constraints per stacked matmul
+        bounded, _ = _bounded_program(inst)
+        side = sum(d for _, d in bounded.blocks)
         width = max(side * side, sum(len(con.entries) for con in bounded.constraints))
         monkeypatch.setattr(sdp, "SCHUR_GROUP_ENTRIES", group_cap * width)
-    prog = sdp._Program(bounded)
+    bounded, prog = _bounded_program(inst)
+    assert prog.dtype is (float if real else complex)
     sizes = [stop - start for start, stop in prog.groups]
     counts = np.diff(prog.q_ptr)
     assert len(set(counts)) > 1 and len(prog.groups) > 1 and max(sizes) > 1
     if group_cap:
         assert max(sizes) == group_cap
-    w = _random_pd(np.random.default_rng(3), side)
+    w = _random_pd(np.random.default_rng(3), prog.dim, real)
     got = sdp._schur(prog, w)
 
     dense = _dense_constraints(bounded)
@@ -327,6 +339,87 @@ def test_paper_table_solves_take_few_iterations():
     assert len(iterations) == 15
     assert iterations["T3/beta_os"] <= 11
     assert sum(iterations.values()) <= 140
+
+
+def _complex_core(monkeypatch, inst: sdp.SdpInstance) -> sdp.SdpSolution:
+    """inst solved on the complex path, whatever the detection says."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "_real_rows", lambda inst: None)
+        return sdp.solve(inst)
+
+
+def test_real_path_matches_complex_core(monkeypatch):
+    for name, inst in _paper_table_instances().items():
+        keep = sdp._real_rows(inst)
+        assert keep is not None, name
+        real, full = sdp.solve(inst), _complex_core(monkeypatch, inst)
+        assert real.iterations == full.iterations, name
+        assert abs(real.primal_value - full.primal_value) <= 1e-12, name
+        assert all(z.dtype == np.float64 for z in real.blocks.values()), name
+        assert sdp.certify(inst, real).passed, name
+        assert real.y.shape == (len(inst.constraints),), name
+        dropped = np.setdiff1d(np.arange(len(inst.constraints)), keep)
+        assert not real.y[dropped].any(), name
+        # The padded y is a dual point of the complex program: A^T y - C is
+        # PSD, so b^T y bounds the optimum, within the gap tolerance.
+        prog = sdp._Program(inst)
+        assert np.linalg.eigvalsh(sdp._at_of(prog, real.y) - prog.cobj)[0] >= -1e-9, name
+        assert 0 <= prog.b @ real.y - real.primal_value <= sdp.DEFAULT_TOL, name
+
+
+def _phase_row(rhs: float) -> sdp.SdpInstance:
+    """max 2 Re Z[0, 1] with Z[0, 0] = Z[1, 1] = 1 and 2 Im Z[0, 1] = rhs: a
+    purely imaginary row, which no real Z meets when rhs != 0."""
+    return sdp.SdpInstance(
+        blocks=(("z", 2),),
+        objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)},
+        constraints=tuple(
+            sdp.SdpConstraint(entries=(("z", i, i, 1.0 + 0.0j),), rhs=1.0) for i in (0, 1)
+        )
+        + (sdp.SdpConstraint(entries=(("z", 0, 1, 1.0j),), rhs=rhs),),
+    )
+
+
+def test_instances_that_are_not_real_stay_complex(monkeypatch):
+    two = _two_by_two(1.0, 1.0)
+    mixed_row = sdp.SdpConstraint(entries=(("z", 0, 1, 0.5 + 0.5j),), rhs=0.0)
+    cases = {
+        "random_game": relaxations.beta_nc_instance(random_game(2, 7)),
+        "complex_objective": replace(
+            two, objective={"z": np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])}
+        ),
+        "mixed_row": replace(two, constraints=two.constraints + (mixed_row,)),
+        "imaginary_row_rhs": _phase_row(1.0),
+    }
+    for name, inst in cases.items():
+        assert sdp._real_rows(inst) is None, name
+        sol, full = sdp.solve(inst), _complex_core(monkeypatch, inst)
+        assert sol.primal_value == full.primal_value, name
+        assert np.array_equal(sol.y, full.y), name
+        assert all(z.dtype == np.complex128 for z in sol.blocks.values()), name
+    # Im Z[0, 1] = 1/2 leaves Re Z[0, 1] at most sqrt(3)/2; no real Z is feasible.
+    assert sdp.solve(_phase_row(1.0)).primal_value == pytest.approx(math.sqrt(3), abs=1e-6)
+    # With rhs 0 the row vanishes on real Z and is dropped.
+    assert sdp._real_rows(_phase_row(0.0)) == [0, 1]
+
+
+def test_size_cap_counts_the_rows_solved(monkeypatch):
+    real = relaxations.beta_os_instance(games.t_game(2))
+    full = relaxations.beta_os_instance(random_game(games.t_game(2).n, 7))
+    m = len(real.constraints)
+    kept = len(sdp._real_rows(real))
+    assert len(full.constraints) == m and sdp._real_rows(full) is None
+    side = 1 + sum(d for _, d in real.blocks)
+    assert max(side, kept + 1) < m + 1
+    monkeypatch.setattr(sdp, "DENSE_AMPLITUDE_CAP", max(side, kept + 1) ** 2)
+    assert sdp.certify(real, sdp.solve(real)).passed
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(sdp, "_solve", no_solve)
+    with pytest.raises(TooLargeError):
+        sdp.solve(full)
 
 
 def _two_by_two(c: float, rhs: float) -> sdp.SdpInstance:
