@@ -45,6 +45,13 @@ class TooLargeError(XorqError):
     """Raised before building a dense array above DENSE_AMPLITUDE_CAP entries."""
 
 
+def check_dense(entries: int, what: str):
+    """TooLargeError when a dense array of this many entries, named by what,
+    is above DENSE_AMPLITUDE_CAP; called before allocating it."""
+    if entries > DENSE_AMPLITUDE_CAP:
+        raise TooLargeError(f"{what} has {entries} entries (> 2^24), above the dense cap")
+
+
 class BadArgsError(XorqError):
     pass
 

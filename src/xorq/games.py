@@ -23,13 +23,12 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DENSE_AMPLITUDE_CAP,
     BadArgsError,
     DimensionMismatchError,
     FormatError,
-    TooLargeError,
     TraceNormExceededError,
     ZeroGameError,
+    check_dense,
 )
 
 TRACE_NORM_SLACK = 1e-8
@@ -94,19 +93,12 @@ def from_classical(g: ClassicalGame) -> GameMatrix:
     return validate(m, n)
 
 
-def _check_size(n: int):
-    """Raise TooLargeError before building a game on n levels whose
-    (n^2)^2 entries exceed DENSE_AMPLITUDE_CAP."""
-    if n**4 > DENSE_AMPLITUDE_CAP:
-        raise TooLargeError(f"a game with n = {n} has {n**4} entries (> 2^24)")
-
-
 def t_game(n: int) -> GameMatrix:
     """M = (1/(2 sqrt n)) sum_i (|00><ii| + |ii><00|) on n+1 levels."""
     if n < 1:
         raise BadArgsError("n must be >= 1")
     loc = n + 1
-    _check_size(loc)
+    check_dense(loc**4, f"a game with n = {loc}")
     m = np.zeros((loc * loc, loc * loc), dtype=complex)
     w = 1.0 / (2.0 * math.sqrt(n))
     for i in range(1, n + 1):
@@ -121,7 +113,7 @@ def c_game(n: int) -> GameMatrix:
     if n < 1:
         raise BadArgsError("n must be >= 1")
     loc = n + 1
-    _check_size(loc)
+    check_dense(loc**4, f"a game with n = {loc}")
     m = np.zeros((loc * loc, loc * loc), dtype=complex)
     w = 1.0 / (2.0 * n)
     for k in range(1, n + 1):
@@ -166,9 +158,9 @@ def h_game(n: int) -> GameMatrix:
     """M = C(4n+1, 2n)^(-1) sum_i C_i (x) C_i on C(2n+1, n) levels."""
     if n < 1:
         raise BadArgsError("n must be >= 1")
-    _check_size(math.comb(2 * n + 1, n))
+    big = math.comb(2 * n + 1, n)
+    check_dense(big**4, f"a game with n = {big}")
     mats = h_c_matrices(n)
-    big = mats[0].shape[0]
     m = np.zeros((big * big, big * big), dtype=complex)
     for c in mats:
         m += np.kron(c, c)
@@ -182,7 +174,7 @@ def tensor_games(g1: GameMatrix, g2: GameMatrix) -> GameMatrix:
     Register order of the result is (A1 A2)(B1 B2); local dimension n1*n2.
     """
     n1, n2 = g1.n, g2.n
-    _check_size(n1 * n2)
+    check_dense((n1 * n2) ** 4, f"a game with n = {n1 * n2}")
     raw = np.kron(g1.m, g2.m)  # order (A1, B1, A2, B2)
     m = linalg.permute_systems(raw, (n1, n1, n2, n2), (0, 2, 1, 3))
     return validate(m, n1 * n2)
@@ -392,7 +384,7 @@ def game_from_dict(data: dict) -> GameMatrix:
         n = int(data["n"])
         if n < 1:
             raise FormatError("n must be >= 1")
-        _check_size(n)
+        check_dense(n**4, f"a game with n = {n}")
         m = np.zeros((n * n, n * n), dtype=complex)
         for e in data["entries"]:
             r, c = int(e["r"]), int(e["c"])
@@ -417,7 +409,7 @@ def classical_game_from_dict(data) -> GameMatrix:
         raise FormatError(f"malformed classical game file: {exc}") from exc
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
         raise FormatError(f"classical coefficients must be n x n, got shape {r.shape}")
-    _check_size(r.shape[0])
+    check_dense(r.shape[0] ** 4, f"a game with n = {r.shape[0]}")
     if not np.all(np.isfinite(r)):
         raise FormatError("classical game file has a non-finite coefficient")
     if np.max(np.abs(r)) > 1.0 + CLASSICAL_NORM_SLACK:

@@ -32,11 +32,10 @@ import scipy.linalg
 
 from . import linalg
 from .errors import (
-    DENSE_AMPLITUDE_CAP,
     BadArgsError,
     NotHermitianError,
     SeesawError,
-    TooLargeError,
+    check_dense,
 )
 from .games import GameMatrix
 from .strategies import (
@@ -88,14 +87,6 @@ def _check_monotone(value: float, prev: float, what: str):
     # Written as "not >=" so that a NaN value fails too.
     if not value >= prev - MONOTONE_SLACK * max(1.0, abs(prev)):
         raise SeesawError(f"{what}: {value!r} after {prev!r}")
-
-
-def _check_size(*sides: int):
-    """TooLargeError when a dense see-saw operator of one of these sides
-    would exceed the package's dense cap; called before any allocation."""
-    side = max(sides)
-    if side * side > DENSE_AMPLITUDE_CAP:
-        raise TooLargeError(f"see-saw operator of side {side} exceeds the dense cap 2^24")
 
 
 def _seesaw(g: GameMatrix, psi, b0, step, dims=None):
@@ -364,7 +355,7 @@ class Ladder:
     def me(self, d: int) -> HeuristicResult:
         if d < 1:
             raise BadArgsError("d must be >= 1")
-        _check_size(self.g.n * d)
+        check_dense((self.g.n * d) ** 2, f"see-saw operator of side {self.g.n * d}")
         if d not in self._me:
             omega_c = self.omega_c() if d % 2 == 0 else None
             self._me[d] = me_lower(self.g, d, self.cfg, self.omega(), omega_c)
@@ -373,7 +364,8 @@ class Ladder:
     def entangled(self, da: int, db: int) -> HeuristicResult:
         if da < 1 or db < 1:
             raise BadArgsError("dimensions must be >= 1")
-        _check_size(self.g.n * da, self.g.n * db, da * db)
+        side = max(self.g.n * da, self.g.n * db, da * db)
+        check_dense(side * side, f"see-saw operator of side {side}")
         return entangled_lower(self.g, da, db, self.cfg, self.me(min(da, db)))
 
 

@@ -24,26 +24,31 @@ is PSD (take zero off-diagonal blocks), and C, every F_q, hence every
 iterate, is block-diagonal up to rounding. solve returns the diagonal
 blocks under their labels.
 
+solve compiles the caller's instance once, into a _Program, and _finish
+maps the iterate it ends on back to the caller's units and rows.
+
 A real instance is solved in real arithmetic. It is real when C is real
 and every row is real, or purely imaginary with rhs 0 (_real_rows), as for
 every Gram relaxation of a game with a real matrix M. Restricting to real
 symmetric Z then loses nothing: if Z is feasible so is its conjugate (a
 real row has the same value on both, a purely imaginary one the negated
 value, 0), hence Re Z = (Z + conj Z) / 2 is PSD, feasible and has the same
-objective. On real Z each purely imaginary row vanishes, so solve drops
-those rows, and a dual point of the real program, padded with 0 at the
-dropped rows, is a dual point of the complex one: A^T y - C is unchanged.
-Any other instance, a complex C or a row with a complex entry of another
-kind, is solved over complex Hermitian Z.
+objective. On real Z each purely imaginary row vanishes, so the program
+keeps only the other rows, and a dual point of the real program, padded
+with 0 at the dropped rows, is a dual point of the complex one: A^T y - C
+is unchanged. Any other instance, a complex C or a row with a complex
+entry of another kind, is solved over complex Hermitian Z with every row.
 
-C and the right-hand sides are scaled by exact powers of two when an entry
-exceeds 1, so that huge finite coefficients solve; the solution is mapped
-back (see _scaled).
+C is scaled by 2^-ec and the right-hand sides by 2^-eb, exact powers of two
+that leave no entry of either above 1, so that huge finite coefficients
+solve. The start, the residual norms, the gap and the trace cap are read in
+the caller's units, so the scaling changes no step beyond rounding.
 
-Boundedness is enforced internally with a trace cap Tr(Z) + t = M_big
-(one more diagonal entry t >= 0, M_big = 10 * total dimension * rhs
-scale); a binding cap is reported as unboundedness. The cap is redundant
-for every instance produced by this package.
+Boundedness is enforced with a trace cap: one more diagonal entry t >= 0,
+last on the diagonal, and a last row Tr(Z) / M_big + t = 1, M_big = 10 *
+total dimension * max(1, max |rhs|). A binding cap is reported as
+unboundedness. The cap is redundant for every instance produced by this
+package.
 """
 
 from __future__ import annotations
@@ -57,14 +62,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DENSE_AMPLITUDE_CAP,
     BadArgsError,
     DimensionMismatchError,
     FormatError,
     InfeasibleError,
     SdpError,
-    TooLargeError,
     UnboundedError,
+    check_dense,
 )
 
 COEFF_HERMITICITY_TOL = 1e-12
@@ -105,6 +109,7 @@ class SdpInstance:
             if label in labels:
                 raise BadArgsError(f"duplicate block label {label!r}")
             labels[label] = dim
+        objective = {}  # symmetrized and complex; the caller's dict is left alone
         for label, c in self.objective.items():
             if label not in labels:
                 raise BadArgsError(f"objective references unknown block {label!r}")
@@ -122,7 +127,8 @@ class SdpInstance:
             c = (c + c.conj().T) / 2
             if not np.all(np.isfinite(c)):
                 raise BadArgsError(f"objective block {label!r} is not finite")
-            self.objective[label] = c
+            objective[label] = c
+        object.__setattr__(self, "objective", objective)
         for q, con in enumerate(self.constraints):
             for b, r, c, v in con.entries:
                 if b not in labels:
@@ -157,8 +163,15 @@ class IpmIteration:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Primal blocks, dual multipliers, objective values, the gap, and the
-    per-iteration trace (kept out of every serialized payload)."""
+    """Primal blocks and dual multipliers y, one per row of the instance
+    solved, in its units; objective values, the gap, and the per-iteration
+    trace (in the scaled units of the program, kept out of every serialized
+    payload).
+
+    dual_value and gap belong to the program solved, its trace-cap row
+    included: dual_value also counts that row's multiplier, which y does not
+    hold. So dual_value is not b^T y of the returned y, and a certified bound
+    built from y must compute b^T y itself."""
 
     blocks: dict[str, np.ndarray]
     y: np.ndarray
@@ -185,29 +198,28 @@ def constraint_value(con: SdpConstraint, blocks) -> float:
 
 
 class _Program:
-    """The instance's blocks on the diagonal of one Hermitian matrix of side
-    dim, and its stored constraint entries (r <= c, shifted by their block's
-    offset) in constraint order: entries q_ptr[i]:q_ptr[i + 1] belong to
-    constraint q_list[i].
+    """The one translation of an instance that the core solves. Its blocks
+    lie on the diagonal of one Hermitian matrix of side dim, with the
+    trace-cap slot t last. Its rows are those in kept of the caller's
+    rows_in rows (all, or those a real symmetric Z must meet: _real_rows),
+    then the cap row Tr(Z) / M_big + t = 1. C is scaled by 2^-ec and b, the
+    cap row's rhs included, by 2^-eb; m_big is M_big in those units. The
+    stored entries (r <= c, shifted by their block's offset) are in row
+    order: entries q_ptr[i]:q_ptr[i + 1] belong to row q_list[i], and the
+    cap row has its t entry first.
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
     A^T y = U + U^H where U holds half * y[owner] at (r, c), half being v with
-    the diagonal halved. A real program (C and every entry real) holds them
-    as real arrays, and so does every iterate over it.
+    the diagonal halved. A real program (C and every kept entry real) holds
+    them as real arrays, and so does every iterate over it.
     """
 
-    def __init__(self, inst: SdpInstance, real: bool = False):
-        self.spans = {}
-        offset = 0
+    def __init__(self, inst: SdpInstance):
+        self.spans, n = {}, 0
         for label, d in inst.blocks:
-            self.spans[label] = slice(offset, offset + d)
-            offset += d
-        self.dim = dim = offset
-        self.dtype = dtype = float if real else complex
-        self.cobj = np.zeros((dim, dim), dtype=dtype)
-        for label, c in inst.objective.items():
-            self.cobj[self.spans[label], self.spans[label]] = c.real if real else c
+            self.spans[label] = slice(n, n + d)
+            n += d
         rows, cols, vals, owner = [], [], [], []
         for q, con in enumerate(inst.constraints):
             for b, r, c, v in con.entries:
@@ -216,13 +228,40 @@ class _Program:
                 cols.append(base + c)
                 vals.append(complex(v))
                 owner.append(q)
-        self.m = len(inst.constraints)
-        self.b = np.array([con.rhs for con in inst.constraints], dtype=float)
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.owner = np.asarray(owner, dtype=np.intp)
-        diag = self.rows == self.cols
+        rhs = np.array([con.rhs for con in inst.constraints], dtype=float)
         vals = np.asarray(vals, dtype=complex)
+        owner = np.asarray(owner, dtype=np.intp)
+        keep = _real_rows(inst.objective, vals, owner, rhs)
+        real = keep is not None
+        self.rows_in = rhs.size
+        self.kept = np.arange(rhs.size) if keep is None else keep
+        self.dim = dim = n + 1
+        self.m = m = self.kept.size + 1
+        check_dense(max(dim, m) ** 2, f"SDP of side {dim} with {m} constraints")
+
+        parts = [np.max(np.abs(part)) for c in inst.objective.values() for part in (c.real, c.imag)]
+        self.ec = _scale_exponent(float(max(parts, default=0.0)))
+        self.dtype = dtype = float if real else complex
+        self.cobj = np.zeros((dim, dim), dtype=dtype)
+        for label, c in inst.objective.items():
+            span = self.spans[label]
+            self.cobj[span, span] = (c.real if real else c) * math.ldexp(1.0, -self.ec)
+        top = float(np.max(np.abs(rhs[self.kept]), initial=0.0))
+        self.eb = _scale_exponent(top)
+        one_b = math.ldexp(1.0, -self.eb)  # 1 in the scaled units of b
+        self.m_big = 10.0 * n * max(one_b, math.ldexp(top, -self.eb))
+        self.b = np.append(np.ldexp(rhs[self.kept], -self.eb), one_b)
+
+        renumber = np.full(rhs.size, -1, dtype=np.intp)
+        renumber[self.kept] = np.arange(m - 1)
+        owner = renumber[owner]
+        sel = owner >= 0
+        cap = np.append(n, np.arange(n))  # t first, then the diagonal of Z
+        self.rows = np.concatenate([np.asarray(rows, dtype=np.intp)[sel], cap])
+        self.cols = np.concatenate([np.asarray(cols, dtype=np.intp)[sel], cap])
+        self.owner = np.concatenate([owner[sel], np.full(n + 1, m - 1)])
+        vals = np.concatenate([vals[sel], [1.0], np.full(n, one_b / self.m_big)])
+        diag = self.rows == self.cols
         vals = vals.real if real else np.where(diag, vals.real, vals)
         self.flat = self.rows * dim + self.cols
         self.flat_t = self.cols * dim + self.rows
@@ -231,6 +270,27 @@ class _Program:
         self.q_list, starts = np.unique(self.owner, return_index=True)
         self.q_ptr = np.append(starts, self.owner.size)
         self.groups = _schur_groups(np.diff(self.q_ptr), dim)
+
+
+def _real_rows(
+    objective: dict, vals: np.ndarray, owner: np.ndarray, rhs: np.ndarray
+) -> np.ndarray | None:
+    """The rows a real symmetric Z must meet, when the instance is real: C
+    real, and every row real, or purely imaginary with rhs 0, a row that
+    vanishes on every real symmetric Z. None for any other instance. vals
+    holds the entries of every row, owner their row numbers."""
+    if any(c.imag.any() for c in objective.values()):
+        return None
+    imag = np.bincount(owner, vals.imag != 0, minlength=rhs.size) > 0
+    real = np.bincount(owner, vals.real != 0, minlength=rhs.size) > 0
+    if (imag & (real | (rhs != 0))).any():
+        return None
+    return np.flatnonzero(~imag)
+
+
+def _scale_exponent(top: float) -> int:
+    """e with top * 2^-e in [0.5, 1) when top > 1, else 0 (no scaling)."""
+    return math.frexp(top)[1] if top > 1.0 else 0
 
 
 def _schur_groups(counts: np.ndarray, dim: int) -> list[tuple[int, int]]:
@@ -348,16 +408,16 @@ def _lap(t0: float) -> tuple[float, float]:
     return t, t - t0
 
 
-def _solve(
-    inst: SdpInstance, tol: float, unit: float = 1.0, real: bool = False
-) -> SdpSolution:
-    """The interior-point loop, over real symmetric Z when real (C and every
-    entry must then be real). Gaps are relative to max(unit, |primal|):
-    unit is the objective value 1 in the units the instance was scaled to."""
-    prog = _Program(inst, real)
+def _solve(prog: _Program, tol: float) -> SdpSolution:
+    """The interior-point loop, over real symmetric Z for a real program.
+    The residuals are relative to one_b + max |b| and one_c + ||C||, the gap
+    to max(unit, |primal|): one_b, one_c and unit are 1 in the caller's
+    units of b, C and the objective, so every rule reads as unscaled."""
+    one_b, one_c = math.ldexp(1.0, -prog.eb), math.ldexp(1.0, -prog.ec)
+    unit = one_b * one_c
     b_vec, nu = prog.b, prog.dim
-    scale_b = 1.0 + float(np.max(np.abs(b_vec))) if prog.m else 1.0
-    scale_c = 1.0 + float(np.linalg.norm(prog.cobj, 2))
+    scale_b = one_b + float(np.max(np.abs(b_vec)))
+    scale_c = one_c + float(np.linalg.norm(prog.cobj, 2))
     z = 10.0 * scale_b * np.eye(nu, dtype=prog.dtype)
     s = 10.0 * scale_c * np.eye(nu, dtype=prog.dtype)
     y = np.zeros(prog.m)
@@ -481,12 +541,21 @@ def _solve(
 
 
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
+    """The solution in the caller's units and rows: Z 2^eb, y 2^ec with 0 at
+    each dropped row, and both values 2^(ec + eb). UnboundedError when the
+    trace cap binds."""
+    blocks = {label: z[span, span] for label, span in prog.spans.items()}
+    if sum(float(np.trace(zb).real) for zb in blocks.values()) >= 0.99 * prog.m_big:
+        raise UnboundedError(f"objective unbounded (trace cap {prog.m_big:.3g} is active)")
+    z_unit, y_unit, value_unit = (math.ldexp(1.0, e) for e in (prog.eb, prog.ec, prog.ec + prog.eb))
+    y_in = np.zeros(prog.rows_in)  # a dropped row's multiplier is 0
+    y_in[prog.kept] = y[:-1] * y_unit
     return SdpSolution(
-        blocks={label: z[span, span].copy() for label, span in prog.spans.items()},
-        y=y,
-        primal_value=pobj,
-        dual_value=dobj,
-        gap=dobj - pobj,
+        blocks={label: zb * z_unit for label, zb in blocks.items()},
+        y=y_in,
+        primal_value=pobj * value_unit,
+        dual_value=dobj * value_unit,
+        gap=(dobj - pobj) * value_unit,
         iterations=iters,
         status=status,
         trace=tuple(trace),
@@ -494,70 +563,6 @@ def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
 
 
 # --- public driver -------------------------------------------------------------
-
-_BOUND_BLOCK = "_trace_bound"
-
-
-def _with_trace_bound(inst: SdpInstance) -> tuple[SdpInstance, float]:
-    total_dim = sum(d for _, d in inst.blocks)
-    rhs_scale = max([1.0] + [abs(c.rhs) for c in inst.constraints])
-    m_big = 10.0 * total_dim * rhs_scale
-    # Written as Tr(Z)/M + t = 1 so the row is on the same scale as the rest.
-    w = complex(1.0 / m_big)
-    entries = [(_BOUND_BLOCK, 0, 0, 1.0 + 0.0j)]
-    for label, d in inst.blocks:
-        entries.extend((label, i, i, w) for i in range(d))
-    bounded = SdpInstance(
-        blocks=inst.blocks + ((_BOUND_BLOCK, 1),),
-        objective=dict(inst.objective),
-        constraints=inst.constraints
-        + (SdpConstraint(entries=tuple(entries), rhs=1.0),),
-    )
-    return bounded, m_big
-
-
-def _scale_exponent(top: float) -> int:
-    """e with top * 2^-e in [0.5, 1) when top > 1, else 0 (no scaling)."""
-    return math.frexp(top)[1] if top > 1.0 else 0
-
-
-def _scaled(inst: SdpInstance) -> tuple[SdpInstance, int, int]:
-    """The instance with C scaled by 2^-ec and every rhs by 2^-eb, exactly,
-    so that no entry of either exceeds 1 in real or imaginary part; the
-    instance itself when none does. Its solution maps back as Z 2^eb,
-    y 2^ec and both values 2^(ec + eb)."""
-    ec = _scale_exponent(max(
-        (float(np.max(np.abs(part))) for c in inst.objective.values() for part in (c.real, c.imag)),
-        default=0.0,
-    ))
-    eb = _scale_exponent(max((abs(con.rhs) for con in inst.constraints), default=0.0))
-    if not (ec or eb):
-        return inst, 0, 0
-    scaled = SdpInstance(
-        blocks=inst.blocks,
-        objective={label: c * math.ldexp(1.0, -ec) for label, c in inst.objective.items()},
-        constraints=tuple(
-            SdpConstraint(entries=con.entries, rhs=math.ldexp(con.rhs, -eb))
-            for con in inst.constraints
-        ),
-    )
-    return scaled, ec, eb
-
-
-def _real_rows(inst: SdpInstance) -> list[int] | None:
-    """The rows a real symmetric Z must meet, when the instance is real: C
-    real, and every row real or purely imaginary with rhs 0, a row that
-    vanishes on every real symmetric Z. None for any other instance; the
-    scan stops at the first complex entry that decides it."""
-    if any(c.imag.any() for c in inst.objective.values()):
-        return None
-    keep = []
-    for q, con in enumerate(inst.constraints):
-        if not any(complex(v).imag for *_, v in con.entries):
-            keep.append(q)
-        elif con.rhs or any(complex(v).real for *_, v in con.entries):
-            return None
-    return keep
 
 
 def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
@@ -572,44 +577,11 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     order, 0 at each dropped row, and the blocks are then real arrays.
     Raises TooLargeError, before allocating, when the matrix side or the
     Schur matrix (the rows solved, plus one for the trace cap) is above the
-    dense cap. C and the rhs are solved scaled by powers of two when an
-    entry exceeds 1 (see _scaled); the trace then stays in the scaled units.
+    dense cap.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
-    keep = _real_rows(inst)
-    kept = inst if keep is None else SdpInstance(
-        inst.blocks, dict(inst.objective), tuple(inst.constraints[q] for q in keep)
-    )
-    side = 1 + sum(d for _, d in inst.blocks)
-    m = 1 + len(kept.constraints)
-    if max(side, m) ** 2 > DENSE_AMPLITUDE_CAP:
-        raise TooLargeError(
-            f"SDP of side {side} with {m} constraints is above the dense cap"
-        )
-    scaled, ec, eb = _scaled(kept)
-    bounded, m_big = _with_trace_bound(scaled)
-    sol = _solve(bounded, tol, math.ldexp(1.0, -(ec + eb)), real=keep is not None)
-    trace_total = sum(
-        float(np.real(np.trace(sol.blocks[label]))) for label, _ in inst.blocks
-    )
-    if trace_total >= 0.99 * m_big:
-        raise UnboundedError(
-            f"objective unbounded (trace cap {m_big:.3g} is active)"
-        )
-    z_unit, y_unit, value_unit = (math.ldexp(1.0, e) for e in (eb, ec, ec + eb))
-    y = np.zeros(len(inst.constraints))  # a dropped row's multiplier is 0
-    y[slice(None) if keep is None else keep] = sol.y[: len(kept.constraints)] * y_unit
-    return SdpSolution(
-        blocks={label: sol.blocks[label] * z_unit for label, _ in inst.blocks},
-        y=y,
-        primal_value=sol.primal_value * value_unit,
-        dual_value=sol.dual_value * value_unit,
-        gap=sol.gap * value_unit,
-        iterations=sol.iterations,
-        status=sol.status,
-        trace=sol.trace,
-    )
+    return _solve(_Program(inst), tol)
 
 
 @dataclass(frozen=True)
@@ -625,36 +597,32 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
     """Recompute residuals, PSD slacks, the objective sum_b Re Tr(C_b^dagger Z_b)
     against primal_value, and the duality gap of a solution."""
     checks = []
+
+    def at_most(name: str, value: float, bound: float):
+        checks.append((name, value, bound, value <= bound))
+
+    def at_least(name: str, value: float, bound: float):
+        checks.append((name, value, bound, value >= bound))
+
     for label, _ in inst.blocks:
         z = sol.blocks[label]
-        herm = float(np.linalg.norm(z - z.conj().T))
-        checks.append((f"hermitian[{label}]", herm, 1e-9 * max(1.0, float(np.linalg.norm(z))), None))
-        mineig = float(np.linalg.eigvalsh((z + z.conj().T) / 2)[0])
-        checks.append((f"psd[{label}]", mineig, -PSD_SLACK, None))
+        at_most(f"hermitian[{label}]", float(np.linalg.norm(z - z.conj().T)),
+                1e-9 * max(1.0, float(np.linalg.norm(z))))
+        at_least(f"psd[{label}]", float(np.linalg.eigvalsh((z + z.conj().T) / 2)[0]), -PSD_SLACK)
     rhs_scale = max([1.0] + [abs(c.rhs) for c in inst.constraints])
     worst = 0.0
     for con in inst.constraints:
         worst = max(worst, abs(constraint_value(con, sol.blocks) - con.rhs))
-    checks.append(("residual", worst, RESIDUAL_SCALE_TOL * rhs_scale, None))
+    at_most("residual", worst, RESIDUAL_SCALE_TOL * rhs_scale)
     objective = sum(float(np.vdot(c, sol.blocks[b]).real) for b, c in inst.objective.items())
-    checks.append(("objective", abs(objective - sol.primal_value),
-                   RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)), None))
+    at_most("objective", abs(objective - sol.primal_value),
+            RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)))
     gap = sol.dual_value - sol.primal_value
-    checks.append(("gap_nonneg", gap, -RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)), None))
-    checks.append(("gap_small", abs(gap), tol * max(1.0, abs(sol.primal_value)), None))
-
-    resolved = []
-    for name, value, bound, _ in checks:
-        if name.startswith("psd") or name.startswith("gap_nonneg"):
-            ok = value >= bound
-        else:
-            ok = value <= bound
-        resolved.append((name, value, bound, ok))
+    at_least("gap_nonneg", gap, -RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)))
+    at_most("gap_small", abs(gap), tol * max(1.0, abs(sol.primal_value)))
     if sol.status != "optimal":
-        resolved.append(("status_optimal", 0.0, 0.0, False))
-    return CertifyReport(
-        passed=all(ok for _, _, _, ok in resolved), checks=tuple(resolved)
-    )
+        checks.append(("status_optimal", 0.0, 0.0, False))
+    return CertifyReport(passed=all(ok for *_, ok in checks), checks=tuple(checks))
 
 
 # --- xorq-sdp-v1 wire format ----------------------------------------------------
@@ -675,8 +643,7 @@ def instance_from_dict(data: dict) -> SdpInstance:
     try:
         blocks = tuple((str(b["label"]), int(b["dim"])) for b in data["blocks"])
         side = sum(max(d, 0) for _, d in blocks)
-        if side * side > DENSE_AMPLITUDE_CAP:
-            raise TooLargeError(f"blocks of total side {side} are above the dense cap")
+        check_dense(side * side, f"blocks of total side {side}")
         objective = {label: np.zeros((d, d), dtype=complex) for label, d in blocks}
         for e in data["objective"]:
             label, r, c = str(e["b"]), int(e["r"]), int(e["c"])

@@ -26,11 +26,10 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DENSE_AMPLITUDE_CAP,
     BadArgsError,
     DimensionMismatchError,
     PreconditionViolatedError,
-    TooLargeError,
+    check_dense,
 )
 from .games import GameMatrix, RankOneGame, rank_one_matrix, rank_one_to_xor
 
@@ -272,8 +271,7 @@ def embezzlement_state(
     phi = _check_state(phi)
     if psi.shape[0] != m * m or phi.shape[0] != m * m:
         raise DimensionMismatchError(f"states must live on C^{m} (x) C^{m}")
-    if m ** (2 * d) > DENSE_AMPLITUDE_CAP:
-        raise TooLargeError(f"{m ** (2 * d)} amplitudes exceed the dense cap 2^24")
+    check_dense(m ** (2 * d), "the embezzlement state")
     total = np.zeros(m ** (2 * d), dtype=complex)
     for j in range(1, d + 1):
         term = np.ones(1, dtype=complex)
@@ -339,8 +337,7 @@ def t_entangled_strategy(n: int, d: int) -> EntangledStrategy:
     copy = n + 1  # private copy space: levels 1..n+1 stored as 0..n
     ext = 2 * loc  # message (x) ancilla qubit, index e = 2*i + anc
     priv = 2 * copy**d
-    if (loc * priv) ** 2 > DENSE_AMPLITUDE_CAP:
-        raise TooLargeError("strategy exceeds the dense evaluation cap")
+    check_dense((loc * priv) ** 2, "the strategy's dense evaluation")
 
     psi_pair = np.zeros(copy * copy, dtype=complex)
     psi_pair[n * copy + n] = 1.0  # level pair (n+1, n+1)
@@ -394,8 +391,7 @@ def lemma_rank_one_strategy(
         raise DimensionMismatchError("U, V must act on C^n (x) C^h")
     game = rank_one_to_xor(g)
     priv = h ** (d + 1)
-    if (2 * n1 * priv) ** 2 > DENSE_AMPLITUDE_CAP:
-        raise TooLargeError("strategy exceeds the dense evaluation cap")
+    check_dense((2 * n1 * priv) ** 2, "the strategy's dense evaluation")
 
     gamma = embezzlement_state(EmbezzlementSpec(h, d), psi, phi)
     rot = _rotation_unitary(h, h, d, list(range(h)))  # unconditional rotation

@@ -349,7 +349,7 @@ def test_game_reader_rejects_garbage():
 
 
 def test_game_reader_rejects_oversized_and_huge_entries():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="dense cap"):
         games.game_from_dict({"format": "xorq-game-v1", "n": 400, "entries": []})
     # Each entry is finite; symmetrizing or a trace-norm SVD would overflow.
     for entries in (
@@ -382,5 +382,5 @@ def test_classical_reader_rejects_huge_coefficients_without_overflow():
     ids=["t400", "c400", "h4", "t8xt8"],
 )
 def test_named_families_refuse_oversized_games(build):
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="dense cap"):
         build()

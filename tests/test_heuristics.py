@@ -203,11 +203,11 @@ def test_effective_operators_match_fold_oracle(rng, n, da, db, kind):
 
 def test_seesaw_sizes_checked_before_allocation():
     g = games.t_game(1)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="dense cap"):
         heuristics.Ladder(g, SMALL).me(3000)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="dense cap"):
         heuristics.Ladder(g, SMALL).entangled(1, 5000)
-    with pytest.raises(TooLargeError):  # the state operator is (dA dB)^2
+    with pytest.raises(TooLargeError, match="dense cap"):  # the state operator is (dA dB)^2
         heuristics.Ladder(g, SMALL).entangled(70, 70)
 
 

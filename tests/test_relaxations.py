@@ -320,13 +320,22 @@ def test_check_chains_zero_game():
 
 
 def _real_constraint_matrix(inst: sdp.SdpInstance) -> np.ndarray:
-    """Row q holds the real coefficients of A(Z)_q on the real and
-    imaginary parts of the (one-block) Hermitian Z."""
-    prog = sdp._Program(inst)
-    size = prog.dim * prog.dim
-    a = np.zeros((prog.m, 2 * size))
-    np.add.at(a, (prog.owner, prog.flat), prog.weight.real)
-    np.add.at(a, (prog.owner, size + prog.flat), -prog.weight.imag)
+    """Row q holds the real coefficients of A(Z)_q on the real and imaginary
+    parts of the Hermitian Z with the blocks on its diagonal, built from the
+    instance's entries: A(Z)_q = Re sum of w Z[r, c], w = Re v on the
+    diagonal and 2 conj(v) off it."""
+    offsets, side = {}, 0
+    for label, d in inst.blocks:
+        offsets[label], side = side, side + d
+    size = side * side
+    a = np.zeros((len(inst.constraints), 2 * size))
+    for q, con in enumerate(inst.constraints):
+        for b, r, c, v in con.entries:
+            v = complex(v)
+            w = v.real if r == c else 2.0 * v.conjugate()
+            flat = (offsets[b] + r) * side + offsets[b] + c
+            a[q, flat] += w.real
+            a[q, size + flat] -= w.imag
     return a
 
 

@@ -1,11 +1,12 @@
 import math
 import warnings
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xorq import cli, games, relaxations, sdp
+from xorq import cli, errors, games, relaxations, sdp
 from xorq.errors import BadArgsError, InfeasibleError, TooLargeError, UnboundedError
 
 from conftest import random_game
@@ -186,9 +187,9 @@ def _assert_feasible_psd(inst, blocks):
 def test_complex_core_feasibility_against_doubling():
     for seed in range(10):
         inst = _random_instance(seed + 50)
-        sol = sdp._solve(inst, 1e-8)
+        sol = sdp.solve(inst, 1e-8)
         _assert_feasible_psd(inst, sol.blocks)
-        doubled = sdp._solve(double_instance(inst), 1e-8)
+        doubled = sdp.solve(double_instance(inst), 1e-8)
         _assert_feasible_psd(inst, {"z": undouble_matrix(doubled.blocks["z"])})
         assert abs(doubled.primal_value / 2.0 - sol.primal_value) <= 2e-6 * max(
             1.0, abs(sol.primal_value)
@@ -208,31 +209,47 @@ def _random_pd(rng, d, real=False):
     return x @ x.conj().T / d + 0.1 * np.eye(d)
 
 
-def _bounded_program(inst: sdp.SdpInstance):
-    """The trace-capped instance and _Program that solve builds: without
-    the purely imaginary rows, over real Z, when the instance is real."""
-    keep = sdp._real_rows(inst)
-    if keep is not None:
-        inst = replace(inst, constraints=tuple(inst.constraints[q] for q in keep))
-    bounded, _ = sdp._with_trace_bound(inst)
-    return bounded, sdp._Program(bounded, real=keep is not None)
-
-
-def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
-    """Every F_q as one dense Hermitian matrix, the blocks on one diagonal."""
+def _offsets(inst: sdp.SdpInstance) -> tuple[dict[str, int], int]:
+    """Each block's offset on one diagonal, and the total side."""
     offsets, side = {}, 0
     for label, d in inst.blocks:
         offsets[label], side = side, side + d
+    return offsets, side
+
+
+def _dense_constraints(inst: sdp.SdpInstance, prog: sdp._Program) -> list[np.ndarray]:
+    """Every F_q that prog solves as one dense Hermitian matrix, the blocks on
+    one diagonal and the cap slot t last: the rows prog.kept of inst, built
+    from its entries, then the cap row diag(w, ..., w, 1), w = 2^-eb / m_big."""
+    offsets, side = _offsets(inst)
     dense = []
-    for con in inst.constraints:
-        f = np.zeros((side, side), dtype=complex)
-        for b, r, c, v in con.entries:
+    for q in prog.kept:
+        f = np.zeros((side + 1, side + 1), dtype=complex)
+        for b, r, c, v in inst.constraints[q].entries:
             r, c = r + offsets[b], c + offsets[b]
             f[r, c] += v
             if r != c:
                 f[c, r] += np.conj(v)
         dense.append(f)
+    dense.append(np.diag(np.append(np.full(side, 2.0**-prog.eb / prog.m_big), 1.0)))
     return dense
+
+
+def _dual_slack(inst: sdp.SdpInstance, y: np.ndarray) -> np.ndarray:
+    """A^T y - C = sum_q y_q F_q - C as one dense matrix, the blocks on one
+    diagonal, built from the instance's entries."""
+    offsets, side = _offsets(inst)
+    slack = np.zeros((side, side), dtype=complex)
+    for label, c in inst.objective.items():
+        span = slice(offsets[label], offsets[label] + c.shape[0])
+        slack[span, span] -= c
+    for y_q, con in zip(y, inst.constraints):
+        for b, r, c, v in con.entries:
+            r, c = r + offsets[b], c + offsets[b]
+            slack[r, c] += y_q * v
+            if r != c:
+                slack[c, r] += y_q * np.conj(v)
+    return slack
 
 
 def _mixed_instance() -> sdp.SdpInstance:
@@ -266,14 +283,14 @@ def test_schur_matches_dense_oracle():
         (_mixed_instance(), False),
         (relaxations.beta_os_instance(games.t_game(2)), True),
     ):
-        bounded, prog = _bounded_program(inst)  # with the trace-cap row
+        prog = sdp._Program(inst)  # with the trace-cap row
         assert prog.dtype is (float if real else complex)
-        side = sum(d for _, d in bounded.blocks)  # the blocks on one diagonal
+        side = 1 + sum(d for _, d in inst.blocks)  # the blocks on one diagonal, then t
         assert prog.dim == side
         w = _random_pd(np.random.default_rng(11), side, real)  # full, not block-diagonal
         got = sdp._schur(prog, w)
 
-        dense = _dense_constraints(bounded)
+        dense = _dense_constraints(inst, prog)
         want = np.array(
             [[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense]
         )
@@ -293,11 +310,10 @@ def test_schur_matches_dense_oracle():
 def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
     inst = make()
     if group_cap:  # at most group_cap constraints per stacked matmul
-        bounded, _ = _bounded_program(inst)
-        side = sum(d for _, d in bounded.blocks)
-        width = max(side * side, sum(len(con.entries) for con in bounded.constraints))
+        prog = sdp._Program(inst)
+        width = max(prog.dim * prog.dim, prog.owner.size)
         monkeypatch.setattr(sdp, "SCHUR_GROUP_ENTRIES", group_cap * width)
-    bounded, prog = _bounded_program(inst)
+    prog = sdp._Program(inst)
     assert prog.dtype is (float if real else complex)
     sizes = [stop - start for start, stop in prog.groups]
     counts = np.diff(prog.q_ptr)
@@ -307,7 +323,7 @@ def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
     w = _random_pd(np.random.default_rng(3), prog.dim, real)
     got = sdp._schur(prog, w)
 
-    dense = _dense_constraints(bounded)
+    dense = _dense_constraints(inst, prog)
     want = np.array([[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense])
     upper = np.triu_indices(prog.m)
     assert np.abs(got[upper] - want[upper]).max() <= 1e-12 * np.abs(want).max()
@@ -344,27 +360,47 @@ def test_paper_table_solves_take_few_iterations():
 def _complex_core(monkeypatch, inst: sdp.SdpInstance) -> sdp.SdpSolution:
     """inst solved on the complex path, whatever the detection says."""
     with monkeypatch.context() as patch:
-        patch.setattr(sdp, "_real_rows", lambda inst: None)
+        patch.setattr(sdp, "_real_rows", lambda *args: None)
         return sdp.solve(inst)
 
 
+def _two_blocks() -> sdp.SdpInstance:
+    """max 6 Re A[0, 1] + B[0, 0] with A[0, 0] = A[1, 1] = 2, 2 Im A[0, 1] = 0
+    and Tr B = 1, of value 13: two blocks, an objective entry and a rhs
+    above 1, and a purely imaginary row with rhs 0 between real ones."""
+    return sdp.SdpInstance(
+        blocks=(("a", 2), ("b", 2)),
+        objective={"a": np.array([[0.0, 3.0], [3.0, 0.0]]), "b": np.diag([1.0, 0.0])},
+        constraints=(
+            sdp.SdpConstraint(entries=(("a", 0, 0, 1.0 + 0.0j),), rhs=2.0),
+            sdp.SdpConstraint(entries=(("a", 0, 1, 1.0j),), rhs=0.0),
+            sdp.SdpConstraint(entries=(("a", 1, 1, 1.0 + 0.0j),), rhs=2.0),
+            sdp.SdpConstraint(entries=(("b", 0, 0, 1.0 + 0.0j), ("b", 1, 1, 1.0 + 0.0j)), rhs=1.0),
+        ),
+    )
+
+
 def test_real_path_matches_complex_core(monkeypatch):
-    for name, inst in _paper_table_instances().items():
-        keep = sdp._real_rows(inst)
-        assert keep is not None, name
+    two = _two_blocks()
+    assert list(sdp._Program(two).kept) == [0, 2, 3]
+    assert sdp.solve(two).primal_value == pytest.approx(13.0, rel=1e-6)
+    for name, inst in {**_paper_table_instances(), "two_blocks": two}.items():
+        prog = sdp._Program(inst)
+        assert prog.dtype is float, name
         real, full = sdp.solve(inst), _complex_core(monkeypatch, inst)
         assert real.iterations == full.iterations, name
         assert abs(real.primal_value - full.primal_value) <= 1e-12, name
         assert all(z.dtype == np.float64 for z in real.blocks.values()), name
         assert sdp.certify(inst, real).passed, name
         assert real.y.shape == (len(inst.constraints),), name
-        dropped = np.setdiff1d(np.arange(len(inst.constraints)), keep)
+        dropped = np.setdiff1d(np.arange(len(inst.constraints)), prog.kept)
         assert not real.y[dropped].any(), name
         # The padded y is a dual point of the complex program: A^T y - C is
         # PSD, so b^T y bounds the optimum, within the gap tolerance.
-        prog = sdp._Program(inst)
-        assert np.linalg.eigvalsh(sdp._at_of(prog, real.y) - prog.cobj)[0] >= -1e-9, name
-        assert 0 <= prog.b @ real.y - real.primal_value <= sdp.DEFAULT_TOL, name
+        assert np.linalg.eigvalsh(_dual_slack(inst, real.y))[0] >= -1e-9, name
+        b = np.array([con.rhs for con in inst.constraints])
+        bound = sdp.DEFAULT_TOL * max(1.0, abs(real.primal_value))
+        assert 0 <= b @ real.y - real.primal_value <= bound, name
 
 
 def _phase_row(rhs: float) -> sdp.SdpInstance:
@@ -392,7 +428,7 @@ def test_instances_that_are_not_real_stay_complex(monkeypatch):
         "imaginary_row_rhs": _phase_row(1.0),
     }
     for name, inst in cases.items():
-        assert sdp._real_rows(inst) is None, name
+        assert sdp._Program(inst).dtype is complex, name
         sol, full = sdp.solve(inst), _complex_core(monkeypatch, inst)
         assert sol.primal_value == full.primal_value, name
         assert np.array_equal(sol.y, full.y), name
@@ -400,25 +436,26 @@ def test_instances_that_are_not_real_stay_complex(monkeypatch):
     # Im Z[0, 1] = 1/2 leaves Re Z[0, 1] at most sqrt(3)/2; no real Z is feasible.
     assert sdp.solve(_phase_row(1.0)).primal_value == pytest.approx(math.sqrt(3), abs=1e-6)
     # With rhs 0 the row vanishes on real Z and is dropped.
-    assert sdp._real_rows(_phase_row(0.0)) == [0, 1]
+    prog = sdp._Program(_phase_row(0.0))
+    assert prog.dtype is float and list(prog.kept) == [0, 1]
 
 
 def test_size_cap_counts_the_rows_solved(monkeypatch):
     real = relaxations.beta_os_instance(games.t_game(2))
     full = relaxations.beta_os_instance(random_game(games.t_game(2).n, 7))
     m = len(real.constraints)
-    kept = len(sdp._real_rows(real))
-    assert len(full.constraints) == m and sdp._real_rows(full) is None
+    kept = sdp._Program(real).kept.size
+    assert len(full.constraints) == m and sdp._Program(full).dtype is complex
     side = 1 + sum(d for _, d in real.blocks)
     assert max(side, kept + 1) < m + 1
-    monkeypatch.setattr(sdp, "DENSE_AMPLITUDE_CAP", max(side, kept + 1) ** 2)
+    monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", max(side, kept + 1) ** 2)
     assert sdp.certify(real, sdp.solve(real)).passed
 
     def no_solve(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr(sdp, "_solve", no_solve)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="dense cap"):
         sdp.solve(full)
 
 
@@ -447,10 +484,42 @@ def test_huge_coefficients_solve(c, rhs):
 
 def test_unit_instances_are_not_scaled():
     for inst in _paper_table_instances().values():
-        assert sdp._scaled(inst) == (inst, 0, 0)
-    scaled, ec, eb = sdp._scaled(_two_by_two(3.0, 0.5))
-    assert (ec, eb) == (2, 0)
-    assert scaled.objective["z"][0, 1] == 0.75
+        prog = sdp._Program(inst)
+        assert (prog.ec, prog.eb) == (0, 0)
+    prog = sdp._Program(_two_by_two(3.0, 0.5))
+    assert (prog.ec, prog.eb) == (2, 0)
+    assert prog.cobj[0, 1] == 0.75
+
+
+def test_scaling_changes_no_step(monkeypatch):
+    # The start, the residual norms, the gap and the trace cap are all read
+    # in the caller's units, so the scaled solve follows the unscaled one.
+    for inst in (_two_blocks(), double_instance(_random_instance(54))):
+        prog = sdp._Program(inst)
+        assert prog.ec and prog.eb
+        scaled = sdp.solve(inst, 1e-8)
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "_scale_exponent", lambda top: 0)
+            plain = sdp.solve(inst, 1e-8)
+        assert scaled.status == plain.status == "optimal"
+        assert scaled.iterations == plain.iterations
+        assert scaled.primal_value == pytest.approx(plain.primal_value, rel=1e-10)
+
+
+def test_instances_leave_the_callers_data_alone():
+    z = np.array([[1.0, 2.0], [2.0, 1.0]])
+    d = {"z": z}
+    inst = sdp.SdpInstance(blocks=(("z", 2),), objective=d, constraints=())
+    assert d["z"] is z and z.dtype == np.float64
+    assert np.array_equal(z, [[1.0, 2.0], [2.0, 1.0]])
+    assert inst.objective["z"].dtype == np.complex128
+    for inst in (_two_blocks(), _phase_row(0.0)):  # scaled, and with a dropped row
+        objective = {label: c.copy() for label, c in inst.objective.items()}
+        constraints = deepcopy(inst.constraints)
+        sdp.solve(inst)
+        assert inst.objective.keys() == objective.keys()
+        assert all(np.array_equal(inst.objective[k], c) for k, c in objective.items())
+        assert inst.constraints == constraints
 
 
 def test_solution_trace_one_record_per_iteration():

@@ -166,7 +166,7 @@ def test_embezzlement_normalization_orthogonal_case():
 def test_embezzlement_guard():
     psi = np.zeros(64 * 64, dtype=complex)
     psi[0] = 1.0
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="dense cap"):
         strategies.embezzlement_state(strategies.EmbezzlementSpec(64, 3), psi, psi)
 
 
