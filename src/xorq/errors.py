@@ -10,7 +10,12 @@ class NotSquareError(XorqError):
 
 
 class NotHermitianError(XorqError):
-    pass
+    """index: the flat stack position of the matrix that failed, or None
+    when one matrix was checked."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionMismatchError(XorqError):

@@ -14,6 +14,7 @@ families built here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -46,6 +47,15 @@ class GameMatrix:
     @property
     def dim(self) -> int:
         return self.n * self.n
+
+    @functools.cached_property
+    def realigned(self) -> np.ndarray:
+        """M realigned, R[(k, i), (j, l)] = M[(k, l), (i, j)], as one
+        contiguous copy made on first use: the n^2 x n^2 matrix that turns
+        every effective operator into one matrix product
+        (strategies.effective_operator_for_a/_b)."""
+        n = self.n
+        return self.m.reshape(n, n, n, n).transpose(0, 2, 3, 1).reshape(n * n, n * n)
 
 
 def validate(m: np.ndarray, n: int) -> GameMatrix:

@@ -8,23 +8,31 @@ has an exact closed-form maximizer: the spectral sign of the effective
 operator for Hermitian classes, its polar unitary for the complex class,
 and a top eigenvector for the state. The effective operators are the
 contraction that strategies.bias evaluates the form with
-(strategies.effective_operator_for_a/_b). One see-saw loop alternates
-these steps for every class; one deterministic multi-restart driver takes
-the best value. A sign step checks its effective operator for Hermiticity
-once, within linalg.HERMITICITY_RTOL, and symmetrizes it
-(linalg.check_hermitian); a failure is a SeesawError naming the player.
+(strategies.effective_operator_for_a/_b).
+
+One see-saw loop (_seesaw) alternates these steps for every class, and it
+runs all cfg.restarts restarts of a class as one stack (R, s, s): each
+half-step is one stacked contraction, a matrix product with the game's
+realigned M (GameMatrix.realigned), and one stacked sign or polar step.
+Each restart keeps its own stop rule, MAX_ITERS cap, monotonicity checks
+and iteration count; once it stops, its A, B, psi and value stay frozen and
+later half-steps run only on the restarts still live. So a restart's value
+does not depend on the stack it ran in. A sign step checks each effective
+operator of the stack for Hermiticity once, against its own norm, within
+linalg.HERMITICITY_RTOL, and symmetrizes it (linalg.check_hermitian); a
+failure is a SeesawError naming the player and the restart.
 
 Restart 0 is a deterministic warm start (the previous class's optimum
 embedded, where one exists); restarts 1..k-1 draw Gaussian Hermitian
-starts seeded by (seed, restart index). Ladder is the only code that
-chains the classes: omega_c_lower, me_lower and entangled_lower take their
-predecessors' results as arguments, and Ladder computes each class once
-and hands it on.
+starts seeded by (seed, restart index). The best restart's strategy is
+returned, with every restart's value and iteration count. Ladder is the
+only code that chains the classes: omega_c_lower, me_lower and
+entangled_lower take their predecessors' results as arguments, and Ladder
+computes each class once and hands it on.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,67 +78,94 @@ class OptimizerConfig:
 class HeuristicResult:
     value: float
     strategy: Strategy
-    iterations_used: int
+    iterations_used: int  # sum(restart_iterations)
     restart_values: tuple[float, ...]
+    restart_iterations: tuple[int, ...]
 
 
-def _half_step(step, k: np.ndarray, player: str) -> np.ndarray:
-    """step(k), where a K that the sign step's check rejects is a SeesawError
-    naming the player: a Hermitian part in a validated game gives a Hermitian K."""
+def _result(values, strategy: Strategy, iterations) -> HeuristicResult:
+    return HeuristicResult(max(values), strategy, sum(iterations), tuple(values), iterations)
+
+
+def _half_step(step, k: np.ndarray, player: str, live: np.ndarray) -> np.ndarray:
+    """step(k) on the stack k of the live restarts, where a K that the sign
+    step's check rejects is a SeesawError naming the player and the restart:
+    a Hermitian part in a validated game gives a Hermitian K."""
     try:
         return step(k)
-    except NotHermitianError:
-        raise SeesawError(f"effective operator for {player} lost Hermiticity") from None
+    except NotHermitianError as exc:
+        raise SeesawError(
+            f"effective operator for {player} lost Hermiticity in restart {live[exc.index]}"
+        ) from None
 
 
-def _check_monotone(value: float, prev: float, what: str):
-    # Written as "not >=" so that a NaN value fails too.
-    if not value >= prev - MONOTONE_SLACK * max(1.0, abs(prev)):
-        raise SeesawError(f"{what}: {value!r} after {prev!r}")
+def _check_monotone(value: np.ndarray, prev: np.ndarray, what: str, live: np.ndarray):
+    # A NaN value compares false, so it fails too.
+    ok = value >= prev - MONOTONE_SLACK * np.maximum(1.0, np.abs(prev))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SeesawError(
+            f"{what} in restart {live[i]}: {float(value[i])!r} after {float(prev[i])!r}"
+        )
 
 
-def _seesaw(g: GameMatrix, psi, b0, step, dims=None):
-    """Alternate exact half-steps from an initial B; with dims = (dA, dB),
+def _form(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Re Tr(A_r K_r) for each r of the two stacks."""
+    return np.real(np.trace(a @ k, axis1=1, axis2=2))
+
+
+def _seesaw(g: GameMatrix, psi: np.ndarray, b: np.ndarray, step, dims=None):
+    """Alternate exact half-steps from every initial B of the stack b
+    (R, s, s) at once, restart r with the state psi[r]; with dims = (dA, dB),
     each iteration then also takes the optimal state step (a free psi).
-    Monotone and Hermiticity-preserving by construction, and checked: the
-    sign step checks each effective operator once (linalg.check_hermitian).
-    Returns (value, (A, B, psi), iterations)."""
-    b = b0
-    prev = -np.inf
-    for it in range(MAX_ITERS):
-        k = effective_operator_for_a(g, b, psi)
-        a = _half_step(step, k, "A")
-        val_a = float(np.real(np.trace(a @ k)))
-        _check_monotone(val_a, prev, "half-step decreased")
-        l = effective_operator_for_b(g, a, psi)
-        b = _half_step(step, l, "B")
-        value = float(np.real(np.trace(b @ l)))
-        _check_monotone(value, val_a, "half-step decreased")
+
+    Each restart keeps its own stop rule and MAX_ITERS cap: once it stops,
+    its A, B, psi and value stay frozen and later half-steps run only on
+    the restarts still live. Monotone and Hermiticity-preserving by
+    construction, and checked per restart: the sign step checks each
+    effective operator once (linalg.check_hermitian).
+    Returns (values (R,), (A, B, psi) stacks, iterations per restart (R,))."""
+    b, psi = b.copy(), psi.copy()
+    restarts = b.shape[0]
+    prev = np.full(restarts, -np.inf)
+    iters = np.zeros(restarts, dtype=int)
+    live = np.arange(restarts)
+    a = None
+    for _ in range(MAX_ITERS):
+        k = effective_operator_for_a(g, b[live], psi[live])
+        a_live = _half_step(step, k, "A", live)
+        val_a = _form(a_live, k)
+        _check_monotone(val_a, prev[live], "half-step decreased", live)
+        l = effective_operator_for_b(g, a_live, psi[live])
+        b[live] = _half_step(step, l, "B", live)
+        value = _form(b[live], l)
+        _check_monotone(value, val_a, "half-step decreased", live)
         if dims is not None:
-            psi, lam = _state_step(g, a, b, *dims)
-            if lam < 0:  # play -A, so the bias is |lam|
-                a = -a
-                lam = -lam
-            _check_monotone(lam, value, "state step decreased |bias|")
+            psi[live], lam = _state_step(g, a_live, b[live], *dims)
+            flip = lam < 0  # play -A, so the bias is |lam|
+            a_live[flip] = -a_live[flip]
+            lam = np.where(flip, -lam, lam)
+            _check_monotone(lam, value, "state step decreased |bias|", live)
             value = lam
-        if value - prev < IMPROVEMENT_TOL:
+        if a is None:  # every restart is live in the first iteration
+            a = a_live
+        else:
+            a[live] = a_live
+        iters[live] += 1
+        stopped = value - prev[live] < IMPROVEMENT_TOL
+        prev[live] = value
+        live = live[~stopped]
+        if not live.size:
             break
-        prev = value
-    return value, (a, b, psi), it + 1
+    return prev, (a, b, psi), iters
 
 
-def _run_restarts(g: GameMatrix, starts, step, cfg, dims=None):
-    """The see-saw from each start (B, psi) = starts(r), r < cfg.restarts.
-    Returns (restart values, the best run's (A, B, psi), total iterations)."""
-    values, finals = [], []
-    total_iters = 0
-    for r in range(cfg.restarts):
-        b0, psi = starts(r)
-        value, final, iters = _seesaw(g, psi, b0, step, dims)
-        values.append(value)
-        finals.append(final)
-        total_iters += iters
-    return values, finals[int(np.argmax(values))], total_iters
+def _run_restarts(g: GameMatrix, b0: np.ndarray, psi: np.ndarray, step, dims=None):
+    """The see-saw from every start (b0[r], psi[r]) as one stack. Returns
+    (restart values, the best run's (A, B, psi), restart iterations)."""
+    values, finals, iters = _seesaw(g, psi, b0, step, dims)
+    best = int(np.argmax(values))
+    return values.tolist(), tuple(x[best] for x in finals), tuple(iters.tolist())
 
 
 def _sign_step(k: np.ndarray) -> np.ndarray:
@@ -162,8 +197,10 @@ def _haar_start(seed: int, restart: int, dim: int) -> np.ndarray:
 
 
 def _starts(warm: np.ndarray, draw, cfg: OptimizerConfig, dim: int, psi=ONE):
-    """Restart 0 from `warm`, restart r >= 1 from draw(seed, r, dim); psi fixed."""
-    return lambda r: (draw(cfg.seed, r, dim) if r else warm, psi)
+    """The stacks (B, psi) of every restart: restart 0 from `warm`, restart
+    r >= 1 from draw(seed, r, dim); psi the same for all."""
+    b0 = np.stack([warm] + [draw(cfg.seed, r, dim) for r in range(1, cfg.restarts)])
+    return b0, np.tile(psi, (cfg.restarts, 1))
 
 
 def _spectral_start(g: GameMatrix) -> np.ndarray:
@@ -181,8 +218,8 @@ def _spectral_start(g: GameMatrix) -> np.ndarray:
 def omega_lower(g: GameMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> HeuristicResult:
     """Lower bound on the unentangled bias via sign-step see-saw."""
     starts = _starts(_spectral_start(g), _gaussian_start, cfg, g.n)
-    values, (a, b, _), iters = _run_restarts(g, starts, _sign_step, cfg)
-    return HeuristicResult(max(values), UnentangledStrategy(a=a, b=b), iters, tuple(values))
+    values, (a, b, _), iters = _run_restarts(g, *starts, _sign_step)
+    return _result(values, UnentangledStrategy(a=a, b=b), iters)
 
 
 def omega_c_lower(
@@ -191,8 +228,8 @@ def omega_c_lower(
     """Lower bound on the complex bias via polar-step see-saw, warm-started
     from the unentangled optimum `omega` (so it never falls below it)."""
     starts = _starts(omega.strategy.b, _haar_start, cfg, g.n)
-    values, (a, b, _), iters = _run_restarts(g, starts, _polar_step, cfg)
-    return HeuristicResult(max(values), ComplexStrategy(a=a, b=b), iters, tuple(values))
+    values, (a, b, _), iters = _run_restarts(g, *starts, _polar_step)
+    return _result(values, ComplexStrategy(a=a, b=b), iters)
 
 
 def _epr_embed(op: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -222,64 +259,37 @@ def me_lower(
     n = g.n
     psi = linalg.max_entangled_state(d)
 
-    def half_step_value(b0: np.ndarray) -> float:
-        k = effective_operator_for_a(g, b0, psi)
-        return float(np.real(np.trace(_sign_step(k) @ k)))
-
-    warm_candidates = [np.kron(omega.strategy.b, np.eye(d))]
+    warm = [np.kron(omega.strategy.b, np.eye(d))]
     if d % 2 == 0:
-        warm_candidates.append(_epr_embed(omega_c.strategy.b, n, d))
-    best_warm = max(warm_candidates, key=half_step_value)
+        warm.append(_epr_embed(omega_c.strategy.b, n, d))
+    k = effective_operator_for_a(g, np.stack(warm), psi)  # one half-step of each
+    best_warm = warm[int(np.argmax(_form(_sign_step(k), k)))]
     starts = _starts(best_warm, _gaussian_start, cfg, n * d, psi)
-    values, (a, b, _), iters = _run_restarts(g, starts, _sign_step, cfg)
-    strategy = MaxEntangledStrategy(d=d, a=a, b=b)
-    return HeuristicResult(max(values), strategy, iters, tuple(values))
-
-
-_STATE_SUBSCRIPTS = "iakc,jbld,klij->abcd"
-
-
-@functools.cache
-def _state_path(n: int, da: int, db: int) -> list:
-    """The pairwise contraction order einsum(optimize=True) picks for
-    _state_operator at these sizes; it depends on the shapes only."""
-    shapes = ((n, da, n, da), (n, db, n, db), (n, n, n, n))
-    return np.einsum_path(
-        _STATE_SUBSCRIPTS, *(np.empty(shape) for shape in shapes), optimize=True
-    )[0]
+    values, (a, b, _), iters = _run_restarts(g, *starts, _sign_step)
+    return _result(values, MaxEntangledStrategy(d=d, a=a, b=b), iters)
 
 
 def _state_operator(
-    m: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, da: int, db: int
+    g: GameMatrix, a: np.ndarray, b: np.ndarray, da: int, db: int
 ) -> np.ndarray:
-    """T = Tr_msg((A (x) B)(M (x) I)) on C^dA (x) C^dB, as one contraction:
+    """T_r = Tr_msg((A_r (x) B_r)(M (x) I)) on C^dA (x) C^dB for each r of the
+    stacks a and b:
     T[(a, b), (c, d)] = sum A[(i, a), (k, c)] B[(j, b), (l, d)] M[(k, l), (i, j)].
 
-    Contracted pairwise in the order optimize=True picks (computed once per
-    size by _state_path), which is much faster than one loop over all eight
-    indices once n is about 6 or more. Its rounding also reproduces the
-    12-digit values of the Kronecker construction on every report recorded
-    in perfbench/references.json, where the single loop changes the last
-    digit of one.
+    Two matrix products: U = R B over (j, l) with R = g.realigned, as in
+    strategies.effective_operator_for_a, then T = A U over (i, k) per r.
     """
-    t = np.einsum(
-        _STATE_SUBSCRIPTS,
-        a.reshape(n, da, n, da),
-        b.reshape(n, db, n, db),
-        m.reshape(n, n, n, n),
-        optimize=_state_path(n, da, db),
-    )
-    return t.reshape(da * db, da * db)
+    n, r = g.n, a.shape[0]
+    bm = b.reshape(r, n, db, n, db).transpose(1, 3, 0, 2, 4).reshape(n * n, -1)
+    u = (g.realigned @ bm).reshape(n, n, r, db * db).transpose(2, 1, 0, 3)
+    am = a.reshape(r, n, da, n, da).transpose(0, 2, 4, 1, 3).reshape(r, da * da, n * n)
+    t = (am @ u.reshape(r, n * n, db * db)).reshape(r, da, da, db, db)
+    return t.transpose(0, 1, 3, 2, 4).reshape(r, da * db, da * db)
 
 
-def _state_step(
-    g: GameMatrix, a: np.ndarray, b: np.ndarray, da: int, db: int
-) -> tuple[np.ndarray, float]:
-    """Optimal shared state for fixed operators: top eigenvector by
-    magnitude of T = Tr_msg((A (x) B)(M (x) I)), with a fixed tie-break and
-    phase convention (largest entry real positive)."""
-    t = linalg.hermitian_part(_state_operator(g.m, a, b, g.n, da, db))
-    w, vecs = np.linalg.eigh(t)
+def _top_state(w: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The top eigenvector by magnitude of one eigendecomposition, with a
+    fixed tie-break and phase convention (largest entry real positive)."""
     top = float(np.max(np.abs(w)))
     cands = []
     for lam, vec in zip(w, vecs.T):
@@ -291,6 +301,17 @@ def _state_step(
     cands.sort(key=lambda c: c[0])
     _, lam, vec = cands[0]
     return vec, lam
+
+
+def _state_step(
+    g: GameMatrix, a: np.ndarray, b: np.ndarray, da: int, db: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal shared state for fixed operators, for each r of the stacks:
+    the top eigenvector by magnitude of T_r = Tr_msg((A_r (x) B_r)(M (x) I))
+    (_top_state). Returns the stacks (psi (R, dA*dB), lambda (R,))."""
+    w, vecs = np.linalg.eigh(linalg.hermitian_part(_state_operator(g, a, b, da, db)))
+    tops = [_top_state(wr, vr) for wr, vr in zip(w, vecs)]
+    return np.array([vec for vec, _ in tops]), np.array([lam for _, lam in tops])
 
 
 def entangled_lower(
@@ -310,18 +331,17 @@ def entangled_lower(
     warm_b = lift_b @ me.strategy.b @ lift_b.conj().T
     warm_psi = np.kron(ea, eb) @ linalg.max_entangled_state(dm)
 
-    def starts(r):
-        if r == 0:
-            return warm_b, warm_psi
+    b0, psi0 = [warm_b], [warm_psi]
+    for r in range(1, cfg.restarts):
         rng = np.random.default_rng((cfg.seed, r))
         random_hermitian(rng, n * da)  # A's draw: the first half-step replaces A
-        b = linalg.sign_of_hermitian(random_hermitian(rng, n * db))
+        b0.append(linalg.sign_of_hermitian(random_hermitian(rng, n * db)))
         psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-        return b, psi / np.linalg.norm(psi)
-
-    values, (a, b, psi), iters = _run_restarts(g, starts, _sign_step, cfg, dims=(da, db))
-    strategy = EntangledStrategy(d_a=da, d_b=db, a=a, b=b, psi=psi)
-    return HeuristicResult(max(values), strategy, iters, tuple(values))
+        psi0.append(psi / np.linalg.norm(psi))
+    values, (a, b, psi), iters = _run_restarts(
+        g, np.stack(b0), np.stack(psi0), _sign_step, dims=(da, db)
+    )
+    return _result(values, EntangledStrategy(d_a=da, d_b=db, a=a, b=b, psi=psi), iters)
 
 
 class Ladder:

@@ -2,7 +2,9 @@
 
 Factorizations, tensor-product utilities, register permutation, the
 generalized SVD, and permutation signs. All functions are pure: inputs are
-never mutated and no global state is touched.
+never mutated and no global state is touched. The see-saw's steps
+(check_hermitian, sign_of_hermitian, polar_unitary, hermitian_part) also
+take a stack (..., s, s) and act on each matrix of it.
 
 Index convention, fixed globally: the composite basis of C^a (x) C^b is
 ordered |i>|j> -> i*b + j, 0-based (numpy's kron order).
@@ -41,10 +43,15 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack (..., r, c)."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger) / 2."""
+    """(A + A^dagger) / 2, of one matrix or of each matrix of a stack."""
     a = as_complex(a)
-    return (a + a.conj().T) / 2
+    return (a + dagger(a)) / 2
 
 
 def check_square(a: np.ndarray) -> np.ndarray:
@@ -54,17 +61,34 @@ def check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_square_stack(a: np.ndarray) -> np.ndarray:
+    """One square matrix (s, s) or a stack (..., s, s) of them."""
+    a = as_complex(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotSquareError(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
 def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate Hermiticity within relative Frobenius tolerance
     HERMITICITY_RTOL; return the symmetrized matrix (removes spurious
-    imaginary parts downstream)."""
-    a = check_square(a)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    resid = float(np.linalg.norm(a - a.conj().T))
-    if resid > HERMITICITY_RTOL * scale:
+    imaginary parts downstream).
+
+    A stack (..., s, s) is checked matrix by matrix, each against its own
+    norm; the error then carries the flat stack position of the first
+    matrix that fails (NotHermitianError.index)."""
+    a = check_square_stack(a)
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))).reshape(-1)
+    resid = np.linalg.norm(a - dagger(a), axis=(-2, -1)).reshape(-1)
+    bad = np.flatnonzero(resid > HERMITICITY_RTOL * scale)
+    if bad.size:
+        i = int(bad[0])
+        index = i if a.ndim > 2 else None
+        where = "" if index is None else f" (matrix {i} of the stack)"
         raise NotHermitianError(
-            f"matrix is not Hermitian: residual {resid:.3e} > "
-            f"{HERMITICITY_RTOL:.1e} * {scale:.3e}"
+            f"matrix is not Hermitian{where}: residual {resid[i]:.3e} > "
+            f"{HERMITICITY_RTOL:.1e} * {scale[i]:.3e}",
+            index=index,
         )
     return hermitian_part(a)
 
@@ -83,7 +107,7 @@ class HermEig:
 
 def herm_eig(h: np.ndarray) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending."""
-    h = check_hermitian(h)
+    h = check_hermitian(check_square(h))
     w, u = np.linalg.eigh(h)
     return HermEig(eigenvalues=w[::-1].copy(), eigenvectors=u[:, ::-1].copy())
 
@@ -96,7 +120,7 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a = as_complex(a)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, vh.conj().T
+    return u, s, dagger(vh)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -169,7 +193,8 @@ def permute_systems(
 
 
 def sign_of_hermitian(k: np.ndarray) -> np.ndarray:
-    """Spectral sign of a Hermitian matrix: eigenvalues mapped to +/-1.
+    """Spectral sign of a Hermitian matrix, or of each matrix of a stack
+    (..., s, s): eigenvalues mapped to +/-1.
 
     Eigenvalues with |lambda| < 1e-12 map to +1, extending the scalar
     convention sign(0) = 1. The result is an observable: Hermitian and
@@ -177,19 +202,19 @@ def sign_of_hermitian(k: np.ndarray) -> np.ndarray:
     (check_hermitian), so a non-Hermitian K raises NotHermitianError.
     """
     w, u = np.linalg.eigh(check_hermitian(k))
-    u = u[:, ::-1]  # descending, the order the products are summed in
-    signs = np.where(w[::-1] < -SIGN_ZERO_TOL, -1.0, 1.0)
-    return hermitian_part((u * signs) @ u.conj().T)
+    u = u[..., ::-1]  # descending, the order the products are summed in
+    signs = np.where(w[..., ::-1] < -SIGN_ZERO_TOL, -1.0, 1.0)
+    return hermitian_part((u * signs[..., None, :]) @ dagger(u))
 
 
 def polar_unitary(k: np.ndarray) -> np.ndarray:
-    """Unitary A maximizing |Tr(A K)|: A = V U^dagger for K = U S V^dagger.
+    """Unitary A maximizing |Tr(A K)|: A = V U^dagger for K = U S V^dagger,
+    of one matrix or of each matrix of a stack (..., s, s).
 
     Attains Tr(A K) = trace_norm(K), real non-negative.
     """
-    k = check_square(k)
-    u, _, v = svd(k)
-    return v @ u.conj().T
+    u, _, v = svd(check_square_stack(k))
+    return v @ dagger(u)
 
 
 def max_entangled_state(d: int) -> np.ndarray:

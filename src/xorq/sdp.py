@@ -606,8 +606,12 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
 
     for label, _ in inst.blocks:
         z = sol.blocks[label]
-        at_most(f"hermitian[{label}]", float(np.linalg.norm(z - z.conj().T)),
-                1e-9 * max(1.0, float(np.linalg.norm(z))))
+        # ||Z - Z^H|| <= 1e-9 max(1, ||Z||), measured on Z / s with s >= 1 its
+        # largest real or imaginary part, so that neither norm overflows.
+        s = max(1.0, float(np.max(np.abs([z.real, z.imag]), initial=0.0)))
+        u = z / s
+        at_most(f"hermitian[{label}]", float(np.linalg.norm(u - u.conj().T)),
+                1e-9 * max(1.0 / s, float(np.linalg.norm(u))))
         at_least(f"psd[{label}]", float(np.linalg.eigvalsh((z + z.conj().T) / 2)[0]), -PSD_SLACK)
     rhs_scale = max([1.0] + [abs(c.rhs) for c in inst.constraints])
     worst = 0.0

@@ -13,7 +13,16 @@ Every class is scored by one form, Tr((A (x) B)(M (x) |psi><psi|)), with psi
 the scalar 1, the maximally entangled state or the free state. One
 contraction evaluates it: the effective operator K of B and psi, with
 Tr(A K) equal to the form. bias takes Tr(A K), and the see-saw's two
-half-steps take K in both orientations (effective_operator_for_a/_b).
+half-steps take K in both orientations (effective_operator_for_a/_b), for a
+whole stack of restarts at once.
+
+The contraction is one matrix product with the game's realigned matrix
+R[(k, i), (j, l)] = M[(k, l), (i, j)] (GameMatrix.realigned, one contiguous
+copy per game). A's operator multiplies R from the right by the small
+blocks X_jl = P B_jl^T P^dagger of every operator of the stack; B's
+multiplies R from the left by its blocks with the two message indices
+swapped, so one copy of R serves both players. bias runs the same code on
+a stack of one.
 """
 
 from __future__ import annotations
@@ -119,54 +128,78 @@ class EntangledStrategy:
 Strategy = UnentangledStrategy | ComplexStrategy | MaxEntangledStrategy | EntangledStrategy
 
 
-def _effective_operator(m4: np.ndarray, part: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """K with Tr(A K) = Tr((A (x) B)(M (x) |psi><psi|)) for every A, where
-    m4[k, l, i, j] = M[(k, l), (i, j)], part is B and p is psi as a dA x dB
-    matrix; each player's registers are ordered (message, private).
+def _effective_operators(
+    g: GameMatrix, parts: np.ndarray, p: np.ndarray, for_b: bool
+) -> np.ndarray:
+    """The effective operator of each part of a stack (R, n*din, n*din),
+    part r with the dout x din matrix p[r] (p of R or 1 matrices).
 
-    With B_jl[d, b] = B[(j, d), (l, b)], X_jl = P B_jl^T P^dagger and
-    K[(k, a), (i, c)] = sum_jl X_jl[a, c] M[(k, l), (i, j)]. The same code
-    gives B's operator on the players-swapped view m4.transpose(1, 0, 3, 2)
-    with A as the part and P^T.
+    With part_jl[d, b] = part[(j, d), (l, b)] and X_jl = p part_jl^T p^dagger,
+    A's operator (part B, p = psi as a dA x dB matrix) is
+    K[(k, a), (i, c)] = sum_jl X_jl[a, c] M[(k, l), (i, j)]
+    = sum_jl R[(k, i), (j, l)] X_jl[a, c], with R = g.realigned; B's
+    (part A, p = psi^T) is L[(l, b), (j, d)] = sum_ik R[(k, i), (j, l)]
+    X_ik[b, d]: the same matrix R contracted on its other side, with the
+    two message indices of X swapped. Either is one matrix product of R
+    with all R * dout^2 entries of X at once.
     """
-    n = m4.shape[0]
-    da, db = p.shape
-    if part.shape != (n * db, n * db):
+    n = g.n
+    r, din, dout = parts.shape[0], p.shape[-1], p.shape[-2]
+    if parts.shape[1:] != (n * din, n * din):
         raise DimensionMismatchError(
-            f"operator of shape {part.shape} does not act on C^{n} (x) C^{db}"
+            f"operator of shape {parts.shape[1:]} does not act on C^{n} (x) C^{din}"
         )
-    x = p @ part.reshape(n, db, n, db).transpose(0, 2, 3, 1) @ p.conj().T
-    k = np.einsum("jlab,klij->kaib", x, m4)
-    return k.reshape(n * da, n * da)
+    # part^T's private indices first: [r, b, (j, l, d)] = part[r, (j, d), (l, b)]
+    pt = parts.reshape(r, n, din, n, din).transpose(0, 4, 1, 3, 2).reshape(r, din, -1)
+    x = ((p @ pt).reshape(r, -1, din) @ linalg.dagger(p)).reshape(r, dout, n, n, dout)
+    if for_b:  # rows (r, b, d), columns (l, j)
+        out = x.transpose(0, 1, 4, 3, 2).reshape(-1, n * n) @ g.realigned
+        out = out.reshape(r, dout, dout, n, n).transpose(0, 4, 1, 3, 2)
+    else:  # rows (j, l), columns (r, a, c)
+        out = g.realigned @ x.transpose(2, 3, 0, 1, 4).reshape(n * n, -1)
+        out = out.reshape(n, n, r, dout, dout).transpose(2, 0, 3, 1, 4)
+    return out.reshape(r, n * dout, n * dout)
 
 
-def _private_dim(n: int, part: np.ndarray, psi: np.ndarray) -> int:
-    """The private dimension of the part's player, which must divide psi's size."""
-    d = part.shape[0] // n
-    if d < 1 or psi.ndim != 1 or psi.shape[0] % d:
+def _stack_states(g: GameMatrix, part: np.ndarray, psi: np.ndarray):
+    """(part as a stack, psi as a stack of states, the part's private dimension);
+    psi is one state for the whole stack or one state per part."""
+    part, psi = linalg.as_complex(part), linalg.as_complex(psi)
+    parts = part[None] if part.ndim == 2 else part
+    d = parts.shape[-1] // g.n
+    if (
+        parts.ndim != 3
+        or d < 1
+        or psi.ndim not in (1, 2)
+        or psi.shape[-1] % d
+        or psi.ndim == 2 and psi.shape[0] != parts.shape[0]
+    ):
         raise DimensionMismatchError("operator or state incompatible with the game")
-    return d
+    return parts, psi.reshape(-1, psi.shape[-1]), d
 
 
 def effective_operator_for_a(
     g: GameMatrix, b_part: np.ndarray, psi: np.ndarray = ONE
 ) -> np.ndarray:
     """K with Tr(A K) = Tr((A (x) B)(M (x) |psi><psi|)) for every A, psi the
-    dA*dB shared state; Hermitian whenever B is, since a validated M is."""
-    b = linalg.as_complex(b_part)
-    p = psi.reshape(-1, _private_dim(g.n, b, psi))
-    return _effective_operator(g.m.reshape((g.n,) * 4), b, p)
+    dA*dB shared state; Hermitian whenever B is, since a validated M is.
+
+    b_part is one operator or a stack (R, n*dB, n*dB); psi is one state or a
+    stack (R, dA*dB). A stack in gives the stack of the R operators out."""
+    parts, states, db = _stack_states(g, b_part, psi)
+    k = _effective_operators(g, parts, states.reshape(states.shape[0], -1, db), False)
+    return k[0] if np.ndim(b_part) == 2 else k
 
 
 def effective_operator_for_b(
     g: GameMatrix, a_part: np.ndarray, psi: np.ndarray = ONE
 ) -> np.ndarray:
-    """L with Tr(B L) = Tr((A (x) B)(M (x) |psi><psi|)) for every B: the
-    operator for A of the players-swapped game and state."""
-    a = linalg.as_complex(a_part)
-    p = psi.reshape(_private_dim(g.n, a, psi), -1)
-    m4 = g.m.reshape((g.n,) * 4).transpose(1, 0, 3, 2)
-    return _effective_operator(m4, a, p.T)
+    """L with Tr(B L) = Tr((A (x) B)(M (x) |psi><psi|)) for every B; stacks
+    as in effective_operator_for_a."""
+    parts, states, da = _stack_states(g, a_part, psi)
+    p = states.reshape(states.shape[0], da, -1).swapaxes(-1, -2)
+    l = _effective_operators(g, parts, p, True)
+    return l[0] if np.ndim(a_part) == 2 else l
 
 
 def bias(g: GameMatrix, s: Strategy) -> float:
@@ -183,7 +216,7 @@ def bias(g: GameMatrix, s: Strategy) -> float:
         p = s.psi.reshape(s.d_a, s.d_b)
     else:
         p = ONE.reshape(1, 1)
-    k = _effective_operator(g.m.reshape((g.n,) * 4), s.b, p)
+    k = _effective_operators(g, s.b[None], p[None], False)[0]
     if s.a.shape != k.shape:
         raise DimensionMismatchError(
             f"operator A of shape {s.a.shape} does not act on C^{g.n} (x) C^{p.shape[0]}"

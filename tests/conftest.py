@@ -21,8 +21,9 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def decreasing_sign_step():
-    """A see-saw step that is the exact sign step on its first call and its
-    negation afterwards, so the second half-step lowers the value."""
+    """A see-saw step that is the exact sign step on its first call (the A
+    half-step of every restart of the stack) and its negation afterwards, so
+    the second half-step lowers the value."""
     sign_step = heuristics._sign_step  # the real one, even if patched later
     calls = []
 

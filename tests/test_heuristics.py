@@ -201,6 +201,57 @@ def test_effective_operators_match_fold_oracle(rng, n, da, db, kind):
     assert np.max(np.abs(heuristics.effective_operator_for_b(g, a, psi) - want_l)) <= 1e-12
 
 
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("n,da,db,kind", [(2, 1, 1, "one"), (3, 2, 2, "me"), (3, 2, 3, "ent")])
+def test_stacked_effective_operators_match_fold_oracle(rng, restarts, n, da, db, kind):
+    g = random_game(n, seed=10 * n + da + db)
+    a = np.stack([_contraction(rng, n * da) for _ in range(restarts)])
+    b = np.stack([_contraction(rng, n * db) for _ in range(restarts)])
+    # One state for the whole stack, except the entangled class's own states.
+    psi = (np.stack([_state(rng, "random", da, db) for _ in range(restarts)])
+           if kind == "ent" else _state(rng, kind, da, db))
+    k = heuristics.effective_operator_for_a(g, b, psi)
+    l = heuristics.effective_operator_for_b(g, a, psi)
+    assert k.shape == (restarts, n * da, n * da) and l.shape == (restarts, n * db, n * db)
+    for r in range(restarts):
+        want_k, want_l = effective_operators_dense(
+            g, a[r], b[r], psi[r] if kind == "ent" else psi, da, db
+        )
+        assert np.max(np.abs(k[r] - want_k)) <= 1e-12
+        assert np.max(np.abs(l[r] - want_l)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "game",
+    [lambda: random_game(2, seed=41), lambda: random_game(3, seed=42),
+     lambda: games.t_game(3), lambda: games.h_game(1)],
+    ids=["random2", "random3", "T3", "H1"],
+)
+def test_restart_values_do_not_depend_on_the_stack(monkeypatch, game):
+    """Each restart of an R = 5 stack gives the value and iteration count of
+    its own R = 1 run, in every class of the ladder."""
+    real = heuristics._seesaw
+    runs = []
+
+    def recording(g, psi, b, step, dims=None):
+        out = real(g, psi, b, step, dims)
+        runs.append((g, psi, b, step, dims, out))
+        return out
+
+    monkeypatch.setattr(heuristics, "_seesaw", recording)
+    ladder = heuristics.Ladder(game(), heuristics.OptimizerConfig(restarts=5, seed=3))
+    results = [ladder.omega(), ladder.omega_c(), ladder.me(2), ladder.entangled(2, 2)]
+    assert len(runs) == 4
+    for res, (g, psi, b, step, dims, (values, _, iters)) in zip(results, runs):
+        assert res.restart_values == tuple(values) and len(values) == 5
+        assert res.restart_iterations == tuple(iters)
+        assert res.iterations_used == sum(res.restart_iterations)
+        for r in range(5):
+            alone, _, alone_iters = real(g, psi[r : r + 1], b[r : r + 1], step, dims)
+            assert abs(alone[0] - values[r]) <= 1e-12 * max(1.0, abs(values[r]))
+            assert alone_iters[0] == iters[r]
+
+
 def test_seesaw_sizes_checked_before_allocation():
     g = games.t_game(1)
     with pytest.raises(TooLargeError, match="dense cap"):
@@ -216,17 +267,18 @@ def test_state_operator_matches_kronecker_oracle(rng, n, da, db):
     g = random_game(n, seed=10 * n + da + db)
     a = _contraction(rng, n * da)
     b = _contraction(rng, n * db)
-    got = heuristics._state_operator(g.m, a, b, n, da, db)
-    want = state_operator_dense(g.m, a, b, n, da, db)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    got = heuristics._state_operator(g, np.stack([a, a.T]), np.stack([b, b.T]), da, db)
+    for r, (ar, br) in enumerate([(a, b), (a.T, b.T)]):
+        want = state_operator_dense(g.m, ar, br, n, da, db)
+        assert np.max(np.abs(got[r] - want)) <= 1e-12
 
 
 def test_seesaw_decreasing_half_step_raises_typed_error(monkeypatch):
     monkeypatch.setattr(heuristics, "MAX_ITERS", 50)
     g = random_game(2, seed=3)
     b0 = heuristics._spectral_start(g)
-    with pytest.raises(SeesawError, match="half-step decreased"):
-        heuristics._seesaw(g, heuristics.ONE, b0, decreasing_sign_step())
+    with pytest.raises(SeesawError, match="half-step decreased in restart 0"):
+        heuristics._seesaw(g, heuristics.ONE[None], b0[None], decreasing_sign_step())
 
 
 def test_seesaw_typed_error_survives_python_O():
@@ -241,7 +293,7 @@ def test_seesaw_typed_error_survives_python_O():
         g = random_game(2, seed=3)
         b0 = heuristics._spectral_start(g)
         try:
-            heuristics._seesaw(g, heuristics.ONE, b0, decreasing_sign_step())
+            heuristics._seesaw(g, heuristics.ONE[None], b0[None], decreasing_sign_step())
         except SeesawError as exc:
             print("SeesawError", exc)
             sys.exit(0)
@@ -266,7 +318,7 @@ def test_entangled_state_step_decrease_raises_typed_error(monkeypatch):
     def shrinking(g, a, b, da, db):
         psi, lam = real(g, a, b, da, db)
         calls.append(None)
-        return psi, abs(lam) / len(calls)
+        return psi, np.abs(lam) / len(calls)
 
     monkeypatch.setattr(heuristics, "_state_step", shrinking)
     monkeypatch.setattr(heuristics, "IMPROVEMENT_TOL", 1e-300)
@@ -281,17 +333,22 @@ def test_effective_operator_hermiticity_check(rng):
     eye = np.eye(3, dtype=complex)
     # M + 0.1i I is not Hermitian, so K of a Hermitian B is not either.
     skew = games.GameMatrix(n=3, m=g.m + 0.1j * np.eye(9))
-    with pytest.raises(SeesawError, match="for A lost Hermiticity"):
-        heuristics._seesaw(skew, heuristics.ONE, eye, heuristics._sign_step)
+    # It adds 0.1i Tr(B) I to K: Hermitian for the traceless start of
+    # restart 0, not for restart 1's B = I.
+    one = np.tile(heuristics.ONE, (2, 1))
+    traceless = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    with pytest.raises(SeesawError, match="for A lost Hermiticity in restart 1"):
+        heuristics._seesaw(skew, one, np.stack([traceless, eye]), heuristics._sign_step)
     # M + I (x) iE, E Hermitian and traceless, adds I Tr(iE B) = 0 to K at
     # B = I, but iE Tr(A) to L, and Tr(A) != 0 for an observable on C^3.
     e = heuristics.random_hermitian(rng, 3)
     e -= np.trace(e) / 3 * eye
     lopsided = games.GameMatrix(n=3, m=g.m + np.kron(eye, 1j * e))
-    with pytest.raises(SeesawError, match="for B lost Hermiticity"):
-        heuristics._seesaw(lopsided, heuristics.ONE, eye, heuristics._sign_step)
+    with pytest.raises(SeesawError, match="for B lost Hermiticity in restart 0"):
+        heuristics._seesaw(lopsided, one, np.stack([eye, eye]), heuristics._sign_step)
     # The complex class's non-Hermitian parts make no claim on K.
-    heuristics._seesaw(g, heuristics.ONE, heuristics._haar_start(0, 1, 3), heuristics._polar_step)
+    haar = np.stack([heuristics._haar_start(0, r, 3) for r in (1, 2)])
+    heuristics._seesaw(g, one, haar, heuristics._polar_step)
 
 
 def test_report_ladder_runs_omega_once_with_standalone_values(monkeypatch):

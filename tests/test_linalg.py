@@ -205,6 +205,37 @@ def test_polar_unitary():
     assert abs(val.real - linalg.trace_norm(k)) < 1e-9
 
 
+def test_stacked_sign_and_polar_match_each_matrix():
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    herm = (z + z.conj().swapaxes(1, 2)) / 2
+    signs = linalg.sign_of_hermitian(herm)
+    polars = linalg.polar_unitary(z)
+    for r in range(4):
+        assert np.max(np.abs(signs[r] - linalg.sign_of_hermitian(herm[r]))) <= 1e-14
+        assert np.max(np.abs(polars[r] - linalg.polar_unitary(z[r]))) <= 1e-14
+
+
+def test_stacked_hermiticity_check_is_per_matrix():
+    # Residual 1.4e-9 against its own norm 1.4: above HERMITICITY_RTOL. Measured
+    # against the stack's norm (about 1.4e6, from `big`) it would pass.
+    skew = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    big = 1e6 * np.eye(2)
+    with pytest.raises(NotHermitianError, match="matrix 2 of the stack") as exc:
+        linalg.check_hermitian(np.stack([np.eye(2), big, skew]))
+    assert exc.value.index == 2
+    with pytest.raises(NotHermitianError) as exc:
+        linalg.sign_of_hermitian(np.stack([skew, big]))
+    assert exc.value.index == 0
+    with pytest.raises(NotHermitianError) as exc:
+        linalg.check_hermitian(skew)
+    assert exc.value.index is None
+    herm = linalg.check_hermitian(np.stack([big, np.eye(2), big]))
+    assert herm.shape == (3, 2, 2)
+    with pytest.raises(NotSquareError):
+        linalg.check_hermitian(np.zeros((2, 2, 3)))
+
+
 def _check_gsvd(a1, a2):
     res = linalg.gsvd(a1, a2)
     n, d = a1.shape

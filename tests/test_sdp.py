@@ -132,6 +132,26 @@ def test_certify_recomputes_the_objective():
     assert report.failures() == ["objective"]
 
 
+def test_certify_hermitian_check_on_huge_blocks():
+    # Entries near 1e308 overflowed ||Z||_F, and the check's bound became inf.
+    inst = sdp.SdpInstance(
+        blocks=(("z", 2),),
+        objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)},
+        constraints=(),
+    )
+    for lower, hermitian in ((0.0, False), (1e300, True)):
+        z = np.array([[8e307, 1e300], [lower, 8e307]], dtype=complex)
+        value = 1e300 + lower  # Re Tr(C^H Z)
+        sol = sdp.SdpSolution(blocks={"z": z}, y=np.zeros(0), primal_value=value,
+                              dual_value=value, gap=0.0, iterations=1, status="optimal")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sdp.certify(inst, sol)
+        assert report.checks[0][0] == "hermitian[z]"
+        assert report.checks[0][3] is hermitian
+        assert report.failures() == ([] if hermitian else ["hermitian[z]"])
+
+
 def test_certify_zero_instance():
     inst = sdp.SdpInstance(blocks=(("z", 2),), objective={}, constraints=())
     sol = sdp.solve(inst, 1e-6)
