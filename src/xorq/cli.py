@@ -32,7 +32,6 @@ import numpy as np
 
 from . import games, heuristics, relaxations, sdp, strategies
 from .errors import BadArgsError, FormatError, SdpError, SeesawError, XorqError
-from .linalg import trace_norm
 from .report import BiasReport
 
 EXIT_OK = 0
@@ -164,7 +163,7 @@ def compute_report(
     ladder = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=restarts, seed=seed))
     rep = BiasReport(
         game=name, n=g.n, seed=seed, restarts=restarts, tol=tol,
-        trace_norm=trace_norm(g.m),
+        trace_norm=g.trace_norm,
     )
     for kind, param in quantities:
         t0 = time.monotonic()

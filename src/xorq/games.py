@@ -39,7 +39,11 @@ SPECTRAL_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class GameMatrix:
-    """Validated quantum XOR game: Hermitian M on C^n (x) C^n, ||M||_1 <= 1."""
+    """Validated quantum XOR game: Hermitian M on C^n (x) C^n, ||M||_1 <= 1.
+
+    M is decomposed once (spectrum); validation's trace-norm cap, the
+    report's trace norm, the see-saw's spectral start and the referee
+    protocol all read that one eigendecomposition."""
 
     n: int
     m: np.ndarray
@@ -57,19 +61,32 @@ class GameMatrix:
         n = self.n
         return self.m.reshape(n, n, n, n).transpose(0, 2, 3, 1).reshape(n * n, n * n)
 
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """np.linalg.eigh(M): eigenvalues ascending and their eigenvectors,
+        computed on first use and shared by every reader of the spectrum."""
+        return np.linalg.eigh(self.m)
+
+    @property
+    def trace_norm(self) -> float:
+        """||M||_1, the sum of |eigenvalues| (M is Hermitian)."""
+        return float(np.sum(np.abs(self.spectrum[0])))
+
 
 def validate(m: np.ndarray, n: int) -> GameMatrix:
-    """Check Hermiticity and the trace-norm cap, symmetrize, and wrap."""
+    """Check Hermiticity and the trace-norm cap, symmetrize, and wrap.
+
+    The cap is read from the game's one eigendecomposition
+    (GameMatrix.spectrum), which the returned game keeps for later use."""
     m = linalg.as_complex(m)
     if m.shape != (n * n, n * n):
         raise DimensionMismatchError(
             f"expected a {n * n} x {n * n} matrix for message dimension {n}"
         )
-    m = linalg.check_hermitian(m)
-    norm = linalg.trace_norm(m)
-    if norm > 1.0 + TRACE_NORM_SLACK:
-        raise TraceNormExceededError(norm)
-    return GameMatrix(n=n, m=m)
+    g = GameMatrix(n=n, m=linalg.check_hermitian(m))
+    if not g.trace_norm <= 1.0 + TRACE_NORM_SLACK:
+        raise TraceNormExceededError(g.trace_norm)
+    return g
 
 
 @dataclass(frozen=True)
@@ -209,10 +226,11 @@ class RefereeProtocol:
 
 
 def to_referee_protocol(g: GameMatrix) -> RefereeProtocol:
-    """Spectral form M = sum (-1)^c_i p_i |Phi_i><Phi_i| with p_i > 0."""
-    dec = linalg.herm_eig(g.m)
+    """Spectral form M = sum (-1)^c_i p_i |Phi_i><Phi_i| with p_i > 0,
+    outcomes in descending eigenvalue order."""
+    w, vecs = g.spectrum
     outcomes = []
-    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
+    for lam, vec in zip(w[::-1], vecs[:, ::-1].T):
         if abs(lam) <= SPECTRAL_CUTOFF:
             continue
         outcomes.append((abs(float(lam)), 0 if lam > 0 else 1, vec.copy()))
@@ -375,15 +393,12 @@ GAME_FORMAT = "xorq-game-v1"
 
 
 def game_to_dict(g: GameMatrix) -> dict:
-    entries = []
-    dim = g.dim
-    for r in range(dim):
-        for c in range(dim):
-            v = g.m[r, c]
-            if v != 0:
-                entries.append(
-                    {"r": r, "c": c, "re": float(v.real), "im": float(v.imag)}
-                )
+    """The nonzero entries of M in row-major order."""
+    rows, cols = np.nonzero(g.m)
+    entries = [
+        {"r": r, "c": c, "re": v.real, "im": v.imag}
+        for r, c, v in zip(rows.tolist(), cols.tolist(), g.m[rows, cols].tolist())
+    ]
     return {"format": GAME_FORMAT, "n": g.n, "entries": entries}
 
 

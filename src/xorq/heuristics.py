@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import (
@@ -206,7 +205,7 @@ def _starts(warm: np.ndarray, draw, cfg: OptimizerConfig, dim: int, psi=ONE):
 def _spectral_start(g: GameMatrix) -> np.ndarray:
     """Deterministic start: spectral sign of the top question state,
     matricized on the B side (identity when that vanishes)."""
-    w, vecs = np.linalg.eigh(g.m)
+    w, vecs = g.spectrum
     idx = int(np.argmax(np.abs(w)))
     mat = vecs[:, idx].reshape(g.n, g.n)
     herm = linalg.hermitian_part(mat.conj().T @ mat)
@@ -402,6 +401,8 @@ def round_complex_to_real(g: GameMatrix, s: ComplexStrategy) -> UnentangledStrat
             return x
         uu, _, vv = linalg.svd(x)
         return uu @ vv.conj().T
+
+    import scipy.linalg  # deferred: SciPy stays off the start-up path
 
     a = unitarize(s.a)
     b = unitarize(s.b)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadArgsError,
@@ -76,20 +75,24 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
 
     A stack (..., s, s) is checked matrix by matrix, each against its own
     norm; the error then carries the flat stack position of the first
-    matrix that fails (NotHermitianError.index)."""
+    matrix that fails (NotHermitianError.index). A matrix with a NaN or
+    infinite entry fails too: no tolerance can be measured on it."""
     a = check_square_stack(a)
-    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))).reshape(-1)
-    resid = np.linalg.norm(a - dagger(a), axis=(-2, -1)).reshape(-1)
-    bad = np.flatnonzero(resid > HERMITICITY_RTOL * scale)
+    finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
+    with np.errstate(invalid="ignore"):  # inf - inf in the residual
+        scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))).reshape(-1)
+        resid = np.linalg.norm(a - dagger(a), axis=(-2, -1)).reshape(-1)
+    bad = np.flatnonzero(~finite | (resid > HERMITICITY_RTOL * scale))
     if bad.size:
         i = int(bad[0])
         index = i if a.ndim > 2 else None
         where = "" if index is None else f" (matrix {i} of the stack)"
-        raise NotHermitianError(
-            f"matrix is not Hermitian{where}: residual {resid[i]:.3e} > "
-            f"{HERMITICITY_RTOL:.1e} * {scale[i]:.3e}",
-            index=index,
+        why = (
+            f"residual {resid[i]:.3e} > {HERMITICITY_RTOL:.1e} * {scale[i]:.3e}"
+            if finite[i]
+            else "non-finite entry"
         )
+        raise NotHermitianError(f"matrix is not Hermitian{where}: {why}", index=index)
     return hermitian_part(a)
 
 
@@ -248,6 +251,8 @@ def _complete_orthonormal_rows(rows: np.ndarray, d: int) -> np.ndarray:
         return rows
     if k == 0:
         return np.eye(d, dtype=complex)
+    import scipy.linalg  # deferred: SciPy stays off the start-up path
+
     null = scipy.linalg.null_space(rows)  # d x (d - k), orthonormal columns
     return np.vstack([rows, null.conj().T])
 

@@ -43,7 +43,6 @@ import numpy as np
 from . import sdp as sdp_mod
 from .errors import BadArgsError, DimensionMismatchError, SdpError
 from .games import ClassicalGame, GameMatrix
-from .linalg import trace_norm
 from .report import BiasReport
 
 RANK_CUT = 1e-10
@@ -326,7 +325,7 @@ def check_chains(g: GameMatrix, report: BiasReport, tol: float = 1e-6) -> list[C
     """
     slack = 4.0 * tol
     checks: list[ChainCheck] = []
-    tn = report.trace_norm if report.trace_norm is not None else trace_norm(g.m)
+    tn = report.trace_norm if report.trace_norm is not None else g.trace_norm
 
     def hard(label, lhs, rhs):
         if lhs is None or rhs is None:

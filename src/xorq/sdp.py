@@ -59,7 +59,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadArgsError,
@@ -356,6 +355,8 @@ def _nt_scaling(lz: np.ndarray, lz_inv: np.ndarray, s: np.ndarray):
 
 
 def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    import scipy.linalg  # deferred: SciPy stays off the start-up path
+
     return scipy.linalg.solve_triangular(
         l, np.eye(l.shape[0]), lower=True, check_finite=False
     )
@@ -413,6 +414,8 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     The residuals are relative to one_b + max |b| and one_c + ||C||, the gap
     to max(unit, |primal|): one_b, one_c and unit are 1 in the caller's
     units of b, C and the objective, so every rule reads as unscaled."""
+    import scipy.linalg  # deferred: SciPy stays off the start-up path
+
     one_b, one_c = math.ldexp(1.0, -prog.eb), math.ldexp(1.0, -prog.ec)
     unit = one_b * one_c
     b_vec, nu = prog.b, prog.dim

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as in CI, unless the environment sets another count. Set
+# before NumPy is first imported, since OpenBLAS reads it when it loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -1,13 +1,19 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import decreasing_sign_step
 from sdpfile import instance_to_dict
+import xorq
 from xorq import cli, games, heuristics, relaxations, sdp
 from xorq.errors import FormatError
 
@@ -127,6 +133,48 @@ def test_cmd_bias_zero_game(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     for key in ("omega_lower", "omega_c_lower", "beta_nc", "beta_os"):
         assert abs(payload[key]) <= 1e-6
+
+
+def test_bias_decomposes_the_game_matrix_once(tmp_path, monkeypatch):
+    # Validation's trace-norm cap, the report's trace norm and the spectral
+    # start all read GameMatrix.spectrum: one eigh of M, no SVD of it.
+    path = tmp_path / "c3xc3.json"
+    path.write_text(json.dumps(games.game_to_dict(
+        games.tensor_games(games.c_game(3), games.c_game(3))
+    )))
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    g = games.load_game(path)
+    cli.compute_report(g, [("omega", None), ("chains", None)], 1e-6, 2, 0)
+    assert [c for c in calls if c[1] == (256, 256)] == [("eigh", (256, 256))]
+
+
+def test_scipy_stays_off_the_start_up_path(tmp_path):
+    # SciPy is imported where an SDP solve needs it, so building a game and
+    # computing heuristics-only quantities never load it.
+    code = """
+import sys
+from xorq import cli
+assert "scipy" not in sys.modules, "import"
+assert cli.main(["game", "--name", "tn", "--param", "2", "--out", sys.argv[1]]) == 0
+assert cli.main(["bias", sys.argv[1], "--quantities", "omega,omega-c,me:2,ent:2x2,chains",
+                 "--restarts", "2"]) == 0
+assert "scipy" not in sys.modules, "bias"
+"""
+    src = str(Path(xorq.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "t2.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cmd_bias_parse_error(tmp_path):
@@ -410,7 +458,7 @@ def _nan_like(x):
     [
         (sdp, "_a_of", lambda real: lambda *a: _nan_like(real(*a)),
          "non-finite residual or mu"),
-        (sdp.scipy.linalg, "cho_solve",
+        (scipy.linalg, "cho_solve",
          lambda real: lambda *a, **k: _nan_like(real(*a, **k)), "non-finite Newton step"),
     ],
     ids=["residual", "newton-step"],

@@ -10,6 +10,7 @@ from xorq import games, linalg
 from xorq.errors import (
     DimensionMismatchError,
     FormatError,
+    NotHermitianError,
     TooLargeError,
     TraceNormExceededError,
     ZeroGameError,
@@ -25,6 +26,7 @@ C3 = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
 def test_validate_zero_game():
     g = games.validate(np.zeros((4, 4)), 2)
     assert linalg.trace_norm(g.m) == 0.0
+    assert g.trace_norm == 0.0
 
 
 def test_validate_rejects_large_trace_norm():
@@ -36,6 +38,34 @@ def test_validate_rejects_large_trace_norm():
 def test_validate_rejects_bad_shape():
     with pytest.raises(DimensionMismatchError):
         games.validate(np.zeros((3, 3)), 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_game(2, 11),
+        lambda: random_game(3, 12),
+        *(lambda n=n: games.t_game(n) for n in (1, 2, 3, 4)),
+        lambda: games.h_game(1),
+        lambda: games.h_game(2),
+        *(lambda n=n: games.c_game(n) for n in (2, 3, 4)),
+        lambda: games.tensor_games(games.c_game(2), games.c_game(2)),
+        lambda: games.tensor_games(games.c_game(3), games.c_game(3)),
+    ],
+    ids=["random2", "random3", "t1", "t2", "t3", "t4", "h1", "h2", "c2", "c3", "c4",
+         "c2xc2", "c3xc3"],
+)
+def test_spectrum_trace_norm_matches_singular_values(build):
+    g = build()
+    want = linalg.trace_norm(g.m)
+    assert abs(g.trace_norm - want) <= 1e-12 * max(1.0, want)
+
+
+def test_validate_rejects_nan_matrix():
+    m = np.zeros((4, 4))
+    m[1, 1] = np.nan
+    with pytest.raises(NotHermitianError, match="non-finite"):
+        games.validate(m, 2)
 
 
 def test_t1_matrix_from_question_states():
@@ -324,6 +354,26 @@ def test_game_serialization_round_trip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data))
     assert np.allclose(games.load_game(path).m, g.m, atol=1e-12)
+
+
+def test_game_to_dict_row_major_and_bitwise_round_trip():
+    g = games.tensor_games(random_game(2, 21), games.c_game(1))
+    data = games.game_to_dict(g)
+    # The reference: a double loop over M in row-major order.
+    want = [
+        {"r": r, "c": c, "re": float(v.real), "im": float(v.imag)}
+        for r in range(g.dim)
+        for c in range(g.dim)
+        if (v := g.m[r, c]) != 0
+    ]
+    assert data["entries"] == want
+    assert 0 < len(want) < g.m.size
+    # Bitwise on the stored entries; a zero entry is left out, so it comes
+    # back +0.0 whatever its sign.
+    back = games.game_from_dict(json.loads(json.dumps(data)))
+    rows, cols = np.nonzero(g.m)
+    assert back.m[rows, cols].tobytes() == g.m[rows, cols].tobytes()
+    assert np.array_equal(back.m, g.m)
 
 
 def test_game_reader_symmetrizes():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,21 @@ def test_stacked_hermiticity_check_is_per_matrix():
     assert herm.shape == (3, 2, 2)
     with pytest.raises(NotSquareError):
         linalg.check_hermitian(np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermiticity_check_rejects_non_finite(bad):
+    # A NaN residual compares false against any tolerance, so it must fail
+    # on its own; a stack names the matrix that holds the entry.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError, match="non-finite entry") as exc:
+            linalg.check_hermitian([[bad, 0], [1, 0]])
+        assert exc.value.index is None
+        stack = np.stack([np.eye(2), [[bad, 0], [0, 1]], np.eye(2)])
+        with pytest.raises(NotHermitianError, match="matrix 1 of the stack") as exc:
+            linalg.check_hermitian(stack)
+        assert exc.value.index == 1
 
 
 def _check_gsvd(a1, a2):
