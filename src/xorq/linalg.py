@@ -76,12 +76,24 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     A stack (..., s, s) is checked matrix by matrix, each against its own
     norm; the error then carries the flat stack position of the first
     matrix that fails (NotHermitianError.index). A matrix with a NaN or
-    infinite entry fails too: no tolerance can be measured on it."""
+    infinite entry fails too: no tolerance can be measured on it. A finite
+    matrix of norm 1e300 or more is measured divided by its largest real or
+    imaginary part, so that no norm overflows, and then both numbers in the
+    message are in that unit."""
     a = check_square_stack(a)
     finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
-    with np.errstate(invalid="ignore"):  # inf - inf in the residual
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or near 1e308
         scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))).reshape(-1)
         resid = np.linalg.norm(a - dagger(a), axis=(-2, -1)).reshape(-1)
+    # One comparison keeps the see-saw's half-step off the overflow path.
+    near_limit = not scale.max() < 1e300  # also when an entry is not finite
+    if near_limit:
+        over = finite & (scale >= 1e300)
+        huge = a.reshape((-1,) + a.shape[-2:])[over]
+        top = np.maximum(np.abs(huge.real), np.abs(huge.imag)).max(axis=(-2, -1))
+        huge = huge / top[:, None, None]
+        scale[over] = np.maximum(1.0 / top, np.linalg.norm(huge, axis=(-2, -1)))
+        resid[over] = np.linalg.norm(huge - dagger(huge), axis=(-2, -1))
     bad = np.flatnonzero(~finite | (resid > HERMITICITY_RTOL * scale))
     if bad.size:
         i = int(bad[0])
@@ -93,26 +105,9 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
             else "non-finite entry"
         )
         raise NotHermitianError(f"matrix is not Hermitian{where}: {why}", index=index)
+    if near_limit:
+        return a / 2 + dagger(a) / 2  # a + a^dagger may overflow
     return hermitian_part(a)
-
-
-@dataclass(frozen=True)
-class HermEig:
-    """Spectral decomposition H = U diag(w) U^dagger, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
-
-def herm_eig(h: np.ndarray) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending."""
-    h = check_hermitian(check_square(h))
-    w, u = np.linalg.eigh(h)
-    return HermEig(eigenvalues=w[::-1].copy(), eigenvectors=u[:, ::-1].copy())
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -41,8 +41,20 @@ entry of another kind, is solved over complex Hermitian Z with every row.
 
 C is scaled by 2^-ec and the right-hand sides by 2^-eb, exact powers of two
 that leave no entry of either above 1, so that huge finite coefficients
-solve. The start, the residual norms, the gap and the trace cap are read in
-the caller's units, so the scaling changes no step beyond rounding.
+solve. The start, the residual norms, the gap, the infeasibility test and
+the trace cap are read in the caller's units, so the scaling changes no step
+beyond rounding.
+
+The start. When row weights u with A^T u = I on the caller's slots exist
+(the trace witness, _trace_witness), every feasible Z has Tr Z = u^T b; each
+Gram relaxation of this package has one, as its diagonal caps sum to the
+identity. The loop then starts at Z = (u^T b / n) I, n the caller's side, t
+included, and y = lam (u + e_cap), lam = 1.5 ||C|| + 1e-3. So S = A^T y - C,
+which is lam (1 + 1 / M_big) I - C on Z and lam at t, is positive definite
+and meets the dual rows exactly, and on a Gram relaxation only the cap row
+has a primal residual (the max-cut start of Helmberg-Rendl-Vanderbei-
+Wolkowicz, SIAM J. Optim. 6, 1996). Any other instance starts at Z = 10 (1 +
+max |b|) I, S = 10 (1 + ||C||) I and y = 0, infeasible on both sides.
 
 Boundedness is enforced with a trace cap: one more diagonal entry t >= 0,
 last on the diagonal, and a last row Tr(Z) / M_big + t = 1, M_big = 10 *
@@ -205,7 +217,8 @@ class _Program:
     cap row's rhs included, by 2^-eb; m_big is M_big in those units. The
     stored entries (r <= c, shifted by their block's offset) are in row
     order: entries q_ptr[i]:q_ptr[i + 1] belong to row q_list[i], and the
-    cap row has its t entry first.
+    cap row has its t entry first. witness is the rows' trace witness
+    (_trace_witness), or None.
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
@@ -269,6 +282,31 @@ class _Program:
         self.q_list, starts = np.unique(self.owner, return_index=True)
         self.q_ptr = np.append(starts, self.owner.size)
         self.groups = _schur_groups(np.diff(self.q_ptr), dim)
+        self.witness = _trace_witness(self, n)
+
+
+def _trace_witness(prog: _Program, n: int) -> np.ndarray | None:
+    """Row weights u, one per program row with 0 at the cap row, such that
+    A^T u is the identity on the caller's n slots, so that every Z meeting
+    the rows has Tr Z = u^T b. u is fitted by least squares over the rows
+    whose stored entries are all diagonal (sum_q u_q diag(F_q) = 1), and
+    kept only when the fit is exact to 1e-12 and 0 < u^T b <= M_big / 2.
+    None for any other program."""
+    diag = prog.rows == prog.cols
+    mixed = np.bincount(prog.owner, ~diag, minlength=prog.m) > 0
+    mixed[-1] = True  # the cap row
+    rows = np.flatnonzero(~mixed)
+    if rows.size == 0:
+        return None
+    sel = ~mixed[prog.owner]
+    fit = np.zeros((n, rows.size))
+    np.add.at(fit, (prog.rows[sel], np.searchsorted(rows, prog.owner[sel])), prog.weight[sel].real)
+    u = np.linalg.lstsq(fit, np.ones(n), rcond=None)[0]
+    if np.max(np.abs(fit @ u - 1.0)) > 1e-12 or not 0 < u @ prog.b[rows] <= prog.m_big / 2:
+        return None
+    witness = np.zeros(prog.m)
+    witness[rows] = u
+    return witness
 
 
 def _real_rows(
@@ -413,17 +451,33 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     """The interior-point loop, over real symmetric Z for a real program.
     The residuals are relative to one_b + max |b| and one_c + ||C||, the gap
     to max(unit, |primal|): one_b, one_c and unit are 1 in the caller's
-    units of b, C and the objective, so every rule reads as unscaled."""
+    units of b, C and the objective, so every rule reads as unscaled. The
+    infeasibility test reads y against one_c + ||C|| and b^T y against the
+    product of both scales.
+
+    The start (see the module docstring) is Z = tau I, y = lam (u + e_cap)
+    and S = A^T y - C when prog.witness holds u, with tau = u^T b / (dim - 1)
+    and lam = 1.5 ||C|| + 1e-3 one_c, so it too is homogeneous in both
+    scalings; else Z = 10 (one_b + max |b|) I, S = 10 (one_c + ||C||) I and
+    y = 0."""
     import scipy.linalg  # deferred: SciPy stays off the start-up path
 
     one_b, one_c = math.ldexp(1.0, -prog.eb), math.ldexp(1.0, -prog.ec)
     unit = one_b * one_c
     b_vec, nu = prog.b, prog.dim
     scale_b = one_b + float(np.max(np.abs(b_vec)))
-    scale_c = one_c + float(np.linalg.norm(prog.cobj, 2))
-    z = 10.0 * scale_b * np.eye(nu, dtype=prog.dtype)
-    s = 10.0 * scale_c * np.eye(nu, dtype=prog.dtype)
-    y = np.zeros(prog.m)
+    norm_c = float(np.linalg.norm(prog.cobj, 2))
+    scale_c = one_c + norm_c
+    if prog.witness is None:
+        z = 10.0 * scale_b * np.eye(nu, dtype=prog.dtype)
+        s = 10.0 * scale_c * np.eye(nu, dtype=prog.dtype)
+        y = np.zeros(prog.m)
+    else:
+        lam = 1.5 * norm_c + 1e-3 * one_c
+        z = float(prog.witness @ b_vec) / (nu - 1) * np.eye(nu, dtype=prog.dtype)
+        y = lam * prog.witness
+        y[-1] = lam
+        s = _at_of(prog, y) - prog.cobj
     trace = []
 
     best = None
@@ -454,12 +508,13 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
 
         # Divergence heuristics: Farkas certificate for infeasibility.
         ynorm = float(np.linalg.norm(y, np.inf))
-        if ynorm > 1e8 * scale_b or dobj < -1e9 * scale_b:
+        if ynorm > 1e8 * scale_c or dobj < -1e9 * scale_b * scale_c:
             yhat = y / max(float(np.linalg.norm(y)), 1e-300)
             mineig = float(np.linalg.eigvalsh(_at_of(prog, yhat))[0])
-            if mineig > -1e-6 and float(b_vec @ yhat) < -1e-8:
+            if mineig > -1e-6 and float(b_vec @ yhat) < -1e-8 * scale_b:
                 raise InfeasibleError(
-                    "primal infeasible (dual improving ray found)", certificate=yhat
+                    f"primal infeasible (dual improving ray found at iteration {it})",
+                    certificate=yhat,
                 )
 
         t = time.perf_counter()

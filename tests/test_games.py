@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_game
+from spectral import herm_eig
 from xorq import games, linalg
 from xorq.errors import (
     DimensionMismatchError,
@@ -82,7 +83,7 @@ def test_t1_matrix_from_question_states():
 
 
 def test_t_game_spectrum():
-    dec = linalg.herm_eig(games.t_game(3).m)
+    dec = herm_eig(games.t_game(3).m)
     w = np.sort(dec.eigenvalues)
     assert abs(w[-1] - 0.5) < 1e-12 and abs(w[0] + 0.5) < 1e-12
     assert np.all(np.abs(w[1:-1]) < 1e-12)

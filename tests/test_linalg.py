@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
+from spectral import herm_eig
 from xorq import linalg
 from xorq.errors import (
     BadArgsError,
@@ -16,12 +17,12 @@ from xorq.errors import (
 
 
 def test_herm_eig_identity():
-    dec = linalg.herm_eig(np.eye(2))
+    dec = herm_eig(np.eye(2))
     assert np.allclose(dec.eigenvalues, [1.0, 1.0])
 
 
 def test_herm_eig_diagonal():
-    dec = linalg.herm_eig(np.diag([3.0, -1.0]))
+    dec = herm_eig(np.diag([3.0, -1.0]))
     assert np.allclose(dec.eigenvalues, [3.0, -1.0])
     # eigenvectors are the standard basis up to phase
     assert np.allclose(np.abs(dec.eigenvectors), np.eye(2))
@@ -32,7 +33,7 @@ def test_herm_eig_reconstruction(rng):
     u = random_unitary(rng, 6)
     lam = rng.standard_normal(6)
     h = (u * lam) @ u.conj().T
-    dec = linalg.herm_eig(h)
+    dec = herm_eig(h)
     scale = max(1.0, np.linalg.norm(h))
     assert np.linalg.norm(dec.reconstruct() - h) <= 1e-10 * scale
     assert np.allclose(sorted(dec.eigenvalues), sorted(lam))
@@ -42,9 +43,9 @@ def test_herm_eig_reconstruction(rng):
 
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
-        linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotSquareError):
-        linalg.herm_eig(np.zeros((2, 3)))
+        herm_eig(np.zeros((2, 3)))
 
 
 def test_svd_zero_matrix():
@@ -250,6 +251,23 @@ def test_hermiticity_check_rejects_non_finite(bad):
         with pytest.raises(NotHermitianError, match="matrix 1 of the stack") as exc:
             linalg.check_hermitian(stack)
         assert exc.value.index == 1
+
+
+def test_hermiticity_check_near_the_float_limit():
+    # Both norms of these matrices overflow; each is measured divided by its
+    # largest part instead, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError) as exc:
+            linalg.check_hermitian([[1e308, 1e308], [-1e308, 1e308]])
+        assert exc.value.index is None
+        skew = np.array([[1e308, 1e308], [-1e308, 1e308]])
+        with pytest.raises(NotHermitianError, match="matrix 1 of the stack"):
+            linalg.check_hermitian(np.stack([np.eye(2), skew]))
+        herm = np.array([[1.7e308, 1e308j], [-1e308j, 1.7e308]])
+        assert np.array_equal(linalg.check_hermitian(herm), herm)
+        both = linalg.check_hermitian(np.stack([herm, np.eye(2)]))
+        assert np.array_equal(both, np.stack([herm, np.eye(2)]))
 
 
 def _check_gsvd(a1, a2):

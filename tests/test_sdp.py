@@ -365,16 +365,77 @@ def _paper_table_instances() -> dict[str, sdp.SdpInstance]:
 
 
 def test_paper_table_solves_take_few_iterations():
-    # The second-order corrector's iteration counts; the centering-only
-    # corrector took 15 on beta_os(T3) and 155 in total.
+    # The iteration counts from the trace-witness start; the start at 10 I
+    # took 10 on beta_os(T3) and 135 in total, and the centering-only
+    # corrector 15 and 155.
     iterations = {}
     for name, inst in _paper_table_instances().items():
         sol = sdp.solve(inst)
         assert sdp.certify(inst, sol).passed, name
         iterations[name] = sol.iterations
     assert len(iterations) == 15
-    assert iterations["T3/beta_os"] <= 11
-    assert sum(iterations.values()) <= 140
+    assert iterations["T3/beta_os"] <= 8
+    assert sum(iterations.values()) <= 104
+
+
+def _witnessed_instances() -> dict[str, tuple[sdp.SdpInstance, float]]:
+    """Gram relaxations with the trace u^T b their rows fix: 2n for beta_sdp
+    and beta_nc, 4n for beta_os, n the number of questions. beta_os(H2) is
+    above the dense cap."""
+    chsh = cli._classical_from_diagonal(cli.PAPER_GAMES["CHSH"]())
+    cases = {"CHSH/beta_sdp": (relaxations.beta_sdp_instance(chsh), 2 * chsh.n)}
+    named = {f"T{k}": games.t_game(k) for k in range(1, 5)}
+    named.update({"H1": games.h_game(1), "H2": games.h_game(2)})
+    named.update({f"C{k}": games.c_game(k) for k in range(2, 5)})
+    named.update({f"random{n}": random_game(n, 7) for n in (2, 3)})
+    for name, g in named.items():
+        cases[f"{name}/beta_nc"] = (relaxations.beta_nc_instance(g), 2 * g.n)
+        if name != "H2":
+            cases[f"{name}/beta_os"] = (relaxations.beta_os_instance(g), 4 * g.n)
+    return cases
+
+
+def test_gram_relaxations_have_a_trace_witness(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERS", 1)  # the first trace entry is enough
+    for name, (inst, trace) in _witnessed_instances().items():
+        prog = sdp._Program(inst)
+        u = prog.witness
+        assert u is not None and u[-1] == 0.0, name
+        # sum_q u_q F_q = I on the caller's slots, from the dense rows.
+        total = sum(u_q * f for u_q, f in zip(u, _dense_constraints(inst, prog)))
+        assert np.abs(total[:-1, :-1] - np.eye(prog.dim - 1)).max() <= 1e-12, name
+        assert total[-1, -1] == 0.0, name
+        rhs = np.array([inst.constraints[q].rhs for q in prog.kept])
+        assert u[:-1] @ rhs == pytest.approx(trace, rel=1e-12), name
+        # The start is dual feasible: S = A^T y - C exactly, up to rounding.
+        assert sdp.solve(inst).trace[0].dres <= 1e-14, name
+
+
+def _no_witness() -> sdp.SdpInstance:
+    """max 2 Re Z[0, 1] with Z[0, 0] + 2 Re Z[0, 1] = 1 and Z[1, 1] = 1, of
+    value 2 (sqrt 2 - 1): no row weights sum to the identity."""
+    return sdp.SdpInstance(
+        blocks=(("z", 2),),
+        objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]])},
+        constraints=(
+            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j), ("z", 0, 1, 1.0 + 0.0j)), rhs=1.0),
+            sdp.SdpConstraint(entries=(("z", 1, 1, 1.0 + 0.0j),), rhs=1.0),
+        ),
+    )
+
+
+def test_instances_without_a_witness_keep_the_old_start():
+    assert sdp._Program(_no_witness()).witness is None
+    assert sdp._Program(replace(_scalar_instance(), constraints=())).witness is None
+    assert sdp._Program(_scalar_instance()).witness is not None
+    sol = sdp.solve(_no_witness(), 1e-8)
+    assert sol.status == "optimal"
+    assert sol.primal_value == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-7)
+    # The residuals, gap and mu of Z = 20 I, S = 20 I, y = 0.
+    first = sol.trace[0]
+    assert (first.pres, first.dres, first.rel_gap, first.mu) == (
+        17.051392904979934, 17.334935823359714, 0.0, 400.0
+    )
 
 
 def _complex_core(monkeypatch, inst: sdp.SdpInstance) -> sdp.SdpSolution:
@@ -568,6 +629,49 @@ def test_infeasible_detected():
         sdp.solve(inst, 1e-8)
     cert = err.value.certificate
     assert cert is not None
+
+
+def _off_diagonal_cut(c: float, a: float) -> sdp.SdpInstance:
+    """max 2 c Re Z[0, 1] with Z[0, 0] = Z[1, 1] = 1 and 2 Re Z[0, 1] = a:
+    infeasible when a > 2. It has a trace witness."""
+    two = _two_by_two(c, 1.0)
+    cut = sdp.SdpConstraint(entries=(("z", 0, 1, 1.0 + 0.0j),), rhs=a)
+    return replace(two, constraints=two.constraints + (cut,))
+
+
+def _mixed_rows(c: float, a: float) -> sdp.SdpInstance:
+    """max 2 c Re Z[0, 1] with Z[0, 0] - Z[1, 1] = 2, Z[0, 0] + 2 Re Z[0, 1]
+    = a and Z[0, 0] = -a: infeasible for a > 0, with no trace witness."""
+    rows = (
+        ((("z", 0, 0, 1.0 + 0.0j), ("z", 1, 1, -1.0 + 0.0j)), 2.0),
+        ((("z", 0, 1, 1.0 + 0.0j), ("z", 0, 0, 1.0 + 0.0j)), a),
+        ((("z", 0, 0, 1.0 + 0.0j),), -a),
+    )
+    return replace(
+        _two_by_two(c, 1.0),
+        constraints=tuple(sdp.SdpConstraint(entries=e, rhs=r) for e, r in rows),
+    )
+
+
+@pytest.mark.parametrize(
+    "inst, witnessed",
+    [(_off_diagonal_cut(3.0, 2.5), True), (_mixed_rows(100.0, 3.0), False)],
+    ids=["witness", "no_witness"],
+)
+def test_infeasibility_is_found_at_the_same_iteration_when_scaled(monkeypatch, inst, witnessed):
+    # y is read in units of C and b^T y in units of the objective, so the
+    # scaled doubled instance meets the test where its unscaled image does.
+    doubled = double_instance(inst)
+    prog = sdp._Program(doubled)
+    assert prog.ec and prog.eb
+    assert (prog.witness is not None) == witnessed
+    with pytest.raises(InfeasibleError, match="at iteration") as scaled:
+        sdp.solve(doubled, 1e-8)
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "_scale_exponent", lambda top: 0)
+        with pytest.raises(InfeasibleError) as plain:
+            sdp.solve(doubled, 1e-8)
+    assert str(scaled.value) == str(plain.value)
 
 
 def test_unbounded_detected():
