@@ -185,8 +185,7 @@ def compute_report(
             rep.beta_os = relaxations.beta_os(g, tol).value
         elif kind == "chains":
             continue  # always evaluated below
-        rep.runtimes[_quantity_label(kind, param)] = time.monotonic() - t0
-        _log(f"{name}: {_quantity_label(kind, param)} done in {rep.runtimes[_quantity_label(kind, param)]:.2f}s")
+        _log(f"{name}: {_quantity_label(kind, param)} done in {time.monotonic() - t0:.2f}s")
     rep.chains = relaxations.check_chains(g, rep, tol)
     return rep
 

@@ -84,7 +84,3 @@ class InfeasibleError(SdpError):
     def __init__(self, message: str, certificate=None):
         super().__init__(message)
         self.certificate = certificate
-
-
-class UnboundedError(SdpError):
-    pass

@@ -10,7 +10,7 @@ class BiasReport:
     """Collects lower bounds, relaxation values, and norms for one game.
 
     Unpopulated quantities stay None; chain checks apply to every populated
-    pair. Runtimes are wall-clock seconds per quantity.
+    pair. It holds no timings, so identical input gives identical bytes.
     """
 
     game: str
@@ -29,7 +29,6 @@ class BiasReport:
     seed: int = 0
     restarts: int = 0
     tol: float = 1e-6
-    runtimes: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -41,26 +41,27 @@ entry of another kind, is solved over complex Hermitian Z with every row.
 
 C is scaled by 2^-ec and the right-hand sides by 2^-eb, exact powers of two
 that leave no entry of either above 1, so that huge finite coefficients
-solve. The start, the residual norms, the gap, the infeasibility test and
-the trace cap are read in the caller's units, so the scaling changes no step
-beyond rounding.
+solve. The start, the residual norms, the gap and the infeasibility test
+are read in the caller's units, so the scaling changes no step beyond
+rounding.
 
-The start. When row weights u with A^T u = I on the caller's slots exist
-(the trace witness, _trace_witness), every feasible Z has Tr Z = u^T b; each
-Gram relaxation of this package has one, as its diagonal caps sum to the
-identity. The loop then starts at Z = (u^T b / n) I, n the caller's side, t
-included, and y = lam (u + e_cap), lam = 1.5 ||C|| + 1e-3. So S = A^T y - C,
-which is lam (1 + 1 / M_big) I - C on Z and lam at t, is positive definite
-and meets the dual rows exactly, and on a Gram relaxation only the cap row
-has a primal residual (the max-cut start of Helmberg-Rendl-Vanderbei-
-Wolkowicz, SIAM J. Optim. 6, 1996). Any other instance starts at Z = 10 (1 +
-max |b|) I, S = 10 (1 + ||C||) I and y = 0, infeasible on both sides.
+The trace bound. solve takes an instance only when its rows bound Tr Z:
+row weights u over the rows whose entries are all diagonal with sum_q u_q
+diag(F_q) = D > 0 (the trace witness, _trace_witness). Every feasible Z
+then has Tr(D Z) = u^T b, so Tr Z <= u^T b / min D, and both the primal
+feasible set and the optimum are bounded. Each Gram relaxation of this
+package has one with D = I, as its diagonal caps sum to the identity; with
+the caps as inequalities Q + S = I, S a slack block, D is another positive
+diagonal. An instance without such u, or with u^T b = 0, is refused
+(BadArgsError); u^T b < 0 proves it infeasible before the first
+iteration, u being a Farkas certificate (A^T u = D > 0, b^T u < 0).
 
-Boundedness is enforced with a trace cap: one more diagonal entry t >= 0,
-last on the diagonal, and a last row Tr(Z) / M_big + t = 1, M_big = 10 *
-total dimension * max(1, max |rhs|). A binding cap is reported as
-unboundedness. The cap is redundant for every instance produced by this
-package.
+The start is Z = (u^T b / Tr D) I and y = lam u, lam = 1.5 ||C|| / min D +
+1e-3, so S = A^T y - C = lam D - C is positive definite and meets the dual
+rows exactly, and Z meets the witness's weighted sum of rows. On a Gram
+relaxation Z meets every row as well: the start is feasible on both sides
+(the max-cut start of Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6,
+1996).
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .errors import (
     FormatError,
     InfeasibleError,
     SdpError,
-    UnboundedError,
     check_dense,
 )
 
@@ -175,14 +175,9 @@ class IpmIteration:
 @dataclass(frozen=True)
 class SdpSolution:
     """Primal blocks and dual multipliers y, one per row of the instance
-    solved, in its units; objective values, the gap, and the per-iteration
-    trace (in the scaled units of the program, kept out of every serialized
-    payload).
-
-    dual_value and gap belong to the program solved, its trace-cap row
-    included: dual_value also counts that row's multiplier, which y does not
-    hold. So dual_value is not b^T y of the returned y, and a certified bound
-    built from y must compute b^T y itself."""
+    solved, in its units; objective values (dual_value is b^T y), the gap,
+    and the per-iteration trace (in the scaled units of the program, kept
+    out of every serialized payload)."""
 
     blocks: dict[str, np.ndarray]
     y: np.ndarray
@@ -210,15 +205,13 @@ def constraint_value(con: SdpConstraint, blocks) -> float:
 
 class _Program:
     """The one translation of an instance that the core solves. Its blocks
-    lie on the diagonal of one Hermitian matrix of side dim, with the
-    trace-cap slot t last. Its rows are those in kept of the caller's
-    rows_in rows (all, or those a real symmetric Z must meet: _real_rows),
-    then the cap row Tr(Z) / M_big + t = 1. C is scaled by 2^-ec and b, the
-    cap row's rhs included, by 2^-eb; m_big is M_big in those units. The
-    stored entries (r <= c, shifted by their block's offset) are in row
-    order: entries q_ptr[i]:q_ptr[i + 1] belong to row q_list[i], and the
-    cap row has its t entry first. witness is the rows' trace witness
-    (_trace_witness), or None.
+    lie on the diagonal of one Hermitian matrix of side dim. Its rows are
+    those in kept of the caller's rows_in rows (all, or those a real
+    symmetric Z must meet: _real_rows). C is scaled by 2^-ec and b by 2^-eb.
+    The stored entries (r <= c, shifted by their block's offset) are in row
+    order: entries q_ptr[i]:q_ptr[i + 1] belong to row q_list[i]. witness is
+    the rows' trace witness (_trace_witness), or None; the program is built
+    either way, and solve refuses one whose rows do not bound Tr Z.
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
@@ -247,8 +240,8 @@ class _Program:
         real = keep is not None
         self.rows_in = rhs.size
         self.kept = np.arange(rhs.size) if keep is None else keep
-        self.dim = dim = n + 1
-        self.m = m = self.kept.size + 1
+        self.dim = dim = n
+        self.m = m = self.kept.size
         check_dense(max(dim, m) ** 2, f"SDP of side {dim} with {m} constraints")
 
         parts = [np.max(np.abs(part)) for c in inst.objective.values() for part in (c.real, c.imag)]
@@ -258,21 +251,17 @@ class _Program:
         for label, c in inst.objective.items():
             span = self.spans[label]
             self.cobj[span, span] = (c.real if real else c) * math.ldexp(1.0, -self.ec)
-        top = float(np.max(np.abs(rhs[self.kept]), initial=0.0))
-        self.eb = _scale_exponent(top)
-        one_b = math.ldexp(1.0, -self.eb)  # 1 in the scaled units of b
-        self.m_big = 10.0 * n * max(one_b, math.ldexp(top, -self.eb))
-        self.b = np.append(np.ldexp(rhs[self.kept], -self.eb), one_b)
+        self.eb = _scale_exponent(float(np.max(np.abs(rhs[self.kept]), initial=0.0)))
+        self.b = np.ldexp(rhs[self.kept], -self.eb)
 
         renumber = np.full(rhs.size, -1, dtype=np.intp)
-        renumber[self.kept] = np.arange(m - 1)
+        renumber[self.kept] = np.arange(m)
         owner = renumber[owner]
         sel = owner >= 0
-        cap = np.append(n, np.arange(n))  # t first, then the diagonal of Z
-        self.rows = np.concatenate([np.asarray(rows, dtype=np.intp)[sel], cap])
-        self.cols = np.concatenate([np.asarray(cols, dtype=np.intp)[sel], cap])
-        self.owner = np.concatenate([owner[sel], np.full(n + 1, m - 1)])
-        vals = np.concatenate([vals[sel], [1.0], np.full(n, one_b / self.m_big)])
+        self.rows = np.asarray(rows, dtype=np.intp)[sel]
+        self.cols = np.asarray(cols, dtype=np.intp)[sel]
+        self.owner = owner[sel]
+        vals = vals[sel]
         diag = self.rows == self.cols
         vals = vals.real if real else np.where(diag, vals.real, vals)
         self.flat = self.rows * dim + self.cols
@@ -282,27 +271,25 @@ class _Program:
         self.q_list, starts = np.unique(self.owner, return_index=True)
         self.q_ptr = np.append(starts, self.owner.size)
         self.groups = _schur_groups(np.diff(self.q_ptr), dim)
-        self.witness = _trace_witness(self, n)
+        self.witness = _trace_witness(self)
 
 
-def _trace_witness(prog: _Program, n: int) -> np.ndarray | None:
-    """Row weights u, one per program row with 0 at the cap row, such that
-    A^T u is the identity on the caller's n slots, so that every Z meeting
-    the rows has Tr Z = u^T b. u is fitted by least squares over the rows
-    whose stored entries are all diagonal (sum_q u_q diag(F_q) = 1), and
-    kept only when the fit is exact to 1e-12 and 0 < u^T b <= M_big / 2.
-    None for any other program."""
+def _trace_witness(prog: _Program) -> np.ndarray | None:
+    """Row weights u, one per program row, with A^T u = D a diagonal whose
+    entries all exceed 1e-3, so that every Z meeting the rows has Tr(D Z) =
+    u^T b. u is the least-squares fit of sum_q u_q diag(F_q) = 1 over the
+    rows whose stored entries are all diagonal, 0 on every other row; D = I
+    when those rows can sum to the identity. None for any other program."""
     diag = prog.rows == prog.cols
     mixed = np.bincount(prog.owner, ~diag, minlength=prog.m) > 0
-    mixed[-1] = True  # the cap row
     rows = np.flatnonzero(~mixed)
     if rows.size == 0:
         return None
     sel = ~mixed[prog.owner]
-    fit = np.zeros((n, rows.size))
+    fit = np.zeros((prog.dim, rows.size))
     np.add.at(fit, (prog.rows[sel], np.searchsorted(rows, prog.owner[sel])), prog.weight[sel].real)
-    u = np.linalg.lstsq(fit, np.ones(n), rcond=None)[0]
-    if np.max(np.abs(fit @ u - 1.0)) > 1e-12 or not 0 < u @ prog.b[rows] <= prog.m_big / 2:
+    u = np.linalg.lstsq(fit, np.ones(prog.dim), rcond=None)[0]
+    if np.min(fit @ u) <= 1e-3:
         return None
     witness = np.zeros(prog.m)
     witness[rows] = u
@@ -455,11 +442,10 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     infeasibility test reads y against one_c + ||C|| and b^T y against the
     product of both scales.
 
-    The start (see the module docstring) is Z = tau I, y = lam (u + e_cap)
-    and S = A^T y - C when prog.witness holds u, with tau = u^T b / (dim - 1)
-    and lam = 1.5 ||C|| + 1e-3 one_c, so it too is homogeneous in both
-    scalings; else Z = 10 (one_b + max |b|) I, S = 10 (one_c + ||C||) I and
-    y = 0."""
+    The start (see the module docstring) is Z = (u^T b / Tr D) I, y = lam u
+    and S = A^T y - C = lam D - C, u the witness prog.witness with A^T u =
+    D and lam = 1.5 ||C|| / min D + 1e-3 one_c, so it too is homogeneous in
+    both scalings. solve has checked that u^T b > 0."""
     import scipy.linalg  # deferred: SciPy stays off the start-up path
 
     one_b, one_c = math.ldexp(1.0, -prog.eb), math.ldexp(1.0, -prog.ec)
@@ -468,16 +454,11 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     scale_b = one_b + float(np.max(np.abs(b_vec)))
     norm_c = float(np.linalg.norm(prog.cobj, 2))
     scale_c = one_c + norm_c
-    if prog.witness is None:
-        z = 10.0 * scale_b * np.eye(nu, dtype=prog.dtype)
-        s = 10.0 * scale_c * np.eye(nu, dtype=prog.dtype)
-        y = np.zeros(prog.m)
-    else:
-        lam = 1.5 * norm_c + 1e-3 * one_c
-        z = float(prog.witness @ b_vec) / (nu - 1) * np.eye(nu, dtype=prog.dtype)
-        y = lam * prog.witness
-        y[-1] = lam
-        s = _at_of(prog, y) - prog.cobj
+    d = _at_of(prog, prog.witness).diagonal().real
+    lam = 1.5 * norm_c / float(d.min()) + 1e-3 * one_c
+    z = float(prog.witness @ b_vec) / float(d.sum()) * np.eye(nu, dtype=prog.dtype)
+    y = lam * prog.witness
+    s = _at_of(prog, y) - prog.cobj
     trace = []
 
     best = None
@@ -514,7 +495,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             if mineig > -1e-6 and float(b_vec @ yhat) < -1e-8 * scale_b:
                 raise InfeasibleError(
                     f"primal infeasible (dual improving ray found at iteration {it})",
-                    certificate=yhat,
+                    certificate=_caller_rows(prog, yhat),
                 )
 
         t = time.perf_counter()
@@ -598,19 +579,21 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     return _finish(prog, z, y, pobj, dobj, it + 1, "max_iterations", trace)
 
 
+def _caller_rows(prog: _Program, v: np.ndarray) -> np.ndarray:
+    """v, one entry per program row, in the caller's rows: 0 at each dropped
+    row, which leaves A^T v unchanged."""
+    out = np.zeros(prog.rows_in)
+    out[prog.kept] = v
+    return out
+
+
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
     """The solution in the caller's units and rows: Z 2^eb, y 2^ec with 0 at
-    each dropped row, and both values 2^(ec + eb). UnboundedError when the
-    trace cap binds."""
-    blocks = {label: z[span, span] for label, span in prog.spans.items()}
-    if sum(float(np.trace(zb).real) for zb in blocks.values()) >= 0.99 * prog.m_big:
-        raise UnboundedError(f"objective unbounded (trace cap {prog.m_big:.3g} is active)")
+    each dropped row, and both values 2^(ec + eb)."""
     z_unit, y_unit, value_unit = (math.ldexp(1.0, e) for e in (prog.eb, prog.ec, prog.ec + prog.eb))
-    y_in = np.zeros(prog.rows_in)  # a dropped row's multiplier is 0
-    y_in[prog.kept] = y[:-1] * y_unit
     return SdpSolution(
-        blocks={label: zb * z_unit for label, zb in blocks.items()},
-        y=y_in,
+        blocks={label: z[span, span] * z_unit for label, span in prog.spans.items()},
+        y=_caller_rows(prog, y * y_unit),
         primal_value=pobj * value_unit,
         dual_value=dobj * value_unit,
         gap=(dobj - pobj) * value_unit,
@@ -627,19 +610,29 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve a complex-block SDP to the requested relative gap tolerance.
 
     Deterministic for a fixed instance and tolerance, which must be positive
-    and finite (else BadArgsError). Raises Infeasible or
-    Unbounded when detected; an iteration-capped run returns the best
-    iterate with status "max_iterations" (certify() will fail it).
+    and finite (else BadArgsError). The instance's rows must bound Tr Z: some
+    rows with only diagonal entries, weighted by u, sum to a positive
+    diagonal D with u^T b > 0 (see the module docstring); else BadArgsError,
+    or InfeasibleError with certificate u when u^T b < 0. Raises
+    InfeasibleError when the loop finds a dual improving ray; an
+    iteration-capped run returns the best iterate with status
+    "max_iterations" (certify() will fail it).
     A real instance (see _real_rows) is solved over real symmetric Z
-    without its purely imaginary rows; y is returned in the caller's row
-    order, 0 at each dropped row, and the blocks are then real arrays.
-    Raises TooLargeError, before allocating, when the matrix side or the
-    Schur matrix (the rows solved, plus one for the trace cap) is above the
-    dense cap.
+    without its purely imaginary rows; y and every certificate are returned
+    in the caller's row order, 0 at each dropped row, and the blocks are then
+    real arrays. Raises TooLargeError, before allocating, when the matrix
+    side or the Schur matrix (the rows solved) is above the dense cap.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
-    return _solve(_Program(inst), tol)
+    prog = _Program(inst)
+    bound = 0.0 if prog.witness is None else float(prog.witness @ prog.b)
+    if bound < 0:
+        raise InfeasibleError("primal infeasible: the trace witness u has A^T u > 0 and b^T u < 0",
+                              certificate=_caller_rows(prog, prog.witness))
+    if bound == 0:
+        raise BadArgsError("the rows do not bound Tr Z: no diagonal rows sum to a D > 0 with u^T b > 0")
+    return _solve(prog, tol)
 
 
 @dataclass(frozen=True)

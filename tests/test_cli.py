@@ -230,11 +230,7 @@ def test_cmd_bias_byte_stable_output(tmp_path):
             "4", "--format", "json"]
     run(args + ["--out", str(out1)])
     run(args + ["--out", str(out2)])
-    data = json.loads(out1.read_text())
-    assert "runtimes" in data
-    d1 = {k: v for k, v in data.items() if k != "runtimes"}
-    d2 = {k: v for k, v in json.loads(out2.read_text()).items() if k != "runtimes"}
-    assert d1 == d2
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_cmd_report_paper_table(tmp_path, monkeypatch, capsys):
@@ -370,6 +366,15 @@ def test_cmd_sdp_solve_infeasible_exits_4(tmp_path, capsys):
     path = tmp_path / "inf.json"
     path.write_text(json.dumps(instance_to_dict(inst)))
     assert run(["sdp", "solve", str(path)]) == cli.EXIT_SOLVER
+    # Z[0, 0] = -1: the trace witness u = 1 has u^T b < 0, refuted before the loop.
+    negative = dataclasses.replace(inst, constraints=(
+        sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=-1.0),
+    ))
+    path.write_text(json.dumps(instance_to_dict(negative)))
+    capsys.readouterr()
+    assert run(["sdp", "solve", str(path)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "b^T u < 0" in err and "certificate: [1.]" in err and "Traceback" not in err
 
 
 def test_no_partial_file_on_failure(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from copy import deepcopy
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 from xorq import cli, errors, games, relaxations, sdp
-from xorq.errors import BadArgsError, InfeasibleError, TooLargeError, UnboundedError
+from xorq.errors import BadArgsError, InfeasibleError, TooLargeError
 
 from conftest import random_game
 from doubling import double_instance, undouble_matrix
 from sdpfile import instance_to_dict
+from test_slack_oracle import CASES as SLACK_CASES, _slack_instance
 
 
 def _scalar_instance(value=1.0):
@@ -153,7 +155,9 @@ def test_certify_hermitian_check_on_huge_blocks():
 
 
 def test_certify_zero_instance():
-    inst = sdp.SdpInstance(blocks=(("z", 2),), objective={}, constraints=())
+    # A zero objective; the trace row bounds Tr Z, so that the instance solves.
+    trace_row = sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j), ("z", 1, 1, 1.0 + 0.0j)), rhs=1.0)
+    inst = sdp.SdpInstance(blocks=(("z", 2),), objective={}, constraints=(trace_row,))
     sol = sdp.solve(inst, 1e-6)
     assert abs(sol.primal_value) <= 1e-6
     assert sdp.certify(inst, sol, 1e-6).passed
@@ -239,19 +243,17 @@ def _offsets(inst: sdp.SdpInstance) -> tuple[dict[str, int], int]:
 
 def _dense_constraints(inst: sdp.SdpInstance, prog: sdp._Program) -> list[np.ndarray]:
     """Every F_q that prog solves as one dense Hermitian matrix, the blocks on
-    one diagonal and the cap slot t last: the rows prog.kept of inst, built
-    from its entries, then the cap row diag(w, ..., w, 1), w = 2^-eb / m_big."""
+    one diagonal: the rows prog.kept of inst, built from its entries."""
     offsets, side = _offsets(inst)
     dense = []
     for q in prog.kept:
-        f = np.zeros((side + 1, side + 1), dtype=complex)
+        f = np.zeros((side, side), dtype=complex)
         for b, r, c, v in inst.constraints[q].entries:
             r, c = r + offsets[b], c + offsets[b]
             f[r, c] += v
             if r != c:
                 f[c, r] += np.conj(v)
         dense.append(f)
-    dense.append(np.diag(np.append(np.full(side, 2.0**-prog.eb / prog.m_big), 1.0)))
     return dense
 
 
@@ -303,9 +305,9 @@ def test_schur_matches_dense_oracle():
         (_mixed_instance(), False),
         (relaxations.beta_os_instance(games.t_game(2)), True),
     ):
-        prog = sdp._Program(inst)  # with the trace-cap row
+        prog = sdp._Program(inst)
         assert prog.dtype is (float if real else complex)
-        side = 1 + sum(d for _, d in inst.blocks)  # the blocks on one diagonal, then t
+        side = sum(d for _, d in inst.blocks)  # the blocks on one diagonal
         assert prog.dim == side
         w = _random_pd(np.random.default_rng(11), side, real)  # full, not block-diagonal
         got = sdp._schur(prog, w)
@@ -318,6 +320,15 @@ def test_schur_matches_dense_oracle():
         assert not np.tril(got, -1).any()
 
 
+def _with_trace_row(inst: sdp.SdpInstance) -> sdp.SdpInstance:
+    """inst with one more row, Tr Z_gram = 1, last. The rows of these Gram
+    relaxations all have one entry count and this row another, so that the
+    Schur groups also break where the count changes."""
+    side = dict(inst.blocks)["gram"]
+    trace = sdp.SdpConstraint(entries=tuple(("gram", i, i, 1.0 + 0.0j) for i in range(side)), rhs=1.0)
+    return replace(inst, constraints=inst.constraints + (trace,))
+
+
 @pytest.mark.parametrize("group_cap", [None, 3])
 @pytest.mark.parametrize(
     "make, real",
@@ -328,7 +339,7 @@ def test_schur_matches_dense_oracle():
     ids=["beta_os_random_n2", "beta_nc_h1"],  # complex, real
 )
 def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
-    inst = make()
+    inst = _with_trace_row(make())  # groups of two entry counts
     if group_cap:  # at most group_cap constraints per stacked matmul
         prog = sdp._Program(inst)
         width = max(prog.dim * prog.dim, prog.owner.size)
@@ -365,8 +376,9 @@ def _paper_table_instances() -> dict[str, sdp.SdpInstance]:
 
 
 def test_paper_table_solves_take_few_iterations():
-    # The iteration counts from the trace-witness start; the start at 10 I
-    # took 10 on beta_os(T3) and 135 in total, and the centering-only
+    # The iteration counts from the trace-witness start, feasible on both
+    # sides; with a trace-cap row as well it took 104 in total, the start at
+    # 10 I took 10 on beta_os(T3) and 135 in total, and the centering-only
     # corrector 15 and 155.
     iterations = {}
     for name, inst in _paper_table_instances().items():
@@ -375,7 +387,7 @@ def test_paper_table_solves_take_few_iterations():
         iterations[name] = sol.iterations
     assert len(iterations) == 15
     assert iterations["T3/beta_os"] <= 8
-    assert sum(iterations.values()) <= 104
+    assert sum(iterations.values()) <= 94
 
 
 def _witnessed_instances() -> dict[str, tuple[sdp.SdpInstance, float]]:
@@ -395,25 +407,42 @@ def _witnessed_instances() -> dict[str, tuple[sdp.SdpInstance, float]]:
     return cases
 
 
+def _witness_diagonal(inst: sdp.SdpInstance) -> np.ndarray:
+    """sum_q u_q F_q for the program's trace witness u, from the dense rows."""
+    prog = sdp._Program(inst)
+    assert prog.witness is not None
+    return sum(u_q * f for u_q, f in zip(prog.witness, _dense_constraints(inst, prog)))
+
+
 def test_gram_relaxations_have_a_trace_witness(monkeypatch):
     monkeypatch.setattr(sdp, "MAX_ITERS", 1)  # the first trace entry is enough
     for name, (inst, trace) in _witnessed_instances().items():
         prog = sdp._Program(inst)
-        u = prog.witness
-        assert u is not None and u[-1] == 0.0, name
-        # sum_q u_q F_q = I on the caller's slots, from the dense rows.
-        total = sum(u_q * f for u_q, f in zip(u, _dense_constraints(inst, prog)))
-        assert np.abs(total[:-1, :-1] - np.eye(prog.dim - 1)).max() <= 1e-12, name
-        assert total[-1, -1] == 0.0, name
+        # sum_q u_q F_q = D = I.
+        assert np.abs(_witness_diagonal(inst) - np.eye(prog.dim)).max() <= 1e-12, name
         rhs = np.array([inst.constraints[q].rhs for q in prog.kept])
-        assert u[:-1] @ rhs == pytest.approx(trace, rel=1e-12), name
-        # The start is dual feasible: S = A^T y - C exactly, up to rounding.
-        assert sdp.solve(inst).trace[0].dres <= 1e-14, name
+        assert prog.witness @ rhs == pytest.approx(trace, rel=1e-12), name
+        # The start meets every row, and S = A^T y - C exactly, up to rounding.
+        first = sdp.solve(inst).trace[0]
+        assert max(first.pres, first.dres) <= 1e-14, name
+    # With the caps as inequalities Q + S = I, S a slack block, D is another
+    # positive diagonal (tests/slack.py): for beta_nc with n = 3, 8/7 on the
+    # Gram slots and 4/7 on the slack slots.
+    cases = {case: _slack_instance(case) for case in SLACK_CASES}
+    for name, inst in cases.items():
+        total = _witness_diagonal(inst)
+        d = np.diag(total).real
+        assert np.abs(total - np.diag(d)).max() <= 1e-12 and d.min() > 0, name
+    d = np.diag(_witness_diagonal(cases["H1/nc"])).real
+    gram = dict(cases["H1/nc"].blocks)["gram"]
+    assert np.allclose(d[:gram], 8 / 7, rtol=0, atol=1e-12)
+    assert np.allclose(d[gram:], 4 / 7, rtol=0, atol=1e-12)
 
 
 def _no_witness() -> sdp.SdpInstance:
     """max 2 Re Z[0, 1] with Z[0, 0] + 2 Re Z[0, 1] = 1 and Z[1, 1] = 1, of
-    value 2 (sqrt 2 - 1): no row weights sum to the identity."""
+    value 2 (sqrt 2 - 1): no weights of its one diagonal row, Z[1, 1] = 1,
+    sum to a positive diagonal."""
     return sdp.SdpInstance(
         blocks=(("z", 2),),
         objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]])},
@@ -424,18 +453,23 @@ def _no_witness() -> sdp.SdpInstance:
     )
 
 
-def test_instances_without_a_witness_keep_the_old_start():
-    assert sdp._Program(_no_witness()).witness is None
-    assert sdp._Program(replace(_scalar_instance(), constraints=())).witness is None
-    assert sdp._Program(_scalar_instance()).witness is not None
-    sol = sdp.solve(_no_witness(), 1e-8)
-    assert sol.status == "optimal"
-    assert sol.primal_value == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-7)
-    # The residuals, gap and mu of Z = 20 I, S = 20 I, y = 0.
-    first = sol.trace[0]
-    assert (first.pres, first.dres, first.rel_gap, first.mu) == (
-        17.051392904979934, 17.334935823359714, 0.0, 400.0
-    )
+def test_instances_whose_rows_do_not_bound_the_trace_are_refused(tmp_path, capsys):
+    zero_trace = sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=0.0)
+    cases = {
+        "no_witness": _no_witness(),
+        "no_rows": replace(_scalar_instance(), constraints=()),
+        "zero_trace": replace(_scalar_instance(), constraints=(zero_trace,)),  # only Z = 0
+    }
+    assert sdp._Program(cases["no_witness"]).witness is None
+    assert sdp._Program(cases["no_rows"]).witness is None
+    for name, inst in cases.items():
+        with pytest.raises(BadArgsError, match="do not bound Tr Z"):
+            sdp.solve(inst)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        assert cli.main(["sdp", "solve", str(path)]) == cli.EXIT_ARGS, name
+        err = capsys.readouterr().err
+        assert "do not bound Tr Z" in err and "Traceback" not in err, name
 
 
 def _complex_core(monkeypatch, inst: sdp.SdpInstance) -> sdp.SdpSolution:
@@ -480,6 +514,7 @@ def test_real_path_matches_complex_core(monkeypatch):
         # PSD, so b^T y bounds the optimum, within the gap tolerance.
         assert np.linalg.eigvalsh(_dual_slack(inst, real.y))[0] >= -1e-9, name
         b = np.array([con.rhs for con in inst.constraints])
+        assert real.dual_value == pytest.approx(b @ real.y, rel=1e-12), name
         bound = sdp.DEFAULT_TOL * max(1.0, abs(real.primal_value))
         assert 0 <= b @ real.y - real.primal_value <= bound, name
 
@@ -527,9 +562,9 @@ def test_size_cap_counts_the_rows_solved(monkeypatch):
     m = len(real.constraints)
     kept = sdp._Program(real).kept.size
     assert len(full.constraints) == m and sdp._Program(full).dtype is complex
-    side = 1 + sum(d for _, d in real.blocks)
-    assert max(side, kept + 1) < m + 1
-    monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", max(side, kept + 1) ** 2)
+    side = sum(d for _, d in real.blocks)
+    assert max(side, kept) < m
+    monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", max(side, kept) ** 2)
     assert sdp.certify(real, sdp.solve(real)).passed
 
     def no_solve(*args, **kwargs):
@@ -573,8 +608,8 @@ def test_unit_instances_are_not_scaled():
 
 
 def test_scaling_changes_no_step(monkeypatch):
-    # The start, the residual norms, the gap and the trace cap are all read
-    # in the caller's units, so the scaled solve follows the unscaled one.
+    # The start, the residual norms and the gap are all read in the
+    # caller's units, so the scaled solve follows the unscaled one.
     for inst in (_two_blocks(), double_instance(_random_instance(54))):
         prog = sdp._Program(inst)
         assert prog.ec and prog.eb
@@ -641,7 +676,8 @@ def _off_diagonal_cut(c: float, a: float) -> sdp.SdpInstance:
 
 def _mixed_rows(c: float, a: float) -> sdp.SdpInstance:
     """max 2 c Re Z[0, 1] with Z[0, 0] - Z[1, 1] = 2, Z[0, 0] + 2 Re Z[0, 1]
-    = a and Z[0, 0] = -a: infeasible for a > 0, with no trace witness."""
+    = a and Z[0, 0] = -a: infeasible for a > 0. The diagonal rows weighted by
+    u = (-1, 2) sum to the identity with u^T b = -2 - 2a < 0."""
     rows = (
         ((("z", 0, 0, 1.0 + 0.0j), ("z", 1, 1, -1.0 + 0.0j)), 2.0),
         ((("z", 0, 1, 1.0 + 0.0j), ("z", 0, 0, 1.0 + 0.0j)), a),
@@ -654,32 +690,34 @@ def _mixed_rows(c: float, a: float) -> sdp.SdpInstance:
 
 
 @pytest.mark.parametrize(
-    "inst, witnessed",
+    "inst, in_loop",
     [(_off_diagonal_cut(3.0, 2.5), True), (_mixed_rows(100.0, 3.0), False)],
-    ids=["witness", "no_witness"],
+    ids=["witness", "farkas_witness"],
 )
-def test_infeasibility_is_found_at_the_same_iteration_when_scaled(monkeypatch, inst, witnessed):
+def test_infeasibility_is_found_at_the_same_iteration_when_scaled(monkeypatch, inst, in_loop):
     # y is read in units of C and b^T y in units of the objective, so the
     # scaled doubled instance meets the test where its unscaled image does.
+    # When u^T b < 0 the trace witness u is itself the certificate, before
+    # the first iteration.
     doubled = double_instance(inst)
     prog = sdp._Program(doubled)
     assert prog.ec and prog.eb
-    assert (prog.witness is not None) == witnessed
-    with pytest.raises(InfeasibleError, match="at iteration") as scaled:
+    assert (prog.witness @ prog.b > 0) == in_loop
+    with pytest.raises(InfeasibleError, match="at iteration" if in_loop else "b\\^T u < 0") as scaled:
         sdp.solve(doubled, 1e-8)
     with monkeypatch.context() as patch:
         patch.setattr(sdp, "_scale_exponent", lambda top: 0)
         with pytest.raises(InfeasibleError) as plain:
             sdp.solve(doubled, 1e-8)
     assert str(scaled.value) == str(plain.value)
-
-
-def test_unbounded_detected():
-    inst = sdp.SdpInstance(
-        blocks=(("z", 1),), objective={"z": np.eye(1, dtype=complex)}, constraints=()
-    )
-    with pytest.raises(UnboundedError):
-        sdp.solve(inst, 1e-8)
+    if not in_loop:
+        u = scaled.value.certificate
+        assert np.array_equal(u, plain.value.certificate)
+        assert np.array_equal(u[prog.kept], prog.witness)
+        # A Farkas certificate of the caller's instance: A^T u > 0, b^T u < 0.
+        b = np.array([con.rhs for con in doubled.constraints])
+        assert np.linalg.eigvalsh(_dual_slack(replace(doubled, objective={}), u))[0] > 0
+        assert b @ u < 0
 
 
 def test_instance_validation():
