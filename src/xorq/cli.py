@@ -126,20 +126,27 @@ def _classical_from_diagonal(g: games.GameMatrix) -> games.ClassicalGame:
 
 
 def _parse_quantities(spec: str):
+    """(kind, param) pairs, each once, in the order first given. A report
+    holds one me and one ent, so two dimensions of either are refused."""
     out = []
     for raw in spec.split(","):
         raw = raw.strip()
         if not raw:
             continue
         if raw.startswith("me:"):
-            out.append(("me", _dimension(raw, raw[3:])))
+            quantity = ("me", _dimension(raw, raw[3:]))
         elif raw.startswith("ent:"):
             da, _, db = raw[4:].partition("x")
-            out.append(("ent", (_dimension(raw, da), _dimension(raw, db or da))))
+            quantity = ("ent", (_dimension(raw, da), _dimension(raw, db or da)))
         elif raw in ("omega", "omega-c", "beta-sdp", "beta-nc", "beta-os", "chains"):
-            out.append((raw, None))
+            quantity = (raw, None)
         else:
             raise FormatError(f"unknown quantity {raw!r}")
+        if quantity in out:
+            continue
+        if any(kind == quantity[0] for kind, _ in out):
+            raise FormatError(f"{quantity[0]} is given with two dimensions; a report holds one")
+        out.append(quantity)
     return out
 
 

@@ -13,6 +13,14 @@ The Gram variables are the conjugated X-entry vectors and the plain
 Y-entry vectors; maximizing the real part of the objective is exact by the
 global-phase freedom of each family. Each program is one PSD Gram block.
 
+All three take one path. A relaxation is its rows plus its table of
+witness families (_families: base, size, conjugation, side). _solve_gram
+solves it, factors Z = W^+ W, cuts the families from W, re-evaluates the
+objective on them and returns the RelaxationResult. Every row comes from
+_functional: a sum of real coefficients times entries Z[i, j], i <= j,
+equal to a real constant. That is one row for the real part and, when an
+entry is off the diagonal, one with rhs 0 for the imaginary part.
+
 The caps are equalities, where the relaxations of the paper ask for
 products <= I; the optimum is the same. An equality-feasible point is
 <=-feasible. Conversely, let a family X have XX^+ <= I and X^+X <= I, and
@@ -73,36 +81,23 @@ class RelaxationResult:
     solver_gap: float
 
 
-# --- constraint compilation helpers -------------------------------------------
+# --- compilation -----------------------------------------------------------------
 
 
-def _functional(terms, rhs: complex):
-    """Real constraints expressing a complex-linear functional equality.
+def _functional(terms, rhs: float) -> list:
+    """Rows for sum v * Z_b[i, j] = rhs over terms (b, i, j, v), with real
+    coefficients v and i <= j.
 
-    terms: (block, i, j, coeff) meaning sum coeff * Z_b[i, j]; indices may be
-    in either triangle. Returns one constraint for the real part and, when
-    non-trivial, one for the imaginary part.
+    The first row is the real part. When a term is off the diagonal, a
+    second row, with rhs 0, is the imaginary part; a diagonal entry of a
+    Hermitian block is real and has none.
     """
-    out = []
-    for mult, rhs_part in ((1.0 + 0.0j, complex(rhs).real), (-1.0j, complex(rhs).imag)):
-        acc: dict[tuple[str, int, int], complex] = {}
-        for b, i, j, coeff in terms:
-            alpha = mult * complex(coeff)
-            if i == j:
-                key, add = (b, i, i), complex(alpha.real)
-            elif i < j:
-                key, add = (b, i, j), alpha.conjugate() / 2
-            else:
-                key, add = (b, j, i), alpha / 2
-            acc[key] = acc.get(key, 0.0) + add
-        entries = tuple(
-            (b, i, j, v) for (b, i, j), v in sorted(acc.items(), key=lambda t: t[0])
-            if v != 0
-        )
-        if entries:
-            out.append(sdp_mod.SdpConstraint(entries=entries, rhs=float(rhs_part)))
-        elif abs(rhs_part) > 1e-12:
-            raise BadArgsError("inconsistent constant constraint")
+    real = tuple((b, i, j, complex(v.real if i == j else v.real / 2)) for b, i, j, v in terms)
+    # complex(0.0, .) keeps a +0.0 real part, where 0.5j * v gives -0.0 for v < 0.
+    imag = tuple((b, i, j, complex(0.0, v.real / 2)) for b, i, j, v in terms if i < j)
+    out = [sdp_mod.SdpConstraint(entries=real, rhs=float(rhs))]
+    if imag:
+        out.append(sdp_mod.SdpConstraint(entries=imag, rhs=0.0))
     return out
 
 
@@ -120,9 +115,34 @@ def _cap_constraints(n: int, base: int, rows: bool) -> list:
     cons = []
     for a in range(n):
         for a2 in range(a, n):
-            terms = [("gram", idx(a, k), idx(a2, k), 1.0 + 0.0j) for k in range(n)]
+            terms = [("gram", idx(a, k), idx(a2, k), 1.0) for k in range(n)]
             cons.extend(_functional(terms, 1.0 if a == a2 else 0.0))
     return cons
+
+
+def _families(kind: str, n: int) -> dict:
+    """The witness families of relaxation beta_<kind> for local side n (the
+    game's n): {name: (base, size, conjugate, side)}.
+
+    Family `name` is the Gram indices base .. base + size - 1; its vectors
+    are those columns of the factor W of Z = W^+ W, conjugated for the X
+    families. With a side it is the VectorValuedMatrix whose entry (i, k)
+    is index base + i*side + k; without one, a matrix with one vector per
+    row.
+    """
+    nn = n * n
+    return {
+        "sdp": {"x": (0, n, True, None), "y": (n, n, False, None)},
+        "nc": {"x": (0, nn, True, n), "y": (nn, nn, False, n)},
+        "os": {"x_r": (0, nn, True, n), "x_c": (nn, nn, True, n),
+               "y_r": (2 * nn, nn, False, n), "y_c": (3 * nn, nn, False, n)},
+    }[kind]
+
+
+def _m4(g: GameMatrix) -> np.ndarray:
+    """Game matrix reshaped so m4[c, e, a, b] = M[(c, e), (a, b)]."""
+    n = g.n
+    return g.m.reshape(n, n, n, n)
 
 
 def _gram_objective(g: GameMatrix, dim: int, xb: int, yb: int) -> np.ndarray:
@@ -135,131 +155,44 @@ def _gram_objective(g: GameMatrix, dim: int, xb: int, yb: int) -> np.ndarray:
     return c + c.conj().T
 
 
-def _gram_vectors(z: np.ndarray) -> np.ndarray:
-    """Factor a PSD Gram block as W^+ W; returns W with rank many rows."""
-    w, u = np.linalg.eigh((z + z.conj().T) / 2)
-    w = w[::-1]
-    u = u[:, ::-1]
-    top = max(float(w[0]), 0.0)
-    keep = np.where(w > RANK_CUT * max(top, 1e-300))[0]
-    if keep.size == 0:
-        return np.zeros((1, z.shape[0]), dtype=complex)
-    return (np.sqrt(w[keep])[:, None] * u[:, keep].conj().T).astype(complex)
-
-
-# --- beta_sdp -------------------------------------------------------------------
-
-
 def beta_sdp_instance(g: ClassicalGame) -> sdp_mod.SdpInstance:
     n = g.n
+    x, y = (base for base, _, _, _ in _families("sdp", n).values())
     c = np.zeros((2 * n, 2 * n), dtype=complex)
-    for s in range(n):
-        for t in range(n):
-            c[s, n + t] = g.r[s, t] / 2  # real coefficients: conj is itself
-    c = c + c.conj().T
-    cons = []
-    for u in range(2 * n):
-        cons.extend(_functional([("gram", u, u, 1.0 + 0.0j)], 1.0))
+    c[x:x + n, y:y + n] = g.r / 2  # real coefficients: conj is itself
+    cons = [con for u in range(2 * n) for con in _functional([("gram", u, u, 1.0)], 1.0)]
     return sdp_mod.SdpInstance(
-        blocks=(("gram", 2 * n),), objective={"gram": c}, constraints=tuple(cons)
+        blocks=(("gram", 2 * n),), objective={"gram": c + c.conj().T}, constraints=tuple(cons)
     )
-
-
-def beta_sdp(g: ClassicalGame, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
-    """Vector relaxation of a classical XOR game."""
-    inst = beta_sdp_instance(g)
-    sol = sdp_mod.solve(inst, tol)
-    n = g.n
-    w = _gram_vectors(sol.blocks["gram"])
-    xs = w[:, :n].conj().T  # rows: the x_s vectors (un-conjugated)
-    ys = w[:, n:].T  # rows: the y_t vectors
-    # objective = Re sum_st R_st <conj x_s, y_t> = Re sum_st R_st (xs @ ys^T)_st
-    value = float(np.real(np.sum(g.r * (xs @ ys.T))))
-    _check_close("beta_sdp witness objective", value, sol.primal_value)
-    return RelaxationResult(
-        value=sol.primal_value,
-        witness={"x": xs, "y": ys},
-        solver_gap=sol.gap,
-    )
-
-
-# --- beta_nc --------------------------------------------------------------------
-
-
-def _m4(g: GameMatrix) -> np.ndarray:
-    """Game matrix reshaped so m4[c, e, a, b] = M[(c, e), (a, b)]."""
-    n = g.n
-    return g.m.reshape(n, n, n, n)
 
 
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n = g.n
-    nn = n * n
+    x, y = (base for base, _, _, _ in _families("nc", n).values())
     # The last column-cap row, the (n-1, n-1) diagonal, is implied by the
     # others (see the module docstring), so each family drops it.
-    cons = (
-        _cap_constraints(n, 0, rows=True)
-        + _cap_constraints(n, 0, rows=False)[:-1]
-        + _cap_constraints(n, nn, rows=True)
-        + _cap_constraints(n, nn, rows=False)[:-1]
-    )
+    cons = []
+    for base in (x, y):
+        cons += _cap_constraints(n, base, rows=True) + _cap_constraints(n, base, rows=False)[:-1]
     return sdp_mod.SdpInstance(
-        blocks=(("gram", 2 * nn),),
-        objective={"gram": _gram_objective(g, 2 * nn, 0, nn)},
+        blocks=(("gram", 2 * n * n),),
+        objective={"gram": _gram_objective(g, 2 * n * n, x, y)},
         constraints=tuple(cons),
     )
-
-
-def _extract_vvm(w: np.ndarray, n: int, base: int, conjugate: bool) -> VectorValuedMatrix:
-    mats = w[:, base:base + n * n].reshape(-1, n, n)
-    return VectorValuedMatrix(n=n, d=w.shape[0], mats=np.conj(mats) if conjugate else mats)
-
-
-def nc_objective(g: GameMatrix, x: VectorValuedMatrix, y: VectorValuedMatrix) -> float:
-    """Re Tr((sum_r X_r (x) Y_r) M) = Re sum X_r[i, k] Y_r[j, l] M[(k, l), (i, j)]."""
-    return float(np.einsum("rik,rjl,klij->", x.mats, y.mats, _m4(g)).real)
-
-
-def beta_nc(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
-    """Non-commutative Gram relaxation; upper bound on the maximally
-    entangled bias, at most 2 sqrt(2) times the unentangled bias."""
-    inst = beta_nc_instance(g)
-    sol = sdp_mod.solve(inst, tol)
-    n = g.n
-    w = _gram_vectors(sol.blocks["gram"])
-    x = _extract_vvm(w, n, 0, conjugate=True)
-    y = _extract_vvm(w, n, n * n, conjugate=False)
-    _check_close("beta_nc witness objective", nc_objective(g, x, y), sol.primal_value)
-    return RelaxationResult(
-        value=sol.primal_value, witness={"x": x, "y": y}, solver_gap=sol.gap
-    )
-
-
-# --- beta_os --------------------------------------------------------------------
 
 
 def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n = g.n
     nn = n * n
-    wr, wc, vr, vc = 0, nn, 2 * nn, 3 * nn  # base index of each family
-
-    cons = []
+    wr, wc, vr, vc = (base for base, _, _, _ in _families("os", n).values())
     # Consistency X_R . Y_C = X_C . Y_R, entrywise on the composite space.
+    cons = []
     for ac in range(nn):
         for be in range(nn):
-            cons.extend(
-                _functional(
-                    [
-                        ("gram", wr + ac, vc + be, 1.0 + 0.0j),
-                        ("gram", wc + ac, vr + be, -1.0 + 0.0j),
-                    ],
-                    0.0,
-                )
-            )
-    cons += _cap_constraints(n, wr, rows=True)
-    cons += _cap_constraints(n, vr, rows=True)
-    cons += _cap_constraints(n, wc, rows=False)
-    cons += _cap_constraints(n, vc, rows=False)
+            terms = [("gram", wr + ac, vc + be, 1.0), ("gram", wc + ac, vr + be, -1.0)]
+            cons += _functional(terms, 0.0)
+    for base, rows in ((wr, True), (vr, True), (wc, False), (vc, False)):
+        cons += _cap_constraints(n, base, rows)
     return sdp_mod.SdpInstance(
         blocks=(("gram", 4 * nn),),
         objective={"gram": _gram_objective(g, 4 * nn, wr, vc)},
@@ -267,29 +200,63 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     )
 
 
+# --- solving ----------------------------------------------------------------------
+
+
+def _solve_gram(
+    kind: str, n: int, inst: sdp_mod.SdpInstance, tol: float, objective
+) -> RelaxationResult:
+    """Solve beta_<kind>, factor its Gram block and read off the witness.
+
+    Z = W^+ W keeps the eigenvalues of Z above RANK_CUT times the largest,
+    one row of W each, and W is cut into the families of _families(kind,
+    n). objective(witness) re-evaluates the game's value on them; SdpError
+    when it drifts from the solver's value.
+    """
+    sol = sdp_mod.solve(inst, tol)
+    z = sol.blocks["gram"]
+    lam, vecs = np.linalg.eigh((z + z.conj().T) / 2)
+    keep = np.flatnonzero(lam > RANK_CUT * max(float(lam[-1]), 1e-300))[::-1]
+    w = (np.sqrt(lam[keep])[:, None] * vecs[:, keep].conj().T).astype(complex)
+    witness = {}
+    for name, (base, size, conjugate, side) in _families(kind, n).items():
+        part = np.conj(w[:, base:base + size]) if conjugate else w[:, base:base + size]
+        witness[name] = (
+            part.T if side is None
+            else VectorValuedMatrix(n=side, d=w.shape[0], mats=part.reshape(-1, side, side))
+        )
+    got, want = objective(witness), sol.primal_value
+    if abs(got - want) > 1e-5 * max(1.0, abs(want)):
+        raise SdpError(
+            f"beta_{kind} witness objective {got:.8g} drifted from solver value {want:.8g}"
+        )
+    return RelaxationResult(value=want, witness=witness, solver_gap=sol.gap)
+
+
+def nc_objective(g: GameMatrix, x: VectorValuedMatrix, y: VectorValuedMatrix) -> float:
+    """Re Tr((sum_r X_r (x) Y_r) M) = Re sum X_r[i, k] Y_r[j, l] M[(k, l), (i, j)]."""
+    return float(np.einsum("rik,rjl,klij->", x.mats, y.mats, _m4(g)).real)
+
+
+def beta_sdp(g: ClassicalGame, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
+    """Vector relaxation of a classical XOR game; the witness rows x[s] and
+    y[t] are the vectors, and the value is Re sum_st R_st <conj x_s, y_t>."""
+    return _solve_gram("sdp", g.n, beta_sdp_instance(g), tol,
+                       lambda w: float(np.real(np.sum(g.r * (w["x"] @ w["y"].T)))))
+
+
+def beta_nc(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
+    """Non-commutative Gram relaxation; upper bound on the maximally
+    entangled bias, at most 2 sqrt(2) times the unentangled bias."""
+    return _solve_gram("nc", g.n, beta_nc_instance(g), tol,
+                       lambda w: nc_objective(g, w["x"], w["y"]))
+
+
 def beta_os(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
     """Operator-space Gram relaxation; upper bound on the entangled bias
     within a factor 2."""
-    inst = beta_os_instance(g)
-    sol = sdp_mod.solve(inst, tol)
-    n = g.n
-    nn = n * n
-    w = _gram_vectors(sol.blocks["gram"])
-    xr = _extract_vvm(w, n, 0 * nn, conjugate=True)
-    xc = _extract_vvm(w, n, 1 * nn, conjugate=True)
-    yr = _extract_vvm(w, n, 2 * nn, conjugate=False)
-    yc = _extract_vvm(w, n, 3 * nn, conjugate=False)
-    _check_close("beta_os witness objective", nc_objective(g, xr, yc), sol.primal_value)
-    return RelaxationResult(
-        value=sol.primal_value,
-        witness={"x_r": xr, "x_c": xc, "y_r": yr, "y_c": yc},
-        solver_gap=sol.gap,
-    )
-
-
-def _check_close(what: str, got: float, want: float):
-    if abs(got - want) > 1e-5 * max(1.0, abs(want)):
-        raise SdpError(f"{what} {got:.8g} drifted from solver value {want:.8g}")
+    return _solve_gram("os", g.n, beta_os_instance(g), tol,
+                       lambda w: nc_objective(g, w["x_r"], w["y_c"]))
 
 
 # --- closed forms and chain checks ----------------------------------------------
@@ -327,39 +294,36 @@ def check_chains(g: GameMatrix, report: BiasReport, tol: float = 1e-6) -> list[C
     checks: list[ChainCheck] = []
     tn = report.trace_norm if report.trace_norm is not None else g.trace_norm
 
-    def hard(label, lhs, rhs):
-        if lhs is None or rhs is None:
-            return
-        checks.append(ChainCheck(label, lhs, rhs, lhs <= rhs + slack, True))
+    def check(label, lhs, rhs, hard=True):
+        if lhs is not None and rhs is not None:
+            checks.append(ChainCheck(label, lhs, rhs, lhs <= rhs + slack, hard))
 
-    def soft(label, lhs, rhs):
-        if lhs is None or rhs is None:
-            return
-        checks.append(ChainCheck(label, lhs, rhs, lhs <= rhs + slack, False))
-
-    hard("omega_lower<=beta_nc", report.omega_lower, report.beta_nc)
-    hard("omega_lower<=omega_c_lower", report.omega_lower, report.omega_c_lower)
-    hard("me_lower<=beta_nc", report.me_lower, report.beta_nc)
-    hard("entangled_lower<=beta_os", report.entangled_lower, report.beta_os)
-    hard("beta_nc<=beta_os", report.beta_nc, report.beta_os)
-    hard("beta_nc<=trace_norm", report.beta_nc, tn)
-    hard("beta_os<=trace_norm", report.beta_os, tn)
+    check("omega_lower<=beta_nc", report.omega_lower, report.beta_nc)
+    check("omega_lower<=omega_c_lower", report.omega_lower, report.omega_c_lower)
+    check("me_lower<=beta_nc", report.me_lower, report.beta_nc)
+    check("entangled_lower<=beta_os", report.entangled_lower, report.beta_os)
+    check("beta_nc<=beta_os", report.beta_nc, report.beta_os)
+    check("beta_nc<=trace_norm", report.beta_nc, tn)
+    check("beta_os<=trace_norm", report.beta_os, tn)
     if report.beta_sdp is not None:
-        hard("omega_lower<=beta_sdp", report.omega_lower, report.beta_sdp)
-        hard("omega_c_lower<=beta_sdp", report.omega_c_lower, report.beta_sdp)
-    soft(
+        check("omega_lower<=beta_sdp", report.omega_lower, report.beta_sdp)
+        check("omega_c_lower<=beta_sdp", report.omega_c_lower, report.beta_sdp)
+    check(
         "beta_nc<=2sqrt2*omega_lower",
         report.beta_nc,
         None if report.omega_lower is None else 2.0 * math.sqrt(2.0) * report.omega_lower,
+        hard=False,
     )
-    soft(
+    check(
         "beta_nc<=2*omega_c_lower",
         report.beta_nc,
         None if report.omega_c_lower is None else 2.0 * report.omega_c_lower,
+        hard=False,
     )
-    soft(
+    check(
         "beta_os<=2*entangled_lower",
         report.beta_os,
         None if report.entangled_lower is None else 2.0 * report.entangled_lower,
+        hard=False,
     )
     return checks

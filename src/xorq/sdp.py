@@ -276,10 +276,12 @@ class _Program:
 
 def _trace_witness(prog: _Program) -> np.ndarray | None:
     """Row weights u, one per program row, with A^T u = D a diagonal whose
-    entries all exceed 1e-3, so that every Z meeting the rows has Tr(D Z) =
-    u^T b. u is the least-squares fit of sum_q u_q diag(F_q) = 1 over the
-    rows whose stored entries are all diagonal, 0 on every other row; D = I
-    when those rows can sum to the identity. None for any other program."""
+    entries all exceed 1e-12 times the largest, so that every Z meeting the
+    rows has Tr(D Z) = u^T b. The test is relative: it keeps a D whose
+    entries spread over many orders of magnitude and drops one that is 0 up
+    to rounding. u is the least-squares fit of sum_q u_q diag(F_q) = 1 over
+    the rows whose stored entries are all diagonal, 0 on every other row;
+    D = I when those rows can sum to the identity. None for any other program."""
     diag = prog.rows == prog.cols
     mixed = np.bincount(prog.owner, ~diag, minlength=prog.m) > 0
     rows = np.flatnonzero(~mixed)
@@ -289,7 +291,8 @@ def _trace_witness(prog: _Program) -> np.ndarray | None:
     fit = np.zeros((prog.dim, rows.size))
     np.add.at(fit, (prog.rows[sel], np.searchsorted(rows, prog.owner[sel])), prog.weight[sel].real)
     u = np.linalg.lstsq(fit, np.ones(prog.dim), rcond=None)[0]
-    if np.min(fit @ u) <= 1e-3:
+    d = fit @ u
+    if not d.min() > 1e-12 * d.max():
         return None
     witness = np.zeros(prog.m)
     witness[rows] = u

@@ -195,6 +195,43 @@ def test_cmd_bias_bad_dimension_exits_2(tmp_path, capsys, quantity):
     assert "bad dimension" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "quantities, computed, code",
+    [
+        ("beta-nc,beta-nc", {"beta_nc": 1}, cli.EXIT_OK),
+        ("me:2,beta-nc,me:2", {"me_lower": 1, "beta_nc": 1}, cli.EXIT_OK),
+        ("ent:2,ent:2x2", {"me_lower": 1, "entangled_lower": 1}, cli.EXIT_OK),
+        ("me:2,me:3,beta-nc", {}, cli.EXIT_ARGS),
+        ("beta-nc,ent:2x1,ent:1x2", {}, cli.EXIT_ARGS),
+    ],
+)
+def test_cmd_bias_computes_each_quantity_once(tmp_path, monkeypatch, capsys, quantities,
+                                              computed, code):
+    path = tmp_path / "t1.json"
+    run(["game", "--name", "tn", "--param", "1", "--out", str(path)])
+    capsys.readouterr()
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(relaxations, "beta_nc", counting("beta_nc", relaxations.beta_nc))
+    for name in ("me_lower", "entangled_lower"):
+        monkeypatch.setattr(heuristics, name, counting(name, getattr(heuristics, name)))
+    argv = ["bias", str(path), "--quantities", quantities, "--restarts", "2", "--format", "json"]
+    assert run(argv) == code
+    assert {name: calls.count(name) for name in set(calls)} == computed
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_ARGS:
+        assert "two dimensions" in err and "Traceback" not in err
+    else:
+        payload = json.loads(out)
+        assert payload["me_d"] == (2 if quantities.startswith("me:") else None)
+
+
 def test_cmd_bias_oversized_inputs_exit_2(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"format": "xorq-game-v1", "n": 400, "entries": []}))

@@ -115,6 +115,26 @@ def test_gram_bookkeeping_soundness(rng):
             assert abs(got - right[c2, c]) <= 1e-10  # transpose of X^+ X
 
 
+@pytest.mark.parametrize("diagonal, upper", [(3, 0), (0, 3), (2, 2)])
+def test_functional_rows_are_real_and_imaginary_parts(rng, diagonal, upper):
+    """On a Hermitian Z, _functional's rows read Re S and Im S, where
+    S = sum v Z[i, j] over real v and i <= j."""
+    dim = 4
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = a + a.conj().T
+    above = list(itertools.combinations(range(dim), 2))
+    pairs = [(i, i) for i in rng.choice(dim, diagonal, replace=False)]
+    pairs += [above[p] for p in rng.choice(len(above), upper, replace=False)]
+    terms = [("gram", i, j, float(rng.standard_normal())) for i, j in sorted(pairs)]
+    want = sum(v * z[i, j] for _, i, j, v in terms)
+    rows = relaxations._functional(terms, 0.5)
+    assert [row.rhs for row in rows] == ([0.5, 0.0] if upper else [0.5])
+    values = [sdp.constraint_value(row, {"gram": z}) for row in rows]
+    assert values[0] == pytest.approx(want.real, abs=1e-12)
+    if upper:
+        assert values[1] == pytest.approx(want.imag, abs=1e-12)
+
+
 def test_gram_objective_matches_entrywise_loop():
     """The objective blocks equal the entrywise definition
     c[x(a, c), y(b, e)] = conj(M[(c, e), (a, b)]) / 2, then c + c^+."""

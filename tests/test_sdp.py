@@ -472,6 +472,29 @@ def test_instances_whose_rows_do_not_bound_the_trace_are_refused(tmp_path, capsy
         assert "do not bound Tr Z" in err and "Traceback" not in err, name
 
 
+def test_trace_bound_with_spread_row_weights_solves(tmp_path, capsys):
+    """max 2 Re Z[0, 1] with Z[0, 0] + 1e-6 Z[1, 1] = 1: D = diag(1, 1e-6)
+    bounds Tr Z by 1e6, and the value is 1000 (Z[0, 0] = 1/2)."""
+    inst = sdp.SdpInstance(
+        blocks=(("z", 2),),
+        objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]])},
+        constraints=(
+            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j), ("z", 1, 1, 1e-6 + 0.0j)), rhs=1.0),
+        ),
+    )
+    d = np.diag(_witness_diagonal(inst)).real
+    assert d[1] / d[0] == pytest.approx(1e-6, rel=1e-12)
+    sol = sdp.solve(inst)
+    assert sol.status == "optimal"
+    assert sol.primal_value == pytest.approx(1000.0, rel=1e-5)
+    assert sol.dual_value == pytest.approx(1000.0, rel=1e-5)
+    assert sdp.certify(inst, sol).passed
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(instance_to_dict(inst)))
+    assert cli.main(["sdp", "solve", str(path)]) == cli.EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _complex_core(monkeypatch, inst: sdp.SdpInstance) -> sdp.SdpSolution:
     """inst solved on the complex path, whatever the detection says."""
     with monkeypatch.context() as patch:
