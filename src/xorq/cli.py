@@ -7,11 +7,13 @@ Subcommands:
   xorq report paper-table --out table               reproduce the value table
   xorq sdp solve inst.json --tol 1e-8               raw solver access
 
-Progress goes to stderr; stdout carries exactly the report payload. Output
-files are written via temp-and-rename, with floats fixed to 12 significant
-digits so identical inputs give identical bytes. Exit codes: 0 success,
-2 argument/parse errors, 3 chain-check or table failures, 4 solver
-failures.
+Progress goes to stderr; stdout carries exactly the report payload. The
+text and CSV formats of `xorq bias` list every field of the JSON payload
+except `chains` and `cfg`, in field order, and then the chain checks.
+Output files are written via temp-and-rename, with floats fixed to 12
+significant digits so identical inputs give identical bytes. Exit codes:
+0 success, 2 argument/parse errors, 3 chain-check or table failures,
+4 solver failures.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import games, heuristics, relaxations, sdp, strategies
 from .errors import BadArgsError, FormatError, SdpError, SeesawError, XorqError
-from .report import BiasReport
+from .report import QUANTITY_FIELDS, BiasReport
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -90,16 +92,11 @@ def _build_game(args) -> games.GameMatrix:
     if name in ("tn", "hn", "cn"):
         if args.param is None:
             raise FormatError(f"--name {name} requires --param")
-        n = int(args.param)
-        return {"tn": games.t_game, "hn": games.h_game, "cn": games.c_game}[name](n)
-    if name == "classical-file":
+        return {"tn": games.t_game, "hn": games.h_game, "cn": games.c_game}[name](args.param)
+    if name in ("classical-file", "matrix-file"):
         if not args.file:
-            raise FormatError("--name classical-file requires --file")
-        return games.load_classical_game(args.file)
-    if name == "matrix-file":
-        if not args.file:
-            raise FormatError("--name matrix-file requires --file")
-        return games.load_game(args.file)
+            raise FormatError(f"--name {name} requires --file")
+        return (games.load_game if name == "matrix-file" else games.load_classical_game)(args.file)
     if name == "tensor":
         if not (args.file and args.file2):
             raise FormatError("--name tensor requires --file and --file2")
@@ -128,26 +125,24 @@ def _classical_from_diagonal(g: games.GameMatrix) -> games.ClassicalGame:
 def _parse_quantities(spec: str):
     """(kind, param) pairs, each once, in the order first given. A report
     holds one me and one ent, so two dimensions of either are refused."""
-    out = []
+    out = {}
     for raw in spec.split(","):
         raw = raw.strip()
         if not raw:
             continue
-        if raw.startswith("me:"):
-            quantity = ("me", _dimension(raw, raw[3:]))
-        elif raw.startswith("ent:"):
-            da, _, db = raw[4:].partition("x")
-            quantity = ("ent", (_dimension(raw, da), _dimension(raw, db or da)))
-        elif raw in ("omega", "omega-c", "beta-sdp", "beta-nc", "beta-os", "chains"):
-            quantity = (raw, None)
-        else:
+        kind, colon, dims = raw.partition(":")
+        if kind not in QUANTITY_FIELDS or bool(colon) != (kind in ("me", "ent")):
             raise FormatError(f"unknown quantity {raw!r}")
-        if quantity in out:
-            continue
-        if any(kind == quantity[0] for kind, _ in out):
-            raise FormatError(f"{quantity[0]} is given with two dimensions; a report holds one")
-        out.append(quantity)
-    return out
+        if kind == "me":
+            param = _dimension(raw, dims)
+        elif kind == "ent":
+            da, _, db = dims.partition("x")
+            param = (_dimension(raw, da), _dimension(raw, db or da))
+        else:
+            param = None
+        if out.setdefault(kind, param) != param:
+            raise FormatError(f"{kind} is given with two dimensions; a report holds one")
+    return list(out.items())
 
 
 def _dimension(quantity: str, text: str) -> int:
@@ -173,62 +168,60 @@ def compute_report(
         trace_norm=g.trace_norm,
     )
     for kind, param in quantities:
+        if kind == "chains":
+            continue  # always evaluated below
+        field = QUANTITY_FIELDS[kind]
         t0 = time.monotonic()
         if kind == "omega":
-            rep.omega_lower = ladder.omega().value
+            value = ladder.omega().value
         elif kind == "omega-c":
-            rep.omega_c_lower = ladder.omega_c().value
+            value = ladder.omega_c().value
         elif kind == "me":
             rep.me_d = param
-            rep.me_lower = ladder.me(param).value
+            value = ladder.me(param).value
         elif kind == "ent":
             rep.entangled_dims = param
-            rep.entangled_lower = ladder.entangled(*param).value
+            value = ladder.entangled(*param).value
         elif kind == "beta-sdp":
-            rep.beta_sdp = relaxations.beta_sdp(_classical_from_diagonal(g), tol).value
+            value = relaxations.beta_sdp(_classical_from_diagonal(g), tol).value
         elif kind == "beta-nc":
-            rep.beta_nc = relaxations.beta_nc(g, tol).value
-        elif kind == "beta-os":
-            rep.beta_os = relaxations.beta_os(g, tol).value
-        elif kind == "chains":
-            continue  # always evaluated below
-        _log(f"{name}: {_quantity_label(kind, param)} done in {time.monotonic() - t0:.2f}s")
+            value = relaxations.beta_nc(g, tol).value
+        else:
+            value = relaxations.beta_os(g, tol).value
+        setattr(rep, field, value)
+        _log(f"{name}: {field} done in {time.monotonic() - t0:.2f}s")
     rep.chains = relaxations.check_chains(g, rep, tol)
     return rep
 
 
-def _quantity_label(kind, param) -> str:
-    if kind == "me":
-        return f"me:{param}"
-    if kind == "ent":
-        return f"ent:{param[0]}x{param[1]}"
-    return kind
+def _cell(val, number: Callable[[float], str] = "{:.12g}".format) -> str:
+    """A value in a text or CSV table: a float written by `number`, a check
+    as pass or fail, a pair of dimensions as dAxdB."""
+    if isinstance(val, bool):
+        return "pass" if val else "fail"
+    if isinstance(val, float):
+        return number(val)
+    return "x".join(map(str, val)) if isinstance(val, tuple) else str(val)
+
+
+def _report_fields(rep: BiasReport) -> list[tuple]:
+    """Every populated field of the JSON payload but chains and cfg, in field order."""
+    data = rep.to_dict()
+    return [(k, v) for k, v in data.items() if v is not None and k not in ("chains", "cfg")]
 
 
 def _report_text(rep: BiasReport) -> str:
     buf = io.StringIO()
     print(f"game: {rep.game} (n = {rep.n})", file=buf)
-    print(f"trace_norm      {rep.trace_norm:.12g}", file=buf)
-    rows = [
-        ("omega_lower", rep.omega_lower),
-        ("omega_c_lower", rep.omega_c_lower),
-        (f"me_lower(d={rep.me_d})" if rep.me_d else "me_lower", rep.me_lower),
-        ("entangled_lower", rep.entangled_lower),
-        ("beta_sdp", rep.beta_sdp),
-        ("beta_nc", rep.beta_nc),
-        ("beta_os", rep.beta_os),
-    ]
-    for label, val in rows:
-        if val is not None:
-            print(f"{label:<15} {val:.12g}", file=buf)
+    for key, val in _report_fields(rep):
+        if key not in ("game", "n"):
+            print(f"{key:<15} {_cell(val)}", file=buf)
     if rep.chains:
         print("chain checks:", file=buf)
         for c in rep.chains:
             mark = "ok" if c.passed else "FAIL"
             kind = "hard" if c.hard else "soft"
-            print(
-                f"  [{mark}] ({kind}) {c.label}: {c.lhs:.9g} vs {c.rhs:.9g}", file=buf
-            )
+            print(f"  [{mark}] ({kind}) {c.label}: {c.lhs:.9g} vs {c.rhs:.9g}", file=buf)
     return buf.getvalue()
 
 
@@ -236,18 +229,9 @@ def _report_csv(rep: BiasReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["quantity", "value"])
-    data = rep.to_dict()
-    for key in (
-        "game", "n", "trace_norm", "omega_lower", "omega_c_lower", "me_lower",
-        "entangled_lower", "beta_sdp", "beta_nc", "beta_os",
-    ):
-        val = data[key]
-        if val is not None:
-            writer.writerow([key, _round12(val) if isinstance(val, float) else val])
-    for c in rep.chains:
-        writer.writerow(
-            [f"chain:{c.label}", "pass" if c.passed else "fail"]
-        )
+    for key, val in _report_fields(rep):
+        writer.writerow([key, _cell(val, lambda x: str(_round12(x)))])
+    writer.writerows([f"chain:{c.label}", _cell(c.passed)] for c in rep.chains)
     return buf.getvalue()
 
 
@@ -266,11 +250,9 @@ def cmd_bias(args) -> int:
         payload = _report_text(rep).encode()
     _emit(payload, args.out)
     hard_failures = [c for c in rep.chains if c.hard and not c.passed]
-    if hard_failures:
-        for c in hard_failures:
-            _log(f"hard chain check failed: {c.label} ({c.lhs:.9g} vs {c.rhs:.9g})")
-        return EXIT_CHECK
-    return EXIT_OK
+    for c in hard_failures:
+        _log(f"hard chain check failed: {c.label} ({c.lhs:.9g} vs {c.rhs:.9g})")
+    return EXIT_CHECK if hard_failures else EXIT_OK
 
 
 # --- paper value table --------------------------------------------------------------
@@ -367,17 +349,13 @@ PAPER_TABLE = (
     PaperRow("H2", "beta_nc", 10 / 21, 5e-4),
 )
 
-_FIELD_QUANTITY = {
-    "omega_lower": "omega", "omega_c_lower": "omega-c", "me_lower": "me",
-    "beta_sdp": "beta-sdp", "beta_nc": "beta-nc", "beta_os": "beta-os",
-}
 
-
-def _field_and_quantity(label: str) -> tuple[str, str]:
-    """BiasReport field and compute_report quantity of a row label;
-    "me_lower(d=3)" is the field me_lower and the quantity me:3."""
+def _field_and_quantity(label: str) -> tuple[str, tuple]:
+    """BiasReport field and compute_report (kind, param) of a row label;
+    "me_lower(d=3)" is the field me_lower and the quantity ("me", 3)."""
     field, _, d = label.partition("(d=")
-    return field, _FIELD_QUANTITY[field] + (f":{d.rstrip(')')}" if d else "")
+    kind = next(kind for kind, f in QUANTITY_FIELDS.items() if f == field)
+    return field, (kind, int(d.rstrip(")")) if d else None)
 
 
 def paper_game_rows(game: str, tol: float, restarts: int, seed: int) -> list[dict]:
@@ -386,8 +364,7 @@ def paper_game_rows(game: str, tol: float, restarts: int, seed: int) -> list[dic
     table = [r for r in PAPER_TABLE if r.game == game]
     g = PAPER_GAMES[game]()
     fields = {r.quantity: _field_and_quantity(r.quantity) for r in table if r.exact is None}
-    quantities = _parse_quantities(",".join(q for _, q in fields.values()))
-    rep = compute_report(g, quantities, tol, restarts, seed, game)
+    rep = compute_report(g, [q for _, q in fields.values()], tol, restarts, seed, game)
     rows = []
     for r in table:
         computed = r.exact(g) if r.exact else getattr(rep, fields[r.quantity][0])
@@ -417,14 +394,8 @@ def cmd_report_paper_table(args) -> int:
     json_payload = _json_bytes({"format": "xorq-paper-table-v1", "rows": rows})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["game", "quantity", "computed", "expected", "tolerance",
-                     "compare", "pass"])
-    for r in rows:
-        writer.writerow([
-            r["game"], r["quantity"], f"{r['computed']:.12g}",
-            f"{r['expected']:.12g}", f"{r['tolerance']:.12g}", r["compare"],
-            "pass" if r["pass"] else "fail",
-        ])
+    writer.writerow(["game", "quantity", "computed", "expected", "tolerance", "compare", "pass"])
+    writer.writerows([_cell(val) for val in r.values()] for r in rows)
     _atomic_write(base + ".json", json_payload)
     _atomic_write(base + ".csv", buf.getvalue().encode())
     n_fail = sum(1 for r in rows if not r["pass"])
@@ -488,8 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bias.add_argument("game", help="xorq-game-v1 JSON file")
     p_bias.add_argument("--quantities",
                         default="omega,omega-c,beta-nc,beta-os,chains",
-                        help="comma list: omega,omega-c,me:<d>,ent:<dA>x<dB>,"
-                             "beta-sdp,beta-nc,beta-os,chains")
+                        help=f"comma list of {','.join(QUANTITY_FIELDS)}; "
+                             "me and ent take a dimension, as me:<d> and ent:<dA>x<dB>")
     _common_flags(p_bias)
     p_bias.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_bias.add_argument("--out", help="output path (default: stdout)")

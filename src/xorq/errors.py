@@ -69,6 +69,13 @@ class FormatError(XorqError):
     """Raised on malformed serialized files."""
 
 
+def json_int(x) -> int:
+    """x when it is a JSON integer; FormatError for a float, bool or other."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise FormatError(f"expected an integer, got {x!r}")
+    return x
+
+
 class SeesawError(XorqError):
     """A see-saw invariant failed: a half-step or state step lowered the
     value, or an effective operator lost Hermiticity."""

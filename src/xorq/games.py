@@ -30,6 +30,7 @@ from .errors import (
     TraceNormExceededError,
     ZeroGameError,
     check_dense,
+    json_int,
 )
 
 TRACE_NORM_SLACK = 1e-8
@@ -406,13 +407,13 @@ def game_from_dict(data: dict) -> GameMatrix:
     if not isinstance(data, dict) or data.get("format") != GAME_FORMAT:
         raise FormatError(f"expected format {GAME_FORMAT!r}")
     try:
-        n = int(data["n"])
+        n = json_int(data["n"])
         if n < 1:
             raise FormatError("n must be >= 1")
         check_dense(n**4, f"a game with n = {n}")
         m = np.zeros((n * n, n * n), dtype=complex)
         for e in data["entries"]:
-            r, c = int(e["r"]), int(e["c"])
+            r, c = json_int(e["r"]), json_int(e["c"])
             if not (0 <= r < n * n and 0 <= c < n * n):
                 raise FormatError(f"entry index ({r}, {c}) out of range")
             m[r, c] = float(e["re"]) + 1j * float(e["im"])

@@ -51,7 +51,7 @@ import numpy as np
 from . import sdp as sdp_mod
 from .errors import BadArgsError, DimensionMismatchError, SdpError
 from .games import ClassicalGame, GameMatrix
-from .report import BiasReport
+from .report import CHAINS, BiasReport
 
 RANK_CUT = 1e-10
 
@@ -283,47 +283,18 @@ class ChainCheck:
 
 
 def check_chains(g: GameMatrix, report: BiasReport, tol: float = 1e-6) -> list[ChainCheck]:
-    """Evaluate the inequality chains between every populated pair.
+    """Evaluate every chain of report.CHAINS whose two fields are populated.
 
-    Hard checks compare lower bounds against upper bounds and must hold;
-    soft checks involve the constant-factor inequalities whose right-hand
-    sides are only heuristic lower bounds, so they are reported without
-    being asserted.
+    A check passes when lhs <= factor * rhs within 4 tol. A report without
+    a trace norm is checked against the game's.
     """
     slack = 4.0 * tol
     checks: list[ChainCheck] = []
-    tn = report.trace_norm if report.trace_norm is not None else g.trace_norm
-
-    def check(label, lhs, rhs, hard=True):
+    for lhs_field, factor, rhs_field, label, hard in CHAINS:
+        lhs, rhs = getattr(report, lhs_field), getattr(report, rhs_field)
+        if rhs_field == "trace_norm" and rhs is None:
+            rhs = g.trace_norm
         if lhs is not None and rhs is not None:
+            rhs = factor * rhs
             checks.append(ChainCheck(label, lhs, rhs, lhs <= rhs + slack, hard))
-
-    check("omega_lower<=beta_nc", report.omega_lower, report.beta_nc)
-    check("omega_lower<=omega_c_lower", report.omega_lower, report.omega_c_lower)
-    check("me_lower<=beta_nc", report.me_lower, report.beta_nc)
-    check("entangled_lower<=beta_os", report.entangled_lower, report.beta_os)
-    check("beta_nc<=beta_os", report.beta_nc, report.beta_os)
-    check("beta_nc<=trace_norm", report.beta_nc, tn)
-    check("beta_os<=trace_norm", report.beta_os, tn)
-    if report.beta_sdp is not None:
-        check("omega_lower<=beta_sdp", report.omega_lower, report.beta_sdp)
-        check("omega_c_lower<=beta_sdp", report.omega_c_lower, report.beta_sdp)
-    check(
-        "beta_nc<=2sqrt2*omega_lower",
-        report.beta_nc,
-        None if report.omega_lower is None else 2.0 * math.sqrt(2.0) * report.omega_lower,
-        hard=False,
-    )
-    check(
-        "beta_nc<=2*omega_c_lower",
-        report.beta_nc,
-        None if report.omega_c_lower is None else 2.0 * report.omega_c_lower,
-        hard=False,
-    )
-    check(
-        "beta_os<=2*entangled_lower",
-        report.beta_os,
-        None if report.entangled_lower is None else 2.0 * report.entangled_lower,
-        hard=False,
-    )
     return checks

@@ -1,8 +1,44 @@
-"""Per-game record of every computed quantity, with run metadata."""
+"""Per-game record of every computed quantity, with run metadata.
+
+The report's schema, stated once: QUANTITY_FIELDS maps each `xorq bias
+--quantities` name to the BiasReport field it fills (me and ent also fill
+me_d and entangled_dims). CHAINS lists each checked inequality lhs <= factor
+* rhs between two fields, with its label and whether it is hard: a hard one
+sets a lower bound against an upper bound and must hold; a soft one, a
+relaxation against a constant times a heuristic lower bound, is reported
+without being asserted.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
+
+QUANTITY_FIELDS = {
+    "omega": "omega_lower",
+    "omega-c": "omega_c_lower",
+    "me": "me_lower",
+    "ent": "entangled_lower",
+    "beta-sdp": "beta_sdp",
+    "beta-nc": "beta_nc",
+    "beta-os": "beta_os",
+    "chains": "chains",  # evaluated for every report, asked for or not
+}
+
+CHAINS = (
+    ("omega_lower", 1.0, "beta_nc", "omega_lower<=beta_nc", True),
+    ("omega_lower", 1.0, "omega_c_lower", "omega_lower<=omega_c_lower", True),
+    ("me_lower", 1.0, "beta_nc", "me_lower<=beta_nc", True),
+    ("entangled_lower", 1.0, "beta_os", "entangled_lower<=beta_os", True),
+    ("beta_nc", 1.0, "beta_os", "beta_nc<=beta_os", True),
+    ("beta_nc", 1.0, "trace_norm", "beta_nc<=trace_norm", True),
+    ("beta_os", 1.0, "trace_norm", "beta_os<=trace_norm", True),
+    ("omega_lower", 1.0, "beta_sdp", "omega_lower<=beta_sdp", True),
+    ("omega_c_lower", 1.0, "beta_sdp", "omega_c_lower<=beta_sdp", True),
+    ("beta_nc", 2.0 * math.sqrt(2.0), "omega_lower", "beta_nc<=2sqrt2*omega_lower", False),
+    ("beta_nc", 2.0, "omega_c_lower", "beta_nc<=2*omega_c_lower", False),
+    ("beta_os", 2.0, "entangled_lower", "beta_os<=2*entangled_lower", False),
+)
 
 
 @dataclass

@@ -80,6 +80,7 @@ from .errors import (
     InfeasibleError,
     SdpError,
     check_dense,
+    json_int,
 )
 
 COEFF_HERMITICITY_TOL = 1e-12
@@ -135,7 +136,7 @@ class SdpInstance:
                 1.0 / top, float(np.linalg.norm(c / top))
             ):
                 raise BadArgsError(f"objective block {label!r} is not Hermitian")
-            c = (c + c.conj().T) / 2
+            c = c / 2 + c.conj().T / 2  # (c + c^H) / 2 overflows near the float limit
             if not np.all(np.isfinite(c)):
                 raise BadArgsError(f"objective block {label!r} is not finite")
             objective[label] = c
@@ -590,20 +591,30 @@ def _caller_rows(prog: _Program, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _times_pow2(a: np.ndarray, e: int) -> np.ndarray:
+    """a 2^e, exact, applied as two factors: 2^1024 is not a float, a 2^1024 may be."""
+    return a * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
+
+
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
     """The solution in the caller's units and rows: Z 2^eb, y 2^ec with 0 at
-    each dropped row, and both values 2^(ec + eb)."""
-    z_unit, y_unit, value_unit = (math.ldexp(1.0, e) for e in (prog.eb, prog.ec, prog.ec + prog.eb))
-    return SdpSolution(
-        blocks={label: z[span, span] * z_unit for label, span in prog.spans.items()},
-        y=_caller_rows(prog, y * y_unit),
-        primal_value=pobj * value_unit,
-        dual_value=dobj * value_unit,
-        gap=(dobj - pobj) * value_unit,
-        iterations=iters,
-        status=status,
-        trace=tuple(trace),
-    )
+    each dropped row, and both values 2^(ec + eb). BadArgsError when one of
+    them lies beyond the float range."""
+    try:
+        with np.errstate(over="raise"):
+            return SdpSolution(
+                blocks={label: _times_pow2(z[span, span], prog.eb)
+                        for label, span in prog.spans.items()},
+                y=_caller_rows(prog, _times_pow2(y, prog.ec)),
+                primal_value=math.ldexp(pobj, prog.ec + prog.eb),
+                dual_value=math.ldexp(dobj, prog.ec + prog.eb),
+                gap=math.ldexp(dobj - pobj, prog.ec + prog.eb),
+                iterations=iters,
+                status=status,
+                trace=tuple(trace),
+            )
+    except (OverflowError, FloatingPointError):
+        raise BadArgsError("the solution lies beyond the float range") from None
 
 
 # --- public driver -------------------------------------------------------------
@@ -666,7 +677,7 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
         u = z / s
         at_most(f"hermitian[{label}]", float(np.linalg.norm(u - u.conj().T)),
                 1e-9 * max(1.0 / s, float(np.linalg.norm(u))))
-        at_least(f"psd[{label}]", float(np.linalg.eigvalsh((z + z.conj().T) / 2)[0]), -PSD_SLACK)
+        at_least(f"psd[{label}]", float(np.linalg.eigvalsh(z / 2 + z.conj().T / 2)[0]), -PSD_SLACK)
     rhs_scale = max([1.0] + [abs(c.rhs) for c in inst.constraints])
     worst = 0.0
     for con in inst.constraints:
@@ -695,29 +706,30 @@ def _finite(x) -> float:
     return v
 
 
+def _entry(e: dict) -> Entry:
+    return (str(e["b"]), json_int(e["r"]), json_int(e["c"]),
+            complex(_finite(e["re"]), _finite(e["im"])))
+
+
 def instance_from_dict(data: dict) -> SdpInstance:
     if not isinstance(data, dict) or data.get("format") != SDP_FORMAT:
         raise FormatError(f"expected format {SDP_FORMAT!r}")
     try:
-        blocks = tuple((str(b["label"]), int(b["dim"])) for b in data["blocks"])
+        blocks = tuple((str(b["label"]), json_int(b["dim"])) for b in data["blocks"])
         side = sum(max(d, 0) for _, d in blocks)
         check_dense(side * side, f"blocks of total side {side}")
         objective = {label: np.zeros((d, d), dtype=complex) for label, d in blocks}
         for e in data["objective"]:
-            label, r, c = str(e["b"]), int(e["r"]), int(e["c"])
+            label, r, c, v = _entry(e)
             d = objective[label].shape[0]
             if not (0 <= r < d and 0 <= c < d):
                 raise FormatError(f"objective entry index ({r}, {c}) out of range")
-            v = complex(_finite(e["re"]), _finite(e["im"]))
             objective[label][r, c] = v
             objective[label][c, r] = v.conjugate()
         objective = {k: v for k, v in objective.items() if np.any(v)}
         constraints = []
         for con in data["constraints"]:
-            entries = tuple(
-                (str(e["b"]), int(e["r"]), int(e["c"]), complex(_finite(e["re"]), _finite(e["im"])))
-                for e in con["entries"]
-            )
+            entries = tuple(map(_entry, con["entries"]))
             constraints.append(SdpConstraint(entries=entries, rhs=_finite(con["rhs"])))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed SDP file: {exc}") from exc

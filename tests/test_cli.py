@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import scipy.linalg
 from conftest import decreasing_sign_step
 from sdpfile import instance_to_dict
 import xorq
-from xorq import cli, games, heuristics, relaxations, sdp
+from xorq import cli, games, heuristics, relaxations, report, sdp
 from xorq.errors import FormatError
 
 
@@ -270,6 +272,53 @@ def test_cmd_bias_byte_stable_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_cmd_bias_text_and_csv_list_every_populated_field(tmp_path, capsys, fmt):
+    path = tmp_path / "t2.json"
+    run(["game", "--name", "tn", "--param", "2", "--out", str(path)])
+    capsys.readouterr()
+    argv = ["bias", str(path), "--quantities", "omega,me:2,ent:2x1,beta-nc", "--restarts", "2"]
+    assert run(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert run(argv + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["quantity", "value"]
+        values = dict(rows[1:])
+        names = [name for name, _ in rows[1:] if not name.startswith("chain:")]
+    else:
+        head, _, chains = out.partition("chain checks:\n")
+        assert head.splitlines()[0] == f"game: t2.json (n = {payload['n']})"
+        values = dict(line.split(None, 1) for line in head.splitlines()[1:])
+        names = [line.split()[0] for line in head.splitlines()[1:]]
+        assert len(chains.splitlines()) == len(payload["chains"])
+    # Field order; seed, restarts and tol are under cfg in the payload.
+    populated = [f.name for f in dataclasses.fields(report.BiasReport)
+                 if payload.get(f.name) is not None and f.name != "chains"]
+    if fmt == "text":
+        populated = populated[2:]  # game and n make the header line
+    assert names == populated
+    assert populated[-5:] == ["me_lower", "me_d", "entangled_lower", "entangled_dims", "beta_nc"]
+    assert values["me_d"] == "2" and values["entangled_dims"] == "2x1"
+    for name in ("trace_norm", "omega_lower", "me_lower", "entangled_lower", "beta_nc"):
+        # 12 significant digits: each value reads back as the payload's.
+        assert float(values[name]) == payload[name]
+    if fmt == "csv":
+        assert [values[f"chain:{c['label']}"] for c in payload["chains"]] == [
+            "pass" if c["passed"] else "fail" for c in payload["chains"]
+        ]
+
+
+def test_schema_tables_name_report_fields():
+    fields = {f.name for f in dataclasses.fields(report.BiasReport)}
+    assert set(report.QUANTITY_FIELDS.values()) <= fields
+    for lhs, factor, rhs, label, hard in report.CHAINS:
+        assert {lhs, rhs} <= fields and factor > 0 and isinstance(hard, bool)
+        assert label.startswith(f"{lhs}<=") and label.endswith(rhs)
+    assert len({label for *_, label, _ in report.CHAINS}) == len(report.CHAINS)
+
+
 def test_cmd_report_paper_table(tmp_path, monkeypatch, capsys):
     h2 = tuple(r for r in cli.PAPER_TABLE if r.game == "H2" and r.exact)
     assert [r.quantity for r in h2] == ["closed_form_omega", "closed_form_beta_nc"]
@@ -357,6 +406,49 @@ def test_cmd_sdp_solve_huge_coefficients(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["primal_value"] == pytest.approx(2e200, rel=1e-6)
     assert payload["certify"]["passed"] is True
+
+
+def _diagonal_instance(objective, rhs) -> dict:
+    """max sum_i c_i Z[i, i] subject to Z[i, i] = rhs_i."""
+    def entry(i, v):
+        return {"b": "z", "r": i, "c": i, "re": v, "im": 0.0}
+
+    return {
+        "format": "xorq-sdp-v1",
+        "blocks": [{"label": "z", "dim": len(rhs)}],
+        "objective": [entry(i, c) for i, c in enumerate(objective) if c],
+        "constraints": [{"entries": [entry(i, 1.0)], "rhs": b} for i, b in enumerate(rhs)],
+    }
+
+
+def _solve_without_warnings(tmp_path, data):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(["sdp", "solve", str(path)])
+
+
+def test_cmd_sdp_solve_refuses_an_optimum_beyond_the_float_range(tmp_path, capsys):
+    # The optimum is 1e200 * 1e200 = 1e400, beyond the largest float.
+    assert _solve_without_warnings(tmp_path, _diagonal_instance([1e200, 0.0], [1e200, 1.0])) == 2
+    err = capsys.readouterr().err
+    assert "beyond the float range" in err and "Traceback" not in err
+
+
+def test_cmd_sdp_solve_unscales_a_row_of_1e308(tmp_path, capsys):
+    # The right-hand sides are scaled by 2^-1024, and 2^1024 is not a float.
+    assert _solve_without_warnings(tmp_path, _diagonal_instance([1.0, 0.0], [1.0, 1e308])) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert all(map(math.isfinite, (payload["primal_value"], payload["dual_value"])))
+
+
+def test_cmd_sdp_solve_objective_of_1e308(tmp_path, capsys):
+    # C + C^H overflows: the instance and certify's PSD check halve first.
+    assert _solve_without_warnings(tmp_path, _diagonal_instance([1e308, 0.0], [1.0, 1.0])) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["primal_value"] == pytest.approx(1e308, rel=1e-6)
+    assert payload["status"] == "optimal" and payload["certify"]["passed"] is True
 
 
 def test_cmd_sdp_solve_no_blocks_exits_2(tmp_path, capsys):

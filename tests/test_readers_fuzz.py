@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from xorq import games, sdp  # noqa: E402
-from xorq.errors import XorqError  # noqa: E402
+from xorq.errors import FormatError, XorqError  # noqa: E402
 
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None, database=None)
 
@@ -106,3 +106,46 @@ def test_sdp_reader_returns_or_raises_xorq_error(data):
     except XorqError:
         return
     assert all(np.all(np.isfinite(c)) for c in inst.objective.values())
+
+
+def _game(n=2, r=0, c=0):
+    return {"format": games.GAME_FORMAT, "n": n,
+            "entries": [{"r": r, "c": c, "re": 0.5, "im": 0.0}]}
+
+
+def _instance(dim=2, obj=(0, 0), row=(0, 0)):
+    def entry(r, c):
+        return {"b": "z", "r": r, "c": c, "re": 1.0, "im": 0.0}
+
+    return {"format": sdp.SDP_FORMAT, "blocks": [{"label": "z", "dim": dim}],
+            "objective": [entry(*obj)],
+            "constraints": [{"entries": [entry(*row)], "rhs": 1.0},
+                            {"entries": [entry(1, 1)], "rhs": 1.0}]}
+
+
+# A fractional or boolean index was once truncated by int(): n = 2.9 read
+# as n = 2, an entry at (0.5, 3.7) as one at (0, 3), (true, true) as (1, 1).
+@pytest.mark.parametrize("data", [
+    _game(n=2.9), _game(n=2.0), _game(n=True), _game(n="2"),
+    _game(r=0.5, c=3.7), _game(r=0, c=3.0), _game(r=True, c=0), _game(r=None),
+], ids=["n-fraction", "n-float", "n-bool", "n-string", "rc-fraction", "c-float",
+        "r-bool", "r-null"])
+def test_game_reader_refuses_non_integer_indices(data):
+    with pytest.raises(FormatError, match="expected an integer"):
+        games.game_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    _instance(dim=2.9), _instance(dim=True), _instance(obj=(0.2, 1.9)),
+    _instance(obj=(0, 1.0)), _instance(row=(True, True)), _instance(row=(0, "1")),
+], ids=["dim-fraction", "dim-bool", "objective-fraction", "objective-float",
+        "row-bool", "row-string"])
+def test_sdp_reader_refuses_non_integer_indices(data):
+    with pytest.raises(FormatError, match="expected an integer"):
+        sdp.instance_from_dict(data)
+
+
+def test_readers_take_integer_indices():
+    assert games.game_from_dict(_game(r=3, c=3)).m[3, 3] == 0.5
+    inst = sdp.instance_from_dict(_instance(obj=(0, 1), row=(0, 0)))
+    assert inst.blocks == (("z", 2),) and inst.objective["z"][1, 0] == 1.0
