@@ -2,11 +2,11 @@
 
 The report's schema, stated once: QUANTITY_FIELDS maps each `xorq bias
 --quantities` name to the BiasReport field it fills (me and ent also fill
-me_d and entangled_dims). CHAINS lists each checked inequality lhs <= factor
-* rhs between two fields, with its label and whether it is hard: a hard one
-sets a lower bound against an upper bound and must hold; a soft one, a
-relaxation against a constant times a heuristic lower bound, is reported
-without being asserted.
+me_d and entangled_dims). CHAINS lists each checked inequality, lhs field <=
+factor * rhs field, with its label and whether it is hard. A hard chain sets
+a lower bound against an upper bound and must hold; a soft one sets a
+relaxation against a constant times a heuristic lower bound and is only
+reported.
 """
 
 from __future__ import annotations
