@@ -592,8 +592,9 @@ def _caller_rows(prog: _Program, v: np.ndarray) -> np.ndarray:
 
 
 def _times_pow2(a: np.ndarray, e: int) -> np.ndarray:
-    """a 2^e, exact, applied as two factors: 2^1024 is not a float, a 2^1024 may be."""
-    return a * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
+    """a 2^e, exact, as two factors, the second in place: 2^1024 is not a float, a 2^1024 may be."""
+    out = a * math.ldexp(1.0, e // 2)
+    return np.multiply(out, math.ldexp(1.0, e - e // 2), out=out)
 
 
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
