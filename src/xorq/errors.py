@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class XorqError(Exception):
     """Base class for all errors raised by this package."""
@@ -74,6 +76,21 @@ def json_int(x) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise FormatError(f"expected an integer, got {x!r}")
     return x
+
+
+def json_float(x) -> float:
+    """x as a float when it is a JSON number: an integer that is not a bool,
+    or a finite float. FormatError for a string, bool, null, NaN, infinity,
+    an integer beyond the float range or any other value."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise FormatError(f"expected a number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:
+        raise FormatError(f"number {x} is beyond the float range") from None
+    if not math.isfinite(v):
+        raise FormatError(f"non-finite number {v}")
+    return v
 
 
 class SeesawError(XorqError):

@@ -10,6 +10,22 @@ families built here:
              the Gram relaxations from the maximally entangled bias.
   c_game(n)  distinguish (|0,k> +/- |k,0>)/sqrt(2) over uniform k; breaks
              perfect parallel repetition.
+
+Each game decomposes M once, by the connected components of its nonzero
+pattern (the graph on the n^2 basis indices with an edge wherever
+M[r, c] != 0): M is block diagonal on them, so its eigenpairs are those of
+the blocks. Components are ordered by their smallest index, with the
+indices ascending inside each one. The components of one size share one
+stacked eigh, a singleton i has the eigenpair (M[i, i], e_i) with no
+factorization, and a game whose pattern is one component takes eigh of M
+itself. The tensor-product games are almost all zeros (C4 (x) C4: 625
+basis indices, 593 components), so no dense n^2 x n^2 eigenvector matrix
+is built for them. Validation's trace-norm cap, the report's trace norm,
+the see-saw's spectral start and the referee protocol all read this one
+decomposition (GameMatrix.spectrum). The top eigenvector is the first
+of largest modulus among the eigenvalues in ascending order (a stable sort
+of the components' eigenvalues, taken in component order), as
+np.argmax(np.abs(w)) picks it from one eigh of M.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from .errors import (
     TraceNormExceededError,
     ZeroGameError,
     check_dense,
+    json_float,
     json_int,
 )
 
@@ -38,13 +55,105 @@ CLASSICAL_NORM_SLACK = 1e-10
 SPECTRAL_CUTOFF = 1e-12
 
 
+def _component_labels(m: np.ndarray) -> np.ndarray:
+    """For each basis index, the smallest index of its connected component
+    in the graph with an edge wherever m[r, c] != 0.
+
+    Min-label propagation with pointer jumping: every index takes the
+    smallest label among its neighbours, then label <- label[label] until
+    that changes nothing, and the rounds repeat until no label falls. A
+    label only falls and always names an index of the same component, so
+    it settles on the component's smallest index. M is Hermitian, so its
+    pattern is symmetric and the rows' side of each edge suffices."""
+    rows, cols = np.nonzero(m)
+    label = np.arange(m.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """M's eigendecomposition by the connected components of its pattern.
+
+    Component k holds the basis indices members[start[k]:start[k + 1]],
+    ascending, and components are ordered by their smallest index. Its
+    eigenvalues are values[start[k]:start[k + 1]], ascending. vectors maps
+    a component size s to (ks, v): the numbers ks of the components of that
+    size and their eigenvectors v (len(ks), s, s), one per column, so that
+    each block M[members_k][:, members_k] is v[i] diag(w) v[i]^dagger."""
+
+    members: np.ndarray
+    start: np.ndarray
+    values: np.ndarray
+    vectors: dict
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> Spectrum:
+        """Label the components of m's pattern and take one stacked eigh per
+        component size; a pattern of one component is eigh(m) itself."""
+        label = _component_labels(m)
+        dim = label.size
+        roots = np.flatnonzero(label == np.arange(dim))
+        members = np.argsort(label, kind="stable")
+        size = np.bincount(label)[roots]
+        start = np.zeros(roots.size + 1, dtype=int)
+        np.cumsum(size, out=start[1:])
+        values = np.empty(dim)
+        vectors = {}
+        for s in sorted(set(size.tolist())):
+            ks = np.flatnonzero(size == s)
+            slots = start[ks][:, None] + np.arange(s)
+            idx = members[slots]
+            if s == 1:
+                w, v = m[idx, idx].real, np.ones(ks.size, dtype=complex)
+            else:
+                w, v = np.linalg.eigh(m if s == dim else m[idx[:, :, None], idx[:, None, :]])
+            values[slots] = w
+            vectors[s] = (ks, v.reshape(ks.size, s, s))
+        return cls(members=members, start=start, values=values, vectors=vectors)
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """The positions of values in ascending order, by a stable sort."""
+        return np.argsort(self.values, kind="stable")
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue of M, ascending."""
+        return self.values[self.order]
+
+    def eigenvector(self, j: int) -> np.ndarray:
+        """The unit eigenvector of eigenvalues[j], embedded in C^(n^2)."""
+        p = int(self.order[j])
+        k = int(np.searchsorted(self.start, p, side="right")) - 1
+        lo, hi = self.start[k], self.start[k + 1]
+        ks, v = self.vectors[int(hi - lo)]
+        vec = np.zeros(self.values.size, dtype=complex)
+        vec[self.members[lo:hi]] = v[np.searchsorted(ks, k), :, p - lo]
+        return vec
+
+    def top_vector(self) -> np.ndarray:
+        """The eigenvector of the first eigenvalue of largest modulus."""
+        return self.eigenvector(int(np.argmax(np.abs(self.eigenvalues))))
+
+
 @dataclass(frozen=True)
 class GameMatrix:
     """Validated quantum XOR game: Hermitian M on C^n (x) C^n, ||M||_1 <= 1.
 
-    M is decomposed once (spectrum); validation's trace-norm cap, the
-    report's trace norm, the see-saw's spectral start and the referee
-    protocol all read that one eigendecomposition."""
+    M is decomposed once, by the components of its pattern (spectrum):
+    validation's trace-norm cap, the report's trace norm, the see-saw's
+    spectral start and the referee protocol all read that one
+    decomposition, and none of them forms a dense n^2 x n^2 eigenvector
+    matrix of a game with more than one component. The spectral start takes
+    the first eigenvalue of largest modulus in ascending order, ties kept in
+    component order (Spectrum.top_vector)."""
 
     n: int
     m: np.ndarray
@@ -63,21 +172,22 @@ class GameMatrix:
         return self.m.reshape(n, n, n, n).transpose(0, 2, 3, 1).reshape(n * n, n * n)
 
     @functools.cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """np.linalg.eigh(M): eigenvalues ascending and their eigenvectors,
-        computed on first use and shared by every reader of the spectrum."""
-        return np.linalg.eigh(self.m)
+    def spectrum(self) -> Spectrum:
+        """M's eigendecomposition by components, computed on first use and
+        shared by every reader of the spectrum."""
+        return Spectrum.of(self.m)
 
     @property
     def trace_norm(self) -> float:
-        """||M||_1, the sum of |eigenvalues| (M is Hermitian)."""
-        return float(np.sum(np.abs(self.spectrum[0])))
+        """||M||_1, the sum of |eigenvalues| (M is Hermitian), summed in
+        ascending order of the eigenvalues."""
+        return float(np.sum(np.abs(self.spectrum.eigenvalues)))
 
 
 def validate(m: np.ndarray, n: int) -> GameMatrix:
     """Check Hermiticity and the trace-norm cap, symmetrize, and wrap.
 
-    The cap is read from the game's one eigendecomposition
+    The cap is read from the game's one decomposition by components
     (GameMatrix.spectrum), which the returned game keeps for later use."""
     m = linalg.as_complex(m)
     if m.shape != (n * n, n * n):
@@ -229,12 +339,12 @@ class RefereeProtocol:
 def to_referee_protocol(g: GameMatrix) -> RefereeProtocol:
     """Spectral form M = sum (-1)^c_i p_i |Phi_i><Phi_i| with p_i > 0,
     outcomes in descending eigenvalue order."""
-    w, vecs = g.spectrum
+    spec = g.spectrum
     outcomes = []
-    for lam, vec in zip(w[::-1], vecs[:, ::-1].T):
+    for j, lam in reversed(list(enumerate(spec.eigenvalues))):
         if abs(lam) <= SPECTRAL_CUTOFF:
             continue
-        outcomes.append((abs(float(lam)), 0 if lam > 0 else 1, vec.copy()))
+        outcomes.append((abs(float(lam)), 0 if lam > 0 else 1, spec.eigenvector(j)))
     total = sum(p for p, _, _ in outcomes)
     return RefereeProtocol(
         outcomes=tuple(outcomes), reject_probability=1.0 - total
@@ -416,11 +526,9 @@ def game_from_dict(data: dict) -> GameMatrix:
             r, c = json_int(e["r"]), json_int(e["c"])
             if not (0 <= r < n * n and 0 <= c < n * n):
                 raise FormatError(f"entry index ({r}, {c}) out of range")
-            m[r, c] = float(e["re"]) + 1j * float(e["im"])
+            m[r, c] = json_float(e["re"]) + 1j * json_float(e["im"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed game file: {exc}") from exc
-    if not np.all(np.isfinite(m)):
-        raise FormatError("game file has a non-finite entry")
     # |M_rc| <= ||M||_1, and the check keeps overflow out of validate.
     if np.max(np.abs(m)) > 1.0 + TRACE_NORM_SLACK:
         raise FormatError("game entry of modulus above 1: the trace norm exceeds 1")
@@ -430,14 +538,13 @@ def game_from_dict(data: dict) -> GameMatrix:
 def classical_game_from_dict(data) -> GameMatrix:
     """Embedded classical game from {"r": n x n coefficients} or the bare list."""
     try:
-        r = np.asarray(data["r"] if isinstance(data, dict) else data, dtype=float)
+        rows = data["r"] if isinstance(data, dict) else data
+        r = np.array([[json_float(x) for x in row] for row in rows], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed classical game file: {exc}") from exc
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
         raise FormatError(f"classical coefficients must be n x n, got shape {r.shape}")
     check_dense(r.shape[0] ** 4, f"a game with n = {r.shape[0]}")
-    if not np.all(np.isfinite(r)):
-        raise FormatError("classical game file has a non-finite coefficient")
     if np.max(np.abs(r)) > 1.0 + CLASSICAL_NORM_SLACK:
         raise FormatError("classical coefficient of modulus above 1")
     return from_classical(ClassicalGame(n=r.shape[0], r=r))

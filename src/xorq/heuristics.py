@@ -204,10 +204,9 @@ def _starts(warm: np.ndarray, draw, cfg: OptimizerConfig, dim: int, psi=ONE):
 
 def _spectral_start(g: GameMatrix) -> np.ndarray:
     """Deterministic start: spectral sign of the top question state,
-    matricized on the B side (identity when that vanishes)."""
-    w, vecs = g.spectrum
-    idx = int(np.argmax(np.abs(w)))
-    mat = vecs[:, idx].reshape(g.n, g.n)
+    matricized on the B side (identity when that vanishes). The top state is
+    read from its component of M (GameMatrix.spectrum)."""
+    mat = g.spectrum.top_vector().reshape(g.n, g.n)
     herm = linalg.hermitian_part(mat.conj().T @ mat)
     if np.linalg.norm(herm) < 1e-12:
         return np.eye(g.n, dtype=complex)

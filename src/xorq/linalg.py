@@ -79,12 +79,18 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     infinite entry fails too: no tolerance can be measured on it. A finite
     matrix of norm 1e300 or more is measured divided by its largest real or
     imaginary part, so that no norm overflows, and then both numbers in the
-    message are in that unit."""
+    message are in that unit.
+
+    Besides its result, the check holds one temporary of the input's size:
+    A^dagger, turned into A - A^dagger in place once A + A^dagger is formed."""
     a = check_square_stack(a)
     finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or near 1e308
-        scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))).reshape(-1)
-        resid = np.linalg.norm(a - dagger(a), axis=(-2, -1)).reshape(-1)
+        scale = np.maximum(1.0, _frobenius(a))
+        diff = dagger(a)
+        out = a + diff
+        resid = _frobenius(np.subtract(a, diff, out=diff))
+        del diff
     # One comparison keeps the see-saw's half-step off the overflow path.
     near_limit = not scale.max() < 1e300  # also when an entry is not finite
     if near_limit:
@@ -107,7 +113,16 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
         raise NotHermitianError(f"matrix is not Hermitian{where}: {why}", index=index)
     if near_limit:
         return a / 2 + dagger(a) / 2  # a + a^dagger may overflow
-    return hermitian_part(a)
+    out /= 2
+    return out
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack, flattened; for one
+    matrix, taken on real and imaginary views with no temporary copy."""
+    if a.ndim == 2:
+        return np.array([np.linalg.norm(a)])
+    return np.linalg.norm(a, axis=(-2, -1)).reshape(-1)
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

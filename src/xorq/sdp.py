@@ -80,6 +80,7 @@ from .errors import (
     InfeasibleError,
     SdpError,
     check_dense,
+    json_float,
     json_int,
 )
 
@@ -185,7 +186,7 @@ class SdpSolution:
     primal_value: float
     dual_value: float
     gap: float
-    iterations: int
+    iterations: int  # iterations run, len(trace), whichever iterate is returned
     status: str  # "optimal" or "max_iterations" (best iterate, non-certified)
     trace: tuple[IpmIteration, ...] = ()
 
@@ -483,10 +484,10 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         merit = max(pres, dres, rel_gap)
         if merit < best_merit:
             best_merit = merit
-            best = (z, y.copy(), pobj, dobj, it)
+            best = (z, y.copy(), pobj, dobj)
         if pres <= FEAS_TOL and dres <= FEAS_TOL and rel_gap <= tol:
             trace.append(IpmIteration(**record))
-            return _finish(prog, z, y, pobj, dobj, it + 1, "optimal", trace)
+            return _finish(prog, z, y, pobj, dobj, len(trace), "optimal", trace)
         if mu / value_scale < MU_FLOOR:
             trace.append(IpmIteration(**record))
             break  # numerical floor: no further progress is possible
@@ -579,8 +580,8 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         y = y + ad * dy
         trace.append(IpmIteration(sigma=sigma, alpha_p=ap, alpha_d=ad, **record))
 
-    z, y, pobj, dobj, it = best
-    return _finish(prog, z, y, pobj, dobj, it + 1, "max_iterations", trace)
+    z, y, pobj, dobj = best
+    return _finish(prog, z, y, pobj, dobj, len(trace), "max_iterations", trace)
 
 
 def _caller_rows(prog: _Program, v: np.ndarray) -> np.ndarray:
@@ -700,16 +701,9 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
 SDP_FORMAT = "xorq-sdp-v1"
 
 
-def _finite(x) -> float:
-    v = float(x)
-    if not math.isfinite(v):
-        raise FormatError(f"non-finite number {v}")
-    return v
-
-
 def _entry(e: dict) -> Entry:
     return (str(e["b"]), json_int(e["r"]), json_int(e["c"]),
-            complex(_finite(e["re"]), _finite(e["im"])))
+            complex(json_float(e["re"]), json_float(e["im"])))
 
 
 def instance_from_dict(data: dict) -> SdpInstance:
@@ -731,7 +725,7 @@ def instance_from_dict(data: dict) -> SdpInstance:
         constraints = []
         for con in data["constraints"]:
             entries = tuple(map(_entry, con["entries"]))
-            constraints.append(SdpConstraint(entries=entries, rhs=_finite(con["rhs"])))
+            constraints.append(SdpConstraint(entries=entries, rhs=json_float(con["rhs"])))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed SDP file: {exc}") from exc
     return SdpInstance(blocks=blocks, objective=objective, constraints=tuple(constraints))

@@ -137,13 +137,8 @@ def test_cmd_bias_zero_game(tmp_path, capsys):
         assert abs(payload[key]) <= 1e-6
 
 
-def test_bias_decomposes_the_game_matrix_once(tmp_path, monkeypatch):
-    # Validation's trace-norm cap, the report's trace norm and the spectral
-    # start all read GameMatrix.spectrum: one eigh of M, no SVD of it.
-    path = tmp_path / "c3xc3.json"
-    path.write_text(json.dumps(games.game_to_dict(
-        games.tensor_games(games.c_game(3), games.c_game(3))
-    )))
+def _count_factorizations(monkeypatch) -> list:
+    """Record (name, shape) of every np.linalg.eigh and svd call."""
     calls = []
 
     def counting(name, fn):
@@ -154,9 +149,34 @@ def test_bias_decomposes_the_game_matrix_once(tmp_path, monkeypatch):
 
     for name in ("eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_bias_decomposes_the_game_by_components(tmp_path, monkeypatch):
+    # Validation's trace-norm cap, the report's trace norm and the spectral
+    # start all read GameMatrix.spectrum. C3xC3 splits into blocks of side
+    # at most 2, so nothing factors its 256 x 256 M.
+    path = tmp_path / "c3xc3.json"
+    path.write_text(json.dumps(games.game_to_dict(
+        games.tensor_games(games.c_game(3), games.c_game(3))
+    )))
+    calls = _count_factorizations(monkeypatch)
     g = games.load_game(path)
+    assert calls and all(name == "eigh" and shape[-1] <= 2 for name, shape in calls)
     cli.compute_report(g, [("omega", None), ("chains", None)], 1e-6, 2, 0)
-    assert [c for c in calls if c[1] == (256, 256)] == [("eigh", (256, 256))]
+    assert not [c for c in calls if 256 in c[1]]
+
+
+def test_one_component_game_takes_one_eigh_of_m(monkeypatch):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m = (m + m.conj().T) / 2
+    m /= np.sum(np.abs(np.linalg.eigvalsh(m)))
+    calls = _count_factorizations(monkeypatch)
+    g = games.validate(m, 3)
+    g.spectrum.top_vector()
+    assert g.trace_norm <= 1.0 + games.TRACE_NORM_SLACK
+    assert calls == [("eigh", (9, 9))]
 
 
 def test_scipy_stays_off_the_start_up_path(tmp_path):
@@ -441,6 +461,17 @@ def test_cmd_sdp_solve_unscales_a_row_of_1e308(tmp_path, capsys):
     assert _solve_without_warnings(tmp_path, _diagonal_instance([1.0, 0.0], [1.0, 1e308])) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(map(math.isfinite, (payload["primal_value"], payload["dual_value"])))
+
+
+def test_cmd_sdp_solve_reports_the_iterations_run(tmp_path, capsys):
+    # The 1e308 row stalls the solve: it returns its best iterate, the
+    # start, but counts every iteration it ran.
+    data = _diagonal_instance([1.0, 0.0], [1.0, 1e308])
+    assert _solve_without_warnings(tmp_path, data) == 0
+    payload = json.loads(capsys.readouterr().out)
+    sol = sdp.solve(sdp.instance_from_dict(data))
+    assert payload["status"] == sol.status == "max_iterations"
+    assert payload["iterations"] == sol.iterations == len(sol.trace) == sdp.MAX_ITERS
 
 
 def test_cmd_sdp_solve_objective_of_1e308(tmp_path, capsys):

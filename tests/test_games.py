@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_game
 from spectral import herm_eig
-from xorq import games, linalg
+from xorq import cli, games, linalg
 from xorq.errors import (
     DimensionMismatchError,
     FormatError,
@@ -60,6 +60,118 @@ def test_spectrum_trace_norm_matches_singular_values(build):
     g = build()
     want = linalg.trace_norm(g.m)
     assert abs(g.trace_norm - want) <= 1e-12 * max(1.0, want)
+
+
+def _dense_eigenvectors(spec: games.Spectrum) -> np.ndarray:
+    return np.array([spec.eigenvector(j) for j in range(spec.values.size)]).T
+
+
+def _assert_decomposes(g: games.GameMatrix):
+    """The decomposition by components against one dense eigh of M: the
+    eigenvalues, a unitary that reconstructs M, and the top-vector rule."""
+    spec = g.spectrum
+    w_dense, _ = np.linalg.eigh(g.m)
+    tol = 1e-12 * max(1.0, np.linalg.norm(g.m, 2))
+    w = spec.eigenvalues
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - w_dense)) <= tol
+    v = _dense_eigenvectors(spec)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(g.dim)) <= 1e-12 * g.dim
+    assert np.linalg.norm((v * w) @ v.conj().T - g.m) <= tol * g.dim
+    top = int(np.argmax(np.abs(w)))
+    assert abs(w[top] - w_dense[np.argmax(np.abs(w_dense))]) <= tol
+    assert np.array_equal(spec.top_vector(), spec.eigenvector(top))
+    assert np.linalg.norm(g.m @ spec.top_vector() - w[top] * spec.top_vector()) <= tol
+
+
+def _component_sets(spec: games.Spectrum) -> set:
+    return {
+        frozenset(spec.members[lo:hi].tolist())
+        for lo, hi in zip(spec.start[:-1], spec.start[1:])
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*cli.PAPER_GAMES.values(), lambda: games.t_game(5), lambda: games.c_game(1)],
+    ids=[*cli.PAPER_GAMES, "T5", "C1"],
+)
+def test_named_games_decompose_by_components(build):
+    g = build()
+    _assert_decomposes(g)
+    spec = g.spectrum
+    assert len(spec.start) > 2  # every named game splits
+    for lo, hi in zip(spec.start[:-1], spec.start[1:]):
+        idx = spec.members[lo:hi]
+        assert np.all(np.diff(idx) > 0)
+        outside = np.setdiff1d(np.arange(g.dim), idx)
+        assert not np.any(g.m[np.ix_(idx, outside)])
+    assert np.all(np.diff(spec.members[spec.start[:-1]]) > 0)
+
+
+def test_tensor_game_components():
+    spec = games.tensor_games(games.c_game(4), games.c_game(4)).spectrum
+    assert len(spec.start) - 1 == 593
+    assert sorted(spec.vectors) == [1, 2]
+
+
+def test_permuted_block_game_decomposes(rng):
+    from scipy.sparse.csgraph import connected_components
+
+    block = games.h_game(2)
+    perm = rng.permutation(block.dim)
+    g = games.validate(block.m[np.ix_(perm, perm)], block.n)
+    _assert_decomposes(g)
+    count, labels = connected_components(g.m != 0, directed=False)
+    want = {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
+    assert _component_sets(g.spectrum) == want
+    assert np.array_equal(
+        games._component_labels(g.m),
+        [min(c) for i in range(g.dim) for c in want if i in c],
+    )
+
+
+def _assert_plain_eigh(g: games.GameMatrix):
+    """A game of one component: the same bits as np.linalg.eigh(M)."""
+    w, v = np.linalg.eigh(g.m)
+    spec = g.spectrum
+    assert spec.start.tolist() == [0, g.dim]
+    assert np.array_equal(spec.eigenvalues, w)
+    assert np.array_equal(_dense_eigenvectors(spec), v)
+    assert np.array_equal(spec.top_vector(), v[:, np.argmax(np.abs(w))])
+    assert g.trace_norm == float(np.sum(np.abs(w)))
+
+
+def test_path_pattern_is_one_component_and_plain_eigh(rng):
+    # A tridiagonal pattern, scrambled: one component whose labels need
+    # many propagation rounds to settle.
+    n, dim = 5, 25
+    path = np.diag(rng.standard_normal(dim - 1), 1)
+    path = path + path.T + np.diag(rng.standard_normal(dim))
+    perm = rng.permutation(dim)
+    m = path[np.ix_(perm, perm)]
+    g = games.validate(m / linalg.trace_norm(m), n)
+    assert np.array_equal(games._component_labels(g.m), np.zeros(dim, dtype=int))
+    _assert_decomposes(g)
+    _assert_plain_eigh(g)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 3), (2, 11), (3, 12), (4, 13)])
+def test_random_games_are_one_component(n, seed):
+    _assert_plain_eigh(random_game(n, seed))
+
+
+def test_zero_and_diagonal_games_are_singletons(rng):
+    zero = games.validate(np.zeros((9, 9)), 3)
+    _assert_decomposes(zero)
+    assert sorted(zero.spectrum.vectors) == [1]
+    assert np.array_equal(zero.spectrum.eigenvalues, np.zeros(9))
+    assert np.array_equal(_dense_eigenvectors(zero.spectrum), np.eye(9))
+    r = rng.standard_normal((4, 4))
+    g = games.from_classical(games.ClassicalGame(4, r / np.sum(np.abs(r))))
+    _assert_decomposes(g)
+    assert len(g.spectrum.start) - 1 == 16 and sorted(g.spectrum.vectors) == [1]
+    assert np.array_equal(g.spectrum.eigenvalues, np.sort(np.diag(g.m).real))
 
 
 def test_validate_rejects_nan_matrix():

@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from xorq import games, sdp  # noqa: E402
+from xorq import errors, games, sdp  # noqa: E402
 from xorq.errors import FormatError, XorqError  # noqa: E402
 
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -149,3 +149,53 @@ def test_readers_take_integer_indices():
     assert games.game_from_dict(_game(r=3, c=3)).m[3, 3] == 0.5
     inst = sdp.instance_from_dict(_instance(obj=(0, 1), row=(0, 0)))
     assert inst.blocks == (("z", 2),) and inst.objective["z"][1, 0] == 1.0
+
+
+def _game_value(re, im):
+    return {"format": games.GAME_FORMAT, "n": 1,
+            "entries": [{"r": 0, "c": 0, "re": re, "im": im}]}
+
+
+def _instance_value(re=1.0, im=0.0, rhs=1.0):
+    data = _instance()
+    data["objective"][0].update(re=re, im=im)
+    data["constraints"][0]["rhs"] = rhs
+    return data
+
+
+# float() once read a JSON true as 1.0 and a string "0.5" as 0.5.
+NOT_NUMBERS = [True, False, "0", "0.5", None, [0.5], {"x": 1}, float("nan"),
+               float("inf"), 10**400]
+NOT_NUMBER_IDS = ["true", "false", "string-0", "string-half", "null", "list", "dict",
+                  "nan", "inf", "huge-int"]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_game_reader_refuses_values_that_are_not_json_numbers(bad):
+    for re, im in ((bad, 0.0), (0.0, bad), (bad, "0")):
+        with pytest.raises(FormatError):
+            games.game_from_dict(_game_value(re, im))
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_classical_reader_refuses_values_that_are_not_json_numbers(bad):
+    for data in ([[bad, 0.0], [0, 0]], {"r": [[0, 0], [0.0, bad]]}):
+        with pytest.raises(FormatError):
+            games.classical_game_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_sdp_reader_refuses_values_that_are_not_json_numbers(bad):
+    for fields in ({"re": bad}, {"im": bad}, {"rhs": bad}):
+        with pytest.raises(FormatError):
+            sdp.instance_from_dict(_instance_value(**fields))
+
+
+def test_readers_take_json_integers_and_floats_as_values():
+    assert games.game_from_dict(_game_value(1, 0)).m[0, 0] == 1.0
+    assert games.game_from_dict(_game_value(-0.5, 0)).m[0, 0] == -0.5
+    g = games.classical_game_from_dict([[1, 0], [0, 0]])
+    assert g.m[0, 0] == 1.0 and g.m.dtype == complex
+    inst = sdp.instance_from_dict(_instance_value(re=2, im=0, rhs=3))
+    assert inst.objective["z"][0, 0] == 2.0 and inst.constraints[0].rhs == 3.0
+    assert errors.json_float(7) == 7.0 and type(errors.json_float(7)) is float

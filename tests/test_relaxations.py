@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_game
+from conftest import random_game, random_unitary
 from dense import odot, vvm_products
 from xorq import games, heuristics, linalg, relaxations, sdp
 from xorq.errors import DimensionMismatchError, TooLargeError
@@ -189,6 +189,42 @@ def test_beta_nc_equals_beta_sdp_on_classical():
     v1 = relaxations.beta_sdp(g, 1e-7).value
     v2 = relaxations.beta_nc(games.from_classical(g), 1e-7).value
     assert abs(v1 - v2) <= 2e-4
+
+
+def test_beta_nc_of_the_diagonal_embedding_is_beta_sdp():
+    # beta_nc(from_classical(R)) = beta_sdp(R) exactly (ROADMAP item 10); the
+    # two solves differ only within their gaps.
+    rng = np.random.default_rng(7)
+    cases = [games.chsh()]
+    for n in (2, 3, 4, 5):
+        r = rng.standard_normal((n, n))
+        cases.append(games.ClassicalGame(n, r / np.sum(np.abs(r))))
+    for c in cases:
+        sdp_value = relaxations.beta_sdp(c).value
+        nc_value = relaxations.beta_nc(games.from_classical(c)).value
+        assert abs(sdp_value - nc_value) <= 2e-6, c.n
+
+
+def _transformed_games(g: games.GameMatrix, rng) -> dict:
+    """g under local unitaries U (x) V, the player swap and complex
+    conjugation: each has the biases and Gram bounds of g."""
+    n = g.n
+    uv = np.kron(random_unitary(rng, n), random_unitary(rng, n))
+    return {
+        "local": games.validate(uv @ g.m @ uv.conj().T, n),
+        "swap": games.validate(linalg.permute_systems(g.m, (n, n), (1, 0)), n),
+        "conj": games.validate(g.m.conj(), n),
+    }
+
+
+@pytest.mark.parametrize("n, seed", [(2, 7101), (2, 7102), (2, 7103),
+                                     (3, 7104), (3, 7105), (3, 7106)])
+def test_gram_bounds_invariant_under_game_symmetries(n, seed):
+    g = random_game(n, seed)
+    want = (relaxations.beta_nc(g).value, relaxations.beta_os(g).value)
+    for name, h in _transformed_games(g, np.random.default_rng(seed)).items():
+        got = (relaxations.beta_nc(h).value, relaxations.beta_os(h).value)
+        assert max(abs(a - b) for a, b in zip(want, got)) <= 1e-7, name
 
 
 def test_beta_nc_witness_round_trip():
