@@ -499,7 +499,7 @@ def main(argv=None) -> int:
         if args.command == "sdp":
             return cmd_sdp_solve(args)
         parser.error(f"unknown command {args.command!r}")
-    except (FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FormatError, FileNotFoundError) as exc:
         _log(f"error: {exc}")
         return EXIT_ARGS
     except SdpError as exc:

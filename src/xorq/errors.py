@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import json
 import math
 
 
@@ -54,9 +55,12 @@ class TooLargeError(XorqError):
 
 def check_dense(entries: int, what: str):
     """TooLargeError when a dense array of this many entries, named by what,
-    is above DENSE_AMPLITUDE_CAP; called before allocating it."""
+    is above DENSE_AMPLITUDE_CAP; called before allocating it. A count of
+    more than 64 bits is given by its bit length, so every count prints."""
     if entries > DENSE_AMPLITUDE_CAP:
-        raise TooLargeError(f"{what} has {entries} entries (> 2^24), above the dense cap")
+        bits = entries.bit_length()
+        count = entries if bits <= 64 else f"2^{bits - 1} or more"
+        raise TooLargeError(f"{what} has {count} entries (> 2^24), above the dense cap")
 
 
 class BadArgsError(XorqError):
@@ -76,6 +80,17 @@ def json_int(x) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise FormatError(f"expected an integer, got {x!r}")
     return x
+
+
+def load_json(path):
+    """The JSON value in a file; FormatError for every parse failure, also
+    the plain ValueError of an integer literal beyond Python's int-string
+    limit and the RecursionError of a value nested too deep."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise FormatError(f"invalid JSON: {exc}") from exc
 
 
 def json_float(x) -> float:

@@ -20,21 +20,20 @@ stacked eigh, a singleton i has the eigenpair (M[i, i], e_i) with no
 factorization, and a game whose pattern is one component takes eigh of M
 itself. The tensor-product games are almost all zeros (C4 (x) C4: 625
 basis indices, 593 components), so no dense n^2 x n^2 eigenvector matrix
-is built for them. Validation's trace-norm cap, the report's trace norm,
-the see-saw's spectral start and the referee protocol all read this one
-decomposition (GameMatrix.spectrum). The top eigenvector is the first
-of largest modulus among the eigenvalues in ascending order (a stable sort
-of the components' eigenvalues, taken in component order), as
-np.argmax(np.abs(w)) picks it from one eigh of M.
+is built for them. Validation's trace-norm cap, the report's trace norm
+and the see-saw's spectral start all read this one decomposition
+(GameMatrix.spectrum). The top eigenvector is the first of largest
+modulus among the eigenvalues in ascending order (a stable sort of the
+components' eigenvalues, taken in component order), as np.argmax(np.abs(w))
+picks it from one eigh of M.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +42,16 @@ from .errors import (
     BadArgsError,
     DimensionMismatchError,
     FormatError,
+    TooLargeError,
     TraceNormExceededError,
-    ZeroGameError,
     check_dense,
     json_float,
     json_int,
+    load_json,
 )
 
 TRACE_NORM_SLACK = 1e-8
 CLASSICAL_NORM_SLACK = 1e-10
-SPECTRAL_CUTOFF = 1e-12
 
 
 def _component_labels(m: np.ndarray) -> np.ndarray:
@@ -148,12 +147,12 @@ class GameMatrix:
     """Validated quantum XOR game: Hermitian M on C^n (x) C^n, ||M||_1 <= 1.
 
     M is decomposed once, by the components of its pattern (spectrum):
-    validation's trace-norm cap, the report's trace norm, the see-saw's
-    spectral start and the referee protocol all read that one
-    decomposition, and none of them forms a dense n^2 x n^2 eigenvector
-    matrix of a game with more than one component. The spectral start takes
-    the first eigenvalue of largest modulus in ascending order, ties kept in
-    component order (Spectrum.top_vector)."""
+    validation's trace-norm cap, the report's trace norm and the see-saw's
+    spectral start all read that one decomposition, and none of them forms
+    a dense n^2 x n^2 eigenvector matrix of a game with more than one
+    component. The spectral start takes the first eigenvalue of largest
+    modulus in ascending order, ties kept in component order
+    (Spectrum.top_vector)."""
 
     n: int
     m: np.ndarray
@@ -231,10 +230,21 @@ def from_classical(g: ClassicalGame) -> GameMatrix:
     return validate(m, n)
 
 
-def t_game(n: int) -> GameMatrix:
-    """M = (1/(2 sqrt n)) sum_i (|00><ii| + |ii><00|) on n+1 levels."""
+def _check_param(n: int):
+    """BadArgsError for a family index n < 1. Every family has more than n
+    levels, so an n above 2^6 = (2^24)^(1/4) is a TooLargeError before any
+    power or binomial of n is formed, whatever its size."""
     if n < 1:
         raise BadArgsError("n must be >= 1")
+    if n > 2**6:
+        raise TooLargeError(
+            "a game of family index n > 2^6 has more than n^4 entries (> 2^24), above the dense cap"
+        )
+
+
+def t_game(n: int) -> GameMatrix:
+    """M = (1/(2 sqrt n)) sum_i (|00><ii| + |ii><00|) on n+1 levels."""
+    _check_param(n)
     loc = n + 1
     check_dense(loc**4, f"a game with n = {loc}")
     m = np.zeros((loc * loc, loc * loc), dtype=complex)
@@ -248,8 +258,7 @@ def t_game(n: int) -> GameMatrix:
 
 def c_game(n: int) -> GameMatrix:
     """M = (1/(2n)) sum_k (|0,k><k,0| + |k,0><0,k|) on n+1 levels."""
-    if n < 1:
-        raise BadArgsError("n must be >= 1")
+    _check_param(n)
     loc = n + 1
     check_dense(loc**4, f"a game with n = {loc}")
     m = np.zeros((loc * loc, loc * loc), dtype=complex)
@@ -294,8 +303,7 @@ def h_c_matrices(n: int) -> list[np.ndarray]:
 
 def h_game(n: int) -> GameMatrix:
     """M = C(4n+1, 2n)^(-1) sum_i C_i (x) C_i on C(2n+1, n) levels."""
-    if n < 1:
-        raise BadArgsError("n must be >= 1")
+    _check_param(n)
     big = math.comb(2 * n + 1, n)
     check_dense(big**4, f"a game with n = {big}")
     mats = h_c_matrices(n)
@@ -316,186 +324,6 @@ def tensor_games(g1: GameMatrix, g2: GameMatrix) -> GameMatrix:
     raw = np.kron(g1.m, g2.m)  # order (A1, B1, A2, B2)
     m = linalg.permute_systems(raw, (n1, n1, n2, n2), (0, 2, 1, 3))
     return validate(m, n1 * n2)
-
-
-@dataclass(frozen=True)
-class RefereeProtocol:
-    """Operational form of a game: orthonormal question states with parities.
-
-    Each outcome is (probability, parity bit, unit state on C^n (x) C^n);
-    the referee rejects outright with the remaining probability.
-    """
-
-    outcomes: tuple[tuple[float, int, np.ndarray], ...]
-    reject_probability: float
-
-    def reconstruct(self, dim: int) -> np.ndarray:
-        m = np.zeros((dim, dim), dtype=complex)
-        for p, c, phi in self.outcomes:
-            m += (-1) ** c * p * np.outer(phi, phi.conj())
-        return m
-
-
-def to_referee_protocol(g: GameMatrix) -> RefereeProtocol:
-    """Spectral form M = sum (-1)^c_i p_i |Phi_i><Phi_i| with p_i > 0,
-    outcomes in descending eigenvalue order."""
-    spec = g.spectrum
-    outcomes = []
-    for j, lam in reversed(list(enumerate(spec.eigenvalues))):
-        if abs(lam) <= SPECTRAL_CUTOFF:
-            continue
-        outcomes.append((abs(float(lam)), 0 if lam > 0 else 1, spec.eigenvector(j)))
-    total = sum(p for p, _, _ in outcomes)
-    return RefereeProtocol(
-        outcomes=tuple(outcomes), reject_probability=1.0 - total
-    )
-
-
-@dataclass(frozen=True)
-class ProductStateDecomposition:
-    """Expansion of M over a product basis of trace-norm-1 Hermitians."""
-
-    terms: tuple[tuple[float, int, np.ndarray, np.ndarray], ...]
-    basis: str
-
-    def reconstruct(self, dim: int) -> np.ndarray:
-        m = np.zeros((dim, dim), dtype=complex)
-        for w, s, hl, hr in self.terms:
-            m += w * s * np.kron(hl, hr)
-        return m
-
-
-def _trace_norm_one_basis(n: int) -> list[np.ndarray]:
-    """Identity plus generalized Gell-Mann family, each rescaled to ||.||_1 = 1."""
-    mats = [np.eye(n, dtype=complex) / n]
-    for j in range(n):
-        for k in range(j + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = e[k, j] = 0.5
-            mats.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[j, k] = -0.5j
-            f[k, j] = 0.5j
-            mats.append(f)
-    for level in range(1, n):
-        d = np.zeros((n, n), dtype=complex)
-        d[np.arange(level), np.arange(level)] = 1.0
-        d[level, level] = -level
-        mats.append(d / (2 * level))
-    return mats
-
-
-def to_product_state_protocol(g: GameMatrix) -> ProductStateDecomposition:
-    """Decompose M = sum_j weight_j sign_j H_left,j (x) H_right,j.
-
-    Every local factor has trace norm 1, so each term is (up to sign and
-    scaling) itself a game whose question states are product states.
-    """
-    basis = _trace_norm_one_basis(g.n)
-    hs = [float(np.real(np.trace(h.conj().T @ h))) for h in basis]
-    terms = []
-    coeffs = []
-    for i, hi in enumerate(basis):
-        for j, hj in enumerate(basis):
-            c = np.real(np.trace(np.kron(hi, hj).conj().T @ g.m)) / (hs[i] * hs[j])
-            coeffs.append((float(c), i, j))
-    cmax = max((abs(c) for c, _, _ in coeffs), default=0.0)
-    for c, i, j in coeffs:
-        if abs(c) > SPECTRAL_CUTOFF * max(1.0, cmax):
-            terms.append((abs(c), 1 if c > 0 else -1, basis[i], basis[j]))
-    return ProductStateDecomposition(
-        terms=tuple(terms),
-        basis="identity + generalized Gell-Mann, trace-norm normalized",
-    )
-
-
-@dataclass(frozen=True)
-class RankOneGame:
-    """Referee game sending halves of |eta> and accepting via |gamma><gamma|.
-
-    Both states are unit vectors on C^n (x) C^n (x) C^v_dim; the last factor
-    is the referee's private register.
-    """
-
-    n: int
-    v_dim: int
-    eta: np.ndarray
-    gamma: np.ndarray
-    norm_deficit: float = field(default=0.0)
-
-    def __post_init__(self):
-        want = self.n * self.n * self.v_dim
-        for name, vec in (("eta", self.eta), ("gamma", self.gamma)):
-            if vec.shape != (want,):
-                raise DimensionMismatchError(f"{name} must have length {want}")
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-                raise BadArgsError(f"{name} must be a unit vector")
-
-
-def rank_one_matrix(g: RankOneGame) -> np.ndarray:
-    """The associated matrix Tr_V |eta><gamma| on C^n (x) C^n."""
-    outer = np.outer(g.eta, g.gamma.conj())
-    return linalg.partial_trace(outer, (g.n * g.n, g.v_dim), "second")
-
-
-def xor_to_rank_one(g: GameMatrix) -> RankOneGame:
-    """Rank-one game with the same associated matrix, via the SVD of M.
-
-    The referee space indexes the singular triplets; when ||M||_1 < 1 both
-    vectors are renormalized and the deficit recorded.
-    """
-    u, s, v = linalg.svd(g.m)
-    smax = float(s[0]) if s.size else 0.0
-    keep = [i for i, si in enumerate(s) if si > SPECTRAL_CUTOFF * max(smax, 1e-300)]
-    if not keep:
-        raise ZeroGameError("cannot build a rank-one game from the zero matrix")
-    v_dim = len(keep)
-    eta = np.zeros(g.dim * v_dim, dtype=complex)
-    gamma = np.zeros(g.dim * v_dim, dtype=complex)
-    for slot, i in enumerate(keep):
-        w = math.sqrt(float(s[i]))
-        eta += w * np.kron(u[:, i], _unit(v_dim, slot))
-        gamma += w * np.kron(v[:, i], _unit(v_dim, slot))
-    total = float(np.sum(s[keep]))
-    eta /= np.linalg.norm(eta)
-    gamma /= np.linalg.norm(gamma)
-    return RankOneGame(
-        n=g.n, v_dim=v_dim, eta=eta, gamma=gamma, norm_deficit=1.0 - total
-    )
-
-
-def rank_one_to_xor(g: RankOneGame) -> GameMatrix:
-    """XOR game of size 2n distinguishing flag-tagged |eta> and |gamma>.
-
-    M = (1/2)(|00><11| (x) Mhat + |11><00| (x) Mhat^dagger) re-expressed so
-    that each player's register is C^2 (x) C^n with the flag qubit first.
-    """
-    mhat = rank_one_matrix(g)
-    n = g.n
-    e01 = np.zeros((4, 4), dtype=complex)
-    e01[0, 3] = 1.0
-    raw = 0.5 * (np.kron(e01, mhat) + np.kron(e01.T, mhat.conj().T))
-    m = linalg.permute_systems(raw, (2, 2, n, n), (0, 2, 1, 3))
-    return validate(m, 2 * n)
-
-
-def t_rank_one(n: int) -> RankOneGame:
-    """Trivial-referee rank-one game sending |00> and accepting on |Psi_me>."""
-    if n < 1:
-        raise BadArgsError("n must be >= 1")
-    loc = n + 1
-    eta = np.zeros(loc * loc, dtype=complex)
-    eta[0] = 1.0
-    gamma = np.zeros(loc * loc, dtype=complex)
-    for i in range(1, n + 1):
-        gamma[i * loc + i] = 1.0 / math.sqrt(n)
-    return RankOneGame(n=loc, v_dim=1, eta=eta, gamma=gamma)
-
-
-def _unit(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[i] = 1.0
-    return e
 
 
 # --- game files: xorq-game-v1 and classical coefficients ----------------------
@@ -550,17 +378,9 @@ def classical_game_from_dict(data) -> GameMatrix:
     return from_classical(ClassicalGame(n=r.shape[0], r=r))
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-
-
 def load_game(path) -> GameMatrix:
-    return game_from_dict(_load_json(path))
+    return game_from_dict(load_json(path))
 
 
 def load_classical_game(path) -> GameMatrix:
-    return classical_game_from_dict(_load_json(path))
+    return classical_game_from_dict(load_json(path))

@@ -348,8 +348,9 @@ class Ladder:
 
     The only code that chains the classes. Each class is computed at most
     once (me once per d) and handed to the next class as its warm start, so
-    a report that asks for every class runs omega_lower once. The
-    dimensions of me and ent are checked before any class runs. Create one
+    a report that asks for every class runs omega_lower once. Each class
+    checks its stack of restarts x side^2 entries against the dense cap, and
+    the dimensions of me and ent are checked before any class runs. Create one
     per report; it holds the results until it is dropped.
     """
 
@@ -360,20 +361,28 @@ class Ladder:
         self._omega_c = None
         self._me = {}
 
+    def _check_stack(self, side: int):
+        """check_dense for the stack of all restarts' operators of this side,
+        before any start is drawn."""
+        restarts = self.cfg.restarts
+        check_dense(restarts * side * side, f"a stack of {restarts} operators of side {side}")
+
     def omega(self) -> HeuristicResult:
         if self._omega is None:
+            self._check_stack(self.g.n)
             self._omega = omega_lower(self.g, self.cfg)
         return self._omega
 
     def omega_c(self) -> HeuristicResult:
         if self._omega_c is None:
+            self._check_stack(self.g.n)
             self._omega_c = omega_c_lower(self.g, self.cfg, self.omega())
         return self._omega_c
 
     def me(self, d: int) -> HeuristicResult:
         if d < 1:
             raise BadArgsError("d must be >= 1")
-        check_dense((self.g.n * d) ** 2, f"see-saw operator of side {self.g.n * d}")
+        self._check_stack(self.g.n * d)
         if d not in self._me:
             omega_c = self.omega_c() if d % 2 == 0 else None
             self._me[d] = me_lower(self.g, d, self.cfg, self.omega(), omega_c)
@@ -382,8 +391,7 @@ class Ladder:
     def entangled(self, da: int, db: int) -> HeuristicResult:
         if da < 1 or db < 1:
             raise BadArgsError("dimensions must be >= 1")
-        side = max(self.g.n * da, self.g.n * db, da * db)
-        check_dense(side * side, f"see-saw operator of side {side}")
+        self._check_stack(max(self.g.n * da, self.g.n * db, da * db))
         return entangled_lower(self.g, da, db, self.cfg, self.me(min(da, db)))
 
 

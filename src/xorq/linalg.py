@@ -140,34 +140,10 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(as_complex(a), compute_uv=False)
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Schatten 1-norm: the sum of singular values."""
-    return float(np.sum(singular_values(a)))
-
-
 def op_norm(a: np.ndarray) -> float:
     """Operator norm: the largest singular value (0 for empty matrices)."""
     s = singular_values(a)
     return float(s[0]) if s.size else 0.0
-
-
-def partial_trace(p: np.ndarray, dims: tuple[int, int], which: str) -> np.ndarray:
-    """Trace out one factor of an operator on C^d1 (x) C^d2.
-
-    which = "first" traces out the d1 factor, "second" the d2 factor.
-    """
-    d1, d2 = dims
-    p = as_complex(p)
-    if p.shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatchError(
-            f"operator shape {p.shape} does not match dims {dims}"
-        )
-    t = p.reshape(d1, d2, d1, d2)
-    if which == "first":
-        return np.einsum("ijik->jk", t)
-    if which == "second":
-        return np.einsum("ijkj->ik", t)
-    raise BadArgsError(f"which must be 'first' or 'second', got {which!r}")
 
 
 def _permutation_axes(dims: Sequence[int], perm: Sequence[int], size: int) -> list[int]:
@@ -224,7 +200,7 @@ def polar_unitary(k: np.ndarray) -> np.ndarray:
     """Unitary A maximizing |Tr(A K)|: A = V U^dagger for K = U S V^dagger,
     of one matrix or of each matrix of a stack (..., s, s).
 
-    Attains Tr(A K) = trace_norm(K), real non-negative.
+    Attains Tr(A K) = ||K||_1, real non-negative.
     """
     u, _, v = svd(check_square_stack(k))
     return v @ dagger(u)

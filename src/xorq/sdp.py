@@ -66,7 +66,6 @@ relaxation Z meets every row as well: the start is feasible on both sides
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -82,6 +81,7 @@ from .errors import (
     check_dense,
     json_float,
     json_int,
+    load_json,
 )
 
 COEFF_HERMITICITY_TOL = 1e-12
@@ -732,9 +732,4 @@ def instance_from_dict(data: dict) -> SdpInstance:
 
 
 def load_instance(path) -> SdpInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    return instance_from_dict(data)
+    return instance_from_dict(load_json(path))

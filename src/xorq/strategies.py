@@ -27,7 +27,6 @@ a stack of one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,10 +36,9 @@ from . import linalg
 from .errors import (
     BadArgsError,
     DimensionMismatchError,
-    PreconditionViolatedError,
     check_dense,
 )
-from .games import GameMatrix, RankOneGame, rank_one_matrix, rank_one_to_xor
+from .games import GameMatrix
 
 OP_NORM_SLACK = 1e-9
 STATE_NORM_TOL = 1e-10
@@ -278,34 +276,21 @@ def h1_me_strategy() -> MaxEntangledStrategy:
     return MaxEntangledStrategy(d=3, a=a, b=a.copy())
 
 
-@dataclass(frozen=True)
-class EmbezzlementSpec:
-    """Per-copy local dimension and copy count for the staircase state."""
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise BadArgsError("n and d must be >= 1")
-
-
-def embezzlement_state(
-    spec: EmbezzlementSpec, psi: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
+def embezzlement_state(n: int, d: int, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Gamma_d = D^(-1/2) sum_{j=1..d} psi^(x j) (x) phi^(x (d-j)).
 
     psi and phi are unit bipartite states on C^n (x) C^n; the output is
     interleaved per player: all d left halves first, then all right halves.
     D is the exact squared norm of the unnormalized sum.
     """
-    m, d = spec.n, spec.d
+    if n < 1 or d < 1:
+        raise BadArgsError("n and d must be >= 1")
     psi = _check_state(psi)
     phi = _check_state(phi)
-    if psi.shape[0] != m * m or phi.shape[0] != m * m:
-        raise DimensionMismatchError(f"states must live on C^{m} (x) C^{m}")
-    check_dense(m ** (2 * d), "the embezzlement state")
-    total = np.zeros(m ** (2 * d), dtype=complex)
+    if psi.shape[0] != n * n or phi.shape[0] != n * n:
+        raise DimensionMismatchError(f"states must live on C^{n} (x) C^{n}")
+    check_dense(n ** (2 * d), "the embezzlement state")
+    total = np.zeros(n ** (2 * d), dtype=complex)
     for j in range(1, d + 1):
         term = np.ones(1, dtype=complex)
         for c in range(d):
@@ -316,7 +301,7 @@ def embezzlement_state(
         raise BadArgsError("degenerate embezzlement state (norm ~ 0)")
     total /= math.sqrt(norm_sq)
     perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    return linalg.permute_systems(total, (m,) * (2 * d), perm)
+    return linalg.permute_systems(total, (n,) * (2 * d), perm)
 
 
 def _rotation_unitary(ext: int, copy: int, d: int, enc: list[int]) -> np.ndarray:
@@ -377,7 +362,7 @@ def t_entangled_strategy(n: int, d: int) -> EntangledStrategy:
     phi_pair = np.zeros(copy * copy, dtype=complex)
     for i in range(n):  # levels (i+1, i+1), i.e. the maximally entangled state
         phi_pair[i * copy + i] = 1.0 / math.sqrt(n)
-    gamma = embezzlement_state(EmbezzlementSpec(copy, d), psi_pair, phi_pair)
+    gamma = embezzlement_state(copy, d, psi_pair, phi_pair)
 
     # Copy content k encodes level k+1: message levels 1..n sit at extended
     # index 2*(k+1); the extra level n+1 uses the ancilla slot (i=0, anc=1).
@@ -392,144 +377,3 @@ def t_entangled_strategy(n: int, d: int) -> EntangledStrategy:
     state = np.kron(anc, gamma)  # (ancA, ancB, copiesA, copiesB)
     state = linalg.permute_systems(state, (2, 2, copy**d, copy**d), (0, 2, 1, 3))
     return EntangledStrategy(d_a=priv, d_b=priv, a=a, b=a.copy(), psi=state)
-
-
-def lemma_rank_one_strategy(
-    g: RankOneGame,
-    u: np.ndarray,
-    v: np.ndarray,
-    psi: np.ndarray,
-    phi: np.ndarray,
-    d: int,
-) -> EntangledStrategy:
-    """Entangled strategy for rank_one_to_xor(g) built from a rank-one-game
-    strategy (U, V, psi, phi).
-
-    The players share phi plus a staircase state over (psi, phi); a flagged
-    rotate-then-play operator achieves bias at least (1 - 2/d) times the
-    square root of the rank-one value. A global phase on U is fixed so the
-    achieved bias is non-negative.
-    """
-    if d < 1:
-        raise BadArgsError("d must be >= 1")
-    n1 = g.n
-    psi = _check_state(psi)
-    phi = _check_state(phi)
-    h = math.isqrt(psi.shape[0])
-    if h * h != psi.shape[0] or phi.shape[0] != psi.shape[0]:
-        raise DimensionMismatchError("psi and phi must be bipartite states on C^h (x) C^h")
-    u = _check_contraction("U", u, False)
-    v = _check_contraction("V", v, False)
-    if u.shape[0] != n1 * h or v.shape[0] != n1 * h:
-        raise DimensionMismatchError("U, V must act on C^n (x) C^h")
-    game = rank_one_to_xor(g)
-    priv = h ** (d + 1)
-    check_dense((2 * n1 * priv) ** 2, "the strategy's dense evaluation")
-
-    gamma = embezzlement_state(EmbezzlementSpec(h, d), psi, phi)
-    rot = _rotation_unitary(h, h, d, list(range(h)))  # unconditional rotation
-
-    def build(uu: np.ndarray, vv: np.ndarray) -> EntangledStrategy:
-        wa = np.kron(uu, np.eye(h**d)) @ np.kron(np.eye(n1), rot)
-        wb = np.kron(vv, np.eye(h**d)) @ np.kron(np.eye(n1), rot)
-        # The rotate-then-play action sits in the |1><0| flag block: the
-        # game matrix pairs that block with the question-to-target
-        # direction of the rank-one referee.
-        e10 = np.array([[0.0, 0.0], [1.0, 0.0]])
-        a = np.kron(e10, wa) + np.kron(e10.T, wa.conj().T)
-        b = np.kron(e10, wb) + np.kron(e10.T, wb.conj().T)
-        shared = np.kron(phi, gamma)  # (r0A, r0B, restA, restB)
-        shared = linalg.permute_systems(shared, (h, h, h**d, h**d), (0, 2, 1, 3))
-        return EntangledStrategy(d_a=priv, d_b=priv, a=a, b=b, psi=shared)
-
-    b0 = bias(game, build(u, v))
-    b1 = bias(game, build(1j * u, v))
-    w0 = b0 - 1j * b1
-    if abs(w0) > 1e-300:
-        u = cmath.exp(-1j * cmath.phase(w0)) * u
-    return build(u, v)
-
-
-def symmetrize(g: GameMatrix, s: EntangledStrategy) -> EntangledStrategy:
-    """Exchange-symmetric form of an entangled strategy with equal bias.
-
-    Requires the game matrix to be invariant under swapping the two message
-    registers (true for every family built here). The shared state is
-    restricted to its Schmidt support, a flag qubit routes each player to
-    one of the original operators, and a final dilation by one ancilla
-    qubit turns the Hermitian contraction into an observable. The bias of
-    the output is checked against the input's (PreconditionViolatedError).
-    """
-    if not isinstance(s, EntangledStrategy):
-        raise BadArgsError("symmetrize expects an entangled strategy")
-    n = g.n
-    swapped = linalg.permute_systems(g.m, (n, n), (1, 0))
-    if np.linalg.norm(swapped - g.m) > 1e-9 * max(1.0, np.linalg.norm(g.m)):
-        raise BadArgsError("game matrix must be exchange-symmetric")
-    before = bias(g, s)
-
-    mat = s.psi.reshape(s.d_a, s.d_b)
-    ua, sv, vb = linalg.svd(mat)
-    rank = max(1, int(np.sum(sv > 1e-12 * sv[0])))
-    ua = ua[:, :rank]
-    wb = vb[:, :rank].conj()
-    core = sv[:rank] / np.linalg.norm(sv[:rank])  # Schmidt coefficients
-
-    a1 = np.kron(np.eye(n), ua.conj().T) @ s.a @ np.kron(np.eye(n), ua)
-    b1 = np.kron(np.eye(n), wb.conj().T) @ s.b @ np.kron(np.eye(n), wb)
-    psi1 = np.zeros(rank * rank, dtype=complex)
-    psi1[np.arange(rank) * rank + np.arange(rank)] = core
-
-    # Flag qubit (first private factor) selects which operator is played.
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    a_flag = np.kron(p0, a1) + np.kron(p1, b1)  # (flag, msg, priv)
-    a_flag = linalg.permute_systems(a_flag, (2, n, rank), (1, 0, 2))
-    state = np.zeros(4, dtype=complex)
-    state[1] = state[2] = 1.0 / math.sqrt(2)  # (|01> + |10>)/sqrt(2) on flags
-    # psi1 is Schmidt-diagonal, hence invariant under swapping its halves.
-    psi_flag = np.kron(state, psi1)
-    psi_flag = linalg.permute_systems(psi_flag, (2, 2, rank, rank), (0, 2, 1, 3))
-    d_half = 2 * rank
-
-    gram = a_flag @ a_flag - np.eye(a_flag.shape[0])
-    if np.linalg.norm(gram) > 1e-9 * a_flag.shape[0]:
-        # Dilate to an observable with an ancilla qubit in |0> per player.
-        w, uvec = np.linalg.eigh(a_flag)
-        s_comp = (uvec * np.sqrt(np.clip(1.0 - w**2, 0.0, None))) @ uvec.conj().T
-        sz = np.diag([1.0, -1.0])
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a_out = np.kron(a_flag, sz) + np.kron(s_comp, sx)
-        anc = np.zeros(4, dtype=complex)
-        anc[0] = 1.0
-        psi_out = np.kron(psi_flag, anc)  # (fA,pA,fB,pB,aA,aB)
-        psi_out = linalg.permute_systems(
-            psi_out, (2, rank, 2, rank, 2, 2), (0, 1, 4, 2, 3, 5)
-        )
-        d_out = 2 * d_half
-    else:
-        a_out = a_flag
-        psi_out = psi_flag
-        d_out = d_half
-
-    out = EntangledStrategy(d_a=d_out, d_b=d_out, a=a_out, b=a_out.copy(), psi=psi_out)
-    after = bias(g, out)
-    if abs(after - before) > 1e-8 * max(1.0, abs(before)):
-        raise PreconditionViolatedError(f"symmetrization changed the bias: {before} -> {after}")
-    return out
-
-
-def max_bias_upper_bound_tn(n: int, d: int) -> float:
-    """Upper bound on the T-family bias reachable with d-dimensional
-    entanglement: sqrt(1 - min(1/(4e^2), log2(n)^2 / (16 log2(3d)^2))).
-
-    Valid for n >= 2 (the underlying entropy bound needs S >= 1).
-    """
-    if n < 2:
-        raise BadArgsError("bound requires n >= 2")
-    if d < 1:
-        raise BadArgsError("d must be >= 1")
-    s = math.log2(n)
-    gap = min(1.0 / (4.0 * math.e**2), s**2 / (16.0 * math.log2(3.0 * d) ** 2))
-    return math.sqrt(min(max(1.0 - gap, 0.0), 1.0))
-

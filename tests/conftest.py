@@ -8,8 +8,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from constructions import trace_norm
 from xorq import games, heuristics
-from xorq.linalg import hermitian_part, trace_norm
+from xorq.linalg import hermitian_part
 
 
 def random_game(n: int, seed: int) -> games.GameMatrix:

@@ -8,6 +8,7 @@ tests feed them.
 
 import numpy as np
 
+from constructions import partial_trace
 from xorq import heuristics, linalg, strategies
 from xorq.errors import DimensionMismatchError
 
@@ -76,7 +77,7 @@ def state_operator_dense(m, a, b, n: int, da: int, db: int) -> np.ndarray:
     x = np.kron(a, b)
     x = linalg.permute_systems(x, (n, da, n, db), (0, 2, 1, 3))
     t = x @ np.kron(m, np.eye(da * db))
-    return linalg.partial_trace(t, (n * n, da * db), "first")
+    return partial_trace(t, (n * n, da * db), "first")
 
 
 def odot(x, y) -> np.ndarray:

@@ -12,6 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import random_game
+from constructions import (
+    max_bias_upper_bound_tn,
+    rank_one_to_xor,
+    t_rank_one,
+    trace_norm,
+    xor_to_rank_one,
+)
 from dense import random_strategy
 from xorq import cli, games, heuristics, linalg, relaxations, strategies
 
@@ -103,7 +110,7 @@ def test_criterion_6_normalization():
         + [(f"C{n}", games.c_game(n)) for n in range(1, 5)]
         + [("CHSH", games.from_classical(games.chsh()))]
     )
-    worst = max(abs(linalg.trace_norm(g.m) - 1.0) for _, g in corpus)
+    worst = max(abs(trace_norm(g.m) - 1.0) for _, g in corpus)
     ok = worst <= 1e-8
     _criterion("criterion 6 (normalization)", ok, f"max |trace_norm - 1| = {worst:.2e}")
 
@@ -156,7 +163,7 @@ def test_criterion_8_embezzlement():
         row = rows[f"embezzlement_bias(d={d})"]
         b = row.exact(g)
         # The strategy's private space: an ancilla qubit and d copies of C^3.
-        bound = strategies.max_bias_upper_bound_tn(2, 2 * 3**d)
+        bound = max_bias_upper_bound_tn(2, 2 * 3**d)
         ok &= row.passes(b) and b <= bound + 1e-9
         details.append(f"d={d}: bias={b:.9f} bound={bound:.6f}")
     elapsed = time.monotonic() - t0
@@ -171,7 +178,7 @@ def test_criterion_9_rank_one_round_trips():
     for seed in range(20):
         g = random_game(2, seed=7000 + seed)
         s_vals = np.linalg.svd(g.m, compute_uv=False)
-        back = games.rank_one_to_xor(games.xor_to_rank_one(g))
+        back = rank_one_to_xor(xor_to_rank_one(g))
         w = np.linalg.eigvalsh(back.m)
         pad = np.zeros(back.m.shape[0] - 2 * s_vals.size)
         want = np.sort(np.concatenate([s_vals / 2, -s_vals / 2, pad]))
@@ -180,7 +187,7 @@ def test_criterion_9_rank_one_round_trips():
         worst = max(worst, err)
         ok &= err <= 1e-8
     for n in range(1, 5):
-        w = np.linalg.eigvalsh(games.rank_one_to_xor(games.t_rank_one(n)).m)
+        w = np.linalg.eigvalsh(rank_one_to_xor(t_rank_one(n)).m)
         nonzero = np.sort(w[np.abs(w) > 1e-10])
         ok &= np.allclose(nonzero, [-0.5, 0.5], atol=1e-8)
         tw = np.linalg.eigvalsh(games.t_game(n).m)

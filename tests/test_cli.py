@@ -95,6 +95,28 @@ def test_cmd_game_oversized_family_exits_2(capsys):
     assert "entries (> 2^24)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param", ["8000", str(10**1200)], ids=["8000", "10^1200"])
+@pytest.mark.parametrize("name", ["tn", "cn", "hn"])
+def test_cmd_game_huge_family_index_exits_2(capsys, name, param):
+    # No power or binomial of the index is formed: C(16001, 8000) and
+    # 10^4800 have too many digits to print, and C(2 10^1200 + 1, 10^1200)
+    # overflows.
+    assert run(["game", "--name", name, "--param", param]) == cli.EXIT_ARGS
+    assert "dense cap" in capsys.readouterr().err
+
+
+def test_cmd_bias_restarts_beyond_the_dense_cap_exit_2(tmp_path, capsys, monkeypatch):
+    def never(*args):  # without the check, fail here rather than draw 10^12 starts
+        raise AssertionError("omega_lower ran")
+
+    monkeypatch.setattr(heuristics, "omega_lower", never)
+    path = tmp_path / "chsh.json"
+    run(["game", "--name", "chsh", "--out", str(path)])
+    argv = ["bias", str(path), "--quantities", "omega", "--restarts", "1000000000000"]
+    assert run(argv) == cli.EXIT_ARGS
+    assert "dense cap" in capsys.readouterr().err
+
+
 def test_cmd_bias_json_payload(tmp_path, capsys):
     path = tmp_path / "t2.json"
     run(["game", "--name", "tn", "--param", "2", "--out", str(path)])

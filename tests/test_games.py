@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import random_game
+from constructions import (
+    RankOneGame,
+    rank_one_matrix,
+    rank_one_to_xor,
+    t_rank_one,
+    to_product_state_protocol,
+    trace_norm,
+    xor_to_rank_one,
+)
 from spectral import herm_eig
 from xorq import cli, games, linalg
 from xorq.errors import (
@@ -26,7 +35,7 @@ C3 = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
 
 def test_validate_zero_game():
     g = games.validate(np.zeros((4, 4)), 2)
-    assert linalg.trace_norm(g.m) == 0.0
+    assert trace_norm(g.m) == 0.0
     assert g.trace_norm == 0.0
 
 
@@ -58,7 +67,7 @@ def test_validate_rejects_bad_shape():
 )
 def test_spectrum_trace_norm_matches_singular_values(build):
     g = build()
-    want = linalg.trace_norm(g.m)
+    want = trace_norm(g.m)
     assert abs(g.trace_norm - want) <= 1e-12 * max(1.0, want)
 
 
@@ -82,6 +91,24 @@ def _assert_decomposes(g: games.GameMatrix):
     assert abs(w[top] - w_dense[np.argmax(np.abs(w_dense))]) <= tol
     assert np.array_equal(spec.top_vector(), spec.eigenvector(top))
     assert np.linalg.norm(g.m @ spec.top_vector() - w[top] * spec.top_vector()) <= tol
+
+
+def _nonzero_eigenpairs(spec: games.Spectrum) -> list:
+    """(lambda, unit eigenvector) for every |lambda| > 1e-12, ascending."""
+    return [
+        (lam, spec.eigenvector(j))
+        for j, lam in enumerate(spec.eigenvalues)
+        if abs(lam) > 1e-12
+    ]
+
+
+def _assert_nonzero_part_rebuilds(g: games.GameMatrix):
+    """The eigenpairs of nonzero eigenvalue are orthonormal and sum to M."""
+    pairs = _nonzero_eigenpairs(g.spectrum)
+    vecs = np.array([phi for _, phi in pairs]).reshape(len(pairs), g.dim)
+    rebuilt = sum((lam * np.outer(phi, phi.conj()) for lam, phi in pairs), np.zeros_like(g.m))
+    assert np.linalg.norm(rebuilt - g.m) <= 1e-9
+    assert np.linalg.norm(vecs.conj() @ vecs.T - np.eye(len(pairs))) <= 1e-9
 
 
 def _component_sets(spec: games.Spectrum) -> set:
@@ -150,28 +177,40 @@ def test_path_pattern_is_one_component_and_plain_eigh(rng):
     path = path + path.T + np.diag(rng.standard_normal(dim))
     perm = rng.permutation(dim)
     m = path[np.ix_(perm, perm)]
-    g = games.validate(m / linalg.trace_norm(m), n)
+    g = games.validate(m / trace_norm(m), n)
     assert np.array_equal(games._component_labels(g.m), np.zeros(dim, dtype=int))
     _assert_decomposes(g)
     _assert_plain_eigh(g)
 
 
-@pytest.mark.parametrize("n, seed", [(1, 3), (2, 11), (3, 12), (4, 13)])
+@pytest.mark.parametrize(
+    "n, seed", [(1, 3), (2, 11), (3, 12), (4, 13), *((2, 100 + k) for k in range(50))]
+)
 def test_random_games_are_one_component(n, seed):
-    _assert_plain_eigh(random_game(n, seed))
+    g = random_game(n, seed)
+    _assert_plain_eigh(g)
+    _assert_nonzero_part_rebuilds(g)
 
 
 def test_zero_and_diagonal_games_are_singletons(rng):
-    zero = games.validate(np.zeros((9, 9)), 3)
-    _assert_decomposes(zero)
-    assert sorted(zero.spectrum.vectors) == [1]
-    assert np.array_equal(zero.spectrum.eigenvalues, np.zeros(9))
-    assert np.array_equal(_dense_eigenvectors(zero.spectrum), np.eye(9))
+    for n in (2, 3):
+        zero = games.validate(np.zeros((n**2, n**2)), n)
+        _assert_decomposes(zero)
+        assert sorted(zero.spectrum.vectors) == [1]
+        assert np.array_equal(zero.spectrum.eigenvalues, np.zeros(n**2))
+        assert np.array_equal(_dense_eigenvectors(zero.spectrum), np.eye(n**2))
+        assert _nonzero_eigenpairs(zero.spectrum) == [] and zero.trace_norm == 0.0
     r = rng.standard_normal((4, 4))
-    g = games.from_classical(games.ClassicalGame(4, r / np.sum(np.abs(r))))
-    _assert_decomposes(g)
-    assert len(g.spectrum.start) - 1 == 16 and sorted(g.spectrum.vectors) == [1]
-    assert np.array_equal(g.spectrum.eigenvalues, np.sort(np.diag(g.m).real))
+    for c in (games.chsh(), games.ClassicalGame(4, r / np.sum(np.abs(r)))):
+        g = games.from_classical(c)
+        _assert_decomposes(g)
+        assert len(g.spectrum.start) - 1 == c.n**2 and sorted(g.spectrum.vectors) == [1]
+        assert np.array_equal(g.spectrum.eigenvalues, np.sort(np.diag(g.m).real))
+        # Each eigenvector is the product basis vector |s>|t> of R_st.
+        for lam, phi in _nonzero_eigenpairs(g.spectrum):
+            (i,) = np.flatnonzero(np.abs(phi) > 1e-9)
+            s_, t = divmod(int(i), c.n)
+            assert abs(abs(phi[i]) - 1.0) < 1e-9 and lam == c.r[s_, t]
 
 
 def test_validate_rejects_nan_matrix():
@@ -192,6 +231,14 @@ def test_t1_matrix_from_question_states():
     got = games.t_game(1)
     assert np.allclose(got.m, want, atol=1e-12)
     assert abs(got.m[0, 3] - 0.5) < 1e-12 and abs(got.m[3, 0] - 0.5) < 1e-12
+    # The eigenpairs of nonzero eigenvalue are the question states with the
+    # probabilities 1/2 and parities (-1)^0, (-1)^1, and nothing is left to
+    # reject: sum |lambda| = 1.
+    pairs = _nonzero_eigenpairs(got.spectrum)
+    assert np.allclose([lam for lam, _ in pairs], [-0.5, 0.5])
+    assert abs(got.trace_norm - 1.0) < 1e-9
+    for (lam, phi), target in zip(pairs, (psi1, psi0)):
+        assert abs(abs(np.vdot(target, phi)) - 1.0) < 1e-9
 
 
 def test_t_game_spectrum():
@@ -210,9 +257,9 @@ def test_generators_trace_norm_one():
         games.c_game(1),
         games.c_game(4),
     ]:
-        assert abs(linalg.trace_norm(g.m) - 1.0) <= 1e-8
+        assert abs(trace_norm(g.m) - 1.0) <= 1e-8
     classical = games.from_classical(games.chsh())
-    assert abs(linalg.trace_norm(classical.m) - 1.0) <= 1e-10
+    assert abs(trace_norm(classical.m) - 1.0) <= 1e-10
 
 
 def test_chsh_coefficients():
@@ -232,7 +279,7 @@ def test_from_classical_zero_and_norm(rng):
     r = rng.standard_normal((3, 3))
     r /= np.sum(np.abs(r))
     g = games.from_classical(games.ClassicalGame(3, r))
-    assert abs(linalg.trace_norm(g.m) - np.sum(np.abs(r))) < 1e-10
+    assert abs(trace_norm(g.m) - np.sum(np.abs(r))) < 1e-10
 
 
 def test_h1_equals_explicit_matrix():
@@ -273,58 +320,13 @@ def test_tensor_trace_norm_multiplicative():
     g2 = random_game(2, seed=12)
     prod = games.tensor_games(g1, g2)
     assert prod.n == 4
-    want = linalg.trace_norm(g1.m) * linalg.trace_norm(g2.m)
-    assert abs(linalg.trace_norm(prod.m) - want) < 1e-8
-
-
-def test_referee_protocol_t1():
-    proto = games.to_referee_protocol(games.t_game(1))
-    assert len(proto.outcomes) == 2
-    ps = sorted(p for p, _, _ in proto.outcomes)
-    assert np.allclose(ps, [0.5, 0.5])
-    assert sorted(c for _, c, _ in proto.outcomes) == [0, 1]
-    assert abs(proto.reject_probability) < 1e-9
-    psi0 = np.zeros(4)
-    psi0[0] = psi0[3] = 1 / math.sqrt(2)
-    psi1 = psi0.copy()
-    psi1[3] *= -1
-    for p, c, phi in proto.outcomes:
-        target = psi0 if c == 0 else psi1
-        assert abs(abs(np.vdot(target, phi)) - 1.0) < 1e-9
-
-
-def test_referee_protocol_zero_game():
-    proto = games.to_referee_protocol(games.validate(np.zeros((4, 4)), 2))
-    assert proto.outcomes == ()
-    assert abs(proto.reject_probability - 1.0) < 1e-12
-
-
-def test_referee_protocol_reconstruction_many():
-    for seed in range(50):
-        g = random_game(2, seed=100 + seed)
-        proto = games.to_referee_protocol(g)
-        assert np.linalg.norm(proto.reconstruct(g.dim) - g.m) <= 1e-9
-        vecs = np.array([phi for _, _, phi in proto.outcomes])
-        gram = vecs.conj() @ vecs.T
-        assert np.linalg.norm(gram - np.eye(len(vecs))) <= 1e-9
-
-
-def test_referee_protocol_classical_product_basis():
-    g = games.from_classical(games.chsh())
-    proto = games.to_referee_protocol(g)
-    r = games.chsh().r
-    for p, c, phi in proto.outcomes:
-        nz = np.where(np.abs(phi) > 1e-9)[0]
-        assert nz.size == 1  # computational product basis vector
-        s, t = divmod(int(nz[0]), 2)
-        assert abs(abs(phi[nz[0]]) - 1.0) < 1e-9
-        assert c == (0 if r[s, t] > 0 else 1)
-        assert abs(p - abs(r[s, t])) < 1e-9
+    want = trace_norm(g1.m) * trace_norm(g2.m)
+    assert abs(trace_norm(prod.m) - want) < 1e-8
 
 
 def test_product_state_protocol_diagonal_support():
     g = games.from_classical(games.chsh())
-    dec = games.to_product_state_protocol(g)
+    dec = to_product_state_protocol(g)
     m = dec.reconstruct(g.dim)
     assert np.linalg.norm(m - g.m) <= 1e-9
     for _, _, hl, hr in dec.terms:
@@ -336,37 +338,37 @@ def test_product_state_protocol_product_input(rng):
     h = linalg.hermitian_part(
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     )
-    h /= linalg.trace_norm(h)
+    h /= trace_norm(h)
     g = games.validate(np.kron(h, h), 3)
-    dec = games.to_product_state_protocol(g)
+    dec = to_product_state_protocol(g)
     assert np.linalg.norm(dec.reconstruct(9) - g.m) <= 1e-9
     for w, s, hl, hr in dec.terms:
         assert w >= 0 and s in (-1, 1)
-        assert abs(linalg.trace_norm(hl) - 1.0) < 1e-9
-        assert abs(linalg.trace_norm(hr) - 1.0) < 1e-9
+        assert abs(trace_norm(hl) - 1.0) < 1e-9
+        assert abs(trace_norm(hr) - 1.0) < 1e-9
 
 
 def test_product_state_protocol_zero():
-    dec = games.to_product_state_protocol(games.validate(np.zeros((4, 4)), 2))
+    dec = to_product_state_protocol(games.validate(np.zeros((4, 4)), 2))
     assert dec.terms == ()
 
 
 def test_rank_one_matrix_product_state():
     eta = np.zeros(4, dtype=complex)
     eta[1] = 1.0
-    g = games.RankOneGame(n=2, v_dim=1, eta=eta, gamma=eta.copy())
-    mhat = games.rank_one_matrix(g)
+    g = RankOneGame(n=2, v_dim=1, eta=eta, gamma=eta.copy())
+    mhat = rank_one_matrix(g)
     assert np.allclose(mhat, np.outer(eta, eta.conj()))
 
 
 def test_rank_one_matrix_t2():
     # oracle: expanding the partial trace over the trivial referee register
-    g = games.t_rank_one(2)
+    g = t_rank_one(2)
     psi_me = np.zeros(9, dtype=complex)
     psi_me[1 * 3 + 1] = psi_me[2 * 3 + 2] = 1 / math.sqrt(2)
     e00 = np.zeros(9, dtype=complex)
     e00[0] = 1.0
-    assert np.allclose(games.rank_one_matrix(g), np.outer(e00, psi_me.conj()))
+    assert np.allclose(rank_one_matrix(g), np.outer(e00, psi_me.conj()))
 
 
 def test_rank_one_matrix_norm_bound(rng):
@@ -376,23 +378,23 @@ def test_rank_one_matrix_norm_bound(rng):
         gam = r.standard_normal(12) + 1j * r.standard_normal(12)
         eta /= np.linalg.norm(eta)
         gam /= np.linalg.norm(gam)
-        g = games.RankOneGame(n=2, v_dim=3, eta=eta, gamma=gam)
-        assert linalg.trace_norm(games.rank_one_matrix(g)) <= 1.0 + 1e-9
+        g = RankOneGame(n=2, v_dim=3, eta=eta, gamma=gam)
+        assert trace_norm(rank_one_matrix(g)) <= 1.0 + 1e-9
 
 
 def test_xor_to_rank_one_round_trip():
     for seed in range(8):
         g = random_game(2, seed=300 + seed)
-        hat = games.xor_to_rank_one(g)
+        hat = xor_to_rank_one(g)
         assert abs(hat.norm_deficit) < 1e-9  # corpus games have trace norm 1
-        back = games.rank_one_matrix(hat)
+        back = rank_one_matrix(hat)
         assert np.linalg.norm(back - g.m) <= 1e-8
 
 
 def test_xor_to_rank_one_tn_structure():
-    hat = games.xor_to_rank_one(games.t_game(2))
+    hat = xor_to_rank_one(games.t_game(2))
     assert hat.v_dim == 2
-    back = games.rank_one_matrix(hat)
+    back = rank_one_matrix(hat)
     assert np.linalg.norm(back - games.t_game(2).m) <= 1e-8
 
 
@@ -400,17 +402,17 @@ def test_xor_to_rank_one_rank_one_input():
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
     g = games.validate(np.outer(psi, psi.conj()), 2)
-    assert games.xor_to_rank_one(g).v_dim == 1
+    assert xor_to_rank_one(g).v_dim == 1
 
 
 def test_xor_to_rank_one_zero_game():
     with pytest.raises(ZeroGameError):
-        games.xor_to_rank_one(games.validate(np.zeros((4, 4)), 2))
+        xor_to_rank_one(games.validate(np.zeros((4, 4)), 2))
 
 
 def test_rank_one_to_xor_spectrum_matches_t_game():
     for n in range(1, 5):
-        g = games.rank_one_to_xor(games.t_rank_one(n))
+        g = rank_one_to_xor(t_rank_one(n))
         assert g.n == 2 * (n + 1)
         w = np.linalg.eigvalsh(g.m)
         nonzero = w[np.abs(w) > 1e-10]
@@ -426,8 +428,8 @@ def test_rank_one_to_xor_zero_matrix():
     eta[0] = 1.0  # |00>|0_V>
     gam = np.zeros(8, dtype=complex)
     gam[1] = 1.0  # |00>|1_V>, orthogonal referee states: Mhat = 0
-    g = games.RankOneGame(n=2, v_dim=2, eta=eta, gamma=gam)
-    assert np.linalg.norm(games.rank_one_to_xor(g).m) < 1e-12
+    g = RankOneGame(n=2, v_dim=2, eta=eta, gamma=gam)
+    assert np.linalg.norm(rank_one_to_xor(g).m) < 1e-12
 
 
 def test_rank_one_to_xor_spectrum_symmetry(rng):
@@ -437,9 +439,9 @@ def test_rank_one_to_xor_spectrum_symmetry(rng):
         gam = r.standard_normal(8) + 1j * r.standard_normal(8)
         eta /= np.linalg.norm(eta)
         gam /= np.linalg.norm(gam)
-        g = games.RankOneGame(n=2, v_dim=2, eta=eta, gamma=gam)
-        s = np.linalg.svd(games.rank_one_matrix(g), compute_uv=False)
-        w = np.linalg.eigvalsh(games.rank_one_to_xor(g).m)
+        g = RankOneGame(n=2, v_dim=2, eta=eta, gamma=gam)
+        s = np.linalg.svd(rank_one_matrix(g), compute_uv=False)
+        w = np.linalg.eigvalsh(rank_one_to_xor(g).m)
         want = sorted(np.concatenate([s / 2, -s / 2]))
         got = sorted(w[np.abs(w) > 1e-12])
         trimmed = [x for x in want if abs(x) > 1e-12]
@@ -447,7 +449,7 @@ def test_rank_one_to_xor_spectrum_symmetry(rng):
 
 
 def test_t_rank_one_states():
-    g = games.t_rank_one(2)
+    g = t_rank_one(2)
     assert abs(np.linalg.norm(g.eta) - 1) < 1e-12
     assert abs(np.linalg.norm(g.gamma) - 1) < 1e-12
     assert abs(g.gamma[1 * 3 + 1] - 1 / math.sqrt(2)) < 1e-12
@@ -512,8 +514,9 @@ def test_game_reader_rejects_garbage():
 
 
 def test_game_reader_rejects_oversized_and_huge_entries():
-    with pytest.raises(TooLargeError, match="dense cap"):
-        games.game_from_dict({"format": "xorq-game-v1", "n": 400, "entries": []})
+    for n in (400, 10**1200):  # n^4 of the second has too many digits to print
+        with pytest.raises(TooLargeError, match="dense cap"):
+            games.game_from_dict({"format": "xorq-game-v1", "n": n, "entries": []})
     # Each entry is finite; symmetrizing or a trace-norm SVD would overflow.
     for entries in (
         [(0, 0, 1e308, 0), (1, 1, 1e308, 0), (0, 1, 1e308, 0), (1, 0, 1e308, 0)],

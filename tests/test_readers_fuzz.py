@@ -2,13 +2,15 @@
 small JSON-like value, a reader returns or raises an XorqError, never
 another exception."""
 
+import json
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from xorq import errors, games, sdp  # noqa: E402
+from xorq import cli, errors, games, sdp  # noqa: E402
 from xorq.errors import FormatError, XorqError  # noqa: E402
 
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -149,6 +151,33 @@ def test_readers_take_integer_indices():
     assert games.game_from_dict(_game(r=3, c=3)).m[3, 3] == 0.5
     inst = sdp.instance_from_dict(_instance(obj=(0, 1), row=(0, 0)))
     assert inst.blocks == (("z", 2),) and inst.objective["z"][1, 0] == 1.0
+
+
+# json.load raises a plain ValueError, not a JSONDecodeError, on an integer
+# literal beyond Python's int-string limit (4,300 digits).
+@pytest.mark.parametrize("command, data", [
+    (["bias"], _game(n=12345)),
+    (["game", "--name", "classical-file", "--file"], {"r": [[12345]]}),
+    (["sdp", "solve"], _instance(dim=12345)),
+], ids=["game-n", "classical-r", "sdp-dim"])
+def test_readers_refuse_integer_literals_beyond_the_int_string_limit(
+    tmp_path, capsys, command, data
+):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data).replace("12345", "9" * 5001))
+    assert cli.main(command + [str(path)]) == cli.EXIT_ARGS
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+# Neither failure is a JSONDecodeError: the first is a UnicodeDecodeError,
+# the second a RecursionError.
+@pytest.mark.parametrize("raw", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_readers_refuse_files_that_do_not_decode(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert cli.main(["bias", str(path)]) == cli.EXIT_ARGS
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def _game_value(re, im):

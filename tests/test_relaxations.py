@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_game, random_unitary
+from constructions import trace_norm
 from dense import odot, vvm_products
 from xorq import games, heuristics, linalg, relaxations, sdp
 from xorq.errors import DimensionMismatchError, TooLargeError
@@ -343,7 +344,7 @@ def test_h_n_closed_forms():
 def test_check_chains_t3():
     g = games.t_game(3)
     cfg = heuristics.OptimizerConfig(restarts=8, seed=0)
-    rep = BiasReport(game="t3", n=g.n, trace_norm=linalg.trace_norm(g.m))
+    rep = BiasReport(game="t3", n=g.n, trace_norm=trace_norm(g.m))
     rep.omega_lower = heuristics.omega_lower(g, cfg).value
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
     rep.beta_os = relaxations.beta_os(g, 1e-6).value
@@ -356,7 +357,7 @@ def test_check_chains_t3():
 def test_check_chains_h1_ratio_diagnostic():
     g = games.h_game(1)
     cfg = heuristics.OptimizerConfig(restarts=8, seed=0)
-    rep = BiasReport(game="h1", n=g.n, trace_norm=linalg.trace_norm(g.m))
+    rep = BiasReport(game="h1", n=g.n, trace_norm=trace_norm(g.m))
     rep.omega_c_lower = heuristics.Ladder(g, cfg).omega_c().value
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
     checks = relaxations.check_chains(g, rep, 1e-6)

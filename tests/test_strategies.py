@@ -8,6 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import random_game, random_unitary
+from constructions import (
+    RankOneGame,
+    lemma_rank_one_strategy,
+    max_bias_upper_bound_tn,
+    rank_one_matrix,
+    rank_one_to_xor,
+    symmetrize,
+    t_rank_one,
+    trace_norm,
+)
 from dense import bias_dense, random_strategy
 from xorq import games, linalg, strategies
 from xorq.errors import (
@@ -114,7 +124,7 @@ def test_unentangled_bias_equals_one_dimensional_entangled_bias():
 def test_bias_bounded_by_trace_norm():
     for seed in range(25):
         g = random_game(2, seed=900 + seed)
-        tn = linalg.trace_norm(g.m)
+        tn = trace_norm(g.m)
         for kind, dims in [
             ("unentangled", None),
             ("complex", None),
@@ -142,7 +152,7 @@ def test_embezzlement_state_d1_is_psi(rng):
     psi /= np.linalg.norm(psi)
     phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     phi /= np.linalg.norm(phi)
-    out = strategies.embezzlement_state(strategies.EmbezzlementSpec(2, 1), psi, phi)
+    out = strategies.embezzlement_state(2, 1, psi, phi)
     assert np.allclose(out, psi)
 
 
@@ -159,7 +169,7 @@ def test_embezzlement_normalization_orthogonal_case():
         terms.append(t)
     unnorm = np.sum(terms, axis=0)
     assert abs(np.vdot(unnorm, unnorm).real - d) < 1e-12
-    out = strategies.embezzlement_state(strategies.EmbezzlementSpec(2, d), psi, phi)
+    out = strategies.embezzlement_state(2, d, psi, phi)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -167,7 +177,7 @@ def test_embezzlement_guard():
     psi = np.zeros(64 * 64, dtype=complex)
     psi[0] = 1.0
     with pytest.raises(TooLargeError, match="dense cap"):
-        strategies.embezzlement_state(strategies.EmbezzlementSpec(64, 3), psi, psi)
+        strategies.embezzlement_state(64, 3, psi, psi)
 
 
 def test_t_entangled_strategy_bias_formula():
@@ -187,18 +197,18 @@ def test_t_entangled_strategy_bias_formula():
 def test_lemma_rank_one_trivial_instance():
     eta = np.zeros(4, dtype=complex)
     eta[0] = 1.0
-    g = games.RankOneGame(n=2, v_dim=1, eta=eta, gamma=eta.copy())
+    g = RankOneGame(n=2, v_dim=1, eta=eta, gamma=eta.copy())
     psi = np.array([1, 0, 0, 0], dtype=complex)
-    xor = games.rank_one_to_xor(g)
+    xor = rank_one_to_xor(g)
     for d in (1, 2, 4):
-        s = strategies.lemma_rank_one_strategy(g, np.eye(4), np.eye(4), psi, psi, d)
+        s = lemma_rank_one_strategy(g, np.eye(4), np.eye(4), psi, psi, d)
         b = strategies.bias(xor, s)
         assert b >= (1.0 - 2.0 / d) - 1e-8  # d = 1 bound is vacuous but runs
 
 
 def test_lemma_rank_one_t2_cross_check():
     # optimal rank-one strategy for the T2 referee: swap message and share
-    g = games.t_rank_one(2)
+    g = t_rank_one(2)
     h = 3
     swap = np.zeros((9, 9))
     for i in range(3):
@@ -209,14 +219,14 @@ def test_lemma_rank_one_t2_cross_check():
     end = np.zeros(9, dtype=complex)  # residual |00>
     end[0] = 1.0
     # value oracle: |Tr((U x V)(Mhat (x) |psi><phi|))| = 1
-    mhat = games.rank_one_matrix(g)
+    mhat = rank_one_matrix(g)
     big = np.kron(mhat, np.outer(start, end.conj()))
     big = linalg.permute_systems(big, (3, 3, 3, 3), (0, 2, 1, 3))
     z = complex(np.trace(np.kron(swap, swap) @ big))
     assert abs(abs(z) - 1.0) < 1e-12
-    xor = games.rank_one_to_xor(g)
+    xor = rank_one_to_xor(g)
     for d in (2, 3):
-        s = strategies.lemma_rank_one_strategy(g, swap, swap, start, end, d)
+        s = lemma_rank_one_strategy(g, swap, swap, start, end, d)
         b = strategies.bias(xor, s)
         assert b >= (1.0 - 2.0 / d) * abs(z) - 1e-8
         # cross-check against the direct curve for the T family
@@ -227,7 +237,7 @@ def test_symmetrize_preserves_bias_and_outputs_observable():
     g = games.h_game(1)
     s = random_strategy("entangled", g, (3, 3), seed=21)
     before = strategies.bias(g, s)
-    out = strategies.symmetrize(g, s)
+    out = symmetrize(g, s)
     after = strategies.bias(g, out)
     assert abs(after - before) <= 1e-8
     assert np.allclose(out.a, out.b)
@@ -241,7 +251,7 @@ def test_symmetrize_fixed_point_bias():
     g = games.t_game(2)
     s = strategies.t_entangled_strategy(2, 2)
     before = strategies.bias(g, s)
-    out = strategies.symmetrize(g, s)
+    out = symmetrize(g, s)
     assert abs(strategies.bias(g, out) - before) <= 1e-8
 
 
@@ -254,7 +264,7 @@ def test_symmetrize_restricts_support():
     b = np.kron(np.eye(3), e) @ base.b @ np.kron(np.eye(3), e).conj().T
     psi = np.kron(e, e) @ base.psi
     padded = strategies.EntangledStrategy(d_a=4, d_b=4, a=a, b=b, psi=psi)
-    out = strategies.symmetrize(g, padded)
+    out = symmetrize(g, padded)
     # Schmidt rank <= 2, flag doubles it, dilation at most doubles again
     assert out.d_a <= 8
     assert abs(strategies.bias(g, out) - strategies.bias(g, padded)) <= 1e-8
@@ -272,13 +282,14 @@ def test_symmetrize_changed_bias_raises_typed_error(monkeypatch):
     g = games.h_game(1)
     s = random_strategy("entangled", g, (2, 2), seed=5)
     with pytest.raises(PreconditionViolatedError, match="changed the bias"):
-        strategies.symmetrize(g, s)
+        symmetrize(g, s)
 
 
 def test_symmetrize_typed_error_survives_python_O():
     script = textwrap.dedent(
         """
         import sys
+        from constructions import symmetrize
         from dense import random_strategy
         from xorq import games, strategies
         from xorq.errors import PreconditionViolatedError
@@ -294,7 +305,7 @@ def test_symmetrize_typed_error_survives_python_O():
         g = games.h_game(1)
         s = random_strategy("entangled", g, (2, 2), seed=5)
         try:
-            strategies.symmetrize(g, s)
+            symmetrize(g, s)
         except PreconditionViolatedError as exc:
             print("PreconditionViolatedError", exc)
             sys.exit(0)
@@ -317,18 +328,18 @@ def test_max_bias_upper_bound_formula():
     want = math.sqrt(
         1.0 - min(1.0 / (4 * math.e**2), 1.0 / (16 * math.log2(3.0) ** 2))
     )
-    assert abs(strategies.max_bias_upper_bound_tn(2, 1) - want) < 1e-12
-    vals = [strategies.max_bias_upper_bound_tn(2, d) for d in (1, 2, 8, 64)]
+    assert abs(max_bias_upper_bound_tn(2, 1) - want) < 1e-12
+    vals = [max_bias_upper_bound_tn(2, d) for d in (1, 2, 8, 64)]
     assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
     with pytest.raises(BadArgsError):
-        strategies.max_bias_upper_bound_tn(1, 4)
+        max_bias_upper_bound_tn(1, 4)
 
 
 def test_embezzlement_respects_dimension_bound():
     for n, d in [(2, 2), (2, 3), (2, 4), (3, 2)]:
         s = strategies.t_entangled_strategy(n, d)
         b = strategies.bias(games.t_game(n), s)
-        assert b <= strategies.max_bias_upper_bound_tn(n, s.d_a) + 1e-9
+        assert b <= max_bias_upper_bound_tn(n, s.d_a) + 1e-9
 
 
 def test_random_strategy_determinism():
