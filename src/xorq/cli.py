@@ -12,8 +12,8 @@ text and CSV formats of `xorq bias` list every field of the JSON payload
 except `chains` and `cfg`, in field order, and then the chain checks.
 Output files are written via temp-and-rename, with floats fixed to 12
 significant digits so identical inputs give identical bytes. Exit codes:
-0 success, 2 argument/parse errors, 3 chain-check or table failures,
-4 solver failures.
+0 success, 2 argument/parse errors and files that cannot be read or
+written, 3 chain-check or table failures, 4 solver failures.
 """
 
 from __future__ import annotations
@@ -114,14 +114,6 @@ def cmd_game(args) -> int:
 # --- bias reports ----------------------------------------------------------------
 
 
-def _classical_from_diagonal(g: games.GameMatrix) -> games.ClassicalGame:
-    off = g.m - np.diag(np.diag(g.m))
-    if np.linalg.norm(off) > 1e-10 or np.linalg.norm(np.imag(np.diag(g.m))) > 1e-10:
-        raise FormatError("beta-sdp requires a diagonal (classical) game matrix")
-    r = np.real(np.diag(g.m)).reshape(g.n, g.n)
-    return games.ClassicalGame(n=g.n, r=r)
-
-
 def _parse_quantities(spec: str):
     """(kind, param) pairs, each once, in the order first given. A report
     holds one me and one ent, so two dimensions of either are refused."""
@@ -182,12 +174,10 @@ def compute_report(
         elif kind == "ent":
             rep.entangled_dims = param
             value = ladder.entangled(*param).value
-        elif kind == "beta-sdp":
-            value = relaxations.beta_sdp(_classical_from_diagonal(g), tol).value
-        elif kind == "beta-nc":
-            value = relaxations.beta_nc(g, tol).value
-        else:
-            value = relaxations.beta_os(g, tol).value
+        else:  # one signature; looked up per call, so a replaced module attribute is used
+            relax = {"beta-sdp": relaxations.beta_sdp, "beta-nc": relaxations.beta_nc,
+                     "beta-os": relaxations.beta_os}[kind]
+            value = relax(g, tol).value
         setattr(rep, field, value)
         _log(f"{name}: {field} done in {time.monotonic() - t0:.2f}s")
     rep.chains = relaxations.check_chains(g, rep, tol)
@@ -499,7 +489,7 @@ def main(argv=None) -> int:
         if args.command == "sdp":
             return cmd_sdp_solve(args)
         parser.error(f"unknown command {args.command!r}")
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_ARGS
     except SdpError as exc:

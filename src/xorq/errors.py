@@ -41,10 +41,6 @@ class TraceNormExceededError(XorqError):
         self.norm = norm
 
 
-class ZeroGameError(XorqError):
-    pass
-
-
 # Entries of the largest dense array the package builds from input sizes.
 DENSE_AMPLITUDE_CAP = 2**24
 

@@ -1,8 +1,9 @@
 """Construction, validation, and transformation of quantum XOR game matrices.
 
 A game on message dimension n is a Hermitian matrix M on C^n (x) C^n with
-trace norm at most 1. Classical XOR games embed as diagonal M. The named
-families built here:
+trace norm at most 1. A classical XOR game is its n x n real coefficients
+R and embeds as the diagonal M of from_classical(R); the classical bound
+beta_sdp reads R back from that diagonal. The named families built here:
 
   t_game(n)  distinguish (|00> +/- |Psi_me>)/sqrt(2); unentangled bias
              1/sqrt(n) but entangled bias 1.
@@ -199,34 +200,24 @@ def validate(m: np.ndarray, n: int) -> GameMatrix:
     return g
 
 
-@dataclass(frozen=True)
-class ClassicalGame:
-    """Classical XOR game: n x n real coefficients with sum |R_st| <= 1."""
-
-    n: int
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if r.shape != (self.n, self.n):
-            raise DimensionMismatchError(f"coefficients must be {self.n} x {self.n}")
-        total = float(np.sum(np.abs(r)))
-        if total > 1.0 + CLASSICAL_NORM_SLACK:
-            raise TraceNormExceededError(total)
-        object.__setattr__(self, "r", r)
+def chsh() -> np.ndarray:
+    """The CHSH game's coefficients R = [[1/4, 1/4], [1/4, -1/4]]."""
+    return np.array([[0.25, 0.25], [0.25, -0.25]])
 
 
-def chsh() -> ClassicalGame:
-    """The CHSH game: R = [[1/4, 1/4], [1/4, -1/4]]."""
-    return ClassicalGame(n=2, r=np.array([[0.25, 0.25], [0.25, -0.25]]))
-
-
-def from_classical(g: ClassicalGame) -> GameMatrix:
-    """Diagonal embedding M = sum_st R_st |s><s| (x) |t><t|."""
-    n = g.n
+def from_classical(r) -> GameMatrix:
+    """Diagonal embedding M = sum_st R_st |s><s| (x) |t><t| of a classical
+    XOR game's n x n real coefficients R, sum |R_st| <= 1."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise DimensionMismatchError(f"coefficients must be n x n, got shape {r.shape}")
+    total = float(np.sum(np.abs(r)))
+    if total > 1.0 + CLASSICAL_NORM_SLACK:
+        raise TraceNormExceededError(total)
+    n = r.shape[0]
     m = np.zeros((n * n, n * n), dtype=complex)
     idx = np.arange(n * n)
-    m[idx, idx] = g.r.reshape(-1)
+    m[idx, idx] = r.reshape(-1)
     return validate(m, n)
 
 
@@ -375,7 +366,7 @@ def classical_game_from_dict(data) -> GameMatrix:
     check_dense(r.shape[0] ** 4, f"a game with n = {r.shape[0]}")
     if np.max(np.abs(r)) > 1.0 + CLASSICAL_NORM_SLACK:
         raise FormatError("classical coefficient of modulus above 1")
-    return from_classical(ClassicalGame(n=r.shape[0], r=r))
+    return from_classical(r)
 
 
 def load_game(path) -> GameMatrix:

@@ -1,8 +1,11 @@
 """Efficiently solvable relaxations of the game biases.
 
-Three Gram-matrix semidefinite programs are compiled and solved:
+Three Gram-matrix semidefinite programs are compiled and solved, each from
+the GameMatrix:
 
-  beta_sdp  classical games; unit vectors replacing the +/-1 signs.
+  beta_sdp  classical games, given as their diagonal embedding
+            (games.from_classical), with R read from M's diagonal; unit
+            vectors replacing the +/-1 signs.
   beta_nc   vector-valued matrices X, Y with all four products
             XX^+, X^+X, YY^+, Y^+Y equal to the identity.
   beta_os   row/column-weighted families (X_R, X_C, Y_R, Y_C) with the
@@ -49,29 +52,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import sdp as sdp_mod
-from .errors import BadArgsError, DimensionMismatchError, SdpError
-from .games import ClassicalGame, GameMatrix
+from .errors import BadArgsError, FormatError, SdpError
+from .games import GameMatrix
 from .report import CHAINS, BiasReport
 
 RANK_CUT = 1e-10
-
-
-@dataclass(frozen=True)
-class VectorValuedMatrix:
-    """A d-vector of n x n matrices; entry (i, k) is the length-d vector of
-    the (i, k) coefficients."""
-
-    n: int
-    d: int
-    mats: np.ndarray  # shape (d, n, n)
-
-    def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=complex)
-        if mats.shape != (self.d, self.n, self.n):
-            raise DimensionMismatchError(
-                f"expected shape {(self.d, self.n, self.n)}, got {mats.shape}"
-            )
-        object.__setattr__(self, "mats", mats)
 
 
 @dataclass(frozen=True)
@@ -126,9 +111,9 @@ def _families(kind: str, n: int) -> dict:
 
     Family `name` is the Gram indices base .. base + size - 1; its vectors
     are those columns of the factor W of Z = W^+ W, conjugated for the X
-    families. With a side it is the VectorValuedMatrix whose entry (i, k)
-    is index base + i*side + k; without one, a matrix with one vector per
-    row.
+    families. With a side it is the (d, side, side) array X of d x side
+    matrices whose vector X[:, i, k] is index base + i*side + k; without
+    one, a matrix with one vector per row.
     """
     nn = n * n
     return {
@@ -155,11 +140,21 @@ def _gram_objective(g: GameMatrix, dim: int, xb: int, yb: int) -> np.ndarray:
     return c + c.conj().T
 
 
-def beta_sdp_instance(g: ClassicalGame) -> sdp_mod.SdpInstance:
+def _coefficients(g: GameMatrix) -> np.ndarray:
+    """The classical coefficients R of a diagonal M, M[(s, t), (s, t)] =
+    R[s, t]; FormatError when M has an entry off its diagonal. A validated
+    M has a real diagonal."""
+    off = g.m - np.diag(np.diag(g.m))
+    if np.linalg.norm(off) > 1e-10:
+        raise FormatError("beta-sdp requires a diagonal (classical) game matrix")
+    return np.real(np.diag(g.m)).reshape(g.n, g.n)
+
+
+def beta_sdp_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n = g.n
     x, y = (base for base, _, _, _ in _families("sdp", n).values())
     c = np.zeros((2 * n, 2 * n), dtype=complex)
-    c[x:x + n, y:y + n] = g.r / 2  # real coefficients: conj is itself
+    c[x:x + n, y:y + n] = _coefficients(g) / 2  # real coefficients: conj is itself
     cons = [con for u in range(2 * n) for con in _functional([("gram", u, u, 1.0)], 1.0)]
     return sdp_mod.SdpInstance(
         blocks=(("gram", 2 * n),), objective={"gram": c + c.conj().T}, constraints=tuple(cons)
@@ -221,10 +216,7 @@ def _solve_gram(
     witness = {}
     for name, (base, size, conjugate, side) in _families(kind, n).items():
         part = np.conj(w[:, base:base + size]) if conjugate else w[:, base:base + size]
-        witness[name] = (
-            part.T if side is None
-            else VectorValuedMatrix(n=side, d=w.shape[0], mats=part.reshape(-1, side, side))
-        )
+        witness[name] = part.T if side is None else part.reshape(-1, side, side)
     got, want = objective(witness), sol.primal_value
     if abs(got - want) > 1e-5 * max(1.0, abs(want)):
         raise SdpError(
@@ -233,16 +225,20 @@ def _solve_gram(
     return RelaxationResult(value=want, witness=witness, solver_gap=sol.gap)
 
 
-def nc_objective(g: GameMatrix, x: VectorValuedMatrix, y: VectorValuedMatrix) -> float:
-    """Re Tr((sum_r X_r (x) Y_r) M) = Re sum X_r[i, k] Y_r[j, l] M[(k, l), (i, j)]."""
-    return float(np.einsum("rik,rjl,klij->", x.mats, y.mats, _m4(g)).real)
+def nc_objective(g: GameMatrix, x: np.ndarray, y: np.ndarray) -> float:
+    """Re Tr((sum_r X_r (x) Y_r) M) = Re sum X_r[i, k] Y_r[j, l] M[(k, l), (i, j)]
+    for families x, y of shape (d, n, n)."""
+    return float(np.einsum("rik,rjl,klij->", x, y, _m4(g)).real)
 
 
-def beta_sdp(g: ClassicalGame, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
-    """Vector relaxation of a classical XOR game; the witness rows x[s] and
-    y[t] are the vectors, and the value is Re sum_st R_st <conj x_s, y_t>."""
+def beta_sdp(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
+    """Vector relaxation of a classical XOR game, given as its diagonal
+    embedding M (FormatError when M is not diagonal); the witness rows x[s]
+    and y[t] are the vectors, and the value is Re sum_st R_st <conj x_s, y_t>
+    with R read from M's diagonal."""
+    r = _coefficients(g)
     return _solve_gram("sdp", g.n, beta_sdp_instance(g), tol,
-                       lambda w: float(np.real(np.sum(g.r * (w["x"] @ w["y"].T)))))
+                       lambda w: float(np.real(np.sum(r * (w["x"] @ w["y"].T)))))
 
 
 def beta_nc(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:

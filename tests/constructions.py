@@ -44,11 +44,15 @@ from xorq.errors import (
     BadArgsError,
     DimensionMismatchError,
     PreconditionViolatedError,
-    ZeroGameError,
+    XorqError,
     check_dense,
 )
 
 SPECTRAL_CUTOFF = 1e-12
+
+
+class ZeroGameError(XorqError):
+    """The zero game has no rank-one form: M has no singular value."""
 
 
 def trace_norm(a: np.ndarray) -> float:

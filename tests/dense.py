@@ -38,10 +38,10 @@ def random_strategy(kind: str, g, dims, seed: int):
 
 
 def vvm_products(x) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_r X_r X_r^+,  sum_r X_r^+ X_r) of a relaxations.VectorValuedMatrix;
-    both Hermitian PSD."""
-    left = np.einsum("rik,rjk->ij", x.mats, x.mats.conj())
-    right = np.einsum("rki,rkj->ij", x.mats.conj(), x.mats)
+    """(sum_r X_r X_r^+,  sum_r X_r^+ X_r) of a vector-valued matrix X, the
+    (d, n, n) array of its matrices X_r; both Hermitian PSD."""
+    left = np.einsum("rik,rjk->ij", x, x.conj())
+    right = np.einsum("rki,rkj->ij", x.conj(), x)
     return left, right
 
 
@@ -82,10 +82,11 @@ def state_operator_dense(m, a, b, n: int, da: int, db: int) -> np.ndarray:
 
 def odot(x, y) -> np.ndarray:
     """sum_r X_r (x) Y_r on the n^2-dimensional composite space, for two
-    relaxations.VectorValuedMatrix of one vector length."""
-    if x.d != y.d:
+    vector-valued matrices, (d, n, n) arrays of one vector length d."""
+    if len(x) != len(y):
         raise DimensionMismatchError("vector lengths differ")
-    out = np.zeros((x.n * y.n, x.n * y.n), dtype=complex)
-    for xr, yr in zip(x.mats, y.mats):
+    side = x.shape[1] * y.shape[1]
+    out = np.zeros((side, side), dtype=complex)
+    for xr, yr in zip(x, y):
         out += np.kron(xr, yr)
     return out

@@ -27,10 +27,11 @@ def _cap_constraints(slack: str, n: int, base: int, rows: bool) -> list:
 
 
 def beta_sdp_instance(g) -> sdp.SdpInstance:
-    """diag(Z) + s_u = 1 with 2n one-dimensional slack blocks."""
+    """diag(Z) + s_u = 1 with 2n one-dimensional slack blocks, for the
+    diagonal embedding g of a classical game."""
     n = g.n
     c = np.zeros((2 * n, 2 * n), dtype=complex)
-    c[:n, n:] = g.r / 2
+    c[:n, n:] = np.diag(g.m).real.reshape(n, n) / 2
     c = c + c.conj().T
     cons = []
     blocks = [("gram", 2 * n)]

@@ -71,7 +71,7 @@ def test_cmd_game_invalid_name_exits_2():
 
 def test_cmd_game_classical_file(tmp_path):
     path = tmp_path / "chsh_r.json"
-    path.write_text(json.dumps({"r": games.chsh().r.tolist()}))
+    path.write_text(json.dumps({"r": games.chsh().tolist()}))
     out = tmp_path / "chsh.json"
     assert run(["game", "--name", "classical-file", "--file", str(path),
                 "--out", str(out)]) == 0
@@ -227,6 +227,24 @@ def test_cmd_bias_parse_error(tmp_path):
     assert run(["bias", str(bad)]) == cli.EXIT_ARGS
     missing = tmp_path / "missing.json"
     assert run(["bias", str(missing)]) == cli.EXIT_ARGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["bias", "{dir}"],
+    ["game", "--name", "matrix-file", "--file", "{dir}"],
+    ["bias", "{game}", "--quantities", "beta-nc", "--out", "{dir}"],
+], ids=["bias-game", "game-file", "bias-out"])
+def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, argv):
+    game = tmp_path / "t1.json"
+    run(["game", "--name", "tn", "--param", "1", "--out", str(game)])
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    capsys.readouterr()
+    assert run([a.format(dir=folder, game=game) for a in argv]) == cli.EXIT_ARGS
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    # No .xorq-tmp-* file is left behind by the refused write.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "t1.json"]
+    assert not any(folder.iterdir())
 
 
 @pytest.mark.parametrize("quantity", ["me:x", "ent:2xy", "ent:x"])
@@ -421,7 +439,7 @@ def test_cmd_sdp_solve(tmp_path, capsys):
 
 
 def test_cmd_sdp_solve_chsh_instance(tmp_path, capsys):
-    inst = relaxations.beta_sdp_instance(games.chsh())
+    inst = relaxations.beta_sdp_instance(games.from_classical(games.chsh()))
     path = tmp_path / "chsh_sdp.json"
     path.write_text(json.dumps(instance_to_dict(inst)))
     assert run(["sdp", "solve", str(path), "--tol", "1e-8"]) == 0

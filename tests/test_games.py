@@ -8,6 +8,7 @@ import pytest
 from conftest import random_game
 from constructions import (
     RankOneGame,
+    ZeroGameError,
     rank_one_matrix,
     rank_one_to_xor,
     t_rank_one,
@@ -23,7 +24,6 @@ from xorq.errors import (
     NotHermitianError,
     TooLargeError,
     TraceNormExceededError,
-    ZeroGameError,
 )
 
 # Explicit 3x3 alternating maps from the size-1 antisymmetric family; the
@@ -48,6 +48,18 @@ def test_validate_rejects_large_trace_norm():
 def test_validate_rejects_bad_shape():
     with pytest.raises(DimensionMismatchError):
         games.validate(np.zeros((3, 3)), 2)
+
+
+@pytest.mark.parametrize("r, error", [
+    (np.zeros((2, 3)), DimensionMismatchError),
+    (np.zeros(4), DimensionMismatchError),
+    (np.array([[0.5, 0.25], [0.25, 1e-9]]), TraceNormExceededError),
+], ids=["2x3", "flat", "norm-1+1e-9"])
+def test_from_classical_refuses_bad_coefficients(r, error):
+    with pytest.raises(error):
+        games.from_classical(r)
+    # Within CLASSICAL_NORM_SLACK of 1 is accepted.
+    assert games.from_classical(np.array([[0.5, 0.25], [0.25, 1e-11]])).n == 2
 
 
 @pytest.mark.parametrize(
@@ -201,16 +213,16 @@ def test_zero_and_diagonal_games_are_singletons(rng):
         assert np.array_equal(_dense_eigenvectors(zero.spectrum), np.eye(n**2))
         assert _nonzero_eigenpairs(zero.spectrum) == [] and zero.trace_norm == 0.0
     r = rng.standard_normal((4, 4))
-    for c in (games.chsh(), games.ClassicalGame(4, r / np.sum(np.abs(r)))):
+    for c in (games.chsh(), r / np.sum(np.abs(r))):
         g = games.from_classical(c)
         _assert_decomposes(g)
-        assert len(g.spectrum.start) - 1 == c.n**2 and sorted(g.spectrum.vectors) == [1]
+        assert len(g.spectrum.start) - 1 == c.size and sorted(g.spectrum.vectors) == [1]
         assert np.array_equal(g.spectrum.eigenvalues, np.sort(np.diag(g.m).real))
         # Each eigenvector is the product basis vector |s>|t> of R_st.
         for lam, phi in _nonzero_eigenpairs(g.spectrum):
             (i,) = np.flatnonzero(np.abs(phi) > 1e-9)
-            s_, t = divmod(int(i), c.n)
-            assert abs(abs(phi[i]) - 1.0) < 1e-9 and lam == c.r[s_, t]
+            s_, t = divmod(int(i), g.n)
+            assert abs(abs(phi[i]) - 1.0) < 1e-9 and lam == c[s_, t]
 
 
 def test_validate_rejects_nan_matrix():
@@ -263,9 +275,9 @@ def test_generators_trace_norm_one():
 
 
 def test_chsh_coefficients():
-    g = games.chsh()
-    assert np.allclose(g.r, [[0.25, 0.25], [0.25, -0.25]])
-    assert abs(np.sum(np.abs(g.r)) - 1.0) < 1e-12
+    r = games.chsh()
+    assert np.allclose(r, [[0.25, 0.25], [0.25, -0.25]])
+    assert abs(np.sum(np.abs(r)) - 1.0) < 1e-12
 
 
 def test_from_classical_chsh_diagonal():
@@ -275,10 +287,10 @@ def test_from_classical_chsh_diagonal():
 
 
 def test_from_classical_zero_and_norm(rng):
-    assert np.allclose(games.from_classical(games.ClassicalGame(2, np.zeros((2, 2)))).m, 0)
+    assert np.allclose(games.from_classical(np.zeros((2, 2))).m, 0)
     r = rng.standard_normal((3, 3))
     r /= np.sum(np.abs(r))
-    g = games.from_classical(games.ClassicalGame(3, r))
+    g = games.from_classical(r)
     assert abs(trace_norm(g.m) - np.sum(np.abs(r))) < 1e-10
 
 

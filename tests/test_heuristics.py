@@ -20,7 +20,7 @@ def test_effective_operator_classical_diagonal():
     g = games.from_classical(games.chsh())
     b = np.diag([1.0, -1.0]).astype(complex)
     k = heuristics.effective_operator_for_a(g, b)
-    want = np.diag(games.chsh().r @ np.array([1.0, -1.0]))
+    want = np.diag(games.chsh() @ np.array([1.0, -1.0]))
     assert np.allclose(k, want)
 
 
@@ -135,9 +135,7 @@ def test_chain_monotonicity_on_corpus():
 
 def test_round_complex_real_signed_fixed_point():
     # optimal real-signed input: x1 y1 / 2 - x2 y2 / 2 maximized by these signs
-    g = games.from_classical(
-        games.ClassicalGame(2, np.array([[0.5, 0.0], [0.0, -0.5]]))
-    )
+    g = games.from_classical(np.array([[0.5, 0.0], [0.0, -0.5]]))
     a = np.diag([1.0, 1.0]).astype(complex)
     b = np.diag([1.0, -1.0]).astype(complex)
     out = heuristics.round_complex_to_real(g, strategies.ComplexStrategy(a=a, b=b))

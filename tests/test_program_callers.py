@@ -4,8 +4,7 @@ A top-level def or class of a module stays in the package only if package
 code outside its own definition refers to it: as module.name from another
 module, by `from .module import name`, or by its bare name elsewhere in its
 own module. Code reached only from tests belongs in tests/ (the paper's proof
-constructions are in tests/constructions.py). errors.py, the exception types
-and input checks that every module raises, is not checked.
+constructions are in tests/constructions.py).
 """
 
 import ast
@@ -55,7 +54,6 @@ def _public_definitions(trees: dict) -> set:
     return {
         (module, top.name)
         for module, tree in trees.items()
-        if module != "errors"
         for top in tree.body
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
     }

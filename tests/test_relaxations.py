@@ -9,19 +9,18 @@ from conftest import random_game, random_unitary
 from constructions import trace_norm
 from dense import odot, vvm_products
 from xorq import games, heuristics, linalg, relaxations, sdp
-from xorq.errors import DimensionMismatchError, TooLargeError
+from xorq.errors import DimensionMismatchError, FormatError, TooLargeError
 from xorq.report import BiasReport
 
 
-def _random_vvm(rng, n, d) -> relaxations.VectorValuedMatrix:
-    mats = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-    return relaxations.VectorValuedMatrix(n=n, d=d, mats=mats)
+def _random_vvm(rng, n, d) -> np.ndarray:
+    return rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
 
 
 def test_odot_d1_is_kron(rng):
     x = _random_vvm(rng, 2, 1)
     y = _random_vvm(rng, 2, 1)
-    assert np.allclose(odot(x, y), np.kron(x.mats[0], y.mats[0]))
+    assert np.allclose(odot(x, y), np.kron(x[0], y[0]))
 
 
 def test_odot_entry_formula(rng):
@@ -33,13 +32,13 @@ def test_odot_entry_formula(rng):
             for a in range(2):
                 for b in range(2):
                     want = np.vdot(
-                        np.conj(x.mats[:, i, a]), y.mats[:, j, b]
+                        np.conj(x[:, i, a]), y[:, j, b]
                     )
                     assert abs(k[i * 2 + j, a * 2 + b] - want) < 1e-12
 
 
 def test_odot_zero_and_mismatch(rng):
-    z = relaxations.VectorValuedMatrix(n=2, d=2, mats=np.zeros((2, 2, 2)))
+    z = np.zeros((2, 2, 2))
     assert np.allclose(odot(z, z), 0)
     with pytest.raises(DimensionMismatchError):
         odot(z, _random_vvm(rng, 2, 3))
@@ -55,7 +54,7 @@ def test_nc_objective_matches_odot_oracle(rng, n, d):
 
 def test_vvm_products_unitary():
     u = np.array([[0, 1.0], [1.0, 0]], dtype=complex)
-    x = relaxations.VectorValuedMatrix(n=2, d=1, mats=u[None])
+    x = u[None]
     left, right = vvm_products(x)
     assert np.allclose(left, np.eye(2))
     assert np.allclose(right, np.eye(2))
@@ -67,14 +66,13 @@ def test_vvm_products_t_counterexample():
     mats = np.zeros((n, n + 1, n + 1), dtype=complex)
     for r in range(1, n + 1):
         mats[r - 1, r, 0] = 1.0
-    x = relaxations.VectorValuedMatrix(n=n + 1, d=n, mats=mats)
-    left, right = vvm_products(x)
+    left, right = vvm_products(mats)
     assert np.allclose(left, np.diag([0.0] + [1.0] * n))
     want = np.zeros((n + 1, n + 1))
     want[0, 0] = n
     assert np.allclose(right, want)
     # and the capped-constraint violation pays off: objective sqrt(n)/2
-    val = np.trace(odot(x, x) @ games.t_game(n).m)
+    val = np.trace(odot(mats, mats) @ games.t_game(n).m)
     assert abs(val - math.sqrt(n) / 2) < 1e-12
 
 
@@ -96,8 +94,8 @@ def test_gram_bookkeeping_soundness(rng):
     vecs = np.zeros((d, 2 * n * n), dtype=complex)
     for a in range(n):
         for c in range(n):
-            vecs[:, a * n + c] = np.conj(x.mats[:, a, c])
-            vecs[:, n * n + a * n + c] = y.mats[:, a, c]
+            vecs[:, a * n + c] = np.conj(x[:, a, c])
+            vecs[:, n * n + a * n + c] = y[:, a, c]
     gram = vecs.conj().T @ vecs
 
     inst = relaxations.beta_nc_instance(g)
@@ -154,9 +152,9 @@ def test_gram_objective_matches_entrywise_loop():
 
 
 def test_beta_sdp_values():
-    res = relaxations.beta_sdp(games.chsh(), 1e-7)
+    res = relaxations.beta_sdp(games.from_classical(games.chsh()), 1e-7)
     assert abs(res.value - math.sqrt(2) / 2) <= 1e-4
-    single = games.ClassicalGame(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    single = games.from_classical(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert abs(relaxations.beta_sdp(single, 1e-7).value - 1.0) <= 1e-6
     # sandwich against the complex heuristic
     oc = heuristics.Ladder(
@@ -166,12 +164,22 @@ def test_beta_sdp_values():
     assert res.value >= oc.value - 1e-4
 
 
+@pytest.mark.parametrize("name", ["beta_sdp", "beta_sdp_instance"])
+def test_beta_sdp_refuses_a_game_off_the_diagonal(monkeypatch, name):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sdp.solve reached")
+
+    monkeypatch.setattr(relaxations.sdp_mod, "solve", unreachable)
+    with pytest.raises(FormatError, match="diagonal"):
+        getattr(relaxations, name)(games.t_game(1))
+
+
 def test_beta_sdp_witness_feasible():
-    res = relaxations.beta_sdp(games.chsh(), 1e-7)
+    res = relaxations.beta_sdp(games.from_classical(games.chsh()), 1e-7)
     xs, ys = res.witness["x"], res.witness["y"]
     assert np.all(np.linalg.norm(xs, axis=1) <= 1.0 + 1e-6)
     assert np.all(np.linalg.norm(ys, axis=1) <= 1.0 + 1e-6)
-    val = float(np.real(np.sum(games.chsh().r * (xs @ ys.T))))
+    val = float(np.real(np.sum(games.chsh() * (xs @ ys.T))))
     assert abs(val - res.value) <= 1e-6
 
 
@@ -186,9 +194,9 @@ def test_beta_nc_h1():
 
 
 def test_beta_nc_equals_beta_sdp_on_classical():
-    g = games.chsh()
+    g = games.from_classical(games.chsh())
     v1 = relaxations.beta_sdp(g, 1e-7).value
-    v2 = relaxations.beta_nc(games.from_classical(g), 1e-7).value
+    v2 = relaxations.beta_nc(g, 1e-7).value
     assert abs(v1 - v2) <= 2e-4
 
 
@@ -199,11 +207,12 @@ def test_beta_nc_of_the_diagonal_embedding_is_beta_sdp():
     cases = [games.chsh()]
     for n in (2, 3, 4, 5):
         r = rng.standard_normal((n, n))
-        cases.append(games.ClassicalGame(n, r / np.sum(np.abs(r))))
+        cases.append(r / np.sum(np.abs(r)))
     for c in cases:
-        sdp_value = relaxations.beta_sdp(c).value
-        nc_value = relaxations.beta_nc(games.from_classical(c)).value
-        assert abs(sdp_value - nc_value) <= 2e-6, c.n
+        g = games.from_classical(c)
+        sdp_value = relaxations.beta_sdp(g).value
+        nc_value = relaxations.beta_nc(g).value
+        assert abs(sdp_value - nc_value) <= 2e-6, g.n
 
 
 def _transformed_games(g: games.GameMatrix, rng) -> dict:
@@ -244,11 +253,10 @@ def test_beta_nc_h1_explicit_witness():
     # X = Y = (C1, C2, C3)/sqrt(2) is feasible with objective exactly 3/5
     cs = games.h_c_matrices(1)
     mats = np.array(cs, dtype=complex) / math.sqrt(2)
-    x = relaxations.VectorValuedMatrix(n=3, d=3, mats=mats)
-    left, right = vvm_products(x)
+    left, right = vvm_products(mats)
     assert np.allclose(left, np.eye(3), atol=1e-10)
     assert np.allclose(right, np.eye(3), atol=1e-10)
-    val = relaxations.nc_objective(games.h_game(1), x, x)
+    val = relaxations.nc_objective(games.h_game(1), mats, mats)
     assert abs(val - 0.6) <= 1e-10
     assert relaxations.beta_nc(games.h_game(1), 1e-7).value >= val - 1e-6
 
@@ -270,8 +278,7 @@ def _t_os_witness(n: int):
         xr[n + i - 1, i, 0] = 1.0
         xc[i - 1, 0, i] = 1.0
         xc[n + i - 1, i, 0] = 1.0 / math.sqrt(n)
-    mk = lambda m: relaxations.VectorValuedMatrix(n=loc, d=2 * n, mats=m)
-    return mk(xr), mk(xc), mk(xr.copy()), mk(xc.copy())  # X_R, X_C, Y_R, Y_C
+    return xr, xc, xr.copy(), xc.copy()  # X_R, X_C, Y_R, Y_C
 
 
 def test_beta_os_t_explicit_witness():
@@ -397,8 +404,8 @@ def _real_constraint_matrix(inst: sdp.SdpInstance) -> np.ndarray:
 
 
 RANK_CASES = {
-    "CHSH/sdp": (games.chsh, "sdp"),
-    "diag3/sdp": (lambda: games.ClassicalGame(3, np.eye(3) / 3), "sdp"),
+    "CHSH/sdp": (lambda: games.from_classical(games.chsh()), "sdp"),
+    "diag3/sdp": (lambda: games.from_classical(np.eye(3) / 3), "sdp"),
     **{
         f"{name}/{kind}": (build, kind)
         for name, build in (

@@ -79,7 +79,7 @@ def test_all_ones_boundary():
 
 
 def test_chsh_relaxation_instance():
-    inst = relaxations.beta_sdp_instance(games.chsh())
+    inst = relaxations.beta_sdp_instance(games.from_classical(games.chsh()))
     sol = sdp.solve(inst, 1e-8)
     assert abs(sol.primal_value - math.sqrt(2) / 2) <= 1e-6
     assert sdp.certify(inst, sol, 1e-6).passed
@@ -364,7 +364,7 @@ def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
 def _paper_table_instances() -> dict[str, sdp.SdpInstance]:
     """The solves of the paper's value table: one per beta_* row."""
     compile_for = {
-        "beta_sdp": lambda g: relaxations.beta_sdp_instance(cli._classical_from_diagonal(g)),
+        "beta_sdp": relaxations.beta_sdp_instance,
         "beta_nc": relaxations.beta_nc_instance,
         "beta_os": relaxations.beta_os_instance,
     }
@@ -394,7 +394,7 @@ def _witnessed_instances() -> dict[str, tuple[sdp.SdpInstance, float]]:
     """Gram relaxations with the trace u^T b their rows fix: 2n for beta_sdp
     and beta_nc, 4n for beta_os, n the number of questions. beta_os(H2) is
     above the dense cap."""
-    chsh = cli._classical_from_diagonal(cli.PAPER_GAMES["CHSH"]())
+    chsh = cli.PAPER_GAMES["CHSH"]()
     cases = {"CHSH/beta_sdp": (relaxations.beta_sdp_instance(chsh), 2 * chsh.n)}
     named = {f"T{k}": games.t_game(k) for k in range(1, 5)}
     named.update({"H1": games.h_game(1), "H2": games.h_game(2)})

@@ -13,7 +13,7 @@ from sdpfile import instance_to_dict
 from xorq import cli, games, relaxations, sdp
 
 CASES = {
-    "CHSH/sdp": (games.chsh, "sdp"),
+    "CHSH/sdp": (lambda: games.from_classical(games.chsh()), "sdp"),
     **{
         f"{name}/{kind}": (build, kind)
         for name, build in (
@@ -92,5 +92,5 @@ def test_beta_nc_h1_witness_is_unitary():
     res = relaxations.beta_nc(games.h_game(1), 1e-7)
     for v in (res.witness["x"], res.witness["y"]):
         left, right = vvm_products(v)
-        assert np.abs(left - np.eye(v.n)).max() <= 1e-6
-        assert np.abs(right - np.eye(v.n)).max() <= 1e-6
+        assert np.abs(left - np.eye(v.shape[1])).max() <= 1e-6
+        assert np.abs(right - np.eye(v.shape[1])).max() <= 1e-6
