@@ -180,7 +180,7 @@ def compute_report(
             value = relax(g, tol).value
         setattr(rep, field, value)
         _log(f"{name}: {field} done in {time.monotonic() - t0:.2f}s")
-    rep.chains = relaxations.check_chains(g, rep, tol)
+    rep.chains = relaxations.check_chains(rep, tol)
     return rep
 
 
@@ -465,13 +465,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sdp_sub = p_sdp.add_subparsers(dest="sdp_kind", required=True)
     p_solve = sdp_sub.add_parser("solve", help="solve an xorq-sdp-v1 instance")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--tol", type=float, default=1e-6)
+    p_solve.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
     p_solve.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
 def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
 
@@ -489,7 +489,7 @@ def main(argv=None) -> int:
         if args.command == "sdp":
             return cmd_sdp_solve(args)
         parser.error(f"unknown command {args.command!r}")
-    except (FormatError, OSError) as exc:
+    except OSError as exc:
         _log(f"error: {exc}")
         return EXIT_ARGS
     except SdpError as exc:

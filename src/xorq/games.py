@@ -17,16 +17,16 @@ pattern (the graph on the n^2 basis indices with an edge wherever
 M[r, c] != 0): M is block diagonal on them, so its eigenpairs are those of
 the blocks. Components are ordered by their smallest index, with the
 indices ascending inside each one. The components of one size share one
-stacked eigh, a singleton i has the eigenpair (M[i, i], e_i) with no
-factorization, and a game whose pattern is one component takes eigh of M
-itself. The tensor-product games are almost all zeros (C4 (x) C4: 625
-basis indices, 593 components), so no dense n^2 x n^2 eigenvector matrix
-is built for them. Validation's trace-norm cap, the report's trace norm
-and the see-saw's spectral start all read this one decomposition
-(GameMatrix.spectrum). The top eigenvector is the first of largest
-modulus among the eigenvalues in ascending order (a stable sort of the
-components' eigenvalues, taken in component order), as np.argmax(np.abs(w))
-picks it from one eigh of M.
+stacked eigh, those of side 1 included, and a game whose pattern is one
+component takes eigh of M itself, with no second copy of M. The
+tensor-product games are almost all zeros (C4 (x) C4: 625 basis indices,
+593 components), so no dense n^2 x n^2 eigenvector matrix is built for
+them. GameMatrix.spectrum keeps the eigenvalues, read by validation's
+trace-norm cap and the report's trace norm, and the top eigenvector, read
+by the see-saw's spectral start: that of the first eigenvalue of largest
+modulus in ascending order (a stable sort of the components' eigenvalues,
+taken in component order), as np.argmax(np.abs(w)) picks it from one eigh
+of M.
 """
 
 from __future__ import annotations
@@ -79,19 +79,12 @@ def _component_labels(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """M's eigendecomposition by the connected components of its pattern.
+    """What the package reads of M's eigendecomposition: every eigenvalue,
+    ascending, and top_vector, the unit eigenvector of the first eigenvalue
+    of largest modulus, embedded in C^(n^2)."""
 
-    Component k holds the basis indices members[start[k]:start[k + 1]],
-    ascending, and components are ordered by their smallest index. Its
-    eigenvalues are values[start[k]:start[k + 1]], ascending. vectors maps
-    a component size s to (ks, v): the numbers ks of the components of that
-    size and their eigenvectors v (len(ks), s, s), one per column, so that
-    each block M[members_k][:, members_k] is v[i] diag(w) v[i]^dagger."""
-
-    members: np.ndarray
-    start: np.ndarray
-    values: np.ndarray
-    vectors: dict
+    eigenvalues: np.ndarray
+    top_vector: np.ndarray
 
     @classmethod
     def of(cls, m: np.ndarray) -> Spectrum:
@@ -99,61 +92,37 @@ class Spectrum:
         component size; a pattern of one component is eigh(m) itself."""
         label = _component_labels(m)
         dim = label.size
-        roots = np.flatnonzero(label == np.arange(dim))
         members = np.argsort(label, kind="stable")
-        size = np.bincount(label)[roots]
-        start = np.zeros(roots.size + 1, dtype=int)
-        np.cumsum(size, out=start[1:])
+        size = np.bincount(label, minlength=dim)[label == np.arange(dim)]  # at each root
+        start = np.cumsum(size) - size
         values = np.empty(dim)
-        vectors = {}
+        blocks = []
         for s in sorted(set(size.tolist())):
-            ks = np.flatnonzero(size == s)
-            slots = start[ks][:, None] + np.arange(s)
+            slots = start[size == s][:, None] + np.arange(s)
             idx = members[slots]
-            if s == 1:
-                w, v = m[idx, idx].real, np.ones(ks.size, dtype=complex)
-            else:
-                w, v = np.linalg.eigh(m if s == dim else m[idx[:, :, None], idx[:, None, :]])
+            w, v = np.linalg.eigh(m if s == dim else m[idx[:, :, None], idx[:, None, :]])
             values[slots] = w
-            vectors[s] = (ks, v.reshape(ks.size, s, s))
-        return cls(members=members, start=start, values=values, vectors=vectors)
-
-    @functools.cached_property
-    def order(self) -> np.ndarray:
-        """The positions of values in ascending order, by a stable sort."""
-        return np.argsort(self.values, kind="stable")
-
-    @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Every eigenvalue of M, ascending."""
-        return self.values[self.order]
-
-    def eigenvector(self, j: int) -> np.ndarray:
-        """The unit eigenvector of eigenvalues[j], embedded in C^(n^2)."""
-        p = int(self.order[j])
-        k = int(np.searchsorted(self.start, p, side="right")) - 1
-        lo, hi = self.start[k], self.start[k + 1]
-        ks, v = self.vectors[int(hi - lo)]
-        vec = np.zeros(self.values.size, dtype=complex)
-        vec[self.members[lo:hi]] = v[np.searchsorted(ks, k), :, p - lo]
-        return vec
-
-    def top_vector(self) -> np.ndarray:
-        """The eigenvector of the first eigenvalue of largest modulus."""
-        return self.eigenvector(int(np.argmax(np.abs(self.eigenvalues))))
+            blocks.append((slots, idx, v.reshape(-1, s, s)))
+        order = np.argsort(values, kind="stable")
+        top = int(order[np.argmax(np.abs(values[order]))])
+        vec = np.zeros(dim, dtype=complex)
+        for slots, idx, v in blocks:
+            for k, j in np.argwhere(slots == top):
+                vec[idx[k]] = v[k, :, j]
+        return cls(eigenvalues=values[order], top_vector=vec)
 
 
 @dataclass(frozen=True)
 class GameMatrix:
     """Validated quantum XOR game: Hermitian M on C^n (x) C^n, ||M||_1 <= 1.
 
-    M is decomposed once, by the components of its pattern (spectrum):
-    validation's trace-norm cap, the report's trace norm and the see-saw's
-    spectral start all read that one decomposition, and none of them forms
-    a dense n^2 x n^2 eigenvector matrix of a game with more than one
-    component. The spectral start takes the first eigenvalue of largest
-    modulus in ascending order, ties kept in component order
-    (Spectrum.top_vector)."""
+    M is decomposed once, by the components of its pattern, and spectrum
+    keeps its eigenvalues and its top eigenvector: validation's trace-norm
+    cap and the report's trace norm read the eigenvalues, and the see-saw's
+    spectral start reads the top eigenvector, that of the first eigenvalue
+    of largest modulus in ascending order, ties kept in component order
+    (Spectrum.top_vector). No dense n^2 x n^2 eigenvector matrix of a game
+    with more than one component is formed."""
 
     n: int
     m: np.ndarray
@@ -173,8 +142,8 @@ class GameMatrix:
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
-        """M's eigendecomposition by components, computed on first use and
-        shared by every reader of the spectrum."""
+        """M's eigenvalues and top eigenvector, from its decomposition by
+        components, computed on first use and shared by every reader."""
         return Spectrum.of(self.m)
 
     @property

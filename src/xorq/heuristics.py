@@ -206,7 +206,7 @@ def _spectral_start(g: GameMatrix) -> np.ndarray:
     """Deterministic start: spectral sign of the top question state,
     matricized on the B side (identity when that vanishes). The top state is
     read from its component of M (GameMatrix.spectrum)."""
-    mat = g.spectrum.top_vector().reshape(g.n, g.n)
+    mat = g.spectrum.top_vector.reshape(g.n, g.n)
     herm = linalg.hermitian_part(mat.conj().T @ mat)
     if np.linalg.norm(herm) < 1e-12:
         return np.eye(g.n, dtype=complex)
@@ -260,7 +260,8 @@ def me_lower(
     warm = [np.kron(omega.strategy.b, np.eye(d))]
     if d % 2 == 0:
         warm.append(_epr_embed(omega_c.strategy.b, n, d))
-    k = effective_operator_for_a(g, np.stack(warm), psi)  # one half-step of each
+    # one half-step of each, all with the maximally entangled state
+    k = effective_operator_for_a(g, np.stack(warm), np.tile(psi, (len(warm), 1)))
     best_warm = warm[int(np.argmax(_form(_sign_step(k), k)))]
     starts = _starts(best_warm, _gaussian_start, cfg, n * d, psi)
     values, (a, b, _), iters = _run_restarts(g, *starts, _sign_step)

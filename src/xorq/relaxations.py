@@ -63,7 +63,6 @@ RANK_CUT = 1e-10
 class RelaxationResult:
     value: float
     witness: dict
-    solver_gap: float
 
 
 # --- compilation -----------------------------------------------------------------
@@ -222,7 +221,7 @@ def _solve_gram(
         raise SdpError(
             f"beta_{kind} witness objective {got:.8g} drifted from solver value {want:.8g}"
         )
-    return RelaxationResult(value=want, witness=witness, solver_gap=sol.gap)
+    return RelaxationResult(value=want, witness=witness)
 
 
 def nc_objective(g: GameMatrix, x: np.ndarray, y: np.ndarray) -> float:
@@ -278,18 +277,15 @@ class ChainCheck:
     hard: bool
 
 
-def check_chains(g: GameMatrix, report: BiasReport, tol: float = 1e-6) -> list[ChainCheck]:
+def check_chains(report: BiasReport, tol: float) -> list[ChainCheck]:
     """Evaluate every chain of report.CHAINS whose two fields are populated.
 
-    A check passes when lhs <= factor * rhs within 4 tol. A report without
-    a trace norm is checked against the game's.
+    A check passes when lhs <= factor * rhs within 4 tol.
     """
     slack = 4.0 * tol
     checks: list[ChainCheck] = []
     for lhs_field, factor, rhs_field, label, hard in CHAINS:
         lhs, rhs = getattr(report, lhs_field), getattr(report, rhs_field)
-        if rhs_field == "trace_norm" and rhs is None:
-            rhs = g.trace_norm
         if lhs is not None and rhs is not None:
             rhs = factor * rhs
             checks.append(ChainCheck(label, lhs, rhs, lhs <= rhs + slack, hard))

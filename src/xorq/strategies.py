@@ -14,7 +14,7 @@ the scalar 1, the maximally entangled state or the free state. One
 contraction evaluates it: the effective operator K of B and psi, with
 Tr(A K) equal to the form. bias takes Tr(A K), and the see-saw's two
 half-steps take K in both orientations (effective_operator_for_a/_b), for a
-whole stack of restarts at once.
+whole stack of restarts at once, each restart with its own shared state.
 
 The contraction is one matrix product with the game's realigned matrix
 R[(k, i), (j, l)] = M[(k, l), (i, j)] (GameMatrix.realigned, one contiguous
@@ -130,7 +130,7 @@ def _effective_operators(
     g: GameMatrix, parts: np.ndarray, p: np.ndarray, for_b: bool
 ) -> np.ndarray:
     """The effective operator of each part of a stack (R, n*din, n*din),
-    part r with the dout x din matrix p[r] (p of R or 1 matrices).
+    part r with the dout x din matrix p[r] (p of R matrices).
 
     With part_jl[d, b] = part[(j, d), (l, b)] and X_jl = p part_jl^T p^dagger,
     A's operator (part B, p = psi as a dA x dB matrix) is
@@ -159,45 +159,32 @@ def _effective_operators(
     return out.reshape(r, n * dout, n * dout)
 
 
-def _stack_states(g: GameMatrix, part: np.ndarray, psi: np.ndarray):
-    """(part as a stack, psi as a stack of states, the part's private dimension);
-    psi is one state for the whole stack or one state per part."""
-    part, psi = linalg.as_complex(part), linalg.as_complex(psi)
-    parts = part[None] if part.ndim == 2 else part
-    d = parts.shape[-1] // g.n
-    if (
-        parts.ndim != 3
-        or d < 1
-        or psi.ndim not in (1, 2)
-        or psi.shape[-1] % d
-        or psi.ndim == 2 and psi.shape[0] != parts.shape[0]
-    ):
+def _stack_states(g: GameMatrix, parts: np.ndarray, psi: np.ndarray):
+    """(parts, psi, the parts' private dimension): a stack of operators
+    (R, n*d, n*d) and a stack of R states, one per part."""
+    parts, psi = linalg.as_complex(parts), linalg.as_complex(psi)
+    d = parts.shape[-1] // g.n if parts.ndim == 3 else 0
+    if d < 1 or psi.ndim != 2 or psi.shape[0] != parts.shape[0] or psi.shape[1] % d:
         raise DimensionMismatchError("operator or state incompatible with the game")
-    return parts, psi.reshape(-1, psi.shape[-1]), d
+    return parts, psi, d
 
 
-def effective_operator_for_a(
-    g: GameMatrix, b_part: np.ndarray, psi: np.ndarray = ONE
-) -> np.ndarray:
-    """K with Tr(A K) = Tr((A (x) B)(M (x) |psi><psi|)) for every A, psi the
-    dA*dB shared state; Hermitian whenever B is, since a validated M is.
-
-    b_part is one operator or a stack (R, n*dB, n*dB); psi is one state or a
-    stack (R, dA*dB). A stack in gives the stack of the R operators out."""
-    parts, states, db = _stack_states(g, b_part, psi)
-    k = _effective_operators(g, parts, states.reshape(states.shape[0], -1, db), False)
-    return k[0] if np.ndim(b_part) == 2 else k
+def effective_operator_for_a(g: GameMatrix, b_parts: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The stack of K_r with Tr(A K_r) = Tr((A (x) B_r)(M (x) |psi_r><psi_r|))
+    for every A, from the stack b_parts (R, n*dB, n*dB) and the stack psi
+    (R, dA*dB) of shared states; K_r is Hermitian whenever B_r is, since a
+    validated M is."""
+    parts, states, db = _stack_states(g, b_parts, psi)
+    return _effective_operators(g, parts, states.reshape(states.shape[0], -1, db), False)
 
 
-def effective_operator_for_b(
-    g: GameMatrix, a_part: np.ndarray, psi: np.ndarray = ONE
-) -> np.ndarray:
-    """L with Tr(B L) = Tr((A (x) B)(M (x) |psi><psi|)) for every B; stacks
-    as in effective_operator_for_a."""
-    parts, states, da = _stack_states(g, a_part, psi)
+def effective_operator_for_b(g: GameMatrix, a_parts: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The stack of L_r with Tr(B L_r) = Tr((A_r (x) B)(M (x) |psi_r><psi_r|))
+    for every B, from the stack a_parts (R, n*dA, n*dA) and the stack psi
+    (R, dA*dB) of shared states."""
+    parts, states, da = _stack_states(g, a_parts, psi)
     p = states.reshape(states.shape[0], da, -1).swapaxes(-1, -2)
-    l = _effective_operators(g, parts, p, True)
-    return l[0] if np.ndim(a_part) == 2 else l
+    return _effective_operators(g, parts, p, True)
 
 
 def bias(g: GameMatrix, s: Strategy) -> float:

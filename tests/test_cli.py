@@ -196,7 +196,7 @@ def test_one_component_game_takes_one_eigh_of_m(monkeypatch):
     m /= np.sum(np.abs(np.linalg.eigvalsh(m)))
     calls = _count_factorizations(monkeypatch)
     g = games.validate(m, 3)
-    g.spectrum.top_vector()
+    g.spectrum.top_vector
     assert g.trace_norm <= 1.0 + games.TRACE_NORM_SLACK
     assert calls == [("eigh", (9, 9))]
 

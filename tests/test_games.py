@@ -83,51 +83,35 @@ def test_spectrum_trace_norm_matches_singular_values(build):
     assert abs(g.trace_norm - want) <= 1e-12 * max(1.0, want)
 
 
-def _dense_eigenvectors(spec: games.Spectrum) -> np.ndarray:
-    return np.array([spec.eigenvector(j) for j in range(spec.values.size)]).T
-
-
 def _assert_decomposes(g: games.GameMatrix):
-    """The decomposition by components against one dense eigh of M: the
-    eigenvalues, a unitary that reconstructs M, and the top-vector rule."""
+    """The spectrum against one dense eigvalsh of M: the eigenvalues, and
+    a unit top vector with M v = lambda v for the first lambda of largest
+    modulus."""
     spec = g.spectrum
-    w_dense, _ = np.linalg.eigh(g.m)
+    w_dense = np.linalg.eigvalsh(g.m)
     tol = 1e-12 * max(1.0, np.linalg.norm(g.m, 2))
     w = spec.eigenvalues
     assert np.all(np.diff(w) >= 0)
     assert np.max(np.abs(w - w_dense)) <= tol
-    v = _dense_eigenvectors(spec)
-    assert np.linalg.norm(v.conj().T @ v - np.eye(g.dim)) <= 1e-12 * g.dim
-    assert np.linalg.norm((v * w) @ v.conj().T - g.m) <= tol * g.dim
     top = int(np.argmax(np.abs(w)))
     assert abs(w[top] - w_dense[np.argmax(np.abs(w_dense))]) <= tol
-    assert np.array_equal(spec.top_vector(), spec.eigenvector(top))
-    assert np.linalg.norm(g.m @ spec.top_vector() - w[top] * spec.top_vector()) <= tol
+    v = spec.top_vector
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert np.linalg.norm(g.m @ v - w[top] * v) <= tol
 
 
-def _nonzero_eigenpairs(spec: games.Spectrum) -> list:
-    """(lambda, unit eigenvector) for every |lambda| > 1e-12, ascending."""
-    return [
-        (lam, spec.eigenvector(j))
-        for j, lam in enumerate(spec.eigenvalues)
-        if abs(lam) > 1e-12
-    ]
+def _assert_components(g: games.GameMatrix) -> int:
+    """games._component_labels against scipy's connected components of M's
+    pattern: every component labelled by its smallest index. Returns the
+    number of components."""
+    from scipy.sparse.csgraph import connected_components
 
-
-def _assert_nonzero_part_rebuilds(g: games.GameMatrix):
-    """The eigenpairs of nonzero eigenvalue are orthonormal and sum to M."""
-    pairs = _nonzero_eigenpairs(g.spectrum)
-    vecs = np.array([phi for _, phi in pairs]).reshape(len(pairs), g.dim)
-    rebuilt = sum((lam * np.outer(phi, phi.conj()) for lam, phi in pairs), np.zeros_like(g.m))
-    assert np.linalg.norm(rebuilt - g.m) <= 1e-9
-    assert np.linalg.norm(vecs.conj() @ vecs.T - np.eye(len(pairs))) <= 1e-9
-
-
-def _component_sets(spec: games.Spectrum) -> set:
-    return {
-        frozenset(spec.members[lo:hi].tolist())
-        for lo, hi in zip(spec.start[:-1], spec.start[1:])
-    }
+    count, labels = connected_components(g.m != 0, directed=False)
+    got = games._component_labels(g.m)
+    for k in range(count):
+        idx = np.flatnonzero(labels == k)
+        assert np.all(got[idx] == idx[0])
+    return count
 
 
 @pytest.mark.parametrize(
@@ -138,46 +122,53 @@ def _component_sets(spec: games.Spectrum) -> set:
 def test_named_games_decompose_by_components(build):
     g = build()
     _assert_decomposes(g)
-    spec = g.spectrum
-    assert len(spec.start) > 2  # every named game splits
-    for lo, hi in zip(spec.start[:-1], spec.start[1:]):
-        idx = spec.members[lo:hi]
-        assert np.all(np.diff(idx) > 0)
-        outside = np.setdiff1d(np.arange(g.dim), idx)
-        assert not np.any(g.m[np.ix_(idx, outside)])
-    assert np.all(np.diff(spec.members[spec.start[:-1]]) > 0)
+    assert _assert_components(g) > 1  # every named game splits
 
 
 def test_tensor_game_components():
-    spec = games.tensor_games(games.c_game(4), games.c_game(4)).spectrum
-    assert len(spec.start) - 1 == 593
-    assert sorted(spec.vectors) == [1, 2]
+    g = games.tensor_games(games.c_game(4), games.c_game(4))
+    size = np.bincount(games._component_labels(g.m))
+    assert np.count_nonzero(size) == 593
+    assert set(size[size > 0].tolist()) == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "build, support, want, lam",
+    [
+        (lambda: games.c_game(2), [1, 3], [-1.0, 1.0], -0.25),
+        (lambda: games.t_game(1), [0, 3], [1.0, -1.0], -0.5),
+        (lambda: games.from_classical(games.chsh()), [3], [1.0], -0.25),
+    ],
+    ids=["C2", "T1", "CHSH"],
+)
+def test_top_vector_is_that_of_the_first_eigenvalue_of_largest_modulus(build, support, want, lam):
+    # Each game ties |lambda| between -lambda and +lambda, and C2 also between
+    # its components {1, 3} and {2, 6}: the first in ascending order wins, and
+    # a tie in value goes to the lower component.
+    g = build()
+    w, v = g.spectrum.eigenvalues, g.spectrum.top_vector
+    assert abs(w[0] - lam) <= 1e-15 and abs(w[-1] + lam) <= 1e-15
+    assert np.flatnonzero(v).tolist() == support
+    want = np.array(want) / np.linalg.norm(want)
+    assert abs(abs(np.vdot(want, v[support])) - 1.0) <= 1e-12
+    assert np.linalg.norm(g.m @ v - lam * v) <= 1e-12
 
 
 def test_permuted_block_game_decomposes(rng):
-    from scipy.sparse.csgraph import connected_components
-
     block = games.h_game(2)
     perm = rng.permutation(block.dim)
     g = games.validate(block.m[np.ix_(perm, perm)], block.n)
     _assert_decomposes(g)
-    count, labels = connected_components(g.m != 0, directed=False)
-    want = {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
-    assert _component_sets(g.spectrum) == want
-    assert np.array_equal(
-        games._component_labels(g.m),
-        [min(c) for i in range(g.dim) for c in want if i in c],
-    )
+    assert _assert_components(g) > 1
 
 
 def _assert_plain_eigh(g: games.GameMatrix):
     """A game of one component: the same bits as np.linalg.eigh(M)."""
     w, v = np.linalg.eigh(g.m)
     spec = g.spectrum
-    assert spec.start.tolist() == [0, g.dim]
+    assert np.array_equal(games._component_labels(g.m), np.zeros(g.dim, dtype=int))
     assert np.array_equal(spec.eigenvalues, w)
-    assert np.array_equal(_dense_eigenvectors(spec), v)
-    assert np.array_equal(spec.top_vector(), v[:, np.argmax(np.abs(w))])
+    assert np.array_equal(spec.top_vector, v[:, np.argmax(np.abs(w))])
     assert g.trace_norm == float(np.sum(np.abs(w)))
 
 
@@ -201,28 +192,27 @@ def test_path_pattern_is_one_component_and_plain_eigh(rng):
 def test_random_games_are_one_component(n, seed):
     g = random_game(n, seed)
     _assert_plain_eigh(g)
-    _assert_nonzero_part_rebuilds(g)
+    _assert_decomposes(g)
 
 
 def test_zero_and_diagonal_games_are_singletons(rng):
     for n in (2, 3):
         zero = games.validate(np.zeros((n**2, n**2)), n)
         _assert_decomposes(zero)
-        assert sorted(zero.spectrum.vectors) == [1]
+        assert np.array_equal(games._component_labels(zero.m), np.arange(n**2))
         assert np.array_equal(zero.spectrum.eigenvalues, np.zeros(n**2))
-        assert np.array_equal(_dense_eigenvectors(zero.spectrum), np.eye(n**2))
-        assert _nonzero_eigenpairs(zero.spectrum) == [] and zero.trace_norm == 0.0
+        assert np.array_equal(zero.spectrum.top_vector, np.eye(n**2)[0])
+        assert zero.trace_norm == 0.0
     r = rng.standard_normal((4, 4))
     for c in (games.chsh(), r / np.sum(np.abs(r))):
         g = games.from_classical(c)
         _assert_decomposes(g)
-        assert len(g.spectrum.start) - 1 == c.size and sorted(g.spectrum.vectors) == [1]
-        assert np.array_equal(g.spectrum.eigenvalues, np.sort(np.diag(g.m).real))
-        # Each eigenvector is the product basis vector |s>|t> of R_st.
-        for lam, phi in _nonzero_eigenpairs(g.spectrum):
-            (i,) = np.flatnonzero(np.abs(phi) > 1e-9)
-            s_, t = divmod(int(i), g.n)
-            assert abs(abs(phi[i]) - 1.0) < 1e-9 and lam == c[s_, t]
+        assert np.array_equal(games._component_labels(g.m), np.arange(c.size))
+        w = g.spectrum.eigenvalues
+        assert np.array_equal(w, np.sort(np.diag(g.m).real))
+        # The top vector is the product basis vector |s>|t> of its R_st.
+        (i,) = np.flatnonzero(g.spectrum.top_vector)
+        assert g.spectrum.top_vector[i] == 1.0 and c.reshape(-1)[i] == w[np.argmax(np.abs(w))]
 
 
 def test_validate_rejects_nan_matrix():
@@ -243,14 +233,13 @@ def test_t1_matrix_from_question_states():
     got = games.t_game(1)
     assert np.allclose(got.m, want, atol=1e-12)
     assert abs(got.m[0, 3] - 0.5) < 1e-12 and abs(got.m[3, 0] - 0.5) < 1e-12
-    # The eigenpairs of nonzero eigenvalue are the question states with the
-    # probabilities 1/2 and parities (-1)^0, (-1)^1, and nothing is left to
-    # reject: sum |lambda| = 1.
-    pairs = _nonzero_eigenpairs(got.spectrum)
-    assert np.allclose([lam for lam, _ in pairs], [-0.5, 0.5])
+    # The nonzero eigenvalues are the question states' probabilities 1/2
+    # with parities (-1)^1, (-1)^0, and nothing is left to reject:
+    # sum |lambda| = 1. The top vector, of -1/2, is the question state psi1.
+    w = got.spectrum.eigenvalues
+    assert np.allclose(w[np.abs(w) > 1e-12], [-0.5, 0.5])
     assert abs(got.trace_norm - 1.0) < 1e-9
-    for (lam, phi), target in zip(pairs, (psi1, psi0)):
-        assert abs(abs(np.vdot(target, phi)) - 1.0) < 1e-9
+    assert abs(abs(np.vdot(psi1, got.spectrum.top_vector)) - 1.0) < 1e-9
 
 
 def test_t_game_spectrum():

@@ -14,25 +14,26 @@ from xorq.errors import BadArgsError, SeesawError, TooLargeError
 
 CFG = heuristics.OptimizerConfig(restarts=10, seed=0)
 SMALL = heuristics.OptimizerConfig(restarts=4, seed=0)
+ONES = heuristics.ONE[None]  # the stack of one unentangled shared state
 
 
 def test_effective_operator_classical_diagonal():
     g = games.from_classical(games.chsh())
     b = np.diag([1.0, -1.0]).astype(complex)
-    k = heuristics.effective_operator_for_a(g, b)
+    (k,) = heuristics.effective_operator_for_a(g, b[None], ONES)
     want = np.diag(games.chsh() @ np.array([1.0, -1.0]))
     assert np.allclose(k, want)
 
 
 def test_effective_operator_zero_and_linearity(rng):
     g = random_game(3, seed=5)
-    assert np.allclose(heuristics.effective_operator_for_a(g, np.zeros((3, 3))), 0)
+    assert np.allclose(heuristics.effective_operator_for_a(g, np.zeros((1, 3, 3)), ONES), 0)
     a = heuristics.random_hermitian(rng, 3)
     b = heuristics.random_hermitian(rng, 3)
-    k = heuristics.effective_operator_for_a(g, b)
+    (k,) = heuristics.effective_operator_for_a(g, b[None], ONES)
     want = np.trace(np.kron(a, b) @ g.m)
     assert abs(np.trace(a @ k) - want) < 1e-10
-    l = heuristics.effective_operator_for_b(g, a)
+    (l,) = heuristics.effective_operator_for_b(g, a[None], ONES)
     assert abs(np.trace(b @ l) - want) < 1e-10
     # Hermiticity assertion exercised on Hermitian inputs
     assert np.linalg.norm(k - k.conj().T) <= 1e-9
@@ -97,7 +98,7 @@ def test_half_steps_are_exactly_optimal(rng):
     g = random_game(3, seed=31)
     r = heuristics.omega_lower(g, SMALL)
     a, b = r.strategy.a, r.strategy.b
-    k = heuristics.effective_operator_for_a(g, b)
+    (k,) = heuristics.effective_operator_for_a(g, b[None], ONES)
     val = float(np.real(np.trace(a @ k)))
     for trial in range(1000):
         cand = linalg.sign_of_hermitian(heuristics.random_hermitian(rng, 3))
@@ -195,8 +196,10 @@ def test_effective_operators_match_fold_oracle(rng, n, da, db, kind):
     b = _contraction(rng, n * db)
     psi = _state(rng, kind, da, db)
     want_k, want_l = effective_operators_dense(g, a, b, psi, da, db)
-    assert np.max(np.abs(heuristics.effective_operator_for_a(g, b, psi) - want_k)) <= 1e-12
-    assert np.max(np.abs(heuristics.effective_operator_for_b(g, a, psi) - want_l)) <= 1e-12
+    (k,) = heuristics.effective_operator_for_a(g, b[None], psi[None])
+    (l,) = heuristics.effective_operator_for_b(g, a[None], psi[None])
+    assert np.max(np.abs(k - want_k)) <= 1e-12
+    assert np.max(np.abs(l - want_l)) <= 1e-12
 
 
 @pytest.mark.parametrize("restarts", [1, 3])
@@ -205,18 +208,30 @@ def test_stacked_effective_operators_match_fold_oracle(rng, restarts, n, da, db,
     g = random_game(n, seed=10 * n + da + db)
     a = np.stack([_contraction(rng, n * da) for _ in range(restarts)])
     b = np.stack([_contraction(rng, n * db) for _ in range(restarts)])
-    # One state for the whole stack, except the entangled class's own states.
+    # One state per part: the same state for the unentangled and maximally
+    # entangled classes, as the see-saw tiles it, and the entangled class's own.
     psi = (np.stack([_state(rng, "random", da, db) for _ in range(restarts)])
-           if kind == "ent" else _state(rng, kind, da, db))
+           if kind == "ent" else np.tile(_state(rng, kind, da, db), (restarts, 1)))
     k = heuristics.effective_operator_for_a(g, b, psi)
     l = heuristics.effective_operator_for_b(g, a, psi)
     assert k.shape == (restarts, n * da, n * da) and l.shape == (restarts, n * db, n * db)
     for r in range(restarts):
-        want_k, want_l = effective_operators_dense(
-            g, a[r], b[r], psi[r] if kind == "ent" else psi, da, db
-        )
+        want_k, want_l = effective_operators_dense(g, a[r], b[r], psi[r], da, db)
         assert np.max(np.abs(k[r] - want_k)) <= 1e-12
         assert np.max(np.abs(l[r] - want_l)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [np.tile(heuristics.ONE, (2, 1)), heuristics.ONE],
+    ids=["two-states-for-three-parts", "one-flat-state"],
+)
+def test_effective_operators_take_one_state_per_part(rng, psi):
+    g = random_game(2, seed=12)
+    parts = np.stack([_contraction(rng, 2) for _ in range(3)])
+    for half_step in (heuristics.effective_operator_for_a, heuristics.effective_operator_for_b):
+        with pytest.raises(errors.DimensionMismatchError, match="operator or state incompatible"):
+            half_step(g, parts, psi)
 
 
 @pytest.mark.parametrize(

@@ -355,7 +355,7 @@ def test_check_chains_t3():
     rep.omega_lower = heuristics.omega_lower(g, cfg).value
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
     rep.beta_os = relaxations.beta_os(g, 1e-6).value
-    checks = relaxations.check_chains(g, rep, 1e-6)
+    checks = relaxations.check_chains(rep, 1e-6)
     assert all(c.passed for c in checks if c.hard)
     assert abs(rep.beta_nc - 0.5774) <= 1e-3
     assert abs(rep.beta_os - 1.0) <= 1e-3
@@ -367,7 +367,7 @@ def test_check_chains_h1_ratio_diagnostic():
     rep = BiasReport(game="h1", n=g.n, trace_norm=trace_norm(g.m))
     rep.omega_c_lower = heuristics.Ladder(g, cfg).omega_c().value
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
-    checks = relaxations.check_chains(g, rep, 1e-6)
+    checks = relaxations.check_chains(rep, 1e-6)
     assert all(c.passed for c in checks if c.hard)
     assert abs(rep.beta_nc / rep.omega_c_lower - 1.5) <= 1e-2
 
@@ -379,7 +379,7 @@ def test_check_chains_zero_game():
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
     rep.beta_os = relaxations.beta_os(g, 1e-6).value
     assert abs(rep.beta_nc) <= 1e-6 and abs(rep.beta_os) <= 1e-6
-    checks = relaxations.check_chains(g, rep, 1e-6)
+    checks = relaxations.check_chains(rep, 1e-6)
     assert all(c.passed for c in checks if c.hard)
 
 
