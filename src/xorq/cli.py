@@ -5,7 +5,6 @@ Subcommands:
   xorq game --name tn --param 3 --out t3.json       write a game file
   xorq bias t3.json --quantities omega,beta-nc      compute quantities
   xorq report paper-table --out table               reproduce the value table
-  xorq sdp solve inst.json --tol 1e-8               raw solver access
 
 Progress goes to stderr; stdout carries exactly the report payload. The
 text and CSV formats of `xorq bias` list every field of the JSON payload
@@ -29,8 +28,6 @@ import tempfile
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import games, heuristics, relaxations, sdp, strategies
 from .errors import BadArgsError, FormatError, SdpError, SeesawError, XorqError
@@ -396,36 +393,6 @@ def cmd_report_paper_table(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_CHECK
 
 
-# --- raw solver access ----------------------------------------------------------------
-
-
-def cmd_sdp_solve(args) -> int:
-    inst = sdp.load_instance(args.instance)
-    sol = sdp.solve(inst, args.tol)
-    report = sdp.certify(inst, sol, args.tol)
-    payload = {
-        "primal_value": sol.primal_value,
-        "dual_value": sol.dual_value,
-        "gap": sol.gap,
-        "iterations": sol.iterations,
-        "status": sol.status,
-        "certify": {
-            "passed": report.passed,
-            "checks": [
-                {"name": name, "value": value, "bound": bound, "ok": ok}
-                for name, value, bound, ok in report.checks
-            ],
-        },
-        "blocks": {
-            label: [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
-            for label, mat in sorted(sol.blocks.items())
-        },
-        "y": list(map(float, sol.y)),
-    }
-    _emit(_json_bytes(payload), args.out)
-    return EXIT_OK
-
-
 # --- argument parsing --------------------------------------------------------------------
 
 
@@ -460,13 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = report_sub.add_parser("paper-table", help="named-family value table")
     _common_flags(p_table)
     p_table.add_argument("--out", help="output base path (default: paper_table)")
-
-    p_sdp = sub.add_parser("sdp", help="raw solver access")
-    sdp_sub = p_sdp.add_subparsers(dest="sdp_kind", required=True)
-    p_solve = sdp_sub.add_parser("solve", help="solve an xorq-sdp-v1 instance")
-    p_solve.add_argument("instance")
-    p_solve.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
-    p_solve.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
@@ -486,17 +446,12 @@ def main(argv=None) -> int:
             return cmd_bias(args)
         if args.command == "report":
             return cmd_report_paper_table(args)
-        if args.command == "sdp":
-            return cmd_sdp_solve(args)
         parser.error(f"unknown command {args.command!r}")
     except OSError as exc:
         _log(f"error: {exc}")
         return EXIT_ARGS
     except SdpError as exc:
         _log(f"solver failure: {exc}")
-        cert = getattr(exc, "certificate", None)
-        if cert is not None:
-            _log(f"certificate: {np.array2string(np.asarray(cert), precision=6)}")
         return EXIT_SOLVER
     except SeesawError as exc:
         _log(f"see-saw failure: {exc}")

@@ -111,11 +111,3 @@ class SeesawError(XorqError):
 
 class SdpError(XorqError):
     pass
-
-
-class InfeasibleError(SdpError):
-    """Primal infeasibility, with a Farkas-style dual ray as certificate."""
-
-    def __init__(self, message: str, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate

@@ -17,16 +17,13 @@ pattern (the graph on the n^2 basis indices with an edge wherever
 M[r, c] != 0): M is block diagonal on them, so its eigenpairs are those of
 the blocks. Components are ordered by their smallest index, with the
 indices ascending inside each one. The components of one size share one
-stacked eigh, those of side 1 included, and a game whose pattern is one
-component takes eigh of M itself, with no second copy of M. The
+stacked eigvalsh, those of side 1 included, and a game whose pattern is one
+component takes eigvalsh of M itself, with no second copy of M. The
 tensor-product games are almost all zeros (C4 (x) C4: 625 basis indices,
-593 components), so no dense n^2 x n^2 eigenvector matrix is built for
-them. GameMatrix.spectrum keeps the eigenvalues, read by validation's
-trace-norm cap and the report's trace norm, and the top eigenvector, read
-by the see-saw's spectral start: that of the first eigenvalue of largest
-modulus in ascending order (a stable sort of the components' eigenvalues,
-taken in component order), as np.argmax(np.abs(w)) picks it from one eigh
-of M.
+593 components), so no dense n^2 x n^2 matrix is factored for them.
+GameMatrix.spectrum keeps the eigenvalues, ascending (a stable sort of the
+components' eigenvalues, taken in component order), read by validation's
+trace-norm cap and the report's trace norm.
 """
 
 from __future__ import annotations
@@ -80,36 +77,26 @@ def _component_labels(m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Spectrum:
     """What the package reads of M's eigendecomposition: every eigenvalue,
-    ascending, and top_vector, the unit eigenvector of the first eigenvalue
-    of largest modulus, embedded in C^(n^2)."""
+    ascending."""
 
     eigenvalues: np.ndarray
-    top_vector: np.ndarray
 
     @classmethod
     def of(cls, m: np.ndarray) -> Spectrum:
-        """Label the components of m's pattern and take one stacked eigh per
-        component size; a pattern of one component is eigh(m) itself."""
+        """Label the components of m's pattern and take one stacked eigvalsh
+        per component size; a pattern of one component is eigvalsh(m) itself."""
         label = _component_labels(m)
         dim = label.size
         members = np.argsort(label, kind="stable")
         size = np.bincount(label, minlength=dim)[label == np.arange(dim)]  # at each root
         start = np.cumsum(size) - size
         values = np.empty(dim)
-        blocks = []
         for s in sorted(set(size.tolist())):
             slots = start[size == s][:, None] + np.arange(s)
             idx = members[slots]
-            w, v = np.linalg.eigh(m if s == dim else m[idx[:, :, None], idx[:, None, :]])
-            values[slots] = w
-            blocks.append((slots, idx, v.reshape(-1, s, s)))
-        order = np.argsort(values, kind="stable")
-        top = int(order[np.argmax(np.abs(values[order]))])
-        vec = np.zeros(dim, dtype=complex)
-        for slots, idx, v in blocks:
-            for k, j in np.argwhere(slots == top):
-                vec[idx[k]] = v[k, :, j]
-        return cls(eigenvalues=values[order], top_vector=vec)
+            block = m if s == dim else m[idx[:, :, None], idx[:, None, :]]
+            values[slots] = np.linalg.eigvalsh(block)
+        return cls(eigenvalues=np.sort(values, kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -117,12 +104,9 @@ class GameMatrix:
     """Validated quantum XOR game: Hermitian M on C^n (x) C^n, ||M||_1 <= 1.
 
     M is decomposed once, by the components of its pattern, and spectrum
-    keeps its eigenvalues and its top eigenvector: validation's trace-norm
-    cap and the report's trace norm read the eigenvalues, and the see-saw's
-    spectral start reads the top eigenvector, that of the first eigenvalue
-    of largest modulus in ascending order, ties kept in component order
-    (Spectrum.top_vector). No dense n^2 x n^2 eigenvector matrix of a game
-    with more than one component is formed."""
+    keeps its eigenvalues, which validation's trace-norm cap and the
+    report's trace norm read. No dense n^2 x n^2 matrix of a game with more
+    than one component is factored."""
 
     n: int
     m: np.ndarray
@@ -142,8 +126,8 @@ class GameMatrix:
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
-        """M's eigenvalues and top eigenvector, from its decomposition by
-        components, computed on first use and shared by every reader."""
+        """M's eigenvalues, from its decomposition by components, computed on
+        first use and shared by every reader."""
         return Spectrum.of(self.m)
 
     @property

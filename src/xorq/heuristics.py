@@ -22,13 +22,13 @@ operator of the stack for Hermiticity once, against its own norm, within
 linalg.HERMITICITY_RTOL, and symmetrizes it (linalg.check_hermitian); a
 failure is a SeesawError naming the player and the restart.
 
-Restart 0 is a deterministic warm start (the previous class's optimum
-embedded, where one exists); restarts 1..k-1 draw Gaussian Hermitian
-starts seeded by (seed, restart index). The best restart's strategy is
-returned, with every restart's value and iteration count. Ladder is the
-only code that chains the classes: omega_c_lower, me_lower and
-entangled_lower take their predecessors' results as arguments, and Ladder
-computes each class once and hands it on.
+Restart 0 is a deterministic warm start: the previous class's optimum
+embedded, or B = I for the unentangled class, which has none. Restarts
+1..k-1 draw Gaussian Hermitian starts seeded by (seed, restart index).
+The best restart's strategy is returned, with every restart's value and
+iteration count. Ladder is the only code that chains the classes:
+omega_c_lower, me_lower and entangled_lower take their predecessors'
+results as arguments, and Ladder computes each class once and hands it on.
 """
 
 from __future__ import annotations
@@ -202,20 +202,10 @@ def _starts(warm: np.ndarray, draw, cfg: OptimizerConfig, dim: int, psi=ONE):
     return b0, np.tile(psi, (cfg.restarts, 1))
 
 
-def _spectral_start(g: GameMatrix) -> np.ndarray:
-    """Deterministic start: spectral sign of the top question state,
-    matricized on the B side (identity when that vanishes). The top state is
-    read from its component of M (GameMatrix.spectrum)."""
-    mat = g.spectrum.top_vector.reshape(g.n, g.n)
-    herm = linalg.hermitian_part(mat.conj().T @ mat)
-    if np.linalg.norm(herm) < 1e-12:
-        return np.eye(g.n, dtype=complex)
-    return linalg.sign_of_hermitian(herm)
-
-
 def omega_lower(g: GameMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> HeuristicResult:
-    """Lower bound on the unentangled bias via sign-step see-saw."""
-    starts = _starts(_spectral_start(g), _gaussian_start, cfg, g.n)
+    """Lower bound on the unentangled bias via sign-step see-saw, restart 0
+    from B = I."""
+    starts = _starts(np.eye(g.n, dtype=complex), _gaussian_start, cfg, g.n)
     values, (a, b, _), iters = _run_restarts(g, *starts, _sign_step)
     return _result(values, UnentangledStrategy(a=a, b=b), iters)
 

@@ -14,8 +14,7 @@ give the NT frame, S^-1 = G diag(1/lam) G^H, and all four step-length
 searches, taken in the frame (Todd-Toh-Tutuncu, SIAM J. Optim. 8, 1998).
 The Schur matrix is assembled a group of constraints at a time, each
 group's stack at most 1 MB (see _schur). A solve stops "optimal" when both
-residuals are below FEAS_TOL and the relative duality gap is at most tol,
-the gap test that certify makes.
+residuals are below FEAS_TOL and the relative duality gap is at most tol.
 
 The core holds an instance as one Hermitian matrix Z with the blocks on its
 diagonal, each entry shifted by its block's offset. That is the same
@@ -25,7 +24,7 @@ iterate, is block-diagonal up to rounding. solve returns the diagonal
 blocks under their labels.
 
 solve compiles the caller's instance once, into a _Program, and _finish
-maps the iterate it ends on back to the caller's units and rows.
+maps the iterate it ends on back to the caller's rows.
 
 A real instance is solved in real arithmetic. It is real when C is real
 and every row is real, or purely imaginary with rhs 0 (_real_rows), as for
@@ -39,12 +38,6 @@ with 0 at the dropped rows, is a dual point of the complex one: A^T y - C
 is unchanged. Any other instance, a complex C or a row with a complex
 entry of another kind, is solved over complex Hermitian Z with every row.
 
-C is scaled by 2^-ec and the right-hand sides by 2^-eb, exact powers of two
-that leave no entry of either above 1, so that huge finite coefficients
-solve. The start, the residual norms, the gap and the infeasibility test
-are read in the caller's units, so the scaling changes no step beyond
-rounding.
-
 The trace bound. solve takes an instance only when its rows bound Tr Z:
 row weights u over the rows whose entries are all diagonal with sum_q u_q
 diag(F_q) = D > 0 (the trace witness, _trace_witness). Every feasible Z
@@ -52,9 +45,8 @@ then has Tr(D Z) = u^T b, so Tr Z <= u^T b / min D, and both the primal
 feasible set and the optimum are bounded. Each Gram relaxation of this
 package has one with D = I, as its diagonal caps sum to the identity; with
 the caps as inequalities Q + S = I, S a slack block, D is another positive
-diagonal. An instance without such u, or with u^T b = 0, is refused
-(BadArgsError); u^T b < 0 proves it infeasible before the first
-iteration, u being a Farkas certificate (A^T u = D > 0, b^T u < 0).
+diagonal. An instance without such u, or with u^T b <= 0, is refused
+(BadArgsError).
 
 The start is Z = (u^T b / Tr D) I and y = lam u, lam = 1.5 ||C|| / min D +
 1e-3, so S = A^T y - C = lam D - C is positive definite and meets the dual
@@ -72,23 +64,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadArgsError,
-    DimensionMismatchError,
-    FormatError,
-    InfeasibleError,
-    SdpError,
-    check_dense,
-    json_float,
-    json_int,
-    load_json,
-)
+from .errors import BadArgsError, SdpError, check_dense
 
-COEFF_HERMITICITY_TOL = 1e-12
 DEFAULT_TOL = 1e-6
 FEAS_TOL = 1e-8
-PSD_SLACK = 1e-8
-RESIDUAL_SCALE_TOL = 1e-7
 MAX_ITERS = 120
 MU_FLOOR = 1e-13
 SHORT_STEP = 0.1  # corrector step below which the centering direction is tried
@@ -113,44 +92,10 @@ class SdpInstance:
     constraints: tuple[SdpConstraint, ...]
 
     def __post_init__(self):
-        if not self.blocks:
-            raise BadArgsError("an SDP instance needs at least one block")
-        labels = {}
-        for label, dim in self.blocks:
-            if dim < 1:
-                raise BadArgsError(f"block {label!r} must have dim >= 1")
-            if label in labels:
-                raise BadArgsError(f"duplicate block label {label!r}")
-            labels[label] = dim
-        objective = {}  # symmetrized and complex; the caller's dict is left alone
-        for label, c in self.objective.items():
-            if label not in labels:
-                raise BadArgsError(f"objective references unknown block {label!r}")
-            d = labels[label]
-            c = np.asarray(c, dtype=complex)
-            if c.shape != (d, d):
-                raise DimensionMismatchError(f"objective block {label!r} shape")
-            # ||C - C^H|| <= tol * max(1, ||C||), both sides divided by the
-            # largest entry so that huge coefficients do not overflow.
-            top = max(1.0, float(np.max(np.abs(c))))
-            if np.linalg.norm((c - c.conj().T) / top) > COEFF_HERMITICITY_TOL * max(
-                1.0 / top, float(np.linalg.norm(c / top))
-            ):
-                raise BadArgsError(f"objective block {label!r} is not Hermitian")
-            c = c / 2 + c.conj().T / 2  # (c + c^H) / 2 overflows near the float limit
-            if not np.all(np.isfinite(c)):
-                raise BadArgsError(f"objective block {label!r} is not finite")
-            objective[label] = c
+        # A complex Hermitian copy: the caller's dict is left alone.
+        objective = {label: _hermitian(np.asarray(c, dtype=complex))
+                     for label, c in self.objective.items()}
         object.__setattr__(self, "objective", objective)
-        for q, con in enumerate(self.constraints):
-            for b, r, c, v in con.entries:
-                if b not in labels:
-                    raise BadArgsError(f"constraint {q} references block {b!r}")
-                d = labels[b]
-                if not (0 <= r <= c < d):
-                    raise BadArgsError(f"constraint {q}: bad entry index ({r}, {c})")
-                if r == c and abs(complex(v).imag) > COEFF_HERMITICITY_TOL:
-                    raise BadArgsError(f"constraint {q}: diagonal entry not real")
 
 
 @dataclass(frozen=True)
@@ -177,29 +122,16 @@ class IpmIteration:
 @dataclass(frozen=True)
 class SdpSolution:
     """Primal blocks and dual multipliers y, one per row of the instance
-    solved, in its units; objective values (dual_value is b^T y), the gap,
-    and the per-iteration trace (in the scaled units of the program, kept
-    out of every serialized payload)."""
+    solved; objective values (dual_value is b^T y) and the per-iteration
+    trace (kept out of every serialized payload)."""
 
     blocks: dict[str, np.ndarray]
     y: np.ndarray
     primal_value: float
     dual_value: float
-    gap: float
     iterations: int  # iterations run, len(trace), whichever iterate is returned
     status: str  # "optimal" or "max_iterations" (best iterate, non-certified)
     trace: tuple[IpmIteration, ...] = ()
-
-
-def constraint_value(con: SdpConstraint, blocks) -> float:
-    total = 0.0
-    for b, r, c, v in con.entries:
-        z = blocks[b][r, c]
-        if r == c:
-            total += float(np.real(v)) * float(np.real(z))
-        else:
-            total += 2.0 * float(np.real(np.conj(v) * z))
-    return total
 
 
 # --- interior-point core (one Hermitian matrix, real or complex) -------------
@@ -209,11 +141,11 @@ class _Program:
     """The one translation of an instance that the core solves. Its blocks
     lie on the diagonal of one Hermitian matrix of side dim. Its rows are
     those in kept of the caller's rows_in rows (all, or those a real
-    symmetric Z must meet: _real_rows). C is scaled by 2^-ec and b by 2^-eb.
-    The stored entries (r <= c, shifted by their block's offset) are in row
-    order: entries q_ptr[i]:q_ptr[i + 1] belong to row q_list[i]. witness is
-    the rows' trace witness (_trace_witness), or None; the program is built
-    either way, and solve refuses one whose rows do not bound Tr Z.
+    symmetric Z must meet: _real_rows). The stored entries (r <= c, shifted
+    by their block's offset) are in row order: entries q_ptr[i]:q_ptr[i + 1]
+    belong to row q_list[i]. witness is the rows' trace witness
+    (_trace_witness), or None; the program is built either way, and solve
+    refuses one whose rows do not bound Tr Z.
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
@@ -246,15 +178,12 @@ class _Program:
         self.m = m = self.kept.size
         check_dense(max(dim, m) ** 2, f"SDP of side {dim} with {m} constraints")
 
-        parts = [np.max(np.abs(part)) for c in inst.objective.values() for part in (c.real, c.imag)]
-        self.ec = _scale_exponent(float(max(parts, default=0.0)))
         self.dtype = dtype = float if real else complex
         self.cobj = np.zeros((dim, dim), dtype=dtype)
         for label, c in inst.objective.items():
             span = self.spans[label]
-            self.cobj[span, span] = (c.real if real else c) * math.ldexp(1.0, -self.ec)
-        self.eb = _scale_exponent(float(np.max(np.abs(rhs[self.kept]), initial=0.0)))
-        self.b = np.ldexp(rhs[self.kept], -self.eb)
+            self.cobj[span, span] = c.real if real else c
+        self.b = rhs[self.kept]
 
         renumber = np.full(rhs.size, -1, dtype=np.intp)
         renumber[self.kept] = np.arange(m)
@@ -315,11 +244,6 @@ def _real_rows(
     if (imag & (real | (rhs != 0))).any():
         return None
     return np.flatnonzero(~imag)
-
-
-def _scale_exponent(top: float) -> int:
-    """e with top * 2^-e in [0.5, 1) when top > 1, else 0 (no scaling)."""
-    return math.frexp(top)[1] if top > 1.0 else 0
 
 
 def _schur_groups(counts: np.ndarray, dim: int) -> list[tuple[int, int]]:
@@ -441,26 +365,20 @@ def _lap(t0: float) -> tuple[float, float]:
 
 def _solve(prog: _Program, tol: float) -> SdpSolution:
     """The interior-point loop, over real symmetric Z for a real program.
-    The residuals are relative to one_b + max |b| and one_c + ||C||, the gap
-    to max(unit, |primal|): one_b, one_c and unit are 1 in the caller's
-    units of b, C and the objective, so every rule reads as unscaled. The
-    infeasibility test reads y against one_c + ||C|| and b^T y against the
-    product of both scales.
+    The residuals are relative to 1 + max |b| and 1 + ||C||, the gap to
+    max(1, |primal|).
 
     The start (see the module docstring) is Z = (u^T b / Tr D) I, y = lam u
     and S = A^T y - C = lam D - C, u the witness prog.witness with A^T u =
-    D and lam = 1.5 ||C|| / min D + 1e-3 one_c, so it too is homogeneous in
-    both scalings. solve has checked that u^T b > 0."""
+    D and lam = 1.5 ||C|| / min D + 1e-3. solve has checked that u^T b > 0."""
     import scipy.linalg  # deferred: SciPy stays off the start-up path
 
-    one_b, one_c = math.ldexp(1.0, -prog.eb), math.ldexp(1.0, -prog.ec)
-    unit = one_b * one_c
     b_vec, nu = prog.b, prog.dim
-    scale_b = one_b + float(np.max(np.abs(b_vec)))
+    scale_b = 1.0 + float(np.max(np.abs(b_vec)))
     norm_c = float(np.linalg.norm(prog.cobj, 2))
-    scale_c = one_c + norm_c
+    scale_c = 1.0 + norm_c
     d = _at_of(prog, prog.witness).diagonal().real
-    lam = 1.5 * norm_c / float(d.min()) + 1e-3 * one_c
+    lam = 1.5 * norm_c / float(d.min()) + 1e-3
     z = float(prog.witness @ b_vec) / float(d.sum()) * np.eye(nu, dtype=prog.dtype)
     y = lam * prog.witness
     s = _at_of(prog, y) - prog.cobj
@@ -474,7 +392,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         mu = float(np.vdot(z, s).real) / nu
         pobj = float(np.vdot(prog.cobj, z).real)
         dobj = float(b_vec @ y)
-        value_scale = max(unit, abs(pobj))
+        value_scale = max(1.0, abs(pobj))
         rel_gap = abs(dobj - pobj) / value_scale
         pres = float(np.linalg.norm(rp)) / scale_b
         dres = float(np.linalg.norm(rd)) / scale_c
@@ -491,17 +409,6 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         if mu / value_scale < MU_FLOOR:
             trace.append(IpmIteration(**record))
             break  # numerical floor: no further progress is possible
-
-        # Divergence heuristics: Farkas certificate for infeasibility.
-        ynorm = float(np.linalg.norm(y, np.inf))
-        if ynorm > 1e8 * scale_c or dobj < -1e9 * scale_b * scale_c:
-            yhat = y / max(float(np.linalg.norm(y)), 1e-300)
-            mineig = float(np.linalg.eigvalsh(_at_of(prog, yhat))[0])
-            if mineig > -1e-6 and float(b_vec @ yhat) < -1e-8 * scale_b:
-                raise InfeasibleError(
-                    f"primal infeasible (dual improving ray found at iteration {it})",
-                    certificate=_caller_rows(prog, yhat),
-                )
 
         t = time.perf_counter()
         lz = _chol_psd(z)
@@ -592,31 +499,17 @@ def _caller_rows(prog: _Program, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times_pow2(a: np.ndarray, e: int) -> np.ndarray:
-    """a 2^e, exact, as two factors, the second in place: 2^1024 is not a float, a 2^1024 may be."""
-    out = a * math.ldexp(1.0, e // 2)
-    return np.multiply(out, math.ldexp(1.0, e - e // 2), out=out)
-
-
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
-    """The solution in the caller's units and rows: Z 2^eb, y 2^ec with 0 at
-    each dropped row, and both values 2^(ec + eb). BadArgsError when one of
-    them lies beyond the float range."""
-    try:
-        with np.errstate(over="raise"):
-            return SdpSolution(
-                blocks={label: _times_pow2(z[span, span], prog.eb)
-                        for label, span in prog.spans.items()},
-                y=_caller_rows(prog, _times_pow2(y, prog.ec)),
-                primal_value=math.ldexp(pobj, prog.ec + prog.eb),
-                dual_value=math.ldexp(dobj, prog.ec + prog.eb),
-                gap=math.ldexp(dobj - pobj, prog.ec + prog.eb),
-                iterations=iters,
-                status=status,
-                trace=tuple(trace),
-            )
-    except (OverflowError, FloatingPointError):
-        raise BadArgsError("the solution lies beyond the float range") from None
+    """The solution in the caller's rows: y with 0 at each dropped row."""
+    return SdpSolution(
+        blocks={label: z[span, span] for label, span in prog.spans.items()},
+        y=_caller_rows(prog, y),
+        primal_value=pobj,
+        dual_value=dobj,
+        iterations=iters,
+        status=status,
+        trace=tuple(trace),
+    )
 
 
 # --- public driver -------------------------------------------------------------
@@ -628,108 +521,19 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     Deterministic for a fixed instance and tolerance, which must be positive
     and finite (else BadArgsError). The instance's rows must bound Tr Z: some
     rows with only diagonal entries, weighted by u, sum to a positive
-    diagonal D with u^T b > 0 (see the module docstring); else BadArgsError,
-    or InfeasibleError with certificate u when u^T b < 0. Raises
-    InfeasibleError when the loop finds a dual improving ray; an
-    iteration-capped run returns the best iterate with status
-    "max_iterations" (certify() will fail it).
+    diagonal D with u^T b > 0 (see the module docstring); else BadArgsError.
+    An iteration-capped run returns the best iterate with status
+    "max_iterations".
     A real instance (see _real_rows) is solved over real symmetric Z
-    without its purely imaginary rows; y and every certificate are returned
-    in the caller's row order, 0 at each dropped row, and the blocks are then
-    real arrays. Raises TooLargeError, before allocating, when the matrix
-    side or the Schur matrix (the rows solved) is above the dense cap.
+    without its purely imaginary rows; y is returned in the caller's row
+    order, 0 at each dropped row, and the blocks are then real arrays.
+    Raises TooLargeError, before allocating, when the matrix side or the
+    Schur matrix (the rows solved) is above the dense cap.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
     prog = _Program(inst)
     bound = 0.0 if prog.witness is None else float(prog.witness @ prog.b)
-    if bound < 0:
-        raise InfeasibleError("primal infeasible: the trace witness u has A^T u > 0 and b^T u < 0",
-                              certificate=_caller_rows(prog, prog.witness))
-    if bound == 0:
+    if not bound > 0:
         raise BadArgsError("the rows do not bound Tr Z: no diagonal rows sum to a D > 0 with u^T b > 0")
     return _solve(prog, tol)
-
-
-@dataclass(frozen=True)
-class CertifyReport:
-    passed: bool
-    checks: tuple[tuple[str, float, float, bool], ...]  # (name, value, bound, ok)
-
-    def failures(self) -> list[str]:
-        return [name for name, _, _, ok in self.checks if not ok]
-
-
-def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> CertifyReport:
-    """Recompute residuals, PSD slacks, the objective sum_b Re Tr(C_b^dagger Z_b)
-    against primal_value, and the duality gap of a solution."""
-    checks = []
-
-    def at_most(name: str, value: float, bound: float):
-        checks.append((name, value, bound, value <= bound))
-
-    def at_least(name: str, value: float, bound: float):
-        checks.append((name, value, bound, value >= bound))
-
-    for label, _ in inst.blocks:
-        z = sol.blocks[label]
-        # ||Z - Z^H|| <= 1e-9 max(1, ||Z||), measured on Z / s with s >= 1 its
-        # largest real or imaginary part, so that neither norm overflows.
-        s = max(1.0, float(np.max(np.abs([z.real, z.imag]), initial=0.0)))
-        u = z / s
-        at_most(f"hermitian[{label}]", float(np.linalg.norm(u - u.conj().T)),
-                1e-9 * max(1.0 / s, float(np.linalg.norm(u))))
-        at_least(f"psd[{label}]", float(np.linalg.eigvalsh(z / 2 + z.conj().T / 2)[0]), -PSD_SLACK)
-    rhs_scale = max([1.0] + [abs(c.rhs) for c in inst.constraints])
-    worst = 0.0
-    for con in inst.constraints:
-        worst = max(worst, abs(constraint_value(con, sol.blocks) - con.rhs))
-    at_most("residual", worst, RESIDUAL_SCALE_TOL * rhs_scale)
-    objective = sum(float(np.vdot(c, sol.blocks[b]).real) for b, c in inst.objective.items())
-    at_most("objective", abs(objective - sol.primal_value),
-            RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)))
-    gap = sol.dual_value - sol.primal_value
-    at_least("gap_nonneg", gap, -RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)))
-    at_most("gap_small", abs(gap), tol * max(1.0, abs(sol.primal_value)))
-    if sol.status != "optimal":
-        checks.append(("status_optimal", 0.0, 0.0, False))
-    return CertifyReport(passed=all(ok for *_, ok in checks), checks=tuple(checks))
-
-
-# --- xorq-sdp-v1 wire format ----------------------------------------------------
-
-SDP_FORMAT = "xorq-sdp-v1"
-
-
-def _entry(e: dict) -> Entry:
-    return (str(e["b"]), json_int(e["r"]), json_int(e["c"]),
-            complex(json_float(e["re"]), json_float(e["im"])))
-
-
-def instance_from_dict(data: dict) -> SdpInstance:
-    if not isinstance(data, dict) or data.get("format") != SDP_FORMAT:
-        raise FormatError(f"expected format {SDP_FORMAT!r}")
-    try:
-        blocks = tuple((str(b["label"]), json_int(b["dim"])) for b in data["blocks"])
-        side = sum(max(d, 0) for _, d in blocks)
-        check_dense(side * side, f"blocks of total side {side}")
-        objective = {label: np.zeros((d, d), dtype=complex) for label, d in blocks}
-        for e in data["objective"]:
-            label, r, c, v = _entry(e)
-            d = objective[label].shape[0]
-            if not (0 <= r < d and 0 <= c < d):
-                raise FormatError(f"objective entry index ({r}, {c}) out of range")
-            objective[label][r, c] = v
-            objective[label][c, r] = v.conjugate()
-        objective = {k: v for k, v in objective.items() if np.any(v)}
-        constraints = []
-        for con in data["constraints"]:
-            entries = tuple(map(_entry, con["entries"]))
-            constraints.append(SdpConstraint(entries=entries, rhs=json_float(con["rhs"])))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed SDP file: {exc}") from exc
-    return SdpInstance(blocks=blocks, objective=objective, constraints=tuple(constraints))
-
-
-def load_instance(path) -> SdpInstance:
-    return instance_from_dict(load_json(path))

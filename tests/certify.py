@@ -1,0 +1,67 @@
+"""The test oracle for a returned SDP solution: certify recomputes, from the
+instance's own entries, what sdp.solve reports about its solution."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from xorq.sdp import DEFAULT_TOL, SdpConstraint, SdpInstance, SdpSolution
+
+PSD_SLACK = 1e-8
+RESIDUAL_SCALE_TOL = 1e-7
+
+
+def constraint_value(con: SdpConstraint, blocks) -> float:
+    total = 0.0
+    for b, r, c, v in con.entries:
+        z = blocks[b][r, c]
+        if r == c:
+            total += float(np.real(v)) * float(np.real(z))
+        else:
+            total += 2.0 * float(np.real(np.conj(v) * z))
+    return total
+
+
+@dataclass(frozen=True)
+class CertifyReport:
+    passed: bool
+    checks: tuple[tuple[str, float, float, bool], ...]  # (name, value, bound, ok)
+
+    def failures(self) -> list[str]:
+        return [name for name, _, _, ok in self.checks if not ok]
+
+
+def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> CertifyReport:
+    """Recompute residuals, PSD slacks, the objective sum_b Re Tr(C_b^dagger Z_b)
+    against primal_value, and the duality gap of a solution."""
+    checks = []
+
+    def at_most(name: str, value: float, bound: float):
+        checks.append((name, value, bound, value <= bound))
+
+    def at_least(name: str, value: float, bound: float):
+        checks.append((name, value, bound, value >= bound))
+
+    for label, _ in inst.blocks:
+        z = sol.blocks[label]
+        # ||Z - Z^H|| <= 1e-9 max(1, ||Z||), measured on Z / s with s >= 1 its
+        # largest real or imaginary part, so that neither norm overflows.
+        s = max(1.0, float(np.max(np.abs([z.real, z.imag]), initial=0.0)))
+        u = z / s
+        at_most(f"hermitian[{label}]", float(np.linalg.norm(u - u.conj().T)),
+                1e-9 * max(1.0 / s, float(np.linalg.norm(u))))
+        at_least(f"psd[{label}]", float(np.linalg.eigvalsh(z / 2 + z.conj().T / 2)[0]), -PSD_SLACK)
+    rhs_scale = max([1.0] + [abs(c.rhs) for c in inst.constraints])
+    worst = 0.0
+    for con in inst.constraints:
+        worst = max(worst, abs(constraint_value(con, sol.blocks) - con.rhs))
+    at_most("residual", worst, RESIDUAL_SCALE_TOL * rhs_scale)
+    objective = sum(float(np.vdot(c, sol.blocks[b]).real) for b, c in inst.objective.items())
+    at_most("objective", abs(objective - sol.primal_value),
+            RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)))
+    gap = sol.dual_value - sol.primal_value
+    at_least("gap_nonneg", gap, -RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)))
+    at_most("gap_small", abs(gap), tol * max(1.0, abs(sol.primal_value)))
+    if sol.status != "optimal":
+        checks.append(("status_optimal", 0.0, 0.0, False))
+    return CertifyReport(passed=all(ok for *_, ok in checks), checks=tuple(checks))

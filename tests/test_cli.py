@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +13,8 @@ import pytest
 import scipy.linalg
 
 from conftest import decreasing_sign_step
-from sdpfile import instance_to_dict
 import xorq
 from xorq import cli, games, heuristics, relaxations, report, sdp
-from xorq.errors import FormatError
 
 
 def run(argv):
@@ -63,10 +60,13 @@ def test_cmd_game_requires_param():
     assert run(["game", "--name", "tn"]) == cli.EXIT_ARGS
 
 
-def test_cmd_game_invalid_name_exits_2():
-    with pytest.raises(SystemExit) as err:
-        run(["game", "--name", "nope"])
-    assert err.value.code == 2
+def test_cmd_game_invalid_name_exits_2(capsys):
+    # An unknown game name, and the `sdp` command, which no longer exists.
+    for argv in (["game", "--name", "nope"], ["sdp", "solve", "x.json"]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2, argv
+        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def test_cmd_game_classical_file(tmp_path):
@@ -160,7 +160,7 @@ def test_cmd_bias_zero_game(tmp_path, capsys):
 
 
 def _count_factorizations(monkeypatch) -> list:
-    """Record (name, shape) of every np.linalg.eigh and svd call."""
+    """Record (name, shape) of every np.linalg.eigh, eigvalsh and svd call."""
     calls = []
 
     def counting(name, fn):
@@ -169,22 +169,22 @@ def _count_factorizations(monkeypatch) -> list:
             return fn(a, *args, **kwargs)
         return wrapped
 
-    for name in ("eigh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
 
 
 def test_bias_decomposes_the_game_by_components(tmp_path, monkeypatch):
-    # Validation's trace-norm cap, the report's trace norm and the spectral
-    # start all read GameMatrix.spectrum. C3xC3 splits into blocks of side
-    # at most 2, so nothing factors its 256 x 256 M.
+    # Validation's trace-norm cap and the report's trace norm both read
+    # GameMatrix.spectrum. C3xC3 splits into blocks of side at most 2, so
+    # nothing factors its 256 x 256 M.
     path = tmp_path / "c3xc3.json"
     path.write_text(json.dumps(games.game_to_dict(
         games.tensor_games(games.c_game(3), games.c_game(3))
     )))
     calls = _count_factorizations(monkeypatch)
     g = games.load_game(path)
-    assert calls and all(name == "eigh" and shape[-1] <= 2 for name, shape in calls)
+    assert calls and all(name == "eigvalsh" and shape[-1] <= 2 for name, shape in calls)
     cli.compute_report(g, [("omega", None), ("chains", None)], 1e-6, 2, 0)
     assert not [c for c in calls if 256 in c[1]]
 
@@ -196,9 +196,8 @@ def test_one_component_game_takes_one_eigh_of_m(monkeypatch):
     m /= np.sum(np.abs(np.linalg.eigvalsh(m)))
     calls = _count_factorizations(monkeypatch)
     g = games.validate(m, 3)
-    g.spectrum.top_vector
     assert g.trace_norm <= 1.0 + games.TRACE_NORM_SLACK
-    assert calls == [("eigh", (9, 9))]
+    assert calls == [("eigvalsh", (9, 9))]
 
 
 def test_scipy_stays_off_the_start_up_path(tmp_path):
@@ -307,17 +306,8 @@ def test_cmd_bias_oversized_inputs_exit_2(tmp_path, capsys):
     h2 = tmp_path / "h2.json"
     run(["game", "--name", "hn", "--param", "2", "--out", str(h2)])
     assert run(["bias", str(h2), "--quantities", "beta-os"]) == cli.EXIT_ARGS
-    # Two blocks each under the cap, held as one matrix of side 6000.
-    raw = tmp_path / "raw.json"
-    raw.write_text(json.dumps({
-        "format": "xorq-sdp-v1",
-        "blocks": [{"label": "a", "dim": 3000}, {"label": "b", "dim": 3000}],
-        "objective": [],
-        "constraints": [],
-    }))
-    assert run(["sdp", "solve", str(raw)]) == cli.EXIT_ARGS
     err = capsys.readouterr().err
-    assert err.count("dense cap") == 2 and "Traceback" not in err
+    assert "dense cap" in err and "Traceback" not in err
 
 
 def test_cmd_bias_byte_stable_output(tmp_path):
@@ -422,161 +412,6 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "table.json").exists()
 
 
-def test_cmd_sdp_solve(tmp_path, capsys):
-    inst = sdp.SdpInstance(
-        blocks=(("z", 1),),
-        objective={"z": np.eye(1, dtype=complex)},
-        constraints=(
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=1.0),
-        ),
-    )
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(instance_to_dict(inst)))
-    assert run(["sdp", "solve", str(path), "--tol", "1e-8"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert abs(payload["primal_value"] - 1.0) <= 1e-6
-    assert payload["certify"]["passed"] is True
-
-
-def test_cmd_sdp_solve_chsh_instance(tmp_path, capsys):
-    inst = relaxations.beta_sdp_instance(games.from_classical(games.chsh()))
-    path = tmp_path / "chsh_sdp.json"
-    path.write_text(json.dumps(instance_to_dict(inst)))
-    assert run(["sdp", "solve", str(path), "--tol", "1e-8"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert abs(payload["primal_value"] - math.sqrt(2) / 2) <= 1e-6
-
-
-def test_cmd_sdp_solve_huge_coefficients(tmp_path, capsys):
-    # max 2e200 Re Z[0, 1] with a unit diagonal: solved scaled, mapped back.
-    data = {
-        "format": "xorq-sdp-v1",
-        "blocks": [{"label": "z", "dim": 2}],
-        "objective": [{"b": "z", "r": 0, "c": 1, "re": 1e200, "im": 0.0}],
-        "constraints": [
-            {"entries": [{"b": "z", "r": i, "c": i, "re": 1.0, "im": 0.0}], "rhs": 1.0}
-            for i in (0, 1)
-        ],
-    }
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(data))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["sdp", "solve", str(path)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["primal_value"] == pytest.approx(2e200, rel=1e-6)
-    assert payload["certify"]["passed"] is True
-
-
-def _diagonal_instance(objective, rhs) -> dict:
-    """max sum_i c_i Z[i, i] subject to Z[i, i] = rhs_i."""
-    def entry(i, v):
-        return {"b": "z", "r": i, "c": i, "re": v, "im": 0.0}
-
-    return {
-        "format": "xorq-sdp-v1",
-        "blocks": [{"label": "z", "dim": len(rhs)}],
-        "objective": [entry(i, c) for i, c in enumerate(objective) if c],
-        "constraints": [{"entries": [entry(i, 1.0)], "rhs": b} for i, b in enumerate(rhs)],
-    }
-
-
-def _solve_without_warnings(tmp_path, data):
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(data))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return run(["sdp", "solve", str(path)])
-
-
-def test_cmd_sdp_solve_refuses_an_optimum_beyond_the_float_range(tmp_path, capsys):
-    # The optimum is 1e200 * 1e200 = 1e400, beyond the largest float.
-    assert _solve_without_warnings(tmp_path, _diagonal_instance([1e200, 0.0], [1e200, 1.0])) == 2
-    err = capsys.readouterr().err
-    assert "beyond the float range" in err and "Traceback" not in err
-
-
-def test_cmd_sdp_solve_unscales_a_row_of_1e308(tmp_path, capsys):
-    # The right-hand sides are scaled by 2^-1024, and 2^1024 is not a float.
-    assert _solve_without_warnings(tmp_path, _diagonal_instance([1.0, 0.0], [1.0, 1e308])) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert all(map(math.isfinite, (payload["primal_value"], payload["dual_value"])))
-
-
-def test_cmd_sdp_solve_reports_the_iterations_run(tmp_path, capsys):
-    # The 1e308 row stalls the solve: it returns its best iterate, the
-    # start, but counts every iteration it ran.
-    data = _diagonal_instance([1.0, 0.0], [1.0, 1e308])
-    assert _solve_without_warnings(tmp_path, data) == 0
-    payload = json.loads(capsys.readouterr().out)
-    sol = sdp.solve(sdp.instance_from_dict(data))
-    assert payload["status"] == sol.status == "max_iterations"
-    assert payload["iterations"] == sol.iterations == len(sol.trace) == sdp.MAX_ITERS
-
-
-def test_cmd_sdp_solve_objective_of_1e308(tmp_path, capsys):
-    # C + C^H overflows: the instance and certify's PSD check halve first.
-    assert _solve_without_warnings(tmp_path, _diagonal_instance([1e308, 0.0], [1.0, 1.0])) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["primal_value"] == pytest.approx(1e308, rel=1e-6)
-    assert payload["status"] == "optimal" and payload["certify"]["passed"] is True
-
-
-def test_cmd_sdp_solve_no_blocks_exits_2(tmp_path, capsys):
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps(
-        {"format": "xorq-sdp-v1", "blocks": [], "objective": [], "constraints": []}
-    ))
-    assert run(["sdp", "solve", str(path)]) == cli.EXIT_ARGS
-    err = capsys.readouterr().err
-    assert "at least one block" in err and "Traceback" not in err
-
-
-def test_cmd_sdp_solve_corrupted_file(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"format": "other"}')
-    assert run(["sdp", "solve", str(bad)]) == cli.EXIT_ARGS
-
-
-@pytest.mark.parametrize("r", [1, -1])
-def test_cmd_sdp_solve_objective_index_out_of_range_exits_2(tmp_path, capsys, r):
-    data = {
-        "format": "xorq-sdp-v1",
-        "blocks": [{"label": "z", "dim": 1}],
-        "objective": [{"b": "z", "r": r, "c": 0, "re": 1.0, "im": 0.0}],
-        "constraints": [],
-    }
-    with pytest.raises(FormatError, match="out of range"):
-        sdp.instance_from_dict(data)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    assert run(["sdp", "solve", str(path)]) == cli.EXIT_ARGS
-    assert "Traceback" not in capsys.readouterr().err
-
-
-def test_cmd_sdp_solve_infeasible_exits_4(tmp_path, capsys):
-    inst = sdp.SdpInstance(
-        blocks=(("z", 1),),
-        objective={"z": np.eye(1, dtype=complex)},
-        constraints=(
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=1.0),
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=2.0),
-        ),
-    )
-    path = tmp_path / "inf.json"
-    path.write_text(json.dumps(instance_to_dict(inst)))
-    assert run(["sdp", "solve", str(path)]) == cli.EXIT_SOLVER
-    # Z[0, 0] = -1: the trace witness u = 1 has u^T b < 0, refuted before the loop.
-    negative = dataclasses.replace(inst, constraints=(
-        sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=-1.0),
-    ))
-    path.write_text(json.dumps(instance_to_dict(negative)))
-    capsys.readouterr()
-    assert run(["sdp", "solve", str(path)]) == cli.EXIT_SOLVER
-    err = capsys.readouterr().err
-    assert "b^T u < 0" in err and "certificate: [1.]" in err and "Traceback" not in err
-
-
 def test_no_partial_file_on_failure(tmp_path, monkeypatch):
     target = tmp_path / "out.json"
 
@@ -590,22 +425,6 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
     code = run(["bias", str(bad), "--out", str(target)])
     assert code == cli.EXIT_ARGS
     assert not target.exists()
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_cmd_sdp_solve_non_finite_exits_2(tmp_path, bad):
-    inst = sdp.SdpInstance(
-        blocks=(("z", 1),),
-        objective={"z": np.eye(1, dtype=complex)},
-        constraints=(
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=1.0),
-        ),
-    )
-    data = instance_to_dict(inst)
-    data["constraints"][0]["rhs"] = bad
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps(data))
-    assert run(["sdp", "solve", str(path)]) == cli.EXIT_ARGS
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -627,14 +446,6 @@ def test_cmd_bias_non_finite_tol_exits_2(tmp_path, capsys, tol, quantities):
     run(["game", "--name", "tn", "--param", "2", "--out", str(path)])
     argv = ["bias", str(path), "--quantities", quantities, "--restarts", "1", "--tol", tol]
     assert run(argv) == cli.EXIT_ARGS
-    assert "tol must be positive and finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("tol", ["inf", "nan"])
-def test_cmd_sdp_solve_non_finite_tol_exits_2(tmp_path, capsys, tol):
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(instance_to_dict(relaxations.beta_nc_instance(games.t_game(1)))))
-    assert run(["sdp", "solve", str(path), "--tol", tol]) == cli.EXIT_ARGS
     assert "tol must be positive and finite" in capsys.readouterr().err
 
 

@@ -84,20 +84,13 @@ def test_spectrum_trace_norm_matches_singular_values(build):
 
 
 def _assert_decomposes(g: games.GameMatrix):
-    """The spectrum against one dense eigvalsh of M: the eigenvalues, and
-    a unit top vector with M v = lambda v for the first lambda of largest
-    modulus."""
-    spec = g.spectrum
+    """The spectrum against one dense eigvalsh of M: the eigenvalues,
+    ascending."""
     w_dense = np.linalg.eigvalsh(g.m)
     tol = 1e-12 * max(1.0, np.linalg.norm(g.m, 2))
-    w = spec.eigenvalues
+    w = g.spectrum.eigenvalues
     assert np.all(np.diff(w) >= 0)
     assert np.max(np.abs(w - w_dense)) <= tol
-    top = int(np.argmax(np.abs(w)))
-    assert abs(w[top] - w_dense[np.argmax(np.abs(w_dense))]) <= tol
-    v = spec.top_vector
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-    assert np.linalg.norm(g.m @ v - w[top] * v) <= tol
 
 
 def _assert_components(g: games.GameMatrix) -> int:
@@ -132,28 +125,6 @@ def test_tensor_game_components():
     assert set(size[size > 0].tolist()) == {1, 2}
 
 
-@pytest.mark.parametrize(
-    "build, support, want, lam",
-    [
-        (lambda: games.c_game(2), [1, 3], [-1.0, 1.0], -0.25),
-        (lambda: games.t_game(1), [0, 3], [1.0, -1.0], -0.5),
-        (lambda: games.from_classical(games.chsh()), [3], [1.0], -0.25),
-    ],
-    ids=["C2", "T1", "CHSH"],
-)
-def test_top_vector_is_that_of_the_first_eigenvalue_of_largest_modulus(build, support, want, lam):
-    # Each game ties |lambda| between -lambda and +lambda, and C2 also between
-    # its components {1, 3} and {2, 6}: the first in ascending order wins, and
-    # a tie in value goes to the lower component.
-    g = build()
-    w, v = g.spectrum.eigenvalues, g.spectrum.top_vector
-    assert abs(w[0] - lam) <= 1e-15 and abs(w[-1] + lam) <= 1e-15
-    assert np.flatnonzero(v).tolist() == support
-    want = np.array(want) / np.linalg.norm(want)
-    assert abs(abs(np.vdot(want, v[support])) - 1.0) <= 1e-12
-    assert np.linalg.norm(g.m @ v - lam * v) <= 1e-12
-
-
 def test_permuted_block_game_decomposes(rng):
     block = games.h_game(2)
     perm = rng.permutation(block.dim)
@@ -162,13 +133,11 @@ def test_permuted_block_game_decomposes(rng):
     assert _assert_components(g) > 1
 
 
-def _assert_plain_eigh(g: games.GameMatrix):
-    """A game of one component: the same bits as np.linalg.eigh(M)."""
-    w, v = np.linalg.eigh(g.m)
-    spec = g.spectrum
+def _assert_plain_eigvalsh(g: games.GameMatrix):
+    """A game of one component: the same bits as np.linalg.eigvalsh(M)."""
+    w = np.linalg.eigvalsh(g.m)
     assert np.array_equal(games._component_labels(g.m), np.zeros(g.dim, dtype=int))
-    assert np.array_equal(spec.eigenvalues, w)
-    assert np.array_equal(spec.top_vector, v[:, np.argmax(np.abs(w))])
+    assert np.array_equal(g.spectrum.eigenvalues, w)
     assert g.trace_norm == float(np.sum(np.abs(w)))
 
 
@@ -183,7 +152,7 @@ def test_path_pattern_is_one_component_and_plain_eigh(rng):
     g = games.validate(m / trace_norm(m), n)
     assert np.array_equal(games._component_labels(g.m), np.zeros(dim, dtype=int))
     _assert_decomposes(g)
-    _assert_plain_eigh(g)
+    _assert_plain_eigvalsh(g)
 
 
 @pytest.mark.parametrize(
@@ -191,7 +160,7 @@ def test_path_pattern_is_one_component_and_plain_eigh(rng):
 )
 def test_random_games_are_one_component(n, seed):
     g = random_game(n, seed)
-    _assert_plain_eigh(g)
+    _assert_plain_eigvalsh(g)
     _assert_decomposes(g)
 
 
@@ -201,7 +170,6 @@ def test_zero_and_diagonal_games_are_singletons(rng):
         _assert_decomposes(zero)
         assert np.array_equal(games._component_labels(zero.m), np.arange(n**2))
         assert np.array_equal(zero.spectrum.eigenvalues, np.zeros(n**2))
-        assert np.array_equal(zero.spectrum.top_vector, np.eye(n**2)[0])
         assert zero.trace_norm == 0.0
     r = rng.standard_normal((4, 4))
     for c in (games.chsh(), r / np.sum(np.abs(r))):
@@ -210,9 +178,6 @@ def test_zero_and_diagonal_games_are_singletons(rng):
         assert np.array_equal(games._component_labels(g.m), np.arange(c.size))
         w = g.spectrum.eigenvalues
         assert np.array_equal(w, np.sort(np.diag(g.m).real))
-        # The top vector is the product basis vector |s>|t> of its R_st.
-        (i,) = np.flatnonzero(g.spectrum.top_vector)
-        assert g.spectrum.top_vector[i] == 1.0 and c.reshape(-1)[i] == w[np.argmax(np.abs(w))]
 
 
 def test_validate_rejects_nan_matrix():
@@ -235,11 +200,10 @@ def test_t1_matrix_from_question_states():
     assert abs(got.m[0, 3] - 0.5) < 1e-12 and abs(got.m[3, 0] - 0.5) < 1e-12
     # The nonzero eigenvalues are the question states' probabilities 1/2
     # with parities (-1)^1, (-1)^0, and nothing is left to reject:
-    # sum |lambda| = 1. The top vector, of -1/2, is the question state psi1.
+    # sum |lambda| = 1.
     w = got.spectrum.eigenvalues
     assert np.allclose(w[np.abs(w) > 1e-12], [-0.5, 0.5])
     assert abs(got.trace_norm - 1.0) < 1e-9
-    assert abs(abs(np.vdot(psi1, got.spectrum.top_vector)) - 1.0) < 1e-9
 
 
 def test_t_game_spectrum():

@@ -316,7 +316,7 @@ def test_state_operator_matches_kronecker_oracle(rng, n, da, db):
 def test_seesaw_decreasing_half_step_raises_typed_error(monkeypatch):
     monkeypatch.setattr(heuristics, "MAX_ITERS", 50)
     g = random_game(2, seed=3)
-    b0 = heuristics._spectral_start(g)
+    b0 = np.eye(g.n, dtype=complex)
     with pytest.raises(SeesawError, match="half-step decreased in restart 0"):
         heuristics._seesaw(g, heuristics.ONE[None], b0[None], decreasing_sign_step())
 
@@ -325,13 +325,14 @@ def test_seesaw_typed_error_survives_python_O():
     script = textwrap.dedent(
         """
         import sys
+        import numpy as np
         from conftest import decreasing_sign_step, random_game
         from xorq import heuristics
         from xorq.errors import SeesawError
 
         heuristics.MAX_ITERS = 50
         g = random_game(2, seed=3)
-        b0 = heuristics._spectral_start(g)
+        b0 = np.eye(g.n, dtype=complex)
         try:
             heuristics._seesaw(g, heuristics.ONE[None], b0[None], decreasing_sign_step())
         except SeesawError as exc:

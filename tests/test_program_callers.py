@@ -1,7 +1,7 @@
 """Every public construction in src/ has a caller in the package.
 
-A top-level def or class of a module stays in the package only if package
-code outside its own definition refers to it: as module.name from another
+A top-level def, class or constant (NAME = ...) of a module stays in the
+package only if package code outside its own definition refers to it: as module.name from another
 module, by `from .module import name`, or by its bare name elsewhere in its
 own module. Code reached only from tests belongs in tests/ (the paper's proof
 constructions are in tests/constructions.py).
@@ -59,10 +59,30 @@ def _public_definitions(trees: dict) -> set:
     }
 
 
+def _public_constants(trees: dict) -> set:
+    """(module, NAME) for every top-level assignment to an upper-case name."""
+    return {
+        (module, target.id)
+        for module, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, (ast.Assign, ast.AnnAssign))
+        for target in (top.targets if isinstance(top, ast.Assign) else [top.target])
+        if isinstance(target, ast.Name) and target.id.isupper() and not target.id.startswith("_")
+    }
+
+
 def test_every_public_definition_has_a_caller_in_the_package():
     trees = _trees()
     orphans = _public_definitions(trees) - _references(trees) - AWAITING_A_CALLER
     assert not orphans, f"referenced from no package code: {sorted(orphans)}"
+
+
+def test_every_public_constant_has_a_reader_in_the_package():
+    trees = _trees()
+    constants = _public_constants(trees)
+    assert ("sdp", "DEFAULT_TOL") in constants and ("errors", "DENSE_AMPLITUDE_CAP") in constants
+    orphans = constants - _references(trees)
+    assert not orphans, f"read by no package code: {sorted(orphans)}"
 
 
 def test_the_reserved_names_still_exist():

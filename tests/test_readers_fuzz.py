@@ -1,6 +1,6 @@
-"""Fuzz tests for the game, classical game and SDP file readers: on any
-small JSON-like value, a reader returns or raises an XorqError, never
-another exception."""
+"""Fuzz tests for the game and classical game file readers: on any small
+JSON-like value, a reader returns or raises an XorqError, never another
+exception."""
 
 import json
 
@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from xorq import cli, errors, games, sdp  # noqa: E402
+from xorq import cli, errors, games  # noqa: E402
 from xorq.errors import FormatError, XorqError  # noqa: E402
 
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -62,24 +62,6 @@ game_dicts = mostly(
 coefficients = mostly(st.lists(mostly(st.lists(numbers, max_size=3)), max_size=3))
 classical_dicts = mostly(st.one_of(st.fixed_dictionaries({"r": coefficients}), coefficients))
 
-labels = st.sampled_from(["z", "w"])
-sdp_entries = mostly(
-    st.lists(entry(b=labels, r=indices, c=indices, re=numbers, im=numbers), max_size=3)
-)
-sdp_dicts = mostly(
-    st.fixed_dictionaries(
-        {
-            "format": mostly(st.just(sdp.SDP_FORMAT)),
-            "blocks": mostly(st.lists(entry(label=labels, dim=st.integers(-1, 4)), max_size=2)),
-            "objective": sdp_entries,
-            "constraints": mostly(
-                st.lists(entry(entries=sdp_entries, rhs=numbers), max_size=2)
-            ),
-        }
-    )
-)
-
-
 @FUZZ
 @given(game_dicts)
 def test_game_reader_returns_or_raises_xorq_error(data):
@@ -100,29 +82,9 @@ def test_classical_reader_returns_or_raises_xorq_error(data):
     assert g.m.shape == (g.n * g.n, g.n * g.n) and np.all(np.isfinite(g.m))
 
 
-@FUZZ
-@given(sdp_dicts)
-def test_sdp_reader_returns_or_raises_xorq_error(data):
-    try:
-        inst = sdp.instance_from_dict(data)
-    except XorqError:
-        return
-    assert all(np.all(np.isfinite(c)) for c in inst.objective.values())
-
-
 def _game(n=2, r=0, c=0):
     return {"format": games.GAME_FORMAT, "n": n,
             "entries": [{"r": r, "c": c, "re": 0.5, "im": 0.0}]}
-
-
-def _instance(dim=2, obj=(0, 0), row=(0, 0)):
-    def entry(r, c):
-        return {"b": "z", "r": r, "c": c, "re": 1.0, "im": 0.0}
-
-    return {"format": sdp.SDP_FORMAT, "blocks": [{"label": "z", "dim": dim}],
-            "objective": [entry(*obj)],
-            "constraints": [{"entries": [entry(*row)], "rhs": 1.0},
-                            {"entries": [entry(1, 1)], "rhs": 1.0}]}
 
 
 # A fractional or boolean index was once truncated by int(): n = 2.9 read
@@ -137,20 +99,8 @@ def test_game_reader_refuses_non_integer_indices(data):
         games.game_from_dict(data)
 
 
-@pytest.mark.parametrize("data", [
-    _instance(dim=2.9), _instance(dim=True), _instance(obj=(0.2, 1.9)),
-    _instance(obj=(0, 1.0)), _instance(row=(True, True)), _instance(row=(0, "1")),
-], ids=["dim-fraction", "dim-bool", "objective-fraction", "objective-float",
-        "row-bool", "row-string"])
-def test_sdp_reader_refuses_non_integer_indices(data):
-    with pytest.raises(FormatError, match="expected an integer"):
-        sdp.instance_from_dict(data)
-
-
 def test_readers_take_integer_indices():
     assert games.game_from_dict(_game(r=3, c=3)).m[3, 3] == 0.5
-    inst = sdp.instance_from_dict(_instance(obj=(0, 1), row=(0, 0)))
-    assert inst.blocks == (("z", 2),) and inst.objective["z"][1, 0] == 1.0
 
 
 # json.load raises a plain ValueError, not a JSONDecodeError, on an integer
@@ -158,8 +108,7 @@ def test_readers_take_integer_indices():
 @pytest.mark.parametrize("command, data", [
     (["bias"], _game(n=12345)),
     (["game", "--name", "classical-file", "--file"], {"r": [[12345]]}),
-    (["sdp", "solve"], _instance(dim=12345)),
-], ids=["game-n", "classical-r", "sdp-dim"])
+], ids=["game-n", "classical-r"])
 def test_readers_refuse_integer_literals_beyond_the_int_string_limit(
     tmp_path, capsys, command, data
 ):
@@ -185,13 +134,6 @@ def _game_value(re, im):
             "entries": [{"r": 0, "c": 0, "re": re, "im": im}]}
 
 
-def _instance_value(re=1.0, im=0.0, rhs=1.0):
-    data = _instance()
-    data["objective"][0].update(re=re, im=im)
-    data["constraints"][0]["rhs"] = rhs
-    return data
-
-
 # float() once read a JSON true as 1.0 and a string "0.5" as 0.5.
 NOT_NUMBERS = [True, False, "0", "0.5", None, [0.5], {"x": 1}, float("nan"),
                float("inf"), 10**400]
@@ -213,18 +155,9 @@ def test_classical_reader_refuses_values_that_are_not_json_numbers(bad):
             games.classical_game_from_dict(data)
 
 
-@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
-def test_sdp_reader_refuses_values_that_are_not_json_numbers(bad):
-    for fields in ({"re": bad}, {"im": bad}, {"rhs": bad}):
-        with pytest.raises(FormatError):
-            sdp.instance_from_dict(_instance_value(**fields))
-
-
 def test_readers_take_json_integers_and_floats_as_values():
     assert games.game_from_dict(_game_value(1, 0)).m[0, 0] == 1.0
     assert games.game_from_dict(_game_value(-0.5, 0)).m[0, 0] == -0.5
     g = games.classical_game_from_dict([[1, 0], [0, 0]])
     assert g.m[0, 0] == 1.0 and g.m.dtype == complex
-    inst = sdp.instance_from_dict(_instance_value(re=2, im=0, rhs=3))
-    assert inst.objective["z"][0, 0] == 2.0 and inst.constraints[0].rhs == 3.0
     assert errors.json_float(7) == 7.0 and type(errors.json_float(7)) is float

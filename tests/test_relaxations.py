@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from certify import constraint_value
 from conftest import random_game, random_unitary
 from constructions import trace_norm
 from dense import odot, vvm_products
@@ -128,7 +129,7 @@ def test_functional_rows_are_real_and_imaginary_parts(rng, diagonal, upper):
     want = sum(v * z[i, j] for _, i, j, v in terms)
     rows = relaxations._functional(terms, 0.5)
     assert [row.rhs for row in rows] == ([0.5, 0.0] if upper else [0.5])
-    values = [sdp.constraint_value(row, {"gram": z}) for row in rows]
+    values = [constraint_value(row, {"gram": z}) for row in rows]
     assert values[0] == pytest.approx(want.real, abs=1e-12)
     if upper:
         assert values[1] == pytest.approx(want.imag, abs=1e-12)

@@ -1,16 +1,14 @@
 """The single-block equality-cap relaxations against the slack-block oracle
 of tests/slack.py, and the multi-block instances solved end to end."""
 
-import json
-
 import numpy as np
 import pytest
 
 import slack
+from certify import certify
 from conftest import random_game
 from dense import vvm_products
-from sdpfile import instance_to_dict
-from xorq import cli, games, relaxations, sdp
+from xorq import games, relaxations, sdp
 
 CASES = {
     "CHSH/sdp": (lambda: games.from_classical(games.chsh()), "sdp"),
@@ -63,29 +61,12 @@ def test_multi_block_instances_solve(case):
         inst = _gram_last(inst)
         assert inst.blocks[0][0] != "gram"
     sol = sdp.solve(inst, 1e-7)
-    assert sdp.certify(inst, sol, 1e-6).passed
+    assert certify(inst, sol, 1e-6).passed
     assert {label: z.shape for label, z in sol.blocks.items()} == {
         label: (d, d) for label, d in inst.blocks
     }
     value = sum(np.vdot(c, sol.blocks[label]).real for label, c in inst.objective.items())
     assert abs(value - sol.primal_value) <= 1e-9 * max(1.0, abs(value))
-
-
-@pytest.mark.parametrize("case", ["CHSH/sdp", "H1/nc:gram-last"])
-def test_cmd_sdp_solve_multi_block(tmp_path, capsys, case):
-    inst = _slack_instance(case.split(":")[0])
-    if case.endswith(":gram-last"):
-        inst = _gram_last(inst)
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(instance_to_dict(inst)))
-    assert cli.main(["sdp", "solve", str(path), "--tol", "1e-7"]) == cli.EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["certify"]["passed"] is True
-    assert {label: len(z) for label, z in payload["blocks"].items()} == {
-        label: d * d for label, d in inst.blocks
-    }
-    want = sdp.solve(inst, 1e-7).primal_value
-    assert abs(payload["primal_value"] - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_beta_nc_h1_witness_is_unitary():
