@@ -21,9 +21,10 @@ stacked eigvalsh, those of side 1 included, and a game whose pattern is one
 component takes eigvalsh of M itself, with no second copy of M. The
 tensor-product games are almost all zeros (C4 (x) C4: 625 basis indices,
 593 components), so no dense n^2 x n^2 matrix is factored for them.
-GameMatrix.spectrum keeps the eigenvalues, ascending (a stable sort of the
+GameMatrix.eigenvalues keeps them, ascending (a stable sort of the
 components' eigenvalues, taken in component order), read by validation's
-trace-norm cap and the report's trace norm.
+trace-norm cap and the report's trace norm. For a classical game, whose M
+is diagonal, that cap is sum |R_st| <= 1.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .errors import (
 )
 
 TRACE_NORM_SLACK = 1e-8
-CLASSICAL_NORM_SLACK = 1e-10
 
 
 def _component_labels(m: np.ndarray) -> np.ndarray:
@@ -74,46 +74,35 @@ def _component_labels(m: np.ndarray) -> np.ndarray:
         label = new
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """What the package reads of M's eigendecomposition: every eigenvalue,
-    ascending."""
-
-    eigenvalues: np.ndarray
-
-    @classmethod
-    def of(cls, m: np.ndarray) -> Spectrum:
-        """Label the components of m's pattern and take one stacked eigvalsh
-        per component size; a pattern of one component is eigvalsh(m) itself."""
-        label = _component_labels(m)
-        dim = label.size
-        members = np.argsort(label, kind="stable")
-        size = np.bincount(label, minlength=dim)[label == np.arange(dim)]  # at each root
-        start = np.cumsum(size) - size
-        values = np.empty(dim)
-        for s in sorted(set(size.tolist())):
-            slots = start[size == s][:, None] + np.arange(s)
-            idx = members[slots]
-            block = m if s == dim else m[idx[:, :, None], idx[:, None, :]]
-            values[slots] = np.linalg.eigvalsh(block)
-        return cls(eigenvalues=np.sort(values, kind="stable"))
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """m's eigenvalues, ascending: label the components of m's pattern and
+    take one stacked eigvalsh per component size; a pattern of one component
+    is eigvalsh(m) itself."""
+    label = _component_labels(m)
+    dim = label.size
+    members = np.argsort(label, kind="stable")
+    size = np.bincount(label, minlength=dim)[label == np.arange(dim)]  # at each root
+    start = np.cumsum(size) - size
+    values = np.empty(dim)
+    for s in sorted(set(size.tolist())):
+        slots = start[size == s][:, None] + np.arange(s)
+        idx = members[slots]
+        block = m if s == dim else m[idx[:, :, None], idx[:, None, :]]
+        values[slots] = np.linalg.eigvalsh(block)
+    return np.sort(values, kind="stable")
 
 
 @dataclass(frozen=True)
 class GameMatrix:
     """Validated quantum XOR game: Hermitian M on C^n (x) C^n, ||M||_1 <= 1.
 
-    M is decomposed once, by the components of its pattern, and spectrum
+    M is decomposed once, by the components of its pattern, and eigenvalues
     keeps its eigenvalues, which validation's trace-norm cap and the
     report's trace norm read. No dense n^2 x n^2 matrix of a game with more
     than one component is factored."""
 
     n: int
     m: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.n
 
     @functools.cached_property
     def realigned(self) -> np.ndarray:
@@ -125,23 +114,23 @@ class GameMatrix:
         return self.m.reshape(n, n, n, n).transpose(0, 2, 3, 1).reshape(n * n, n * n)
 
     @functools.cached_property
-    def spectrum(self) -> Spectrum:
-        """M's eigenvalues, from its decomposition by components, computed on
-        first use and shared by every reader."""
-        return Spectrum.of(self.m)
+    def eigenvalues(self) -> np.ndarray:
+        """M's eigenvalues, ascending, from its decomposition by components,
+        computed on first use and shared by every reader."""
+        return _eigenvalues(self.m)
 
     @property
     def trace_norm(self) -> float:
         """||M||_1, the sum of |eigenvalues| (M is Hermitian), summed in
         ascending order of the eigenvalues."""
-        return float(np.sum(np.abs(self.spectrum.eigenvalues)))
+        return float(np.sum(np.abs(self.eigenvalues)))
 
 
 def validate(m: np.ndarray, n: int) -> GameMatrix:
     """Check Hermiticity and the trace-norm cap, symmetrize, and wrap.
 
     The cap is read from the game's one decomposition by components
-    (GameMatrix.spectrum), which the returned game keeps for later use."""
+    (GameMatrix.eigenvalues), which the returned game keeps for later use."""
     m = linalg.as_complex(m)
     if m.shape != (n * n, n * n):
         raise DimensionMismatchError(
@@ -160,13 +149,11 @@ def chsh() -> np.ndarray:
 
 def from_classical(r) -> GameMatrix:
     """Diagonal embedding M = sum_st R_st |s><s| (x) |t><t| of a classical
-    XOR game's n x n real coefficients R, sum |R_st| <= 1."""
+    XOR game's n x n real coefficients R, sum |R_st| <= 1: validate's
+    trace-norm cap, as ||M||_1 = sum |R_st| for a diagonal M."""
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimensionMismatchError(f"coefficients must be n x n, got shape {r.shape}")
-    total = float(np.sum(np.abs(r)))
-    if total > 1.0 + CLASSICAL_NORM_SLACK:
-        raise TraceNormExceededError(total)
     n = r.shape[0]
     m = np.zeros((n * n, n * n), dtype=complex)
     idx = np.arange(n * n)
@@ -317,7 +304,8 @@ def classical_game_from_dict(data) -> GameMatrix:
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
         raise FormatError(f"classical coefficients must be n x n, got shape {r.shape}")
     check_dense(r.shape[0] ** 4, f"a game with n = {r.shape[0]}")
-    if np.max(np.abs(r)) > 1.0 + CLASSICAL_NORM_SLACK:
+    # |R_st| <= ||M||_1, and the check keeps overflow out of validate.
+    if np.max(np.abs(r)) > 1.0 + TRACE_NORM_SLACK:
         raise FormatError("classical coefficient of modulus above 1")
     return from_classical(r)
 

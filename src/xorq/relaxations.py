@@ -21,8 +21,19 @@ witness families (_families: base, size, conjugation, side). _solve_gram
 solves it, factors Z = W^+ W, cuts the families from W, re-evaluates the
 objective on them and returns the RelaxationResult. Every row comes from
 _functional: a sum of real coefficients times entries Z[i, j], i <= j,
-equal to a real constant. That is one row for the real part and, when an
-entry is off the diagonal, one with rhs 0 for the imaginary part.
+equal to a real constant. That is one row for the real part and, for a
+complex M and an entry off the diagonal, one with rhs 0 for the imaginary
+part.
+
+A real M needs no imaginary-part rows. Its objective C and every real-part
+row are real, so if Z is feasible so is its conjugate, on which the
+imaginary-part rows take the negated value, 0, and every other row and the
+objective the same value. Re Z = (Z + conj Z) / 2 is then PSD, feasible and
+has the same objective, and on a real symmetric Z every imaginary-part row
+vanishes. So the program without them, which the solver takes over real
+symmetric Z, has the same optimum, and a dual point of it, with 0 for each
+left-out row, is a dual point of the full program: A^T y - C is unchanged.
+Each instance builder checks once whether M is real.
 
 The caps are equalities, where the relaxations of the paper ask for
 products <= I; the optimum is the same. An equality-feasible point is
@@ -68,25 +79,28 @@ class RelaxationResult:
 # --- compilation -----------------------------------------------------------------
 
 
-def _functional(terms, rhs: float) -> list:
+def _functional(terms, rhs: float, real: bool) -> list:
     """Rows for sum v * Z_b[i, j] = rhs over terms (b, i, j, v), with real
-    coefficients v and i <= j.
+    coefficients v and i <= j, in a relaxation of a real (real=True) or
+    complex game matrix M.
 
-    The first row is the real part. When a term is off the diagonal, a
-    second row, with rhs 0, is the imaginary part; a diagonal entry of a
-    Hermitian block is real and has none.
+    The first row is the real part. For a complex M, when a term is off the
+    diagonal, a second row, with rhs 0, is the imaginary part; a diagonal
+    entry of a Hermitian block is real and has none, and a real M needs none
+    (see the module docstring).
     """
-    real = tuple((b, i, j, complex(v.real if i == j else v.real / 2)) for b, i, j, v in terms)
+    re_part = tuple((b, i, j, complex(v.real if i == j else v.real / 2)) for b, i, j, v in terms)
     # complex(0.0, .) keeps a +0.0 real part, where 0.5j * v gives -0.0 for v < 0.
-    imag = tuple((b, i, j, complex(0.0, v.real / 2)) for b, i, j, v in terms if i < j)
-    out = [sdp_mod.SdpConstraint(entries=real, rhs=float(rhs))]
-    if imag:
-        out.append(sdp_mod.SdpConstraint(entries=imag, rhs=0.0))
+    im_part = tuple((b, i, j, complex(0.0, v.real / 2)) for b, i, j, v in terms if i < j)
+    out = [sdp_mod.SdpConstraint(entries=re_part, rhs=float(rhs))]
+    if im_part and not real:
+        out.append(sdp_mod.SdpConstraint(entries=im_part, rhs=0.0))
     return out
 
 
-def _cap_constraints(n: int, base: int, rows: bool) -> list:
-    """Compile Q = I over Hermitian entries of the Gram block.
+def _cap_constraints(n: int, base: int, rows: bool, real: bool) -> list:
+    """Compile Q = I over Hermitian entries of the Gram block, for a real or
+    complex M (_functional).
 
     Q is the row product sum_k X_ik X_jk^* (rows) or the column product
     sum_k X_ki X_kj^* of the family whose entry (i, k) is Gram index
@@ -100,7 +114,7 @@ def _cap_constraints(n: int, base: int, rows: bool) -> list:
     for a in range(n):
         for a2 in range(a, n):
             terms = [("gram", idx(a, k), idx(a2, k), 1.0) for k in range(n)]
-            cons.extend(_functional(terms, 1.0 if a == a2 else 0.0))
+            cons.extend(_functional(terms, 1.0 if a == a2 else 0.0, real))
     return cons
 
 
@@ -154,20 +168,22 @@ def beta_sdp_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     x, y = (base for base, _, _, _ in _families("sdp", n).values())
     c = np.zeros((2 * n, 2 * n), dtype=complex)
     c[x:x + n, y:y + n] = _coefficients(g) / 2  # real coefficients: conj is itself
-    cons = [con for u in range(2 * n) for con in _functional([("gram", u, u, 1.0)], 1.0)]
+    # Diagonal rows only: no imaginary parts, whatever the flag.
+    cons = [con for u in range(2 * n) for con in _functional([("gram", u, u, 1.0)], 1.0, True)]
     return sdp_mod.SdpInstance(
         blocks=(("gram", 2 * n),), objective={"gram": c + c.conj().T}, constraints=tuple(cons)
     )
 
 
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
-    n = g.n
+    n, real = g.n, not g.m.imag.any()
     x, y = (base for base, _, _, _ in _families("nc", n).values())
     # The last column-cap row, the (n-1, n-1) diagonal, is implied by the
     # others (see the module docstring), so each family drops it.
     cons = []
     for base in (x, y):
-        cons += _cap_constraints(n, base, rows=True) + _cap_constraints(n, base, rows=False)[:-1]
+        cons += _cap_constraints(n, base, rows=True, real=real)
+        cons += _cap_constraints(n, base, rows=False, real=real)[:-1]
     return sdp_mod.SdpInstance(
         blocks=(("gram", 2 * n * n),),
         objective={"gram": _gram_objective(g, 2 * n * n, x, y)},
@@ -176,7 +192,7 @@ def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
 
 
 def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
-    n = g.n
+    n, real = g.n, not g.m.imag.any()
     nn = n * n
     wr, wc, vr, vc = (base for base, _, _, _ in _families("os", n).values())
     # Consistency X_R . Y_C = X_C . Y_R, entrywise on the composite space.
@@ -184,9 +200,9 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     for ac in range(nn):
         for be in range(nn):
             terms = [("gram", wr + ac, vc + be, 1.0), ("gram", wc + ac, vr + be, -1.0)]
-            cons += _functional(terms, 0.0)
+            cons += _functional(terms, 0.0, real)
     for base, rows in ((wr, True), (vr, True), (wc, False), (vc, False)):
-        cons += _cap_constraints(n, base, rows)
+        cons += _cap_constraints(n, base, rows, real)
     return sdp_mod.SdpInstance(
         blocks=(("gram", 4 * nn),),
         objective={"gram": _gram_objective(g, 4 * nn, wr, vc)},

@@ -51,6 +51,9 @@ class BiasReport:
 
     game: str
     n: int
+    seed: int
+    restarts: int
+    tol: float
     trace_norm: float | None = None
     omega_lower: float | None = None
     omega_c_lower: float | None = None
@@ -62,9 +65,6 @@ class BiasReport:
     beta_nc: float | None = None
     beta_os: float | None = None
     chains: list = field(default_factory=list)
-    seed: int = 0
-    restarts: int = 0
-    tol: float = 1e-6
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -23,20 +23,15 @@ is PSD (take zero off-diagonal blocks), and C, every F_q, hence every
 iterate, is block-diagonal up to rounding. solve returns the diagonal
 blocks under their labels.
 
-solve compiles the caller's instance once, into a _Program, and _finish
-maps the iterate it ends on back to the caller's rows.
+solve compiles the instance once, into a _Program, and keeps every row it
+is given: y has one entry per row.
 
-A real instance is solved in real arithmetic. It is real when C is real
-and every row is real, or purely imaginary with rhs 0 (_real_rows), as for
-every Gram relaxation of a game with a real matrix M. Restricting to real
-symmetric Z then loses nothing: if Z is feasible so is its conjugate (a
-real row has the same value on both, a purely imaginary one the negated
-value, 0), hence Re Z = (Z + conj Z) / 2 is PSD, feasible and has the same
-objective. On real Z each purely imaginary row vanishes, so the program
-keeps only the other rows, and a dual point of the real program, padded
-with 0 at the dropped rows, is a dual point of the complex one: A^T y - C
-is unchanged. Any other instance, a complex C or a row with a complex
-entry of another kind, is solved over complex Hermitian Z with every row.
+A real instance, C and every entry real, is solved in real arithmetic, over
+real symmetric Z. That loses nothing: if Z is feasible so is its conjugate,
+on which every row and the objective take the same value, hence Re Z = (Z +
+conj Z) / 2 is PSD, feasible and has the same objective. Any other instance
+is solved over complex Hermitian Z. Which rows a program needs is decided
+where it is built (see the relaxations module).
 
 The trace bound. solve takes an instance only when its rows bound Tr Z:
 row weights u over the rows whose entries are all diagonal with sum_q u_q
@@ -139,19 +134,18 @@ class SdpSolution:
 
 class _Program:
     """The one translation of an instance that the core solves. Its blocks
-    lie on the diagonal of one Hermitian matrix of side dim. Its rows are
-    those in kept of the caller's rows_in rows (all, or those a real
-    symmetric Z must meet: _real_rows). The stored entries (r <= c, shifted
-    by their block's offset) are in row order: entries q_ptr[i]:q_ptr[i + 1]
-    belong to row q_list[i]. witness is the rows' trace witness
-    (_trace_witness), or None; the program is built either way, and solve
-    refuses one whose rows do not bound Tr Z.
+    lie on the diagonal of one Hermitian matrix of side dim, and its m rows
+    are the instance's. The stored entries (r <= c, shifted by their block's
+    offset) are in row order: entries q_ptr[i]:q_ptr[i + 1] belong to row
+    q_list[i]. witness is the rows' trace witness (_trace_witness), or None;
+    the program is built either way, and solve refuses one whose rows do not
+    bound Tr Z.
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
     A^T y = U + U^H where U holds half * y[owner] at (r, c), half being v with
-    the diagonal halved. A real program (C and every kept entry real) holds
-    them as real arrays, and so does every iterate over it.
+    the diagonal halved. A real program (C and every entry real) holds them
+    as real arrays, and so does every iterate over it.
     """
 
     def __init__(self, inst: SdpInstance):
@@ -167,32 +161,22 @@ class _Program:
                 cols.append(base + c)
                 vals.append(complex(v))
                 owner.append(q)
-        rhs = np.array([con.rhs for con in inst.constraints], dtype=float)
-        vals = np.asarray(vals, dtype=complex)
-        owner = np.asarray(owner, dtype=np.intp)
-        keep = _real_rows(inst.objective, vals, owner, rhs)
-        real = keep is not None
-        self.rows_in = rhs.size
-        self.kept = np.arange(rhs.size) if keep is None else keep
         self.dim = dim = n
-        self.m = m = self.kept.size
+        self.m = m = len(inst.constraints)
         check_dense(max(dim, m) ** 2, f"SDP of side {dim} with {m} constraints")
+        vals = np.asarray(vals, dtype=complex)
+        real = not (vals.imag.any() or any(c.imag.any() for c in inst.objective.values()))
 
         self.dtype = dtype = float if real else complex
         self.cobj = np.zeros((dim, dim), dtype=dtype)
         for label, c in inst.objective.items():
             span = self.spans[label]
             self.cobj[span, span] = c.real if real else c
-        self.b = rhs[self.kept]
+        self.b = np.array([con.rhs for con in inst.constraints], dtype=float)
 
-        renumber = np.full(rhs.size, -1, dtype=np.intp)
-        renumber[self.kept] = np.arange(m)
-        owner = renumber[owner]
-        sel = owner >= 0
-        self.rows = np.asarray(rows, dtype=np.intp)[sel]
-        self.cols = np.asarray(cols, dtype=np.intp)[sel]
-        self.owner = owner[sel]
-        vals = vals[sel]
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.owner = np.asarray(owner, dtype=np.intp)
         diag = self.rows == self.cols
         vals = vals.real if real else np.where(diag, vals.real, vals)
         self.flat = self.rows * dim + self.cols
@@ -228,22 +212,6 @@ def _trace_witness(prog: _Program) -> np.ndarray | None:
     witness = np.zeros(prog.m)
     witness[rows] = u
     return witness
-
-
-def _real_rows(
-    objective: dict, vals: np.ndarray, owner: np.ndarray, rhs: np.ndarray
-) -> np.ndarray | None:
-    """The rows a real symmetric Z must meet, when the instance is real: C
-    real, and every row real, or purely imaginary with rhs 0, a row that
-    vanishes on every real symmetric Z. None for any other instance. vals
-    holds the entries of every row, owner their row numbers."""
-    if any(c.imag.any() for c in objective.values()):
-        return None
-    imag = np.bincount(owner, vals.imag != 0, minlength=rhs.size) > 0
-    real = np.bincount(owner, vals.real != 0, minlength=rhs.size) > 0
-    if (imag & (real | (rhs != 0))).any():
-        return None
-    return np.flatnonzero(~imag)
 
 
 def _schur_groups(counts: np.ndarray, dim: int) -> list[tuple[int, int]]:
@@ -386,7 +354,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
 
     best = None
     best_merit = np.inf
-    for it in range(MAX_ITERS):
+    for _ in range(MAX_ITERS):
         rp = b_vec - _a_of(prog, z)
         rd = prog.cobj + s - _at_of(prog, y)
         mu = float(np.vdot(z, s).real) / nu
@@ -396,9 +364,12 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         rel_gap = abs(dobj - pobj) / value_scale
         pres = float(np.linalg.norm(rp)) / scale_b
         dres = float(np.linalg.norm(rd)) / scale_c
-        if not all(map(math.isfinite, (pres, dres, mu))):
-            raise SdpError(f"non-finite residual or mu at iteration {it}")
         record = dict(pres=pres, dres=dres, rel_gap=rel_gap, mu=mu)
+        if not all(map(math.isfinite, (pres, dres, mu))):
+            if best is None:
+                raise SdpError("non-finite residual or mu at the start")
+            trace.append(IpmIteration(**record))
+            break  # the iterate overflowed: the best one so far is returned
         merit = max(pres, dres, rel_gap)
         if merit < best_merit:
             best_merit = merit
@@ -442,7 +413,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             rhs = _a_of(prog, rc + w_rd_w) - rp
             dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
             if not np.isfinite(dy).all():
-                raise SdpError(f"non-finite Newton step at iteration {it}")
+                raise FloatingPointError("non-finite Newton step")
             ds = _at_of(prog, dy) - rd
             return _hermitian(rc - w @ ds @ w), dy, ds
 
@@ -452,34 +423,38 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
                 min(1.0, fraction * _max_step(frame_s @ ds @ frame_s.conj().T)),
             )
 
-        # Predictor (affine direction) fixes the centering weight.
-        dza, _, dsa = newton(-z)
-        t, record["newton_s"] = _lap(t)
-        ap, ad = steps(dza, dsa, 0.99)
-        mu_aff = float(np.vdot(z + ap * dza, s + ad * dsa).real) / nu
-        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
-        t, record["step_s"] = _lap(t)
+        try:
+            # Predictor (affine direction) fixes the centering weight.
+            dza, _, dsa = newton(-z)
+            t, record["newton_s"] = _lap(t)
+            ap, ad = steps(dza, dsa, 0.99)
+            mu_aff = float(np.vdot(z + ap * dza, s + ad * dsa).real) / nu
+            sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
+            t, record["step_s"] = _lap(t)
 
-        # Corrector: centering plus Mehrotra's second-order term, in the NT
-        # frame where Z and S are both diag(lam).
-        second = _hermitian(g_inv @ dza @ dsa @ g)
-        second = 2.0 * second / (lam[:, None] + lam[None, :])
-        centering = sigma * mu * s_inv - z
-        dz, dy, ds = newton(centering - g @ second @ g.conj().T)
-        t, dt = _lap(t)
-        record["newton_s"] += dt
-        ap, ad = steps(dz, ds, 0.98)
-        if min(ap, ad) < SHORT_STEP:
-            # Near the boundary the second-order term can block the step;
-            # the centering direction alone is taken when it goes further.
-            t, dt = _lap(t)
-            record["step_s"] += dt
-            fallback = newton(centering)
+            # Corrector: centering plus Mehrotra's second-order term, in the NT
+            # frame where Z and S are both diag(lam).
+            second = _hermitian(g_inv @ dza @ dsa @ g)
+            second = 2.0 * second / (lam[:, None] + lam[None, :])
+            centering = sigma * mu * s_inv - z
+            dz, dy, ds = newton(centering - g @ second @ g.conj().T)
             t, dt = _lap(t)
             record["newton_s"] += dt
-            fallback_steps = steps(fallback[0], fallback[2], 0.98)
-            if min(fallback_steps) > min(ap, ad):
-                (dz, dy, ds), (ap, ad) = fallback, fallback_steps
+            ap, ad = steps(dz, ds, 0.98)
+            if min(ap, ad) < SHORT_STEP:
+                # Near the boundary the second-order term can block the step;
+                # the centering direction alone is taken when it goes further.
+                t, dt = _lap(t)
+                record["step_s"] += dt
+                fallback = newton(centering)
+                t, dt = _lap(t)
+                record["newton_s"] += dt
+                fallback_steps = steps(fallback[0], fallback[2], 0.98)
+                if min(fallback_steps) > min(ap, ad):
+                    (dz, dy, ds), (ap, ad) = fallback, fallback_steps
+        except FloatingPointError:  # from newton: the best iterate so far is returned
+            trace.append(IpmIteration(**record))
+            break
         t, dt = _lap(t)
         record["step_s"] += dt
         z = z + ap * dz
@@ -491,19 +466,10 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     return _finish(prog, z, y, pobj, dobj, len(trace), "max_iterations", trace)
 
 
-def _caller_rows(prog: _Program, v: np.ndarray) -> np.ndarray:
-    """v, one entry per program row, in the caller's rows: 0 at each dropped
-    row, which leaves A^T v unchanged."""
-    out = np.zeros(prog.rows_in)
-    out[prog.kept] = v
-    return out
-
-
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
-    """The solution in the caller's rows: y with 0 at each dropped row."""
     return SdpSolution(
         blocks={label: z[span, span] for label, span in prog.spans.items()},
-        y=_caller_rows(prog, y),
+        y=y,
         primal_value=pobj,
         dual_value=dobj,
         iterations=iters,
@@ -523,12 +489,12 @@ def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
     rows with only diagonal entries, weighted by u, sum to a positive
     diagonal D with u^T b > 0 (see the module docstring); else BadArgsError.
     An iteration-capped run returns the best iterate with status
-    "max_iterations".
-    A real instance (see _real_rows) is solved over real symmetric Z
-    without its purely imaginary rows; y is returned in the caller's row
-    order, 0 at each dropped row, and the blocks are then real arrays.
-    Raises TooLargeError, before allocating, when the matrix side or the
-    Schur matrix (the rows solved) is above the dense cap.
+    "max_iterations", and so does a run stopped by a non-finite residual,
+    mu or Newton step; a non-finite start raises SdpError. A real instance (C and every entry real) is solved
+    over real symmetric Z, and its blocks are then real arrays. y has one
+    entry per row of the instance. Raises TooLargeError, before allocating,
+    when the matrix side or the Schur matrix (one row and column per row of
+    the instance) is above the dense cap.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")

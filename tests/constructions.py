@@ -178,8 +178,8 @@ def xor_to_rank_one(g: games.GameMatrix) -> RankOneGame:
     if not keep:
         raise ZeroGameError("cannot build a rank-one game from the zero matrix")
     v_dim = len(keep)
-    eta = np.zeros(g.dim * v_dim, dtype=complex)
-    gamma = np.zeros(g.dim * v_dim, dtype=complex)
+    eta = np.zeros(g.n ** 2 * v_dim, dtype=complex)
+    gamma = np.zeros(g.n ** 2 * v_dim, dtype=complex)
     for slot, i in enumerate(keep):
         w = math.sqrt(float(s[i]))
         eta += w * np.kron(u[:, i], _unit(v_dim, slot))

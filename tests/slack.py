@@ -1,7 +1,9 @@
 """The Gram relaxations with their caps as inequalities: each "Q <= I" is
 compiled as Q + S = I with a PSD slack block S. These multi-block instances
 are the oracle for the package's single-block equality-cap programs, which
-have the same optimum.
+have the same optimum. The oracle keeps the imaginary-part row of every
+off-diagonal functional, also for a real game matrix, so a real game's
+oracle is solved over complex Hermitian blocks.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ def _cap_constraints(slack: str, n: int, base: int, rows: bool) -> list:
         for a2 in range(a, n):
             terms = [("gram", idx(a, k), idx(a2, k), 1.0 + 0.0j) for k in range(n)]
             terms.append((slack, a, a2, 1.0 + 0.0j))
-            cons.extend(_functional(terms, 1.0 if a == a2 else 0.0))
+            cons.extend(_functional(terms, 1.0 if a == a2 else 0.0, real=False))
     return cons
 
 
@@ -38,9 +40,8 @@ def beta_sdp_instance(g) -> sdp.SdpInstance:
     for u in range(2 * n):
         label = f"slack{u}"
         blocks.append((label, 1))
-        cons.extend(
-            _functional([("gram", u, u, 1.0 + 0.0j), (label, 0, 0, 1.0 + 0.0j)], 1.0)
-        )
+        terms = [("gram", u, u, 1.0 + 0.0j), (label, 0, 0, 1.0 + 0.0j)]
+        cons.extend(_functional(terms, 1.0, real=False))
     return sdp.SdpInstance(
         blocks=tuple(blocks), objective={"gram": c}, constraints=tuple(cons)
     )
@@ -77,6 +78,7 @@ def beta_os_instance(g) -> sdp.SdpInstance:
                         ("gram", wc + ac, vr + be, -1.0 + 0.0j),
                     ],
                     0.0,
+                    real=False,
                 )
             )
     cons += _cap_constraints("xr_row", n, wr, rows=True)

@@ -117,8 +117,8 @@ def test_gram_bookkeeping_soundness(rng):
 
 @pytest.mark.parametrize("diagonal, upper", [(3, 0), (0, 3), (2, 2)])
 def test_functional_rows_are_real_and_imaginary_parts(rng, diagonal, upper):
-    """On a Hermitian Z, _functional's rows read Re S and Im S, where
-    S = sum v Z[i, j] over real v and i <= j."""
+    """On a Hermitian Z, _functional's rows read Re S and, for a complex
+    game matrix, Im S, where S = sum v Z[i, j] over real v and i <= j."""
     dim = 4
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     z = a + a.conj().T
@@ -127,12 +127,13 @@ def test_functional_rows_are_real_and_imaginary_parts(rng, diagonal, upper):
     pairs += [above[p] for p in rng.choice(len(above), upper, replace=False)]
     terms = [("gram", i, j, float(rng.standard_normal())) for i, j in sorted(pairs)]
     want = sum(v * z[i, j] for _, i, j, v in terms)
-    rows = relaxations._functional(terms, 0.5)
-    assert [row.rhs for row in rows] == ([0.5, 0.0] if upper else [0.5])
-    values = [constraint_value(row, {"gram": z}) for row in rows]
-    assert values[0] == pytest.approx(want.real, abs=1e-12)
-    if upper:
-        assert values[1] == pytest.approx(want.imag, abs=1e-12)
+    for real in (False, True):
+        rows = relaxations._functional(terms, 0.5, real)
+        assert [row.rhs for row in rows] == ([0.5, 0.0] if upper and not real else [0.5])
+        values = [constraint_value(row, {"gram": z}) for row in rows]
+        assert values[0] == pytest.approx(want.real, abs=1e-12)
+        if upper and not real:
+            assert values[1] == pytest.approx(want.imag, abs=1e-12)
 
 
 def test_gram_objective_matches_entrywise_loop():
@@ -352,7 +353,7 @@ def test_h_n_closed_forms():
 def test_check_chains_t3():
     g = games.t_game(3)
     cfg = heuristics.OptimizerConfig(restarts=8, seed=0)
-    rep = BiasReport(game="t3", n=g.n, trace_norm=trace_norm(g.m))
+    rep = BiasReport(game="t3", n=g.n, seed=0, restarts=8, tol=1e-6, trace_norm=trace_norm(g.m))
     rep.omega_lower = heuristics.omega_lower(g, cfg).value
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
     rep.beta_os = relaxations.beta_os(g, 1e-6).value
@@ -365,7 +366,7 @@ def test_check_chains_t3():
 def test_check_chains_h1_ratio_diagnostic():
     g = games.h_game(1)
     cfg = heuristics.OptimizerConfig(restarts=8, seed=0)
-    rep = BiasReport(game="h1", n=g.n, trace_norm=trace_norm(g.m))
+    rep = BiasReport(game="h1", n=g.n, seed=0, restarts=8, tol=1e-6, trace_norm=trace_norm(g.m))
     rep.omega_c_lower = heuristics.Ladder(g, cfg).omega_c().value
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
     checks = relaxations.check_chains(rep, 1e-6)
@@ -375,7 +376,7 @@ def test_check_chains_h1_ratio_diagnostic():
 
 def test_check_chains_zero_game():
     g = games.validate(np.zeros((4, 4)), 2)
-    rep = BiasReport(game="zero", n=2, trace_norm=0.0)
+    rep = BiasReport(game="zero", n=2, seed=0, restarts=0, tol=1e-6, trace_norm=0.0)
     rep.omega_lower = 0.0
     rep.beta_nc = relaxations.beta_nc(g, 1e-6).value
     rep.beta_os = relaxations.beta_os(g, 1e-6).value

@@ -239,14 +239,14 @@ def _offsets(inst: sdp.SdpInstance) -> tuple[dict[str, int], int]:
     return offsets, side
 
 
-def _dense_constraints(inst: sdp.SdpInstance, prog: sdp._Program) -> list[np.ndarray]:
-    """Every F_q that prog solves as one dense Hermitian matrix, the blocks on
-    one diagonal: the rows prog.kept of inst, built from its entries."""
+def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
+    """Every F_q of inst as one dense Hermitian matrix, the blocks on one
+    diagonal, built from its entries."""
     offsets, side = _offsets(inst)
     dense = []
-    for q in prog.kept:
+    for con in inst.constraints:
         f = np.zeros((side, side), dtype=complex)
-        for b, r, c, v in inst.constraints[q].entries:
+        for b, r, c, v in con.entries:
             r, c = r + offsets[b], c + offsets[b]
             f[r, c] += v
             if r != c:
@@ -310,7 +310,7 @@ def test_schur_matches_dense_oracle():
         w = _random_pd(np.random.default_rng(11), side, real)  # full, not block-diagonal
         got = sdp._schur(prog, w)
 
-        dense = _dense_constraints(inst, prog)
+        dense = _dense_constraints(inst)
         want = np.array(
             [[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense]
         )
@@ -352,7 +352,7 @@ def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
     w = _random_pd(np.random.default_rng(3), prog.dim, real)
     got = sdp._schur(prog, w)
 
-    dense = _dense_constraints(inst, prog)
+    dense = _dense_constraints(inst)
     want = np.array([[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense])
     upper = np.triu_indices(prog.m)
     assert np.abs(got[upper] - want[upper]).max() <= 1e-12 * np.abs(want).max()
@@ -409,7 +409,7 @@ def _witness_diagonal(inst: sdp.SdpInstance) -> np.ndarray:
     """sum_q u_q F_q for the program's trace witness u, from the dense rows."""
     prog = sdp._Program(inst)
     assert prog.witness is not None
-    return sum(u_q * f for u_q, f in zip(prog.witness, _dense_constraints(inst, prog)))
+    return sum(u_q * f for u_q, f in zip(prog.witness, _dense_constraints(inst)))
 
 
 def test_gram_relaxations_have_a_trace_witness(monkeypatch):
@@ -424,8 +424,7 @@ def test_gram_relaxations_have_a_trace_witness(monkeypatch):
         prog = sdp._Program(inst)
         # sum_q u_q F_q = D = I.
         assert np.abs(_witness_diagonal(inst) - np.eye(prog.dim)).max() <= 1e-12, name
-        rhs = np.array([inst.constraints[q].rhs for q in prog.kept])
-        assert prog.witness @ rhs == pytest.approx(trace, rel=1e-12), name
+        assert prog.witness @ prog.b == pytest.approx(trace, rel=1e-12), name
         # The start meets every row, and S = A^T y - C exactly, up to rounding.
         first = sdp.solve(inst).trace[0]
         assert max(first.pres, first.dres) <= 1e-14, name
@@ -493,13 +492,6 @@ def test_trace_bound_with_spread_row_weights_solves():
     assert certify(inst, sol).passed
 
 
-def _complex_core(monkeypatch, inst: sdp.SdpInstance) -> sdp.SdpSolution:
-    """inst solved on the complex path, whatever the detection says."""
-    with monkeypatch.context() as patch:
-        patch.setattr(sdp, "_real_rows", lambda *args: None)
-        return sdp.solve(inst)
-
-
 def _two_blocks() -> sdp.SdpInstance:
     """max 6 Re A[0, 1] + B[0, 0] with A[0, 0] = A[1, 1] = 2, 2 Im A[0, 1] = 0
     and Tr B = 1, of value 13: two blocks, an objective entry and a rhs
@@ -516,28 +508,45 @@ def _two_blocks() -> sdp.SdpInstance:
     )
 
 
-def test_real_path_matches_complex_core(monkeypatch):
-    two = _two_blocks()
-    assert list(sdp._Program(two).kept) == [0, 2, 3]
-    assert sdp.solve(two).primal_value == pytest.approx(13.0, rel=1e-6)
-    for name, inst in {**_paper_table_instances(), "two_blocks": two}.items():
-        prog = sdp._Program(inst)
-        assert prog.dtype is float, name
-        real, full = sdp.solve(inst), _complex_core(monkeypatch, inst)
-        assert real.iterations == full.iterations, name
-        assert abs(real.primal_value - full.primal_value) <= 1e-12, name
-        assert all(z.dtype == np.float64 for z in real.blocks.values()), name
-        assert certify(inst, real).passed, name
-        assert real.y.shape == (len(inst.constraints),), name
-        dropped = np.setdiff1d(np.arange(len(inst.constraints)), prog.kept)
-        assert not real.y[dropped].any(), name
-        # The padded y is a dual point of the complex program: A^T y - C is
-        # PSD, so b^T y bounds the optimum, within the gap tolerance.
-        assert np.linalg.eigvalsh(_dual_slack(inst, real.y))[0] >= -1e-9, name
+def _phased(g: games.GameMatrix, seed: int) -> games.GameMatrix:
+    """g conjugated by a local diagonal phase U (x) V: a complex game matrix
+    with the same beta_nc and beta_os (the phases move into the strategies)."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.exp(2j * np.pi * rng.random(g.n)) for _ in range(2))
+    d = np.kron(u, v)
+    return games.validate(d[:, None] * g.m * d.conj()[None, :], g.n)
+
+
+def test_real_path_matches_complex_core():
+    # A real game in real arithmetic, without imaginary-part rows, against
+    # its phase-conjugated twin over complex Z, with them.
+    for name, g in {"T2": games.t_game(2), "T3": games.t_game(3), "H1": games.h_game(1),
+                    "C2": games.c_game(2), "C3": games.c_game(3)}.items():
+        twin = _phased(g, 5)
+        assert not g.m.imag.any() and twin.m.imag.any(), name
+        for kind in ("nc", "os"):
+            real_inst = getattr(relaxations, f"beta_{kind}_instance")(g)
+            full_inst = getattr(relaxations, f"beta_{kind}_instance")(twin)
+            assert sdp._Program(real_inst).dtype is float, name
+            assert sdp._Program(full_inst).dtype is complex, name
+            assert len(full_inst.constraints) > len(real_inst.constraints), name
+            real = getattr(relaxations, f"beta_{kind}")(g).value
+            full = getattr(relaxations, f"beta_{kind}")(twin).value
+            assert abs(real - full) <= 1e-7, (name, kind)
+    # Every paper-table solve is real, and its y is a dual point of the
+    # program with the imaginary-part rows as well (0 at each of them):
+    # A^T y - C is PSD, so b^T y bounds the optimum, within the gap tolerance.
+    for name, inst in _paper_table_instances().items():
+        assert sdp._Program(inst).dtype is float, name
+        sol = sdp.solve(inst)
+        assert all(z.dtype == np.float64 for z in sol.blocks.values()), name
+        assert certify(inst, sol).passed, name
+        assert sol.y.shape == (len(inst.constraints),), name
+        assert np.linalg.eigvalsh(_dual_slack(inst, sol.y))[0] >= -1e-9, name
         b = np.array([con.rhs for con in inst.constraints])
-        assert real.dual_value == pytest.approx(b @ real.y, rel=1e-12), name
-        bound = sdp.DEFAULT_TOL * max(1.0, abs(real.primal_value))
-        assert 0 <= b @ real.y - real.primal_value <= bound, name
+        assert sol.dual_value == pytest.approx(b @ sol.y, rel=1e-12), name
+        bound = sdp.DEFAULT_TOL * max(1.0, abs(sol.primal_value))
+        assert 0 <= b @ sol.y - sol.primal_value <= bound, name
 
 
 def _phase_row(rhs: float) -> sdp.SdpInstance:
@@ -553,39 +562,41 @@ def _phase_row(rhs: float) -> sdp.SdpInstance:
     )
 
 
-def test_instances_that_are_not_real_stay_complex(monkeypatch):
+def test_instances_that_are_not_real_stay_complex():
     two = _two_by_two(1.0, 1.0)
+    assert sdp._Program(two).dtype is float
     mixed_row = sdp.SdpConstraint(entries=(("z", 0, 1, 0.5 + 0.5j),), rhs=0.0)
     cases = {
-        "random_game": relaxations.beta_nc_instance(random_game(2, 7)),
-        "complex_objective": replace(
+        "random_game": (relaxations.beta_nc_instance(random_game(2, 7)), None),
+        "complex_objective": (replace(
             two, objective={"z": np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])}
-        ),
-        "mixed_row": replace(two, constraints=two.constraints + (mixed_row,)),
-        "imaginary_row_rhs": _phase_row(1.0),
+        ), 2 * math.sqrt(2)),
+        "mixed_row": (replace(two, constraints=two.constraints + (mixed_row,)), None),
+        # Im Z[0, 1] = 1/2 leaves Re Z[0, 1] at most sqrt(3)/2; no real Z is feasible.
+        "imaginary_row_rhs": (_phase_row(1.0), math.sqrt(3)),
+        # A purely imaginary row is kept, and solved over complex Z, also with rhs 0.
+        "imaginary_row_zero": (_phase_row(0.0), 2.0),
+        "two_blocks": (_two_blocks(), 13.0),
     }
-    for name, inst in cases.items():
+    for name, (inst, value) in cases.items():
         assert sdp._Program(inst).dtype is complex, name
-        sol, full = sdp.solve(inst), _complex_core(monkeypatch, inst)
-        assert sol.primal_value == full.primal_value, name
-        assert np.array_equal(sol.y, full.y), name
+        sol = sdp.solve(inst)
+        assert sol.status == "optimal", name
         assert all(z.dtype == np.complex128 for z in sol.blocks.values()), name
-    # Im Z[0, 1] = 1/2 leaves Re Z[0, 1] at most sqrt(3)/2; no real Z is feasible.
-    assert sdp.solve(_phase_row(1.0)).primal_value == pytest.approx(math.sqrt(3), abs=1e-6)
-    # With rhs 0 the row vanishes on real Z and is dropped.
-    prog = sdp._Program(_phase_row(0.0))
-    assert prog.dtype is float and list(prog.kept) == [0, 1]
+        assert sol.y.shape == (len(inst.constraints),), name
+        if value is not None:
+            assert sol.primal_value == pytest.approx(value, rel=1e-6), name
 
 
 def test_size_cap_counts_the_rows_solved(monkeypatch):
+    # beta_os of a real game has fewer rows than that of a complex one of
+    # the same size, and the cap counts the rows the instance has.
     real = relaxations.beta_os_instance(games.t_game(2))
     full = relaxations.beta_os_instance(random_game(games.t_game(2).n, 7))
-    m = len(real.constraints)
-    kept = sdp._Program(real).kept.size
-    assert len(full.constraints) == m and sdp._Program(full).dtype is complex
     side = sum(d for _, d in real.blocks)
-    assert max(side, kept) < m
-    monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", max(side, kept) ** 2)
+    m = len(real.constraints)
+    assert side < m < len(full.constraints)
+    monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", m**2)
     assert certify(real, sdp.solve(real)).passed
 
     def no_solve(*args, **kwargs):
@@ -618,7 +629,7 @@ def test_instances_leave_the_callers_data_alone():
     assert d["z"] is z and z.dtype == np.float64
     assert np.array_equal(z, [[1.0, 2.0], [2.0, 1.0]])
     assert inst.objective["z"].dtype == np.complex128
-    for inst in (_two_blocks(), _phase_row(0.0)):  # two blocks, and a dropped row
+    for inst in (_two_blocks(), _phase_row(0.0)):  # two blocks, and an imaginary row
         objective = {label: c.copy() for label, c in inst.objective.items()}
         constraints = deepcopy(inst.constraints)
         sdp.solve(inst)
@@ -654,6 +665,47 @@ def test_infeasible_detected():
     sol = sdp.solve(inst, 1e-8)
     assert sol.status == "max_iterations"
     assert "residual" in certify(inst, sol, 1e-8).failures()
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5])
+def test_overflowing_run_returns_its_best_iterate(c):
+    # max 2 c Re Z[0, 1] with Z[0, 0] = 100, Z[1, 1] = 1 and 2 Re Z[0, 1] =
+    # 20.5, just above the largest feasible 20: the iterates grow until a
+    # residual overflows (at iteration 65 for c = 1, 36 for c = 0.5), and the
+    # run ends there, as a capped one does, with its best iterate.
+    rows = (((0, 0), 100.0), ((1, 1), 1.0), ((0, 1), 20.5))
+    inst = replace(_two_by_two(c, 1.0), constraints=tuple(
+        sdp.SdpConstraint(entries=(("z", r, col, 1.0 + 0.0j),), rhs=rhs) for (r, col), rhs in rows
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        sol = sdp.solve(inst)
+    assert sol.status == "max_iterations"
+    last = sol.trace[-1]
+    assert sol.iterations < sdp.MAX_ITERS and not math.isfinite(last.pres + last.dres + last.mu)
+    assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
+    assert math.isfinite(sol.primal_value) and math.isfinite(sol.dual_value)
+    assert "residual" in certify(inst, sol).failures()
+
+
+def test_non_finite_newton_step_returns_the_best_iterate(monkeypatch):
+    import scipy.linalg
+
+    solve_one, calls = scipy.linalg.cho_solve, []
+
+    def cho_solve(*args, **kwargs):  # NaN from the seventh Newton solve on
+        calls.append(1)
+        dy = solve_one(*args, **kwargs)
+        return dy * np.nan if len(calls) > 6 else dy
+
+    inst = _random_instance(4)
+    want = sdp.solve(inst, 1e-8)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", cho_solve)
+    sol = sdp.solve(inst, 1e-8)
+    assert sol.status == "max_iterations" and 2 <= sol.iterations < want.iterations
+    assert (sol.trace[-1].alpha_p, sol.trace[-1].alpha_d) == (0.0, 0.0)  # no step taken
+    assert all(rec.alpha_p > 0 for rec in sol.trace[:-1])
+    assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
 
 
 def _mixed_rows(c: float, a: float) -> sdp.SdpInstance:

@@ -47,8 +47,13 @@ def test_equality_caps_match_slack_oracle(case):
     assert [label for label, _ in equal.blocks] == ["gram"]
     inst = _slack_instance(case)
     assert len(inst.blocks) > 1
-    # beta_nc leaves out one implied column-cap row per family.
-    assert len(inst.constraints) == len(equal.constraints) + (2 if kind == "nc" else 0)
+    # beta_nc leaves out one implied column-cap row per family, and the
+    # relaxation of a real game leaves out every imaginary-part row, which
+    # the oracle keeps.
+    g = build()
+    im_rows = [con for con in inst.constraints if not any(v.real for *_, v in con.entries)]
+    left_out = (2 if kind == "nc" else 0) + (0 if g.m.imag.any() else len(im_rows))
+    assert len(inst.constraints) == len(equal.constraints) + left_out
     want = sdp.solve(inst, 1e-7).primal_value
     got = getattr(relaxations, f"beta_{kind}")(build(), 1e-7).value
     assert abs(got - want) <= 2e-6
