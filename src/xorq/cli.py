@@ -147,7 +147,7 @@ def compute_report(
     tol: float,
     restarts: int,
     seed: int,
-    name: str = "game",
+    name: str,
 ) -> BiasReport:
     if not 0 < tol < math.inf:  # the chains' slack, also when no SDP is solved
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")

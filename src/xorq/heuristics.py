@@ -23,10 +23,13 @@ linalg.HERMITICITY_RTOL, and symmetrizes it (linalg.check_hermitian); a
 failure is a SeesawError naming the player and the restart.
 
 Restart 0 is a deterministic warm start: the previous class's optimum
-embedded, or B = I for the unentangled class, which has none. Restarts
-1..k-1 draw Gaussian Hermitian starts seeded by (seed, restart index).
-The best restart's strategy is returned, with every restart's value and
-iteration count. Ladder is the only code that chains the classes:
+embedded, or B = I for the unentangled class, which has none. Restart r of
+1..k-1 starts from complex Gaussian arrays drawn from the stream (seed, r)
+(_draws), and each class maps the whole drawn stack with one call: the
+spectral sign of the Hermitian parts, Haar unitaries from one stacked SVD
+for the complex class, and unit states for ent's psi. _run_restarts builds
+every class's result: the best restart's Strategy with every restart's
+value and iteration count. Ladder is the only code that chains the classes:
 omega_c_lower, me_lower and entangled_lower take their predecessors'
 results as arguments, and Ladder computes each class once and hands it on.
 """
@@ -45,16 +48,7 @@ from .errors import (
     check_dense,
 )
 from .games import GameMatrix
-from .strategies import (
-    ONE,
-    ComplexStrategy,
-    EntangledStrategy,
-    MaxEntangledStrategy,
-    Strategy,
-    UnentangledStrategy,
-    effective_operator_for_a,
-    effective_operator_for_b,
-)
+from .strategies import Strategy, effective_operator_for_a, effective_operator_for_b
 
 MONOTONE_SLACK = 1e-10
 MAX_ITERS = 500  # see-saw iterations per restart
@@ -63,8 +57,8 @@ IMPROVEMENT_TOL = 1e-9  # a restart stops once an iteration gains less
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    restarts: int = 50
-    seed: int = 0
+    restarts: int
+    seed: int
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -75,15 +69,17 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class HeuristicResult:
-    value: float
-    strategy: Strategy
-    iterations_used: int  # sum(restart_iterations)
+    strategy: Strategy  # the best restart's
     restart_values: tuple[float, ...]
     restart_iterations: tuple[int, ...]
 
+    @property
+    def value(self) -> float:
+        return max(self.restart_values)
 
-def _result(values, strategy: Strategy, iterations) -> HeuristicResult:
-    return HeuristicResult(max(values), strategy, sum(iterations), tuple(values), iterations)
+    @property
+    def iterations_used(self) -> int:
+        return sum(self.restart_iterations)
 
 
 def _half_step(step, k: np.ndarray, player: str, live: np.ndarray) -> np.ndarray:
@@ -159,12 +155,18 @@ def _seesaw(g: GameMatrix, psi: np.ndarray, b: np.ndarray, step, dims=None):
     return prev, (a, b, psi), iters
 
 
-def _run_restarts(g: GameMatrix, b0: np.ndarray, psi: np.ndarray, step, dims=None):
-    """The see-saw from every start (b0[r], psi[r]) as one stack. Returns
-    (restart values, the best run's (A, B, psi), restart iterations)."""
+def _run_restarts(
+    g: GameMatrix, b0: np.ndarray, psi: np.ndarray, hermitian: bool, dims=None
+) -> HeuristicResult:
+    """The see-saw from every start (b0[r], psi[r]) as one stack, with the
+    sign step, or the polar step when hermitian is False (each looked up
+    per call). The result's strategy is the best run's, with its state as a
+    dA x dB matrix, dB the private dimension of B."""
+    step = _sign_step if hermitian else _polar_step
     values, finals, iters = _seesaw(g, psi, b0, step, dims)
-    best = int(np.argmax(values))
-    return values.tolist(), tuple(x[best] for x in finals), tuple(iters.tolist())
+    a, b, state = (x[int(np.argmax(values))] for x in finals)
+    strategy = Strategy(a, b, state.reshape(-1, b.shape[0] // g.n), hermitian)
+    return HeuristicResult(strategy, tuple(values.tolist()), tuple(iters.tolist()))
 
 
 def _sign_step(k: np.ndarray) -> np.ndarray:
@@ -175,49 +177,45 @@ def _polar_step(k: np.ndarray) -> np.ndarray:
     return linalg.polar_unitary(k)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return linalg.hermitian_part(z)
+def _draws(cfg: OptimizerConfig, *shapes) -> list[np.ndarray]:
+    """The complex Gaussian starts of restarts 1..k-1, one stack (k-1,
+    *shape) per shape: restart r draws one array of each shape in turn from
+    the stream (seed, r), its real part and then its imaginary part."""
+    stacks = [np.empty((cfg.restarts - 1, *shape), dtype=complex) for shape in shapes]
+    for r in range(1, cfg.restarts):
+        rng = np.random.default_rng((cfg.seed, r))
+        for stack in stacks:
+            shape = stack.shape[1:]
+            stack[r - 1] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return stacks
 
 
-def _gaussian_start(seed: int, restart: int, dim: int) -> np.ndarray:
-    rng = np.random.default_rng((seed, restart))
-    return linalg.sign_of_hermitian(random_hermitian(rng, dim))
+def _observables(warm: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The stack of B starts: `warm`, then the spectral sign of each
+    Hermitian part of the draws z."""
+    return np.concatenate([warm[None], linalg.sign_of_hermitian(linalg.hermitian_part(z))])
 
 
-def _haar_start(seed: int, restart: int, dim: int) -> np.ndarray:
-    """Haar unitary start for the complex class. Hermitian starts cannot
-    leave the real fixed subspace of diagonal games, so relative phases
-    must come from the start itself."""
-    rng = np.random.default_rng((seed, restart))
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    u, _, v = linalg.svd(z)
-    return u @ v.conj().T
-
-
-def _starts(warm: np.ndarray, draw, cfg: OptimizerConfig, dim: int, psi=ONE):
-    """The stacks (B, psi) of every restart: restart 0 from `warm`, restart
-    r >= 1 from draw(seed, r, dim); psi the same for all."""
-    b0 = np.stack([warm] + [draw(cfg.seed, r, dim) for r in range(1, cfg.restarts)])
-    return b0, np.tile(psi, (cfg.restarts, 1))
-
-
-def omega_lower(g: GameMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> HeuristicResult:
+def omega_lower(g: GameMatrix, cfg: OptimizerConfig) -> HeuristicResult:
     """Lower bound on the unentangled bias via sign-step see-saw, restart 0
     from B = I."""
-    starts = _starts(np.eye(g.n, dtype=complex), _gaussian_start, cfg, g.n)
-    values, (a, b, _), iters = _run_restarts(g, *starts, _sign_step)
-    return _result(values, UnentangledStrategy(a=a, b=b), iters)
+    (z,) = _draws(cfg, (g.n, g.n))
+    b0 = _observables(np.eye(g.n, dtype=complex), z)
+    return _run_restarts(g, b0, np.ones((cfg.restarts, 1), dtype=complex), True)
 
 
 def omega_c_lower(
     g: GameMatrix, cfg: OptimizerConfig, omega: HeuristicResult
 ) -> HeuristicResult:
     """Lower bound on the complex bias via polar-step see-saw, warm-started
-    from the unentangled optimum `omega` (so it never falls below it)."""
-    starts = _starts(omega.strategy.b, _haar_start, cfg, g.n)
-    values, (a, b, _), iters = _run_restarts(g, *starts, _polar_step)
-    return _result(values, ComplexStrategy(a=a, b=b), iters)
+    from the unentangled optimum `omega` (so it never falls below it).
+    Restarts 1..k-1 start from the Haar unitaries U V^dagger of the draws'
+    SVDs: Hermitian starts cannot leave the real fixed subspace of diagonal
+    games, so relative phases must come from the start itself."""
+    (z,) = _draws(cfg, (g.n, g.n))
+    u, _, v = linalg.svd(z)
+    b0 = np.concatenate([omega.strategy.b[None], u @ linalg.dagger(v)])
+    return _run_restarts(g, b0, np.ones((cfg.restarts, 1), dtype=complex), False)
 
 
 def _epr_embed(op: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -253,9 +251,8 @@ def me_lower(
     # one half-step of each, all with the maximally entangled state
     k = effective_operator_for_a(g, np.stack(warm), np.tile(psi, (len(warm), 1)))
     best_warm = warm[int(np.argmax(_form(_sign_step(k), k)))]
-    starts = _starts(best_warm, _gaussian_start, cfg, n * d, psi)
-    values, (a, b, _), iters = _run_restarts(g, *starts, _sign_step)
-    return _result(values, MaxEntangledStrategy(d=d, a=a, b=b), iters)
+    (z,) = _draws(cfg, (n * d, n * d))
+    return _run_restarts(g, _observables(best_warm, z), np.tile(psi, (cfg.restarts, 1)), True)
 
 
 def _state_operator(
@@ -320,17 +317,12 @@ def entangled_lower(
     warm_b = lift_b @ me.strategy.b @ lift_b.conj().T
     warm_psi = np.kron(ea, eb) @ linalg.max_entangled_state(dm)
 
-    b0, psi0 = [warm_b], [warm_psi]
-    for r in range(1, cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, r))
-        random_hermitian(rng, n * da)  # A's draw: the first half-step replaces A
-        b0.append(linalg.sign_of_hermitian(random_hermitian(rng, n * db)))
-        psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-        psi0.append(psi / np.linalg.norm(psi))
-    values, (a, b, psi), iters = _run_restarts(
-        g, np.stack(b0), np.stack(psi0), _sign_step, dims=(da, db)
-    )
-    return _result(values, EntangledStrategy(d_a=da, d_b=db, a=a, b=b, psi=psi), iters)
+    # A's draw is unused: the first half-step replaces A. Each state is
+    # normalized alone: norm(axis=-1) sums in another order, in other bits.
+    _, zb, zpsi = _draws(cfg, (n * da, n * da), (n * db, n * db), (da * db,))
+    norms = np.array([np.linalg.norm(z) for z in zpsi]).reshape(-1, 1)
+    psi0 = np.concatenate([warm_psi[None], zpsi / norms])
+    return _run_restarts(g, _observables(warm_b, zb), psi0, True, dims=(da, db))
 
 
 class Ladder:
@@ -386,7 +378,7 @@ class Ladder:
         return entangled_lower(self.g, da, db, self.cfg, self.me(min(da, db)))
 
 
-def round_complex_to_real(g: GameMatrix, s: ComplexStrategy) -> UnentangledStrategy:
+def round_complex_to_real(g: GameMatrix, s: Strategy) -> Strategy:
     """Round a complex strategy to Hermitian observables.
 
     Diagonalizes the (unitarized) operators and searches eigenvalue signs
@@ -441,4 +433,4 @@ def round_complex_to_real(g: GameMatrix, s: ComplexStrategy) -> UnentangledStrat
                 improved = True
     a_round = linalg.hermitian_part((ua * x) @ ua.conj().T)
     b_round = linalg.hermitian_part((ub * y) @ ub.conj().T)
-    return UnentangledStrategy(a=a_round, b=b_round)
+    return Strategy(a_round, b_round, np.ones((1, 1)))

@@ -92,7 +92,7 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
         resid = _frobenius(np.subtract(a, diff, out=diff))
         del diff
     # One comparison keeps the see-saw's half-step off the overflow path.
-    near_limit = not scale.max() < 1e300  # also when an entry is not finite
+    near_limit = not (scale < 1e300).all()  # also for a non-finite entry; not when empty
     if near_limit:
         over = finite & (scale >= 1e300)
         huge = a.reshape((-1,) + a.shape[-2:])[over]

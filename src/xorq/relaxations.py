@@ -221,9 +221,14 @@ def _solve_gram(
     Z = W^+ W keeps the eigenvalues of Z above RANK_CUT times the largest,
     one row of W each, and W is cut into the families of _families(kind,
     n). objective(witness) re-evaluates the game's value on them; SdpError
-    when it drifts from the solver's value.
+    when it drifts from the solver's value, or when the solve did not end
+    optimal (its best iterate is no value of the relaxation).
     """
     sol = sdp_mod.solve(inst, tol)
+    if sol.status != "optimal":
+        raise SdpError(
+            f"beta_{kind} solve ended with status {sol.status!r} at iteration {sol.iterations}"
+        )
     z = sol.blocks["gram"]
     lam, vecs = np.linalg.eigh((z + z.conj().T) / 2)
     keep = np.flatnonzero(lam > RANK_CUT * max(float(lam[-1]), 1e-300))[::-1]

@@ -1,18 +1,20 @@
 """Player strategies for quantum XOR games and exact bias evaluation.
 
-Four resource classes are represented:
+Every resource class is one record, Strategy(a, b, psi, hermitian), scored
+by one form, Tr((A (x) B)(M (x) |psi><psi|)). The classes differ only in
+psi, kept as its dA x dB coefficient matrix, and in whether A and B are
+Hermitian:
 
-  Unentangled   Hermitian contractions acting on the message registers only.
-  Complex       arbitrary contractions (relaxation; bias is a modulus).
-  MaxEntangled  Hermitian contractions on message (x) C^d, sharing the
-                maximally entangled state of dimension d (kept implicit).
-  Entangled     Hermitian contractions on message (x) private space plus an
-                arbitrary shared unit state.
+  unentangled   psi = [[1]]; Hermitian contractions on the message registers.
+  complex       psi = [[1]]; arbitrary contractions (hermitian=False, a
+                relaxation whose bias is a modulus).
+  me:d          psi = I/sqrt(d), the maximally entangled state; Hermitian
+                contractions on message (x) C^d.
+  ent:dA x dB   psi a free unit state; Hermitian contractions on message
+                (x) the player's private space.
 
-Every class is scored by one form, Tr((A (x) B)(M (x) |psi><psi|)), with psi
-the scalar 1, the maximally entangled state or the free state. One
-contraction evaluates it: the effective operator K of B and psi, with
-Tr(A K) equal to the form. bias takes Tr(A K), and the see-saw's two
+One contraction evaluates the form: the effective operator K of B and psi,
+with Tr(A K) equal to the form. bias takes Tr(A K), and the see-saw's two
 half-steps take K in both orientations (effective_operator_for_a/_b), for a
 whole stack of restarts at once, each restart with its own shared state.
 
@@ -43,8 +45,6 @@ from .games import GameMatrix
 OP_NORM_SLACK = 1e-9
 STATE_NORM_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-9
-ONE = np.ones(1, dtype=complex)  # the shared state of the two unentangled classes
-ONE.setflags(write=False)
 
 
 def _check_contraction(name: str, a: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -56,74 +56,36 @@ def _check_contraction(name: str, a: np.ndarray, hermitian: bool) -> np.ndarray:
     return a
 
 
-def _check_sides(a: np.ndarray, b: np.ndarray, da: int, db: int) -> None:
-    """A acts on C^n (x) C^da and B on C^n (x) C^db, one message space C^n."""
-    if da < 1 or db < 1:
-        raise BadArgsError("private dimensions must be >= 1")
-    sides = a.shape[0], b.shape[0]
-    if sides[0] % da or sides[1] % db or sides[0] // da != sides[1] // db:
-        raise DimensionMismatchError(
-            f"operators of sides {sides} do not act on C^n (x) C^{da} and C^n (x) C^{db}"
-        )
-
-
 def _check_state(psi: np.ndarray) -> np.ndarray:
-    psi = linalg.as_complex(psi).reshape(-1)
+    psi = linalg.as_complex(psi)
     if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
         raise BadArgsError("shared state must be a unit vector")
     return psi
 
 
 @dataclass(frozen=True)
-class UnentangledStrategy:
-    a: np.ndarray
-    b: np.ndarray
+class Strategy:
+    """A on C^n (x) C^dA and B on C^n (x) C^dB, one message space C^n, with
+    (dA, dB) = psi.shape; both contractions, Hermitian unless hermitian is
+    False. The classes are in the module docstring."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _check_contraction("A", self.a, True))
-        object.__setattr__(self, "b", _check_contraction("B", self.b, True))
-
-
-@dataclass(frozen=True)
-class ComplexStrategy:
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _check_contraction("A", self.a, False))
-        object.__setattr__(self, "b", _check_contraction("B", self.b, False))
-
-
-@dataclass(frozen=True)
-class MaxEntangledStrategy:
-    d: int
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _check_contraction("A", self.a, True))
-        object.__setattr__(self, "b", _check_contraction("B", self.b, True))
-        _check_sides(self.a, self.b, self.d, self.d)
-
-
-@dataclass(frozen=True)
-class EntangledStrategy:
-    d_a: int
-    d_b: int
     a: np.ndarray
     b: np.ndarray
     psi: np.ndarray
+    hermitian: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _check_contraction("A", self.a, True))
-        object.__setattr__(self, "b", _check_contraction("B", self.b, True))
-        _check_sides(self.a, self.b, self.d_a, self.d_b)
-        object.__setattr__(self, "psi", _check_state(self.psi))
-        if self.psi.shape[0] != self.d_a * self.d_b:
-            raise DimensionMismatchError("shared state size must be d_a * d_b")
-
-
-Strategy = UnentangledStrategy | ComplexStrategy | MaxEntangledStrategy | EntangledStrategy
+        object.__setattr__(self, "a", _check_contraction("A", self.a, self.hermitian))
+        object.__setattr__(self, "b", _check_contraction("B", self.b, self.hermitian))
+        psi = linalg.as_complex(self.psi)
+        if psi.ndim != 2:
+            raise DimensionMismatchError(f"shared state of shape {psi.shape} is not dA x dB")
+        object.__setattr__(self, "psi", _check_state(psi))
+        (da, db), sides = psi.shape, (self.a.shape[0], self.b.shape[0])
+        if sides[0] % da or sides[1] % db or sides[0] // da != sides[1] // db:
+            raise DimensionMismatchError(
+                f"operators of sides {sides} do not act on C^n (x) C^{da} and C^n (x) C^{db}"
+            )
 
 
 def _effective_operators(
@@ -189,25 +151,15 @@ def effective_operator_for_b(g: GameMatrix, a_parts: np.ndarray, psi: np.ndarray
 
 def bias(g: GameMatrix, s: Strategy) -> float:
     """Exact bias of a strategy in a game: Tr(A K) with K the effective
-    operator of B and the strategy's shared state (1 without entanglement).
+    operator of B and the strategy's shared state psi.
 
-    Hermitian strategy classes must yield a real value (the imaginary
-    residue is checked below 1e-9, then discarded); the complex class
-    returns the modulus.
+    A Hermitian strategy must yield a real value (the imaginary residue is
+    checked below 1e-9, then discarded); the complex class returns the
+    modulus.
     """
-    if isinstance(s, MaxEntangledStrategy):
-        p = linalg.max_entangled_state(s.d).reshape(s.d, s.d)
-    elif isinstance(s, EntangledStrategy):
-        p = s.psi.reshape(s.d_a, s.d_b)
-    else:
-        p = ONE.reshape(1, 1)
-    k = _effective_operators(g, s.b[None], p[None], False)[0]
-    if s.a.shape != k.shape:
-        raise DimensionMismatchError(
-            f"operator A of shape {s.a.shape} does not act on C^{g.n} (x) C^{p.shape[0]}"
-        )
+    k = _effective_operators(g, s.b[None], s.psi[None], False)[0]
     val = complex(np.sum(s.a * k.T))  # Tr(A K)
-    if isinstance(s, ComplexStrategy):
+    if not s.hermitian:
         return abs(val)
     if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(val)):
         raise BadArgsError(f"bias has non-negligible imaginary part {val.imag:.3e}")
@@ -217,7 +169,7 @@ def bias(g: GameMatrix, s: Strategy) -> float:
 # --- explicit strategies -----------------------------------------------------
 
 
-def t_unentangled_strategy(n: int) -> UnentangledStrategy:
+def t_unentangled_strategy(n: int) -> Strategy:
     """Rank-two distinguisher |pi0><pi0| - |pi1><pi1| for the T family.
 
     Both players measure in a basis containing pi0, pi1 and answer with the
@@ -232,18 +184,18 @@ def t_unentangled_strategy(n: int) -> UnentangledStrategy:
     pi1 = pi0.copy()
     pi1[1:] *= -1.0
     q = np.outer(pi0, pi0.conj()) - np.outer(pi1, pi1.conj())
-    return UnentangledStrategy(a=q, b=q.copy())
+    return Strategy(q, q.copy(), np.ones((1, 1)))
 
 
-def h1_unentangled_strategy() -> ComplexStrategy:
+def h1_unentangled_strategy() -> Strategy:
     """Both players bet on the antisymmetric question pair: A = iC1, B = -iC1."""
     c1 = np.zeros((3, 3), dtype=complex)
     c1[1, 2] = 1.0
     c1[2, 1] = -1.0
-    return ComplexStrategy(a=1j * c1, b=-1j * c1)
+    return Strategy(1j * c1, -1j * c1, np.ones((1, 1)), hermitian=False)
 
 
-def h1_me_strategy() -> MaxEntangledStrategy:
+def h1_me_strategy() -> Strategy:
     """The 5/9 strategy: measure in the game matrix eigenbasis at d = 3.
 
     The outcome-0 projector spans the three antisymmetric vectors and the
@@ -260,7 +212,7 @@ def h1_me_strategy() -> MaxEntangledStrategy:
     for v in vecs:
         p0 += np.outer(v, v.conj())
     a = 2.0 * p0 - np.eye(9)
-    return MaxEntangledStrategy(d=3, a=a, b=a.copy())
+    return Strategy(a, a.copy(), linalg.max_entangled_state(3).reshape(3, 3))
 
 
 def embezzlement_state(n: int, d: int, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -272,8 +224,8 @@ def embezzlement_state(n: int, d: int, psi: np.ndarray, phi: np.ndarray) -> np.n
     """
     if n < 1 or d < 1:
         raise BadArgsError("n and d must be >= 1")
-    psi = _check_state(psi)
-    phi = _check_state(phi)
+    psi = _check_state(psi).reshape(-1)
+    phi = _check_state(phi).reshape(-1)
     if psi.shape[0] != n * n or phi.shape[0] != n * n:
         raise DimensionMismatchError(f"states must live on C^{n} (x) C^{n}")
     check_dense(n ** (2 * d), "the embezzlement state")
@@ -328,7 +280,7 @@ def _rotation_unitary(ext: int, copy: int, d: int, enc: list[int]) -> np.ndarray
     return v
 
 
-def t_entangled_strategy(n: int, d: int) -> EntangledStrategy:
+def t_entangled_strategy(n: int, d: int) -> Strategy:
     """Embezzlement strategy for the T family achieving bias 1 - 1/d.
 
     Each player holds an ancilla qubit (extending the message register by
@@ -363,4 +315,4 @@ def t_entangled_strategy(n: int, d: int) -> EntangledStrategy:
     anc[0] = 1.0  # |0>|0> on the two ancilla qubits
     state = np.kron(anc, gamma)  # (ancA, ancB, copiesA, copiesB)
     state = linalg.permute_systems(state, (2, 2, copy**d, copy**d), (0, 2, 1, 3))
-    return EntangledStrategy(d_a=priv, d_b=priv, a=a, b=a.copy(), psi=state)
+    return Strategy(a, a.copy(), state.reshape(priv, priv))

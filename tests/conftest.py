@@ -22,6 +22,11 @@ def random_game(n: int, seed: int) -> games.GameMatrix:
     return games.validate(m / trace_norm(m), n)
 
 
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return hermitian_part(z)
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)

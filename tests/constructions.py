@@ -233,7 +233,7 @@ def lemma_rank_one_strategy(
     psi: np.ndarray,
     phi: np.ndarray,
     d: int,
-) -> strategies.EntangledStrategy:
+) -> strategies.Strategy:
     """Entangled strategy for rank_one_to_xor(g) built from a rank-one-game
     strategy (U, V, psi, phi).
 
@@ -261,7 +261,7 @@ def lemma_rank_one_strategy(
     gamma = strategies.embezzlement_state(h, d, psi, phi)
     rot = strategies._rotation_unitary(h, h, d, list(range(h)))  # unconditional rotation
 
-    def build(uu: np.ndarray, vv: np.ndarray) -> strategies.EntangledStrategy:
+    def build(uu: np.ndarray, vv: np.ndarray) -> strategies.Strategy:
         wa = np.kron(uu, np.eye(h**d)) @ np.kron(np.eye(n1), rot)
         wb = np.kron(vv, np.eye(h**d)) @ np.kron(np.eye(n1), rot)
         # The rotate-then-play action sits in the |1><0| flag block: the
@@ -272,7 +272,7 @@ def lemma_rank_one_strategy(
         b = np.kron(e10, wb) + np.kron(e10.T, wb.conj().T)
         shared = np.kron(phi, gamma)  # (r0A, r0B, restA, restB)
         shared = linalg.permute_systems(shared, (h, h, h**d, h**d), (0, 2, 1, 3))
-        return strategies.EntangledStrategy(d_a=priv, d_b=priv, a=a, b=b, psi=shared)
+        return strategies.Strategy(a, b, shared.reshape(priv, priv))
 
     b0 = strategies.bias(game, build(u, v))
     b1 = strategies.bias(game, build(1j * u, v))
@@ -282,9 +282,7 @@ def lemma_rank_one_strategy(
     return build(u, v)
 
 
-def symmetrize(
-    g: games.GameMatrix, s: strategies.EntangledStrategy
-) -> strategies.EntangledStrategy:
+def symmetrize(g: games.GameMatrix, s: strategies.Strategy) -> strategies.Strategy:
     """Exchange-symmetric form of an entangled strategy with equal bias.
 
     Requires the game matrix to be invariant under swapping the two message
@@ -295,16 +293,15 @@ def symmetrize(
     the output is checked against the input's (PreconditionViolatedError),
     both read through strategies.bias.
     """
-    if not isinstance(s, strategies.EntangledStrategy):
-        raise BadArgsError("symmetrize expects an entangled strategy")
+    if not s.hermitian:
+        raise BadArgsError("symmetrize expects a Hermitian strategy")
     n = g.n
     swapped = linalg.permute_systems(g.m, (n, n), (1, 0))
     if np.linalg.norm(swapped - g.m) > 1e-9 * max(1.0, np.linalg.norm(g.m)):
         raise BadArgsError("game matrix must be exchange-symmetric")
     before = strategies.bias(g, s)
 
-    mat = s.psi.reshape(s.d_a, s.d_b)
-    ua, sv, vb = linalg.svd(mat)
+    ua, sv, vb = linalg.svd(s.psi)
     rank = max(1, int(np.sum(sv > 1e-12 * sv[0])))
     ua = ua[:, :rank]
     wb = vb[:, :rank].conj()
@@ -347,9 +344,7 @@ def symmetrize(
         psi_out = psi_flag
         d_out = d_half
 
-    out = strategies.EntangledStrategy(
-        d_a=d_out, d_b=d_out, a=a_out, b=a_out.copy(), psi=psi_out
-    )
+    out = strategies.Strategy(a_out, a_out.copy(), psi_out.reshape(d_out, d_out))
     after = strategies.bias(g, out)
     if abs(after - before) > 1e-8 * max(1.0, abs(before)):
         raise PreconditionViolatedError(f"symmetrization changed the bias: {before} -> {after}")

@@ -3,38 +3,42 @@ effective operators and state step, and the beta_nc objective. They form
 the full permuted operators, so they are only usable at small dimensions;
 tests compare the package's contractions against them. Also the seeded
 random strategies and the products of a vector-valued matrix that the
-tests feed them.
+tests feed them. Both read a strategy of any class the same way: its shared
+state psi is a dA x dB matrix, [[1]] without entanglement.
 """
 
 import numpy as np
 
 from constructions import partial_trace
-from xorq import heuristics, linalg, strategies
+from xorq import linalg, strategies
 from xorq.errors import DimensionMismatchError
 
 
 def random_strategy(kind: str, g, dims, seed: int):
     """Seeded random strategy of one class, drawn as the see-saw draws its
-    restart starts: spectral signs of Gaussian Hermitian matrices (Haar
-    unitaries for the complex class), A from stream (seed, 0) and B from
-    (seed, 1), and a Gaussian unit state from (seed, 2)."""
-    n = g.n
-    if kind == "complex":
-        return strategies.ComplexStrategy(
-            a=heuristics._haar_start(seed, 0, n), b=heuristics._haar_start(seed, 1, n)
-        )
-    da, db = {"unentangled": (1, 1), "maxent": (dims, dims), "entangled": dims}[kind]
-    a = heuristics._gaussian_start(seed, 0, n * da)
-    b = heuristics._gaussian_start(seed, 1, n * db)
-    if kind == "unentangled":
-        return strategies.UnentangledStrategy(a=a, b=b)
-    if kind == "maxent":
-        return strategies.MaxEntangledStrategy(d=da, a=a, b=b)
-    rng = np.random.default_rng((seed, 2))
-    psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-    return strategies.EntangledStrategy(
-        d_a=da, d_b=db, a=a, b=b, psi=psi / np.linalg.norm(psi)
-    )
+    restart starts: A from the stream (seed, 0) and B from (seed, 1), each
+    the spectral sign of a Gaussian Hermitian matrix (for the complex class
+    the Haar unitary U V^dagger of a Gaussian matrix's SVD), and for the
+    entangled class a Gaussian unit state from (seed, 2)."""
+    da, db = {"unentangled": (1, 1), "complex": (1, 1), "maxent": (dims, dims),
+              "entangled": dims}[kind]
+    hermitian = kind != "complex"
+    ops = []
+    for stream, d in ((0, da), (1, db)):
+        rng = np.random.default_rng((seed, stream))
+        z = rng.standard_normal((g.n * d,) * 2) + 1j * rng.standard_normal((g.n * d,) * 2)
+        if hermitian:
+            ops.append(linalg.sign_of_hermitian(linalg.hermitian_part(z)))
+        else:
+            u, _, v = linalg.svd(z)
+            ops.append(u @ linalg.dagger(v))
+    if kind == "entangled":
+        rng = np.random.default_rng((seed, 2))
+        psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
+        psi = (psi / np.linalg.norm(psi)).reshape(da, db)
+    else:
+        psi = linalg.max_entangled_state(da).reshape(da, db)
+    return strategies.Strategy(*ops, psi, hermitian)
 
 
 def vvm_products(x) -> tuple[np.ndarray, np.ndarray]:
@@ -47,14 +51,8 @@ def vvm_products(x) -> tuple[np.ndarray, np.ndarray]:
 
 def bias_dense(g, s) -> float:
     """Bias of a strategy from the full permuted operator product."""
-    if isinstance(s, (strategies.UnentangledStrategy, strategies.ComplexStrategy)):
-        psi, da, db = np.ones(1, dtype=complex), 1, 1
-    elif isinstance(s, strategies.MaxEntangledStrategy):
-        psi, da, db = linalg.max_entangled_state(s.d), s.d, s.d
-    else:
-        psi, da, db = s.psi, s.d_a, s.d_b
-    val = complex(np.trace(np.kron(s.a, s.b) @ folded_game_matrix(g, psi, da, db)))
-    return abs(val) if isinstance(s, strategies.ComplexStrategy) else float(val.real)
+    val = complex(np.trace(np.kron(s.a, s.b) @ folded_game_matrix(g, s.psi, *s.psi.shape)))
+    return float(val.real) if s.hermitian else abs(val)
 
 
 def folded_game_matrix(g, psi, da: int, db: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import decreasing_sign_step
 import xorq
@@ -184,7 +185,7 @@ def test_bias_decomposes_the_game_by_components(tmp_path, monkeypatch):
     calls = _count_factorizations(monkeypatch)
     g = games.load_game(path)
     assert calls and all(name == "eigvalsh" and shape[-1] <= 2 for name, shape in calls)
-    cli.compute_report(g, [("omega", None), ("chains", None)], 1e-6, 2, 0)
+    cli.compute_report(g, [("omega", None), ("chains", None)], 1e-6, 2, 0, "c3xc3")
     assert not [c for c in calls if 256 in c[1]]
 
 
@@ -468,15 +469,18 @@ def _nan_like(x):
     return np.full_like(x, np.nan)
 
 
-# A non-finite iterate after the start ends the solve with its best
-# iterate (tests/test_sdp.py); one at the start leaves nothing to return.
+# A non-finite iterate at the start leaves nothing to return. One after the
+# start ends the solve with its best iterate (tests/test_sdp.py), which is no
+# value of the relaxation: beta_nc(T2) once printed that iterate, 0, for 1/sqrt(2).
 @pytest.mark.parametrize(
     "target,name,wrap,message",
     [
         (sdp, "_a_of", lambda real: lambda *a: _nan_like(real(*a)),
          "non-finite residual or mu at the start"),
+        (scipy.linalg, "cho_solve", lambda real: lambda *a, **k: _nan_like(real(*a, **k)),
+         "beta_nc solve ended with status 'max_iterations' at iteration 1"),
     ],
-    ids=["residual"],
+    ids=["residual", "newton-step"],
 )
 def test_cmd_bias_non_finite_iterate_exits_4(
     tmp_path, monkeypatch, capsys, target, name, wrap, message

@@ -7,14 +7,14 @@ import textwrap
 import numpy as np
 import pytest
 
-from conftest import decreasing_sign_step, random_game
+from conftest import decreasing_sign_step, random_game, random_hermitian, random_unitary
 from dense import effective_operators_dense, state_operator_dense
 from xorq import cli, errors, games, heuristics, linalg, strategies
 from xorq.errors import BadArgsError, SeesawError, TooLargeError
 
 CFG = heuristics.OptimizerConfig(restarts=10, seed=0)
 SMALL = heuristics.OptimizerConfig(restarts=4, seed=0)
-ONES = heuristics.ONE[None]  # the stack of one unentangled shared state
+ONES = np.ones((1, 1), dtype=complex)  # the stack of one unentangled shared state
 
 
 def test_effective_operator_classical_diagonal():
@@ -28,8 +28,8 @@ def test_effective_operator_classical_diagonal():
 def test_effective_operator_zero_and_linearity(rng):
     g = random_game(3, seed=5)
     assert np.allclose(heuristics.effective_operator_for_a(g, np.zeros((1, 3, 3)), ONES), 0)
-    a = heuristics.random_hermitian(rng, 3)
-    b = heuristics.random_hermitian(rng, 3)
+    a = random_hermitian(rng, 3)
+    b = random_hermitian(rng, 3)
     (k,) = heuristics.effective_operator_for_a(g, b[None], ONES)
     want = np.trace(np.kron(a, b) @ g.m)
     assert abs(np.trace(a @ k) - want) < 1e-10
@@ -94,6 +94,32 @@ def test_entangled_lower_t2_warm_start_dominates_me(monkeypatch):
     assert rent.value >= rme.value - 1e-6
 
 
+def test_one_restart_runs_every_class_from_its_warm_start():
+    # restarts = 1 draws nothing: each class's drawn stack is empty and
+    # restart 0 runs alone.
+    g = random_game(3, seed=61)
+    cfg = heuristics.OptimizerConfig(restarts=1, seed=0)
+    assert [z.shape for z in heuristics._draws(cfg, (3, 3), (4,))] == [(0, 3, 3), (0, 4)]
+    ladder = heuristics.Ladder(g, cfg)
+    results = [ladder.omega(), ladder.omega_c(), ladder.me(2), ladder.entangled(2, 2)]
+    for res, shape in zip(results, [(1, 1), (1, 1), (2, 2), (2, 2)]):
+        assert len(res.restart_values) == len(res.restart_iterations) == 1
+        assert res.value == res.restart_values[0] > 0
+        assert res.strategy.psi.shape == shape
+        assert abs(strategies.bias(g, res.strategy) - res.value) <= 1e-9
+
+
+def test_draws_take_each_restart_from_its_own_stream_in_order():
+    cfg = heuristics.OptimizerConfig(restarts=4, seed=9)
+    x, y = heuristics._draws(cfg, (2, 2), (3,))
+    assert x.shape == (3, 2, 2) and y.shape == (3, 3)
+    for r in range(1, 4):
+        rng = np.random.default_rng((9, r))
+        for got, shape in ((x, (2, 2)), (y, (3,))):
+            want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(got[r - 1], want)
+
+
 def test_half_steps_are_exactly_optimal(rng):
     g = random_game(3, seed=31)
     r = heuristics.omega_lower(g, SMALL)
@@ -101,11 +127,11 @@ def test_half_steps_are_exactly_optimal(rng):
     (k,) = heuristics.effective_operator_for_a(g, b[None], ONES)
     val = float(np.real(np.trace(a @ k)))
     for trial in range(1000):
-        cand = linalg.sign_of_hermitian(heuristics.random_hermitian(rng, 3))
+        cand = linalg.sign_of_hermitian(random_hermitian(rng, 3))
         assert np.real(np.trace(cand @ k)) <= val + 1e-9
     # perturbed contenders around the optimum do no better either
     for trial in range(200):
-        pert = a + 0.05 * heuristics.random_hermitian(rng, 3)
+        pert = a + 0.05 * random_hermitian(rng, 3)
         pert = pert / max(1.0, linalg.op_norm(pert))
         assert np.real(np.trace(pert @ k)) <= val + 1e-9
 
@@ -139,7 +165,7 @@ def test_round_complex_real_signed_fixed_point():
     g = games.from_classical(np.array([[0.5, 0.0], [0.0, -0.5]]))
     a = np.diag([1.0, 1.0]).astype(complex)
     b = np.diag([1.0, -1.0]).astype(complex)
-    out = heuristics.round_complex_to_real(g, strategies.ComplexStrategy(a=a, b=b))
+    out = heuristics.round_complex_to_real(g, strategies.Strategy(a, b, ONES, hermitian=False))
     assert np.allclose(out.a, a) and np.allclose(out.b, b)
     assert abs(strategies.bias(g, out) - 1.0) <= 1e-12
 
@@ -166,19 +192,19 @@ def test_round_complex_to_real_h1_and_corpus():
 
 def test_optimizer_config_validation():
     with pytest.raises(BadArgsError, match="restarts"):
-        heuristics.OptimizerConfig(restarts=0)
+        heuristics.OptimizerConfig(restarts=0, seed=0)
     with pytest.raises(BadArgsError, match="seed"):
-        heuristics.OptimizerConfig(seed=-1)
+        heuristics.OptimizerConfig(restarts=50, seed=-1)
 
 
 def _contraction(rng, dim):
-    h = heuristics.random_hermitian(rng, dim)
+    h = random_hermitian(rng, dim)
     return h / linalg.op_norm(h)
 
 
 def _state(rng, kind, da, db):
     if kind == "one":
-        return heuristics.ONE
+        return ONES[0]
     if kind == "me":
         return linalg.max_entangled_state(da)
     psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
@@ -223,7 +249,7 @@ def test_stacked_effective_operators_match_fold_oracle(rng, restarts, n, da, db,
 
 @pytest.mark.parametrize(
     "psi",
-    [np.tile(heuristics.ONE, (2, 1)), heuristics.ONE],
+    [np.ones((2, 1), dtype=complex), ONES[0]],
     ids=["two-states-for-three-parts", "one-flat-state"],
 )
 def test_effective_operators_take_one_state_per_part(rng, psi):
@@ -294,10 +320,10 @@ def test_ladder_checks_the_stack_of_restarts_before_any_start(monkeypatch):
         (6, lambda ladder: ladder.me(3)),
         (10, lambda ladder: ladder.entangled(2, 5)),
     ):
-        over = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=cap // side**2 + 1))
+        over = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=cap // side**2 + 1, seed=0))
         with pytest.raises(TooLargeError, match="dense cap"):
             run(over)
-        at = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=cap // side**2))
+        at = heuristics.Ladder(g, heuristics.OptimizerConfig(restarts=cap // side**2, seed=0))
         with pytest.raises(AssertionError, match="a class ran"):
             run(at)
 
@@ -318,7 +344,7 @@ def test_seesaw_decreasing_half_step_raises_typed_error(monkeypatch):
     g = random_game(2, seed=3)
     b0 = np.eye(g.n, dtype=complex)
     with pytest.raises(SeesawError, match="half-step decreased in restart 0"):
-        heuristics._seesaw(g, heuristics.ONE[None], b0[None], decreasing_sign_step())
+        heuristics._seesaw(g, ONES, b0[None], decreasing_sign_step())
 
 
 def test_seesaw_typed_error_survives_python_O():
@@ -334,7 +360,7 @@ def test_seesaw_typed_error_survives_python_O():
         g = random_game(2, seed=3)
         b0 = np.eye(g.n, dtype=complex)
         try:
-            heuristics._seesaw(g, heuristics.ONE[None], b0[None], decreasing_sign_step())
+            heuristics._seesaw(g, np.ones((1, 1)), b0[None], decreasing_sign_step())
         except SeesawError as exc:
             print("SeesawError", exc)
             sys.exit(0)
@@ -363,7 +389,7 @@ def test_entangled_state_step_decrease_raises_typed_error(monkeypatch):
 
     monkeypatch.setattr(heuristics, "_state_step", shrinking)
     monkeypatch.setattr(heuristics, "IMPROVEMENT_TOL", 1e-300)
-    cfg = heuristics.OptimizerConfig(restarts=1)
+    cfg = heuristics.OptimizerConfig(restarts=1, seed=0)
     with pytest.raises(SeesawError, match="state step decreased"):
         heuristics.Ladder(random_game(2, seed=9), cfg).entangled(2, 2)
 
@@ -376,19 +402,19 @@ def test_effective_operator_hermiticity_check(rng):
     skew = games.GameMatrix(n=3, m=g.m + 0.1j * np.eye(9))
     # It adds 0.1i Tr(B) I to K: Hermitian for the traceless start of
     # restart 0, not for restart 1's B = I.
-    one = np.tile(heuristics.ONE, (2, 1))
+    one = np.ones((2, 1), dtype=complex)
     traceless = np.diag([1.0, -1.0, 0.0]).astype(complex)
     with pytest.raises(SeesawError, match="for A lost Hermiticity in restart 1"):
         heuristics._seesaw(skew, one, np.stack([traceless, eye]), heuristics._sign_step)
     # M + I (x) iE, E Hermitian and traceless, adds I Tr(iE B) = 0 to K at
     # B = I, but iE Tr(A) to L, and Tr(A) != 0 for an observable on C^3.
-    e = heuristics.random_hermitian(rng, 3)
+    e = random_hermitian(rng, 3)
     e -= np.trace(e) / 3 * eye
     lopsided = games.GameMatrix(n=3, m=g.m + np.kron(eye, 1j * e))
     with pytest.raises(SeesawError, match="for B lost Hermiticity in restart 0"):
         heuristics._seesaw(lopsided, one, np.stack([eye, eye]), heuristics._sign_step)
     # The complex class's non-Hermitian parts make no claim on K.
-    haar = np.stack([heuristics._haar_start(0, r, 3) for r in (1, 2)])
+    haar = np.stack([random_unitary(rng, 3) for _ in range(2)])
     heuristics._seesaw(g, one, haar, heuristics._polar_step)
 
 
@@ -411,7 +437,7 @@ def test_report_ladder_runs_omega_once_with_standalone_values(monkeypatch):
 
     monkeypatch.setattr(heuristics, "omega_lower", counted)
     quantities = cli._parse_quantities("omega,omega-c,me:2,ent:2x2")
-    rep = cli.compute_report(g, quantities, 1e-6, cfg.restarts, cfg.seed)
+    rep = cli.compute_report(g, quantities, 1e-6, cfg.restarts, cfg.seed, "game")
     assert len(calls) == 1
     got = (rep.omega_lower, rep.omega_c_lower, rep.me_lower, rep.entangled_lower)
     assert got == standalone

@@ -20,6 +20,7 @@ from constructions import (
 )
 from dense import bias_dense, random_strategy
 from xorq import games, linalg, strategies
+from xorq.strategies import Strategy
 from xorq.errors import (
     BadArgsError,
     DimensionMismatchError,
@@ -31,7 +32,7 @@ from xorq.errors import (
 def test_bias_zero_operators():
     g = games.t_game(2)
     z = np.zeros((3, 3))
-    assert strategies.bias(g, strategies.UnentangledStrategy(a=z, b=z)) == 0.0
+    assert strategies.bias(g, Strategy(z, z, np.ones((1, 1)))) == 0.0
 
 
 def test_bias_dimension_mismatch():
@@ -39,10 +40,9 @@ def test_bias_dimension_mismatch():
     s = strategies.t_unentangled_strategy(3)
     with pytest.raises(DimensionMismatchError):
         strategies.bias(g, s)
-    a_off = strategies.UnentangledStrategy(a=np.eye(5), b=np.eye(3))
-    with pytest.raises(DimensionMismatchError, match="operator A"):
-        strategies.bias(g, a_off)  # C^5 is not C^3
-    me_off = strategies.MaxEntangledStrategy(d=2, a=np.eye(4), b=np.eye(4))
+    with pytest.raises(DimensionMismatchError, match="do not act on C"):
+        Strategy(np.eye(5), np.eye(3), np.ones((1, 1)))  # C^5 is not C^3
+    me_off = Strategy(np.eye(4), np.eye(4), np.eye(2) / math.sqrt(2))
     with pytest.raises(DimensionMismatchError):
         strategies.bias(g, me_off)  # C^2 (x) C^2 is not C^3 (x) C^2
 
@@ -50,15 +50,15 @@ def test_bias_dimension_mismatch():
 @pytest.mark.parametrize(
     "make, error",
     [
-        (lambda: strategies.MaxEntangledStrategy(d=2, a=np.eye(7), b=np.eye(7)), DimensionMismatchError),
-        (lambda: strategies.MaxEntangledStrategy(d=2, a=np.eye(6), b=np.eye(7)), DimensionMismatchError),
-        (lambda: strategies.MaxEntangledStrategy(d=2, a=np.eye(4), b=np.eye(6)), DimensionMismatchError),
-        (lambda: strategies.MaxEntangledStrategy(d=0, a=np.eye(2), b=np.eye(2)), BadArgsError),
-        (lambda: strategies.EntangledStrategy(d_a=2, d_b=2, a=np.eye(5), b=np.eye(6), psi=np.full(4, 0.5)), DimensionMismatchError),
-        (lambda: strategies.EntangledStrategy(d_a=2, d_b=3, a=np.eye(6), b=np.eye(8), psi=np.full(6, 6**-0.5)), DimensionMismatchError),
-        (lambda: strategies.EntangledStrategy(d_a=2, d_b=1, a=np.eye(4), b=np.eye(3), psi=np.full(2, 0.5**0.5)), DimensionMismatchError),
-        (lambda: strategies.EntangledStrategy(d_a=0, d_b=1, a=np.eye(2), b=np.eye(2), psi=np.ones(1)), BadArgsError),
-        (lambda: strategies.EntangledStrategy(d_a=1, d_b=-1, a=np.eye(2), b=np.eye(2), psi=np.ones(1)), BadArgsError),
+        (lambda: Strategy(np.eye(7), np.eye(7), np.eye(2) / math.sqrt(2)), DimensionMismatchError),
+        (lambda: Strategy(np.eye(6), np.eye(7), np.eye(2) / math.sqrt(2)), DimensionMismatchError),
+        (lambda: Strategy(np.eye(4), np.eye(6), np.eye(2) / math.sqrt(2)), DimensionMismatchError),
+        (lambda: Strategy(np.eye(2), np.eye(2), np.ones((0, 0))), BadArgsError),
+        (lambda: Strategy(np.eye(5), np.eye(6), np.full((2, 2), 0.5)), DimensionMismatchError),
+        (lambda: Strategy(np.eye(6), np.eye(8), np.full((2, 3), 6**-0.5)), DimensionMismatchError),
+        (lambda: Strategy(np.eye(4), np.eye(3), np.full((2, 1), 0.5**0.5)), DimensionMismatchError),
+        (lambda: Strategy(np.eye(2), np.eye(2), np.ones((0, 1))), BadArgsError),
+        (lambda: Strategy(np.eye(2), np.eye(2), np.ones(1)), DimensionMismatchError),
     ],
 )
 def test_strategy_sides_checked_at_construction(make, error):
@@ -67,8 +67,7 @@ def test_strategy_sides_checked_at_construction(make, error):
 
 
 def test_strategy_sides_accept_one_message_space():
-    psi = np.full(6, 6**-0.5, dtype=complex)
-    s = strategies.EntangledStrategy(d_a=2, d_b=3, a=np.eye(6), b=np.eye(9), psi=psi)
+    s = Strategy(np.eye(6), np.eye(9), np.full((2, 3), 6**-0.5))
     assert strategies.bias(games.t_game(2), s) == pytest.approx(
         bias_dense(games.t_game(2), s), abs=1e-12
     )
@@ -115,9 +114,7 @@ def test_bias_agrees_with_dense_reference(kind, n, da, db):
 def test_unentangled_bias_equals_one_dimensional_entangled_bias():
     g = random_game(2, seed=42)
     u = random_strategy("unentangled", g, None, seed=3)
-    emb = strategies.EntangledStrategy(
-        d_a=1, d_b=1, a=u.a, b=u.b, psi=np.ones(1, dtype=complex)
-    )
+    emb = Strategy(u.a, u.b, np.array([[1j]]))  # a one-dimensional state of another phase
     assert abs(strategies.bias(g, u) - strategies.bias(g, emb)) <= 1e-10
 
 
@@ -142,8 +139,8 @@ def test_bias_invariant_under_local_unitaries(rng):
     v = random_unitary(rng, 3)
     a2 = np.kron(np.eye(2), u) @ s.a @ np.kron(np.eye(2), u).conj().T
     b2 = np.kron(np.eye(2), v) @ s.b @ np.kron(np.eye(2), v).conj().T
-    psi2 = np.kron(u, v) @ s.psi
-    s2 = strategies.EntangledStrategy(d_a=3, d_b=3, a=a2, b=b2, psi=psi2)
+    psi2 = u @ s.psi @ v.T  # (U (x) V) psi as a dA x dB matrix
+    s2 = Strategy(a2, b2, psi2)
     assert abs(strategies.bias(g, s) - strategies.bias(g, s2)) < 1e-9
 
 
@@ -243,8 +240,7 @@ def test_symmetrize_preserves_bias_and_outputs_observable():
     assert np.allclose(out.a, out.b)
     dim = out.a.shape[0]
     assert np.linalg.norm(out.a @ out.a - np.eye(dim)) <= 1e-8
-    st = out.psi.reshape(out.d_a, out.d_b)
-    assert np.linalg.norm(st - st.T) <= 1e-9  # permutation-invariant state
+    assert np.linalg.norm(out.psi - out.psi.T) <= 1e-9  # permutation-invariant state
 
 
 def test_symmetrize_fixed_point_bias():
@@ -262,11 +258,10 @@ def test_symmetrize_restricts_support():
     e = np.eye(4, dtype=complex)[:, :2]
     a = np.kron(np.eye(3), e) @ base.a @ np.kron(np.eye(3), e).conj().T
     b = np.kron(np.eye(3), e) @ base.b @ np.kron(np.eye(3), e).conj().T
-    psi = np.kron(e, e) @ base.psi
-    padded = strategies.EntangledStrategy(d_a=4, d_b=4, a=a, b=b, psi=psi)
+    padded = Strategy(a, b, e @ base.psi @ e.T)
     out = symmetrize(g, padded)
     # Schmidt rank <= 2, flag doubles it, dilation at most doubles again
-    assert out.d_a <= 8
+    assert out.psi.shape[0] <= 8
     assert abs(strategies.bias(g, out) - strategies.bias(g, padded)) <= 1e-8
 
 
@@ -339,7 +334,7 @@ def test_embezzlement_respects_dimension_bound():
     for n, d in [(2, 2), (2, 3), (2, 4), (3, 2)]:
         s = strategies.t_entangled_strategy(n, d)
         b = strategies.bias(games.t_game(n), s)
-        assert b <= max_bias_upper_bound_tn(n, s.d_a) + 1e-9
+        assert b <= max_bias_upper_bound_tn(n, s.psi.shape[0]) + 1e-9
 
 
 def test_random_strategy_determinism():
@@ -356,8 +351,6 @@ def test_random_strategy_determinism():
 
 def test_strategy_validation():
     with pytest.raises(BadArgsError):
-        strategies.UnentangledStrategy(a=2.0 * np.eye(2), b=np.eye(2))
+        Strategy(2.0 * np.eye(2), np.eye(2), np.ones((1, 1)))
     with pytest.raises(BadArgsError):
-        strategies.EntangledStrategy(
-            d_a=1, d_b=1, a=np.eye(2), b=np.eye(2), psi=np.array([2.0 + 0j])
-        )
+        Strategy(np.eye(2), np.eye(2), np.array([[2.0 + 0j]]))
