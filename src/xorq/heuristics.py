@@ -1,8 +1,9 @@
 """Heuristic lower bounds on the biases via alternating maximization.
 
-Every class maximizes one form, Tr((A (x) B)(M (x) |psi><psi|)), where psi
-is the scalar 1 (unentangled and complex classes), the maximally entangled
-state (me:d) or a free unit state (ent:dA x dB). The form is linear in each
+Every class maximizes one form, Tr((A (x) B)(M (x) |psi><psi|)), where psi,
+kept as its dA x dB coefficient matrix as in strategies.Strategy, is [[1]]
+(unentangled and complex classes), the maximally entangled state I/sqrt(d)
+(me:d) or a free unit state (ent:dA x dB). The form is linear in each
 player's operator (and in psi's density matrix), so each block subproblem
 has an exact closed-form maximizer: the spectral sign of the effective
 operator for Hermitian classes, its polar unitary for the complex class,
@@ -11,7 +12,8 @@ contraction that strategies.bias evaluates the form with
 (strategies.effective_operator_for_a/_b).
 
 One see-saw loop (_seesaw) alternates these steps for every class, and it
-runs all cfg.restarts restarts of a class as one stack (R, s, s): each
+runs all cfg.restarts restarts of a class as one stack: operators (R, s, s)
+and shared states (R, dA, dB), the layout of the record throughout. Each
 half-step is one stacked contraction, a matrix product with the game's
 realigned M (GameMatrix.realigned), and one stacked sign or polar step.
 Each restart keeps its own stop rule, MAX_ITERS cap, monotonicity checks
@@ -109,10 +111,11 @@ def _form(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.real(np.trace(a @ k, axis1=1, axis2=2))
 
 
-def _seesaw(g: GameMatrix, psi: np.ndarray, b: np.ndarray, step, dims=None):
+def _seesaw(g: GameMatrix, psi: np.ndarray, b: np.ndarray, step, free_state: bool = False):
     """Alternate exact half-steps from every initial B of the stack b
-    (R, s, s) at once, restart r with the state psi[r]; with dims = (dA, dB),
-    each iteration then also takes the optimal state step (a free psi).
+    (R, s, s) at once, restart r with the state psi[r] of the stack psi
+    (R, dA, dB); with free_state, each iteration then also takes the optimal
+    state step.
 
     Each restart keeps its own stop rule and MAX_ITERS cap: once it stops,
     its A, B, psi and value stay frozen and later half-steps run only on
@@ -135,8 +138,8 @@ def _seesaw(g: GameMatrix, psi: np.ndarray, b: np.ndarray, step, dims=None):
         b[live] = _half_step(step, l, "B", live)
         value = _form(b[live], l)
         _check_monotone(value, val_a, "half-step decreased", live)
-        if dims is not None:
-            psi[live], lam = _state_step(g, a_live, b[live], *dims)
+        if free_state:
+            psi[live], lam = _state_step(g, a_live, b[live])
             flip = lam < 0  # play -A, so the bias is |lam|
             a_live[flip] = -a_live[flip]
             lam = np.where(flip, -lam, lam)
@@ -156,16 +159,14 @@ def _seesaw(g: GameMatrix, psi: np.ndarray, b: np.ndarray, step, dims=None):
 
 
 def _run_restarts(
-    g: GameMatrix, b0: np.ndarray, psi: np.ndarray, hermitian: bool, dims=None
+    g: GameMatrix, b0: np.ndarray, psi: np.ndarray, hermitian: bool, free_state: bool = False
 ) -> HeuristicResult:
     """The see-saw from every start (b0[r], psi[r]) as one stack, with the
     sign step, or the polar step when hermitian is False (each looked up
-    per call). The result's strategy is the best run's, with its state as a
-    dA x dB matrix, dB the private dimension of B."""
+    per call). The result's strategy is the best run's."""
     step = _sign_step if hermitian else _polar_step
-    values, finals, iters = _seesaw(g, psi, b0, step, dims)
-    a, b, state = (x[int(np.argmax(values))] for x in finals)
-    strategy = Strategy(a, b, state.reshape(-1, b.shape[0] // g.n), hermitian)
+    values, finals, iters = _seesaw(g, psi, b0, step, free_state)
+    strategy = Strategy(*(x[int(np.argmax(values))] for x in finals), hermitian)
     return HeuristicResult(strategy, tuple(values.tolist()), tuple(iters.tolist()))
 
 
@@ -201,7 +202,7 @@ def omega_lower(g: GameMatrix, cfg: OptimizerConfig) -> HeuristicResult:
     from B = I."""
     (z,) = _draws(cfg, (g.n, g.n))
     b0 = _observables(np.eye(g.n, dtype=complex), z)
-    return _run_restarts(g, b0, np.ones((cfg.restarts, 1), dtype=complex), True)
+    return _run_restarts(g, b0, np.ones((cfg.restarts, 1, 1), dtype=complex), True)
 
 
 def omega_c_lower(
@@ -215,7 +216,7 @@ def omega_c_lower(
     (z,) = _draws(cfg, (g.n, g.n))
     u, _, v = linalg.svd(z)
     b0 = np.concatenate([omega.strategy.b[None], u @ linalg.dagger(v)])
-    return _run_restarts(g, b0, np.ones((cfg.restarts, 1), dtype=complex), False)
+    return _run_restarts(g, b0, np.ones((cfg.restarts, 1, 1), dtype=complex), False)
 
 
 def _epr_embed(op: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -249,23 +250,22 @@ def me_lower(
     if d % 2 == 0:
         warm.append(_epr_embed(omega_c.strategy.b, n, d))
     # one half-step of each, all with the maximally entangled state
-    k = effective_operator_for_a(g, np.stack(warm), np.tile(psi, (len(warm), 1)))
+    k = effective_operator_for_a(g, np.stack(warm), np.tile(psi, (len(warm), 1, 1)))
     best_warm = warm[int(np.argmax(_form(_sign_step(k), k)))]
     (z,) = _draws(cfg, (n * d, n * d))
-    return _run_restarts(g, _observables(best_warm, z), np.tile(psi, (cfg.restarts, 1)), True)
+    return _run_restarts(g, _observables(best_warm, z), np.tile(psi, (cfg.restarts, 1, 1)), True)
 
 
-def _state_operator(
-    g: GameMatrix, a: np.ndarray, b: np.ndarray, da: int, db: int
-) -> np.ndarray:
+def _state_operator(g: GameMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """T_r = Tr_msg((A_r (x) B_r)(M (x) I)) on C^dA (x) C^dB for each r of the
-    stacks a and b:
+    stacks a (R, n*dA, n*dA) and b (R, n*dB, n*dB):
     T[(a, b), (c, d)] = sum A[(i, a), (k, c)] B[(j, b), (l, d)] M[(k, l), (i, j)].
 
     Two matrix products: U = R B over (j, l) with R = g.realigned, as in
     strategies.effective_operator_for_a, then T = A U over (i, k) per r.
     """
     n, r = g.n, a.shape[0]
+    da, db = a.shape[-1] // n, b.shape[-1] // n
     bm = b.reshape(r, n, db, n, db).transpose(1, 3, 0, 2, 4).reshape(n * n, -1)
     u = (g.realigned @ bm).reshape(n, n, r, db * db).transpose(2, 1, 0, 3)
     am = a.reshape(r, n, da, n, da).transpose(0, 2, 4, 1, 3).reshape(r, da * da, n * n)
@@ -289,15 +289,14 @@ def _top_state(w: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
     return vec, lam
 
 
-def _state_step(
-    g: GameMatrix, a: np.ndarray, b: np.ndarray, da: int, db: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _state_step(g: GameMatrix, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal shared state for fixed operators, for each r of the stacks:
     the top eigenvector by magnitude of T_r = Tr_msg((A_r (x) B_r)(M (x) I))
-    (_top_state). Returns the stacks (psi (R, dA*dB), lambda (R,))."""
-    w, vecs = np.linalg.eigh(linalg.hermitian_part(_state_operator(g, a, b, da, db)))
+    (_top_state). Returns the stacks (psi (R, dA, dB), lambda (R,))."""
+    w, vecs = np.linalg.eigh(linalg.hermitian_part(_state_operator(g, a, b)))
     tops = [_top_state(wr, vr) for wr, vr in zip(w, vecs)]
-    return np.array([vec for vec, _ in tops]), np.array([lam for _, lam in tops])
+    psi = np.array([vec for vec, _ in tops]).reshape(a.shape[0], a.shape[-1] // g.n, -1)
+    return psi, np.array([lam for _, lam in tops])
 
 
 def entangled_lower(
@@ -315,14 +314,14 @@ def entangled_lower(
     eb = np.eye(db, dtype=complex)[:, :dm]
     lift_b = np.kron(np.eye(n), eb)
     warm_b = lift_b @ me.strategy.b @ lift_b.conj().T
-    warm_psi = np.kron(ea, eb) @ linalg.max_entangled_state(dm)
+    warm_psi = ea @ linalg.max_entangled_state(dm) @ eb.T
 
     # A's draw is unused: the first half-step replaces A. Each state is
-    # normalized alone: norm(axis=-1) sums in another order, in other bits.
-    _, zb, zpsi = _draws(cfg, (n * da, n * da), (n * db, n * db), (da * db,))
-    norms = np.array([np.linalg.norm(z) for z in zpsi]).reshape(-1, 1)
+    # normalized alone: an axis= norm sums in another order, in other bits.
+    _, zb, zpsi = _draws(cfg, (n * da, n * da), (n * db, n * db), (da, db))
+    norms = np.array([np.linalg.norm(z) for z in zpsi]).reshape(-1, 1, 1)
     psi0 = np.concatenate([warm_psi[None], zpsi / norms])
-    return _run_restarts(g, _observables(warm_b, zb), psi0, True, dims=(da, db))
+    return _run_restarts(g, _observables(warm_b, zb), psi0, True, free_state=True)
 
 
 class Ladder:

@@ -207,10 +207,9 @@ def polar_unitary(k: np.ndarray) -> np.ndarray:
 
 
 def max_entangled_state(d: int) -> np.ndarray:
-    """(1/sqrt(d)) sum_i |i>|i> on C^d (x) C^d."""
-    psi = np.zeros(d * d, dtype=complex)
-    psi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
-    return psi
+    """(1/sqrt(d)) sum_i |i>|i> on C^d (x) C^d, as its d x d coefficient
+    matrix I/sqrt(d)."""
+    return np.eye(d, dtype=complex) / np.sqrt(d)
 
 
 @dataclass(frozen=True)

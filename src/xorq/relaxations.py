@@ -251,7 +251,7 @@ def nc_objective(g: GameMatrix, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("rik,rjl,klij->", x, y, _m4(g)).real)
 
 
-def beta_sdp(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
+def beta_sdp(g: GameMatrix, tol: float) -> RelaxationResult:
     """Vector relaxation of a classical XOR game, given as its diagonal
     embedding M (FormatError when M is not diagonal); the witness rows x[s]
     and y[t] are the vectors, and the value is Re sum_st R_st <conj x_s, y_t>
@@ -261,14 +261,14 @@ def beta_sdp(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResul
                        lambda w: float(np.real(np.sum(r * (w["x"] @ w["y"].T)))))
 
 
-def beta_nc(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
+def beta_nc(g: GameMatrix, tol: float) -> RelaxationResult:
     """Non-commutative Gram relaxation; upper bound on the maximally
     entangled bias, at most 2 sqrt(2) times the unentangled bias."""
     return _solve_gram("nc", g.n, beta_nc_instance(g), tol,
                        lambda w: nc_objective(g, w["x"], w["y"]))
 
 
-def beta_os(g: GameMatrix, tol: float = sdp_mod.DEFAULT_TOL) -> RelaxationResult:
+def beta_os(g: GameMatrix, tol: float) -> RelaxationResult:
     """Operator-space Gram relaxation; upper bound on the entangled bias
     within a factor 2."""
     return _solve_gram("os", g.n, beta_os_instance(g), tol,

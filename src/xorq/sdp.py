@@ -125,7 +125,7 @@ class SdpSolution:
     primal_value: float
     dual_value: float
     iterations: int  # iterations run, len(trace), whichever iterate is returned
-    status: str  # "optimal" or "max_iterations" (best iterate, non-certified)
+    status: str  # "optimal", or "max_iterations" or "stalled" (best iterate, non-certified)
     trace: tuple[IpmIteration, ...] = ()
 
 
@@ -354,6 +354,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
 
     best = None
     best_merit = np.inf
+    status = "stalled"  # each break below: the iterates can make no further progress
     for _ in range(MAX_ITERS):
         rp = b_vec - _a_of(prog, z)
         rd = prog.cobj + s - _at_of(prog, y)
@@ -461,9 +462,11 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         s = s + ad * ds
         y = y + ad * dy
         trace.append(IpmIteration(sigma=sigma, alpha_p=ap, alpha_d=ad, **record))
+    else:
+        status = "max_iterations"
 
     z, y, pobj, dobj = best
-    return _finish(prog, z, y, pobj, dobj, len(trace), "max_iterations", trace)
+    return _finish(prog, z, y, pobj, dobj, len(trace), status, trace)
 
 
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
@@ -481,20 +484,21 @@ def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
 # --- public driver -------------------------------------------------------------
 
 
-def solve(inst: SdpInstance, tol: float = DEFAULT_TOL) -> SdpSolution:
+def solve(inst: SdpInstance, tol: float) -> SdpSolution:
     """Solve a complex-block SDP to the requested relative gap tolerance.
 
     Deterministic for a fixed instance and tolerance, which must be positive
     and finite (else BadArgsError). The instance's rows must bound Tr Z: some
     rows with only diagonal entries, weighted by u, sum to a positive
     diagonal D with u^T b > 0 (see the module docstring); else BadArgsError.
-    An iteration-capped run returns the best iterate with status
-    "max_iterations", and so does a run stopped by a non-finite residual,
-    mu or Newton step; a non-finite start raises SdpError. A real instance (C and every entry real) is solved
-    over real symmetric Z, and its blocks are then real arrays. y has one
-    entry per row of the instance. Raises TooLargeError, before allocating,
-    when the matrix side or the Schur matrix (one row and column per row of
-    the instance) is above the dense cap.
+    A run returns its best iterate as "max_iterations" at the cap, and as
+    "stalled" when it stops early (a non-finite residual, mu or Newton step,
+    mu below MU_FLOOR, or a Schur matrix that no ridge makes factorable); a
+    non-finite start raises SdpError. A real instance (C and every entry
+    real) is solved over real symmetric Z, and its blocks are then real
+    arrays. y has one entry per row of the instance. Raises TooLargeError,
+    before allocating, when the matrix side or the Schur matrix (one row and
+    column per row of the instance) is above the dense cap.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")

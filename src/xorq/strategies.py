@@ -16,12 +16,12 @@ Hermitian:
 One contraction evaluates the form: the effective operator K of B and psi,
 with Tr(A K) equal to the form. bias takes Tr(A K), and the see-saw's two
 half-steps take K in both orientations (effective_operator_for_a/_b), for a
-whole stack of restarts at once, each restart with its own shared state.
+whole stack of restarts at once: R shared states are one (R, dA, dB) array.
 
 The contraction is one matrix product with the game's realigned matrix
 R[(k, i), (j, l)] = M[(k, l), (i, j)] (GameMatrix.realigned, one contiguous
 copy per game). A's operator multiplies R from the right by the small
-blocks X_jl = P B_jl^T P^dagger of every operator of the stack; B's
+blocks X_jl = psi B_jl^T psi^dagger of every operator of the stack; B's
 multiplies R from the left by its blocks with the two message indices
 swapped, so one copy of R serves both players. bias runs the same code on
 a stack of one.
@@ -89,26 +89,26 @@ class Strategy:
 
 
 def _effective_operators(
-    g: GameMatrix, parts: np.ndarray, p: np.ndarray, for_b: bool
+    g: GameMatrix, parts: np.ndarray, psi: np.ndarray, for_b: bool
 ) -> np.ndarray:
     """The effective operator of each part of a stack (R, n*din, n*din),
-    part r with the dout x din matrix p[r] (p of R matrices).
+    part r with the state psi[r] of the stack psi (R, dA, dB).
 
-    With part_jl[d, b] = part[(j, d), (l, b)] and X_jl = p part_jl^T p^dagger,
-    A's operator (part B, p = psi as a dA x dB matrix) is
-    K[(k, a), (i, c)] = sum_jl X_jl[a, c] M[(k, l), (i, j)]
-    = sum_jl R[(k, i), (j, l)] X_jl[a, c], with R = g.realigned; B's
-    (part A, p = psi^T) is L[(l, b), (j, d)] = sum_ik R[(k, i), (j, l)]
-    X_ik[b, d]: the same matrix R contracted on its other side, with the
-    two message indices of X swapped. Either is one matrix product of R
-    with all R * dout^2 entries of X at once.
+    With p = psi[r] (A's operator, parts of B, din = dB) or psi[r]^T (B's,
+    parts of A, din = dA), part_jl[d, b] = part[(j, d), (l, b)] and X_jl =
+    p part_jl^T p^dagger, A's is K[(k, a), (i, c)] = sum_jl X_jl[a, c]
+    M[(k, l), (i, j)] = sum_jl R[(k, i), (j, l)] X_jl[a, c], R = g.realigned;
+    B's is L[(l, b), (j, d)] = sum_ik R[(k, i), (j, l)] X_ik[b, d]: the same
+    matrix R contracted on its other side, with the two message indices of
+    X swapped. Either is one matrix product of R with all R * dout^2 entries
+    of X at once.
     """
-    n = g.n
-    r, din, dout = parts.shape[0], p.shape[-1], p.shape[-2]
-    if parts.shape[1:] != (n * din, n * din):
-        raise DimensionMismatchError(
-            f"operator of shape {parts.shape[1:]} does not act on C^{n} (x) C^{din}"
-        )
+    parts, psi, n = linalg.as_complex(parts), linalg.as_complex(psi), g.n
+    din = psi.shape[-2 if for_b else -1] if psi.ndim == 3 else 0
+    if din < 1 or parts.shape != (psi.shape[0], n * din, n * din):
+        raise DimensionMismatchError("operator or state incompatible with the game")
+    p = psi.swapaxes(-1, -2) if for_b else psi
+    r, dout = p.shape[:2]
     # part^T's private indices first: [r, b, (j, l, d)] = part[r, (j, d), (l, b)]
     pt = parts.reshape(r, n, din, n, din).transpose(0, 4, 1, 3, 2).reshape(r, din, -1)
     x = ((p @ pt).reshape(r, -1, din) @ linalg.dagger(p)).reshape(r, dout, n, n, dout)
@@ -121,32 +121,19 @@ def _effective_operators(
     return out.reshape(r, n * dout, n * dout)
 
 
-def _stack_states(g: GameMatrix, parts: np.ndarray, psi: np.ndarray):
-    """(parts, psi, the parts' private dimension): a stack of operators
-    (R, n*d, n*d) and a stack of R states, one per part."""
-    parts, psi = linalg.as_complex(parts), linalg.as_complex(psi)
-    d = parts.shape[-1] // g.n if parts.ndim == 3 else 0
-    if d < 1 or psi.ndim != 2 or psi.shape[0] != parts.shape[0] or psi.shape[1] % d:
-        raise DimensionMismatchError("operator or state incompatible with the game")
-    return parts, psi, d
-
-
 def effective_operator_for_a(g: GameMatrix, b_parts: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The stack of K_r with Tr(A K_r) = Tr((A (x) B_r)(M (x) |psi_r><psi_r|))
     for every A, from the stack b_parts (R, n*dB, n*dB) and the stack psi
-    (R, dA*dB) of shared states; K_r is Hermitian whenever B_r is, since a
+    (R, dA, dB) of shared states; K_r is Hermitian whenever B_r is, since a
     validated M is."""
-    parts, states, db = _stack_states(g, b_parts, psi)
-    return _effective_operators(g, parts, states.reshape(states.shape[0], -1, db), False)
+    return _effective_operators(g, b_parts, psi, False)
 
 
 def effective_operator_for_b(g: GameMatrix, a_parts: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The stack of L_r with Tr(B L_r) = Tr((A_r (x) B)(M (x) |psi_r><psi_r|))
     for every B, from the stack a_parts (R, n*dA, n*dA) and the stack psi
-    (R, dA*dB) of shared states."""
-    parts, states, da = _stack_states(g, a_parts, psi)
-    p = states.reshape(states.shape[0], da, -1).swapaxes(-1, -2)
-    return _effective_operators(g, parts, p, True)
+    (R, dA, dB) of shared states."""
+    return _effective_operators(g, a_parts, psi, True)
 
 
 def bias(g: GameMatrix, s: Strategy) -> float:
@@ -157,7 +144,7 @@ def bias(g: GameMatrix, s: Strategy) -> float:
     checked below 1e-9, then discarded); the complex class returns the
     modulus.
     """
-    k = _effective_operators(g, s.b[None], s.psi[None], False)[0]
+    k = effective_operator_for_a(g, s.b[None], s.psi[None])[0]
     val = complex(np.sum(s.a * k.T))  # Tr(A K)
     if not s.hermitian:
         return abs(val)
@@ -207,12 +194,12 @@ def h1_me_strategy() -> Strategy:
         v[j * 3 + k] = 1.0 / math.sqrt(2)
         v[k * 3 + j] = -1.0 / math.sqrt(2)
         vecs.append(v)
-    vecs.append(linalg.max_entangled_state(3))
+    vecs.append(linalg.max_entangled_state(3).ravel())
     p0 = np.zeros((9, 9), dtype=complex)
     for v in vecs:
         p0 += np.outer(v, v.conj())
     a = 2.0 * p0 - np.eye(9)
-    return Strategy(a, a.copy(), linalg.max_entangled_state(3).reshape(3, 3))
+    return Strategy(a, a.copy(), linalg.max_entangled_state(3))
 
 
 def embezzlement_state(n: int, d: int, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:

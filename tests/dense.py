@@ -3,8 +3,9 @@ effective operators and state step, and the beta_nc objective. They form
 the full permuted operators, so they are only usable at small dimensions;
 tests compare the package's contractions against them. Also the seeded
 random strategies and the products of a vector-valued matrix that the
-tests feed them. Both read a strategy of any class the same way: its shared
-state psi is a dA x dB matrix, [[1]] without entanglement.
+tests feed them. Every shared state is a dA x dB matrix, [[1]] without
+entanglement, as in strategies.Strategy; the package stacks R of them as
+one (R, dA, dB) array, of which the oracles here take one state at a time.
 """
 
 import numpy as np
@@ -34,10 +35,10 @@ def random_strategy(kind: str, g, dims, seed: int):
             ops.append(u @ linalg.dagger(v))
     if kind == "entangled":
         rng = np.random.default_rng((seed, 2))
-        psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-        psi = (psi / np.linalg.norm(psi)).reshape(da, db)
+        psi = rng.standard_normal((da, db)) + 1j * rng.standard_normal((da, db))
+        psi = psi / np.linalg.norm(psi)
     else:
-        psi = linalg.max_entangled_state(da).reshape(da, db)
+        psi = linalg.max_entangled_state(da)
     return strategies.Strategy(*ops, psi, hermitian)
 
 
@@ -51,22 +52,23 @@ def vvm_products(x) -> tuple[np.ndarray, np.ndarray]:
 
 def bias_dense(g, s) -> float:
     """Bias of a strategy from the full permuted operator product."""
-    val = complex(np.trace(np.kron(s.a, s.b) @ folded_game_matrix(g, s.psi, *s.psi.shape)))
+    val = complex(np.trace(np.kron(s.a, s.b) @ folded_game_matrix(g, s.psi)))
     return float(val.real) if s.hermitian else abs(val)
 
 
-def folded_game_matrix(g, psi, da: int, db: int) -> np.ndarray:
-    """M (x) |psi><psi| permuted to the players' (message, private) split."""
-    psi = linalg.as_complex(psi).reshape(-1)
+def folded_game_matrix(g, psi) -> np.ndarray:
+    """M (x) |psi><psi| permuted to the players' (message, private) split,
+    for the dA x dB state psi."""
     big = np.kron(g.m, np.outer(psi, psi.conj()))
-    return linalg.permute_systems(big, (g.n, g.n, da, db), (0, 2, 1, 3))
+    return linalg.permute_systems(big, (g.n, g.n, *psi.shape), (0, 2, 1, 3))
 
 
-def effective_operators_dense(g, a, b, psi, da: int, db: int):
+def effective_operators_dense(g, a, b, psi):
     """(K, L) with Tr(A K) = Tr(B L) = Tr((A (x) B) F) for the folded
-    matrix F, contracted with A's or B's indices of F."""
-    na, nb = g.n * da, g.n * db
-    f = folded_game_matrix(g, psi, da, db).reshape(na, nb, na, nb)
+    matrix F of the dA x dB state psi, contracted with A's or B's indices
+    of F."""
+    na, nb = a.shape[0], b.shape[0]
+    f = folded_game_matrix(g, psi).reshape(na, nb, na, nb)
     return np.einsum("jl,klij->ki", b, f), np.einsum("ik,klij->lj", a, f)
 
 

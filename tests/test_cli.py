@@ -478,7 +478,7 @@ def _nan_like(x):
         (sdp, "_a_of", lambda real: lambda *a: _nan_like(real(*a)),
          "non-finite residual or mu at the start"),
         (scipy.linalg, "cho_solve", lambda real: lambda *a, **k: _nan_like(real(*a, **k)),
-         "beta_nc solve ended with status 'max_iterations' at iteration 1"),
+         "beta_nc solve ended with status 'stalled' at iteration 1"),
     ],
     ids=["residual", "newton-step"],
 )

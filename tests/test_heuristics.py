@@ -14,7 +14,7 @@ from xorq.errors import BadArgsError, SeesawError, TooLargeError
 
 CFG = heuristics.OptimizerConfig(restarts=10, seed=0)
 SMALL = heuristics.OptimizerConfig(restarts=4, seed=0)
-ONES = np.ones((1, 1), dtype=complex)  # the stack of one unentangled shared state
+ONES = np.ones((1, 1, 1), dtype=complex)  # the stack of one unentangled shared state
 
 
 def test_effective_operator_classical_diagonal():
@@ -101,8 +101,10 @@ def test_one_restart_runs_every_class_from_its_warm_start():
     cfg = heuristics.OptimizerConfig(restarts=1, seed=0)
     assert [z.shape for z in heuristics._draws(cfg, (3, 3), (4,))] == [(0, 3, 3), (0, 4)]
     ladder = heuristics.Ladder(g, cfg)
-    results = [ladder.omega(), ladder.omega_c(), ladder.me(2), ladder.entangled(2, 2)]
-    for res, shape in zip(results, [(1, 1), (1, 1), (2, 2), (2, 2)]):
+    # dA != dB both ways: the state is dA x dB, and B's contraction takes its transpose.
+    results = [ladder.omega(), ladder.omega_c(), ladder.me(2), ladder.entangled(2, 2),
+               ladder.entangled(2, 3), ladder.entangled(3, 2)]
+    for res, shape in zip(results, [(1, 1), (1, 1), (2, 2), (2, 2), (2, 3), (3, 2)]):
         assert len(res.restart_values) == len(res.restart_iterations) == 1
         assert res.value == res.restart_values[0] > 0
         assert res.strategy.psi.shape == shape
@@ -165,7 +167,7 @@ def test_round_complex_real_signed_fixed_point():
     g = games.from_classical(np.array([[0.5, 0.0], [0.0, -0.5]]))
     a = np.diag([1.0, 1.0]).astype(complex)
     b = np.diag([1.0, -1.0]).astype(complex)
-    out = heuristics.round_complex_to_real(g, strategies.Strategy(a, b, ONES, hermitian=False))
+    out = heuristics.round_complex_to_real(g, strategies.Strategy(a, b, ONES[0], hermitian=False))
     assert np.allclose(out.a, a) and np.allclose(out.b, b)
     assert abs(strategies.bias(g, out) - 1.0) <= 1e-12
 
@@ -207,7 +209,7 @@ def _state(rng, kind, da, db):
         return ONES[0]
     if kind == "me":
         return linalg.max_entangled_state(da)
-    psi = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
+    psi = rng.standard_normal((da, db)) + 1j * rng.standard_normal((da, db))
     return psi / np.linalg.norm(psi)
 
 
@@ -221,7 +223,7 @@ def test_effective_operators_match_fold_oracle(rng, n, da, db, kind):
     a = _contraction(rng, n * da)
     b = _contraction(rng, n * db)
     psi = _state(rng, kind, da, db)
-    want_k, want_l = effective_operators_dense(g, a, b, psi, da, db)
+    want_k, want_l = effective_operators_dense(g, a, b, psi)
     (k,) = heuristics.effective_operator_for_a(g, b[None], psi[None])
     (l,) = heuristics.effective_operator_for_b(g, a[None], psi[None])
     assert np.max(np.abs(k - want_k)) <= 1e-12
@@ -237,19 +239,20 @@ def test_stacked_effective_operators_match_fold_oracle(rng, restarts, n, da, db,
     # One state per part: the same state for the unentangled and maximally
     # entangled classes, as the see-saw tiles it, and the entangled class's own.
     psi = (np.stack([_state(rng, "random", da, db) for _ in range(restarts)])
-           if kind == "ent" else np.tile(_state(rng, kind, da, db), (restarts, 1)))
+           if kind == "ent" else np.tile(_state(rng, kind, da, db), (restarts, 1, 1)))
     k = heuristics.effective_operator_for_a(g, b, psi)
     l = heuristics.effective_operator_for_b(g, a, psi)
     assert k.shape == (restarts, n * da, n * da) and l.shape == (restarts, n * db, n * db)
     for r in range(restarts):
-        want_k, want_l = effective_operators_dense(g, a[r], b[r], psi[r], da, db)
+        want_k, want_l = effective_operators_dense(g, a[r], b[r], psi[r])
         assert np.max(np.abs(k[r] - want_k)) <= 1e-12
         assert np.max(np.abs(l[r] - want_l)) <= 1e-12
 
 
 @pytest.mark.parametrize(
     "psi",
-    [np.ones((2, 1), dtype=complex), ONES[0]],
+    # The flat stack holds one state per part, each as a vector of dA*dB entries.
+    [np.ones((2, 1, 1), dtype=complex), np.ones((3, 1), dtype=complex)],
     ids=["two-states-for-three-parts", "one-flat-state"],
 )
 def test_effective_operators_take_one_state_per_part(rng, psi):
@@ -272,21 +275,21 @@ def test_restart_values_do_not_depend_on_the_stack(monkeypatch, game):
     real = heuristics._seesaw
     runs = []
 
-    def recording(g, psi, b, step, dims=None):
-        out = real(g, psi, b, step, dims)
-        runs.append((g, psi, b, step, dims, out))
+    def recording(g, psi, b, step, free_state=False):
+        out = real(g, psi, b, step, free_state)
+        runs.append((g, psi, b, step, free_state, out))
         return out
 
     monkeypatch.setattr(heuristics, "_seesaw", recording)
     ladder = heuristics.Ladder(game(), heuristics.OptimizerConfig(restarts=5, seed=3))
     results = [ladder.omega(), ladder.omega_c(), ladder.me(2), ladder.entangled(2, 2)]
     assert len(runs) == 4
-    for res, (g, psi, b, step, dims, (values, _, iters)) in zip(results, runs):
+    for res, (g, psi, b, step, free_state, (values, _, iters)) in zip(results, runs):
         assert res.restart_values == tuple(values) and len(values) == 5
         assert res.restart_iterations == tuple(iters)
         assert res.iterations_used == sum(res.restart_iterations)
         for r in range(5):
-            alone, _, alone_iters = real(g, psi[r : r + 1], b[r : r + 1], step, dims)
+            alone, _, alone_iters = real(g, psi[r : r + 1], b[r : r + 1], step, free_state)
             assert abs(alone[0] - values[r]) <= 1e-12 * max(1.0, abs(values[r]))
             assert alone_iters[0] == iters[r]
 
@@ -333,7 +336,7 @@ def test_state_operator_matches_kronecker_oracle(rng, n, da, db):
     g = random_game(n, seed=10 * n + da + db)
     a = _contraction(rng, n * da)
     b = _contraction(rng, n * db)
-    got = heuristics._state_operator(g, np.stack([a, a.T]), np.stack([b, b.T]), da, db)
+    got = heuristics._state_operator(g, np.stack([a, a.T]), np.stack([b, b.T]))
     for r, (ar, br) in enumerate([(a, b), (a.T, b.T)]):
         want = state_operator_dense(g.m, ar, br, n, da, db)
         assert np.max(np.abs(got[r] - want)) <= 1e-12
@@ -360,7 +363,7 @@ def test_seesaw_typed_error_survives_python_O():
         g = random_game(2, seed=3)
         b0 = np.eye(g.n, dtype=complex)
         try:
-            heuristics._seesaw(g, np.ones((1, 1)), b0[None], decreasing_sign_step())
+            heuristics._seesaw(g, np.ones((1, 1, 1)), b0[None], decreasing_sign_step())
         except SeesawError as exc:
             print("SeesawError", exc)
             sys.exit(0)
@@ -382,8 +385,8 @@ def test_entangled_state_step_decrease_raises_typed_error(monkeypatch):
     real = heuristics._state_step
     calls = []
 
-    def shrinking(g, a, b, da, db):
-        psi, lam = real(g, a, b, da, db)
+    def shrinking(g, a, b):
+        psi, lam = real(g, a, b)
         calls.append(None)
         return psi, np.abs(lam) / len(calls)
 
@@ -402,7 +405,7 @@ def test_effective_operator_hermiticity_check(rng):
     skew = games.GameMatrix(n=3, m=g.m + 0.1j * np.eye(9))
     # It adds 0.1i Tr(B) I to K: Hermitian for the traceless start of
     # restart 0, not for restart 1's B = I.
-    one = np.ones((2, 1), dtype=complex)
+    one = np.ones((2, 1, 1), dtype=complex)
     traceless = np.diag([1.0, -1.0, 0.0]).astype(complex)
     with pytest.raises(SeesawError, match="for A lost Hermiticity in restart 1"):
         heuristics._seesaw(skew, one, np.stack([traceless, eye]), heuristics._sign_step)

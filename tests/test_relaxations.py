@@ -166,14 +166,18 @@ def test_beta_sdp_values():
     assert res.value >= oc.value - 1e-4
 
 
-@pytest.mark.parametrize("name", ["beta_sdp", "beta_sdp_instance"])
-def test_beta_sdp_refuses_a_game_off_the_diagonal(monkeypatch, name):
+@pytest.mark.parametrize(
+    "build",
+    [lambda g: relaxations.beta_sdp(g, sdp.DEFAULT_TOL), relaxations.beta_sdp_instance],
+    ids=["beta_sdp", "beta_sdp_instance"],
+)
+def test_beta_sdp_refuses_a_game_off_the_diagonal(monkeypatch, build):
     def unreachable(*args, **kwargs):
         raise AssertionError("sdp.solve reached")
 
     monkeypatch.setattr(relaxations.sdp_mod, "solve", unreachable)
     with pytest.raises(FormatError, match="diagonal"):
-        getattr(relaxations, name)(games.t_game(1))
+        build(games.t_game(1))
 
 
 def test_beta_sdp_witness_feasible():
@@ -212,8 +216,8 @@ def test_beta_nc_of_the_diagonal_embedding_is_beta_sdp():
         cases.append(r / np.sum(np.abs(r)))
     for c in cases:
         g = games.from_classical(c)
-        sdp_value = relaxations.beta_sdp(g).value
-        nc_value = relaxations.beta_nc(g).value
+        sdp_value = relaxations.beta_sdp(g, sdp.DEFAULT_TOL).value
+        nc_value = relaxations.beta_nc(g, sdp.DEFAULT_TOL).value
         assert abs(sdp_value - nc_value) <= 2e-6, g.n
 
 
@@ -232,10 +236,10 @@ def _transformed_games(g: games.GameMatrix, rng) -> dict:
 @pytest.mark.parametrize("n, seed", [(2, 7101), (2, 7102), (2, 7103),
                                      (3, 7104), (3, 7105), (3, 7106)])
 def test_gram_bounds_invariant_under_game_symmetries(n, seed):
-    g = random_game(n, seed)
-    want = (relaxations.beta_nc(g).value, relaxations.beta_os(g).value)
+    g, tol = random_game(n, seed), sdp.DEFAULT_TOL
+    want = (relaxations.beta_nc(g, tol).value, relaxations.beta_os(g, tol).value)
     for name, h in _transformed_games(g, np.random.default_rng(seed)).items():
-        got = (relaxations.beta_nc(h).value, relaxations.beta_os(h).value)
+        got = (relaxations.beta_nc(h, tol).value, relaxations.beta_os(h, tol).value)
         assert max(abs(a - b) for a, b in zip(want, got)) <= 1e-7, name
 
 
@@ -431,4 +435,4 @@ def test_constraint_matrix_has_full_row_rank(case):
 def test_beta_os_refuses_oversized_instance():
     # H2 has n = 10: 20,400 constraints, so a 20,401^2 Schur matrix
     with pytest.raises(TooLargeError, match="dense cap"):
-        relaxations.beta_os(games.h_game(2))
+        relaxations.beta_os(games.h_game(2), sdp.DEFAULT_TOL)

@@ -124,7 +124,7 @@ def test_certify_rejects_corrupted_solution():
 
 def test_certify_recomputes_the_objective():
     inst = relaxations.beta_nc_instance(games.h_game(1))
-    sol = sdp.solve(inst)
+    sol = sdp.solve(inst, sdp.DEFAULT_TOL)
     assert certify(inst, sol).passed
     # Both values shifted alike: the gap checks alone cannot see it.
     shifted = replace(sol, primal_value=sol.primal_value + 0.1, dual_value=sol.dual_value + 0.1)
@@ -380,7 +380,7 @@ def test_paper_table_solves_take_few_iterations():
     # corrector 15 and 155.
     iterations = {}
     for name, inst in _paper_table_instances().items():
-        sol = sdp.solve(inst)
+        sol = sdp.solve(inst, sdp.DEFAULT_TOL)
         assert certify(inst, sol).passed, name
         iterations[name] = sol.iterations
     assert len(iterations) == 15
@@ -426,7 +426,7 @@ def test_gram_relaxations_have_a_trace_witness(monkeypatch):
         assert np.abs(_witness_diagonal(inst) - np.eye(prog.dim)).max() <= 1e-12, name
         assert prog.witness @ prog.b == pytest.approx(trace, rel=1e-12), name
         # The start meets every row, and S = A^T y - C exactly, up to rounding.
-        first = sdp.solve(inst).trace[0]
+        first = sdp.solve(inst, sdp.DEFAULT_TOL).trace[0]
         assert max(first.pres, first.dres) <= 1e-14, name
     # With the caps as inequalities Q + S = I, S a slack block, D is another
     # positive diagonal (tests/slack.py): for beta_nc with n = 3, 8/7 on the
@@ -470,7 +470,7 @@ def test_instances_whose_rows_do_not_bound_the_trace_are_refused():
     assert prog.witness @ prog.b < 0
     for name, inst in cases.items():
         with pytest.raises(BadArgsError, match="do not bound Tr Z"):
-            sdp.solve(inst)
+            sdp.solve(inst, sdp.DEFAULT_TOL)
 
 
 def test_trace_bound_with_spread_row_weights_solves():
@@ -485,7 +485,7 @@ def test_trace_bound_with_spread_row_weights_solves():
     )
     d = np.diag(_witness_diagonal(inst)).real
     assert d[1] / d[0] == pytest.approx(1e-6, rel=1e-12)
-    sol = sdp.solve(inst)
+    sol = sdp.solve(inst, sdp.DEFAULT_TOL)
     assert sol.status == "optimal"
     assert sol.primal_value == pytest.approx(1000.0, rel=1e-5)
     assert sol.dual_value == pytest.approx(1000.0, rel=1e-5)
@@ -530,15 +530,15 @@ def test_real_path_matches_complex_core():
             assert sdp._Program(real_inst).dtype is float, name
             assert sdp._Program(full_inst).dtype is complex, name
             assert len(full_inst.constraints) > len(real_inst.constraints), name
-            real = getattr(relaxations, f"beta_{kind}")(g).value
-            full = getattr(relaxations, f"beta_{kind}")(twin).value
+            real = getattr(relaxations, f"beta_{kind}")(g, sdp.DEFAULT_TOL).value
+            full = getattr(relaxations, f"beta_{kind}")(twin, sdp.DEFAULT_TOL).value
             assert abs(real - full) <= 1e-7, (name, kind)
     # Every paper-table solve is real, and its y is a dual point of the
     # program with the imaginary-part rows as well (0 at each of them):
     # A^T y - C is PSD, so b^T y bounds the optimum, within the gap tolerance.
     for name, inst in _paper_table_instances().items():
         assert sdp._Program(inst).dtype is float, name
-        sol = sdp.solve(inst)
+        sol = sdp.solve(inst, sdp.DEFAULT_TOL)
         assert all(z.dtype == np.float64 for z in sol.blocks.values()), name
         assert certify(inst, sol).passed, name
         assert sol.y.shape == (len(inst.constraints),), name
@@ -580,7 +580,7 @@ def test_instances_that_are_not_real_stay_complex():
     }
     for name, (inst, value) in cases.items():
         assert sdp._Program(inst).dtype is complex, name
-        sol = sdp.solve(inst)
+        sol = sdp.solve(inst, sdp.DEFAULT_TOL)
         assert sol.status == "optimal", name
         assert all(z.dtype == np.complex128 for z in sol.blocks.values()), name
         assert sol.y.shape == (len(inst.constraints),), name
@@ -597,18 +597,18 @@ def test_size_cap_counts_the_rows_solved(monkeypatch):
     m = len(real.constraints)
     assert side < m < len(full.constraints)
     monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", m**2)
-    assert certify(real, sdp.solve(real)).passed
+    assert certify(real, sdp.solve(real, sdp.DEFAULT_TOL)).passed
 
     def no_solve(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr(sdp, "_solve", no_solve)
     with pytest.raises(TooLargeError, match="dense cap"):
-        sdp.solve(full)
+        sdp.solve(full, sdp.DEFAULT_TOL)
     # Two blocks each under the cap, held as one matrix of side 6000.
     two = sdp.SdpInstance(blocks=(("a", 3000), ("b", 3000)), objective={}, constraints=())
     with pytest.raises(TooLargeError, match="side 6000"):
-        sdp.solve(two)
+        sdp.solve(two, sdp.DEFAULT_TOL)
 
 
 def _two_by_two(c: float, rhs: float) -> sdp.SdpInstance:
@@ -632,7 +632,7 @@ def test_instances_leave_the_callers_data_alone():
     for inst in (_two_blocks(), _phase_row(0.0)):  # two blocks, and an imaginary row
         objective = {label: c.copy() for label, c in inst.objective.items()}
         constraints = deepcopy(inst.constraints)
-        sdp.solve(inst)
+        sdp.solve(inst, sdp.DEFAULT_TOL)
         assert inst.objective.keys() == objective.keys()
         assert all(np.array_equal(inst.objective[k], c) for k, c in objective.items())
         assert inst.constraints == constraints
@@ -663,8 +663,15 @@ def test_infeasible_detected():
         ),
     )
     sol = sdp.solve(inst, 1e-8)
-    assert sol.status == "max_iterations"
+    assert sol.status == "stalled" and sol.iterations < sdp.MAX_ITERS
     assert "residual" in certify(inst, sol, 1e-8).failures()
+
+
+def test_iteration_cap_returns_its_best_iterate(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERS", 2)
+    sol = sdp.solve(_random_instance(4), 1e-8)
+    assert sol.status == "max_iterations" and sol.iterations == len(sol.trace) == 2
+    assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
 
 
 @pytest.mark.parametrize("c", [1.0, 0.5])
@@ -672,15 +679,15 @@ def test_overflowing_run_returns_its_best_iterate(c):
     # max 2 c Re Z[0, 1] with Z[0, 0] = 100, Z[1, 1] = 1 and 2 Re Z[0, 1] =
     # 20.5, just above the largest feasible 20: the iterates grow until a
     # residual overflows (at iteration 65 for c = 1, 36 for c = 0.5), and the
-    # run ends there, as a capped one does, with its best iterate.
+    # run stalls there with its best iterate.
     rows = (((0, 0), 100.0), ((1, 1), 1.0), ((0, 1), 20.5))
     inst = replace(_two_by_two(c, 1.0), constraints=tuple(
         sdp.SdpConstraint(entries=(("z", r, col, 1.0 + 0.0j),), rhs=rhs) for (r, col), rhs in rows
     ))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        sol = sdp.solve(inst)
-    assert sol.status == "max_iterations"
+        sol = sdp.solve(inst, sdp.DEFAULT_TOL)
+    assert sol.status == "stalled"
     last = sol.trace[-1]
     assert sol.iterations < sdp.MAX_ITERS and not math.isfinite(last.pres + last.dres + last.mu)
     assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
@@ -702,7 +709,7 @@ def test_non_finite_newton_step_returns_the_best_iterate(monkeypatch):
     want = sdp.solve(inst, 1e-8)
     monkeypatch.setattr(scipy.linalg, "cho_solve", cho_solve)
     sol = sdp.solve(inst, 1e-8)
-    assert sol.status == "max_iterations" and 2 <= sol.iterations < want.iterations
+    assert sol.status == "stalled" and 2 <= sol.iterations < want.iterations
     assert (sol.trace[-1].alpha_p, sol.trace[-1].alpha_d) == (0.0, 0.0)  # no step taken
     assert all(rec.alpha_p > 0 for rec in sol.trace[:-1])
     assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
