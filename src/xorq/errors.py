@@ -63,10 +63,6 @@ class BadArgsError(XorqError):
     pass
 
 
-class PreconditionViolatedError(XorqError):
-    pass
-
-
 class FormatError(XorqError):
     """Raised on malformed serialized files."""
 

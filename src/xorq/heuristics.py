@@ -375,61 +375,3 @@ class Ladder:
             raise BadArgsError("dimensions must be >= 1")
         self._check_stack(max(self.g.n * da, self.g.n * db, da * db))
         return entangled_lower(self.g, da, db, self.cfg, self.me(min(da, db)))
-
-
-def round_complex_to_real(g: GameMatrix, s: Strategy) -> Strategy:
-    """Round a complex strategy to Hermitian observables.
-
-    Diagonalizes the (unitarized) operators and searches eigenvalue signs
-    over 720 global phase rotations followed by single-flip local search.
-    Empirically loses at most a sqrt(2) factor on the test corpus.
-    """
-
-    def unitarize(x):
-        if np.linalg.norm(x.conj().T @ x - np.eye(x.shape[0])) <= 1e-9 * x.shape[0]:
-            return x
-        uu, _, vv = linalg.svd(x)
-        return uu @ vv.conj().T
-
-    import scipy.linalg  # deferred: SciPy stays off the start-up path
-
-    a = unitarize(s.a)
-    b = unitarize(s.b)
-    ta, ua = scipy.linalg.schur(a, output="complex")
-    tb, ub = scipy.linalg.schur(b, output="complex")
-    lam = np.diag(ta)
-    mu = np.diag(tb)
-    p = np.kron(ua, ub)
-    w = np.real(np.diag(p.conj().T @ g.m @ p)).reshape(a.shape[0], b.shape[0])
-
-    def signs(vals):
-        out = np.where(np.real(vals) >= 0, 1.0, -1.0)
-        return out
-
-    best = None
-    for t in range(720):
-        theta = 2.0 * np.pi * t / 720.0
-        x = signs(np.exp(-1j * theta) * lam)
-        y = signs(np.exp(1j * theta) * mu)
-        val = float(x @ w @ y)
-        if best is None or val > best[0]:
-            best = (val, x, y)
-    val, x, y = best
-    improved = True
-    while improved:
-        improved = False
-        for i in range(x.size):
-            delta = -2.0 * x[i] * float(w[i] @ y)
-            if delta > 1e-15:
-                x[i] = -x[i]
-                val += delta
-                improved = True
-        for j in range(y.size):
-            delta = -2.0 * y[j] * float(x @ w[:, j])
-            if delta > 1e-15:
-                y[j] = -y[j]
-                val += delta
-                improved = True
-    a_round = linalg.hermitian_part((ua * x) @ ua.conj().T)
-    b_round = linalg.hermitian_part((ub * y) @ ub.conj().T)
-    return Strategy(a_round, b_round, np.ones((1, 1)))

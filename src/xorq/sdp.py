@@ -16,6 +16,19 @@ The Schur matrix is assembled a group of constraints at a time, each
 group's stack at most 1 MB (see _schur). A solve stops "optimal" when both
 residuals are below FEAS_TOL and the relative duality gap is at most tol.
 
+The linear algebra is NumPy's alone. _schur fills the upper triangle of the
+Schur matrix M; np.linalg.cholesky of its transposed array reads that
+array's lower triangle, hence M's upper one, and gives the lower factor L
+with M = L L^T. dy takes a forward pass with L and an adjoint pass with L^T,
+and the inverse of Z's factor a forward pass with the identity. NumPy has no
+triangular solve, so each pass is a blocked substitution (_Triangular): the
+diagonal blocks, SUBSTITUTION_ROWS rows each, are inverted once per factor,
+and a pass takes matrix products only. A block solved through its explicit
+inverse leaves a residual of about its condition number times the rounding
+unit, where substitution leaves one of the order of the unit; so each
+block's solution x = inv r is refined once, x + inv (r - L_kk x), which
+brings the residual back to within a small factor of a substitution's.
+
 The core holds an instance as one Hermitian matrix Z with the blocks on its
 diagonal, each entry shifted by its block's offset. That is the same
 program: a PSD Z with those diagonal blocks exists exactly when every block
@@ -67,6 +80,7 @@ MAX_ITERS = 120
 MU_FLOOR = 1e-13
 SHORT_STEP = 0.1  # corrector step below which the centering direction is tried
 SCHUR_GROUP_ENTRIES = 1 << 16  # complex entries (1 MB) in one Schur group array
+SUBSTITUTION_ROWS = 64  # rows of a diagonal block in a blocked triangular solve
 
 Entry = tuple[str, int, int, complex]
 
@@ -276,12 +290,56 @@ def _nt_scaling(lz: np.ndarray, lz_inv: np.ndarray, s: np.ndarray):
     return _hermitian(g @ g.conj().T), g, g_inv, np.sqrt(omega)
 
 
-def _lower_inverse(l: np.ndarray) -> np.ndarray:
-    import scipy.linalg  # deferred: SciPy stays off the start-up path
+class _Triangular:
+    """A lower-triangular L, ready for solves with L and with L^H by blocked
+    substitution. The diagonal blocks, SUBSTITUTION_ROWS rows each (the last
+    one shorter), are inverted once, here, all at once; a solve then takes
+    matrix products only, block by block, with one refinement step per
+    block (see the module docstring)."""
 
-    return scipy.linalg.solve_triangular(
-        l, np.eye(l.shape[0]), lower=True, check_finite=False
-    )
+    def __init__(self, l: np.ndarray):
+        self.l = l
+        n = l.shape[0]
+        rows = min(SUBSTITUTION_ROWS, n)
+        cuts = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+        # Each block padded with the identity to a side that is a power of two.
+        side = 1 << (rows - 1).bit_length()
+        stack = np.tile(np.eye(side, dtype=l.dtype), (len(cuts), 1, 1))
+        for k, (lo, hi) in enumerate(cuts):
+            stack[k, : hi - lo, : hi - lo] = l[lo:hi, lo:hi]
+        inverses = self._invert(stack)
+        # (lo, hi, the block's inverse, the block) per diagonal block
+        self.blocks = [(lo, hi, inverses[k, : hi - lo, : hi - lo], l[lo:hi, lo:hi])
+                       for k, (lo, hi) in enumerate(cuts)]
+
+    @staticmethod
+    def _invert(stack: np.ndarray) -> np.ndarray:
+        """The inverses of a stack (K, s, s) of lower-triangular matrices, s a
+        power of two: [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+        with the A and D halves of every matrix inverted as one stack."""
+        k, s, _ = stack.shape
+        if s == 1:
+            return 1.0 / stack
+        h = s // 2
+        halves = _Triangular._invert(np.concatenate([stack[:, :h, :h], stack[:, h:, h:]]))
+        out = np.zeros_like(stack)
+        out[:, :h, :h], out[:, h:, h:] = halves[:k], halves[k:]
+        out[:, h:, :h] = -(halves[k:] @ stack[:, h:, :h]) @ halves[:k]
+        return out
+
+    def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """L^-1 rhs, or L^-H rhs when adjoint; rhs is a vector or a matrix."""
+        l = self.l
+        x = np.empty(rhs.shape, dtype=np.result_type(l, rhs))
+        for lo, hi, inv, diag in reversed(self.blocks) if adjoint else self.blocks:
+            if adjoint:
+                inv, diag = inv.conj().T, diag.conj().T
+                r = rhs[lo:hi] - l[hi:, lo:hi].conj().T @ x[hi:]
+            else:
+                r = rhs[lo:hi] - l[lo:hi, :lo] @ x[:lo]
+            xk = inv @ r
+            x[lo:hi] = xk + inv @ (r - diag @ xk)
+        return x
 
 
 def _max_step(dx: np.ndarray) -> float:
@@ -339,8 +397,6 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     The start (see the module docstring) is Z = (u^T b / Tr D) I, y = lam u
     and S = A^T y - C = lam D - C, u the witness prog.witness with A^T u =
     D and lam = 1.5 ||C|| / min D + 1e-3. solve has checked that u^T b > 0."""
-    import scipy.linalg  # deferred: SciPy stays off the start-up path
-
     b_vec, nu = prog.b, prog.dim
     scale_b = 1.0 + float(np.max(np.abs(b_vec)))
     norm_c = float(np.linalg.norm(prog.cobj, 2))
@@ -384,7 +440,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
 
         t = time.perf_counter()
         lz = _chol_psd(z)
-        w, g, g_inv, lam = _nt_scaling(lz, _lower_inverse(lz), s)
+        w, g, g_inv, lam = _nt_scaling(lz, _Triangular(lz).solve(np.eye(nu, dtype=lz.dtype)), s)
         t, record["nt_s"] = _lap(t)
         schur = _schur(prog, w)
         t, record["schur_s"] = _lap(t)
@@ -394,7 +450,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         for _ in range(10):
             np.fill_diagonal(schur, diag + ridge)
             try:
-                factor = scipy.linalg.cho_factor(schur, check_finite=False)
+                factor = _Triangular(np.linalg.cholesky(schur.T))
                 break
             except np.linalg.LinAlgError:
                 ridge *= 100.0
@@ -412,7 +468,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         def newton(rc: np.ndarray):
             """The NT direction with dZ + W dS W = rc."""
             rhs = _a_of(prog, rc + w_rd_w) - rp
-            dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            dy = factor.solve(factor.solve(rhs), adjoint=True)
             if not np.isfinite(dy).all():
                 raise FloatingPointError("non-finite Newton step")
             ds = _at_of(prog, dy) - rd

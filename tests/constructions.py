@@ -43,7 +43,6 @@ from xorq import games, linalg, strategies
 from xorq.errors import (
     BadArgsError,
     DimensionMismatchError,
-    PreconditionViolatedError,
     XorqError,
     check_dense,
 )
@@ -53,6 +52,10 @@ SPECTRAL_CUTOFF = 1e-12
 
 class ZeroGameError(XorqError):
     """The zero game has no rank-one form: M has no singular value."""
+
+
+class PreconditionViolatedError(XorqError):
+    """An input or an output that breaks a construction's stated condition."""
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -20,6 +20,7 @@ from constructions import (
     xor_to_rank_one,
 )
 from dense import random_strategy
+import rounding
 from xorq import cli, games, heuristics, linalg, relaxations, strategies
 
 CFG50 = heuristics.OptimizerConfig(restarts=50, seed=0)
@@ -205,7 +206,7 @@ def test_criterion_10_linalg_suite():
         d = int(rng.integers(n, n + 3))
         a1 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         a2 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        res = linalg.gsvd(a1, a2)
+        res = rounding.gsvd(a1, a2)
         pad = np.zeros((res.k, d - res.k))
         scale = max(1.0, np.linalg.norm(a1), np.linalg.norm(a2))
         ok &= np.linalg.norm(a1 @ res.u1 - res.r @ np.hstack([res.d1, pad])) <= 1e-7 * scale
@@ -216,7 +217,7 @@ def test_criterion_10_linalg_suite():
 
     for _ in range(100):
         a1, a2, b1, b2 = _random_feasible_quad(rng)
-        v1, v2 = linalg.proportionality_isometries(a1, a2, b1, b2)
+        v1, v2 = rounding.proportionality_isometries(a1, a2, b1, b2)
         _check_proportional(a1, a2, b1, b2, v1, v2)
 
     def inversion_sign(perm):

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from conftest import decreasing_sign_step
+from conftest import decreasing_sign_step, random_game
 import xorq
+from without_scipy import RefuseScipy
 from xorq import cli, games, heuristics, relaxations, report, sdp
 
 
@@ -201,23 +201,28 @@ def test_one_component_game_takes_one_eigh_of_m(monkeypatch):
 
 
 def test_scipy_stays_off_the_start_up_path(tmp_path):
-    # SciPy is imported where an SDP solve needs it, so building a game and
-    # computing heuristics-only quantities never load it.
-    code = """
-import sys
-from xorq import cli
-assert "scipy" not in sys.modules, "import"
-assert cli.main(["game", "--name", "tn", "--param", "2", "--out", sys.argv[1]]) == 0
-assert cli.main(["bias", sys.argv[1], "--quantities", "omega,omega-c,me:2,ent:2x2,chains",
-                 "--restarts", "2"]) == 0
-assert "scipy" not in sys.modules, "bias"
-"""
+    # No package path imports SciPy: under a finder that refuses it, the
+    # three SDP relaxations, real and complex, and every heuristic class run.
+    t2, chsh, random3 = (str(tmp_path / f"{name}.json") for name in ("t2", "chsh", "random3"))
+    assert run(["game", "--name", "tn", "--param", "2", "--out", t2]) == 0
+    assert run(["game", "--name", "chsh", "--out", chsh]) == 0
+    Path(random3).write_text(json.dumps(games.game_to_dict(random_game(3, seed=7))))
     src = str(Path(xorq.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "t2.json")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
+    script = str(Path(__file__).with_name("without_scipy.py"))
+    with pytest.raises(ModuleNotFoundError, match="scipy is refused"):
+        RefuseScipy().find_spec("scipy.linalg")
+    assert RefuseScipy().find_spec("scipyx") is None
+    for argv in (
+        ["bias", chsh, "--quantities", "beta-sdp"],
+        ["bias", t2, "--quantities", "beta-nc,beta-os"],
+        ["bias", random3, "--quantities", "beta-nc,beta-os"],
+        ["bias", random3, "--quantities", "omega,omega-c,me:2,ent:2x2,chains", "--restarts", "2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, script, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_cmd_bias_parse_error(tmp_path):
@@ -469,6 +474,17 @@ def _nan_like(x):
     return np.full_like(x, np.nan)
 
 
+def _nan_newton_step(real):
+    """sdp._Triangular.solve with NaN from every adjoint pass: the second
+    pass of each Newton solve, which the inverse of Z's factor never takes."""
+
+    def solve(self, rhs, adjoint=False):
+        x = real(self, rhs, adjoint)
+        return _nan_like(x) if adjoint else x
+
+    return solve
+
+
 # A non-finite iterate at the start leaves nothing to return. One after the
 # start ends the solve with its best iterate (tests/test_sdp.py), which is no
 # value of the relaxation: beta_nc(T2) once printed that iterate, 0, for 1/sqrt(2).
@@ -477,7 +493,7 @@ def _nan_like(x):
     [
         (sdp, "_a_of", lambda real: lambda *a: _nan_like(real(*a)),
          "non-finite residual or mu at the start"),
-        (scipy.linalg, "cho_solve", lambda real: lambda *a, **k: _nan_like(real(*a, **k)),
+        (sdp._Triangular, "solve", _nan_newton_step,
          "beta_nc solve ended with status 'stalled' at iteration 1"),
     ],
     ids=["residual", "newton-step"],

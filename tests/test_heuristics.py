@@ -9,6 +9,7 @@ import pytest
 
 from conftest import decreasing_sign_step, random_game, random_hermitian, random_unitary
 from dense import effective_operators_dense, state_operator_dense
+import rounding
 from xorq import cli, errors, games, heuristics, linalg, strategies
 from xorq.errors import BadArgsError, SeesawError, TooLargeError
 
@@ -167,7 +168,7 @@ def test_round_complex_real_signed_fixed_point():
     g = games.from_classical(np.array([[0.5, 0.0], [0.0, -0.5]]))
     a = np.diag([1.0, 1.0]).astype(complex)
     b = np.diag([1.0, -1.0]).astype(complex)
-    out = heuristics.round_complex_to_real(g, strategies.Strategy(a, b, ONES[0], hermitian=False))
+    out = rounding.round_complex_to_real(g, strategies.Strategy(a, b, ONES[0], hermitian=False))
     assert np.allclose(out.a, a) and np.allclose(out.b, b)
     assert abs(strategies.bias(g, out) - 1.0) <= 1e-12
 
@@ -175,7 +176,7 @@ def test_round_complex_real_signed_fixed_point():
 def test_round_complex_to_real_chsh():
     g = games.from_classical(games.chsh())
     rc = heuristics.Ladder(g, CFG).omega_c()
-    out = heuristics.round_complex_to_real(g, rc.strategy)
+    out = rounding.round_complex_to_real(g, rc.strategy)
     val = strategies.bias(g, out)
     assert val >= rc.value / math.sqrt(2) - 1e-6
     assert val >= 0.5 - 1e-6
@@ -183,12 +184,12 @@ def test_round_complex_to_real_chsh():
 
 def test_round_complex_to_real_h1_and_corpus():
     g = games.h_game(1)
-    out = heuristics.round_complex_to_real(g, strategies.h1_unentangled_strategy())
+    out = rounding.round_complex_to_real(g, strategies.h1_unentangled_strategy())
     assert strategies.bias(g, out) >= 0.4 / math.sqrt(2) - 1e-9
     for seed in range(6):
         gg = random_game(2, seed=800 + seed)
         rc = heuristics.Ladder(gg, SMALL).omega_c()
-        out = heuristics.round_complex_to_real(gg, rc.strategy)
+        out = rounding.round_complex_to_real(gg, rc.strategy)
         assert strategies.bias(gg, out) >= rc.value / math.sqrt(2) - 1e-6
 
 

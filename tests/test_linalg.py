@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
-from constructions import partial_trace, trace_norm
+from constructions import PreconditionViolatedError, partial_trace, trace_norm
+import rounding
 from spectral import herm_eig
 from xorq import linalg
 from xorq.errors import (
@@ -13,7 +14,6 @@ from xorq.errors import (
     NotAPermutationError,
     NotHermitianError,
     NotSquareError,
-    PreconditionViolatedError,
 )
 
 
@@ -272,7 +272,7 @@ def test_hermiticity_check_near_the_float_limit():
 
 
 def _check_gsvd(a1, a2):
-    res = linalg.gsvd(a1, a2)
+    res = rounding.gsvd(a1, a2)
     n, d = a1.shape
     k = res.k
     scale1 = max(1.0, np.linalg.norm(a1))
@@ -320,7 +320,7 @@ def test_gsvd_random_instances(rng):
 
 def test_gsvd_requires_wide_input():
     with pytest.raises(BadArgsError):
-        linalg.gsvd(np.zeros((3, 2)), np.zeros((3, 2)))
+        rounding.gsvd(np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 def _check_proportional(a1, a2, b1, b2, v1, v2):
@@ -353,13 +353,13 @@ def _check_proportional(a1, a2, b1, b2, v1, v2):
 def test_proportionality_identity_case(rng):
     a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    v1, v2 = linalg.proportionality_isometries(a, a, b, b)
+    v1, v2 = rounding.proportionality_isometries(a, a, b, b)
     _check_proportional(a, a, b, b, v1, v2)
 
 
 def test_proportionality_zero_case():
     z = np.zeros((2, 3))
-    v1, v2 = linalg.proportionality_isometries(z, z, z, z)
+    v1, v2 = rounding.proportionality_isometries(z, z, z, z)
     _check_proportional(z, z, z, z, v1, v2)
 
 
@@ -389,7 +389,7 @@ def _random_feasible_quad(rng):
 def test_proportionality_random_feasible(rng):
     for _ in range(100):
         a1, a2, b1, b2 = _random_feasible_quad(rng)
-        v1, v2 = linalg.proportionality_isometries(a1, a2, b1, b2)
+        v1, v2 = rounding.proportionality_isometries(a1, a2, b1, b2)
         _check_proportional(a1, a2, b1, b2, v1, v2)
 
 
@@ -397,7 +397,7 @@ def test_proportionality_rejects_mismatch(rng):
     a1 = rng.standard_normal((2, 3))
     a2 = rng.standard_normal((2, 3))
     with pytest.raises(PreconditionViolatedError):
-        linalg.proportionality_isometries(a1, a2, a1, a1 + 1.0)
+        rounding.proportionality_isometries(a1, a2, a1, a1 + 1.0)
 
 
 def _inversion_sign(perm):

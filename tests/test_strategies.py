@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_game, random_unitary
 from constructions import (
+    PreconditionViolatedError,
     RankOneGame,
     lemma_rank_one_strategy,
     max_bias_upper_bound_tn,
@@ -24,7 +25,6 @@ from xorq.strategies import Strategy
 from xorq.errors import (
     BadArgsError,
     DimensionMismatchError,
-    PreconditionViolatedError,
     TooLargeError,
 )
 
@@ -284,10 +284,9 @@ def test_symmetrize_typed_error_survives_python_O():
     script = textwrap.dedent(
         """
         import sys
-        from constructions import symmetrize
+        from constructions import PreconditionViolatedError, symmetrize
         from dense import random_strategy
         from xorq import games, strategies
-        from xorq.errors import PreconditionViolatedError
 
         real = strategies.bias
         calls = []
