@@ -219,14 +219,12 @@ def omega_c_lower(
     return _run_restarts(g, b0, np.ones((cfg.restarts, 1, 1), dtype=complex), False)
 
 
-def _epr_embed(op: np.ndarray, n: int, d: int) -> np.ndarray:
+def _epr_embed(op: np.ndarray, d: int) -> np.ndarray:
     """Embed a complex contraction as a Hermitian contraction on message (x)
     C^d for even d, playing it on half of one shared qubit pair."""
     flip = np.zeros((2, 2), dtype=complex)
     flip[0, 1] = 1.0
-    tilde = np.kron(
-        linalg.permute_systems(np.kron(flip, op), (2, n), (1, 0)), np.eye(d // 2)
-    )
+    tilde = np.kron(np.kron(op, flip), np.eye(d // 2))
     return tilde + tilde.conj().T
 
 
@@ -248,7 +246,7 @@ def me_lower(
 
     warm = [np.kron(omega.strategy.b, np.eye(d))]
     if d % 2 == 0:
-        warm.append(_epr_embed(omega_c.strategy.b, n, d))
+        warm.append(_epr_embed(omega_c.strategy.b, d))
     # one half-step of each, all with the maximally entangled state
     k = effective_operator_for_a(g, np.stack(warm), np.tile(psi, (len(warm), 1, 1)))
     best_warm = warm[int(np.argmax(_form(_sign_step(k), k)))]

@@ -14,7 +14,9 @@ give the NT frame, S^-1 = G diag(1/lam) G^H, and all four step-length
 searches, taken in the frame (Todd-Toh-Tutuncu, SIAM J. Optim. 8, 1998).
 The Schur matrix is assembled a group of constraints at a time, each
 group's stack at most 1 MB (see _schur). A solve stops "optimal" when both
-residuals are below FEAS_TOL and the relative duality gap is at most tol.
+residuals are below FEAS_TOL and the relative duality gap is at most tol,
+and "stalled" when its merit, max(pres, dres, rel_gap), has not fallen
+below the best iterate's for STALL_ITERS iterations.
 
 The linear algebra is NumPy's alone. _schur fills the upper triangle of the
 Schur matrix M; np.linalg.cholesky of its transposed array reads that
@@ -79,6 +81,7 @@ FEAS_TOL = 1e-8
 MAX_ITERS = 120
 MU_FLOOR = 1e-13
 SHORT_STEP = 0.1  # corrector step below which the centering direction is tried
+STALL_ITERS = 5  # iterations without a lower merit after which a run stops
 SCHUR_GROUP_ENTRIES = 1 << 16  # complex entries (1 MB) in one Schur group array
 SUBSTITUTION_ROWS = 64  # rows of a diagonal block in a blocked triangular solve
 
@@ -139,7 +142,9 @@ class SdpSolution:
     primal_value: float
     dual_value: float
     iterations: int  # iterations run, len(trace), whichever iterate is returned
-    status: str  # "optimal", or "max_iterations" or "stalled" (best iterate, non-certified)
+    # "optimal", or "max_iterations" or "stalled" (best iterate, non-certified);
+    # "stalled" also when the merit has not improved for STALL_ITERS iterations
+    status: str
     trace: tuple[IpmIteration, ...] = ()
 
 
@@ -409,7 +414,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     trace = []
 
     best = None
-    best_merit = np.inf
+    best_merit, best_at = np.inf, 0  # the best iterate's merit and iteration
     status = "stalled"  # each break below: the iterates can make no further progress
     for _ in range(MAX_ITERS):
         rp = b_vec - _a_of(prog, z)
@@ -429,14 +434,14 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             break  # the iterate overflowed: the best one so far is returned
         merit = max(pres, dres, rel_gap)
         if merit < best_merit:
-            best_merit = merit
+            best_merit, best_at = merit, len(trace)
             best = (z, y.copy(), pobj, dobj)
         if pres <= FEAS_TOL and dres <= FEAS_TOL and rel_gap <= tol:
             trace.append(IpmIteration(**record))
             return _finish(prog, z, y, pobj, dobj, len(trace), "optimal", trace)
-        if mu / value_scale < MU_FLOOR:
+        if mu / value_scale < MU_FLOOR or len(trace) - best_at >= STALL_ITERS:
             trace.append(IpmIteration(**record))
-            break  # numerical floor: no further progress is possible
+            break  # numerical floor, or no progress for STALL_ITERS iterations
 
         t = time.perf_counter()
         lz = _chol_psd(z)
@@ -548,8 +553,9 @@ def solve(inst: SdpInstance, tol: float) -> SdpSolution:
     rows with only diagonal entries, weighted by u, sum to a positive
     diagonal D with u^T b > 0 (see the module docstring); else BadArgsError.
     A run returns its best iterate as "max_iterations" at the cap, and as
-    "stalled" when it stops early (a non-finite residual, mu or Newton step,
-    mu below MU_FLOOR, or a Schur matrix that no ridge makes factorable); a
+    "stalled" when it stops early (no lower merit max(pres, dres, rel_gap)
+    for STALL_ITERS iterations, a non-finite residual, mu or Newton step, mu
+    below MU_FLOOR, or a Schur matrix that no ridge makes factorable); a
     non-finite start raises SdpError. A real instance (C and every entry
     real) is solved over real symmetric Z, and its blocks are then real
     arrays. y has one entry per row of the instance. Raises TooLargeError,

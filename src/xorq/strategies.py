@@ -13,6 +13,9 @@ Hermitian:
   ent:dA x dB   psi a free unit state; Hermitian contractions on message
                 (x) the player's private space.
 
+The explicit strategies below build psi in this layout directly; the
+embezzlement state is its n^d x n^d matrix, rows A's copies, columns B's.
+
 One contraction evaluates the form: the effective operator K of B and psi,
 with Tr(A K) equal to the form. bias takes Tr(A K), and the see-saw's two
 half-steps take K in both orientations (effective_operator_for_a/_b), for a
@@ -205,66 +208,51 @@ def h1_me_strategy() -> Strategy:
 def embezzlement_state(n: int, d: int, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Gamma_d = D^(-1/2) sum_{j=1..d} psi^(x j) (x) phi^(x (d-j)).
 
-    psi and phi are unit bipartite states on C^n (x) C^n; the output is
-    interleaved per player: all d left halves first, then all right halves.
-    D is the exact squared norm of the unnormalized sum.
+    psi and phi are unit bipartite states on C^n (x) C^n, given as n x n
+    coefficient matrices; the output is Gamma_d's n^d x n^d coefficient
+    matrix, rows the d left halves and columns the d right halves, so each
+    term is a Kronecker power of the pair matrices. D is the exact squared
+    norm of the unnormalized sum.
     """
     if n < 1 or d < 1:
         raise BadArgsError("n and d must be >= 1")
-    psi = _check_state(psi).reshape(-1)
-    phi = _check_state(phi).reshape(-1)
-    if psi.shape[0] != n * n or phi.shape[0] != n * n:
-        raise DimensionMismatchError(f"states must live on C^{n} (x) C^{n}")
+    psi, phi = _check_state(psi), _check_state(phi)
+    if psi.shape != (n, n) or phi.shape != (n, n):
+        raise DimensionMismatchError(f"states must be {n} x {n} coefficient matrices")
     check_dense(n ** (2 * d), "the embezzlement state")
-    total = np.zeros(n ** (2 * d), dtype=complex)
+    total = np.zeros((n**d, n**d), dtype=complex)
     for j in range(1, d + 1):
-        term = np.ones(1, dtype=complex)
+        term = np.ones((1, 1), dtype=complex)
         for c in range(d):
             term = np.kron(term, psi if c < j else phi)
         total += term
     norm_sq = float(np.vdot(total, total).real)
     if norm_sq < 1e-12:
         raise BadArgsError("degenerate embezzlement state (norm ~ 0)")
-    total /= math.sqrt(norm_sq)
-    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    return linalg.permute_systems(total, (n,) * (2 * d), perm)
+    return total / math.sqrt(norm_sq)
 
 
-def _rotation_unitary(ext: int, copy: int, d: int, enc: list[int]) -> np.ndarray:
-    """Left rotation of register contents, controlled on the front register.
+def _rotation(ext: int, copy: int, d: int, enc: list[int]) -> np.ndarray:
+    """Left rotation of register contents, controlled on the front register,
+    as the basis permutation sigma of its unitary V: V[sigma[x], x] = 1.
 
     Registers: one front register of dimension ext followed by d copies of
     dimension copy. enc[k] is the front-register index that encodes copy
-    content k. When the front content lies in enc, contents move one slot
-    left (front <- copy 1, ..., copy d <- decoded front content); all other
-    basis states are fixed.
+    content k, for k < copy. When the front content lies in enc, contents
+    move one slot left (front <- encoded copy 1, ..., copy d <- decoded
+    front content); all other basis states are fixed.
     """
-    dec = {e: k for k, e in enumerate(enc)}
-    if len(dec) != len(enc):
+    if len(set(enc)) != len(enc):
         raise BadArgsError("enc must be injective")
-    size = ext * copy**d
-    sigma = np.arange(size)
-    for x in range(size):
-        e, rest = divmod(x, copy**d)
-        if e not in dec:
-            continue
-        ks = []
-        r = rest
-        for _ in range(d):
-            r, k = divmod(r, copy)
-            ks.append(k)
-        ks.reverse()
-        new_e = enc[ks[0]]
-        new_ks = ks[1:] + [dec[e]]
-        y = new_e
-        for k in new_ks:
-            y = y * copy + k
-        sigma[x] = y
-    if len(set(sigma.tolist())) != size:
-        raise AssertionError("rotation map is not a bijection")
-    v = np.zeros((size, size), dtype=complex)
-    v[sigma, np.arange(size)] = 1.0
-    return v
+    enc = np.asarray(enc)
+    dec = np.full(ext, -1)
+    dec[enc] = np.arange(len(enc))
+    shape = (ext,) + (copy,) * d
+    sigma = np.arange(ext * copy**d)
+    moved = sigma[dec[sigma // copy**d] >= 0]
+    front, *ks = np.unravel_index(moved, shape)
+    sigma[moved] = np.ravel_multi_index((enc[ks[0]], *ks[1:], dec[front]), shape)
+    return sigma
 
 
 def t_entangled_strategy(n: int, d: int) -> Strategy:
@@ -274,6 +262,8 @@ def t_entangled_strategy(n: int, d: int) -> Strategy:
     one level) and d private copies; controlled on the message not being
     |0>, contents rotate one slot left through the staircase state, after
     which the two-level distinguisher on {|0>, extra level} is measured.
+    A player's private space is (ancilla, copies), and the shared state is
+    the staircase state in its |0>|0> ancilla block.
     """
     if n < 1 or d < 1:
         raise BadArgsError("n and d must be >= 1")
@@ -283,23 +273,20 @@ def t_entangled_strategy(n: int, d: int) -> Strategy:
     priv = 2 * copy**d
     check_dense((loc * priv) ** 2, "the strategy's dense evaluation")
 
-    psi_pair = np.zeros(copy * copy, dtype=complex)
-    psi_pair[n * copy + n] = 1.0  # level pair (n+1, n+1)
-    phi_pair = np.zeros(copy * copy, dtype=complex)
+    psi_pair = np.zeros((copy, copy), dtype=complex)
+    psi_pair[n, n] = 1.0  # level pair (n+1, n+1)
+    phi_pair = np.zeros((copy, copy), dtype=complex)
     for i in range(n):  # levels (i+1, i+1), i.e. the maximally entangled state
-        phi_pair[i * copy + i] = 1.0 / math.sqrt(n)
-    gamma = embezzlement_state(copy, d, psi_pair, phi_pair)
+        phi_pair[i, i] = 1.0 / math.sqrt(n)
 
     # Copy content k encodes level k+1: message levels 1..n sit at extended
     # index 2*(k+1); the extra level n+1 uses the ancilla slot (i=0, anc=1).
     enc = [2 * (k + 1) for k in range(n)] + [1]
-    v = _rotation_unitary(ext, copy, d, enc)
+    sigma = _rotation(ext, copy, d, enc)
     q = np.zeros((ext, ext), dtype=complex)
     q[0, 1] = q[1, 0] = 1.0  # distinguisher on {level 0, extra level}
-    a = v.conj().T @ np.kron(q, np.eye(copy**d)) @ v
+    a = np.kron(q, np.eye(copy**d))[np.ix_(sigma, sigma)]  # V^dagger (Q (x) I) V
 
-    anc = np.zeros(4, dtype=complex)
-    anc[0] = 1.0  # |0>|0> on the two ancilla qubits
-    state = np.kron(anc, gamma)  # (ancA, ancB, copiesA, copiesB)
-    state = linalg.permute_systems(state, (2, 2, copy**d, copy**d), (0, 2, 1, 3))
-    return Strategy(a, a.copy(), state.reshape(priv, priv))
+    psi = np.zeros((priv, priv), dtype=complex)
+    psi[: copy**d, : copy**d] = embezzlement_state(copy, d, psi_pair, phi_pair)
+    return Strategy(a, a.copy(), psi)

@@ -261,8 +261,10 @@ def lemma_rank_one_strategy(
     priv = h ** (d + 1)
     check_dense((2 * n1 * priv) ** 2, "the strategy's dense evaluation")
 
+    psi, phi = psi.reshape(h, h), phi.reshape(h, h)  # coefficient matrices
     gamma = strategies.embezzlement_state(h, d, psi, phi)
-    rot = strategies._rotation_unitary(h, h, d, list(range(h)))  # unconditional rotation
+    # the unconditional rotation's unitary, V[sigma[x], x] = 1
+    rot = np.eye(h ** (d + 1))[:, strategies._rotation(h, h, d, list(range(h)))]
 
     def build(uu: np.ndarray, vv: np.ndarray) -> strategies.Strategy:
         wa = np.kron(uu, np.eye(h**d)) @ np.kron(np.eye(n1), rot)
@@ -273,9 +275,8 @@ def lemma_rank_one_strategy(
         e10 = np.array([[0.0, 0.0], [1.0, 0.0]])
         a = np.kron(e10, wa) + np.kron(e10.T, wa.conj().T)
         b = np.kron(e10, wb) + np.kron(e10.T, wb.conj().T)
-        shared = np.kron(phi, gamma)  # (r0A, r0B, restA, restB)
-        shared = linalg.permute_systems(shared, (h, h, h**d, h**d), (0, 2, 1, 3))
-        return strategies.Strategy(a, b, shared.reshape(priv, priv))
+        # rows (r0A, restA), columns (r0B, restB)
+        return strategies.Strategy(a, b, np.kron(phi, gamma))
 
     b0 = strategies.bias(game, build(u, v))
     b1 = strategies.bias(game, build(1j * u, v))

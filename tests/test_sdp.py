@@ -674,25 +674,54 @@ def test_iteration_cap_returns_its_best_iterate(monkeypatch):
     assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
 
 
+def _merits(sol: sdp.SdpSolution) -> list[float]:
+    return [max(rec.pres, rec.dres, rec.rel_gap) for rec in sol.trace]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("c", [1.0, 0.5])
 def test_overflowing_run_returns_its_best_iterate(c):
     # max 2 c Re Z[0, 1] with Z[0, 0] = 100, Z[1, 1] = 1 and 2 Re Z[0, 1] =
-    # 20.5, just above the largest feasible 20: the iterates grow until a
-    # residual overflows (at iteration 65 for c = 1, 36 for c = 0.5), and the
-    # run stalls there with its best iterate.
+    # 20.5, just above the largest feasible 20: after the best iterate the
+    # iterates grow until a residual would overflow, and the run stalls
+    # STALL_ITERS iterations after its best iterate, before any overflow.
     rows = (((0, 0), 100.0), ((1, 1), 1.0), ((0, 1), 20.5))
     inst = replace(_two_by_two(c, 1.0), constraints=tuple(
         sdp.SdpConstraint(entries=(("z", r, col, 1.0 + 0.0j),), rhs=rhs) for (r, col), rhs in rows
     ))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        sol = sdp.solve(inst, sdp.DEFAULT_TOL)
-    assert sol.status == "stalled"
-    last = sol.trace[-1]
-    assert sol.iterations < sdp.MAX_ITERS and not math.isfinite(last.pres + last.dres + last.mu)
+    sol = sdp.solve(inst, sdp.DEFAULT_TOL)
+    best = int(np.argmin(_merits(sol)))
+    assert sol.status == "stalled" and sol.iterations <= best + sdp.STALL_ITERS + 1
     assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
     assert math.isfinite(sol.primal_value) and math.isfinite(sol.dual_value)
     assert "residual" in certify(inst, sol).failures()
+
+
+def test_non_finite_residual_returns_the_best_iterate(monkeypatch):
+    # _a_of runs once for the residual at the head of each iteration and
+    # once per Newton solve, two a step here: its seventh call is the
+    # residual of iteration 2, and NaN from there on breaks the loop there.
+    a_of, calls = sdp._a_of, []
+
+    def nan_from_the_seventh(prog, z):
+        calls.append(1)
+        return a_of(prog, z) * (np.nan if len(calls) >= 7 else 1.0)
+
+    monkeypatch.setattr(sdp, "_a_of", nan_from_the_seventh)
+    sol = sdp.solve(_random_instance(4), 1e-8)
+    assert sol.status == "stalled" and sol.iterations == 3
+    assert not math.isfinite(sol.trace[-1].pres)
+    assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
+    assert math.isfinite(sol.primal_value) and math.isfinite(sol.dual_value)
+
+
+def test_one_iteration_without_progress_does_not_stall():
+    # The merit of iteration 1 of this instance is above iteration 0's; the
+    # run goes on to optimality.
+    sol = sdp.solve(_random_instance(49), 1e-8)
+    merits = _merits(sol)
+    assert merits[1] >= merits[0]
+    assert sol.status == "optimal"
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e12], ids=["cond-1e2", "cond-1e12"])

@@ -145,12 +145,12 @@ def test_bias_invariant_under_local_unitaries(rng):
 
 
 def test_embezzlement_state_d1_is_psi(rng):
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     psi /= np.linalg.norm(psi)
-    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    phi = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     phi /= np.linalg.norm(phi)
     out = strategies.embezzlement_state(2, 1, psi, phi)
-    assert np.allclose(out, psi)
+    assert out.shape == (2, 2) and np.allclose(out, psi)
 
 
 def test_embezzlement_normalization_orthogonal_case():
@@ -166,15 +166,43 @@ def test_embezzlement_normalization_orthogonal_case():
         terms.append(t)
     unnorm = np.sum(terms, axis=0)
     assert abs(np.vdot(unnorm, unnorm).real - d) < 1e-12
-    out = strategies.embezzlement_state(2, d, psi, phi)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    out = strategies.embezzlement_state(2, d, psi.reshape(2, 2), phi.reshape(2, 2))
+    assert out.shape == (8, 8) and abs(np.linalg.norm(out) - 1.0) < 1e-12
+    # rows the left halves, columns the right halves: the vector's registers
+    # (L1, R1, L2, R2, L3, R3) reordered as (L1, L2, L3, R1, R2, R3)
+    want = linalg.permute_systems(unnorm, (2,) * 6, (0, 2, 4, 1, 3, 5)) / math.sqrt(d)
+    assert np.allclose(out.reshape(-1), want)
 
 
 def test_embezzlement_guard():
-    psi = np.zeros(64 * 64, dtype=complex)
-    psi[0] = 1.0
+    psi = np.zeros((64, 64), dtype=complex)
+    psi[0, 0] = 1.0
     with pytest.raises(TooLargeError, match="dense cap"):
         strategies.embezzlement_state(64, 3, psi, psi)
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (3, 2)])
+def test_rotation_is_the_controlled_left_shift(n, d):
+    # the registers and encoding of t_entangled_strategy
+    ext, copy, enc = 2 * (n + 1), n + 1, [2 * (k + 1) for k in range(n)] + [1]
+    sigma = strategies._rotation(ext, copy, d, enc)
+    shape = (ext,) + (copy,) * d
+    assert np.array_equal(np.sort(sigma), np.arange(math.prod(shape)))
+    for x in range(sigma.size):
+        front, rest = divmod(x, copy**d)
+        ks = [rest // copy ** (d - 1 - c) % copy for c in range(d)]
+        if front not in enc:
+            assert sigma[x] == x
+            continue
+        want = enc[ks[0]]  # (enc[k_1], k_2, ..., k_d, dec[front]) in digits
+        for k in ks[1:] + [enc.index(front)]:
+            want = want * copy + k
+        assert sigma[x] == want, (x, front, ks)
+
+
+def test_rotation_refuses_an_encoding_that_is_not_injective():
+    with pytest.raises(BadArgsError, match="injective"):
+        strategies._rotation(4, 2, 2, [1, 1])
 
 
 def test_t_entangled_strategy_bias_formula():
