@@ -52,33 +52,11 @@ from .errors import (
 TRACE_NORM_SLACK = 1e-8
 
 
-def _component_labels(m: np.ndarray) -> np.ndarray:
-    """For each basis index, the smallest index of its connected component
-    in the graph with an edge wherever m[r, c] != 0.
-
-    Min-label propagation with pointer jumping: every index takes the
-    smallest label among its neighbours, then label <- label[label] until
-    that changes nothing, and the rounds repeat until no label falls. A
-    label only falls and always names an index of the same component, so
-    it settles on the component's smallest index. M is Hermitian, so its
-    pattern is symmetric and the rows' side of each edge suffices."""
-    rows, cols = np.nonzero(m)
-    label = np.arange(m.shape[0])
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        while not np.array_equal(jumped := new[new], new):
-            new = jumped
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     """m's eigenvalues, ascending: label the components of m's pattern and
     take one stacked eigvalsh per component size; a pattern of one component
     is eigvalsh(m) itself."""
-    label = _component_labels(m)
+    label = linalg.component_labels(m.shape[0], *np.nonzero(m))
     dim = label.size
     members = np.argsort(label, kind="stable")
     size = np.bincount(label, minlength=dim)[label == np.arange(dim)]  # at each root

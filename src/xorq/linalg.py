@@ -1,10 +1,11 @@
 """Dense complex linear algebra used throughout the package.
 
-Factorizations, tensor-product utilities, register permutation and
-permutation signs. All functions are pure: inputs are
-never mutated and no global state is touched. The see-saw's steps
-(check_hermitian, sign_of_hermitian, polar_unitary, hermitian_part) also
-take a stack (..., s, s) and act on each matrix of it.
+Factorizations, tensor-product utilities, register permutation,
+permutation signs and the connected components of a sparsity pattern. All
+functions are pure: inputs are never mutated and no global state is
+touched. The see-saw's steps (check_hermitian, sign_of_hermitian,
+polar_unitary, hermitian_part) also take a stack (..., s, s) and act on
+each matrix of it.
 
 Index convention, fixed globally: the composite basis of C^a (x) C^b is
 ordered |i>|j> -> i*b + j, 0-based (numpy's kron order).
@@ -203,6 +204,27 @@ def max_entangled_state(d: int) -> np.ndarray:
     """(1/sqrt(d)) sum_i |i>|i> on C^d (x) C^d, as its d x d coefficient
     matrix I/sqrt(d)."""
     return np.eye(d, dtype=complex) / np.sqrt(d)
+
+
+def component_labels(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each of size nodes, the smallest node of its connected component
+    in the undirected graph with an edge between rows[i] and cols[i].
+
+    Min-label propagation with pointer jumping: every node takes the
+    smallest label among its neighbours, then label <- label[label] until
+    that changes nothing, and the rounds repeat until no label falls. A
+    label only falls and always names a node of the same component, so it
+    settles on the component's smallest node."""
+    label = np.arange(size)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

@@ -14,7 +14,10 @@ the GameMatrix:
 
 The Gram variables are the conjugated X-entry vectors and the plain
 Y-entry vectors; maximizing the real part of the objective is exact by the
-global-phase freedom of each family. Each program is one PSD Gram block.
+global-phase freedom of each family. Each program is built as one PSD Gram
+block; sdp.solve splits it into the finest block partition that its
+objective and rows allow (beta_os of a random game into {X_R, Y_C} and
+{X_C, Y_R}, beta_os of T_k and C_k into blocks of side 2 and 1).
 
 All three take one path. A relaxation is its rows plus its table of
 witness families (_families: base, size, conjugation, side). _solve_gram

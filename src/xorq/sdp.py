@@ -38,8 +38,24 @@ is PSD (take zero off-diagonal blocks), and C, every F_q, hence every
 iterate, is block-diagonal up to rounding. solve returns the diagonal
 blocks under their labels.
 
-solve compiles the instance once, into a _Program, and keeps every row it
-is given: y has one entry per row.
+The block partition. solve splits every block into the finest partition
+of its indices (_classes) in which each nonzero entry of C lies inside one
+class, and each row has either all its entries inside classes or all of
+them across classes and rhs 0. An entry of C merges its endpoints, and a
+row that breaks the second rule (rhs != 0 with an entry across classes, or
+rhs 0 with entries of both kinds) merges the endpoints of each of its
+entries. Pinching Z to the classes (zeroing every entry across them) keeps
+it PSD, keeps the objective and every row inside classes, and gives each
+row across them its rhs, 0; so one block per class, with only the rows
+inside classes, has the same optimum (the aggregate sparsity of Fukuda-
+Kojima-Murota-Nakata, SIAM J. Optim. 11, 2001, with the rows across
+classes dropped). The solution lifts back: zeros between classes, and y 0
+on every dropped row, so S = A^T y - C has the reduced S as its blocks and
+the pair is primal-dual for the instance as given. The start and every NT
+step from a block-diagonal iterate are block-diagonal, so the reduced run
+retraces the full one, to rounding. A program that keeps every row is
+solved as given, since the core holds all blocks in one dense matrix; the
+dense cap counts the instance as given.
 
 A real instance, C and every entry real, is solved in real arithmetic, over
 real symmetric Z. That loses nothing: if Z is feasible so is its conjugate,
@@ -70,10 +86,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import linalg
 from .errors import BadArgsError, SdpError, check_dense
 
 DEFAULT_TOL = 1e-6
@@ -168,22 +185,9 @@ class _Program:
     """
 
     def __init__(self, inst: SdpInstance):
-        self.spans, n = {}, 0
-        for label, d in inst.blocks:
-            self.spans[label] = slice(n, n + d)
-            n += d
-        rows, cols, vals, owner = [], [], [], []
-        for q, con in enumerate(inst.constraints):
-            for b, r, c, v in con.entries:
-                base = self.spans[b].start
-                rows.append(base + r)
-                cols.append(base + c)
-                vals.append(complex(v))
-                owner.append(q)
-        self.dim = dim = n
-        self.m = m = len(inst.constraints)
-        check_dense(max(dim, m) ** 2, f"SDP of side {dim} with {m} constraints")
-        vals = np.asarray(vals, dtype=complex)
+        self.spans, dim = _spans(inst)
+        rows, cols, vals, owner = _entries(inst, self.spans)
+        self.dim, self.m = dim, len(inst.constraints)
         real = not (vals.imag.any() or any(c.imag.any() for c in inst.objective.values()))
 
         self.dtype = dtype = float if real else complex
@@ -193,9 +197,7 @@ class _Program:
             self.cobj[span, span] = c.real if real else c
         self.b = np.array([con.rhs for con in inst.constraints], dtype=float)
 
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.owner = np.asarray(owner, dtype=np.intp)
+        self.rows, self.cols, self.owner = rows, cols, owner
         diag = self.rows == self.cols
         vals = vals.real if real else np.where(diag, vals.real, vals)
         self.flat = self.rows * dim + self.cols
@@ -206,6 +208,31 @@ class _Program:
         self.q_ptr = np.append(starts, self.owner.size)
         self.groups = _schur_groups(np.diff(self.q_ptr), dim)
         self.witness = _trace_witness(self)
+
+
+def _spans(inst: SdpInstance) -> tuple[dict, int]:
+    """Each block's slice of the one diagonal, and the side of the whole."""
+    spans, n = {}, 0
+    for label, d in inst.blocks:
+        spans[label] = slice(n, n + d)
+        n += d
+    return spans, n
+
+
+def _entries(inst: SdpInstance, spans: dict):
+    """The stored entries of every row, in row order, as arrays: row and
+    column on the one diagonal (shifted by the block's offset), the complex
+    value, and the number of the row that owns the entry."""
+    rows, cols, vals, owner = [], [], [], []
+    for q, con in enumerate(inst.constraints):
+        for b, r, c, v in con.entries:
+            base = spans[b].start
+            rows.append(base + r)
+            cols.append(base + c)
+            vals.append(complex(v))
+            owner.append(q)
+    rows, cols, owner = (np.asarray(x, dtype=np.intp) for x in (rows, cols, owner))
+    return rows, cols, np.asarray(vals, dtype=complex), owner
 
 
 def _trace_witness(prog: _Program) -> np.ndarray | None:
@@ -542,6 +569,88 @@ def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
     )
 
 
+# --- the finest block partition that pinching preserves ------------------------
+
+
+def _classes(dim, c_rows, c_cols, rows, cols, owner, b) -> tuple[np.ndarray, np.ndarray]:
+    """The finest partition of the indices 0..dim-1 in which every entry
+    (c_rows[i], c_cols[i]) of C lies inside one class and every row, with
+    entries (rows, cols) owned by its number and rhs b, either has all its
+    entries inside classes or has all of them across classes and rhs 0.
+    Returns each index's class, named by its smallest index, and which rows
+    lie inside classes.
+
+    A fixed point: the entries of C merge their endpoints; then each row
+    that breaks the rule (rhs != 0 with an entry across classes, or rhs 0
+    with entries of both kinds) merges the endpoints of each of its entries,
+    and that repeats until no row breaks it. A valid partition is coarser
+    than every iterate, since a row that breaks the rule in an iterate must
+    lie inside classes in it; so the fixed point is the finest."""
+    m = b.size
+    label = linalg.component_labels(dim, c_rows, c_cols)
+    while True:
+        across = label[rows] != label[cols]
+        any_across = np.bincount(owner, across, minlength=m) > 0
+        any_inside = np.bincount(owner, ~across, minlength=m) > 0
+        merge = any_across & ((b != 0) | any_inside)
+        if not merge.any():
+            return label, ~any_across
+        at = merge[owner]
+        label = linalg.component_labels(dim, label[rows[at]], label[cols[at]])[label]
+
+
+def _split(inst: SdpInstance):
+    """The instance on one block per class of _classes, with the rows that
+    lie inside classes, unchanged, and the map that lifts its solution to
+    one of inst: each block filled from its classes with zeros between
+    them, and y 0 on every dropped row. When every row is kept, inst itself
+    and the identity: the core holds all blocks in one dense matrix, so the
+    classes alone would save nothing."""
+    spans, dim = _spans(inst)
+    rows, cols, _, owner = _entries(inst, spans)
+    b = np.array([con.rhs for con in inst.constraints], dtype=float)
+    pattern = [np.argwhere(c) + spans[label].start for label, c in inst.objective.items()]
+    c_rows, c_cols = np.concatenate(pattern + [np.zeros((0, 2), dtype=np.intp)]).T
+    label, kept = _classes(dim, c_rows, c_cols, rows, cols, owner, b)
+    if kept.all():
+        return inst, lambda sol: sol
+    roots = np.flatnonzero(label == np.arange(dim))
+
+    # Class k is the one of the k-th smallest root, its indices ascending.
+    cls = np.searchsorted(roots, label)
+    members = np.argsort(cls, kind="stable")
+    size = np.bincount(cls)
+    pos = np.empty(dim, dtype=np.intp)  # each index's place in its class
+    pos[members] = np.arange(dim) - np.repeat(np.cumsum(size) - size, size)
+    block_at = np.repeat(np.arange(len(inst.blocks)), [d for _, d in inst.blocks])
+    homes = [inst.blocks[i][0] for i in block_at[roots]]
+    local = [idx - spans[home].start
+             for idx, home in zip(np.split(members, np.cumsum(size)[:-1]), homes)]
+    objective = {k: inst.objective[home][np.ix_(idx, idx)]
+                 for k, (home, idx) in enumerate(zip(homes, local)) if home in inst.objective}
+    k_of, r_of, c_of = cls[rows].tolist(), pos[rows].tolist(), pos[cols].tolist()
+    first = np.searchsorted(owner, np.arange(b.size))  # each row's first entry
+    constraints = []
+    for q in np.flatnonzero(kept):
+        con = inst.constraints[q]
+        entries = tuple((k_of[i], r_of[i], c_of[i], v)
+                        for i, (*_, v) in enumerate(con.entries, first[q]))
+        constraints.append(SdpConstraint(entries=entries, rhs=con.rhs))
+    reduced = SdpInstance(blocks=tuple(enumerate(size.tolist())), objective=objective,
+                          constraints=tuple(constraints))
+
+    def lift(sol: SdpSolution) -> SdpSolution:
+        dtype = np.result_type(float, *sol.blocks.values())
+        blocks = {home: np.zeros((d, d), dtype=dtype) for home, d in inst.blocks}
+        for k, (home, idx) in enumerate(zip(homes, local)):
+            blocks[home][np.ix_(idx, idx)] = sol.blocks[k]
+        y = np.zeros(b.size)
+        y[kept] = sol.y
+        return replace(sol, blocks=blocks, y=y)
+
+    return reduced, lift
+
+
 # --- public driver -------------------------------------------------------------
 
 
@@ -558,14 +667,26 @@ def solve(inst: SdpInstance, tol: float) -> SdpSolution:
     below MU_FLOOR, or a Schur matrix that no ridge makes factorable); a
     non-finite start raises SdpError. A real instance (C and every entry
     real) is solved over real symmetric Z, and its blocks are then real
-    arrays. y has one entry per row of the instance. Raises TooLargeError,
-    before allocating, when the matrix side or the Schur matrix (one row and
-    column per row of the instance) is above the dense cap.
+    arrays. Raises TooLargeError, before allocating, when the matrix side or
+    the Schur matrix (one row and column per row of the instance as given)
+    is above the dense cap.
+
+    The program solved has one block per class of the finest partition of
+    each block that C and the rows allow: an entry of C merges its
+    endpoints, and so do those of each entry of a row with rhs != 0 and an
+    entry across classes, or with rhs 0 and entries inside and across. The
+    rows across classes, all with rhs 0, are dropped; pinching Z to the
+    classes meets them and keeps the optimum (see the module docstring).
+    The solution is lifted back, with zeros between classes and y 0 on each
+    dropped row, so y has one entry per row of the instance.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
-    prog = _Program(inst)
+    dim, m = sum(d for _, d in inst.blocks), len(inst.constraints)
+    check_dense(max(dim, m) ** 2, f"SDP of side {dim} with {m} constraints")
+    reduced, lift = _split(inst)
+    prog = _Program(reduced)
     bound = 0.0 if prog.witness is None else float(prog.witness @ prog.b)
     if not bound > 0:
         raise BadArgsError("the rows do not bound Tr Z: no diagonal rows sum to a D > 0 with u^T b > 0")
-    return _solve(prog, tol)
+    return lift(_solve(prog, tol))

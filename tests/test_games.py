@@ -92,14 +92,19 @@ def _assert_decomposes(g: games.GameMatrix):
     assert np.max(np.abs(w - w_dense)) <= tol
 
 
+def _labels(m: np.ndarray) -> np.ndarray:
+    """The component labels of M's pattern, as games decomposes M."""
+    return linalg.component_labels(m.shape[0], *np.nonzero(m))
+
+
 def _assert_components(g: games.GameMatrix) -> int:
-    """games._component_labels against scipy's connected components of M's
+    """linalg.component_labels against scipy's connected components of M's
     pattern: every component labelled by its smallest index. Returns the
     number of components."""
     from scipy.sparse.csgraph import connected_components
 
     count, labels = connected_components(g.m != 0, directed=False)
-    got = games._component_labels(g.m)
+    got = _labels(g.m)
     for k in range(count):
         idx = np.flatnonzero(labels == k)
         assert np.all(got[idx] == idx[0])
@@ -119,7 +124,7 @@ def test_named_games_decompose_by_components(build):
 
 def test_tensor_game_components():
     g = games.tensor_games(games.c_game(4), games.c_game(4))
-    size = np.bincount(games._component_labels(g.m))
+    size = np.bincount(_labels(g.m))
     assert np.count_nonzero(size) == 593
     assert set(size[size > 0].tolist()) == {1, 2}
 
@@ -135,7 +140,7 @@ def test_permuted_block_game_decomposes(rng):
 def _assert_plain_eigvalsh(g: games.GameMatrix):
     """A game of one component: the same bits as np.linalg.eigvalsh(M)."""
     w = np.linalg.eigvalsh(g.m)
-    assert np.array_equal(games._component_labels(g.m), np.zeros(g.n ** 2, dtype=int))
+    assert np.array_equal(_labels(g.m), np.zeros(g.n ** 2, dtype=int))
     assert np.array_equal(g.eigenvalues, w)
     assert g.trace_norm == float(np.sum(np.abs(w)))
 
@@ -149,7 +154,7 @@ def test_path_pattern_is_one_component_and_plain_eigh(rng):
     perm = rng.permutation(dim)
     m = path[np.ix_(perm, perm)]
     g = games.validate(m / trace_norm(m), n)
-    assert np.array_equal(games._component_labels(g.m), np.zeros(dim, dtype=int))
+    assert np.array_equal(_labels(g.m), np.zeros(dim, dtype=int))
     _assert_decomposes(g)
     _assert_plain_eigvalsh(g)
 
@@ -167,14 +172,14 @@ def test_zero_and_diagonal_games_are_singletons(rng):
     for n in (2, 3):
         zero = games.validate(np.zeros((n**2, n**2)), n)
         _assert_decomposes(zero)
-        assert np.array_equal(games._component_labels(zero.m), np.arange(n**2))
+        assert np.array_equal(_labels(zero.m), np.arange(n**2))
         assert np.array_equal(zero.eigenvalues, np.zeros(n**2))
         assert zero.trace_norm == 0.0
     r = rng.standard_normal((4, 4))
     for c in (games.chsh(), r / np.sum(np.abs(r))):
         g = games.from_classical(c)
         _assert_decomposes(g)
-        assert np.array_equal(games._component_labels(g.m), np.arange(c.size))
+        assert np.array_equal(_labels(g.m), np.arange(c.size))
         w = g.eigenvalues
         assert np.array_equal(w, np.sort(np.diag(g.m).real))
 

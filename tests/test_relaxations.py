@@ -433,6 +433,7 @@ def test_constraint_matrix_has_full_row_rank(case):
 
 
 def test_beta_os_refuses_oversized_instance():
-    # H2 has n = 10: 20,400 constraints, so a 20,401^2 Schur matrix
+    # H2 has n = 10 and a real M: 10,220 rows, so a 10,220^2 Schur matrix,
+    # above the dense cap, which counts the rows of the instance as given.
     with pytest.raises(TooLargeError, match="dense cap"):
         relaxations.beta_os(games.h_game(2), sdp.DEFAULT_TOL)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from copy import deepcopy
 from dataclasses import replace
 
@@ -386,6 +387,123 @@ def test_paper_table_solves_take_few_iterations():
     assert len(iterations) == 15
     assert iterations["T3/beta_os"] <= 8
     assert sum(iterations.values()) <= 94
+
+
+def _partition(inst: sdp.SdpInstance) -> tuple[np.ndarray, np.ndarray]:
+    """sdp._classes of an instance: each index's class on the one diagonal,
+    named by its smallest index, and which rows the solver keeps."""
+    spans, dim = sdp._spans(inst)
+    rows, cols, _, owner = sdp._entries(inst, spans)
+    pattern = [np.argwhere(c) + spans[label].start for label, c in inst.objective.items()]
+    c_rows, c_cols = np.concatenate(pattern).T
+    b = np.array([con.rhs for con in inst.constraints])
+    return sdp._classes(dim, c_rows, c_cols, rows, cols, owner, b)
+
+
+def _class_sizes(label: np.ndarray) -> dict[int, int]:
+    """{class side: number of classes of that side}."""
+    return dict(Counter(Counter(label.tolist()).values()))
+
+
+def _reduced(inst: sdp.SdpInstance) -> sdp.SdpInstance:
+    return sdp._split(inst)[0]
+
+
+def test_partition_of_the_gram_relaxations():
+    # beta_os(T4): 16 classes of 2 and 68 of 1 (each block of side 2 pairs
+    # an X_R entry with a Y_C one, or an X_C entry with a Y_R one).
+    inst = relaxations.beta_os_instance(games.t_game(4))
+    label, kept = _partition(inst)
+    assert (len(inst.constraints), int(kept.sum())) == (685, 28)
+    assert _class_sizes(label) == {2: 16, 1: 68}
+    assert len(_reduced(inst).constraints) == 28
+    assert Counter(d for _, d in _reduced(inst).blocks) == {2: 16, 1: 68}
+    # beta_nc(H2): 5 classes of 12 and 140 of 1.
+    inst = relaxations.beta_nc_instance(games.h_game(2))
+    label, kept = _partition(inst)
+    assert (len(inst.constraints), int(kept.sum())) == (218, 38)
+    assert _class_sizes(label) == {12: 5, 1: 140}
+    # A random complex game: beta_os splits into exactly X_R + Y_C and X_C
+    # + Y_R with every row kept, and beta_nc stays one class.
+    g = random_game(3, 7)
+    nn = g.n**2
+    inst = relaxations.beta_os_instance(g)
+    label, kept = _partition(inst)
+    assert kept.all()
+    family = np.repeat([0, 1, 1, 0], nn)  # X_R, X_C, Y_R, Y_C
+    assert np.array_equal(label, np.where(family == 0, 0, nn))
+    assert _reduced(inst) is inst  # no row dropped: solved as given
+    inst = relaxations.beta_nc_instance(g)
+    label, kept = _partition(inst)
+    assert kept.all() and not label.any()
+    assert _reduced(inst) is inst
+    # The diagonal embedding of a classical n = 5 game: beta_nc keeps 18 of
+    # 58 rows, on one class of side 10, the X_ss and Y_tt entries, which is
+    # beta_sdp's block, and 40 scalars.
+    r = np.random.default_rng(5).standard_normal((5, 5))
+    inst = relaxations.beta_nc_instance(games.from_classical(r / np.abs(r).sum()))
+    label, kept = _partition(inst)
+    assert (len(inst.constraints), int(kept.sum())) == (58, 18)
+    assert _class_sizes(label) == {10: 1, 1: 40}
+    diagonal = np.arange(5) * 6
+    assert np.array_equal(np.flatnonzero(label == 0), np.concatenate([diagonal, 25 + diagonal]))
+
+
+def test_reduced_solve_retraces_the_full_one():
+    # The start and every NT step are block-diagonal on the classes, so the
+    # reduced run takes the full run's iterations, to rounding; the lifted
+    # solution is one of the instance as given. 14 of the 15 programs
+    # drop rows: all but beta_sdp(CHSH), whose rows and C pair every index.
+    unchanged = []
+    for name, inst in _paper_table_instances().items():
+        sol = sdp.solve(inst, sdp.DEFAULT_TOL)
+        full = sdp._solve(sdp._Program(inst), sdp.DEFAULT_TOL)
+        assert (sol.status, sol.iterations) == (full.status, full.iterations), name
+        assert abs(sol.primal_value - full.primal_value) <= 1e-10, name
+        assert certify(inst, sol).passed, name
+        label, kept = _partition(inst)
+        assert sol.y.shape == (len(inst.constraints),), name
+        assert not sol.y[~kept].any(), name
+        if kept.all():
+            unchanged.append(name)
+    assert unchanged == ["CHSH/beta_sdp"]
+
+
+def _three_by_three(row: tuple, rhs: float) -> sdp.SdpInstance:
+    """max 2 Re Z[0, 1] with a unit diagonal and one more row, sum over
+    its entries ((r, c), v) of v Re Z[r, c] = rhs."""
+    return sdp.SdpInstance(
+        blocks=(("z", 3),),
+        objective={"z": np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])},
+        constraints=tuple(
+            sdp.SdpConstraint(entries=(("z", i, i, 1.0 + 0.0j),), rhs=1.0) for i in range(3)
+        ) + (sdp.SdpConstraint(entries=tuple(("z", r, c, v / 2 + 0j) for (r, c), v in row), rhs=rhs),),
+    )
+
+
+@pytest.mark.parametrize(
+    "row, rhs, classes, kept, value",
+    [
+        # rhs 0 with one entry inside {0, 1} and one across: merges 2 in.
+        # Left alone, index 2 would pin Re Z[1, 2] and so Re Z[0, 1] to 0.
+        ((((0, 1), 1.0), ((1, 2), -1.0)), 0.0, [0, 0, 0], 4, 2.0),
+        # rhs != 0 with an entry across: merges 2 in.
+        ((((1, 2), 1.0),), -1.0, [0, 0, 0], 4, 2.0),
+        # rhs 0 with every entry across: the row is dropped.
+        ((((0, 2), 1.0), ((1, 2), -1.0)), 0.0, [0, 0, 2], 3, 2.0),
+    ],
+    ids=["zero_rhs_inside_and_across", "nonzero_rhs_across", "zero_rhs_all_across"],
+)
+def test_each_merge_rule_keeps_the_value(row, rhs, classes, kept, value):
+    inst = _three_by_three(row, rhs)
+    label, keep = _partition(inst)
+    assert label.tolist() == classes and int(keep.sum()) == kept
+    sol = sdp.solve(inst, sdp.DEFAULT_TOL)
+    full = sdp._solve(sdp._Program(inst), sdp.DEFAULT_TOL)
+    assert sol.status == full.status == "optimal"
+    assert sol.primal_value == pytest.approx(value, rel=1e-6)
+    assert abs(sol.primal_value - full.primal_value) <= 1e-10
+    assert certify(inst, sol).passed
 
 
 def _witnessed_instances() -> dict[str, tuple[sdp.SdpInstance, float]]:
