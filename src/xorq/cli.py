@@ -125,8 +125,8 @@ def _parse_quantities(spec: str):
         if kind == "me":
             param = _dimension(raw, dims)
         elif kind == "ent":
-            da, _, db = dims.partition("x")
-            param = (_dimension(raw, da), _dimension(raw, db or da))
+            da, x, db = dims.partition("x")  # "ent:2" is 2x2; "ent:2x" has an empty dB
+            param = (_dimension(raw, da), _dimension(raw, db if x else da))
         else:
             param = None
         if out.setdefault(kind, param) != param:

@@ -15,9 +15,9 @@ the GameMatrix:
 The Gram variables are the conjugated X-entry vectors and the plain
 Y-entry vectors; maximizing the real part of the objective is exact by the
 global-phase freedom of each family. Each program is built as one PSD Gram
-block; sdp.solve splits it into the finest block partition that its
-objective and rows allow (beta_os of a random game into {X_R, Y_C} and
-{X_C, Y_R}, beta_os of T_k and C_k into blocks of side 2 and 1).
+matrix; sdp.solve finds the finest block partition that its objective and
+rows allow (beta_os of a random game {X_R, Y_C} and {X_C, Y_R}, beta_os of
+T_k and C_k blocks of side 2 and 1).
 
 All three take one path. A relaxation is its rows plus its table of
 witness families (_families: base, size, conjugation, side). _solve_gram
@@ -83,18 +83,18 @@ class RelaxationResult:
 
 
 def _functional(terms, rhs: float, real: bool) -> list:
-    """Rows for sum v * Z_b[i, j] = rhs over terms (b, i, j, v), with real
+    """Rows for sum v * Z[i, j] = rhs over terms (i, j, v), with real
     coefficients v and i <= j, in a relaxation of a real (real=True) or
     complex game matrix M.
 
     The first row is the real part. For a complex M, when a term is off the
     diagonal, a second row, with rhs 0, is the imaginary part; a diagonal
-    entry of a Hermitian block is real and has none, and a real M needs none
+    entry of a Hermitian matrix is real and has none, and a real M needs none
     (see the module docstring).
     """
-    re_part = tuple((b, i, j, complex(v.real if i == j else v.real / 2)) for b, i, j, v in terms)
+    re_part = tuple((i, j, complex(v.real if i == j else v.real / 2)) for i, j, v in terms)
     # complex(0.0, .) keeps a +0.0 real part, where 0.5j * v gives -0.0 for v < 0.
-    im_part = tuple((b, i, j, complex(0.0, v.real / 2)) for b, i, j, v in terms if i < j)
+    im_part = tuple((i, j, complex(0.0, v.real / 2)) for i, j, v in terms if i < j)
     out = [sdp_mod.SdpConstraint(entries=re_part, rhs=float(rhs))]
     if im_part and not real:
         out.append(sdp_mod.SdpConstraint(entries=im_part, rhs=0.0))
@@ -102,7 +102,7 @@ def _functional(terms, rhs: float, real: bool) -> list:
 
 
 def _cap_constraints(n: int, base: int, rows: bool, real: bool) -> list:
-    """Compile Q = I over Hermitian entries of the Gram block, for a real or
+    """Compile Q = I over Hermitian entries of the Gram matrix, for a real or
     complex M (_functional).
 
     Q is the row product sum_k X_ik X_jk^* (rows) or the column product
@@ -116,7 +116,7 @@ def _cap_constraints(n: int, base: int, rows: bool, real: bool) -> list:
     cons = []
     for a in range(n):
         for a2 in range(a, n):
-            terms = [("gram", idx(a, k), idx(a2, k), 1.0) for k in range(n)]
+            terms = [(idx(a, k), idx(a2, k), 1.0) for k in range(n)]
             cons.extend(_functional(terms, 1.0 if a == a2 else 0.0, real))
     return cons
 
@@ -172,10 +172,8 @@ def beta_sdp_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     c = np.zeros((2 * n, 2 * n), dtype=complex)
     c[x:x + n, y:y + n] = _coefficients(g) / 2  # real coefficients: conj is itself
     # Diagonal rows only: no imaginary parts, whatever the flag.
-    cons = [con for u in range(2 * n) for con in _functional([("gram", u, u, 1.0)], 1.0, True)]
-    return sdp_mod.SdpInstance(
-        blocks=(("gram", 2 * n),), objective={"gram": c + c.conj().T}, constraints=tuple(cons)
-    )
+    cons = [con for u in range(2 * n) for con in _functional([(u, u, 1.0)], 1.0, True)]
+    return sdp_mod.SdpInstance(side=2 * n, objective=c + c.conj().T, constraints=tuple(cons))
 
 
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
@@ -188,9 +186,7 @@ def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
         cons += _cap_constraints(n, base, rows=True, real=real)
         cons += _cap_constraints(n, base, rows=False, real=real)[:-1]
     return sdp_mod.SdpInstance(
-        blocks=(("gram", 2 * n * n),),
-        objective={"gram": _gram_objective(g, 2 * n * n, x, y)},
-        constraints=tuple(cons),
+        side=2 * n * n, objective=_gram_objective(g, 2 * n * n, x, y), constraints=tuple(cons)
     )
 
 
@@ -202,14 +198,12 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     cons = []
     for ac in range(nn):
         for be in range(nn):
-            terms = [("gram", wr + ac, vc + be, 1.0), ("gram", wc + ac, vr + be, -1.0)]
+            terms = [(wr + ac, vc + be, 1.0), (wc + ac, vr + be, -1.0)]
             cons += _functional(terms, 0.0, real)
     for base, rows in ((wr, True), (vr, True), (wc, False), (vc, False)):
         cons += _cap_constraints(n, base, rows, real)
     return sdp_mod.SdpInstance(
-        blocks=(("gram", 4 * nn),),
-        objective={"gram": _gram_objective(g, 4 * nn, wr, vc)},
-        constraints=tuple(cons),
+        side=4 * nn, objective=_gram_objective(g, 4 * nn, wr, vc), constraints=tuple(cons)
     )
 
 
@@ -219,7 +213,7 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
 def _solve_gram(
     kind: str, n: int, inst: sdp_mod.SdpInstance, tol: float, objective
 ) -> RelaxationResult:
-    """Solve beta_<kind>, factor its Gram block and read off the witness.
+    """Solve beta_<kind>, factor its Gram matrix and read off the witness.
 
     Z = W^+ W keeps the eigenvalues of Z above RANK_CUT times the largest,
     one row of W each, and W is cut into the families of _families(kind,
@@ -232,7 +226,7 @@ def _solve_gram(
         raise SdpError(
             f"beta_{kind} solve ended with status {sol.status!r} at iteration {sol.iterations}"
         )
-    z = sol.blocks["gram"]
+    z = sol.z
     lam, vecs = np.linalg.eigh((z + z.conj().T) / 2)
     keep = np.flatnonzero(lam > RANK_CUT * max(float(lam[-1]), 1e-300))[::-1]
     w = (np.sqrt(lam[keep])[:, None] * vecs[:, keep].conj().T).astype(complex)

@@ -1,10 +1,10 @@
-"""Standard-form semidefinite programming over complex Hermitian blocks.
+"""Standard-form semidefinite programming over one complex Hermitian matrix.
 
-An instance asks to maximize sum_b Re Tr(C_b^dagger Z_b) over PSD Hermitian
-blocks Z_b subject to equality constraints sum_b Re Tr(F_qb^dagger Z_b) =
-rhs_q. It is solved by an infeasible primal-dual interior-point method with
-Nesterov-Todd scaling; the Schur complement M[p, q] = Re Tr(F_p W F_q W) and
-the multipliers y are real. Each iteration is a Mehrotra predictor-corrector
+An instance asks to maximize Re Tr(C^dagger Z) over PSD Hermitian Z
+subject to equality constraints Re Tr(F_q^dagger Z) = rhs_q. It is solved
+by an infeasible primal-dual interior-point method with Nesterov-Todd
+scaling; the Schur complement M[p, q] = Re Tr(F_p W F_q W) and the
+multipliers y are real. Each iteration is a Mehrotra predictor-corrector
 step in the NT frame G (W = G G^H, G^-1 Z G^-H = G^H S G = diag(lam)): the
 affine predictor fixes sigma = (mu_aff / mu)^3, and the corrector adds to
 the centering term the second-order term of the predictor (Mehrotra, SIAM
@@ -31,37 +31,29 @@ unit, where substitution leaves one of the order of the unit; so each
 block's solution x = inv r is refined once, x + inv (r - L_kk x), which
 brings the residual back to within a small factor of a substitution's.
 
-The core holds an instance as one Hermitian matrix Z with the blocks on its
-diagonal, each entry shifted by its block's offset. That is the same
-program: a PSD Z with those diagonal blocks exists exactly when every block
-is PSD (take zero off-diagonal blocks), and C, every F_q, hence every
-iterate, is block-diagonal up to rounding. solve returns the diagonal
-blocks under their labels.
-
-The block partition. solve splits every block into the finest partition
-of its indices (_classes) in which each nonzero entry of C lies inside one
-class, and each row has either all its entries inside classes or all of
-them across classes and rhs 0. An entry of C merges its endpoints, and a
-row that breaks the second rule (rhs != 0 with an entry across classes, or
-rhs 0 with entries of both kinds) merges the endpoints of each of its
-entries. Pinching Z to the classes (zeroing every entry across them) keeps
-it PSD, keeps the objective and every row inside classes, and gives each
-row across them its rhs, 0; so one block per class, with only the rows
-inside classes, has the same optimum (the aggregate sparsity of Fukuda-
-Kojima-Murota-Nakata, SIAM J. Optim. 11, 2001, with the rows across
-classes dropped). The solution lifts back: zeros between classes, and y 0
-on every dropped row, so S = A^T y - C has the reduced S as its blocks and
-the pair is primal-dual for the instance as given. The start and every NT
-step from a block-diagonal iterate are block-diagonal, so the reduced run
-retraces the full one, to rounding. A program that keeps every row is
-solved as given, since the core holds all blocks in one dense matrix; the
+The block partition. solve finds the finest partition of the indices
+(_classes) in which each nonzero entry of C lies inside one class, and each
+row has either all its entries inside classes or all of them across
+classes and rhs 0. An entry of C merges its endpoints, and a row that
+breaks the second rule (rhs != 0 with an entry across classes, or rhs 0
+with entries of both kinds) merges the endpoints of each of its entries.
+Pinching Z to the classes (zeroing every entry across them) keeps it PSD,
+keeps the objective and every row inside classes, and gives each row
+across them its rhs, 0; so the program with only the rows inside classes
+has the same optimum (the aggregate sparsity of Fukuda-Kojima-Murota-
+Nakata, SIAM J. Optim. 11, 2001, with the rows across classes dropped).
+The program keeps the instance's side and index order and drops those
+rows; the start and every NT step from a block-diagonal iterate are
+block-diagonal on the classes, up to rounding. The solution is Z pinched
+to the classes and y 0 on every dropped row, so S = A^T y - C is the
+program's S and the pair is primal-dual for the instance as given. The
 dense cap counts the instance as given.
 
-A real instance, C and every entry real, is solved in real arithmetic, over
-real symmetric Z. That loses nothing: if Z is feasible so is its conjugate,
-on which every row and the objective take the same value, hence Re Z = (Z +
-conj Z) / 2 is PSD, feasible and has the same objective. Any other instance
-is solved over complex Hermitian Z. Which rows a program needs is decided
+A real program, C and every entry of a kept row real, is solved in real
+arithmetic, over real symmetric Z. That loses nothing: if Z is feasible so
+is its conjugate, on which every row and the objective take the same value,
+hence Re Z = (Z + conj Z) / 2 is PSD, feasible and has the same objective.
+Any other program is solved over complex Hermitian Z. Which rows a program needs is decided
 where it is built (see the relaxations module).
 
 The trace bound. solve takes an instance only when its rows bound Tr Z:
@@ -70,9 +62,9 @@ diag(F_q) = D > 0 (the trace witness, _trace_witness). Every feasible Z
 then has Tr(D Z) = u^T b, so Tr Z <= u^T b / min D, and both the primal
 feasible set and the optimum are bounded. Each Gram relaxation of this
 package has one with D = I, as its diagonal caps sum to the identity; with
-the caps as inequalities Q + S = I, S a slack block, D is another positive
-diagonal. An instance without such u, or with u^T b <= 0, is refused
-(BadArgsError).
+the caps as inequalities Q + S = I, S the slack indices' part of Z, D is
+another positive diagonal. An instance without such u, or with u^T b <= 0,
+is refused (BadArgsError).
 
 The start is Z = (u^T b / Tr D) I and y = lam u, lam = 1.5 ||C|| / min D +
 1e-3, so S = A^T y - C = lam D - C is positive definite and meets the dual
@@ -86,7 +78,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,13 +94,13 @@ STALL_ITERS = 5  # iterations without a lower merit after which a run stops
 SCHUR_GROUP_ENTRIES = 1 << 16  # complex entries (1 MB) in one Schur group array
 SUBSTITUTION_ROWS = 64  # rows of a diagonal block in a blocked triangular solve
 
-Entry = tuple[str, int, int, complex]
+Entry = tuple[int, int, complex]
 
 
 @dataclass(frozen=True)
 class SdpConstraint:
-    """sum over entries (b, r, c, v) of Re Tr(F^dagger Z_b) = rhs, where F
-    has value v at (r, c) and conj(v) at (c, r); only r <= c is stored."""
+    """sum over entries (r, c, v) of Re Tr(F^dagger Z) = rhs, where F has
+    value v at (r, c) and conj(v) at (c, r); only r <= c is stored."""
 
     entries: tuple[Entry, ...]
     rhs: float
@@ -116,15 +108,16 @@ class SdpConstraint:
 
 @dataclass(frozen=True)
 class SdpInstance:
-    blocks: tuple[tuple[str, int], ...]
-    objective: dict[str, np.ndarray]
+    """max Re Tr(C^dagger Z) over PSD Hermitian Z of side side, C the
+    objective, subject to the constraints."""
+
+    side: int
+    objective: np.ndarray
     constraints: tuple[SdpConstraint, ...]
 
     def __post_init__(self):
-        # A complex Hermitian copy: the caller's dict is left alone.
-        objective = {label: _hermitian(np.asarray(c, dtype=complex))
-                     for label, c in self.objective.items()}
-        object.__setattr__(self, "objective", objective)
+        # A complex Hermitian copy: the caller's array is left alone.
+        object.__setattr__(self, "objective", _hermitian(np.asarray(self.objective, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -150,11 +143,11 @@ class IpmIteration:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Primal blocks and dual multipliers y, one per row of the instance
-    solved; objective values (dual_value is b^T y) and the per-iteration
-    trace (kept out of every serialized payload)."""
+    """The primal matrix Z, of the instance's side, and the dual multipliers
+    y, one per row of the instance; objective values (dual_value is b^T y)
+    and the per-iteration trace (kept out of every serialized payload)."""
 
-    blocks: dict[str, np.ndarray]
+    z: np.ndarray
     y: np.ndarray
     primal_value: float
     dual_value: float
@@ -169,34 +162,38 @@ class SdpSolution:
 
 
 class _Program:
-    """The one translation of an instance that the core solves. Its blocks
-    lie on the diagonal of one Hermitian matrix of side dim, and its m rows
-    are the instance's. The stored entries (r <= c, shifted by their block's
-    offset) are in row order: entries q_ptr[i]:q_ptr[i + 1] belong to row
-    q_list[i]. witness is the rows' trace witness (_trace_witness), or None;
-    the program is built either way, and solve refuses one whose rows do not
-    bound Tr Z.
+    """The one translation of an instance that the core solves: one
+    Hermitian matrix of the instance's side dim, in its index order, and the
+    m rows that lie inside the classes of _classes. label and kept are that
+    partition: each index's class, named by its smallest index, and which
+    rows of the instance the program keeps (the others lie across classes
+    with rhs 0, and pinching meets them). The stored entries (r <= c) of the
+    kept rows are in row order, their owners renumbered 0..m-1: entries
+    q_ptr[i]:q_ptr[i + 1] belong to row q_list[i]. witness is the rows'
+    trace witness (_trace_witness), or None; the program is built either
+    way, and solve refuses one whose rows do not bound Tr Z.
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
     A^T y = U + U^H where U holds half * y[owner] at (r, c), half being v with
-    the diagonal halved. A real program (C and every entry real) holds them
-    as real arrays, and so does every iterate over it.
+    the diagonal halved. A real program (C and every kept entry real) holds
+    them as real arrays, and so does every iterate over it.
     """
 
     def __init__(self, inst: SdpInstance):
-        self.spans, dim = _spans(inst)
-        rows, cols, vals, owner = _entries(inst, self.spans)
-        self.dim, self.m = dim, len(inst.constraints)
-        real = not (vals.imag.any() or any(c.imag.any() for c in inst.objective.values()))
+        dim, c = inst.side, inst.objective
+        rows, cols, vals, owner = _entries(inst)
+        b = np.array([con.rhs for con in inst.constraints], dtype=float)
+        self.label, self.kept = _classes(dim, *np.nonzero(c), rows, cols, owner, b)
+        at = self.kept[owner]
+        rows, cols, vals = rows[at], cols[at], vals[at]
+        owner = (np.cumsum(self.kept) - 1)[owner[at]]
+        self.b = b[self.kept]
+        self.dim, self.m = dim, self.b.size
+        real = not (vals.imag.any() or c.imag.any())
 
-        self.dtype = dtype = float if real else complex
-        self.cobj = np.zeros((dim, dim), dtype=dtype)
-        for label, c in inst.objective.items():
-            span = self.spans[label]
-            self.cobj[span, span] = c.real if real else c
-        self.b = np.array([con.rhs for con in inst.constraints], dtype=float)
-
+        self.dtype = float if real else complex
+        self.cobj = np.ascontiguousarray(c.real) if real else c
         self.rows, self.cols, self.owner = rows, cols, owner
         diag = self.rows == self.cols
         vals = vals.real if real else np.where(diag, vals.real, vals)
@@ -210,25 +207,14 @@ class _Program:
         self.witness = _trace_witness(self)
 
 
-def _spans(inst: SdpInstance) -> tuple[dict, int]:
-    """Each block's slice of the one diagonal, and the side of the whole."""
-    spans, n = {}, 0
-    for label, d in inst.blocks:
-        spans[label] = slice(n, n + d)
-        n += d
-    return spans, n
-
-
-def _entries(inst: SdpInstance, spans: dict):
-    """The stored entries of every row, in row order, as arrays: row and
-    column on the one diagonal (shifted by the block's offset), the complex
-    value, and the number of the row that owns the entry."""
+def _entries(inst: SdpInstance):
+    """The stored entries of every row, in row order, as arrays: row,
+    column, the complex value, and the number of the row that owns it."""
     rows, cols, vals, owner = [], [], [], []
     for q, con in enumerate(inst.constraints):
-        for b, r, c, v in con.entries:
-            base = spans[b].start
-            rows.append(base + r)
-            cols.append(base + c)
+        for r, c, v in con.entries:
+            rows.append(r)
+            cols.append(c)
             vals.append(complex(v))
             owner.append(q)
     rows, cols, owner = (np.asarray(x, dtype=np.intp) for x in (rows, cols, owner))
@@ -236,9 +222,9 @@ def _entries(inst: SdpInstance, spans: dict):
 
 
 def _trace_witness(prog: _Program) -> np.ndarray | None:
-    """Row weights u, one per program row, with A^T u = D a diagonal whose
-    entries all exceed 1e-12 times the largest, so that every Z meeting the
-    rows has Tr(D Z) = u^T b. The test is relative: it keeps a D whose
+    """Row weights u, one per row the program keeps, with A^T u = D a
+    diagonal whose entries all exceed 1e-12 times the largest, so that every
+    Z meeting the rows has Tr(D Z) = u^T b. The test is relative: it keeps a D whose
     entries spread over many orders of magnitude and drops one that is 0 up
     to rounding. u is the least-squares fit of sum_q u_q diag(F_q) = 1 over
     the rows whose stored entries are all diagonal, 0 on every other row;
@@ -558,9 +544,13 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
 
 
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
+    """The solution of the instance as given: Z pinched to the classes
+    (exactly 0 between them), and y 0 on every dropped row."""
+    y_all = np.zeros(prog.kept.size)
+    y_all[prog.kept] = y
     return SdpSolution(
-        blocks={label: z[span, span] for label, span in prog.spans.items()},
-        y=y,
+        z=np.where(prog.label[:, None] == prog.label, z, 0),
+        y=y_all,
         primal_value=pobj,
         dual_value=dobj,
         iterations=iters,
@@ -599,63 +589,12 @@ def _classes(dim, c_rows, c_cols, rows, cols, owner, b) -> tuple[np.ndarray, np.
         label = linalg.component_labels(dim, label[rows[at]], label[cols[at]])[label]
 
 
-def _split(inst: SdpInstance):
-    """The instance on one block per class of _classes, with the rows that
-    lie inside classes, unchanged, and the map that lifts its solution to
-    one of inst: each block filled from its classes with zeros between
-    them, and y 0 on every dropped row. When every row is kept, inst itself
-    and the identity: the core holds all blocks in one dense matrix, so the
-    classes alone would save nothing."""
-    spans, dim = _spans(inst)
-    rows, cols, _, owner = _entries(inst, spans)
-    b = np.array([con.rhs for con in inst.constraints], dtype=float)
-    pattern = [np.argwhere(c) + spans[label].start for label, c in inst.objective.items()]
-    c_rows, c_cols = np.concatenate(pattern + [np.zeros((0, 2), dtype=np.intp)]).T
-    label, kept = _classes(dim, c_rows, c_cols, rows, cols, owner, b)
-    if kept.all():
-        return inst, lambda sol: sol
-    roots = np.flatnonzero(label == np.arange(dim))
-
-    # Class k is the one of the k-th smallest root, its indices ascending.
-    cls = np.searchsorted(roots, label)
-    members = np.argsort(cls, kind="stable")
-    size = np.bincount(cls)
-    pos = np.empty(dim, dtype=np.intp)  # each index's place in its class
-    pos[members] = np.arange(dim) - np.repeat(np.cumsum(size) - size, size)
-    block_at = np.repeat(np.arange(len(inst.blocks)), [d for _, d in inst.blocks])
-    homes = [inst.blocks[i][0] for i in block_at[roots]]
-    local = [idx - spans[home].start
-             for idx, home in zip(np.split(members, np.cumsum(size)[:-1]), homes)]
-    objective = {k: inst.objective[home][np.ix_(idx, idx)]
-                 for k, (home, idx) in enumerate(zip(homes, local)) if home in inst.objective}
-    k_of, r_of, c_of = cls[rows].tolist(), pos[rows].tolist(), pos[cols].tolist()
-    first = np.searchsorted(owner, np.arange(b.size))  # each row's first entry
-    constraints = []
-    for q in np.flatnonzero(kept):
-        con = inst.constraints[q]
-        entries = tuple((k_of[i], r_of[i], c_of[i], v)
-                        for i, (*_, v) in enumerate(con.entries, first[q]))
-        constraints.append(SdpConstraint(entries=entries, rhs=con.rhs))
-    reduced = SdpInstance(blocks=tuple(enumerate(size.tolist())), objective=objective,
-                          constraints=tuple(constraints))
-
-    def lift(sol: SdpSolution) -> SdpSolution:
-        dtype = np.result_type(float, *sol.blocks.values())
-        blocks = {home: np.zeros((d, d), dtype=dtype) for home, d in inst.blocks}
-        for k, (home, idx) in enumerate(zip(homes, local)):
-            blocks[home][np.ix_(idx, idx)] = sol.blocks[k]
-        y = np.zeros(b.size)
-        y[kept] = sol.y
-        return replace(sol, blocks=blocks, y=y)
-
-    return reduced, lift
-
-
 # --- public driver -------------------------------------------------------------
 
 
 def solve(inst: SdpInstance, tol: float) -> SdpSolution:
-    """Solve a complex-block SDP to the requested relative gap tolerance.
+    """Solve an SDP on one Hermitian matrix to the requested relative gap
+    tolerance.
 
     Deterministic for a fixed instance and tolerance, which must be positive
     and finite (else BadArgsError). The instance's rows must bound Tr Z: some
@@ -665,28 +604,27 @@ def solve(inst: SdpInstance, tol: float) -> SdpSolution:
     "stalled" when it stops early (no lower merit max(pres, dres, rel_gap)
     for STALL_ITERS iterations, a non-finite residual, mu or Newton step, mu
     below MU_FLOOR, or a Schur matrix that no ridge makes factorable); a
-    non-finite start raises SdpError. A real instance (C and every entry
-    real) is solved over real symmetric Z, and its blocks are then real
-    arrays. Raises TooLargeError, before allocating, when the matrix side or
+    non-finite start raises SdpError. A real program (C and every entry of
+    a kept row real) is solved over real symmetric Z, and Z is then a real
+    array. Raises TooLargeError, before allocating, when the matrix side or
     the Schur matrix (one row and column per row of the instance as given)
     is above the dense cap.
 
-    The program solved has one block per class of the finest partition of
-    each block that C and the rows allow: an entry of C merges its
-    endpoints, and so do those of each entry of a row with rhs != 0 and an
-    entry across classes, or with rhs 0 and entries inside and across. The
-    rows across classes, all with rhs 0, are dropped; pinching Z to the
-    classes meets them and keeps the optimum (see the module docstring).
-    The solution is lifted back, with zeros between classes and y 0 on each
-    dropped row, so y has one entry per row of the instance.
+    The program (_Program) keeps the instance's side and index order and
+    drops the rows that lie across the classes of the finest partition that
+    C and the rows allow: an entry of C merges its endpoints, and so do those
+    of each entry of a row with rhs != 0 and an entry across classes, or
+    with rhs 0 and entries inside and across. The dropped rows all have rhs
+    0; pinching Z to the classes meets them and keeps the optimum (see the
+    module docstring). The returned Z is pinched, exactly 0 between classes,
+    and y has one entry per row of the instance, 0 on each dropped row.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
-    dim, m = sum(d for _, d in inst.blocks), len(inst.constraints)
+    dim, m = inst.side, len(inst.constraints)
     check_dense(max(dim, m) ** 2, f"SDP of side {dim} with {m} constraints")
-    reduced, lift = _split(inst)
-    prog = _Program(reduced)
+    prog = _Program(inst)
     bound = 0.0 if prog.witness is None else float(prog.witness @ prog.b)
     if not bound > 0:
         raise BadArgsError("the rows do not bound Tr Z: no diagonal rows sum to a D > 0 with u^T b > 0")
-    return lift(_solve(prog, tol))
+    return _solve(prog, tol)

@@ -11,14 +11,13 @@ PSD_SLACK = 1e-8
 RESIDUAL_SCALE_TOL = 1e-7
 
 
-def constraint_value(con: SdpConstraint, blocks) -> float:
+def constraint_value(con: SdpConstraint, z: np.ndarray) -> float:
     total = 0.0
-    for b, r, c, v in con.entries:
-        z = blocks[b][r, c]
+    for r, c, v in con.entries:
         if r == c:
-            total += float(np.real(v)) * float(np.real(z))
+            total += float(np.real(v)) * float(np.real(z[r, c]))
         else:
-            total += 2.0 * float(np.real(np.conj(v) * z))
+            total += 2.0 * float(np.real(np.conj(v) * z[r, c]))
     return total
 
 
@@ -32,7 +31,7 @@ class CertifyReport:
 
 
 def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> CertifyReport:
-    """Recompute residuals, PSD slacks, the objective sum_b Re Tr(C_b^dagger Z_b)
+    """Recompute residuals, the PSD slack, the objective Re Tr(C^dagger Z)
     against primal_value, and the duality gap of a solution."""
     checks = []
 
@@ -42,21 +41,20 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
     def at_least(name: str, value: float, bound: float):
         checks.append((name, value, bound, value >= bound))
 
-    for label, _ in inst.blocks:
-        z = sol.blocks[label]
-        # ||Z - Z^H|| <= 1e-9 max(1, ||Z||), measured on Z / s with s >= 1 its
-        # largest real or imaginary part, so that neither norm overflows.
-        s = max(1.0, float(np.max(np.abs([z.real, z.imag]), initial=0.0)))
-        u = z / s
-        at_most(f"hermitian[{label}]", float(np.linalg.norm(u - u.conj().T)),
-                1e-9 * max(1.0 / s, float(np.linalg.norm(u))))
-        at_least(f"psd[{label}]", float(np.linalg.eigvalsh(z / 2 + z.conj().T / 2)[0]), -PSD_SLACK)
+    z = sol.z
+    # ||Z - Z^H|| <= 1e-9 max(1, ||Z||), measured on Z / s with s >= 1 its
+    # largest real or imaginary part, so that neither norm overflows.
+    s = max(1.0, float(np.max(np.abs([z.real, z.imag]), initial=0.0)))
+    u = z / s
+    at_most("hermitian", float(np.linalg.norm(u - u.conj().T)),
+            1e-9 * max(1.0 / s, float(np.linalg.norm(u))))
+    at_least("psd", float(np.linalg.eigvalsh(z / 2 + z.conj().T / 2)[0]), -PSD_SLACK)
     rhs_scale = max([1.0] + [abs(c.rhs) for c in inst.constraints])
     worst = 0.0
     for con in inst.constraints:
-        worst = max(worst, abs(constraint_value(con, sol.blocks) - con.rhs))
+        worst = max(worst, abs(constraint_value(con, z) - con.rhs))
     at_most("residual", worst, RESIDUAL_SCALE_TOL * rhs_scale)
-    objective = sum(float(np.vdot(c, sol.blocks[b]).real) for b, c in inst.objective.items())
+    objective = float(np.vdot(inst.objective, z).real)
     at_most("objective", abs(objective - sol.primal_value),
             RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)))
     gap = sol.dual_value - sol.primal_value

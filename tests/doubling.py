@@ -24,17 +24,16 @@ def undouble_matrix(t: np.ndarray) -> np.ndarray:
     return ((z11 + z22) + 1j * (z21 - z12)) / 2
 
 
-def _double_entries(entries, dims):
-    """Upper-triangle entries of the doubled constraint matrix."""
+def _double_entries(entries, m):
+    """Upper-triangle entries of the doubled constraint matrix, m the side."""
     full = {}
-    for b, r, c, v in entries:
+    for r, c, v in entries:
         v = complex(v)
-        full[(b, r, c)] = full.get((b, r, c), 0.0) + v
+        full[(r, c)] = full.get((r, c), 0.0) + v
         if r != c:
-            full[(b, c, r)] = full.get((b, c, r), 0.0) + v.conjugate()
+            full[(c, r)] = full.get((c, r), 0.0) + v.conjugate()
     out = {}
-    for (b, i, j), w in full.items():
-        m = dims[b]
+    for (i, j), w in full.items():
         for ei, ej, ew in (
             (i, j, w.real),
             (i, j + m, -w.imag),
@@ -42,18 +41,17 @@ def _double_entries(entries, dims):
             (i + m, j + m, w.real),
         ):
             if ei <= ej and ew != 0.0:
-                out[(b, ei, ej)] = ew
-    return tuple((b, i, j, complex(w)) for (b, i, j), w in sorted(out.items()))
+                out[(ei, ej)] = ew
+    return tuple((i, j, complex(w)) for (i, j), w in sorted(out.items()))
 
 
 def double_instance(inst: sdp.SdpInstance) -> sdp.SdpInstance:
-    dims = dict(inst.blocks)
     return sdp.SdpInstance(
-        blocks=tuple((label, 2 * d) for label, d in inst.blocks),
-        objective={label: double_matrix(c) for label, c in inst.objective.items()},
+        side=2 * inst.side,
+        objective=double_matrix(inst.objective),
         constraints=tuple(
             sdp.SdpConstraint(
-                entries=_double_entries(con.entries, dims), rhs=2.0 * con.rhs
+                entries=_double_entries(con.entries, inst.side), rhs=2.0 * con.rhs
             )
             for con in inst.constraints
         ),

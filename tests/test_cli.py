@@ -251,7 +251,7 @@ def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, argv):
     assert not any(folder.iterdir())
 
 
-@pytest.mark.parametrize("quantity", ["me:x", "ent:2xy", "ent:x"])
+@pytest.mark.parametrize("quantity", ["me:x", "ent:2xy", "ent:x", "ent:2x"])
 def test_cmd_bias_bad_dimension_exits_2(tmp_path, capsys, quantity):
     path = tmp_path / "t1.json"
     run(["game", "--name", "tn", "--param", "1", "--out", str(path)])

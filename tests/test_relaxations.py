@@ -100,7 +100,7 @@ def test_gram_bookkeeping_soundness(rng):
     gram = vecs.conj().T @ vecs
 
     inst = relaxations.beta_nc_instance(g)
-    obj = float(np.real(np.trace(inst.objective["gram"].conj().T @ gram)))
+    obj = float(np.real(np.trace(inst.objective.conj().T @ gram)))
     want_obj = float(np.real(np.trace(odot(x, y) @ g.m)))
     assert abs(obj - want_obj) <= 1e-10
 
@@ -125,19 +125,19 @@ def test_functional_rows_are_real_and_imaginary_parts(rng, diagonal, upper):
     above = list(itertools.combinations(range(dim), 2))
     pairs = [(i, i) for i in rng.choice(dim, diagonal, replace=False)]
     pairs += [above[p] for p in rng.choice(len(above), upper, replace=False)]
-    terms = [("gram", i, j, float(rng.standard_normal())) for i, j in sorted(pairs)]
-    want = sum(v * z[i, j] for _, i, j, v in terms)
+    terms = [(i, j, float(rng.standard_normal())) for i, j in sorted(pairs)]
+    want = sum(v * z[i, j] for i, j, v in terms)
     for real in (False, True):
         rows = relaxations._functional(terms, 0.5, real)
         assert [row.rhs for row in rows] == ([0.5, 0.0] if upper and not real else [0.5])
-        values = [constraint_value(row, {"gram": z}) for row in rows]
+        values = [constraint_value(row, z) for row in rows]
         assert values[0] == pytest.approx(want.real, abs=1e-12)
         if upper and not real:
             assert values[1] == pytest.approx(want.imag, abs=1e-12)
 
 
 def test_gram_objective_matches_entrywise_loop():
-    """The objective blocks equal the entrywise definition
+    """The objectives equal the entrywise definition
     c[x(a, c), y(b, e)] = conj(M[(c, e), (a, b)]) / 2, then c + c^+."""
     for g in (games.t_game(2), games.h_game(1), random_game(3, seed=72)):
         n = g.n
@@ -150,7 +150,7 @@ def test_gram_objective_matches_entrywise_loop():
             c = np.zeros((size, size), dtype=complex)
             for a, b, cc, e in itertools.product(range(n), repeat=4):
                 c[a * n + cc, yb + b * n + e] += np.conj(m4[cc, e, a, b]) / 2
-            assert np.array_equal(inst.objective["gram"], c + c.conj().T)
+            assert np.array_equal(inst.objective, c + c.conj().T)
 
 
 def test_beta_sdp_values():
@@ -325,11 +325,7 @@ def test_maximizing_negated_objective_matches():
     # of the objective must give the same optimum value
     g = games.h_game(1)
     inst = relaxations.beta_nc_instance(g)
-    flipped = sdp.SdpInstance(
-        blocks=inst.blocks,
-        objective={k: -v for k, v in inst.objective.items()},
-        constraints=inst.constraints,
-    )
+    flipped = sdp.SdpInstance(side=inst.side, objective=-inst.objective, constraints=inst.constraints)
     v1 = sdp.solve(inst, 1e-7).primal_value
     v2 = sdp.solve(flipped, 1e-7).primal_value
     assert abs(v1 - v2) <= 2e-6
@@ -391,19 +387,16 @@ def test_check_chains_zero_game():
 
 def _real_constraint_matrix(inst: sdp.SdpInstance) -> np.ndarray:
     """Row q holds the real coefficients of A(Z)_q on the real and imaginary
-    parts of the Hermitian Z with the blocks on its diagonal, built from the
-    instance's entries: A(Z)_q = Re sum of w Z[r, c], w = Re v on the
-    diagonal and 2 conj(v) off it."""
-    offsets, side = {}, 0
-    for label, d in inst.blocks:
-        offsets[label], side = side, side + d
+    parts of the Hermitian Z, built from the instance's entries: A(Z)_q =
+    Re sum of w Z[r, c], w = Re v on the diagonal and 2 conj(v) off it."""
+    side = inst.side
     size = side * side
     a = np.zeros((len(inst.constraints), 2 * size))
     for q, con in enumerate(inst.constraints):
-        for b, r, c, v in con.entries:
+        for r, c, v in con.entries:
             v = complex(v)
             w = v.real if r == c else 2.0 * v.conjugate()
-            flat = (offsets[b] + r) * side + offsets[b] + c
+            flat = r * side + c
             a[q, flat] += w.real
             a[q, size + flat] -= w.imag
     return a

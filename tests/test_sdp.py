@@ -18,11 +18,9 @@ from test_slack_oracle import CASES as SLACK_CASES, _slack_instance
 
 def _scalar_instance(value=1.0):
     return sdp.SdpInstance(
-        blocks=(("z", 1),),
-        objective={"z": np.eye(1, dtype=complex)},
-        constraints=(
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=value),
-        ),
+        side=1,
+        objective=np.eye(1, dtype=complex),
+        constraints=(sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=value),),
     )
 
 
@@ -39,7 +37,7 @@ def _random_instance(seed: int, dim: int = 3, m: int = 3) -> sdp.SdpInstance:
     # A fixed trace keeps the feasible set compact (bounded objective).
     z0 = np.eye(dim) + 0.3 * herm()
     z0 = z0 @ z0.conj().T / dim
-    trace_entries = tuple(("z", i, i, 1.0 + 0.0j) for i in range(dim))
+    trace_entries = tuple((i, i, 1.0 + 0.0j) for i in range(dim))
     cons.append(
         sdp.SdpConstraint(entries=trace_entries, rhs=float(np.real(np.trace(z0))))
     )
@@ -49,12 +47,10 @@ def _random_instance(seed: int, dim: int = 3, m: int = 3) -> sdp.SdpInstance:
         for r in range(dim):
             for s in range(r, dim):
                 if abs(f[r, s]) > 1e-12:
-                    entries.append(("z", r, s, complex(f[r, s])))
+                    entries.append((r, s, complex(f[r, s])))
         rhs = float(np.real(np.trace(f.conj().T @ z0)))
         cons.append(sdp.SdpConstraint(entries=tuple(entries), rhs=rhs))
-    return sdp.SdpInstance(
-        blocks=(("z", dim),), objective={"z": c}, constraints=tuple(cons)
-    )
+    return sdp.SdpInstance(side=dim, objective=c, constraints=tuple(cons))
 
 
 def test_trivial_instance():
@@ -66,16 +62,16 @@ def test_trivial_instance():
 def test_all_ones_boundary():
     c = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     inst = sdp.SdpInstance(
-        blocks=(("z", 2),),
-        objective={"z": c},
+        side=2,
+        objective=c,
         constraints=(
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=1.0),
-            sdp.SdpConstraint(entries=(("z", 1, 1, 1.0 + 0.0j),), rhs=1.0),
+            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=1.0),
+            sdp.SdpConstraint(entries=((1, 1, 1.0 + 0.0j),), rhs=1.0),
         ),
     )
     sol = sdp.solve(inst, 1e-9)
     assert abs(sol.primal_value - 2.0) <= 1e-7
-    assert np.allclose(sol.blocks["z"], np.ones((2, 2)), atol=1e-6)
+    assert np.allclose(sol.z, np.ones((2, 2)), atol=1e-6)
 
 
 def test_chsh_relaxation_instance():
@@ -111,7 +107,7 @@ def test_certify_rejects_corrupted_solution():
     inst = _scalar_instance()
     sol = sdp.solve(inst, 1e-8)
     bad = sdp.SdpSolution(
-        blocks={"z": sol.blocks["z"] + 0.5},
+        z=sol.z + 0.5,
         y=sol.y,
         primal_value=sol.primal_value,
         dual_value=sol.dual_value,
@@ -136,46 +132,34 @@ def test_certify_recomputes_the_objective():
 def test_certify_hermitian_check_on_huge_blocks():
     # Entries near 1e308 overflowed ||Z||_F, and the check's bound became inf.
     inst = sdp.SdpInstance(
-        blocks=(("z", 2),),
-        objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)},
-        constraints=(),
+        side=2, objective=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), constraints=()
     )
     for lower, hermitian in ((0.0, False), (1e300, True)):
         z = np.array([[8e307, 1e300], [lower, 8e307]], dtype=complex)
         value = 1e300 + lower  # Re Tr(C^H Z)
-        sol = sdp.SdpSolution(blocks={"z": z}, y=np.zeros(0), primal_value=value,
+        sol = sdp.SdpSolution(z=z, y=np.zeros(0), primal_value=value,
                               dual_value=value, iterations=1, status="optimal")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = certify(inst, sol)
-        assert report.checks[0][0] == "hermitian[z]"
+        assert report.checks[0][0] == "hermitian"
         assert report.checks[0][3] is hermitian
-        assert report.failures() == ([] if hermitian else ["hermitian[z]"])
+        assert report.failures() == ([] if hermitian else ["hermitian"])
 
 
 def test_certify_zero_instance():
     # A zero objective; the trace row bounds Tr Z, so that the instance solves.
-    trace_row = sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j), ("z", 1, 1, 1.0 + 0.0j)), rhs=1.0)
-    inst = sdp.SdpInstance(blocks=(("z", 2),), objective={}, constraints=(trace_row,))
+    trace_row = sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j), (1, 1, 1.0 + 0.0j)), rhs=1.0)
+    inst = sdp.SdpInstance(side=2, objective=np.zeros((2, 2)), constraints=(trace_row,))
     sol = sdp.solve(inst, 1e-6)
     assert abs(sol.primal_value) <= 1e-6
     assert certify(inst, sol, 1e-6).passed
 
 
-def test_invariance_under_permutation_and_relabeling():
+def test_invariance_under_permutation():
     inst = _random_instance(3)
     sol = sdp.solve(inst, 1e-8)
-    permuted = sdp.SdpInstance(
-        blocks=(("w", 3),),
-        objective={"w": inst.objective["z"]},
-        constraints=tuple(
-            sdp.SdpConstraint(
-                entries=tuple(("w", r, c, v) for _, r, c, v in con.entries),
-                rhs=con.rhs,
-            )
-            for con in reversed(inst.constraints)
-        ),
-    )
+    permuted = replace(inst, constraints=inst.constraints[::-1])
     sol2 = sdp.solve(permuted, 1e-8)
     assert abs(sol.primal_value - sol2.primal_value) <= 2e-8 * max(1.0, abs(sol.primal_value))
 
@@ -183,7 +167,7 @@ def test_invariance_under_permutation_and_relabeling():
 def test_doubling_oracle_purely_real():
     inst = _scalar_instance()
     doubled = double_instance(inst)
-    assert dict(doubled.blocks)["z"] == 2
+    assert doubled.side == 2
     value = sdp.solve(inst, 1e-8).primal_value
     assert abs(value - 1.0) <= 1e-6
     assert abs(sdp.solve(doubled, 1e-8).primal_value / 2.0 - value) <= 2e-6
@@ -192,28 +176,27 @@ def test_doubling_oracle_purely_real():
 def test_doubling_oracle_one_dim_complex_block():
     inst = _scalar_instance()
     con = double_instance(inst).constraints[0]
-    # 1x1 complex block becomes a rotationally symmetric 2x2 block
-    assert {(r, c) for _, r, c, _ in con.entries} == {(0, 0), (1, 1)}
+    # 1x1 complex Z becomes a rotationally symmetric 2x2 one
+    assert {(r, c) for r, c, _ in con.entries} == {(0, 0), (1, 1)}
     assert con.rhs == 2.0
     # while the complex core keeps it 1x1
-    assert sdp.solve(inst, 1e-8).blocks["z"].shape == (1, 1)
+    assert sdp.solve(inst, 1e-8).z.shape == (1, 1)
 
 
-def _assert_feasible_psd(inst, blocks):
+def _assert_feasible_psd(inst, z):
     for con in inst.constraints:
-        got = constraint_value(con, blocks)
+        got = constraint_value(con, z)
         assert abs(got - con.rhs) <= 1e-8 * max(1.0, abs(con.rhs))
-    for z in blocks.values():
-        assert np.linalg.eigvalsh((z + z.conj().T) / 2)[0] >= -1e-8
+    assert np.linalg.eigvalsh((z + z.conj().T) / 2)[0] >= -1e-8
 
 
 def test_complex_core_feasibility_against_doubling():
     for seed in range(10):
         inst = _random_instance(seed + 50)
         sol = sdp.solve(inst, 1e-8)
-        _assert_feasible_psd(inst, sol.blocks)
+        _assert_feasible_psd(inst, sol.z)
         doubled = sdp.solve(double_instance(inst), 1e-8)
-        _assert_feasible_psd(inst, {"z": undouble_matrix(doubled.blocks["z"])})
+        _assert_feasible_psd(inst, undouble_matrix(doubled.z))
         assert abs(doubled.primal_value / 2.0 - sol.primal_value) <= 2e-6 * max(
             1.0, abs(sol.primal_value)
         )
@@ -232,23 +215,12 @@ def _random_pd(rng, d, real=False):
     return x @ x.conj().T / d + 0.1 * np.eye(d)
 
 
-def _offsets(inst: sdp.SdpInstance) -> tuple[dict[str, int], int]:
-    """Each block's offset on one diagonal, and the total side."""
-    offsets, side = {}, 0
-    for label, d in inst.blocks:
-        offsets[label], side = side, side + d
-    return offsets, side
-
-
 def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
-    """Every F_q of inst as one dense Hermitian matrix, the blocks on one
-    diagonal, built from its entries."""
-    offsets, side = _offsets(inst)
+    """Every F_q of inst as one dense Hermitian matrix, built from its entries."""
     dense = []
     for con in inst.constraints:
-        f = np.zeros((side, side), dtype=complex)
-        for b, r, c, v in con.entries:
-            r, c = r + offsets[b], c + offsets[b]
+        f = np.zeros((inst.side, inst.side), dtype=complex)
+        for r, c, v in con.entries:
             f[r, c] += v
             if r != c:
                 f[c, r] += np.conj(v)
@@ -256,27 +228,35 @@ def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
     return dense
 
 
+def _kept_constraints(inst: sdp.SdpInstance, prog) -> list[np.ndarray]:
+    """The dense F_q of the rows the program keeps, in its row order."""
+    dense = _dense_constraints(inst)
+    return [dense[q] for q in np.flatnonzero(prog.kept)]
+
+
 def _dual_slack(inst: sdp.SdpInstance, y: np.ndarray) -> np.ndarray:
-    """A^T y - C = sum_q y_q F_q - C as one dense matrix, the blocks on one
-    diagonal, built from the instance's entries."""
-    offsets, side = _offsets(inst)
-    slack = np.zeros((side, side), dtype=complex)
-    for label, c in inst.objective.items():
-        span = slice(offsets[label], offsets[label] + c.shape[0])
-        slack[span, span] -= c
+    """A^T y - C = sum_q y_q F_q - C as one dense matrix, built from the
+    instance's entries."""
+    slack = -inst.objective
     for y_q, con in zip(y, inst.constraints):
-        for b, r, c, v in con.entries:
-            r, c = r + offsets[b], c + offsets[b]
+        for r, c, v in con.entries:
             slack[r, c] += y_q * v
             if r != c:
                 slack[c, r] += y_q * np.conj(v)
     return slack
 
 
+def _joined(inst: sdp.SdpInstance) -> sdp.SdpInstance:
+    """inst with C all ones: its entries join every index into one class, so
+    the program keeps every row."""
+    return replace(inst, objective=np.ones((inst.side, inst.side)))
+
+
 def _mixed_instance() -> sdp.SdpInstance:
-    """Random constraints on two blocks: diagonal, real and complex entries."""
+    """Random constraints on indices 0..4 (a), 5..7 (b) or both: diagonal,
+    real and complex entries; C all ones, so that every row is kept."""
     rng = np.random.default_rng(11)
-    dims = {"a": 5, "b": 3}
+    offsets, dims = {"a": 0, "b": 5}, {"a": 5, "b": 3}
     kinds = ("diag", "real", "complex")
     cons = []
     for q in range(12):
@@ -285,33 +265,33 @@ def _mixed_instance() -> sdp.SdpInstance:
         for label in labels:
             for _ in range(1 + q % 3):
                 kind = kinds[int(rng.integers(3))]
-                r, c = sorted(int(i) for i in rng.choice(dims[label], 2, replace=False))
+                pair = rng.choice(dims[label], 2, replace=False)
+                r, c = sorted(int(i) + offsets[label] for i in pair)
                 if kind == "diag":
-                    entries.append((label, r, r, complex(rng.standard_normal())))
+                    entries.append((r, r, complex(rng.standard_normal())))
                 elif kind == "real":
-                    entries.append((label, r, c, complex(rng.standard_normal())))
+                    entries.append((r, c, complex(rng.standard_normal())))
                 else:
-                    entries.append((label, r, c, complex(*rng.standard_normal(2))))
+                    entries.append((r, c, complex(*rng.standard_normal(2))))
         cons.append(sdp.SdpConstraint(entries=tuple(entries), rhs=0.0))
-    return sdp.SdpInstance(
-        blocks=tuple(dims.items()), objective={}, constraints=tuple(cons)
-    )
+    return sdp.SdpInstance(side=8, objective=np.ones((8, 8)), constraints=tuple(cons))
 
 
 def test_schur_matches_dense_oracle():
-    # A complex program on two blocks, and the real program of beta_os(T2).
-    for inst, real in (
-        (_mixed_instance(), False),
-        (relaxations.beta_os_instance(games.t_game(2)), True),
+    # A complex program that keeps every row, and the real program of
+    # beta_os(T2), which drops some.
+    for inst, real, keeps_all in (
+        (_mixed_instance(), False, True),
+        (relaxations.beta_os_instance(games.t_game(2)), True, False),
     ):
         prog = sdp._Program(inst)
         assert prog.dtype is (float if real else complex)
-        side = sum(d for _, d in inst.blocks)  # the blocks on one diagonal
-        assert prog.dim == side
-        w = _random_pd(np.random.default_rng(11), side, real)  # full, not block-diagonal
+        assert prog.dim == inst.side
+        assert prog.kept.all() == keeps_all
+        w = _random_pd(np.random.default_rng(11), inst.side, real)  # full, not block-diagonal
         got = sdp._schur(prog, w)
 
-        dense = _dense_constraints(inst)
+        dense = _kept_constraints(inst, prog)
         want = np.array(
             [[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense]
         )
@@ -320,11 +300,10 @@ def test_schur_matches_dense_oracle():
 
 
 def _with_trace_row(inst: sdp.SdpInstance) -> sdp.SdpInstance:
-    """inst with one more row, Tr Z_gram = 1, last. The rows of these Gram
+    """inst with one more row, Tr Z = 1, last. The rows of these Gram
     relaxations all have one entry count and this row another, so that the
     Schur groups also break where the count changes."""
-    side = dict(inst.blocks)["gram"]
-    trace = sdp.SdpConstraint(entries=tuple(("gram", i, i, 1.0 + 0.0j) for i in range(side)), rhs=1.0)
+    trace = sdp.SdpConstraint(entries=tuple((i, i, 1.0 + 0.0j) for i in range(inst.side)), rhs=1.0)
     return replace(inst, constraints=inst.constraints + (trace,))
 
 
@@ -338,13 +317,14 @@ def _with_trace_row(inst: sdp.SdpInstance) -> sdp.SdpInstance:
     ids=["beta_os_random_n2", "beta_nc_h1"],  # complex, real
 )
 def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
-    inst = _with_trace_row(make())  # groups of two entry counts
+    inst = _joined(_with_trace_row(make()))  # groups of two entry counts, every row kept
     if group_cap:  # at most group_cap constraints per stacked matmul
         prog = sdp._Program(inst)
         width = max(prog.dim * prog.dim, prog.owner.size)
         monkeypatch.setattr(sdp, "SCHUR_GROUP_ENTRIES", group_cap * width)
     prog = sdp._Program(inst)
     assert prog.dtype is (float if real else complex)
+    assert prog.m == len(inst.constraints)
     sizes = [stop - start for start, stop in prog.groups]
     counts = np.diff(prog.q_ptr)
     assert len(set(counts)) > 1 and len(prog.groups) > 1 and max(sizes) > 1
@@ -353,7 +333,7 @@ def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
     w = _random_pd(np.random.default_rng(3), prog.dim, real)
     got = sdp._schur(prog, w)
 
-    dense = _dense_constraints(inst)
+    dense = _kept_constraints(inst, prog)
     want = np.array([[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense])
     upper = np.triu_indices(prog.m)
     assert np.abs(got[upper] - want[upper]).max() <= 1e-12 * np.abs(want).max()
@@ -389,82 +369,77 @@ def test_paper_table_solves_take_few_iterations():
     assert sum(iterations.values()) <= 94
 
 
-def _partition(inst: sdp.SdpInstance) -> tuple[np.ndarray, np.ndarray]:
-    """sdp._classes of an instance: each index's class on the one diagonal,
-    named by its smallest index, and which rows the solver keeps."""
-    spans, dim = sdp._spans(inst)
-    rows, cols, _, owner = sdp._entries(inst, spans)
-    pattern = [np.argwhere(c) + spans[label].start for label, c in inst.objective.items()]
-    c_rows, c_cols = np.concatenate(pattern).T
-    b = np.array([con.rhs for con in inst.constraints])
-    return sdp._classes(dim, c_rows, c_cols, rows, cols, owner, b)
-
-
 def _class_sizes(label: np.ndarray) -> dict[int, int]:
     """{class side: number of classes of that side}."""
     return dict(Counter(Counter(label.tolist()).values()))
-
-
-def _reduced(inst: sdp.SdpInstance) -> sdp.SdpInstance:
-    return sdp._split(inst)[0]
 
 
 def test_partition_of_the_gram_relaxations():
     # beta_os(T4): 16 classes of 2 and 68 of 1 (each block of side 2 pairs
     # an X_R entry with a Y_C one, or an X_C entry with a Y_R one).
     inst = relaxations.beta_os_instance(games.t_game(4))
-    label, kept = _partition(inst)
-    assert (len(inst.constraints), int(kept.sum())) == (685, 28)
-    assert _class_sizes(label) == {2: 16, 1: 68}
-    assert len(_reduced(inst).constraints) == 28
-    assert Counter(d for _, d in _reduced(inst).blocks) == {2: 16, 1: 68}
+    prog = sdp._Program(inst)
+    assert (len(inst.constraints), int(prog.kept.sum()), prog.m) == (685, 28, 28)
+    assert _class_sizes(prog.label) == {2: 16, 1: 68}
     # beta_nc(H2): 5 classes of 12 and 140 of 1.
     inst = relaxations.beta_nc_instance(games.h_game(2))
-    label, kept = _partition(inst)
-    assert (len(inst.constraints), int(kept.sum())) == (218, 38)
-    assert _class_sizes(label) == {12: 5, 1: 140}
+    prog = sdp._Program(inst)
+    assert (len(inst.constraints), int(prog.kept.sum()), prog.m) == (218, 38, 38)
+    assert _class_sizes(prog.label) == {12: 5, 1: 140}
     # A random complex game: beta_os splits into exactly X_R + Y_C and X_C
     # + Y_R with every row kept, and beta_nc stays one class.
     g = random_game(3, 7)
     nn = g.n**2
     inst = relaxations.beta_os_instance(g)
-    label, kept = _partition(inst)
-    assert kept.all()
+    prog = sdp._Program(inst)
+    assert prog.kept.all() and prog.m == len(inst.constraints)
     family = np.repeat([0, 1, 1, 0], nn)  # X_R, X_C, Y_R, Y_C
-    assert np.array_equal(label, np.where(family == 0, 0, nn))
-    assert _reduced(inst) is inst  # no row dropped: solved as given
+    assert np.array_equal(prog.label, np.where(family == 0, 0, nn))
     inst = relaxations.beta_nc_instance(g)
-    label, kept = _partition(inst)
-    assert kept.all() and not label.any()
-    assert _reduced(inst) is inst
+    prog = sdp._Program(inst)
+    assert prog.kept.all() and prog.m == len(inst.constraints) and not prog.label.any()
     # The diagonal embedding of a classical n = 5 game: beta_nc keeps 18 of
     # 58 rows, on one class of side 10, the X_ss and Y_tt entries, which is
     # beta_sdp's block, and 40 scalars.
     r = np.random.default_rng(5).standard_normal((5, 5))
     inst = relaxations.beta_nc_instance(games.from_classical(r / np.abs(r).sum()))
-    label, kept = _partition(inst)
-    assert (len(inst.constraints), int(kept.sum())) == (58, 18)
-    assert _class_sizes(label) == {10: 1, 1: 40}
+    prog = sdp._Program(inst)
+    assert (len(inst.constraints), prog.m) == (58, 18)
+    assert _class_sizes(prog.label) == {10: 1, 1: 40}
     diagonal = np.arange(5) * 6
-    assert np.array_equal(np.flatnonzero(label == 0), np.concatenate([diagonal, 25 + diagonal]))
+    assert np.array_equal(np.flatnonzero(prog.label == 0), np.concatenate([diagonal, 25 + diagonal]))
 
 
-def test_reduced_solve_retraces_the_full_one():
+def _all_in_one_class(dim, c_rows, c_cols, rows, cols, owner, b):
+    """sdp._classes replaced: one class, every row kept, the program as given."""
+    return np.zeros(dim, dtype=np.intp), np.ones(b.size, dtype=bool)
+
+
+def _unreduced(monkeypatch, inst: sdp.SdpInstance) -> sdp.SdpSolution:
+    """inst solved with every row kept, on one class."""
+    with monkeypatch.context() as patched:
+        patched.setattr(sdp, "_classes", _all_in_one_class)
+        return sdp.solve(inst, sdp.DEFAULT_TOL)
+
+
+def test_reduced_solve_retraces_the_full_one(monkeypatch):
     # The start and every NT step are block-diagonal on the classes, so the
-    # reduced run takes the full run's iterations, to rounding; the lifted
-    # solution is one of the instance as given. 14 of the 15 programs
-    # drop rows: all but beta_sdp(CHSH), whose rows and C pair every index.
+    # reduced run takes the full run's iterations, to rounding; its Z,
+    # pinched to the classes, and y, 0 on every dropped row, solve the
+    # instance as given. 14 of the 15 programs drop rows: all but
+    # beta_sdp(CHSH), whose rows and C pair every index.
     unchanged = []
     for name, inst in _paper_table_instances().items():
         sol = sdp.solve(inst, sdp.DEFAULT_TOL)
-        full = sdp._solve(sdp._Program(inst), sdp.DEFAULT_TOL)
+        full = _unreduced(monkeypatch, inst)
         assert (sol.status, sol.iterations) == (full.status, full.iterations), name
         assert abs(sol.primal_value - full.primal_value) <= 1e-10, name
         assert certify(inst, sol).passed, name
-        label, kept = _partition(inst)
+        prog = sdp._Program(inst)
         assert sol.y.shape == (len(inst.constraints),), name
-        assert not sol.y[~kept].any(), name
-        if kept.all():
+        assert not sol.y[~prog.kept].any(), name
+        assert not sol.z[prog.label[:, None] != prog.label].any(), name
+        if prog.kept.all():
             unchanged.append(name)
     assert unchanged == ["CHSH/beta_sdp"]
 
@@ -473,11 +448,11 @@ def _three_by_three(row: tuple, rhs: float) -> sdp.SdpInstance:
     """max 2 Re Z[0, 1] with a unit diagonal and one more row, sum over
     its entries ((r, c), v) of v Re Z[r, c] = rhs."""
     return sdp.SdpInstance(
-        blocks=(("z", 3),),
-        objective={"z": np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])},
+        side=3,
+        objective=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         constraints=tuple(
-            sdp.SdpConstraint(entries=(("z", i, i, 1.0 + 0.0j),), rhs=1.0) for i in range(3)
-        ) + (sdp.SdpConstraint(entries=tuple(("z", r, c, v / 2 + 0j) for (r, c), v in row), rhs=rhs),),
+            sdp.SdpConstraint(entries=((i, i, 1.0 + 0.0j),), rhs=1.0) for i in range(3)
+        ) + (sdp.SdpConstraint(entries=tuple((r, c, v / 2 + 0j) for (r, c), v in row), rhs=rhs),),
     )
 
 
@@ -494,12 +469,12 @@ def _three_by_three(row: tuple, rhs: float) -> sdp.SdpInstance:
     ],
     ids=["zero_rhs_inside_and_across", "nonzero_rhs_across", "zero_rhs_all_across"],
 )
-def test_each_merge_rule_keeps_the_value(row, rhs, classes, kept, value):
+def test_each_merge_rule_keeps_the_value(monkeypatch, row, rhs, classes, kept, value):
     inst = _three_by_three(row, rhs)
-    label, keep = _partition(inst)
-    assert label.tolist() == classes and int(keep.sum()) == kept
+    prog = sdp._Program(inst)
+    assert prog.label.tolist() == classes and prog.m == kept
     sol = sdp.solve(inst, sdp.DEFAULT_TOL)
-    full = sdp._solve(sdp._Program(inst), sdp.DEFAULT_TOL)
+    full = _unreduced(monkeypatch, inst)
     assert sol.status == full.status == "optimal"
     assert sol.primal_value == pytest.approx(value, rel=1e-6)
     assert abs(sol.primal_value - full.primal_value) <= 1e-10
@@ -524,10 +499,11 @@ def _witnessed_instances() -> dict[str, tuple[sdp.SdpInstance, float]]:
 
 
 def _witness_diagonal(inst: sdp.SdpInstance) -> np.ndarray:
-    """sum_q u_q F_q for the program's trace witness u, from the dense rows."""
+    """sum_q u_q F_q for the program's trace witness u, from the dense rows
+    that it keeps."""
     prog = sdp._Program(inst)
     assert prog.witness is not None
-    return sum(u_q * f for u_q, f in zip(prog.witness, _dense_constraints(inst)))
+    return sum(u_q * f for u_q, f in zip(prog.witness, _kept_constraints(inst, prog)))
 
 
 def test_gram_relaxations_have_a_trace_witness(monkeypatch):
@@ -536,7 +512,7 @@ def test_gram_relaxations_have_a_trace_witness(monkeypatch):
         # The solver takes C and b as they are: every package program has
         # |Re C|, |Im C| <= 1 (C holds conj(M) / 2, |M_rc| <= ||M||_1 <= 1)
         # and every right-hand side 0 or 1.
-        (c,) = inst.objective.values()
+        c = inst.objective
         assert max(np.abs(c.real).max(), np.abs(c.imag).max()) <= 1.0, name
         assert {con.rhs for con in inst.constraints} <= {0.0, 1.0}, name
         prog = sdp._Program(inst)
@@ -546,16 +522,16 @@ def test_gram_relaxations_have_a_trace_witness(monkeypatch):
         # The start meets every row, and S = A^T y - C exactly, up to rounding.
         first = sdp.solve(inst, sdp.DEFAULT_TOL).trace[0]
         assert max(first.pres, first.dres) <= 1e-14, name
-    # With the caps as inequalities Q + S = I, S a slack block, D is another
-    # positive diagonal (tests/slack.py): for beta_nc with n = 3, 8/7 on the
-    # Gram slots and 4/7 on the slack slots.
+    # With the caps as inequalities Q + S = I, S on slack indices after the
+    # Gram ones, D is another positive diagonal (tests/slack.py): for beta_nc
+    # with n = 3, 8/7 on the Gram slots and 4/7 on the slack slots.
     cases = {case: _slack_instance(case) for case in SLACK_CASES}
     for name, inst in cases.items():
         total = _witness_diagonal(inst)
         d = np.diag(total).real
         assert np.abs(total - np.diag(d)).max() <= 1e-12 and d.min() > 0, name
     d = np.diag(_witness_diagonal(cases["H1/nc"])).real
-    gram = dict(cases["H1/nc"].blocks)["gram"]
+    gram = relaxations.beta_nc_instance(games.h_game(1)).side
     assert np.allclose(d[:gram], 8 / 7, rtol=0, atol=1e-12)
     assert np.allclose(d[gram:], 4 / 7, rtol=0, atol=1e-12)
 
@@ -565,17 +541,17 @@ def _no_witness() -> sdp.SdpInstance:
     value 2 (sqrt 2 - 1): no weights of its one diagonal row, Z[1, 1] = 1,
     sum to a positive diagonal."""
     return sdp.SdpInstance(
-        blocks=(("z", 2),),
-        objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]])},
+        side=2,
+        objective=np.array([[0.0, 1.0], [1.0, 0.0]]),
         constraints=(
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j), ("z", 0, 1, 1.0 + 0.0j)), rhs=1.0),
-            sdp.SdpConstraint(entries=(("z", 1, 1, 1.0 + 0.0j),), rhs=1.0),
+            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j), (0, 1, 1.0 + 0.0j)), rhs=1.0),
+            sdp.SdpConstraint(entries=((1, 1, 1.0 + 0.0j),), rhs=1.0),
         ),
     )
 
 
 def test_instances_whose_rows_do_not_bound_the_trace_are_refused():
-    zero_trace = sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=0.0)
+    zero_trace = sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=0.0)
     cases = {
         "no_witness": _no_witness(),
         "no_rows": replace(_scalar_instance(), constraints=()),
@@ -595,11 +571,9 @@ def test_trace_bound_with_spread_row_weights_solves():
     """max 2 Re Z[0, 1] with Z[0, 0] + 1e-6 Z[1, 1] = 1: D = diag(1, 1e-6)
     bounds Tr Z by 1e6, and the value is 1000 (Z[0, 0] = 1/2)."""
     inst = sdp.SdpInstance(
-        blocks=(("z", 2),),
-        objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]])},
-        constraints=(
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j), ("z", 1, 1, 1e-6 + 0.0j)), rhs=1.0),
-        ),
+        side=2,
+        objective=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        constraints=(sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j), (1, 1, 1e-6 + 0.0j)), rhs=1.0),),
     )
     d = np.diag(_witness_diagonal(inst)).real
     assert d[1] / d[0] == pytest.approx(1e-6, rel=1e-12)
@@ -611,17 +585,21 @@ def test_trace_bound_with_spread_row_weights_solves():
 
 
 def _two_blocks() -> sdp.SdpInstance:
-    """max 6 Re A[0, 1] + B[0, 0] with A[0, 0] = A[1, 1] = 2, 2 Im A[0, 1] = 0
-    and Tr B = 1, of value 13: two blocks, an objective entry and a rhs
-    above 1, and a purely imaginary row with rhs 0 between real ones."""
+    """max 6 Re Z[0, 1] + Z[2, 2] with Z[0, 0] = Z[1, 1] = 2, 2 Im Z[0, 1] =
+    0 and Z[2, 2] + Z[3, 3] = 1, of value 13: two blocks on the diagonal,
+    {0, 1} and {2} (and {3}), an objective entry and a rhs above 1, and a
+    purely imaginary row with rhs 0 between real ones."""
+    c = np.zeros((4, 4))
+    c[0, 1] = c[1, 0] = 3.0
+    c[2, 2] = 1.0
     return sdp.SdpInstance(
-        blocks=(("a", 2), ("b", 2)),
-        objective={"a": np.array([[0.0, 3.0], [3.0, 0.0]]), "b": np.diag([1.0, 0.0])},
+        side=4,
+        objective=c,
         constraints=(
-            sdp.SdpConstraint(entries=(("a", 0, 0, 1.0 + 0.0j),), rhs=2.0),
-            sdp.SdpConstraint(entries=(("a", 0, 1, 1.0j),), rhs=0.0),
-            sdp.SdpConstraint(entries=(("a", 1, 1, 1.0 + 0.0j),), rhs=2.0),
-            sdp.SdpConstraint(entries=(("b", 0, 0, 1.0 + 0.0j), ("b", 1, 1, 1.0 + 0.0j)), rhs=1.0),
+            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=2.0),
+            sdp.SdpConstraint(entries=((0, 1, 1.0j),), rhs=0.0),
+            sdp.SdpConstraint(entries=((1, 1, 1.0 + 0.0j),), rhs=2.0),
+            sdp.SdpConstraint(entries=((2, 2, 1.0 + 0.0j), (3, 3, 1.0 + 0.0j)), rhs=1.0),
         ),
     )
 
@@ -657,7 +635,7 @@ def test_real_path_matches_complex_core():
     for name, inst in _paper_table_instances().items():
         assert sdp._Program(inst).dtype is float, name
         sol = sdp.solve(inst, sdp.DEFAULT_TOL)
-        assert all(z.dtype == np.float64 for z in sol.blocks.values()), name
+        assert sol.z.dtype == np.float64, name
         assert certify(inst, sol).passed, name
         assert sol.y.shape == (len(inst.constraints),), name
         assert np.linalg.eigvalsh(_dual_slack(inst, sol.y))[0] >= -1e-9, name
@@ -671,23 +649,23 @@ def _phase_row(rhs: float) -> sdp.SdpInstance:
     """max 2 Re Z[0, 1] with Z[0, 0] = Z[1, 1] = 1 and 2 Im Z[0, 1] = rhs: a
     purely imaginary row, which no real Z meets when rhs != 0."""
     return sdp.SdpInstance(
-        blocks=(("z", 2),),
-        objective={"z": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)},
+        side=2,
+        objective=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
         constraints=tuple(
-            sdp.SdpConstraint(entries=(("z", i, i, 1.0 + 0.0j),), rhs=1.0) for i in (0, 1)
+            sdp.SdpConstraint(entries=((i, i, 1.0 + 0.0j),), rhs=1.0) for i in (0, 1)
         )
-        + (sdp.SdpConstraint(entries=(("z", 0, 1, 1.0j),), rhs=rhs),),
+        + (sdp.SdpConstraint(entries=((0, 1, 1.0j),), rhs=rhs),),
     )
 
 
 def test_instances_that_are_not_real_stay_complex():
     two = _two_by_two(1.0, 1.0)
     assert sdp._Program(two).dtype is float
-    mixed_row = sdp.SdpConstraint(entries=(("z", 0, 1, 0.5 + 0.5j),), rhs=0.0)
+    mixed_row = sdp.SdpConstraint(entries=((0, 1, 0.5 + 0.5j),), rhs=0.0)
     cases = {
         "random_game": (relaxations.beta_nc_instance(random_game(2, 7)), None),
         "complex_objective": (replace(
-            two, objective={"z": np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])}
+            two, objective=np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
         ), 2 * math.sqrt(2)),
         "mixed_row": (replace(two, constraints=two.constraints + (mixed_row,)), None),
         # Im Z[0, 1] = 1/2 leaves Re Z[0, 1] at most sqrt(3)/2; no real Z is feasible.
@@ -700,10 +678,25 @@ def test_instances_that_are_not_real_stay_complex():
         assert sdp._Program(inst).dtype is complex, name
         sol = sdp.solve(inst, sdp.DEFAULT_TOL)
         assert sol.status == "optimal", name
-        assert all(z.dtype == np.complex128 for z in sol.blocks.values()), name
+        assert sol.z.dtype == np.complex128, name
         assert sol.y.shape == (len(inst.constraints),), name
         if value is not None:
             assert sol.primal_value == pytest.approx(value, rel=1e-6), name
+
+
+def test_real_or_complex_is_decided_on_the_kept_rows():
+    # A real C and one complex row, with rhs 0 and every entry across the
+    # classes {0, 1} and {2}: the program drops it and is real.
+    complex_row = sdp.SdpConstraint(entries=((0, 2, 0.5 + 0.5j), (1, 2, 1.0j)), rhs=0.0)
+    inst = _three_by_three((), 0.0)
+    inst = replace(inst, constraints=inst.constraints[:3] + (complex_row,))
+    prog = sdp._Program(inst)
+    assert prog.dtype is float
+    assert prog.label.tolist() == [0, 0, 2] and prog.kept.tolist() == [True] * 3 + [False]
+    sol = sdp.solve(inst, sdp.DEFAULT_TOL)
+    assert sol.status == "optimal" and sol.z.dtype == np.float64
+    assert sol.primal_value == pytest.approx(2.0, rel=1e-6)
+    assert sol.y[3] == 0 and certify(inst, sol).passed
 
 
 def test_size_cap_counts_the_rows_solved(monkeypatch):
@@ -711,9 +704,8 @@ def test_size_cap_counts_the_rows_solved(monkeypatch):
     # the same size, and the cap counts the rows the instance has.
     real = relaxations.beta_os_instance(games.t_game(2))
     full = relaxations.beta_os_instance(random_game(games.t_game(2).n, 7))
-    side = sum(d for _, d in real.blocks)
     m = len(real.constraints)
-    assert side < m < len(full.constraints)
+    assert real.side < m < len(full.constraints)
     monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", m**2)
     assert certify(real, sdp.solve(real, sdp.DEFAULT_TOL)).passed
 
@@ -723,36 +715,34 @@ def test_size_cap_counts_the_rows_solved(monkeypatch):
     monkeypatch.setattr(sdp, "_solve", no_solve)
     with pytest.raises(TooLargeError, match="dense cap"):
         sdp.solve(full, sdp.DEFAULT_TOL)
-    # Two blocks each under the cap, held as one matrix of side 6000.
-    two = sdp.SdpInstance(blocks=(("a", 3000), ("b", 3000)), objective={}, constraints=())
-    with pytest.raises(TooLargeError, match="side 6000"):
-        sdp.solve(two, sdp.DEFAULT_TOL)
+    # A side above the cap is refused, also without rows.
+    wide = sdp.SdpInstance(side=m + 1, objective=np.zeros((m + 1, m + 1)), constraints=())
+    with pytest.raises(TooLargeError, match=f"side {m + 1}"):
+        sdp.solve(wide, sdp.DEFAULT_TOL)
 
 
 def _two_by_two(c: float, rhs: float) -> sdp.SdpInstance:
     """max 2 c Re Z[0, 1] with Z[0, 0] = Z[1, 1] = rhs: the value is 2 c rhs."""
     return sdp.SdpInstance(
-        blocks=(("z", 2),),
-        objective={"z": np.array([[0.0, c], [c, 0.0]], dtype=complex)},
+        side=2,
+        objective=np.array([[0.0, c], [c, 0.0]], dtype=complex),
         constraints=tuple(
-            sdp.SdpConstraint(entries=(("z", i, i, 1.0 + 0.0j),), rhs=rhs) for i in (0, 1)
+            sdp.SdpConstraint(entries=((i, i, 1.0 + 0.0j),), rhs=rhs) for i in (0, 1)
         ),
     )
 
 
 def test_instances_leave_the_callers_data_alone():
     z = np.array([[1.0, 2.0], [2.0, 1.0]])
-    d = {"z": z}
-    inst = sdp.SdpInstance(blocks=(("z", 2),), objective=d, constraints=())
-    assert d["z"] is z and z.dtype == np.float64
+    inst = sdp.SdpInstance(side=2, objective=z, constraints=())
+    assert inst.objective is not z and z.dtype == np.float64
     assert np.array_equal(z, [[1.0, 2.0], [2.0, 1.0]])
-    assert inst.objective["z"].dtype == np.complex128
+    assert inst.objective.dtype == np.complex128
     for inst in (_two_blocks(), _phase_row(0.0)):  # two blocks, and an imaginary row
-        objective = {label: c.copy() for label, c in inst.objective.items()}
+        objective = inst.objective.copy()
         constraints = deepcopy(inst.constraints)
         sdp.solve(inst, sdp.DEFAULT_TOL)
-        assert inst.objective.keys() == objective.keys()
-        assert all(np.array_equal(inst.objective[k], c) for k, c in objective.items())
+        assert np.array_equal(inst.objective, objective)
         assert inst.constraints == constraints
 
 
@@ -773,11 +763,11 @@ def test_infeasible_detected():
     # Z[0, 0] = 1 and Z[0, 0] = 2: the trace witness u = (1/2, 1/2) has
     # u^T b > 0, so the loop runs, and its best iterate is not "optimal".
     inst = sdp.SdpInstance(
-        blocks=(("z", 1),),
-        objective={"z": np.eye(1, dtype=complex)},
+        side=1,
+        objective=np.eye(1, dtype=complex),
         constraints=(
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=1.0),
-            sdp.SdpConstraint(entries=(("z", 0, 0, 1.0 + 0.0j),), rhs=2.0),
+            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=1.0),
+            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=2.0),
         ),
     )
     sol = sdp.solve(inst, 1e-8)
@@ -789,7 +779,7 @@ def test_iteration_cap_returns_its_best_iterate(monkeypatch):
     monkeypatch.setattr(sdp, "MAX_ITERS", 2)
     sol = sdp.solve(_random_instance(4), 1e-8)
     assert sol.status == "max_iterations" and sol.iterations == len(sol.trace) == 2
-    assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
+    assert np.isfinite(sol.z).all() and np.isfinite(sol.y).all()
 
 
 def _merits(sol: sdp.SdpSolution) -> list[float]:
@@ -805,12 +795,12 @@ def test_overflowing_run_returns_its_best_iterate(c):
     # STALL_ITERS iterations after its best iterate, before any overflow.
     rows = (((0, 0), 100.0), ((1, 1), 1.0), ((0, 1), 20.5))
     inst = replace(_two_by_two(c, 1.0), constraints=tuple(
-        sdp.SdpConstraint(entries=(("z", r, col, 1.0 + 0.0j),), rhs=rhs) for (r, col), rhs in rows
+        sdp.SdpConstraint(entries=((r, col, 1.0 + 0.0j),), rhs=rhs) for (r, col), rhs in rows
     ))
     sol = sdp.solve(inst, sdp.DEFAULT_TOL)
     best = int(np.argmin(_merits(sol)))
     assert sol.status == "stalled" and sol.iterations <= best + sdp.STALL_ITERS + 1
-    assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
+    assert np.isfinite(sol.z).all() and np.isfinite(sol.y).all()
     assert math.isfinite(sol.primal_value) and math.isfinite(sol.dual_value)
     assert "residual" in certify(inst, sol).failures()
 
@@ -829,7 +819,7 @@ def test_non_finite_residual_returns_the_best_iterate(monkeypatch):
     sol = sdp.solve(_random_instance(4), 1e-8)
     assert sol.status == "stalled" and sol.iterations == 3
     assert not math.isfinite(sol.trace[-1].pres)
-    assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
+    assert np.isfinite(sol.z).all() and np.isfinite(sol.y).all()
     assert math.isfinite(sol.primal_value) and math.isfinite(sol.dual_value)
 
 
@@ -892,7 +882,7 @@ def test_non_finite_newton_step_returns_the_best_iterate(monkeypatch):
     assert sol.status == "stalled" and 2 <= sol.iterations < want.iterations
     assert (sol.trace[-1].alpha_p, sol.trace[-1].alpha_d) == (0.0, 0.0)  # no step taken
     assert all(rec.alpha_p > 0 for rec in sol.trace[:-1])
-    assert np.isfinite(sol.blocks["z"]).all() and np.isfinite(sol.y).all()
+    assert np.isfinite(sol.z).all() and np.isfinite(sol.y).all()
 
 
 def _mixed_rows(c: float, a: float) -> sdp.SdpInstance:
@@ -900,9 +890,9 @@ def _mixed_rows(c: float, a: float) -> sdp.SdpInstance:
     = a and Z[0, 0] = -a: infeasible for a > 0. The diagonal rows weighted by
     u = (-1, 2) sum to the identity with u^T b = -2 - 2a < 0."""
     rows = (
-        ((("z", 0, 0, 1.0 + 0.0j), ("z", 1, 1, -1.0 + 0.0j)), 2.0),
-        ((("z", 0, 1, 1.0 + 0.0j), ("z", 0, 0, 1.0 + 0.0j)), a),
-        ((("z", 0, 0, 1.0 + 0.0j),), -a),
+        (((0, 0, 1.0 + 0.0j), (1, 1, -1.0 + 0.0j)), 2.0),
+        (((0, 1, 1.0 + 0.0j), (0, 0, 1.0 + 0.0j)), a),
+        (((0, 0, 1.0 + 0.0j),), -a),
     )
     return replace(
         _two_by_two(c, 1.0),
@@ -915,4 +905,4 @@ def test_solver_determinism():
     s1 = sdp.solve(inst, 1e-8)
     s2 = sdp.solve(inst, 1e-8)
     assert s1.primal_value == s2.primal_value
-    assert np.array_equal(s1.blocks["z"], s2.blocks["z"])
+    assert np.array_equal(s1.z, s2.z)

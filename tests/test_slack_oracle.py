@@ -1,5 +1,6 @@
-"""The single-block equality-cap relaxations against the slack-block oracle
-of tests/slack.py, and the multi-block instances solved end to end."""
+"""The equality-cap relaxations against the slack oracle of tests/slack.py,
+and the slack instances, a Gram block and slack blocks on one diagonal,
+solved end to end."""
 
 import numpy as np
 import pytest
@@ -31,12 +32,23 @@ def _slack_instance(case: str) -> sdp.SdpInstance:
     return getattr(slack, f"beta_{kind}_instance")(build())
 
 
-def _gram_last(inst: sdp.SdpInstance) -> sdp.SdpInstance:
-    """The same instance with the objective's block declared last."""
+def _slack_first(inst: sdp.SdpInstance, gram: int) -> sdp.SdpInstance:
+    """The same program with its indices permuted: the slack indices, which
+    follow the first gram indices (the Gram block), moved to the front."""
+    new = np.roll(np.arange(inst.side), gram)  # index i moves to new[i]
+    old = np.argsort(new)
+
+    def moved(r, c, v):
+        r, c = int(new[r]), int(new[c])
+        return (r, c, v) if r <= c else (c, r, np.conj(v))
+
     return sdp.SdpInstance(
-        blocks=inst.blocks[1:] + inst.blocks[:1],
-        objective=dict(inst.objective),
-        constraints=inst.constraints,
+        side=inst.side,
+        objective=inst.objective[np.ix_(old, old)],
+        constraints=tuple(
+            sdp.SdpConstraint(entries=tuple(moved(*e) for e in con.entries), rhs=con.rhs)
+            for con in inst.constraints
+        ),
     )
 
 
@@ -44,9 +56,8 @@ def _gram_last(inst: sdp.SdpInstance) -> sdp.SdpInstance:
 def test_equality_caps_match_slack_oracle(case):
     build, kind = CASES[case]
     equal = getattr(relaxations, f"beta_{kind}_instance")(build())
-    assert [label for label, _ in equal.blocks] == ["gram"]
     inst = _slack_instance(case)
-    assert len(inst.blocks) > 1
+    assert inst.side > equal.side  # the slack indices after the Gram ones
     # beta_nc leaves out one implied column-cap row per family, and the
     # relaxation of a real game leaves out every imaginary-part row, which
     # the oracle keeps.
@@ -59,19 +70,22 @@ def test_equality_caps_match_slack_oracle(case):
     assert abs(got - want) <= 2e-6
 
 
-@pytest.mark.parametrize("case", sorted(CASES) + ["H1/nc:gram-last"])
+@pytest.mark.parametrize("case", sorted(CASES) + ["H1/nc:slack-first"])
 def test_multi_block_instances_solve(case):
     inst = _slack_instance(case.split(":")[0])
-    if case.endswith(":gram-last"):
-        inst = _gram_last(inst)
-        assert inst.blocks[0][0] != "gram"
+    if case.endswith(":slack-first"):
+        build, kind = CASES[case.split(":")[0]]
+        gram = getattr(relaxations, f"beta_{kind}_instance")(build()).side
+        want = sdp.solve(inst, 1e-7).primal_value
+        inst = _slack_first(inst, gram)
+        assert not inst.objective[:-gram].any()  # C lives on the Gram block, now last
     sol = sdp.solve(inst, 1e-7)
     assert certify(inst, sol, 1e-6).passed
-    assert {label: z.shape for label, z in sol.blocks.items()} == {
-        label: (d, d) for label, d in inst.blocks
-    }
-    value = sum(np.vdot(c, sol.blocks[label]).real for label, c in inst.objective.items())
+    assert sol.z.shape == (inst.side, inst.side)
+    value = np.vdot(inst.objective, sol.z).real
     assert abs(value - sol.primal_value) <= 1e-9 * max(1.0, abs(value))
+    if case.endswith(":slack-first"):
+        assert abs(sol.primal_value - want) <= 1e-6
 
 
 def test_beta_nc_h1_witness_is_unitary():
