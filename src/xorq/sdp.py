@@ -8,28 +8,31 @@ multipliers y are real. Each iteration is a Mehrotra predictor-corrector
 step in the NT frame G (W = G G^H, G^-1 Z G^-H = G^H S G = diag(lam)): the
 affine predictor fixes sigma = (mu_aff / mu)^3, and the corrector adds to
 the centering term the second-order term of the predictor (Mehrotra, SIAM
-J. Optim. 2, 1992; Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999). Z
-is the only matrix factored: its Cholesky factor and that factor's inverse
-give the NT frame, S^-1 = G diag(1/lam) G^H, and all four step-length
-searches, taken in the frame (Todd-Toh-Tutuncu, SIAM J. Optim. 8, 1998).
-The Schur matrix is assembled a group of constraints at a time, each
-group's stack at most 1 MB (see _schur). A solve stops "optimal" when both
-residuals are below FEAS_TOL and the relative duality gap is at most tol,
-and "stalled" when its merit, max(pres, dres, rel_gap), has not fallen
-below the best iterate's for STALL_ITERS iterations.
+J. Optim. 2, 1992; Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999).
+Per class, Z's Cholesky factor and that factor's inverse give the NT
+frame, S^-1 = G diag(1/lam) G^H, and all four step-length searches, taken
+in the frame (Todd-Toh-Tutuncu, SIAM J. Optim. 8, 1998); a step's length
+is the least over the classes. The Schur matrix takes P = W U W for each
+row's entries U inside one class, by stacked matmuls, and reads it at the
+entries of that class; no array of it holds more than SCHUR_GROUP_ENTRIES
+entries (see _schur_plan). A solve stops "optimal" when both residuals are
+below FEAS_TOL and the relative duality gap is at most tol, and "stalled"
+when its merit, max(pres, dres, rel_gap), has not fallen below the best
+iterate's for STALL_ITERS iterations.
 
-The linear algebra is NumPy's alone. _schur fills the upper triangle of the
-Schur matrix M; np.linalg.cholesky of its transposed array reads that
-array's lower triangle, hence M's upper one, and gives the lower factor L
-with M = L L^T. dy takes a forward pass with L and an adjoint pass with L^T,
-and the inverse of Z's factor a forward pass with the identity. NumPy has no
-triangular solve, so each pass is a blocked substitution (_Triangular): the
-diagonal blocks, SUBSTITUTION_ROWS rows each, are inverted once per factor,
-and a pass takes matrix products only. A block solved through its explicit
-inverse leaves a residual of about its condition number times the rounding
-unit, where substitution leaves one of the order of the unit; so each
-block's solution x = inv r is refined once, x + inv (r - L_kk x), which
-brings the residual back to within a small factor of a substitution's.
+The linear algebra is NumPy's alone. _schur fills the lower triangle of the
+Schur matrix M, which np.linalg.cholesky reads, and gives the lower factor L
+with M = L L^T. dy takes a forward pass with L and an adjoint pass with L^T.
+NumPy has no triangular solve, so each pass is a blocked substitution
+(_Triangular): the diagonal blocks, SUBSTITUTION_ROWS rows each, are
+inverted once per factor, and a pass takes matrix products only. A block
+solved through its explicit inverse leaves a residual of about its
+condition number times the rounding unit, where substitution leaves one of
+the order of the unit; so each block's solution x = inv r is refined once,
+x + inv (r - L_kk x), which brings the residual back to within a small
+factor of a substitution's. The inverse of Z's factor, one small matrix
+per class, is np.linalg.inv of the whole stack (an LU solve, backward
+stable like a substitution).
 
 The block partition. solve finds the finest partition of the indices
 (_classes) in which each nonzero entry of C lies inside one class, and each
@@ -42,12 +45,16 @@ keeps the objective and every row inside classes, and gives each row
 across them its rhs, 0; so the program with only the rows inside classes
 has the same optimum (the aggregate sparsity of Fukuda-Kojima-Murota-
 Nakata, SIAM J. Optim. 11, 2001, with the rows across classes dropped).
-The program keeps the instance's side and index order and drops those
-rows; the start and every NT step from a block-diagonal iterate are
-block-diagonal on the classes, up to rounding. The solution is Z pinched
-to the classes and y 0 on every dropped row, so S = A^T y - C is the
-program's S and the pair is primal-dual for the instance as given. The
-dense cap counts the instance as given.
+The program drops those rows and holds only the blocks of the classes:
+the classes of one side form one stack, and every matrix of the core is
+one packed buffer of its stacks (_Program), so each dense step (Cholesky,
+inverse, eigh, products, eigvalsh) runs once per distinct class side on a
+stack of small matrices. The start is block-diagonal on the classes, and
+so is every NT step taken from a block-diagonal iterate, so the iterates
+never leave the blocks. The solution is Z placed at the instance's side,
+so pinched to the classes, and y 0 on every dropped row: S = A^T y - C is
+the program's S and the pair is primal-dual for the instance as given.
+The dense cap counts the instance as given.
 
 A real program, C and every entry of a kept row real, is solved in real
 arithmetic, over real symmetric Z. That loses nothing: if Z is feasible so
@@ -78,7 +85,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,7 +98,7 @@ MAX_ITERS = 120
 MU_FLOOR = 1e-13
 SHORT_STEP = 0.1  # corrector step below which the centering direction is tried
 STALL_ITERS = 5  # iterations without a lower merit after which a run stops
-SCHUR_GROUP_ENTRIES = 1 << 16  # complex entries (1 MB) in one Schur group array
+SCHUR_GROUP_ENTRIES = 1 << 15  # entries (512 KB if complex) of each array of one Schur chunk
 SUBSTITUTION_ROWS = 64  # rows of a diagonal block in a blocked triangular solve
 
 Entry = tuple[int, int, complex]
@@ -109,15 +116,29 @@ class SdpConstraint:
 @dataclass(frozen=True)
 class SdpInstance:
     """max Re Tr(C^dagger Z) over PSD Hermitian Z of side side, C the
-    objective, subject to the constraints."""
+    objective, subject to the constraints. BadArgsError unless C is a finite
+    side x side matrix and every entry (r, c, v) has 0 <= r <= c < side and
+    a finite v, and every rhs is finite."""
 
     side: int
     objective: np.ndarray
     constraints: tuple[SdpConstraint, ...]
+    # The rows as arrays, gathered once (_entries).
+    arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        c = np.asarray(self.objective, dtype=complex)
+        if self.side < 1 or c.shape != (self.side, self.side) or not np.isfinite(c).all():
+            raise BadArgsError(f"the objective must be a finite {self.side} x {self.side} matrix, side >= 1")
+        arrays = _entries(self.constraints)
+        rows, cols, vals, _, b = arrays
+        if not ((0 <= rows) & (rows <= cols) & (cols < self.side)).all():
+            raise BadArgsError(f"an entry (r, c) lies outside 0 <= r <= c < {self.side}")
+        if not (np.isfinite(vals).all() and np.isfinite(b).all()):
+            raise BadArgsError("an entry value or rhs is not finite")
         # A complex Hermitian copy: the caller's array is left alone.
-        object.__setattr__(self, "objective", _hermitian(np.asarray(self.objective, dtype=complex)))
+        object.__setattr__(self, "objective", _hermitian(c))
+        object.__setattr__(self, "arrays", arrays)
 
 
 @dataclass(frozen=True)
@@ -158,32 +179,37 @@ class SdpSolution:
     trace: tuple[IpmIteration, ...] = ()
 
 
-# --- interior-point core (one Hermitian matrix, real or complex) -------------
+# --- interior-point core (stacks of the classes, real or complex) ------------
 
 
 class _Program:
-    """The one translation of an instance that the core solves: one
-    Hermitian matrix of the instance's side dim, in its index order, and the
-    m rows that lie inside the classes of _classes. label and kept are that
-    partition: each index's class, named by its smallest index, and which
-    rows of the instance the program keeps (the others lie across classes
-    with rhs 0, and pinching meets them). The stored entries (r <= c) of the
-    kept rows are in row order, their owners renumbered 0..m-1: entries
-    q_ptr[i]:q_ptr[i + 1] belong to row q_list[i]. witness is the rows'
-    trace witness (_trace_witness), or None; the program is built either
-    way, and solve refuses one whose rows do not bound Tr Z.
+    """The one translation of an instance that the core solves: the m rows
+    that lie inside the classes of _classes, on the classes stacked by side.
+    label and kept are that partition: each index's class, named by its
+    smallest index, and which rows of the instance the program keeps (the
+    others lie across classes with rhs 0, and pinching meets them). The kept
+    rows' stored entries (r <= c) are in row order, owners renumbered
+    0..m-1. witness is the trace witness (_trace_witness) or None; solve
+    refuses a program without one.
+
+    The classes of one side s form one stack (K, s, s), in the order of
+    their names, each class's indices ascending; the stacks, widest first,
+    fill one packed buffer of size = sum K s^2 entries, stack (lo, hi,
+    shape) at lo:hi. Z, S, W, C and every direction are such buffers. pos is
+    each stored entry's packed position (at_pos adds its transpose's), diag
+    each index's diagonal entry's, and unpack each packed entry's flat
+    position at the instance's side.
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
-    A^T y = U + U^H where U holds half * y[owner] at (r, c), half being v with
-    the diagonal halved. A real program (C and every kept entry real) holds
-    them as real arrays, and so does every iterate over it.
+    A^T y holds half * y[owner] at (r, c) and its conjugate at (c, r), half
+    being v with the diagonal halved. A real program (C and every kept entry
+    real) holds them as real arrays, and so does every iterate over it.
     """
 
     def __init__(self, inst: SdpInstance):
         dim, c = inst.side, inst.objective
-        rows, cols, vals, owner = _entries(inst)
-        b = np.array([con.rhs for con in inst.constraints], dtype=float)
+        rows, cols, vals, owner, b = inst.arrays
         self.label, self.kept = _classes(dim, *np.nonzero(c), rows, cols, owner, b)
         at = self.kept[owner]
         rows, cols, vals = rows[at], cols[at], vals[at]
@@ -193,32 +219,58 @@ class _Program:
         real = not (vals.imag.any() or c.imag.any())
 
         self.dtype = float if real else complex
-        self.cobj = np.ascontiguousarray(c.real) if real else c
         self.rows, self.cols, self.owner = rows, cols, owner
-        diag = self.rows == self.cols
+        diag = rows == cols
         vals = vals.real if real else np.where(diag, vals.real, vals)
-        self.flat = self.rows * dim + self.cols
-        self.flat_t = self.cols * dim + self.rows
         self.weight = np.where(diag, 1.0, 2.0) * vals.conj()
         self.half = np.where(diag, 0.5, 1.0) * vals
-        self.q_list, starts = np.unique(self.owner, return_index=True)
-        self.q_ptr = np.append(starts, self.owner.size)
-        self.groups = _schur_groups(np.diff(self.q_ptr), dim)
+
+        # Each index's class, numbered in the order of their names (a name
+        # is its own label), its place in it, and each class's side and
+        # packed offset.
+        cls = (np.cumsum(self.label == np.arange(dim)) - 1)[self.label]
+        sides = np.bincount(cls)
+        place = np.empty(dim, dtype=np.intp)
+        place[np.argsort(cls, kind="stable")] = np.arange(dim) - np.repeat(np.cumsum(sides) - sides, sides)
+        side, offset = sides[cls], np.empty(sides.size, dtype=np.intp)
+        self.stacks, unpack, lo = [], [], 0
+        for s in np.flatnonzero(np.bincount(sides))[::-1].tolist():
+            members = np.flatnonzero(sides == s)
+            offset[members] = lo + np.arange(members.size) * s * s
+            index = np.empty((members.size, s), dtype=np.intp)
+            at = np.flatnonzero(side == s)
+            index[np.searchsorted(members, cls[at]), place[at]] = at
+            unpack.append((index[:, :, None] * dim + index[:, None, :]).ravel())
+            self.stacks.append((lo, lo + members.size * s * s, (members.size, s, s)))
+            lo = self.stacks[-1][1]
+        self.size, self.unpack = lo, np.concatenate(unpack)
+        start = offset[cls] + place * side  # packed position of each index's row
+        self.diag = start + place
+        self.pos = start[rows] + place[cols]
+        self.at_pos = np.concatenate([self.pos, start[cols] + place[rows]])
+        self.at_half = np.concatenate([self.half, self.half.conj()])
+        self.at_owner = np.concatenate([owner, owner])
+        self.cobj = c.ravel()[self.unpack]
+        if real:
+            self.cobj = np.ascontiguousarray(self.cobj.real)
         self.witness = _trace_witness(self)
+        self.schur = _schur_plan(self, offset[cls[rows]], place)
 
 
-def _entries(inst: SdpInstance):
+def _entries(constraints: tuple[SdpConstraint, ...]):
     """The stored entries of every row, in row order, as arrays: row,
-    column, the complex value, and the number of the row that owns it."""
+    column, the complex value and the number of the row that owns it; and
+    the rows' right-hand sides."""
     rows, cols, vals, owner = [], [], [], []
-    for q, con in enumerate(inst.constraints):
+    for q, con in enumerate(constraints):
         for r, c, v in con.entries:
             rows.append(r)
             cols.append(c)
             vals.append(complex(v))
             owner.append(q)
     rows, cols, owner = (np.asarray(x, dtype=np.intp) for x in (rows, cols, owner))
-    return rows, cols, np.asarray(vals, dtype=complex), owner
+    b = np.array([con.rhs for con in constraints], dtype=float)
+    return rows, cols, np.asarray(vals, dtype=complex), owner, b
 
 
 def _trace_witness(prog: _Program) -> np.ndarray | None:
@@ -246,66 +298,131 @@ def _trace_witness(prog: _Program) -> np.ndarray | None:
     return witness
 
 
-def _schur_groups(counts: np.ndarray, dim: int) -> list[tuple[int, int]]:
-    """Runs [start, stop) of consecutive constraints with equal entry counts,
-    each at most SCHUR_GROUP_ENTRIES / max(dim^2, entries) long, so that
-    both the (G, dim, dim) stack of a group's products and its gather of
-    the entries of every later constraint hold at most 1 MB."""
-    cap = max(1, SCHUR_GROUP_ENTRIES // max(dim * dim, int(counts.sum())))
-    groups, start = [], 0
-    for i in range(1, counts.size + 1):
-        if i == counts.size or counts[i] != counts[start] or i - start == cap:
-            groups.append((start, i))
-            start = i
-    return groups
+def _schur_plan(prog: _Program, block: np.ndarray, place: np.ndarray) -> list:
+    """The terms of the Schur matrix, per stack in chunks (see _schur): block
+    is each stored entry's class block's packed offset, place each index's
+    place in its class.
+
+    A part is the entries of one row inside one class. With U its stored
+    values, diagonal halved, in the class's block and P = W U W, each part
+    of row q gives W F_q W = P + P^H in its class; so for p <= q, M[q, p] =
+    Re Tr(F_q W F_p W) sums, over each part of row q and each entry e' of a
+    row p <= q in the part's class (its partners), Re(weight_e' (P[r', c'] +
+    conj P[c', r'])). A part's partners are one run of its stack's entries
+    sorted by class and then row. A chunk is a run of one stack's parts,
+    sorted by their number of entries and then by row: at least one part,
+    and at most SCHUR_GROUP_ENTRIES entries in its P, in each of P's two
+    factors, in its pairs of part and partner and in its rows of M."""
+    m, cap = prog.m, SCHUR_GROUP_ENTRIES
+    plan = []
+    for lo, hi, (n_classes, s, _) in prog.stacks:
+        at = np.flatnonzero((lo <= block) & (block < hi))
+        if not at.size:
+            continue
+        cls, q = (block[at] - lo) // (s * s), prog.owner[at]
+        r, c, half = place[prog.rows[at]], place[prog.cols[at]], prog.half[at]
+        # The partners, by class and then row: positions in P and P^T, weights, rows.
+        order = np.argsort(cls * m + q, kind="stable")
+        key = (cls * m + q)[order]
+        partners = ((r * s + c)[order], (c * s + r)[order], prog.weight[at][order], q[order])
+        # The parts, by number of entries and then row: entries, class, row, partners.
+        by_part = np.argsort(q * n_classes + cls, kind="stable")
+        heads = np.flatnonzero(np.diff((q * n_classes + cls)[by_part], prepend=-1))
+        k = np.diff(heads, append=at.size)
+        by_k = np.argsort(k, kind="stable")
+        heads, k = heads[by_k], k[by_k]
+        part_cls, part_q = cls[by_part[heads]], q[by_part[heads]]
+        first = np.searchsorted(key, part_cls * m)
+        count = np.searchsorted(key, part_cls * m + part_q, side="right") - first
+        heads_of = [0]  # the chunks' first parts
+        pairs, rows, last = 0, 0, -1
+        for g, (q_g, k_g, n_g) in enumerate(zip(part_q.tolist(), k.tolist(), count.tolist())):
+            pairs, rows = pairs + n_g, rows + (q_g != last)
+            wide = (g + 1 - heads_of[-1]) * s * max(s, k_g)  # P and its factors
+            if g > heads_of[-1] and max(pairs, rows * m, wide) > cap:
+                heads_of.append(g)
+                pairs, rows = n_g, 1
+            last = q_g
+        chunks = []
+        for g0, g1 in zip(heads_of, heads_of[1:] + [heads.size]):
+            j = np.arange(k[g1 - 1])
+            inside = j < k[g0:g1, None]
+            ent = by_part[np.where(inside, heads[g0:g1, None] + j, heads[g0:g1, None])]
+            n, band = count[g0:g1], np.sort(part_q[g0:g1])
+            band = band[np.diff(band, prepend=-1) > 0]  # the chunk's rows of M
+            chunks.append((
+                cls[ent], r[ent], c[ent], np.where(inside, half[ent], 0), n,
+                first[g0:g1] - (np.cumsum(n) - n), np.arange(g1 - g0) * s * s,
+                np.searchsorted(band, part_q[g0:g1]) * (band[-1] + 1), band, int(n.sum()),
+            ))
+        plan.append((lo, hi, s, partners, chunks))
+    return plan
 
 
 def _a_of(prog: _Program, z: np.ndarray) -> np.ndarray:
-    w = (prog.weight * z.take(prog.flat)).real
+    w = (prog.weight * z.take(prog.pos)).real
     return np.bincount(prog.owner, weights=w, minlength=prog.m)
 
 
 def _at_of(prog: _Program, y: np.ndarray) -> np.ndarray:
-    u = prog.half * y[prog.owner]
-    size = prog.dim * prog.dim
-    up = np.bincount(prog.flat, weights=u.real, minlength=size)
+    u = prog.at_half * y[prog.at_owner]
+    out = np.bincount(prog.at_pos, weights=u.real, minlength=prog.size)
     if prog.dtype is complex:
-        up = up + 1j * np.bincount(prog.flat, weights=u.imag, minlength=size)
-    up = up.reshape(prog.dim, prog.dim)
-    return up + up.conj().T
+        out = out + 1j * np.bincount(prog.at_pos, weights=u.imag, minlength=prog.size)
+    return out
+
+
+def _views(prog: _Program, x: np.ndarray) -> list[np.ndarray]:
+    """The stacks of a packed buffer, as views."""
+    return [x[lo:hi].reshape(shape) for lo, hi, shape in prog.stacks]
+
+
+def _pack(prog: _Program, stacks: list[np.ndarray]) -> np.ndarray:
+    """One packed buffer from its stacks (a view of a program's one stack)."""
+    if len(stacks) == 1:
+        return stacks[0].reshape(-1)
+    out = np.empty(prog.size, dtype=np.result_type(*stacks))
+    for (lo, hi, _), x in zip(prog.stacks, stacks):
+        out[lo:hi] = x.reshape(-1)
+    return out
+
+
+def _ct(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    return (x + _ct(x)) / 2
 
 
 def _chol_psd(x: np.ndarray) -> np.ndarray:
+    """The Cholesky factors of a stack, with one jitter for all of it when
+    some matrix is not numerically positive definite."""
     jitter = 0.0
-    base = max(float(np.trace(x).real) / x.shape[0], 1e-300)
+    base = max(float(np.trace(x, axis1=-2, axis2=-1).real.mean()) / x.shape[-1], 1e-300)
     for _ in range(12):
         try:
-            return np.linalg.cholesky(
-                x + jitter * np.eye(x.shape[0]) if jitter else x
-            )
+            return np.linalg.cholesky(x + jitter * np.eye(x.shape[-1]) if jitter else x)
         except np.linalg.LinAlgError:
             jitter = max(jitter * 10.0, 1e-15 * base)
     raise np.linalg.LinAlgError("matrix not positive definite")
 
 
-def _hermitian(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2
-
-
-def _nt_scaling(lz: np.ndarray, lz_inv: np.ndarray, s: np.ndarray):
-    """The NT frame of (Z, S) from the Cholesky factor L of Z and its inverse.
+def _nt_scaling(z: np.ndarray, s: np.ndarray):
+    """The NT frame of (Z, S), each a stack, from the Cholesky factor L of Z.
 
     With K = L^H S L = Q diag(omega) Q^H, G = L Q diag(omega^-1/4) gives the
     scaling W = G G^H (W S W = Z) and G^-1 Z G^-H = G^H S G = diag(lam),
     lam = omega^1/2, so Z = G diag(lam) G^H and S^-1 = G diag(1/lam) G^H.
-    Returns W, G, G^-1 = diag(omega^1/4) Q^H L^-1 and lam.
+    Returns W, G, G^-1 = diag(omega^1/4) Q^H L^-1 and lam, per matrix.
     """
-    k = lz.conj().T @ s @ lz
-    omega, q = np.linalg.eigh(_hermitian(k))
+    lz = _chol_psd(z)
+    omega, q = np.linalg.eigh(_hermitian(_ct(lz) @ s @ lz))
     omega = np.clip(omega, 1e-300, None)
-    g = lz @ (q * omega**-0.25)
-    g_inv = (omega**0.25)[:, None] * (q.conj().T @ lz_inv)
-    return _hermitian(g @ g.conj().T), g, g_inv, np.sqrt(omega)
+    g = lz @ (q * omega[:, None, :] ** -0.25)
+    g_inv = (omega**0.25)[:, :, None] * (_ct(q) @ np.linalg.inv(lz))
+    return _hermitian(g @ _ct(g)), g, g_inv, np.sqrt(omega)
 
 
 class _Triangular:
@@ -360,44 +477,34 @@ class _Triangular:
         return x
 
 
-def _max_step(dx: np.ndarray) -> float:
-    """Largest alpha with I + alpha dx >= 0, for a direction scaled in the NT
-    frame: Lam^-1/2 G^-1 dZ G^-H Lam^-1/2 for Z, Lam^-1/2 G^H dS G Lam^-1/2 for S."""
-    lam = float(np.linalg.eigvalsh(_hermitian(dx))[0])
+def _max_step(dx: list[np.ndarray]) -> float:
+    """Largest alpha with I + alpha dx >= 0 on every class, for a direction
+    scaled in the NT frame: Lam^-1/2 G^-1 dZ G^-H Lam^-1/2 for Z, Lam^-1/2 G^H
+    dS G Lam^-1/2 for S, one stack per class side."""
+    lam = min(float(np.linalg.eigvalsh(_hermitian(x))[:, 0].min()) for x in dx)
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
 
 
 def _schur(prog: _Program, w: np.ndarray) -> np.ndarray:
-    """Upper triangle of M[p, q] = Re Tr(F_p W F_q W), the rows of a group
-    of constraints at a time; the lower triangle stays zero, as the Cholesky
-    factor reads only the upper one.
-
-    W F_q W = P + P^H with P = W U_q W, U_q the stored upper triangle of F_q
-    (diagonal halved). That Hermitian product is needed only at the stored
-    entries (r, c) of the constraints p >= q, where it is P[r, c] + conj P[c, r].
-    A group is a run of G consecutive constraints with k entries each
-    (_schur_groups, at most 1 MB per stacked array): their products W U_q W
-    are one matmul of a (G, dim, k) by a (G, k, dim) stack, gathered at the
-    entries of every constraint from the group's first on and summed per
-    constraint at once. The columns of a group's own earlier constraints
-    fall below the diagonal and are zeroed.
-    """
+    """Lower triangle of M[q, p] = Re Tr(F_q W F_p W), W packed, a chunk of
+    _schur_plan at a time: the P of its parts as one stacked matmul, then
+    their partners' terms summed by one bincount into the chunk's rows. The
+    upper triangle stays zero, as the Cholesky factor reads only the lower
+    one."""
     mat = np.zeros((prog.m, prog.m))
-    ptr, q_list = prog.q_ptr, prog.q_list
-    for start, stop in prog.groups:
-        size = stop - start
-        lo, hi = ptr[start], ptr[stop]
-        rows = prog.rows[lo:hi].reshape(size, -1)
-        cols = prog.cols[lo:hi].reshape(size, -1)
-        left = w[:, rows].transpose(1, 0, 2) * prog.half[lo:hi].reshape(size, 1, -1)
-        p = np.matmul(left, w[cols, :]).reshape(size, -1)
-        h = p.take(prog.flat[lo:], axis=1) + p.take(prog.flat_t[lo:], axis=1).conj()
-        block = np.add.reduceat((prog.weight[lo:] * h).real, ptr[start:-1] - lo, axis=1)
-        if size > 1:
-            block[:, :size] = np.triu(block[:, :size])
-        mat[q_list[start:stop, None], q_list[start:]] = block
+    for lo, hi, s, (pos, pos_t, weight, rows), chunks in prog.schur:
+        wv = w[lo:hi].reshape(-1, s, s)
+        for cls, r, c, half, count, base, at, target, band, pairs in chunks:
+            p = np.matmul(wv[cls, :, r].swapaxes(1, 2), half[:, :, None] * wv[cls, c, :]).reshape(-1)
+            f = np.repeat(base, count) + np.arange(pairs)  # the partners, part by part
+            at = np.repeat(at, count)
+            terms = p.take(at + pos.take(f)) + p.take(at + pos_t.take(f)).conj()
+            target = np.repeat(target, count) + rows.take(f)
+            vals = (weight.take(f) * terms).real
+            width = int(band[-1]) + 1
+            mat[band, :width] += np.bincount(target, vals, minlength=band.size * width).reshape(-1, width)
     return mat
 
 
@@ -408,8 +515,9 @@ def _lap(t0: float) -> tuple[float, float]:
 
 
 def _solve(prog: _Program, tol: float) -> SdpSolution:
-    """The interior-point loop, over real symmetric Z for a real program.
-    The residuals are relative to 1 + max |b| and 1 + ||C||, the gap to
+    """The interior-point loop, over real symmetric Z for a real program,
+    on packed buffers whose dense steps run per stack (_Program). The
+    residuals are relative to 1 + max |b| and 1 + ||C||, the gap to
     max(1, |primal|).
 
     The start (see the module docstring) is Z = (u^T b / Tr D) I, y = lam u
@@ -417,11 +525,12 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     D and lam = 1.5 ||C|| / min D + 1e-3. solve has checked that u^T b > 0."""
     b_vec, nu = prog.b, prog.dim
     scale_b = 1.0 + float(np.max(np.abs(b_vec)))
-    norm_c = float(np.linalg.norm(prog.cobj, 2))
+    norm_c = max(float(np.linalg.norm(c, 2, axis=(1, 2)).max()) for c in _views(prog, prog.cobj))
     scale_c = 1.0 + norm_c
-    d = _at_of(prog, prog.witness).diagonal().real
+    d = _at_of(prog, prog.witness).take(prog.diag).real
     lam = 1.5 * norm_c / float(d.min()) + 1e-3
-    z = float(prog.witness @ b_vec) / float(d.sum()) * np.eye(nu, dtype=prog.dtype)
+    z = np.zeros(prog.size, dtype=prog.dtype)
+    z[prog.diag] = float(prog.witness @ b_vec) / float(d.sum())
     y = lam * prog.witness
     s = _at_of(prog, y) - prog.cobj
     trace = []
@@ -457,8 +566,8 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             break  # numerical floor, or no progress for STALL_ITERS iterations
 
         t = time.perf_counter()
-        lz = _chol_psd(z)
-        w, g, g_inv, lam = _nt_scaling(lz, _Triangular(lz).solve(np.eye(nu, dtype=lz.dtype)), s)
+        ws, gs, g_invs, lams = zip(*map(_nt_scaling, _views(prog, z), _views(prog, s)))
+        w = _pack(prog, ws)
         t, record["nt_s"] = _lap(t)
         schur = _schur(prog, w)
         t, record["schur_s"] = _lap(t)
@@ -468,7 +577,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         for _ in range(10):
             np.fill_diagonal(schur, diag + ridge)
             try:
-                factor = _Triangular(np.linalg.cholesky(schur.T))
+                factor = _Triangular(np.linalg.cholesky(schur))
                 break
             except np.linalg.LinAlgError:
                 ridge *= 100.0
@@ -477,11 +586,11 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             trace.append(IpmIteration(**record))
             break
 
-        s_inv = (g / lam) @ g.conj().T
-        root = lam**-0.5
-        frame_z = root[:, None] * g_inv  # Lam^-1/2 G^-1
-        frame_s = (g * root).conj().T  # Lam^-1/2 G^H
-        w_rd_w = w @ rd @ w
+        s_inv = _pack(prog, [(g / lam[:, None, :]) @ _ct(g) for g, lam in zip(gs, lams)])
+        roots = [lam**-0.5 for lam in lams]
+        frames_z = [root[:, :, None] * g_inv for root, g_inv in zip(roots, g_invs)]  # Lam^-1/2 G^-1
+        frames_s = [_ct(g * root[:, None, :]) for g, root in zip(gs, roots)]  # Lam^-1/2 G^H
+        w_rd_w = _pack(prog, [wk @ rk @ wk for wk, rk in zip(ws, _views(prog, rd))])
 
         def newton(rc: np.ndarray):
             """The NT direction with dZ + W dS W = rc."""
@@ -490,12 +599,13 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             if not np.isfinite(dy).all():
                 raise FloatingPointError("non-finite Newton step")
             ds = _at_of(prog, dy) - rd
-            return _hermitian(rc - w @ ds @ w), dy, ds
+            dz = [_hermitian(r - wk @ sk @ wk) for r, wk, sk in zip(_views(prog, rc), ws, _views(prog, ds))]
+            return _pack(prog, dz), dy, ds
 
         def steps(dz: np.ndarray, ds: np.ndarray, fraction: float) -> tuple[float, float]:
             return (
-                min(1.0, fraction * _max_step(frame_z @ dz @ frame_z.conj().T)),
-                min(1.0, fraction * _max_step(frame_s @ ds @ frame_s.conj().T)),
+                min(1.0, fraction * _max_step([f @ x @ _ct(f) for f, x in zip(frames_z, _views(prog, dz))])),
+                min(1.0, fraction * _max_step([f @ x @ _ct(f) for f, x in zip(frames_s, _views(prog, ds))])),
             )
 
         try:
@@ -509,10 +619,13 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
 
             # Corrector: centering plus Mehrotra's second-order term, in the NT
             # frame where Z and S are both diag(lam).
-            second = _hermitian(g_inv @ dza @ dsa @ g)
-            second = 2.0 * second / (lam[:, None] + lam[None, :])
+            second = []
+            for g, g_inv, lam, zk, sk in zip(gs, g_invs, lams, _views(prog, dza), _views(prog, dsa)):
+                x = _hermitian(g_inv @ zk @ sk @ g)
+                x = 2.0 * x / (lam[:, :, None] + lam[:, None, :])
+                second.append(g @ x @ _ct(g))
             centering = sigma * mu * s_inv - z
-            dz, dy, ds = newton(centering - g @ second @ g.conj().T)
+            dz, dy, ds = newton(centering - _pack(prog, second))
             t, dt = _lap(t)
             record["newton_s"] += dt
             ap, ad = steps(dz, ds, 0.98)
@@ -544,12 +657,15 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
 
 
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
-    """The solution of the instance as given: Z pinched to the classes
-    (exactly 0 between them), and y 0 on every dropped row."""
+    """The solution of the instance as given: Z, packed, placed at the
+    instance's side (so pinched to the classes, exactly 0 between them), and
+    y 0 on every dropped row."""
+    full = np.zeros(prog.dim * prog.dim, dtype=z.dtype)
+    full[prog.unpack] = z
     y_all = np.zeros(prog.kept.size)
     y_all[prog.kept] = y
     return SdpSolution(
-        z=np.where(prog.label[:, None] == prog.label, z, 0),
+        z=full.reshape(prog.dim, prog.dim),
         y=y_all,
         primal_value=pobj,
         dual_value=dobj,
@@ -610,9 +726,9 @@ def solve(inst: SdpInstance, tol: float) -> SdpSolution:
     the Schur matrix (one row and column per row of the instance as given)
     is above the dense cap.
 
-    The program (_Program) keeps the instance's side and index order and
-    drops the rows that lie across the classes of the finest partition that
-    C and the rows allow: an entry of C merges its endpoints, and so do those
+    The program (_Program) solves on the classes of the finest partition
+    that C and the rows allow, one stack per class side, and drops the rows
+    that lie across them: an entry of C merges its endpoints, and so do those
     of each entry of a row with rhs != 0 and an entry across classes, or
     with rhs 0 and entries inside and across. The dropped rows all have rhs
     0; pinching Z to the classes meets them and keeps the optimum (see the

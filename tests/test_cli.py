@@ -476,7 +476,7 @@ def _nan_like(x):
 
 def _nan_newton_step(real):
     """sdp._Triangular.solve with NaN from every adjoint pass: the second
-    pass of each Newton solve, which the inverse of Z's factor never takes."""
+    pass of each Newton solve (the Schur factor is its only user)."""
 
     def solve(self, rhs, adjoint=False):
         x = real(self, rhs, adjoint)

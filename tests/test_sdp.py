@@ -246,12 +246,6 @@ def _dual_slack(inst: sdp.SdpInstance, y: np.ndarray) -> np.ndarray:
     return slack
 
 
-def _joined(inst: sdp.SdpInstance) -> sdp.SdpInstance:
-    """inst with C all ones: its entries join every index into one class, so
-    the program keeps every row."""
-    return replace(inst, objective=np.ones((inst.side, inst.side)))
-
-
 def _mixed_instance() -> sdp.SdpInstance:
     """Random constraints on indices 0..4 (a), 5..7 (b) or both: diagonal,
     real and complex entries; C all ones, so that every row is kept."""
@@ -277,32 +271,63 @@ def _mixed_instance() -> sdp.SdpInstance:
     return sdp.SdpInstance(side=8, objective=np.ones((8, 8)), constraints=tuple(cons))
 
 
+def _split_mixed_instance() -> sdp.SdpInstance:
+    """_mixed_instance on side 10, with C all ones on 0..4 and on 5..7 only
+    and one more row, Tr Z = 1: classes of sides 5, 3, 1 and 1, every row
+    kept, and rows whose entries lie in classes of different sides."""
+    inst = _mixed_instance()
+    c = np.zeros((10, 10))
+    c[:5, :5] = c[5:8, 5:8] = 1.0
+    trace = sdp.SdpConstraint(entries=tuple((i, i, 1.0 + 0.0j) for i in range(10)), rhs=1.0)
+    return sdp.SdpInstance(side=10, objective=c, constraints=inst.constraints + (trace,))
+
+
+def _packed_pd(prog, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random positive definite W, block-diagonal on the program's
+    classes: packed, and at the instance's side."""
+    rng = np.random.default_rng(seed)
+    real = prog.dtype is float
+    w = np.concatenate([
+        np.stack([_random_pd(rng, side, real) for _ in range(count)]).ravel()
+        for _, _, (count, side, _) in prog.stacks
+    ])
+    full = np.zeros(prog.dim * prog.dim, dtype=w.dtype)
+    full[prog.unpack] = w
+    return w, full.reshape(prog.dim, prog.dim)
+
+
+def _assert_schur_matches_dense(inst: sdp.SdpInstance, prog, seed: int):
+    """sdp._schur against Re Tr(F_q W F_p W) from the dense rows: the lower
+    triangle to 1e-12 relative, the upper one exactly 0."""
+    w, full = _packed_pd(prog, seed)
+    got = sdp._schur(prog, w)
+    dense = _kept_constraints(inst, prog)
+    want = np.array([[np.trace(fq @ full @ fp @ full).real for fp in dense] for fq in dense])
+    assert np.abs(got - np.tril(want)).max() <= 1e-12 * np.abs(want).max()
+    assert not np.triu(got, 1).any()
+
+
 def test_schur_matches_dense_oracle():
-    # A complex program that keeps every row, and the real program of
-    # beta_os(T2), which drops some.
-    for inst, real, keeps_all in (
-        (_mixed_instance(), False, True),
-        (relaxations.beta_os_instance(games.t_game(2)), True, False),
+    # A complex program on one class that keeps every row; the real program
+    # of beta_os(T2), which drops rows, on classes of sides 2 and 1; and a
+    # complex one on classes of sides 5, 3, 1 and 1, rows across them.
+    for inst, real, keeps_all, sides in (
+        (_mixed_instance(), False, True, {8: 1}),
+        (relaxations.beta_os_instance(games.t_game(2)), True, False, {2: 8, 1: 20}),
+        (_split_mixed_instance(), False, True, {5: 1, 3: 1, 1: 2}),
     ):
         prog = sdp._Program(inst)
         assert prog.dtype is (float if real else complex)
         assert prog.dim == inst.side
         assert prog.kept.all() == keeps_all
-        w = _random_pd(np.random.default_rng(11), inst.side, real)  # full, not block-diagonal
-        got = sdp._schur(prog, w)
-
-        dense = _kept_constraints(inst, prog)
-        want = np.array(
-            [[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense]
-        )
-        assert np.abs(got - np.triu(want)).max() <= 1e-12 * np.abs(want).max()
-        assert not np.tril(got, -1).any()
+        assert _class_sizes(prog.label) == sides
+        assert {shape[1:] for *_, shape in prog.stacks} == {(s, s) for s in sides}
+        _assert_schur_matches_dense(inst, prog, 11)
 
 
 def _with_trace_row(inst: sdp.SdpInstance) -> sdp.SdpInstance:
-    """inst with one more row, Tr Z = 1, last. The rows of these Gram
-    relaxations all have one entry count and this row another, so that the
-    Schur groups also break where the count changes."""
+    """inst with one more row, Tr Z = 1, last: a row with entries in every
+    class."""
     trace = sdp.SdpConstraint(entries=tuple((i, i, 1.0 + 0.0j) for i in range(inst.side)), rhs=1.0)
     return replace(inst, constraints=inst.constraints + (trace,))
 
@@ -317,27 +342,20 @@ def _with_trace_row(inst: sdp.SdpInstance) -> sdp.SdpInstance:
     ids=["beta_os_random_n2", "beta_nc_h1"],  # complex, real
 )
 def test_schur_groups_match_dense_oracle(monkeypatch, make, real, group_cap):
-    inst = _joined(_with_trace_row(make()))  # groups of two entry counts, every row kept
-    if group_cap:  # at most group_cap constraints per stacked matmul
-        prog = sdp._Program(inst)
-        width = max(prog.dim * prog.dim, prog.owner.size)
-        monkeypatch.setattr(sdp, "SCHUR_GROUP_ENTRIES", group_cap * width)
+    # With group_cap, chunks of one part each; without, a few chunks per stack.
+    if group_cap:
+        monkeypatch.setattr(sdp, "SCHUR_GROUP_ENTRIES", group_cap)
+    inst = _with_trace_row(make())
     prog = sdp._Program(inst)
     assert prog.dtype is (float if real else complex)
-    assert prog.m == len(inst.constraints)
-    sizes = [stop - start for start, stop in prog.groups]
-    counts = np.diff(prog.q_ptr)
-    assert len(set(counts)) > 1 and len(prog.groups) > 1 and max(sizes) > 1
+    assert prog.kept[-1] and prog.m > 1
+    parts = [count.size for *_, chunks in prog.schur for _, _, _, _, count, *_ in chunks]
     if group_cap:
-        assert max(sizes) == group_cap
-    w = _random_pd(np.random.default_rng(3), prog.dim, real)
-    got = sdp._schur(prog, w)
-
-    dense = _kept_constraints(inst, prog)
-    want = np.array([[np.trace(fp @ w @ fq @ w).real for fq in dense] for fp in dense])
-    upper = np.triu_indices(prog.m)
-    assert np.abs(got[upper] - want[upper]).max() <= 1e-12 * np.abs(want).max()
-    assert not np.tril(got, -1).any()
+        assert set(parts) == {1}
+    else:
+        assert len(parts) == len(prog.schur)
+    assert sum(parts) > prog.m  # the trace row has a part in each of several classes
+    _assert_schur_matches_dense(inst, prog, 3)
 
 
 def _paper_table_instances() -> dict[str, sdp.SdpInstance]:
@@ -367,6 +385,59 @@ def test_paper_table_solves_take_few_iterations():
     assert len(iterations) == 15
     assert iterations["T3/beta_os"] <= 8
     assert sum(iterations.values()) <= 94
+
+
+# (iterations, primal value) of each paper-table solve, in table order.
+PAPER_SOLVES = {
+    "CHSH/beta_sdp": (5, 0.7071066680495),
+    "T1/beta_nc": (6, 0.9999999811160),
+    "T1/beta_os": (6, 0.9999998345118),
+    "T2/beta_nc": (6, 0.7071067616220),
+    "T2/beta_os": (7, 0.9999996001177),
+    "T3/beta_nc": (6, 0.5773502440870),
+    "T3/beta_os": (8, 0.9999998521438),
+    "T4/beta_nc": (6, 0.4999999710210),
+    "T4/beta_os": (8, 0.9999994950214),
+    "H1/beta_nc": (6, 0.5999999772151),
+    "H1/beta_os": (6, 0.5999998237043),
+    "C2/beta_os": (6, 0.4999998828662),
+    "C3/beta_os": (6, 0.3333331670185),
+    "C4/beta_os": (6, 0.2499998392801),
+    "H2/beta_nc": (6, 0.4761903593981),
+}
+
+
+def test_paper_table_solves_keep_their_iterations_and_values():
+    # 94 iterations in all, the budget of the traced CI benchmark run; each
+    # value within 1e-9 of the one the dense core gave.
+    assert sum(it for it, _ in PAPER_SOLVES.values()) == 94
+    got = {}
+    for name, inst in _paper_table_instances().items():
+        sol = sdp.solve(inst, sdp.DEFAULT_TOL)
+        assert sol.status == "optimal", name
+        got[name] = (sol.iterations, sol.primal_value)
+    assert list(got) == list(PAPER_SOLVES)
+    for name, (iterations, value) in PAPER_SOLVES.items():
+        assert got[name][0] == iterations, name
+        assert abs(got[name][1] - value) <= 1e-9, name
+
+
+@pytest.mark.parametrize(
+    "kind, game, value, tol",
+    [
+        ("nc", lambda: games.t_game(8), 1 / math.sqrt(8), 1e-4),
+        ("nc", lambda: games.t_game(16), 0.25, 1e-4),
+        ("os", lambda: games.t_game(5), 1.0, 1e-3),
+        ("os", lambda: games.t_game(6), 1.0, 1e-3),
+        ("os", lambda: games.c_game(5), 1 / 5, 1e-4),
+        ("os", lambda: games.c_game(6), 1 / 6, 1e-4),
+    ],
+    ids=["T8/beta_nc", "T16/beta_nc", "T5/beta_os", "T6/beta_os", "C5/beta_os", "C6/beta_os"],
+)
+def test_closed_forms_beyond_the_paper_table(kind, game, value, tol):
+    # beta_nc(T_k) = 1/sqrt(k), beta_os(T_k) = 1 and beta_os(C_k) = 1/k.
+    got = getattr(relaxations, f"beta_{kind}")(game(), sdp.DEFAULT_TOL).value
+    assert abs(got - value) <= tol
 
 
 def _class_sizes(label: np.ndarray) -> dict[int, int]:
@@ -732,6 +803,27 @@ def _two_by_two(c: float, rhs: float) -> sdp.SdpInstance:
     )
 
 
+@pytest.mark.parametrize(
+    "side, objective, entry, rhs, message",
+    [
+        (3, np.zeros((2, 2)), (0, 0, 1.0), 1.0, "finite 3 x 3"),
+        (3, np.zeros((4, 4)), (0, 0, 1.0), 1.0, "finite 3 x 3"),
+        (2, np.array([[0.0, np.nan], [np.nan, 0.0]]), (0, 0, 1.0), 1.0, "finite 2 x 2"),
+        (2, np.zeros((2, 2)), (0, 2, 1.0), 1.0, "outside"),
+        (2, np.zeros((2, 2)), (-1, 0, 1.0), 1.0, "outside"),
+        (2, np.zeros((2, 2)), (1, 0, 1.0), 1.0, "outside"),
+        (2, np.zeros((2, 2)), (0, 1, complex(0.0, np.inf)), 1.0, "not finite"),
+        (2, np.zeros((2, 2)), (0, 0, 1.0), np.nan, "not finite"),
+    ],
+    ids=["objective-small", "objective-large", "objective-nan", "column-past-side",
+         "negative-row", "below-diagonal", "value-inf", "rhs-nan"],
+)
+def test_malformed_instances_are_refused(side, objective, entry, rhs, message):
+    con = sdp.SdpConstraint(entries=(entry,), rhs=rhs)
+    with pytest.raises(BadArgsError, match=message):
+        sdp.SdpInstance(side=side, objective=objective, constraints=(con,))
+
+
 def test_instances_leave_the_callers_data_alone():
     z = np.array([[1.0, 2.0], [2.0, 1.0]])
     inst = sdp.SdpInstance(side=2, objective=z, constraints=())
@@ -870,7 +962,7 @@ def test_non_finite_newton_step_returns_the_best_iterate(monkeypatch):
 
     def solve(self, rhs, adjoint=False):  # NaN from the seventh Newton solve on
         x = solve_one(self, rhs, adjoint)
-        if not adjoint:  # Z's inverse, or the first pass of a Newton solve
+        if not adjoint:  # the first pass of a Newton solve
             return x
         calls.append(1)
         return x * np.nan if len(calls) > 6 else x
