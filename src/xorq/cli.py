@@ -432,7 +432,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=int, default=50,
+                   help="the most see-saw restarts a class runs; it runs them in stacks of "
+                        f"{heuristics.STACK} and stops after the first stack in which "
+                        f"{heuristics.MATCHES} restarts reach its best (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0)
 
 

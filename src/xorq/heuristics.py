@@ -12,28 +12,36 @@ contraction that strategies.bias evaluates the form with
 (strategies.effective_operator_for_a/_b).
 
 One see-saw loop (_seesaw) alternates these steps for every class, and it
-runs all cfg.restarts restarts of a class as one stack: operators (R, s, s)
-and shared states (R, dA, dB), the layout of the record throughout. Each
-half-step is one stacked contraction, a matrix product with the game's
-realigned M (GameMatrix.realigned), and one stacked sign or polar step.
-Each restart keeps its own stop rule, MAX_ITERS cap, monotonicity checks
-and iteration count; once it stops, its A, B, psi and value stay frozen and
-later half-steps run only on the restarts still live. So a restart's value
-does not depend on the stack it ran in. A sign step checks each effective
-operator of the stack for Hermiticity once, against its own norm, within
-linalg.HERMITICITY_RTOL, and symmetrizes it (linalg.check_hermitian); a
-failure is a SeesawError naming the player and the restart.
+runs a stack of restarts at once: operators (R, s, s) and shared states
+(R, dA, dB), the layout of the record throughout. Each half-step is one
+stacked contraction, a matrix product with the game's realigned M
+(GameMatrix.realigned), and one stacked sign or polar step. Each restart
+keeps its own stop rule, MAX_ITERS cap, monotonicity checks and iteration
+count; once it stops, its A, B, psi and value stay frozen and later
+half-steps run only on the restarts still live. A sign step checks each
+effective operator of the stack for Hermiticity once, against its own norm,
+within linalg.HERMITICITY_RTOL, and symmetrizes it
+(linalg.check_hermitian); a failure is a SeesawError naming the player and
+the restart.
+
+cfg.restarts is a cap. _run_restarts runs a class's restarts in order, in
+stacks of STACK, and stops after the first stack at whose end MATCHES of the
+values so far lie within IMPROVEMENT_TOL of their best. Restart 0 alone
+never stops a class: on T_n, restart 0 of the unentangled class is a
+stationary point of value 0. So a class's values are those of a prefix of
+its restarts, and a cap of at most STACK runs one stack.
 
 Restart 0 is a deterministic warm start: the previous class's optimum
-embedded, or B = I for the unentangled class, which has none. Restart r of
-1..k-1 starts from complex Gaussian arrays drawn from the stream (seed, r)
-(_draws), and each class maps the whole drawn stack with one call: the
-spectral sign of the Hermitian parts, Haar unitaries from one stacked SVD
-for the complex class, and unit states for ent's psi. _run_restarts builds
-every class's result: the best restart's Strategy with every restart's
-value and iteration count. Ladder is the only code that chains the classes:
-omega_c_lower, me_lower and entangled_lower take their predecessors'
-results as arguments, and Ladder computes each class once and hands it on.
+embedded, or B = I for the unentangled class, which has none. Restart r >= 1
+starts from complex Gaussian arrays drawn from the stream (seed, r)
+(_draws), and each class maps a stack's draws with one call: the spectral
+sign of the Hermitian parts, Haar unitaries from one stacked SVD for the
+complex class, and unit states for ent's psi. So a restart's start does not
+depend on the stacks. _run_restarts builds every class's result: the best
+restart's Strategy with the value and iteration count of every restart run.
+Ladder is the only code that chains the classes: omega_c_lower, me_lower
+and entangled_lower take their predecessors' results as arguments, and
+Ladder computes each class once and hands it on.
 """
 
 from __future__ import annotations
@@ -55,10 +63,17 @@ from .strategies import Strategy, effective_operator_for_a, effective_operator_f
 MONOTONE_SLACK = 1e-10
 MAX_ITERS = 500  # see-saw iterations per restart
 IMPROVEMENT_TOL = 1e-9  # a restart stops once an iteration gains less
+STACK = 8  # restarts run as one stack, in order
+MATCHES = 3  # a class stops after the first stack in which this many values reach its best
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """restarts is the most restarts a class runs: it runs them in stacks of
+    STACK and stops after the first stack in which MATCHES values reach its
+    best (within IMPROVEMENT_TOL); restart r >= 1 draws from the stream
+    (seed, r)."""
+
     restarts: int
     seed: int
 
@@ -72,7 +87,7 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class HeuristicResult:
     strategy: Strategy  # the best restart's
-    restart_values: tuple[float, ...]
+    restart_values: tuple[float, ...]  # one per restart run, in order
     restart_iterations: tuple[int, ...]
 
     @property
@@ -123,51 +138,68 @@ def _seesaw(g: GameMatrix, psi: np.ndarray, b: np.ndarray, step, free_state: boo
     construction, and checked per restart: the sign step checks each
     effective operator once (linalg.check_hermitian).
     Returns (values (R,), (A, B, psi) stacks, iterations per restart (R,))."""
-    b, psi = b.copy(), psi.copy()
     restarts = b.shape[0]
     prev = np.full(restarts, -np.inf)
     iters = np.zeros(restarts, dtype=int)
     live = np.arange(restarts)
     a = None
     for _ in range(MAX_ITERS):
-        k = effective_operator_for_a(g, b[live], psi[live])
+        # While every restart is live, the whole stacks stand in for their
+        # live rows, with no copies; the first iteration replaces b (and,
+        # with free_state, psi) by new arrays before any row is written.
+        every = live.size == restarts
+        b_live = b if every else b[live]
+        psi_live = psi if every else psi[live]
+        prev_live = prev if every else prev[live]
+        k = effective_operator_for_a(g, b_live, psi_live)
         a_live = _half_step(step, k, "A", live)
         val_a = _form(a_live, k)
-        _check_monotone(val_a, prev[live], "half-step decreased", live)
-        l = effective_operator_for_b(g, a_live, psi[live])
-        b[live] = _half_step(step, l, "B", live)
-        value = _form(b[live], l)
+        _check_monotone(val_a, prev_live, "half-step decreased", live)
+        l = effective_operator_for_b(g, a_live, psi_live)
+        b_live = _half_step(step, l, "B", live)
+        value = _form(b_live, l)
         _check_monotone(value, val_a, "half-step decreased", live)
         if free_state:
-            psi[live], lam = _state_step(g, a_live, b[live])
+            psi_live, lam = _state_step(g, a_live, b_live)
             flip = lam < 0  # play -A, so the bias is |lam|
             a_live[flip] = -a_live[flip]
             lam = np.where(flip, -lam, lam)
             _check_monotone(lam, value, "state step decreased |bias|", live)
             value = lam
-        if a is None:  # every restart is live in the first iteration
-            a = a_live
+        stopped = value - prev_live < IMPROVEMENT_TOL
+        if every:
+            a, b, psi, prev = a_live, b_live, psi_live, value
         else:
-            a[live] = a_live
+            a[live], b[live], prev[live] = a_live, b_live, value
+            if free_state:
+                psi[live] = psi_live
         iters[live] += 1
-        stopped = value - prev[live] < IMPROVEMENT_TOL
-        prev[live] = value
         live = live[~stopped]
         if not live.size:
             break
     return prev, (a, b, psi), iters
 
 
-def _run_restarts(
-    g: GameMatrix, b0: np.ndarray, psi: np.ndarray, hermitian: bool, free_state: bool = False
-) -> HeuristicResult:
-    """The see-saw from every start (b0[r], psi[r]) as one stack, with the
-    sign step, or the polar step when hermitian is False (each looked up
-    per call). The result's strategy is the best run's."""
+def _run_restarts(g: GameMatrix, cfg: OptimizerConfig, starts, hermitian: bool,
+                  free_state: bool = False) -> HeuristicResult:
+    """The see-saw of a class by the stopping rule (module docstring), one
+    stack at a time: starts(rs) returns the stacks (b0, psi0) of the range
+    rs of restarts. The sign step is used, or the polar step when hermitian
+    is False (each looked up per call). The result holds the values and
+    iteration counts of the restarts run, and the first best one's strategy."""
     step = _sign_step if hermitian else _polar_step
-    values, finals, iters = _seesaw(g, psi, b0, step, free_state)
-    strategy = Strategy(*(x[int(np.argmax(values))] for x in finals), hermitian)
-    return HeuristicResult(strategy, tuple(values.tolist()), tuple(iters.tolist()))
+    values, iters, best = [], [], None
+    for lo in range(0, cfg.restarts, STACK):
+        b0, psi0 = starts(range(lo, min(lo + STACK, cfg.restarts)))
+        stack_values, finals, stack_iters = _seesaw(g, psi0, b0, step, free_state)
+        i = int(np.argmax(stack_values))
+        if best is None or stack_values[i] > best[0]:
+            best = stack_values[i], tuple(x[i] for x in finals)
+        values += stack_values.tolist()
+        iters += stack_iters.tolist()
+        if sum(v >= best[0] - IMPROVEMENT_TOL for v in values) >= MATCHES:
+            break
+    return HeuristicResult(Strategy(*best[1], hermitian), tuple(values), tuple(iters))
 
 
 def _sign_step(k: np.ndarray) -> np.ndarray:
@@ -178,31 +210,43 @@ def _polar_step(k: np.ndarray) -> np.ndarray:
     return linalg.polar_unitary(k)
 
 
-def _draws(cfg: OptimizerConfig, *shapes) -> list[np.ndarray]:
-    """The complex Gaussian starts of restarts 1..k-1, one stack (k-1,
-    *shape) per shape: restart r draws one array of each shape in turn from
-    the stream (seed, r), its real part and then its imaginary part."""
-    stacks = [np.empty((cfg.restarts - 1, *shape), dtype=complex) for shape in shapes]
-    for r in range(1, cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, r))
+def _draws(seed: int, restarts: range, *shapes) -> list[np.ndarray]:
+    """The complex Gaussian starts of the restarts r >= 1 of the range
+    restarts, one stack per shape: restart r draws one array of each shape
+    in turn from the stream (seed, r), its real part and then its imaginary
+    part. Restart 0, the warm start, draws nothing."""
+    drawn = range(max(restarts.start, 1), restarts.stop)
+    stacks = [np.empty((len(drawn), *shape), dtype=complex) for shape in shapes]
+    for i, r in enumerate(drawn):
+        rng = np.random.default_rng((seed, r))
         for stack in stacks:
             shape = stack.shape[1:]
-            stack[r - 1] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            stack[i] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return stacks
 
 
-def _observables(warm: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The stack of B starts: `warm`, then the spectral sign of each
-    Hermitian part of the draws z."""
-    return np.concatenate([warm[None], linalg.sign_of_hermitian(linalg.hermitian_part(z))])
+def _lead(warm: np.ndarray, drawn: np.ndarray, restarts: range) -> np.ndarray:
+    """The stack of starts of the range restarts: `warm` for restart 0, when
+    the range holds it, then the starts mapped from the draws."""
+    return np.concatenate([warm[None], drawn]) if restarts.start == 0 else drawn
+
+
+def _observables(warm: np.ndarray, z: np.ndarray, restarts: range) -> np.ndarray:
+    """The stack of B starts of the range restarts: `warm` for restart 0, then
+    the spectral sign of each Hermitian part of the draws z."""
+    return _lead(warm, linalg.sign_of_hermitian(linalg.hermitian_part(z)), restarts)
 
 
 def omega_lower(g: GameMatrix, cfg: OptimizerConfig) -> HeuristicResult:
     """Lower bound on the unentangled bias via sign-step see-saw, restart 0
     from B = I."""
-    (z,) = _draws(cfg, (g.n, g.n))
-    b0 = _observables(np.eye(g.n, dtype=complex), z)
-    return _run_restarts(g, b0, np.ones((cfg.restarts, 1, 1), dtype=complex), True)
+    eye = np.eye(g.n, dtype=complex)
+
+    def starts(restarts: range):
+        (z,) = _draws(cfg.seed, restarts, (g.n, g.n))
+        return _observables(eye, z, restarts), np.ones((len(restarts), 1, 1), dtype=complex)
+
+    return _run_restarts(g, cfg, starts, True)
 
 
 def omega_c_lower(
@@ -210,13 +254,17 @@ def omega_c_lower(
 ) -> HeuristicResult:
     """Lower bound on the complex bias via polar-step see-saw, warm-started
     from the unentangled optimum `omega` (so it never falls below it).
-    Restarts 1..k-1 start from the Haar unitaries U V^dagger of the draws'
+    Restarts r >= 1 start from the Haar unitaries U V^dagger of the draws'
     SVDs: Hermitian starts cannot leave the real fixed subspace of diagonal
     games, so relative phases must come from the start itself."""
-    (z,) = _draws(cfg, (g.n, g.n))
-    u, _, v = linalg.svd(z)
-    b0 = np.concatenate([omega.strategy.b[None], u @ linalg.dagger(v)])
-    return _run_restarts(g, b0, np.ones((cfg.restarts, 1, 1), dtype=complex), False)
+
+    def starts(restarts: range):
+        (z,) = _draws(cfg.seed, restarts, (g.n, g.n))
+        u, _, v = linalg.svd(z)
+        b0 = _lead(omega.strategy.b, u @ linalg.dagger(v), restarts)
+        return b0, np.ones((len(restarts), 1, 1), dtype=complex)
+
+    return _run_restarts(g, cfg, starts, False)
 
 
 def _epr_embed(op: np.ndarray, d: int) -> np.ndarray:
@@ -250,8 +298,12 @@ def me_lower(
     # one half-step of each, all with the maximally entangled state
     k = effective_operator_for_a(g, np.stack(warm), np.tile(psi, (len(warm), 1, 1)))
     best_warm = warm[int(np.argmax(_form(_sign_step(k), k)))]
-    (z,) = _draws(cfg, (n * d, n * d))
-    return _run_restarts(g, _observables(best_warm, z), np.tile(psi, (cfg.restarts, 1, 1)), True)
+
+    def starts(restarts: range):
+        (z,) = _draws(cfg.seed, restarts, (n * d, n * d))
+        return _observables(best_warm, z, restarts), np.tile(psi, (len(restarts), 1, 1))
+
+    return _run_restarts(g, cfg, starts, True)
 
 
 def _state_operator(g: GameMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,12 +366,14 @@ def entangled_lower(
     warm_b = lift_b @ me.strategy.b @ lift_b.conj().T
     warm_psi = ea @ linalg.max_entangled_state(dm) @ eb.T
 
-    # A's draw is unused: the first half-step replaces A. Each state is
-    # normalized alone: an axis= norm sums in another order, in other bits.
-    _, zb, zpsi = _draws(cfg, (n * da, n * da), (n * db, n * db), (da, db))
-    norms = np.array([np.linalg.norm(z) for z in zpsi]).reshape(-1, 1, 1)
-    psi0 = np.concatenate([warm_psi[None], zpsi / norms])
-    return _run_restarts(g, _observables(warm_b, zb), psi0, True, free_state=True)
+    def starts(restarts: range):
+        # A's draw is unused: the first half-step replaces A. Each state is
+        # normalized alone: an axis= norm sums in another order, in other bits.
+        _, zb, zpsi = _draws(cfg.seed, restarts, (n * da, n * da), (n * db, n * db), (da, db))
+        norms = np.array([np.linalg.norm(z) for z in zpsi]).reshape(-1, 1, 1)
+        return _observables(warm_b, zb, restarts), _lead(warm_psi, zpsi / norms, restarts)
+
+    return _run_restarts(g, cfg, starts, True, free_state=True)
 
 
 class Ladder:
@@ -329,7 +383,7 @@ class Ladder:
     The only code that chains the classes. Each class is computed at most
     once (me once per d) and handed to the next class as its warm start, so
     a report that asks for every class runs omega_lower once. Each class
-    checks its stack of restarts x side^2 entries against the dense cap, and
+    checks restarts x side^2 entries against the dense cap, and
     the dimensions of me and ent are checked before any class runs. Create one
     per report; it holds the results until it is dropped.
     """
@@ -342,8 +396,9 @@ class Ladder:
         self._me = {}
 
     def _check_stack(self, side: int):
-        """check_dense for the stack of all restarts' operators of this side,
-        before any start is drawn."""
+        """check_dense for cfg.restarts operators of this side, before any
+        start is drawn: a class runs at most STACK of them at once, but the
+        cap counts them all, so that no refusal depends on where it stops."""
         restarts = self.cfg.restarts
         check_dense(restarts * side * side, f"a stack of {restarts} operators of side {side}")
 

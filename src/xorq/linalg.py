@@ -75,40 +75,70 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     imaginary part, so that no norm overflows, and then both numbers in the
     message are in that unit.
 
-    Besides its result, the check holds one temporary of the input's size:
-    A^dagger, turned into A - A^dagger in place once A + A^dagger is formed."""
+    Both Frobenius norms are taken as squared sums, one einsum per stack.
+    Only when a sum is non-finite or reaches 1e300 (a norm of 1e150) is the
+    stack measured again with norms that cannot overflow (_near_limit).
+
+    Besides its result, the check of a C-contiguous stack below that limit
+    holds one temporary of the input's size: A^dagger, turned into
+    A - A^dagger in place once A + A^dagger is formed."""
     a = check_square_stack(a)
-    finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or near 1e308
-        scale = np.maximum(1.0, _frobenius(a))
+        sq = _squared_frobenius(a)
         diff = dagger(a)
         out = a + diff
-        resid = _frobenius(np.subtract(a, diff, out=diff))
+        # A - A^dagger, measured transposed: contiguous when A is.
+        rsq = _squared_frobenius(np.subtract(a, diff, out=diff).swapaxes(-1, -2))
         del diff
     # One comparison keeps the see-saw's half-step off the overflow path.
-    near_limit = not (scale < 1e300).all()  # also for a non-finite entry; not when empty
-    if near_limit:
-        over = finite & (scale >= 1e300)
+    if (sq < 1e300).all():  # false for a non-finite entry; true when empty
+        over_tol = rsq > HERMITICITY_RTOL**2 * np.maximum(1.0, sq)
+        if not over_tol.any():
+            out /= 2
+            return out
+        bad = np.flatnonzero(over_tol)
+        finite, scale, resid = np.ones(sq.shape, bool), np.sqrt(np.maximum(1.0, sq)), np.sqrt(rsq)
+    else:
+        finite, scale, resid = _near_limit(a)
+        bad = np.flatnonzero(~finite | (resid > HERMITICITY_RTOL * scale))
+        if not bad.size:
+            return a / 2 + dagger(a) / 2  # a + a^dagger may overflow
+    i = int(bad[0])
+    index = i if a.ndim > 2 else None
+    where = "" if index is None else f" (matrix {i} of the stack)"
+    why = (
+        f"residual {resid[i]:.3e} > {HERMITICITY_RTOL:.1e} * {scale[i]:.3e}"
+        if finite[i]
+        else "non-finite entry"
+    )
+    raise NotHermitianError(f"matrix is not Hermitian{where}: {why}", index=index)
+
+
+def _squared_frobenius(a: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each matrix of a stack, flattened: one
+    einsum over the real view of the entries, copied only when A is not
+    C-contiguous."""
+    x = np.ascontiguousarray(a).view(float)
+    return np.einsum("...ij,...ij->...", x, x).reshape(-1)
+
+
+def _near_limit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each matrix of a stack, flattened: whether its entries are finite,
+    max(1, its Frobenius norm) and the norm of A - A^dagger. A finite matrix
+    of norm 1e300 or more is measured divided by its largest real or
+    imaginary part, so that no norm overflows."""
+    finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.maximum(1.0, _frobenius(a))
+        resid = _frobenius(a - dagger(a))
+    over = finite & (scale >= 1e300)
+    if over.any():
         huge = a.reshape((-1,) + a.shape[-2:])[over]
         top = np.maximum(np.abs(huge.real), np.abs(huge.imag)).max(axis=(-2, -1))
         huge = huge / top[:, None, None]
         scale[over] = np.maximum(1.0 / top, np.linalg.norm(huge, axis=(-2, -1)))
         resid[over] = np.linalg.norm(huge - dagger(huge), axis=(-2, -1))
-    bad = np.flatnonzero(~finite | (resid > HERMITICITY_RTOL * scale))
-    if bad.size:
-        i = int(bad[0])
-        index = i if a.ndim > 2 else None
-        where = "" if index is None else f" (matrix {i} of the stack)"
-        why = (
-            f"residual {resid[i]:.3e} > {HERMITICITY_RTOL:.1e} * {scale[i]:.3e}"
-            if finite[i]
-            else "non-finite entry"
-        )
-        raise NotHermitianError(f"matrix is not Hermitian{where}: {why}", index=index)
-    if near_limit:
-        return a / 2 + dagger(a) / 2  # a + a^dagger may overflow
-    out /= 2
-    return out
+    return finite, scale, resid
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
@@ -187,7 +217,8 @@ def sign_of_hermitian(k: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(check_hermitian(k))
     u = u[..., ::-1]  # descending, the order the products are summed in
     signs = np.where(w[..., ::-1] < -SIGN_ZERO_TOL, -1.0, 1.0)
-    return hermitian_part((u * signs[..., None, :]) @ dagger(u))
+    x = (u * signs[..., None, :]) @ dagger(u)
+    return (x + dagger(x)) / 2
 
 
 def polar_unitary(k: np.ndarray) -> np.ndarray:

@@ -244,8 +244,12 @@ def _solve_gram(
 
 def nc_objective(g: GameMatrix, x: np.ndarray, y: np.ndarray) -> float:
     """Re Tr((sum_r X_r (x) Y_r) M) = Re sum X_r[i, k] Y_r[j, l] M[(k, l), (i, j)]
-    for families x, y of shape (d, n, n)."""
-    return float(np.einsum("rik,rjl,klij->", x, y, _m4(g)).real)
+    for families x, y of shape (d, n, n): one matrix product over r,
+    G[(i, k), (j, l)] = sum_r X_r[i, k] Y_r[j, l], summed against M
+    transposed to (i, k, j, l)."""
+    nn = g.n * g.n
+    gram = x.reshape(-1, nn).T @ y.reshape(-1, nn)
+    return float(np.sum(gram * _m4(g).transpose(2, 0, 3, 1).reshape(nn, nn)).real)
 
 
 def beta_sdp(g: GameMatrix, tol: float) -> RelaxationResult:

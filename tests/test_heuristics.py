@@ -100,7 +100,7 @@ def test_one_restart_runs_every_class_from_its_warm_start():
     # restart 0 runs alone.
     g = random_game(3, seed=61)
     cfg = heuristics.OptimizerConfig(restarts=1, seed=0)
-    assert [z.shape for z in heuristics._draws(cfg, (3, 3), (4,))] == [(0, 3, 3), (0, 4)]
+    assert [z.shape for z in heuristics._draws(cfg.seed, range(1), (3, 3), (4,))] == [(0, 3, 3), (0, 4)]
     ladder = heuristics.Ladder(g, cfg)
     # dA != dB both ways: the state is dA x dB, and B's contraction takes its transpose.
     results = [ladder.omega(), ladder.omega_c(), ladder.me(2), ladder.entangled(2, 2),
@@ -114,7 +114,7 @@ def test_one_restart_runs_every_class_from_its_warm_start():
 
 def test_draws_take_each_restart_from_its_own_stream_in_order():
     cfg = heuristics.OptimizerConfig(restarts=4, seed=9)
-    x, y = heuristics._draws(cfg, (2, 2), (3,))
+    x, y = heuristics._draws(cfg.seed, range(cfg.restarts), (2, 2), (3,))
     assert x.shape == (3, 2, 2) and y.shape == (3, 3)
     for r in range(1, 4):
         rng = np.random.default_rng((9, r))
@@ -293,6 +293,74 @@ def test_restart_values_do_not_depend_on_the_stack(monkeypatch, game):
             alone, _, alone_iters = real(g, psi[r : r + 1], b[r : r + 1], step, free_state)
             assert abs(alone[0] - values[r]) <= 1e-12 * max(1.0, abs(values[r]))
             assert alone_iters[0] == iters[r]
+
+
+def _rule_stop(values, cap, stack):
+    """The restarts the stopping rule runs, given every value of a one-stack
+    run: the first multiple of stack (or the cap) by which MATCHES values lie
+    within IMPROVEMENT_TOL of the best so far."""
+    for k in [*range(stack, cap, stack), cap]:
+        best = max(values[:k])
+        if sum(v >= best - heuristics.IMPROVEMENT_TOL for v in values[:k]) >= heuristics.MATCHES:
+            return k
+    return cap
+
+
+def _assert_same_result(got, want):
+    assert got.restart_values == want.restart_values
+    assert got.restart_iterations == want.restart_iterations
+    assert got.strategy.hermitian == want.strategy.hermitian
+    for x, y in zip((got.strategy.a, got.strategy.b, got.strategy.psi),
+                    (want.strategy.a, want.strategy.b, want.strategy.psi)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("restarts", [1, 8, 9, 16, 50])
+@pytest.mark.parametrize(
+    "game",
+    [lambda: games.t_game(3), lambda: games.h_game(1), lambda: random_game(3, seed=43)],
+    ids=["T3", "H1", "random3"],
+)
+def test_stacked_restarts_stop_by_the_rule(monkeypatch, game, restarts):
+    """Each class's values are the first k of a one-stack run's values, with
+    k the first multiple of STACK (or the cap) at which MATCHES values reach
+    the best; at most one stack gives the one-stack result, bit for bit.
+
+    Across stacks the values agree to 1e-12, not bit for bit: the matrix
+    product of A's effective operator sums a column in an order that can
+    depend on how many restarts are live, on complex games (random3)."""
+    g = game()
+    cfg = heuristics.OptimizerConfig(restarts=restarts, seed=0)
+    ladder = heuristics.Ladder(g, cfg)
+    staged = [ladder.omega(), ladder.omega_c(), ladder.me(2), ladder.entangled(2, 2)]
+    # The one-stack run of each class, from the staged run's warm starts.
+    stack = heuristics.STACK
+    monkeypatch.setattr(heuristics, "STACK", restarts)
+    om, oc, me, _ = staged
+    whole = [
+        heuristics.omega_lower(g, cfg),
+        heuristics.omega_c_lower(g, cfg, om),
+        heuristics.me_lower(g, 2, cfg, om, oc),
+        heuristics.entangled_lower(g, 2, 2, cfg, me),
+    ]
+    for got, want in zip(staged, whole):
+        assert len(want.restart_values) == restarts
+        k = _rule_stop(want.restart_values, restarts, stack)
+        assert len(got.restart_values) == k
+        assert np.allclose(got.restart_values, want.restart_values[:k], rtol=1e-12, atol=1e-12)
+        assert got.restart_iterations == want.restart_iterations[:k]
+        if restarts <= stack:
+            _assert_same_result(got, want)
+
+
+def test_stopping_rule_keeps_the_t_family_optimum():
+    # Restart 0 of omega, B = I, is a stationary point of value 0 on T_n:
+    # the rule must run on until drawn restarts reach 1/sqrt(n).
+    cfg = heuristics.OptimizerConfig(restarts=50, seed=0)
+    for n in (2, 3, 4):
+        res = heuristics.omega_lower(games.t_game(n), cfg)
+        assert abs(res.value - 1.0 / math.sqrt(n)) <= 1e-6
+        assert len(res.restart_values) < 50
 
 
 def test_seesaw_sizes_checked_before_allocation():

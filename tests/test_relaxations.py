@@ -53,6 +53,16 @@ def test_nc_objective_matches_odot_oracle(rng, n, d):
     assert abs(relaxations.nc_objective(g, x, y) - want) <= 1e-12
 
 
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 6), (3, 10), (4, 25)])
+def test_nc_objective_matches_einsum_oracle(rng, n, d):
+    # The three-operand contraction that nc_objective replaced, on a random
+    # game of n questions and on T_n (n + 1 questions).
+    for g in (random_game(n, seed=10 * n + d), games.t_game(n)):
+        x, y = _random_vvm(rng, g.n, d), _random_vvm(rng, g.n, d)
+        want = float(np.einsum("rik,rjl,klij->", x, y, g.m.reshape((g.n,) * 4)).real)
+        assert abs(relaxations.nc_objective(g, x, y) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_vvm_products_unitary():
     u = np.array([[0, 1.0], [1.0, 0]], dtype=complex)
     x = u[None]
