@@ -23,9 +23,11 @@ All three take one path. A relaxation is its rows plus its table of
 witness families (_families: base, size, conjugation, side). _solve_gram
 solves it, factors Z = W^+ W, cuts the families from W, re-evaluates the
 objective on them and returns the RelaxationResult. Every row comes from
-_functional: a sum of real coefficients times entries Z[i, j], i <= j,
-equal to a real constant. That is one row for the real part and, for a
-complex M and an entry off the diagonal, one with rhs 0 for the imaginary
+a functional, a sum of real coefficients times entries Z[i, j], i <= j,
+equal to a real constant, given by index arithmetic over the family bases
+(_cap; np.divmod for beta_os's consistency); _table turns them into the
+instance's table: one row for the real part and, for a complex M and a
+functional with a term off the diagonal, one with rhs 0 for the imaginary
 part.
 
 A real M needs no imaginary-part rows. Its objective C and every real-part
@@ -82,43 +84,47 @@ class RelaxationResult:
 # --- compilation -----------------------------------------------------------------
 
 
-def _functional(terms, rhs: float, real: bool) -> list:
-    """Rows for sum v * Z[i, j] = rhs over terms (i, j, v), with real
-    coefficients v and i <= j, in a relaxation of a real (real=True) or
-    complex game matrix M.
+def _table(functionals, real: bool) -> tuple[np.ndarray, ...]:
+    """The table (rows, cols, vals, owner, rhs) of an SdpInstance for the
+    functionals sum_t v_t Z[i_t, j_t] = rhs with i_t <= j_t and v_t real,
+    given as blocks (i, j, v, rhs): i and j of shape (F, k), one functional
+    of k terms per row, v and rhs broadcast to (F, k) and (F,). Each gives
+    its real part's row and then, for a complex M (real False) and a term
+    off the diagonal, its imaginary part's over those terms."""
+    parts, done = [], 0
+    for i, j, v, rhs in functionals:
+        (f, k), v = i.shape, np.broadcast_to(v, i.shape)
+        off = i < j
+        im = off.any(axis=1) & (not real)
+        first = np.arange(f) + np.cumsum(im) - im  # the block's row of each real part
+        vals = np.where(off, v / 2, v).astype(complex)
+        if im.any():  # each imaginary-part row after its real part's
+            im_vals = np.zeros(i.shape, dtype=complex)
+            im_vals.imag = v / 2  # not 0.5j * v, whose real part is -0.0 for v < 0
+            take = np.hstack([np.ones(i.shape, dtype=bool), off & im[:, None]])
+            i, j, vals = (np.hstack(pair)[take] for pair in ((i, i), (j, j), (vals, im_vals)))
+            owner = (first[:, None] + (np.arange(2 * k) >= k))[take]
+        else:
+            i, j, vals, owner = i.ravel(), j.ravel(), vals.ravel(), np.repeat(first, k)
+        b = np.zeros(f + int(im.sum()))
+        b[first] = rhs
+        parts.append((i, j, vals, done + owner, b))
+        done += b.size
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
-    The first row is the real part. For a complex M, when a term is off the
-    diagonal, a second row, with rhs 0, is the imaginary part; a diagonal
-    entry of a Hermitian matrix is real and has none, and a real M needs none
-    (see the module docstring).
-    """
-    re_part = tuple((i, j, complex(v.real if i == j else v.real / 2)) for i, j, v in terms)
-    # complex(0.0, .) keeps a +0.0 real part, where 0.5j * v gives -0.0 for v < 0.
-    im_part = tuple((i, j, complex(0.0, v.real / 2)) for i, j, v in terms if i < j)
-    out = [sdp_mod.SdpConstraint(entries=re_part, rhs=float(rhs))]
-    if im_part and not real:
-        out.append(sdp_mod.SdpConstraint(entries=im_part, rhs=0.0))
-    return out
 
-
-def _cap_constraints(n: int, base: int, rows: bool, real: bool) -> list:
-    """Compile Q = I over Hermitian entries of the Gram matrix, for a real or
-    complex M (_functional).
-
-    Q is the row product sum_k X_ik X_jk^* (rows) or the column product
-    sum_k X_ki X_kj^* of the family whose entry (i, k) is Gram index
-    base + i*n + k. The row of the (n-1, n-1) diagonal comes last.
-    """
-
-    def idx(i, k):
-        return base + (i * n + k if rows else k * n + i)
-
-    cons = []
-    for a in range(n):
-        for a2 in range(a, n):
-            terms = [(idx(a, k), idx(a2, k), 1.0) for k in range(n)]
-            cons.extend(_functional(terms, 1.0 if a == a2 else 0.0, real))
-    return cons
+def _cap(n: int, base: int, rows: bool) -> tuple[np.ndarray, ...]:
+    """The functionals (i, j, rhs) of Q = I, one per entry a <= a2 of Q in
+    the order of np.triu_indices, so the (n-1, n-1) diagonal last. Q is the
+    row product sum_k X_ak X_a2k^* (rows) or the column product sum_k X_ka
+    X_ka2^* of the family whose entry (i, k) is Gram index base + i*n + k."""
+    a, a2 = np.divmod(np.arange(n * n), n)  # np.triu_indices's order, at a tenth of its cost
+    a, a2, k = a[a <= a2, None], a2[a <= a2, None], np.arange(n)
+    if rows:
+        i, j = base + a * n + k, base + a2 * n + k
+    else:
+        i, j = base + k * n + a, base + k * n + a2
+    return i, j, (a == a2)[:, 0].astype(float)
 
 
 def _families(kind: str, n: int) -> dict:
@@ -148,12 +154,16 @@ def _m4(g: GameMatrix) -> np.ndarray:
 
 def _gram_objective(g: GameMatrix, dim: int, xb: int, yb: int) -> np.ndarray:
     """c + c^+ with c[xb + a*n + c, yb + b*n + e] = conj(M[(c, e), (a, b)]) / 2:
-    the game pairing the X family at base xb with the Y family at base yb."""
-    n = g.n
-    nn = n * n
+    the game pairing the X family at base xb with the Y family at base yb >=
+    xb + n^2. Only c's block and the zero block across are summed, with the
+    bits of the full sum."""
+    nn = g.n * g.n
+    block = np.conj(_m4(g)).transpose(2, 0, 3, 1).reshape(nn, nn) / 2
+    zero = np.zeros_like(block)
     c = np.zeros((dim, dim), dtype=complex)
-    c[xb:xb + nn, yb:yb + nn] = np.conj(_m4(g)).transpose(2, 0, 3, 1).reshape(nn, nn) / 2
-    return c + c.conj().T
+    c[xb:xb + nn, yb:yb + nn] = block + zero.conj()
+    c[yb:yb + nn, xb:xb + nn] = zero + block.conj().T
+    return c
 
 
 def _coefficients(g: GameMatrix) -> np.ndarray:
@@ -172,22 +182,21 @@ def beta_sdp_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     c = np.zeros((2 * n, 2 * n), dtype=complex)
     c[x:x + n, y:y + n] = _coefficients(g) / 2  # real coefficients: conj is itself
     # Diagonal rows only: no imaginary parts, whatever the flag.
-    cons = [con for u in range(2 * n) for con in _functional([(u, u, 1.0)], 1.0, True)]
-    return sdp_mod.SdpInstance(side=2 * n, objective=c + c.conj().T, constraints=tuple(cons))
+    u = np.arange(2 * n)[:, None]
+    return sdp_mod.SdpInstance(2 * n, c + c.conj().T, *_table([(u, u, 1.0, 1.0)], real=True))
 
 
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n, real = g.n, not g.m.imag.any()
     x, y = (base for base, _, _, _ in _families("nc", n).values())
-    # The last column-cap row, the (n-1, n-1) diagonal, is implied by the
-    # others (see the module docstring), so each family drops it.
-    cons = []
+    # The last column-cap functional, the (n-1, n-1) diagonal, is implied by
+    # the others (see the module docstring), so each family drops it.
+    caps = []
     for base in (x, y):
-        cons += _cap_constraints(n, base, rows=True, real=real)
-        cons += _cap_constraints(n, base, rows=False, real=real)[:-1]
-    return sdp_mod.SdpInstance(
-        side=2 * n * n, objective=_gram_objective(g, 2 * n * n, x, y), constraints=tuple(cons)
-    )
+        caps += [_cap(n, base, rows=True), tuple(a[:-1] for a in _cap(n, base, rows=False))]
+    i, j, rhs = (np.concatenate(parts) for parts in zip(*caps))
+    side = 2 * n * n
+    return sdp_mod.SdpInstance(side, _gram_objective(g, side, x, y), *_table([(i, j, 1.0, rhs)], real))
 
 
 def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
@@ -195,16 +204,12 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     nn = n * n
     wr, wc, vr, vc = (base for base, _, _, _ in _families("os", n).values())
     # Consistency X_R . Y_C = X_C . Y_R, entrywise on the composite space.
-    cons = []
-    for ac in range(nn):
-        for be in range(nn):
-            terms = [(wr + ac, vc + be, 1.0), (wc + ac, vr + be, -1.0)]
-            cons += _functional(terms, 0.0, real)
-    for base, rows in ((wr, True), (vr, True), (wc, False), (vc, False)):
-        cons += _cap_constraints(n, base, rows, real)
-    return sdp_mod.SdpInstance(
-        side=4 * nn, objective=_gram_objective(g, 4 * nn, wr, vc), constraints=tuple(cons)
-    )
+    ac, be = np.divmod(np.arange(nn * nn), nn)
+    consistency = (np.stack([wr + ac, wc + ac], 1), np.stack([vc + be, vr + be], 1), [1.0, -1.0], 0.0)
+    caps = [_cap(n, base, rows) for base, rows in ((wr, True), (vr, True), (wc, False), (vc, False))]
+    i, j, rhs = (np.concatenate(parts) for parts in zip(*caps))
+    table = _table([consistency, (i, j, 1.0, rhs)], real)
+    return sdp_mod.SdpInstance(4 * nn, _gram_objective(g, 4 * nn, wr, vc), *table)
 
 
 # --- solving ----------------------------------------------------------------------

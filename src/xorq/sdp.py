@@ -1,10 +1,11 @@
 """Standard-form semidefinite programming over one complex Hermitian matrix.
 
 An instance asks to maximize Re Tr(C^dagger Z) over PSD Hermitian Z
-subject to equality constraints Re Tr(F_q^dagger Z) = rhs_q. It is solved
-by an infeasible primal-dual interior-point method with Nesterov-Todd
-scaling; the Schur complement M[p, q] = Re Tr(F_p W F_q W) and the
-multipliers y are real. Each iteration is a Mehrotra predictor-corrector
+subject to equality constraints Re Tr(F_q^dagger Z) = rhs_q, held as one
+table of stored entries r <= c (SdpInstance: row, column, value, owner).
+It is solved by an infeasible primal-dual interior-point method with
+Nesterov-Todd scaling; the Schur complement M[p, q] = Re Tr(F_p W F_q W)
+and the multipliers y are real. Each iteration is a Mehrotra predictor-corrector
 step in the NT frame G (W = G G^H, G^-1 Z G^-H = G^H S G = diag(lam)): the
 affine predictor fixes sigma = (mu_aff / mu)^3, and the corrector adds to
 the centering term the second-order term of the predictor (Mehrotra, SIAM
@@ -85,7 +86,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,44 +102,50 @@ STALL_ITERS = 5  # iterations without a lower merit after which a run stops
 SCHUR_GROUP_ENTRIES = 1 << 15  # entries (512 KB if complex) of each array of one Schur chunk
 SUBSTITUTION_ROWS = 64  # rows of a diagonal block in a blocked triangular solve
 
-Entry = tuple[int, int, complex]
-
-
-@dataclass(frozen=True)
-class SdpConstraint:
-    """sum over entries (r, c, v) of Re Tr(F^dagger Z) = rhs, where F has
-    value v at (r, c) and conj(v) at (c, r); only r <= c is stored."""
-
-    entries: tuple[Entry, ...]
-    rhs: float
-
 
 @dataclass(frozen=True)
 class SdpInstance:
     """max Re Tr(C^dagger Z) over PSD Hermitian Z of side side, C the
-    objective, subject to the constraints. BadArgsError unless C is a finite
-    side x side matrix and every entry (r, c, v) has 0 <= r <= c < side and
-    a finite v, and every rhs is finite."""
+    objective, subject to Re Tr(F_q^dagger Z) = constraints[q], one row per
+    rhs (len(constraints) is the number of rows). The rows are one table of
+    stored entries, in any order: entry e puts vals[e] at (rows[e], cols[e])
+    of F_owner[e], rows[e] <= cols[e], and its conjugate at the transpose.
+    BadArgsError unless C is a finite side x side matrix and the table is 1-D
+    arrays, the entries' of one length, integer indices with 0 <= r <= c <
+    side and 0 <= owner < len(constraints), and finite values and rhs. The
+    fields are read-only copies: the caller's arrays are left alone."""
 
     side: int
     objective: np.ndarray
-    constraints: tuple[SdpConstraint, ...]
-    # The rows as arrays, gathered once (_entries).
-    arrays: tuple = field(init=False, repr=False, compare=False)
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    owner: np.ndarray
+    constraints: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=complex)
         if self.side < 1 or c.shape != (self.side, self.side) or not np.isfinite(c).all():
             raise BadArgsError(f"the objective must be a finite {self.side} x {self.side} matrix, side >= 1")
-        arrays = _entries(self.constraints)
-        rows, cols, vals, _, b = arrays
+        names = ("rows", "cols", "vals", "owner", "constraints")
+        table = [np.asarray(getattr(self, name)) for name in names]
+        if any(x.ndim != 1 for x in table) or len({x.size for x in table[:4]}) > 1:
+            raise BadArgsError("the entry arrays and the rhs must be 1-D, the entry arrays of one length")
+        # Integer indices, complex values and a real rhs; astype copies.
+        for x, kinds in zip(table, ("iu", "iu", "iufc", "iu", "iuf")):
+            if x.size and x.dtype.kind not in kinds:
+                raise BadArgsError(f"an entry array or the rhs has dtype {x.dtype}, which it cannot take")
+        types = (np.intp, np.intp, complex, np.intp, float)
+        rows, cols, vals, owner, b = (x.astype(t) for x, t in zip(table, types))
         if not ((0 <= rows) & (rows <= cols) & (cols < self.side)).all():
             raise BadArgsError(f"an entry (r, c) lies outside 0 <= r <= c < {self.side}")
+        if not ((0 <= owner) & (owner < b.size)).all():
+            raise BadArgsError(f"an entry's owner lies outside 0 <= owner < {b.size}, the number of rows")
         if not (np.isfinite(vals).all() and np.isfinite(b).all()):
             raise BadArgsError("an entry value or rhs is not finite")
-        # A complex Hermitian copy: the caller's array is left alone.
-        object.__setattr__(self, "objective", _hermitian(c))
-        object.__setattr__(self, "arrays", arrays)
+        for name, x in zip(("objective",) + names, (_hermitian(c), rows, cols, vals, owner, b)):
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
 
 @dataclass(frozen=True)
@@ -188,8 +195,8 @@ class _Program:
     label and kept are that partition: each index's class, named by its
     smallest index, and which rows of the instance the program keeps (the
     others lie across classes with rhs 0, and pinching meets them). The kept
-    rows' stored entries (r <= c) are in row order, owners renumbered
-    0..m-1. witness is the trace witness (_trace_witness) or None; solve
+    rows' stored entries (r <= c) are in the instance's order, owners
+    renumbered 0..m-1. witness is the trace witness (_trace_witness) or None; solve
     refuses a program without one.
 
     The classes of one side s form one stack (K, s, s), in the order of
@@ -209,7 +216,7 @@ class _Program:
 
     def __init__(self, inst: SdpInstance):
         dim, c = inst.side, inst.objective
-        rows, cols, vals, owner, b = inst.arrays
+        rows, cols, vals, owner, b = inst.rows, inst.cols, inst.vals, inst.owner, inst.constraints
         self.label, self.kept = _classes(dim, *np.nonzero(c), rows, cols, owner, b)
         at = self.kept[owner]
         rows, cols, vals = rows[at], cols[at], vals[at]
@@ -255,22 +262,6 @@ class _Program:
             self.cobj = np.ascontiguousarray(self.cobj.real)
         self.witness = _trace_witness(self)
         self.schur = _schur_plan(self, offset[cls[rows]], place)
-
-
-def _entries(constraints: tuple[SdpConstraint, ...]):
-    """The stored entries of every row, in row order, as arrays: row,
-    column, the complex value and the number of the row that owns it; and
-    the rows' right-hand sides."""
-    rows, cols, vals, owner = [], [], [], []
-    for q, con in enumerate(constraints):
-        for r, c, v in con.entries:
-            rows.append(r)
-            cols.append(c)
-            vals.append(complex(v))
-            owner.append(q)
-    rows, cols, owner = (np.asarray(x, dtype=np.intp) for x in (rows, cols, owner))
-    b = np.array([con.rhs for con in constraints], dtype=float)
-    return rows, cols, np.asarray(vals, dtype=complex), owner, b
 
 
 def _trace_witness(prog: _Program) -> np.ndarray | None:

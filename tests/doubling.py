@@ -24,35 +24,24 @@ def undouble_matrix(t: np.ndarray) -> np.ndarray:
     return ((z11 + z22) + 1j * (z21 - z12)) / 2
 
 
-def _double_entries(entries, m):
-    """Upper-triangle entries of the doubled constraint matrix, m the side."""
-    full = {}
-    for r, c, v in entries:
-        v = complex(v)
-        full[(r, c)] = full.get((r, c), 0.0) + v
-        if r != c:
-            full[(c, r)] = full.get((c, r), 0.0) + v.conjugate()
-    out = {}
-    for (i, j), w in full.items():
-        for ei, ej, ew in (
-            (i, j, w.real),
-            (i, j + m, -w.imag),
-            (i + m, j, w.imag),
-            (i + m, j + m, w.real),
-        ):
-            if ei <= ej and ew != 0.0:
-                out[(ei, ej)] = ew
-    return tuple((i, j, complex(w)) for (i, j), w in sorted(out.items()))
-
-
 def double_instance(inst: sdp.SdpInstance) -> sdp.SdpInstance:
+    """The doubled instance: each row's F_q, its stored entries and the
+    transposes of those off the diagonal summed per position, doubled
+    entrywise, and its upper-triangle entries that are not 0 stored in row
+    order and then by position."""
+    m = inst.side
+    r, c, v, q = inst.rows, inst.cols, inst.vals, inst.owner
+    off = r != c
+    i, j = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
+    key, at = np.unique((np.concatenate([q, q[off]]) * m + i) * m + j, return_inverse=True)
+    w = np.concatenate([v, v[off].conj()])
+    w = np.bincount(at, w.real, key.size) + 1j * np.bincount(at, w.imag, key.size)
+    q, i, j = key // (m * m), key // m % m, key % m
+    rows, cols = np.concatenate([i, i, i + m, i + m]), np.concatenate([j, j + m, j, j + m])
+    vals, owner = np.concatenate([w.real, -w.imag, w.imag, w.real]), np.tile(q, 4)
+    keep = (rows <= cols) & (vals != 0.0)
+    order = np.lexsort((cols[keep], rows[keep], owner[keep]))
     return sdp.SdpInstance(
-        side=2 * inst.side,
-        objective=double_matrix(inst.objective),
-        constraints=tuple(
-            sdp.SdpConstraint(
-                entries=_double_entries(con.entries, inst.side), rhs=2.0 * con.rhs
-            )
-            for con in inst.constraints
-        ),
+        2 * m, double_matrix(inst.objective),
+        *(x[keep][order] for x in (rows, cols, vals.astype(complex), owner)), 2.0 * inst.constraints,
     )

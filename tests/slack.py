@@ -12,24 +12,17 @@ game's oracle is solved over complex Hermitian Z.
 import numpy as np
 
 from xorq import sdp
-from xorq.relaxations import _functional, _gram_objective
+from xorq.relaxations import _cap, _gram_objective, _table
 
 
-def _cap_constraints(slack: int, n: int, base: int, rows: bool) -> list:
+def _slack_cap(slack: int, n: int, base: int, rows: bool) -> tuple:
     """Q + S = I over Hermitian entries, Q the row or column product of the
-    family whose entry (i, k) is Gram index base + i*n + k, and S the slack
-    block at indices slack .. slack + n - 1."""
-
-    def idx(i, k):
-        return base + (i * n + k if rows else k * n + i)
-
-    cons = []
-    for a in range(n):
-        for a2 in range(a, n):
-            terms = [(idx(a, k), idx(a2, k), 1.0 + 0.0j) for k in range(n)]
-            terms.append((slack + a, slack + a2, 1.0 + 0.0j))
-            cons.extend(_functional(terms, 1.0 if a == a2 else 0.0, real=False))
-    return cons
+    family whose entry (i, k) is Gram index base + i*n + k (relaxations._cap),
+    and S the slack block at indices slack .. slack + n - 1: its entry (a,
+    a2) is one more term of the functional of Q's entry (a, a2)."""
+    i, j, rhs = _cap(n, base, rows)
+    a, a2 = (slack + x[:, None] for x in np.triu_indices(n))
+    return np.hstack([i, a]), np.hstack([j, a2]), 1.0, rhs
 
 
 def beta_sdp_instance(g) -> sdp.SdpInstance:
@@ -40,27 +33,23 @@ def beta_sdp_instance(g) -> sdp.SdpInstance:
     c = np.zeros((side, side), dtype=complex)
     c[:n, n:2 * n] = np.diag(g.m).real.reshape(n, n) / 2
     c = c + c.conj().T
-    cons = []
-    for u in range(2 * n):
-        terms = [(u, u, 1.0 + 0.0j), (2 * n + u, 2 * n + u, 1.0 + 0.0j)]
-        cons.extend(_functional(terms, 1.0, real=False))
-    return sdp.SdpInstance(side=side, objective=c, constraints=tuple(cons))
+    u = np.arange(2 * n)
+    terms = np.stack([u, 2 * n + u], axis=1)
+    return sdp.SdpInstance(side, c, *_table([(terms, terms, 1.0, 1.0)], real=False))
 
 
 def beta_nc_instance(g) -> sdp.SdpInstance:
     n = g.n
     nn = n * n
     gram = 2 * nn  # then the slack blocks of X's row and column caps, Y's
-    cons = (
-        _cap_constraints(gram, n, 0, rows=True)
-        + _cap_constraints(gram + n, n, 0, rows=False)
-        + _cap_constraints(gram + 2 * n, n, nn, rows=True)
-        + _cap_constraints(gram + 3 * n, n, nn, rows=False)
-    )
+    caps = [
+        _slack_cap(gram, n, 0, rows=True),
+        _slack_cap(gram + n, n, 0, rows=False),
+        _slack_cap(gram + 2 * n, n, nn, rows=True),
+        _slack_cap(gram + 3 * n, n, nn, rows=False),
+    ]
     side = gram + 4 * n
-    return sdp.SdpInstance(
-        side=side, objective=_gram_objective(g, side, 0, nn), constraints=tuple(cons)
-    )
+    return sdp.SdpInstance(side, _gram_objective(g, side, 0, nn), *_table(caps, real=False))
 
 
 def beta_os_instance(g) -> sdp.SdpInstance:
@@ -68,21 +57,13 @@ def beta_os_instance(g) -> sdp.SdpInstance:
     nn = n * n
     wr, wc, vr, vc = 0, nn, 2 * nn, 3 * nn
     gram = 4 * nn  # then the slack blocks of the caps of X_R, Y_R, X_C, Y_C
-    cons = []
-    for ac in range(nn):
-        for be in range(nn):
-            cons.extend(
-                _functional(
-                    [(wr + ac, vc + be, 1.0 + 0.0j), (wc + ac, vr + be, -1.0 + 0.0j)],
-                    0.0,
-                    real=False,
-                )
-            )
-    cons += _cap_constraints(gram, n, wr, rows=True)
-    cons += _cap_constraints(gram + n, n, vr, rows=True)
-    cons += _cap_constraints(gram + 2 * n, n, wc, rows=False)
-    cons += _cap_constraints(gram + 3 * n, n, vc, rows=False)
+    ac, be = np.divmod(np.arange(nn * nn), nn)
+    consistency = (np.stack([wr + ac, wc + ac], 1), np.stack([vc + be, vr + be], 1), [1.0, -1.0], 0.0)
+    caps = [
+        _slack_cap(gram, n, wr, rows=True),
+        _slack_cap(gram + n, n, vr, rows=True),
+        _slack_cap(gram + 2 * n, n, wc, rows=False),
+        _slack_cap(gram + 3 * n, n, vc, rows=False),
+    ]
     side = gram + 4 * n
-    return sdp.SdpInstance(
-        side=side, objective=_gram_objective(g, side, wr, vc), constraints=tuple(cons)
-    )
+    return sdp.SdpInstance(side, _gram_objective(g, side, wr, vc), *_table([consistency] + caps, real=False))

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from certify import constraint_value
+from certify import row_values
 from conftest import random_game, random_unitary
 from constructions import trace_norm
 from dense import odot, vvm_products
@@ -127,23 +129,146 @@ def test_gram_bookkeeping_soundness(rng):
 
 @pytest.mark.parametrize("diagonal, upper", [(3, 0), (0, 3), (2, 2)])
 def test_functional_rows_are_real_and_imaginary_parts(rng, diagonal, upper):
-    """On a Hermitian Z, _functional's rows read Re S and, for a complex
-    game matrix, Im S, where S = sum v Z[i, j] over real v and i <= j."""
+    """On a Hermitian Z, the rows _table makes of one functional read Re S
+    and, for a complex game matrix, Im S, where S = sum v Z[i, j] over real
+    v and i <= j."""
     dim = 4
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     z = a + a.conj().T
     above = list(itertools.combinations(range(dim), 2))
     pairs = [(i, i) for i in rng.choice(dim, diagonal, replace=False)]
     pairs += [above[p] for p in rng.choice(len(above), upper, replace=False)]
-    terms = [(i, j, float(rng.standard_normal())) for i, j in sorted(pairs)]
-    want = sum(v * z[i, j] for i, j, v in terms)
+    i, j = np.array(sorted(pairs)).T[:, None]
+    v = rng.standard_normal(i.shape)
+    want = np.sum(v * z[i, j])
     for real in (False, True):
-        rows = relaxations._functional(terms, 0.5, real)
-        assert [row.rhs for row in rows] == ([0.5, 0.0] if upper and not real else [0.5])
-        values = [constraint_value(row, z) for row in rows]
+        table = relaxations._table([(i, j, v, 0.5)], real)
+        assert table[-1].tolist() == ([0.5, 0.0] if upper and not real else [0.5])
+        values = row_values(sdp.SdpInstance(dim, np.zeros((dim, dim)), *table), z)
         assert values[0] == pytest.approx(want.real, abs=1e-12)
         if upper and not real:
             assert values[1] == pytest.approx(want.imag, abs=1e-12)
+
+
+# SHA-256 of each table of the package instances, as recorded from the rows
+# that the tuple-per-entry builders made (rows, cols and owner as intp, vals
+# as complex128, the rhs as float64, each in the machine's byte order on a
+# 64-bit intp): a reordered row or entry, or a zero of flipped sign, changes one.
+TABLE_HASHES = {
+    "CHSH/beta_sdp": (
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+        "e1fd30e2981704910390655fb7727790af514458eb1a4d1f344381a27c6fa6cb",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+        "c914e8188e43fff1c96e25283e15b252af0d9f39b469f2d1518915802c756d18",
+    ),
+    "T4/beta_nc": (
+        "1321366c652d698d4eea121423b0ed0509703956a6640dace08db272fc4137b7",
+        "5162da44b3e7399343960dbeebf2bfe38d7f0494db335f334b0ef014158c2451",
+        "641568d5969ae8233ff918b2310e601846b08551bb4c8f054127905004d90d1f",
+        "e39d514f716f8213e75b670abf6443910ab7c42acf681683e1ef54740ef016b1",
+        "56b2025a9b1adf0c51f75b58ecbce39d9aff711dcc4297d5a210626dae42a217",
+    ),
+    "T4/beta_os": (
+        "e3f31e1472e1119efeca7431875412526631697a9093de5d4a200a4f4753f0ff",
+        "9f60601f00397492b76889ebeb1f7c736011eada329e319036bc84aaab1c9c2f",
+        "186e9b4d7850adb83152fa615f3d46f1125042b5d8af3fbb11bb469edd1b8c82",
+        "20a13adcc96df05eeb5a38dfe4871b310721c3f126718abe81bc0e1e8e51d661",
+        "6d9c97f6d6edfb74f05ffccf08851dc81043fafe3db93e8f435f958e057ff8ee",
+    ),
+    "C4/beta_nc": (
+        "1321366c652d698d4eea121423b0ed0509703956a6640dace08db272fc4137b7",
+        "5162da44b3e7399343960dbeebf2bfe38d7f0494db335f334b0ef014158c2451",
+        "641568d5969ae8233ff918b2310e601846b08551bb4c8f054127905004d90d1f",
+        "e39d514f716f8213e75b670abf6443910ab7c42acf681683e1ef54740ef016b1",
+        "56b2025a9b1adf0c51f75b58ecbce39d9aff711dcc4297d5a210626dae42a217",
+    ),
+    "C4/beta_os": (
+        "e3f31e1472e1119efeca7431875412526631697a9093de5d4a200a4f4753f0ff",
+        "9f60601f00397492b76889ebeb1f7c736011eada329e319036bc84aaab1c9c2f",
+        "186e9b4d7850adb83152fa615f3d46f1125042b5d8af3fbb11bb469edd1b8c82",
+        "20a13adcc96df05eeb5a38dfe4871b310721c3f126718abe81bc0e1e8e51d661",
+        "6d9c97f6d6edfb74f05ffccf08851dc81043fafe3db93e8f435f958e057ff8ee",
+    ),
+    "H1/beta_nc": (
+        "3df25b9982163a38d234474b7f2fbdd3ee9e227121c7d6f03ee6e205279b66b9",
+        "b2a0aaa42bcf6dda25062be8af63533b1d782c1af00ec42573cb73a67e26190e",
+        "0375523847e6ea259a0d518b3aca7a90d45c705aa847704408e6903a3ae7a763",
+        "f9f9720589810096be40a30a582ee5e7d1adb4b94ae8bed32cae8ed613ba192d",
+        "1f7cc3db270bf14171714345d6dc5112c74695f3bb9b865c975400b2cb633405",
+    ),
+    "H1/beta_os": (
+        "ebf3e0ffc0c4a0605780ea4c8c2a1ddecfab362c2e94524764c0363983ddb54c",
+        "b072dd0ff9a8caa164c4062cf866b729c8d175c15dbce44e87f677b7e3a055db",
+        "4c763e17a50867084a314ed6360e0e758170e7280c211cb5599d79fbb0c0a1dc",
+        "656c01de3b712653f56732cc58cce98e301e09510997f686ced0f77848b73269",
+        "c09f967b55125b319ceaa97ee4b9ebce29d449ad45907e2792fdb482f022c6bc",
+    ),
+    "H2/beta_nc": (
+        "0cb02370566f6a1f0c46a8ed26c36e2b1d1468647df823dcd2ffc0e67b0b205b",
+        "be07e32269eb3722d7998a3997e6fe0a1938380f799d94252f8fd65d4be7add4",
+        "4c8822eb173eafa506be312220738046cdcb91352551a87c022328834016d7de",
+        "c2c136cd6c4a5358f2e035172768286cfbf5ee978a4897d6c91f1c7193361e59",
+        "20ea55a95f062675b4483cfb616320ba1e264bc1b3a47ae2f9eefc77beb5537e",
+    ),
+    "H2/beta_os": (
+        "b27debd0bf1171a387b824d8360a3656a513777e17269303743c30a2a40b9b83",
+        "96830aeadea402f8543d6f11bdb7db8a728dc575c9c8e69d2d328a8f370b58f6",
+        "ac5612c059e7a011284d27ca7da13068e5d6166a19f4dba15b17dec84a15b92f",
+        "d80c4635f52e92d0e0fe02b541ce931ac06ecada25baa9cebe8c5b924c6507a4",
+        "f8c58194bc01ea1bad6494c72530dce161a6500f33375d6ec529eb954b42c42f",
+    ),
+    "random3/beta_nc": (
+        "e37debce0a941e67ad79ff487464e90324712181f884474ae5f5725ddd8d90e3",
+        "b377b955720dc1c69f87d9dfe0ca331da73cdcef1d1332ad05882bc1fcf3189d",
+        "228eb31f7b766dc48e6a02d07993d582309556cac732fe3b8fd20f924e2db0a3",
+        "5d8501911969319de60f1e3f4259baa2e4cd289d0c66e8a765e2279fd79694af",
+        "a0d18bd12a406918269a1e715d75f7533ff17673e03c7bfeeddc493fc54ff52e",
+    ),
+    "random3/beta_os": (
+        "fabbca2011c5638b8b9693d5ef314a579dbbe0349f8f58a54a8e519573ca2d67",
+        "95af3e7982736ce6b03e3c17ea89df155d0b06fdec33c45fb8a4397214dda182",
+        "1292471cc5ec43abc81a20441e0c4bfc9028107e99d55dd2db2bf44af967d592",
+        "f843a65f49411b3dcdd65f481212d99c554ca24aac1ca2b8a43078a2ea3e2043",
+        "c00f3a0170a62eb7040fca9db8cb582bb12f8c30c2c5981f14082ec8651f291c",
+    ),
+    "random2/beta_nc": (
+        "493372b9e17e800ab5a22d8e221b01db651db3f1ba12fcd1a625a101d4dfddcc",
+        "0ea77a9af54acb96ec43c86472e4884e59d49ea12e874227b363bdccb0abb79a",
+        "a0a5c6008f8a9b49b7d901751741962f289f472349280bacdaf07bec521c2d7d",
+        "fbc34a9b12599c961f716fe042e91e6ef4abbe239e5904686fe4ac8730d98d42",
+        "2369ec132f8afddf10af567aed387dc09a793fe28be53a2c89652675f47a878f",
+    ),
+    "random2/beta_os": (
+        "2642cf8caa2e2791791d1e7162b161f9d0f3b5cbe400185d49f16899c4f20c32",
+        "85cdb9c9aacbc8a1bfe550e44e5bf0071cd290c7253d2aa1dfd34dcc992700d5",
+        "eeae449c7b85aba1a0cc1ddfbb832b3ce6e0f2dd9cb1829eae4d7becf08c21df",
+        "35b9fd2ae1f235c869203c259da4e057bcc2eeb954e5dbaff617a6b8f5225984",
+        "89f7519c71ef6265823ce4b9f07aaa20b657e1d8331b75533f753c7504103366",
+    ),
+}
+
+
+def _table_instances() -> dict:
+    cases = {"CHSH/beta_sdp": relaxations.beta_sdp_instance(games.from_classical(games.chsh()))}
+    named = {"T4": games.t_game(4), "C4": games.c_game(4), "H1": games.h_game(1), "H2": games.h_game(2),
+             "random3": random_game(3, 7), "random2": random_game(2, 7)}
+    for name, g in named.items():
+        for kind in ("nc", "os"):
+            cases[f"{name}/beta_{kind}"] = getattr(relaxations, f"beta_{kind}_instance")(g)
+    return cases
+
+
+def test_tables_keep_their_bits():
+    # random3 and random2 are complex, with imaginary-part rows.
+    assert random_game(3, 7).m.imag.any() and random_game(2, 7).m.imag.any()
+    got = {}
+    for name, inst in _table_instances().items():
+        tables = zip((inst.rows, inst.cols, inst.vals, inst.owner, inst.constraints),
+                     (np.intp, np.intp, np.complex128, np.intp, np.float64))
+        got[name] = tuple(hashlib.sha256(np.ascontiguousarray(x, dtype=t).tobytes()).hexdigest()
+                          for x, t in tables)
+    assert got == TABLE_HASHES
 
 
 def test_gram_objective_matches_entrywise_loop():
@@ -335,7 +460,7 @@ def test_maximizing_negated_objective_matches():
     # of the objective must give the same optimum value
     g = games.h_game(1)
     inst = relaxations.beta_nc_instance(g)
-    flipped = sdp.SdpInstance(side=inst.side, objective=-inst.objective, constraints=inst.constraints)
+    flipped = replace(inst, objective=-inst.objective)
     v1 = sdp.solve(inst, 1e-7).primal_value
     v2 = sdp.solve(flipped, 1e-7).primal_value
     assert abs(v1 - v2) <= 2e-6
@@ -401,14 +526,12 @@ def _real_constraint_matrix(inst: sdp.SdpInstance) -> np.ndarray:
     Re sum of w Z[r, c], w = Re v on the diagonal and 2 conj(v) off it."""
     side = inst.side
     size = side * side
+    r, c, v = inst.rows, inst.cols, inst.vals
+    w = np.where(r == c, v.real, 2.0 * v.conj())
+    flat = r * side + c
     a = np.zeros((len(inst.constraints), 2 * size))
-    for q, con in enumerate(inst.constraints):
-        for r, c, v in con.entries:
-            v = complex(v)
-            w = v.real if r == c else 2.0 * v.conjugate()
-            flat = r * side + c
-            a[q, flat] += w.real
-            a[q, size + flat] -= w.imag
+    np.add.at(a, (inst.owner, flat), w.real)
+    np.add.at(a, (inst.owner, size + flat), -w.imag)
     return a
 
 

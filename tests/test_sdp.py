@@ -1,7 +1,6 @@
 import math
 import warnings
 from collections import Counter
-from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -10,18 +9,15 @@ import pytest
 from xorq import cli, errors, games, relaxations, sdp
 from xorq.errors import BadArgsError, TooLargeError
 
-from certify import certify, constraint_value
+import table
+from certify import certify, row_values
 from conftest import random_game
 from doubling import double_instance, undouble_matrix
 from test_slack_oracle import CASES as SLACK_CASES, _slack_instance
 
 
 def _scalar_instance(value=1.0):
-    return sdp.SdpInstance(
-        side=1,
-        objective=np.eye(1, dtype=complex),
-        constraints=(sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=value),),
-    )
+    return table.instance(1, np.eye(1, dtype=complex), [(((0, 0, 1.0 + 0.0j),), value)])
 
 
 def _random_instance(seed: int, dim: int = 3, m: int = 3) -> sdp.SdpInstance:
@@ -38,9 +34,7 @@ def _random_instance(seed: int, dim: int = 3, m: int = 3) -> sdp.SdpInstance:
     z0 = np.eye(dim) + 0.3 * herm()
     z0 = z0 @ z0.conj().T / dim
     trace_entries = tuple((i, i, 1.0 + 0.0j) for i in range(dim))
-    cons.append(
-        sdp.SdpConstraint(entries=trace_entries, rhs=float(np.real(np.trace(z0))))
-    )
+    cons.append((trace_entries, float(np.real(np.trace(z0)))))
     for _ in range(m):
         f = herm()
         entries = []
@@ -49,8 +43,8 @@ def _random_instance(seed: int, dim: int = 3, m: int = 3) -> sdp.SdpInstance:
                 if abs(f[r, s]) > 1e-12:
                     entries.append((r, s, complex(f[r, s])))
         rhs = float(np.real(np.trace(f.conj().T @ z0)))
-        cons.append(sdp.SdpConstraint(entries=tuple(entries), rhs=rhs))
-    return sdp.SdpInstance(side=dim, objective=c, constraints=tuple(cons))
+        cons.append((tuple(entries), rhs))
+    return table.instance(dim, c, cons)
 
 
 def test_trivial_instance():
@@ -61,14 +55,7 @@ def test_trivial_instance():
 
 def test_all_ones_boundary():
     c = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    inst = sdp.SdpInstance(
-        side=2,
-        objective=c,
-        constraints=(
-            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=1.0),
-            sdp.SdpConstraint(entries=((1, 1, 1.0 + 0.0j),), rhs=1.0),
-        ),
-    )
+    inst = table.instance(2, c, [(((0, 0, 1.0 + 0.0j),), 1.0), (((1, 1, 1.0 + 0.0j),), 1.0)])
     sol = sdp.solve(inst, 1e-9)
     assert abs(sol.primal_value - 2.0) <= 1e-7
     assert np.allclose(sol.z, np.ones((2, 2)), atol=1e-6)
@@ -131,9 +118,7 @@ def test_certify_recomputes_the_objective():
 
 def test_certify_hermitian_check_on_huge_blocks():
     # Entries near 1e308 overflowed ||Z||_F, and the check's bound became inf.
-    inst = sdp.SdpInstance(
-        side=2, objective=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), constraints=()
-    )
+    inst = table.instance(2, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), [])
     for lower, hermitian in ((0.0, False), (1e300, True)):
         z = np.array([[8e307, 1e300], [lower, 8e307]], dtype=complex)
         value = 1e300 + lower  # Re Tr(C^H Z)
@@ -149,8 +134,8 @@ def test_certify_hermitian_check_on_huge_blocks():
 
 def test_certify_zero_instance():
     # A zero objective; the trace row bounds Tr Z, so that the instance solves.
-    trace_row = sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j), (1, 1, 1.0 + 0.0j)), rhs=1.0)
-    inst = sdp.SdpInstance(side=2, objective=np.zeros((2, 2)), constraints=(trace_row,))
+    trace_row = (((0, 0, 1.0 + 0.0j), (1, 1, 1.0 + 0.0j)), 1.0)
+    inst = table.instance(2, np.zeros((2, 2)), [trace_row])
     sol = sdp.solve(inst, 1e-6)
     assert abs(sol.primal_value) <= 1e-6
     assert certify(inst, sol, 1e-6).passed
@@ -159,7 +144,8 @@ def test_certify_zero_instance():
 def test_invariance_under_permutation():
     inst = _random_instance(3)
     sol = sdp.solve(inst, 1e-8)
-    permuted = replace(inst, constraints=inst.constraints[::-1])
+    m = len(inst.constraints)
+    permuted = replace(inst, owner=m - 1 - inst.owner, constraints=inst.constraints[::-1])
     sol2 = sdp.solve(permuted, 1e-8)
     assert abs(sol.primal_value - sol2.primal_value) <= 2e-8 * max(1.0, abs(sol.primal_value))
 
@@ -175,18 +161,17 @@ def test_doubling_oracle_purely_real():
 
 def test_doubling_oracle_one_dim_complex_block():
     inst = _scalar_instance()
-    con = double_instance(inst).constraints[0]
+    doubled = double_instance(inst)
     # 1x1 complex Z becomes a rotationally symmetric 2x2 one
-    assert {(r, c) for r, c, _ in con.entries} == {(0, 0), (1, 1)}
-    assert con.rhs == 2.0
+    assert not doubled.owner.any() and doubled.constraints.tolist() == [2.0]
+    assert set(zip(doubled.rows.tolist(), doubled.cols.tolist())) == {(0, 0), (1, 1)}
     # while the complex core keeps it 1x1
     assert sdp.solve(inst, 1e-8).z.shape == (1, 1)
 
 
 def _assert_feasible_psd(inst, z):
-    for con in inst.constraints:
-        got = constraint_value(con, z)
-        assert abs(got - con.rhs) <= 1e-8 * max(1.0, abs(con.rhs))
+    b = inst.constraints
+    assert (np.abs(row_values(inst, z) - b) <= 1e-8 * np.maximum(1.0, np.abs(b))).all()
     assert np.linalg.eigvalsh((z + z.conj().T) / 2)[0] >= -1e-8
 
 
@@ -217,15 +202,11 @@ def _random_pd(rng, d, real=False):
 
 def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
     """Every F_q of inst as one dense Hermitian matrix, built from its entries."""
-    dense = []
-    for con in inst.constraints:
-        f = np.zeros((inst.side, inst.side), dtype=complex)
-        for r, c, v in con.entries:
-            f[r, c] += v
-            if r != c:
-                f[c, r] += np.conj(v)
-        dense.append(f)
-    return dense
+    dense = np.zeros((len(inst.constraints), inst.side, inst.side), dtype=complex)
+    off = inst.rows != inst.cols
+    np.add.at(dense, (inst.owner, inst.rows, inst.cols), inst.vals)
+    np.add.at(dense, (inst.owner[off], inst.cols[off], inst.rows[off]), inst.vals[off].conj())
+    return list(dense)
 
 
 def _kept_constraints(inst: sdp.SdpInstance, prog) -> list[np.ndarray]:
@@ -238,11 +219,10 @@ def _dual_slack(inst: sdp.SdpInstance, y: np.ndarray) -> np.ndarray:
     """A^T y - C = sum_q y_q F_q - C as one dense matrix, built from the
     instance's entries."""
     slack = -inst.objective
-    for y_q, con in zip(y, inst.constraints):
-        for r, c, v in con.entries:
-            slack[r, c] += y_q * v
-            if r != c:
-                slack[c, r] += y_q * np.conj(v)
+    weighted = y[inst.owner] * inst.vals
+    off = inst.rows != inst.cols
+    np.add.at(slack, (inst.rows, inst.cols), weighted)
+    np.add.at(slack, (inst.cols[off], inst.rows[off]), weighted[off].conj())
     return slack
 
 
@@ -267,8 +247,8 @@ def _mixed_instance() -> sdp.SdpInstance:
                     entries.append((r, c, complex(rng.standard_normal())))
                 else:
                     entries.append((r, c, complex(*rng.standard_normal(2))))
-        cons.append(sdp.SdpConstraint(entries=tuple(entries), rhs=0.0))
-    return sdp.SdpInstance(side=8, objective=np.ones((8, 8)), constraints=tuple(cons))
+        cons.append((tuple(entries), 0.0))
+    return table.instance(8, np.ones((8, 8)), cons)
 
 
 def _split_mixed_instance() -> sdp.SdpInstance:
@@ -278,8 +258,8 @@ def _split_mixed_instance() -> sdp.SdpInstance:
     inst = _mixed_instance()
     c = np.zeros((10, 10))
     c[:5, :5] = c[5:8, 5:8] = 1.0
-    trace = sdp.SdpConstraint(entries=tuple((i, i, 1.0 + 0.0j) for i in range(10)), rhs=1.0)
-    return sdp.SdpInstance(side=10, objective=c, constraints=inst.constraints + (trace,))
+    trace = (tuple((i, i, 1.0 + 0.0j) for i in range(10)), 1.0)
+    return table.with_rows(replace(inst, side=10, objective=c), [trace])
 
 
 def _packed_pd(prog, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,8 +308,7 @@ def test_schur_matches_dense_oracle():
 def _with_trace_row(inst: sdp.SdpInstance) -> sdp.SdpInstance:
     """inst with one more row, Tr Z = 1, last: a row with entries in every
     class."""
-    trace = sdp.SdpConstraint(entries=tuple((i, i, 1.0 + 0.0j) for i in range(inst.side)), rhs=1.0)
-    return replace(inst, constraints=inst.constraints + (trace,))
+    return table.with_rows(inst, [(tuple((i, i, 1.0 + 0.0j) for i in range(inst.side)), 1.0)])
 
 
 @pytest.mark.parametrize("group_cap", [None, 3])
@@ -452,6 +431,12 @@ def test_partition_of_the_gram_relaxations():
     prog = sdp._Program(inst)
     assert (len(inst.constraints), int(prog.kept.sum()), prog.m) == (685, 28, 28)
     assert _class_sizes(prog.label) == {2: 16, 1: 68}
+    # beta_os(T8) and beta_os(T16): 6k + 4 rows kept, 2k classes of 2.
+    for k, rows, kept, classes in ((8, 6741, 52, {2: 32, 1: 260}), (16, 84133, 100, {2: 64, 1: 1028})):
+        inst = relaxations.beta_os_instance(games.t_game(k))
+        prog = sdp._Program(inst)
+        assert (len(inst.constraints), int(prog.kept.sum()), prog.m) == (rows, kept, kept), k
+        assert _class_sizes(prog.label) == classes, k
     # beta_nc(H2): 5 classes of 12 and 140 of 1.
     inst = relaxations.beta_nc_instance(games.h_game(2))
     prog = sdp._Program(inst)
@@ -518,12 +503,11 @@ def test_reduced_solve_retraces_the_full_one(monkeypatch):
 def _three_by_three(row: tuple, rhs: float) -> sdp.SdpInstance:
     """max 2 Re Z[0, 1] with a unit diagonal and one more row, sum over
     its entries ((r, c), v) of v Re Z[r, c] = rhs."""
-    return sdp.SdpInstance(
-        side=3,
-        objective=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-        constraints=tuple(
-            sdp.SdpConstraint(entries=((i, i, 1.0 + 0.0j),), rhs=1.0) for i in range(3)
-        ) + (sdp.SdpConstraint(entries=tuple((r, c, v / 2 + 0j) for (r, c), v in row), rhs=rhs),),
+    return table.instance(
+        3,
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        [(((i, i, 1.0 + 0.0j),), 1.0) for i in range(3)]
+        + [(tuple((r, c, v / 2 + 0j) for (r, c), v in row), rhs)],
     )
 
 
@@ -585,7 +569,7 @@ def test_gram_relaxations_have_a_trace_witness(monkeypatch):
         # and every right-hand side 0 or 1.
         c = inst.objective
         assert max(np.abs(c.real).max(), np.abs(c.imag).max()) <= 1.0, name
-        assert {con.rhs for con in inst.constraints} <= {0.0, 1.0}, name
+        assert set(inst.constraints.tolist()) <= {0.0, 1.0}, name
         prog = sdp._Program(inst)
         # sum_q u_q F_q = D = I.
         assert np.abs(_witness_diagonal(inst) - np.eye(prog.dim)).max() <= 1e-12, name
@@ -611,22 +595,19 @@ def _no_witness() -> sdp.SdpInstance:
     """max 2 Re Z[0, 1] with Z[0, 0] + 2 Re Z[0, 1] = 1 and Z[1, 1] = 1, of
     value 2 (sqrt 2 - 1): no weights of its one diagonal row, Z[1, 1] = 1,
     sum to a positive diagonal."""
-    return sdp.SdpInstance(
-        side=2,
-        objective=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        constraints=(
-            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j), (0, 1, 1.0 + 0.0j)), rhs=1.0),
-            sdp.SdpConstraint(entries=((1, 1, 1.0 + 0.0j),), rhs=1.0),
-        ),
+    return table.instance(
+        2,
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        [(((0, 0, 1.0 + 0.0j), (0, 1, 1.0 + 0.0j)), 1.0), (((1, 1, 1.0 + 0.0j),), 1.0)],
     )
 
 
 def test_instances_whose_rows_do_not_bound_the_trace_are_refused():
-    zero_trace = sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=0.0)
+    one = np.eye(1, dtype=complex)
     cases = {
         "no_witness": _no_witness(),
-        "no_rows": replace(_scalar_instance(), constraints=()),
-        "zero_trace": replace(_scalar_instance(), constraints=(zero_trace,)),  # only Z = 0
+        "no_rows": table.instance(1, one, []),
+        "zero_trace": table.instance(1, one, [(((0, 0, 1.0 + 0.0j),), 0.0)]),  # only Z = 0
         "negative_trace": _mixed_rows(100.0, 3.0),  # u^T b < 0: infeasible
     }
     assert sdp._Program(cases["no_witness"]).witness is None
@@ -641,10 +622,8 @@ def test_instances_whose_rows_do_not_bound_the_trace_are_refused():
 def test_trace_bound_with_spread_row_weights_solves():
     """max 2 Re Z[0, 1] with Z[0, 0] + 1e-6 Z[1, 1] = 1: D = diag(1, 1e-6)
     bounds Tr Z by 1e6, and the value is 1000 (Z[0, 0] = 1/2)."""
-    inst = sdp.SdpInstance(
-        side=2,
-        objective=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        constraints=(sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j), (1, 1, 1e-6 + 0.0j)), rhs=1.0),),
+    inst = table.instance(
+        2, np.array([[0.0, 1.0], [1.0, 0.0]]), [(((0, 0, 1.0 + 0.0j), (1, 1, 1e-6 + 0.0j)), 1.0)]
     )
     d = np.diag(_witness_diagonal(inst)).real
     assert d[1] / d[0] == pytest.approx(1e-6, rel=1e-12)
@@ -663,16 +642,12 @@ def _two_blocks() -> sdp.SdpInstance:
     c = np.zeros((4, 4))
     c[0, 1] = c[1, 0] = 3.0
     c[2, 2] = 1.0
-    return sdp.SdpInstance(
-        side=4,
-        objective=c,
-        constraints=(
-            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=2.0),
-            sdp.SdpConstraint(entries=((0, 1, 1.0j),), rhs=0.0),
-            sdp.SdpConstraint(entries=((1, 1, 1.0 + 0.0j),), rhs=2.0),
-            sdp.SdpConstraint(entries=((2, 2, 1.0 + 0.0j), (3, 3, 1.0 + 0.0j)), rhs=1.0),
-        ),
-    )
+    return table.instance(4, c, [
+        (((0, 0, 1.0 + 0.0j),), 2.0),
+        (((0, 1, 1.0j),), 0.0),
+        (((1, 1, 1.0 + 0.0j),), 2.0),
+        (((2, 2, 1.0 + 0.0j), (3, 3, 1.0 + 0.0j)), 1.0),
+    ])
 
 
 def _phased(g: games.GameMatrix, seed: int) -> games.GameMatrix:
@@ -710,7 +685,7 @@ def test_real_path_matches_complex_core():
         assert certify(inst, sol).passed, name
         assert sol.y.shape == (len(inst.constraints),), name
         assert np.linalg.eigvalsh(_dual_slack(inst, sol.y))[0] >= -1e-9, name
-        b = np.array([con.rhs for con in inst.constraints])
+        b = inst.constraints
         assert sol.dual_value == pytest.approx(b @ sol.y, rel=1e-12), name
         bound = sdp.DEFAULT_TOL * max(1.0, abs(sol.primal_value))
         assert 0 <= b @ sol.y - sol.primal_value <= bound, name
@@ -719,26 +694,23 @@ def test_real_path_matches_complex_core():
 def _phase_row(rhs: float) -> sdp.SdpInstance:
     """max 2 Re Z[0, 1] with Z[0, 0] = Z[1, 1] = 1 and 2 Im Z[0, 1] = rhs: a
     purely imaginary row, which no real Z meets when rhs != 0."""
-    return sdp.SdpInstance(
-        side=2,
-        objective=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        constraints=tuple(
-            sdp.SdpConstraint(entries=((i, i, 1.0 + 0.0j),), rhs=1.0) for i in (0, 1)
-        )
-        + (sdp.SdpConstraint(entries=((0, 1, 1.0j),), rhs=rhs),),
+    return table.instance(
+        2,
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        [(((i, i, 1.0 + 0.0j),), 1.0) for i in (0, 1)] + [(((0, 1, 1.0j),), rhs)],
     )
 
 
 def test_instances_that_are_not_real_stay_complex():
     two = _two_by_two(1.0, 1.0)
     assert sdp._Program(two).dtype is float
-    mixed_row = sdp.SdpConstraint(entries=((0, 1, 0.5 + 0.5j),), rhs=0.0)
+    mixed_row = (((0, 1, 0.5 + 0.5j),), 0.0)
     cases = {
         "random_game": (relaxations.beta_nc_instance(random_game(2, 7)), None),
         "complex_objective": (replace(
             two, objective=np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
         ), 2 * math.sqrt(2)),
-        "mixed_row": (replace(two, constraints=two.constraints + (mixed_row,)), None),
+        "mixed_row": (table.with_rows(two, [mixed_row]), None),
         # Im Z[0, 1] = 1/2 leaves Re Z[0, 1] at most sqrt(3)/2; no real Z is feasible.
         "imaginary_row_rhs": (_phase_row(1.0), math.sqrt(3)),
         # A purely imaginary row is kept, and solved over complex Z, also with rhs 0.
@@ -758,9 +730,7 @@ def test_instances_that_are_not_real_stay_complex():
 def test_real_or_complex_is_decided_on_the_kept_rows():
     # A real C and one complex row, with rhs 0 and every entry across the
     # classes {0, 1} and {2}: the program drops it and is real.
-    complex_row = sdp.SdpConstraint(entries=((0, 2, 0.5 + 0.5j), (1, 2, 1.0j)), rhs=0.0)
-    inst = _three_by_three((), 0.0)
-    inst = replace(inst, constraints=inst.constraints[:3] + (complex_row,))
+    inst = _three_by_three((((0, 2), 1.0 + 1.0j), ((1, 2), 2.0j)), 0.0)
     prog = sdp._Program(inst)
     assert prog.dtype is float
     assert prog.label.tolist() == [0, 0, 2] and prog.kept.tolist() == [True] * 3 + [False]
@@ -787,55 +757,71 @@ def test_size_cap_counts_the_rows_solved(monkeypatch):
     with pytest.raises(TooLargeError, match="dense cap"):
         sdp.solve(full, sdp.DEFAULT_TOL)
     # A side above the cap is refused, also without rows.
-    wide = sdp.SdpInstance(side=m + 1, objective=np.zeros((m + 1, m + 1)), constraints=())
+    wide = table.instance(m + 1, np.zeros((m + 1, m + 1)), [])
     with pytest.raises(TooLargeError, match=f"side {m + 1}"):
         sdp.solve(wide, sdp.DEFAULT_TOL)
 
 
 def _two_by_two(c: float, rhs: float) -> sdp.SdpInstance:
     """max 2 c Re Z[0, 1] with Z[0, 0] = Z[1, 1] = rhs: the value is 2 c rhs."""
-    return sdp.SdpInstance(
-        side=2,
-        objective=np.array([[0.0, c], [c, 0.0]], dtype=complex),
-        constraints=tuple(
-            sdp.SdpConstraint(entries=((i, i, 1.0 + 0.0j),), rhs=rhs) for i in (0, 1)
-        ),
+    return table.instance(
+        2, np.array([[0.0, c], [c, 0.0]], dtype=complex), [(((i, i, 1.0 + 0.0j),), rhs) for i in (0, 1)]
     )
 
 
+def _one_entry(entry=(0, 0, 1.0), rhs=1.0, **arrays) -> dict:
+    """The table of one row with one entry, with any of its arrays replaced."""
+    r, c, v = entry
+    return dict(dict(rows=[r], cols=[c], vals=[v], owner=[0], constraints=[rhs]), **arrays)
+
+
 @pytest.mark.parametrize(
-    "side, objective, entry, rhs, message",
+    "side, objective, arrays, message",
     [
-        (3, np.zeros((2, 2)), (0, 0, 1.0), 1.0, "finite 3 x 3"),
-        (3, np.zeros((4, 4)), (0, 0, 1.0), 1.0, "finite 3 x 3"),
-        (2, np.array([[0.0, np.nan], [np.nan, 0.0]]), (0, 0, 1.0), 1.0, "finite 2 x 2"),
-        (2, np.zeros((2, 2)), (0, 2, 1.0), 1.0, "outside"),
-        (2, np.zeros((2, 2)), (-1, 0, 1.0), 1.0, "outside"),
-        (2, np.zeros((2, 2)), (1, 0, 1.0), 1.0, "outside"),
-        (2, np.zeros((2, 2)), (0, 1, complex(0.0, np.inf)), 1.0, "not finite"),
-        (2, np.zeros((2, 2)), (0, 0, 1.0), np.nan, "not finite"),
+        (3, np.zeros((2, 2)), _one_entry(), "finite 3 x 3"),
+        (3, np.zeros((4, 4)), _one_entry(), "finite 3 x 3"),
+        (2, np.array([[0.0, np.nan], [np.nan, 0.0]]), _one_entry(), "finite 2 x 2"),
+        (2, np.zeros((2, 2)), _one_entry((0, 2, 1.0)), "outside"),
+        (2, np.zeros((2, 2)), _one_entry((-1, 0, 1.0)), "outside"),
+        (2, np.zeros((2, 2)), _one_entry((1, 0, 1.0)), "outside"),
+        (2, np.zeros((2, 2)), _one_entry((0, 1, complex(0.0, np.inf))), "not finite"),
+        (2, np.zeros((2, 2)), _one_entry(rhs=np.nan), "not finite"),
+        (2, np.zeros((2, 2)), _one_entry(cols=[0, 1]), "of one length"),
+        (2, np.zeros((2, 2)), _one_entry(rows=[[0]]), "1-D"),
+        (2, np.zeros((2, 2)), _one_entry(rows=[0.5]), "dtype float64"),  # not truncated to 0
+        (2, np.zeros((2, 2)), _one_entry(owner=[-1]), "owner"),
+        (2, np.zeros((2, 2)), _one_entry(owner=[1]), "owner"),
     ],
     ids=["objective-small", "objective-large", "objective-nan", "column-past-side",
-         "negative-row", "below-diagonal", "value-inf", "rhs-nan"],
+         "negative-row", "below-diagonal", "value-inf", "rhs-nan", "unequal-lengths",
+         "two-dimensional-rows", "float-rows", "negative-owner", "owner-past-rows"],
 )
-def test_malformed_instances_are_refused(side, objective, entry, rhs, message):
-    con = sdp.SdpConstraint(entries=(entry,), rhs=rhs)
+def test_malformed_instances_are_refused(side, objective, arrays, message):
     with pytest.raises(BadArgsError, match=message):
-        sdp.SdpInstance(side=side, objective=objective, constraints=(con,))
+        sdp.SdpInstance(side=side, objective=objective, **arrays)
+
+
+def _tables(inst: sdp.SdpInstance) -> list[np.ndarray]:
+    return [inst.objective, inst.rows, inst.cols, inst.vals, inst.owner, inst.constraints]
 
 
 def test_instances_leave_the_callers_data_alone():
     z = np.array([[1.0, 2.0], [2.0, 1.0]])
-    inst = sdp.SdpInstance(side=2, objective=z, constraints=())
+    arrays = [np.array(x) for x in ([0, 0], [0, 1], [1.0, 0.5j], [0, 1], [1.0, 0.0])]
+    inst = sdp.SdpInstance(2, z, *arrays)
     assert inst.objective is not z and z.dtype == np.float64
     assert np.array_equal(z, [[1.0, 2.0], [2.0, 1.0]])
     assert inst.objective.dtype == np.complex128
+    # The instance holds read-only copies: the caller's arrays may change after.
+    before = [x.copy() for x in _tables(inst)]
+    for x in [z] + arrays:
+        x[...] = 7
+    assert all(np.array_equal(x, y) for x, y in zip(_tables(inst), before))
+    assert not any(x.flags.writeable for x in _tables(inst))
     for inst in (_two_blocks(), _phase_row(0.0)):  # two blocks, and an imaginary row
-        objective = inst.objective.copy()
-        constraints = deepcopy(inst.constraints)
+        before = [x.copy() for x in _tables(inst)]
         sdp.solve(inst, sdp.DEFAULT_TOL)
-        assert np.array_equal(inst.objective, objective)
-        assert inst.constraints == constraints
+        assert all(np.array_equal(x, y) for x, y in zip(_tables(inst), before))
 
 
 def test_solution_trace_one_record_per_iteration():
@@ -854,13 +840,8 @@ def test_solution_trace_one_record_per_iteration():
 def test_infeasible_detected():
     # Z[0, 0] = 1 and Z[0, 0] = 2: the trace witness u = (1/2, 1/2) has
     # u^T b > 0, so the loop runs, and its best iterate is not "optimal".
-    inst = sdp.SdpInstance(
-        side=1,
-        objective=np.eye(1, dtype=complex),
-        constraints=(
-            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=1.0),
-            sdp.SdpConstraint(entries=((0, 0, 1.0 + 0.0j),), rhs=2.0),
-        ),
+    inst = table.instance(
+        1, np.eye(1, dtype=complex), [(((0, 0, 1.0 + 0.0j),), 1.0), (((0, 0, 1.0 + 0.0j),), 2.0)]
     )
     sol = sdp.solve(inst, 1e-8)
     assert sol.status == "stalled" and sol.iterations < sdp.MAX_ITERS
@@ -886,9 +867,8 @@ def test_overflowing_run_returns_its_best_iterate(c):
     # iterates grow until a residual would overflow, and the run stalls
     # STALL_ITERS iterations after its best iterate, before any overflow.
     rows = (((0, 0), 100.0), ((1, 1), 1.0), ((0, 1), 20.5))
-    inst = replace(_two_by_two(c, 1.0), constraints=tuple(
-        sdp.SdpConstraint(entries=((r, col, 1.0 + 0.0j),), rhs=rhs) for (r, col), rhs in rows
-    ))
+    rows = [(((r, col, 1.0 + 0.0j),), rhs) for (r, col), rhs in rows]
+    inst = table.instance(2, _two_by_two(c, 1.0).objective, rows)
     sol = sdp.solve(inst, sdp.DEFAULT_TOL)
     best = int(np.argmin(_merits(sol)))
     assert sol.status == "stalled" and sol.iterations <= best + sdp.STALL_ITERS + 1
@@ -986,10 +966,7 @@ def _mixed_rows(c: float, a: float) -> sdp.SdpInstance:
         (((0, 1, 1.0 + 0.0j), (0, 0, 1.0 + 0.0j)), a),
         (((0, 0, 1.0 + 0.0j),), -a),
     )
-    return replace(
-        _two_by_two(c, 1.0),
-        constraints=tuple(sdp.SdpConstraint(entries=e, rhs=r) for e, r in rows),
-    )
+    return table.instance(2, _two_by_two(c, 1.0).objective, rows)
 
 
 def test_solver_determinism():

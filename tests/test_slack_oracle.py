@@ -37,18 +37,16 @@ def _slack_first(inst: sdp.SdpInstance, gram: int) -> sdp.SdpInstance:
     follow the first gram indices (the Gram block), moved to the front."""
     new = np.roll(np.arange(inst.side), gram)  # index i moves to new[i]
     old = np.argsort(new)
-
-    def moved(r, c, v):
-        r, c = int(new[r]), int(new[c])
-        return (r, c, v) if r <= c else (c, r, np.conj(v))
-
+    r, c = new[inst.rows], new[inst.cols]
+    swap = r > c  # an entry below the diagonal stores its transpose
     return sdp.SdpInstance(
-        side=inst.side,
-        objective=inst.objective[np.ix_(old, old)],
-        constraints=tuple(
-            sdp.SdpConstraint(entries=tuple(moved(*e) for e in con.entries), rhs=con.rhs)
-            for con in inst.constraints
-        ),
+        inst.side,
+        inst.objective[np.ix_(old, old)],
+        np.where(swap, c, r),
+        np.where(swap, r, c),
+        np.where(swap, inst.vals.conj(), inst.vals),
+        inst.owner,
+        inst.constraints,
     )
 
 
@@ -62,8 +60,8 @@ def test_equality_caps_match_slack_oracle(case):
     # relaxation of a real game leaves out every imaginary-part row, which
     # the oracle keeps.
     g = build()
-    im_rows = [con for con in inst.constraints if not any(v.real for *_, v in con.entries)]
-    left_out = (2 if kind == "nc" else 0) + (0 if g.m.imag.any() else len(im_rows))
+    im_rows = np.bincount(inst.owner, inst.vals.real != 0, len(inst.constraints)) == 0
+    left_out = (2 if kind == "nc" else 0) + (0 if g.m.imag.any() else int(im_rows.sum()))
     assert len(inst.constraints) == len(equal.constraints) + left_out
     want = sdp.solve(inst, 1e-7).primal_value
     got = getattr(relaxations, f"beta_{kind}")(build(), 1e-7).value
