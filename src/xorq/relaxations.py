@@ -28,7 +28,9 @@ equal to a real constant, given by index arithmetic over the family bases
 (_cap; np.divmod for beta_os's consistency); _table turns them into the
 instance's table: one row for the real part and, for a complex M and a
 functional with a term off the diagonal, one with rhs 0 for the imaginary
-part.
+part. C heads the table, owner -1, one entry per nonzero of M
+(_gram_objective) or of R. Each builder checks Z's side against the dense
+cap first: beta_os of n >= 33 is refused before its n^4 rows exist.
 
 A real M needs no imaginary-part rows. Its objective C and every real-part
 row are real, so if Z is feasible so is its conjugate, on which the
@@ -68,7 +70,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sdp as sdp_mod
-from .errors import BadArgsError, FormatError, SdpError
+from .errors import BadArgsError, FormatError, SdpError, check_dense
 from .games import GameMatrix
 from .report import CHAINS, BiasReport
 
@@ -84,14 +86,15 @@ class RelaxationResult:
 # --- compilation -----------------------------------------------------------------
 
 
-def _table(functionals, real: bool) -> tuple[np.ndarray, ...]:
-    """The table (rows, cols, vals, owner, rhs) of an SdpInstance for the
+def _table(objective, functionals, real: bool) -> tuple[np.ndarray, ...]:
+    """The table (rows, cols, vals, owner, rhs) of an SdpInstance: C's
+    entries (i, j, v), i <= j, first, owner -1, then the rows of the
     functionals sum_t v_t Z[i_t, j_t] = rhs with i_t <= j_t and v_t real,
     given as blocks (i, j, v, rhs): i and j of shape (F, k), one functional
     of k terms per row, v and rhs broadcast to (F, k) and (F,). Each gives
     its real part's row and then, for a complex M (real False) and a term
     off the diagonal, its imaginary part's over those terms."""
-    parts, done = [], 0
+    parts, done = [(*objective, np.full(len(objective[0]), -1), np.zeros(0))], 0
     for i, j, v, rhs in functionals:
         (f, k), v = i.shape, np.broadcast_to(v, i.shape)
         off = i < j
@@ -146,24 +149,14 @@ def _families(kind: str, n: int) -> dict:
     }[kind]
 
 
-def _m4(g: GameMatrix) -> np.ndarray:
-    """Game matrix reshaped so m4[c, e, a, b] = M[(c, e), (a, b)]."""
+def _gram_objective(g: GameMatrix, xb: int, yb: int) -> tuple[np.ndarray, ...]:
+    """C's entries (i, j, v), v = conj(M[(c, e), (a, b)]) / 2 at i = xb + a*n
+    + c and j = yb + b*n + e, one per nonzero of M: the game pairing the X
+    family at base xb with the Y family at base yb >= xb + n^2, so i < j."""
     n = g.n
-    return g.m.reshape(n, n, n, n)
-
-
-def _gram_objective(g: GameMatrix, dim: int, xb: int, yb: int) -> np.ndarray:
-    """c + c^+ with c[xb + a*n + c, yb + b*n + e] = conj(M[(c, e), (a, b)]) / 2:
-    the game pairing the X family at base xb with the Y family at base yb >=
-    xb + n^2. Only c's block and the zero block across are summed, with the
-    bits of the full sum."""
-    nn = g.n * g.n
-    block = np.conj(_m4(g)).transpose(2, 0, 3, 1).reshape(nn, nn) / 2
-    zero = np.zeros_like(block)
-    c = np.zeros((dim, dim), dtype=complex)
-    c[xb:xb + nn, yb:yb + nn] = block + zero.conj()
-    c[yb:yb + nn, xb:xb + nn] = zero + block.conj().T
-    return c
+    ce, ab = np.nonzero(g.m)
+    (c, e), (a, b) = np.divmod(ce, n), np.divmod(ab, n)
+    return xb + a * n + c, yb + b * n + e, np.conj(g.m[ce, ab]) / 2
 
 
 def _coefficients(g: GameMatrix) -> np.ndarray:
@@ -177,17 +170,19 @@ def _coefficients(g: GameMatrix) -> np.ndarray:
 
 
 def beta_sdp_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
-    n = g.n
+    n, side = g.n, 2 * g.n
+    check_dense(side**2, f"beta_sdp of side {side}")
     x, y = (base for base, _, _, _ in _families("sdp", n).values())
-    c = np.zeros((2 * n, 2 * n), dtype=complex)
-    c[x:x + n, y:y + n] = _coefficients(g) / 2  # real coefficients: conj is itself
+    r = _coefficients(g)
+    s, t = np.nonzero(r)
     # Diagonal rows only: no imaginary parts, whatever the flag.
-    u = np.arange(2 * n)[:, None]
-    return sdp_mod.SdpInstance(2 * n, c + c.conj().T, *_table([(u, u, 1.0, 1.0)], real=True))
+    u = np.arange(side)[:, None]
+    return sdp_mod.SdpInstance(side, *_table((x + s, y + t, r[s, t] / 2), [(u, u, 1.0, 1.0)], real=True))
 
 
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
-    n, real = g.n, not g.m.imag.any()
+    n, real, side = g.n, not g.m.imag.any(), 2 * g.n * g.n
+    check_dense(side**2, f"beta_nc of side {side}")
     x, y = (base for base, _, _, _ in _families("nc", n).values())
     # The last column-cap functional, the (n-1, n-1) diagonal, is implied by
     # the others (see the module docstring), so each family drops it.
@@ -195,12 +190,12 @@ def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     for base in (x, y):
         caps += [_cap(n, base, rows=True), tuple(a[:-1] for a in _cap(n, base, rows=False))]
     i, j, rhs = (np.concatenate(parts) for parts in zip(*caps))
-    side = 2 * n * n
-    return sdp_mod.SdpInstance(side, _gram_objective(g, side, x, y), *_table([(i, j, 1.0, rhs)], real))
+    return sdp_mod.SdpInstance(side, *_table(_gram_objective(g, x, y), [(i, j, 1.0, rhs)], real))
 
 
 def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
-    n, real = g.n, not g.m.imag.any()
+    n, real, side = g.n, not g.m.imag.any(), 4 * g.n * g.n
+    check_dense(side**2, f"beta_os of side {side}")  # before its n^4 consistency rows
     nn = n * n
     wr, wc, vr, vc = (base for base, _, _, _ in _families("os", n).values())
     # Consistency X_R . Y_C = X_C . Y_R, entrywise on the composite space.
@@ -208,8 +203,7 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     consistency = (np.stack([wr + ac, wc + ac], 1), np.stack([vc + be, vr + be], 1), [1.0, -1.0], 0.0)
     caps = [_cap(n, base, rows) for base, rows in ((wr, True), (vr, True), (wc, False), (vc, False))]
     i, j, rhs = (np.concatenate(parts) for parts in zip(*caps))
-    table = _table([consistency, (i, j, 1.0, rhs)], real)
-    return sdp_mod.SdpInstance(4 * nn, _gram_objective(g, 4 * nn, wr, vc), *table)
+    return sdp_mod.SdpInstance(side, *_table(_gram_objective(g, wr, vc), [consistency, (i, j, 1.0, rhs)], real))
 
 
 # --- solving ----------------------------------------------------------------------
@@ -251,10 +245,10 @@ def nc_objective(g: GameMatrix, x: np.ndarray, y: np.ndarray) -> float:
     """Re Tr((sum_r X_r (x) Y_r) M) = Re sum X_r[i, k] Y_r[j, l] M[(k, l), (i, j)]
     for families x, y of shape (d, n, n): one matrix product over r,
     G[(i, k), (j, l)] = sum_r X_r[i, k] Y_r[j, l], summed against M
-    transposed to (i, k, j, l)."""
+    transposed to (i, k, j, l) from M[(k, l), (i, j)]."""
     nn = g.n * g.n
     gram = x.reshape(-1, nn).T @ y.reshape(-1, nn)
-    return float(np.sum(gram * _m4(g).transpose(2, 0, 3, 1).reshape(nn, nn)).real)
+    return float(np.sum(gram * g.m.reshape((g.n,) * 4).transpose(2, 0, 3, 1).reshape(nn, nn)).real)
 
 
 def beta_sdp(g: GameMatrix, tol: float) -> RelaxationResult:

@@ -1,8 +1,9 @@
 """Standard-form semidefinite programming over one complex Hermitian matrix.
 
 An instance asks to maximize Re Tr(C^dagger Z) over PSD Hermitian Z
-subject to equality constraints Re Tr(F_q^dagger Z) = rhs_q, held as one
-table of stored entries r <= c (SdpInstance: row, column, value, owner).
+subject to equality constraints Re Tr(F_q^dagger Z) = rhs_q. C and the F_q
+are one table of stored entries r <= c (SdpInstance: row, column, value,
+owner), C's entries with owner -1, as C is matrix 0 of the SDPA format.
 It is solved by an infeasible primal-dual interior-point method with
 Nesterov-Todd scaling; the Schur complement M[p, q] = Re Tr(F_p W F_q W)
 and the multipliers y are real. Each iteration is a Mehrotra predictor-corrector
@@ -36,7 +37,7 @@ per class, is np.linalg.inv of the whole stack (an LU solve, backward
 stable like a substitution).
 
 The block partition. solve finds the finest partition of the indices
-(_classes) in which each nonzero entry of C lies inside one class, and each
+(_classes) in which each entry of C lies inside one class, and each
 row has either all its entries inside classes or all of them across
 classes and rhs 0. An entry of C merges its endpoints, and a row that
 breaks the second rule (rhs != 0 with an entry across classes, or rhs 0
@@ -55,10 +56,12 @@ so is every NT step taken from a block-diagonal iterate, so the iterates
 never leave the blocks. The solution is Z placed at the instance's side,
 so pinched to the classes, and y 0 on every dropped row: S = A^T y - C is
 the program's S and the pair is primal-dual for the instance as given.
-The dense cap counts the instance as given.
+The dense cap counts the two dense arrays, Z at the instance's side and the
+Schur matrix of the kept rows, each before it or anything of its size exists.
 
-A real program, C and every entry of a kept row real, is solved in real
-arithmetic, over real symmetric Z. That loses nothing: if Z is feasible so
+A real program, C and every entry of a kept row real (on the diagonal only
+the real part counts), is solved in real arithmetic, over real symmetric Z.
+That loses nothing: if Z is feasible so
 is its conjugate, on which every row and the objective take the same value,
 hence Re Z = (Z + conj Z) / 2 is PSD, feasible and has the same objective.
 Any other program is solved over complex Hermitian Z. Which rows a program needs is decided
@@ -105,18 +108,18 @@ SUBSTITUTION_ROWS = 64  # rows of a diagonal block in a blocked triangular solve
 
 @dataclass(frozen=True)
 class SdpInstance:
-    """max Re Tr(C^dagger Z) over PSD Hermitian Z of side side, C the
-    objective, subject to Re Tr(F_q^dagger Z) = constraints[q], one row per
-    rhs (len(constraints) is the number of rows). The rows are one table of
-    stored entries, in any order: entry e puts vals[e] at (rows[e], cols[e])
-    of F_owner[e], rows[e] <= cols[e], and its conjugate at the transpose.
-    BadArgsError unless C is a finite side x side matrix and the table is 1-D
-    arrays, the entries' of one length, integer indices with 0 <= r <= c <
-    side and 0 <= owner < len(constraints), and finite values and rhs. The
-    fields are read-only copies: the caller's arrays are left alone."""
+    """max Re Tr(C^dagger Z) over PSD Hermitian Z of side side subject to
+    Re Tr(F_q^dagger Z) = constraints[q], one row per rhs. C and the rows are
+    one table of stored entries, in any order: entry e puts vals[e] at
+    (rows[e], cols[e]) of F_owner[e], or of C if owner[e] = -1, rows[e] <=
+    cols[e], and its conjugate at the transpose; entries at one position sum,
+    and on the diagonal only Re counts. BadArgsError unless side is an
+    integer >= 1 and the table is 1-D arrays, the entries' of one length,
+    integer indices with 0 <= r <= c < side and -1 <= owner <
+    len(constraints), and finite values and rhs. The fields are read-only
+    copies: the caller's arrays are left alone."""
 
     side: int
-    objective: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -124,9 +127,8 @@ class SdpInstance:
     constraints: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=complex)
-        if self.side < 1 or c.shape != (self.side, self.side) or not np.isfinite(c).all():
-            raise BadArgsError(f"the objective must be a finite {self.side} x {self.side} matrix, side >= 1")
+        if isinstance(self.side, bool) or not isinstance(self.side, (int, np.integer)) or self.side < 1:
+            raise BadArgsError(f"side must be an integer >= 1, got {self.side!r}")
         names = ("rows", "cols", "vals", "owner", "constraints")
         table = [np.asarray(getattr(self, name)) for name in names]
         if any(x.ndim != 1 for x in table) or len({x.size for x in table[:4]}) > 1:
@@ -139,11 +141,12 @@ class SdpInstance:
         rows, cols, vals, owner, b = (x.astype(t) for x, t in zip(table, types))
         if not ((0 <= rows) & (rows <= cols) & (cols < self.side)).all():
             raise BadArgsError(f"an entry (r, c) lies outside 0 <= r <= c < {self.side}")
-        if not ((0 <= owner) & (owner < b.size)).all():
-            raise BadArgsError(f"an entry's owner lies outside 0 <= owner < {b.size}, the number of rows")
+        if not ((-1 <= owner) & (owner < b.size)).all():
+            raise BadArgsError(f"an entry's owner lies outside -1 <= owner < {b.size}, the number of rows")
         if not (np.isfinite(vals).all() and np.isfinite(b).all()):
             raise BadArgsError("an entry value or rhs is not finite")
-        for name, x in zip(("objective",) + names, (_hermitian(c), rows, cols, vals, owner, b)):
+        object.__setattr__(self, "side", int(self.side))
+        for name, x in zip(names, (rows, cols, vals, owner, b)):
             x.flags.writeable = False
             object.__setattr__(self, name, x)
 
@@ -194,10 +197,11 @@ class _Program:
     that lie inside the classes of _classes, on the classes stacked by side.
     label and kept are that partition: each index's class, named by its
     smallest index, and which rows of the instance the program keeps (the
-    others lie across classes with rhs 0, and pinching meets them). The kept
-    rows' stored entries (r <= c) are in the instance's order, owners
-    renumbered 0..m-1. witness is the trace witness (_trace_witness) or None; solve
-    refuses a program without one.
+    others lie across classes with rhs 0, and pinching meets them). C's
+    entries are summed into cobj; the kept rows' stored entries (r <= c) are
+    in the instance's order, owners renumbered 0..m-1, and TooLargeError
+    when their Schur matrix is above the dense cap. witness is the trace
+    witness (_trace_witness) or None; solve refuses a program without one.
 
     The classes of one side s form one stack (K, s, s), in the order of
     their names, each class's indices ascending; the stacks, widest first,
@@ -215,20 +219,22 @@ class _Program:
     """
 
     def __init__(self, inst: SdpInstance):
-        dim, c = inst.side, inst.objective
-        rows, cols, vals, owner, b = inst.rows, inst.cols, inst.vals, inst.owner, inst.constraints
-        self.label, self.kept = _classes(dim, *np.nonzero(c), rows, cols, owner, b)
-        at = self.kept[owner]
-        rows, cols, vals = rows[at], cols[at], vals[at]
-        owner = (np.cumsum(self.kept) - 1)[owner[at]]
+        dim, rows, cols, owner, b = inst.side, inst.rows, inst.cols, inst.owner, inst.constraints
+        vals = np.where(rows == cols, inst.vals.real, inst.vals)  # only Re counts on the diagonal
+        obj = owner < 0  # C's entries
+        c_rows, c_cols, c_vals = rows[obj], cols[obj], vals[obj]
+        self.label, self.kept = _classes(dim, c_rows, c_cols, rows[~obj], cols[~obj], owner[~obj], b)
         self.b = b[self.kept]
         self.dim, self.m = dim, self.b.size
-        real = not (vals.imag.any() or c.imag.any())
+        check_dense(self.m**2, f"the Schur matrix of the {self.m} rows kept of {b.size}")
+        at = np.append(self.kept, False)[owner]  # the kept rows' entries; owner -1 reads the False
+        self.dtype = complex if vals[at | obj].imag.any() else float
+        rows, cols, vals = rows[at], cols[at], vals[at]
+        owner = (np.cumsum(self.kept) - 1)[owner[at]]
 
-        self.dtype = float if real else complex
         self.rows, self.cols, self.owner = rows, cols, owner
         diag = rows == cols
-        vals = vals.real if real else np.where(diag, vals.real, vals)
+        vals = vals.real if self.dtype is float else vals
         self.weight = np.where(diag, 1.0, 2.0) * vals.conj()
         self.half = np.where(diag, 0.5, 1.0) * vals
 
@@ -257,9 +263,9 @@ class _Program:
         self.at_pos = np.concatenate([self.pos, start[cols] + place[rows]])
         self.at_half = np.concatenate([self.half, self.half.conj()])
         self.at_owner = np.concatenate([owner, owner])
-        self.cobj = c.ravel()[self.unpack]
-        if real:
-            self.cobj = np.ascontiguousarray(self.cobj.real)
+        off = c_rows != c_cols  # C's entries, and their conjugates at the transposes
+        c_pos = np.concatenate([start[c_rows] + place[c_cols], (start[c_cols] + place[c_rows])[off]])
+        self.cobj = _scatter(self, c_pos, np.concatenate([c_vals, c_vals[off].conj()]))
         self.witness = _trace_witness(self)
         self.schur = _schur_plan(self, offset[cls[rows]], place)
 
@@ -356,10 +362,14 @@ def _a_of(prog: _Program, z: np.ndarray) -> np.ndarray:
 
 
 def _at_of(prog: _Program, y: np.ndarray) -> np.ndarray:
-    u = prog.at_half * y[prog.at_owner]
-    out = np.bincount(prog.at_pos, weights=u.real, minlength=prog.size)
+    return _scatter(prog, prog.at_pos, prog.at_half * y[prog.at_owner])
+
+
+def _scatter(prog: _Program, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The packed buffer of the values u summed at the positions pos."""
+    out = np.bincount(pos, weights=u.real, minlength=prog.size)
     if prog.dtype is complex:
-        out = out + 1j * np.bincount(prog.at_pos, weights=u.imag, minlength=prog.size)
+        out = out + 1j * np.bincount(pos, weights=u.imag, minlength=prog.size)
     return out
 
 
@@ -713,23 +723,19 @@ def solve(inst: SdpInstance, tol: float) -> SdpSolution:
     below MU_FLOOR, or a Schur matrix that no ridge makes factorable); a
     non-finite start raises SdpError. A real program (C and every entry of
     a kept row real) is solved over real symmetric Z, and Z is then a real
-    array. Raises TooLargeError, before allocating, when the matrix side or
-    the Schur matrix (one row and column per row of the instance as given)
-    is above the dense cap.
+    array. Raises TooLargeError when Z at the instance's side (checked
+    first) or the Schur matrix of the kept rows (checked once they are
+    known) is above the dense cap, before allocating either.
 
     The program (_Program) solves on the classes of the finest partition
     that C and the rows allow, one stack per class side, and drops the rows
-    that lie across them: an entry of C merges its endpoints, and so do those
-    of each entry of a row with rhs != 0 and an entry across classes, or
-    with rhs 0 and entries inside and across. The dropped rows all have rhs
-    0; pinching Z to the classes meets them and keeps the optimum (see the
-    module docstring). The returned Z is pinched, exactly 0 between classes,
-    and y has one entry per row of the instance, 0 on each dropped row.
+    that lie across them, all of rhs 0, which pinching Z to the classes
+    meets (see the module docstring). The returned Z is pinched, exactly 0
+    between classes, and y has one entry per row, 0 on each dropped row.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
-    dim, m = inst.side, len(inst.constraints)
-    check_dense(max(dim, m) ** 2, f"SDP of side {dim} with {m} constraints")
+    check_dense(inst.side**2, f"an SDP of side {inst.side}")
     prog = _Program(inst)
     bound = 0.0 if prog.witness is None else float(prog.witness @ prog.b)
     if not bound > 0:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from table import dense_objective
 from xorq.sdp import DEFAULT_TOL, SdpInstance, SdpSolution
 
 PSD_SLACK = 1e-8
@@ -15,10 +16,11 @@ def row_values(inst: SdpInstance, z: np.ndarray) -> np.ndarray:
     """Each row's Re Tr(F_q^dagger Z), summed entry by entry from the
     instance's table: v Re Z[r, r] on the diagonal, 2 Re(conj(v) Z[r, c])
     off it."""
-    r, c, v = inst.rows, inst.cols, inst.vals
+    row = inst.owner >= 0  # not C's entries
+    r, c, v = inst.rows[row], inst.cols[row], inst.vals[row]
     at = z[r, c]
     terms = np.where(r == c, v.real * at.real, 2.0 * (np.conj(v) * at).real)
-    return np.bincount(inst.owner, weights=terms, minlength=len(inst.constraints))
+    return np.bincount(inst.owner[row], weights=terms, minlength=len(inst.constraints))
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
     rhs_scale = max(1.0, float(np.max(np.abs(inst.constraints), initial=0.0)))
     worst = float(np.max(np.abs(row_values(inst, z) - inst.constraints), initial=0.0))
     at_most("residual", worst, RESIDUAL_SCALE_TOL * rhs_scale)
-    objective = float(np.vdot(inst.objective, z).real)
+    objective = float(np.vdot(dense_objective(inst), z).real)
     at_most("objective", abs(objective - sol.primal_value),
             RESIDUAL_SCALE_TOL * max(1.0, abs(sol.primal_value)))
     gap = sol.dual_value - sol.primal_value

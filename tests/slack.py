@@ -30,12 +30,11 @@ def beta_sdp_instance(g) -> sdp.SdpInstance:
     diagonal embedding g of a classical game."""
     n = g.n
     side = 4 * n  # 2n Gram indices, then 2n slack ones
-    c = np.zeros((side, side), dtype=complex)
-    c[:n, n:2 * n] = np.diag(g.m).real.reshape(n, n) / 2
-    c = c + c.conj().T
+    r = np.diag(g.m).real.reshape(n, n)
+    s, t = np.nonzero(r)
     u = np.arange(2 * n)
     terms = np.stack([u, 2 * n + u], axis=1)
-    return sdp.SdpInstance(side, c, *_table([(terms, terms, 1.0, 1.0)], real=False))
+    return sdp.SdpInstance(side, *_table((s, n + t, r[s, t] / 2), [(terms, terms, 1.0, 1.0)], real=False))
 
 
 def beta_nc_instance(g) -> sdp.SdpInstance:
@@ -49,7 +48,7 @@ def beta_nc_instance(g) -> sdp.SdpInstance:
         _slack_cap(gram + 3 * n, n, nn, rows=False),
     ]
     side = gram + 4 * n
-    return sdp.SdpInstance(side, _gram_objective(g, side, 0, nn), *_table(caps, real=False))
+    return sdp.SdpInstance(side, *_table(_gram_objective(g, 0, nn), caps, real=False))
 
 
 def beta_os_instance(g) -> sdp.SdpInstance:
@@ -66,4 +65,4 @@ def beta_os_instance(g) -> sdp.SdpInstance:
         _slack_cap(gram + 3 * n, n, vc, rows=False),
     ]
     side = gram + 4 * n
-    return sdp.SdpInstance(side, _gram_objective(g, side, wr, vc), *_table([consistency] + caps, real=False))
+    return sdp.SdpInstance(side, *_table(_gram_objective(g, wr, vc), [consistency] + caps, real=False))

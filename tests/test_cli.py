@@ -307,12 +307,15 @@ def test_cmd_bias_oversized_inputs_exit_2(tmp_path, capsys):
     for quantity in ("me:5000", "ent:2x9000"):
         assert run(["bias", str(t1), "--quantities", quantity]) == cli.EXIT_ARGS
     assert "dense cap" in capsys.readouterr().err
-    # beta_os(H2) has 20,400 constraints: a 20,401^2 Schur matrix.
-    h2 = tmp_path / "h2.json"
-    run(["game", "--name", "hn", "--param", "2", "--out", str(h2)])
-    assert run(["bias", str(h2), "--quantities", "beta-os"]) == cli.EXIT_ARGS
-    err = capsys.readouterr().err
-    assert "dense cap" in err and "Traceback" not in err
+    # beta_os(T32) has side 4 * 33^2 = 4,356, above the cap's 4,096; beta_os
+    # of a random game with n = 8 keeps every one of its 8,448 rows.
+    t32, r8 = tmp_path / "t32.json", tmp_path / "r8.json"
+    run(["game", "--name", "tn", "--param", "32", "--out", str(t32)])
+    r8.write_text(json.dumps(games.game_to_dict(random_game(8, seed=3))))
+    for path, what in ((t32, "side 4356"), (r8, "8448 rows kept")):
+        assert run(["bias", str(path), "--quantities", "beta-os"]) == cli.EXIT_ARGS
+        err = capsys.readouterr().err
+        assert "dense cap" in err and what in err and "Traceback" not in err
 
 
 def test_cmd_bias_byte_stable_output(tmp_path):

@@ -11,6 +11,7 @@ from certify import row_values
 from conftest import random_game, random_unitary
 from constructions import trace_norm
 from dense import odot, vvm_products
+from table import dense_objective
 from xorq import games, heuristics, linalg, relaxations, sdp
 from xorq.errors import DimensionMismatchError, FormatError, TooLargeError
 from xorq.report import BiasReport
@@ -112,7 +113,7 @@ def test_gram_bookkeeping_soundness(rng):
     gram = vecs.conj().T @ vecs
 
     inst = relaxations.beta_nc_instance(g)
-    obj = float(np.real(np.trace(inst.objective.conj().T @ gram)))
+    obj = float(np.vdot(dense_objective(inst), gram).real)
     want_obj = float(np.real(np.trace(odot(x, y) @ g.m)))
     assert abs(obj - want_obj) <= 1e-10
 
@@ -142,9 +143,9 @@ def test_functional_rows_are_real_and_imaginary_parts(rng, diagonal, upper):
     v = rng.standard_normal(i.shape)
     want = np.sum(v * z[i, j])
     for real in (False, True):
-        table = relaxations._table([(i, j, v, 0.5)], real)
+        table = relaxations._table((np.zeros(0, np.intp),) * 3, [(i, j, v, 0.5)], real)  # C = 0
         assert table[-1].tolist() == ([0.5, 0.0] if upper and not real else [0.5])
-        values = row_values(sdp.SdpInstance(dim, np.zeros((dim, dim)), *table), z)
+        values = row_values(sdp.SdpInstance(dim, *table), z)
         assert values[0] == pytest.approx(want.real, abs=1e-12)
         if upper and not real:
             assert values[1] == pytest.approx(want.imag, abs=1e-12)
@@ -264,7 +265,8 @@ def test_tables_keep_their_bits():
     assert random_game(3, 7).m.imag.any() and random_game(2, 7).m.imag.any()
     got = {}
     for name, inst in _table_instances().items():
-        tables = zip((inst.rows, inst.cols, inst.vals, inst.owner, inst.constraints),
+        row = inst.owner >= 0  # the rows' entries, not C's
+        tables = zip((inst.rows[row], inst.cols[row], inst.vals[row], inst.owner[row], inst.constraints),
                      (np.intp, np.intp, np.complex128, np.intp, np.float64))
         got[name] = tuple(hashlib.sha256(np.ascontiguousarray(x, dtype=t).tobytes()).hexdigest()
                           for x, t in tables)
@@ -272,8 +274,9 @@ def test_tables_keep_their_bits():
 
 
 def test_gram_objective_matches_entrywise_loop():
-    """The objectives equal the entrywise definition
-    c[x(a, c), y(b, e)] = conj(M[(c, e), (a, b)]) / 2, then c + c^+."""
+    """C's entries (owner -1) are those of the entrywise definition
+    c[x(a, c), y(b, e)] = conj(M[(c, e), (a, b)]) / 2 that are not 0, each
+    stored once above the diagonal."""
     for g in (games.t_game(2), games.h_game(1), random_game(3, seed=72)):
         n = g.n
         nn = n * n
@@ -285,7 +288,10 @@ def test_gram_objective_matches_entrywise_loop():
             c = np.zeros((size, size), dtype=complex)
             for a, b, cc, e in itertools.product(range(n), repeat=4):
                 c[a * n + cc, yb + b * n + e] += np.conj(m4[cc, e, a, b]) / 2
-            assert np.array_equal(inst.objective, c + c.conj().T)
+            obj = inst.owner < 0
+            r, col, v = inst.rows[obj], inst.cols[obj], inst.vals[obj]
+            assert r.size == np.count_nonzero(c) == len(set(zip(r.tolist(), col.tolist())))
+            assert (v != 0).all() and np.array_equal(c[r, col], v)
 
 
 def test_beta_sdp_values():
@@ -460,7 +466,7 @@ def test_maximizing_negated_objective_matches():
     # of the objective must give the same optimum value
     g = games.h_game(1)
     inst = relaxations.beta_nc_instance(g)
-    flipped = replace(inst, objective=-inst.objective)
+    flipped = replace(inst, vals=np.where(inst.owner < 0, -inst.vals, inst.vals))
     v1 = sdp.solve(inst, 1e-7).primal_value
     v2 = sdp.solve(flipped, 1e-7).primal_value
     assert abs(v1 - v2) <= 2e-6
@@ -526,12 +532,13 @@ def _real_constraint_matrix(inst: sdp.SdpInstance) -> np.ndarray:
     Re sum of w Z[r, c], w = Re v on the diagonal and 2 conj(v) off it."""
     side = inst.side
     size = side * side
-    r, c, v = inst.rows, inst.cols, inst.vals
+    row = inst.owner >= 0  # not C's entries
+    r, c, v, q = inst.rows[row], inst.cols[row], inst.vals[row], inst.owner[row]
     w = np.where(r == c, v.real, 2.0 * v.conj())
     flat = r * side + c
     a = np.zeros((len(inst.constraints), 2 * size))
-    np.add.at(a, (inst.owner, flat), w.real)
-    np.add.at(a, (inst.owner, size + flat), -w.imag)
+    np.add.at(a, (q, flat), w.real)
+    np.add.at(a, (q, size + flat), -w.imag)
     return a
 
 
@@ -558,8 +565,20 @@ def test_constraint_matrix_has_full_row_rank(case):
     assert np.linalg.matrix_rank(a) == len(inst.constraints)
 
 
-def test_beta_os_refuses_oversized_instance():
-    # H2 has n = 10 and a real M: 10,220 rows, so a 10,220^2 Schur matrix,
-    # above the dense cap, which counts the rows of the instance as given.
-    with pytest.raises(TooLargeError, match="dense cap"):
-        relaxations.beta_os(games.h_game(2), sdp.DEFAULT_TOL)
+def test_beta_os_refuses_oversized_instance(monkeypatch):
+    # T32 has n = 33: beta_os has side 4 n^2 = 4,356, above the dense cap
+    # of 4,096, and is refused before its n^4 consistency rows are built.
+    for name in ("_cap", "_table"):
+        monkeypatch.setattr(relaxations, name, lambda *args: pytest.fail("built before the size check"))
+    with pytest.raises(TooLargeError, match="beta_os of side 4356"):
+        relaxations.beta_os(games.t_game(32), sdp.DEFAULT_TOL)
+
+
+def test_beta_os_instance_is_smaller_than_a_dense_objective():
+    # beta_os(T8), side 324: its whole table, C's 16 entries (one per
+    # nonzero of M) and the 14,742 entries of its 6,741 rows, holds 644,248
+    # bytes, fewer than one 324 x 324 complex array (1,679,616).
+    inst = relaxations.beta_os_instance(games.t_game(8))
+    fields = (inst.rows, inst.cols, inst.vals, inst.owner, inst.constraints)
+    assert inst.side == 324 and np.count_nonzero(inst.owner < 0) == 16
+    assert sum(x.nbytes for x in fields) < np.zeros((324, 324), dtype=complex).nbytes

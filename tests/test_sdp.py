@@ -145,7 +145,8 @@ def test_invariance_under_permutation():
     inst = _random_instance(3)
     sol = sdp.solve(inst, 1e-8)
     m = len(inst.constraints)
-    permuted = replace(inst, owner=m - 1 - inst.owner, constraints=inst.constraints[::-1])
+    owner = np.where(inst.owner < 0, -1, m - 1 - inst.owner)  # C's entries stay C's
+    permuted = replace(inst, owner=owner, constraints=inst.constraints[::-1])
     sol2 = sdp.solve(permuted, 1e-8)
     assert abs(sol.primal_value - sol2.primal_value) <= 2e-8 * max(1.0, abs(sol.primal_value))
 
@@ -163,7 +164,7 @@ def test_doubling_oracle_one_dim_complex_block():
     inst = _scalar_instance()
     doubled = double_instance(inst)
     # 1x1 complex Z becomes a rotationally symmetric 2x2 one
-    assert not doubled.owner.any() and doubled.constraints.tolist() == [2.0]
+    assert set(doubled.owner.tolist()) == {-1, 0} and doubled.constraints.tolist() == [2.0]
     assert set(zip(doubled.rows.tolist(), doubled.cols.tolist())) == {(0, 0), (1, 1)}
     # while the complex core keeps it 1x1
     assert sdp.solve(inst, 1e-8).z.shape == (1, 1)
@@ -202,10 +203,12 @@ def _random_pd(rng, d, real=False):
 
 def _dense_constraints(inst: sdp.SdpInstance) -> list[np.ndarray]:
     """Every F_q of inst as one dense Hermitian matrix, built from its entries."""
+    row = inst.owner >= 0  # not C's entries
+    r, c, v, q = inst.rows[row], inst.cols[row], inst.vals[row], inst.owner[row]
     dense = np.zeros((len(inst.constraints), inst.side, inst.side), dtype=complex)
-    off = inst.rows != inst.cols
-    np.add.at(dense, (inst.owner, inst.rows, inst.cols), inst.vals)
-    np.add.at(dense, (inst.owner[off], inst.cols[off], inst.rows[off]), inst.vals[off].conj())
+    off = r != c
+    np.add.at(dense, (q, r, c), v)
+    np.add.at(dense, (q[off], c[off], r[off]), v[off].conj())
     return list(dense)
 
 
@@ -218,11 +221,13 @@ def _kept_constraints(inst: sdp.SdpInstance, prog) -> list[np.ndarray]:
 def _dual_slack(inst: sdp.SdpInstance, y: np.ndarray) -> np.ndarray:
     """A^T y - C = sum_q y_q F_q - C as one dense matrix, built from the
     instance's entries."""
-    slack = -inst.objective
-    weighted = y[inst.owner] * inst.vals
-    off = inst.rows != inst.cols
-    np.add.at(slack, (inst.rows, inst.cols), weighted)
-    np.add.at(slack, (inst.cols[off], inst.rows[off]), weighted[off].conj())
+    slack = -table.dense_objective(inst)
+    row = inst.owner >= 0  # not C's entries
+    r, c = inst.rows[row], inst.cols[row]
+    weighted = y[inst.owner[row]] * inst.vals[row]
+    off = r != c
+    np.add.at(slack, (r, c), weighted)
+    np.add.at(slack, (c[off], r[off]), weighted[off].conj())
     return slack
 
 
@@ -259,7 +264,7 @@ def _split_mixed_instance() -> sdp.SdpInstance:
     c = np.zeros((10, 10))
     c[:5, :5] = c[5:8, 5:8] = 1.0
     trace = (tuple((i, i, 1.0 + 0.0j) for i in range(10)), 1.0)
-    return table.with_rows(replace(inst, side=10, objective=c), [trace])
+    return table.with_rows(table.with_objective(inst, c, side=10), [trace])
 
 
 def _packed_pd(prog, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,11 +415,18 @@ def test_paper_table_solves_keep_their_iterations_and_values():
         ("os", lambda: games.t_game(6), 1.0, 1e-3),
         ("os", lambda: games.c_game(5), 1 / 5, 1e-4),
         ("os", lambda: games.c_game(6), 1 / 6, 1e-4),
+        # Let in by a dense cap that counts the kept rows, not all of them.
+        ("os", lambda: games.h_game(2), 10 / 21, 1e-6),
+        ("os", lambda: games.tensor_games(games.c_game(2), games.c_game(2)), 3 / 8, 1e-6),
+        ("os", lambda: games.t_game(8), 1.0, 1e-6),
+        ("os", lambda: games.c_game(8), 1 / 8, 1e-6),
     ],
-    ids=["T8/beta_nc", "T16/beta_nc", "T5/beta_os", "T6/beta_os", "C5/beta_os", "C6/beta_os"],
+    ids=["T8/beta_nc", "T16/beta_nc", "T5/beta_os", "T6/beta_os", "C5/beta_os", "C6/beta_os",
+         "H2/beta_os", "C2xC2/beta_os", "T8/beta_os", "C8/beta_os"],
 )
 def test_closed_forms_beyond_the_paper_table(kind, game, value, tol):
-    # beta_nc(T_k) = 1/sqrt(k), beta_os(T_k) = 1 and beta_os(C_k) = 1/k.
+    # beta_nc(T_k) = 1/sqrt(k), beta_os(T_k) = 1 and beta_os(C_k) = 1/k;
+    # beta_os(H2) = beta_nc(H2) = 10/21 and beta_os(C2 (x) C2) = 3/8.
     got = getattr(relaxations, f"beta_{kind}")(game(), sdp.DEFAULT_TOL).value
     assert abs(got - value) <= tol
 
@@ -567,7 +579,7 @@ def test_gram_relaxations_have_a_trace_witness(monkeypatch):
         # The solver takes C and b as they are: every package program has
         # |Re C|, |Im C| <= 1 (C holds conj(M) / 2, |M_rc| <= ||M||_1 <= 1)
         # and every right-hand side 0 or 1.
-        c = inst.objective
+        c = table.dense_objective(inst)
         assert max(np.abs(c.real).max(), np.abs(c.imag).max()) <= 1.0, name
         assert set(inst.constraints.tolist()) <= {0.0, 1.0}, name
         prog = sdp._Program(inst)
@@ -707,8 +719,8 @@ def test_instances_that_are_not_real_stay_complex():
     mixed_row = (((0, 1, 0.5 + 0.5j),), 0.0)
     cases = {
         "random_game": (relaxations.beta_nc_instance(random_game(2, 7)), None),
-        "complex_objective": (replace(
-            two, objective=np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+        "complex_objective": (table.with_objective(
+            two, np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
         ), 2 * math.sqrt(2)),
         "mixed_row": (table.with_rows(two, [mixed_row]), None),
         # Im Z[0, 1] = 1/2 leaves Re Z[0, 1] at most sqrt(3)/2; no real Z is feasible.
@@ -740,26 +752,38 @@ def test_real_or_complex_is_decided_on_the_kept_rows():
     assert sol.y[3] == 0 and certify(inst, sol).passed
 
 
-def test_size_cap_counts_the_rows_solved(monkeypatch):
-    # beta_os of a real game has fewer rows than that of a complex one of
-    # the same size, and the cap counts the rows the instance has.
-    real = relaxations.beta_os_instance(games.t_game(2))
-    full = relaxations.beta_os_instance(random_game(games.t_game(2).n, 7))
-    m = len(real.constraints)
-    assert real.side < m < len(full.constraints)
-    monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", m**2)
-    assert certify(real, sdp.solve(real, sdp.DEFAULT_TOL)).passed
+def _all_ones_pairs(side: int) -> sdp.SdpInstance:
+    """C all ones over side indices, Z[r, r] = 1 and 2 Re Z[r, c] = 0 for
+    every r < c: one class of every index, and all side (side + 1) / 2 rows
+    kept."""
+    rows = [(((r, c, 1.0 + 0.0j),), float(r == c)) for r in range(side) for c in range(r, side)]
+    return table.instance(side, np.ones((side, side)), rows)
 
-    def no_solve(*args, **kwargs):
+
+def test_size_cap_counts_the_rows_solved(monkeypatch):
+    # The dense cap counts Z at the instance's side and the Schur matrix of
+    # the rows the program keeps. beta_os(T8) has 6,741 rows, 52 of them
+    # kept: it is solved, where a count of every row refused it.
+    inst = relaxations.beta_os_instance(games.t_game(8))
+    assert len(inst.constraints) ** 2 > errors.DENSE_AMPLITUDE_CAP
+    assert certify(inst, sdp.solve(inst, sdp.DEFAULT_TOL)).passed
+
+    def no_alloc(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 
-    monkeypatch.setattr(sdp, "_solve", no_solve)
-    with pytest.raises(TooLargeError, match="dense cap"):
-        sdp.solve(full, sdp.DEFAULT_TOL)
-    # A side above the cap is refused, also without rows.
-    wide = table.instance(m + 1, np.zeros((m + 1, m + 1)), [])
-    with pytest.raises(TooLargeError, match=f"side {m + 1}"):
-        sdp.solve(wide, sdp.DEFAULT_TOL)
+    for name in ("_trace_witness", "_schur_plan", "_solve"):
+        monkeypatch.setattr(sdp, name, no_alloc)
+    # 100 indices in one class keep all 5,050 rows: refused after the
+    # partition, before the witness, the Schur plan or the loop.
+    kept = _all_ones_pairs(100)
+    assert len(kept.constraints) == 5050
+    with pytest.raises(TooLargeError, match="5050 rows kept of 5050"):
+        sdp.solve(kept, sdp.DEFAULT_TOL)
+    # A side above the cap is refused before the partition, also without rows.
+    monkeypatch.setattr(sdp, "_classes", no_alloc)
+    side = math.isqrt(errors.DENSE_AMPLITUDE_CAP) + 1
+    with pytest.raises(TooLargeError, match=f"side {side}"):
+        sdp.solve(sdp.SdpInstance(side, *table.columns([])), sdp.DEFAULT_TOL)
 
 
 def _two_by_two(c: float, rhs: float) -> sdp.SdpInstance:
@@ -776,45 +800,43 @@ def _one_entry(entry=(0, 0, 1.0), rhs=1.0, **arrays) -> dict:
 
 
 @pytest.mark.parametrize(
-    "side, objective, arrays, message",
+    "side, arrays, message",
     [
-        (3, np.zeros((2, 2)), _one_entry(), "finite 3 x 3"),
-        (3, np.zeros((4, 4)), _one_entry(), "finite 3 x 3"),
-        (2, np.array([[0.0, np.nan], [np.nan, 0.0]]), _one_entry(), "finite 2 x 2"),
-        (2, np.zeros((2, 2)), _one_entry((0, 2, 1.0)), "outside"),
-        (2, np.zeros((2, 2)), _one_entry((-1, 0, 1.0)), "outside"),
-        (2, np.zeros((2, 2)), _one_entry((1, 0, 1.0)), "outside"),
-        (2, np.zeros((2, 2)), _one_entry((0, 1, complex(0.0, np.inf))), "not finite"),
-        (2, np.zeros((2, 2)), _one_entry(rhs=np.nan), "not finite"),
-        (2, np.zeros((2, 2)), _one_entry(cols=[0, 1]), "of one length"),
-        (2, np.zeros((2, 2)), _one_entry(rows=[[0]]), "1-D"),
-        (2, np.zeros((2, 2)), _one_entry(rows=[0.5]), "dtype float64"),  # not truncated to 0
-        (2, np.zeros((2, 2)), _one_entry(owner=[-1]), "owner"),
-        (2, np.zeros((2, 2)), _one_entry(owner=[1]), "owner"),
+        (2.0, _one_entry(), "integer >= 1"),
+        (True, _one_entry(), "integer >= 1"),
+        (0, _one_entry(), "integer >= 1"),
+        (2, _one_entry((0, 1, np.nan), owner=[-1]), "not finite"),
+        (2, _one_entry((0, 2, 1.0)), "outside"),
+        (2, _one_entry((-1, 0, 1.0)), "outside"),
+        (2, _one_entry((1, 0, 1.0)), "outside"),
+        (2, _one_entry((0, 1, complex(0.0, np.inf))), "not finite"),
+        (2, _one_entry(rhs=np.nan), "not finite"),
+        (2, _one_entry(cols=[0, 1]), "of one length"),
+        (2, _one_entry(rows=[[0]]), "1-D"),
+        (2, _one_entry(rows=[0.5]), "dtype float64"),  # not truncated to 0
+        (2, _one_entry(owner=[-2]), "owner"),  # -1 is an entry of C
+        (2, _one_entry(owner=[1]), "owner"),
     ],
-    ids=["objective-small", "objective-large", "objective-nan", "column-past-side",
+    ids=["side-float", "side-bool", "side-zero", "objective-nan", "column-past-side",
          "negative-row", "below-diagonal", "value-inf", "rhs-nan", "unequal-lengths",
          "two-dimensional-rows", "float-rows", "negative-owner", "owner-past-rows"],
 )
-def test_malformed_instances_are_refused(side, objective, arrays, message):
+def test_malformed_instances_are_refused(side, arrays, message):
     with pytest.raises(BadArgsError, match=message):
-        sdp.SdpInstance(side=side, objective=objective, **arrays)
+        sdp.SdpInstance(side=side, **arrays)
 
 
 def _tables(inst: sdp.SdpInstance) -> list[np.ndarray]:
-    return [inst.objective, inst.rows, inst.cols, inst.vals, inst.owner, inst.constraints]
+    return [inst.rows, inst.cols, inst.vals, inst.owner, inst.constraints]
 
 
 def test_instances_leave_the_callers_data_alone():
-    z = np.array([[1.0, 2.0], [2.0, 1.0]])
-    arrays = [np.array(x) for x in ([0, 0], [0, 1], [1.0, 0.5j], [0, 1], [1.0, 0.0])]
-    inst = sdp.SdpInstance(2, z, *arrays)
-    assert inst.objective is not z and z.dtype == np.float64
-    assert np.array_equal(z, [[1.0, 2.0], [2.0, 1.0]])
-    assert inst.objective.dtype == np.complex128
+    arrays = [np.array(x) for x in ([0, 0, 0], [1, 0, 1], [2.0, 1.0, 0.5], [-1, 0, 1], [1.0, 0.0])]
+    inst = sdp.SdpInstance(2, *arrays)
+    assert arrays[2].dtype == np.float64 and inst.vals.dtype == np.complex128
     # The instance holds read-only copies: the caller's arrays may change after.
     before = [x.copy() for x in _tables(inst)]
-    for x in [z] + arrays:
+    for x in arrays:
         x[...] = 7
     assert all(np.array_equal(x, y) for x, y in zip(_tables(inst), before))
     assert not any(x.flags.writeable for x in _tables(inst))
@@ -822,6 +844,23 @@ def test_instances_leave_the_callers_data_alone():
         before = [x.copy() for x in _tables(inst)]
         sdp.solve(inst, sdp.DEFAULT_TOL)
         assert all(np.array_equal(x, y) for x, y in zip(_tables(inst), before))
+
+
+def test_duplicated_objective_entries_sum():
+    # C's entries at one position sum, as a row's do: 3 at (0, 1) stored as
+    # 1 and 2, and the imaginary part of an entry on the diagonal does not
+    # count. max Z[0, 0] + 6 Re Z[0, 1] with Z[0, 0] = Z[1, 1] = 1 is 7.
+    diag = [(((i, i, 1.0 + 0.0j),), 1.0) for i in (0, 1)]
+    whole = table.instance(2, np.array([[1.0, 3.0], [3.0, 0.0]]), diag)
+    r, c, v, q, b = table.columns(diag)
+    split = sdp.SdpInstance(2, np.r_[[0, 0, 0], r], np.r_[[1, 1, 0], c],
+                            np.r_[[1.0, 2.0, 1.0 + 5.0j], v], np.r_[[-1, -1, -1], q], b)
+    assert np.array_equal(table.dense_objective(split), table.dense_objective(whole))
+    prog = sdp._Program(split)
+    assert prog.dtype is float and np.array_equal(prog.cobj, sdp._Program(whole).cobj)
+    sol = sdp.solve(split, sdp.DEFAULT_TOL)
+    assert sol.primal_value == pytest.approx(7.0, rel=1e-6)
+    assert sol.primal_value == sdp.solve(whole, sdp.DEFAULT_TOL).primal_value
 
 
 def test_solution_trace_one_record_per_iteration():
@@ -868,7 +907,7 @@ def test_overflowing_run_returns_its_best_iterate(c):
     # STALL_ITERS iterations after its best iterate, before any overflow.
     rows = (((0, 0), 100.0), ((1, 1), 1.0), ((0, 1), 20.5))
     rows = [(((r, col, 1.0 + 0.0j),), rhs) for (r, col), rhs in rows]
-    inst = table.instance(2, _two_by_two(c, 1.0).objective, rows)
+    inst = table.instance(2, table.dense_objective(_two_by_two(c, 1.0)), rows)
     sol = sdp.solve(inst, sdp.DEFAULT_TOL)
     best = int(np.argmin(_merits(sol)))
     assert sol.status == "stalled" and sol.iterations <= best + sdp.STALL_ITERS + 1
@@ -966,7 +1005,7 @@ def _mixed_rows(c: float, a: float) -> sdp.SdpInstance:
         (((0, 1, 1.0 + 0.0j), (0, 0, 1.0 + 0.0j)), a),
         (((0, 0, 1.0 + 0.0j),), -a),
     )
-    return table.instance(2, _two_by_two(c, 1.0).objective, rows)
+    return table.instance(2, table.dense_objective(_two_by_two(c, 1.0)), rows)
 
 
 def test_solver_determinism():

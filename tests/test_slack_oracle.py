@@ -9,6 +9,7 @@ import slack
 from certify import certify
 from conftest import random_game
 from dense import vvm_products
+from table import dense_objective
 from xorq import games, relaxations, sdp
 
 CASES = {
@@ -36,12 +37,10 @@ def _slack_first(inst: sdp.SdpInstance, gram: int) -> sdp.SdpInstance:
     """The same program with its indices permuted: the slack indices, which
     follow the first gram indices (the Gram block), moved to the front."""
     new = np.roll(np.arange(inst.side), gram)  # index i moves to new[i]
-    old = np.argsort(new)
     r, c = new[inst.rows], new[inst.cols]
     swap = r > c  # an entry below the diagonal stores its transpose
     return sdp.SdpInstance(
         inst.side,
-        inst.objective[np.ix_(old, old)],
         np.where(swap, c, r),
         np.where(swap, r, c),
         np.where(swap, inst.vals.conj(), inst.vals),
@@ -60,7 +59,8 @@ def test_equality_caps_match_slack_oracle(case):
     # relaxation of a real game leaves out every imaginary-part row, which
     # the oracle keeps.
     g = build()
-    im_rows = np.bincount(inst.owner, inst.vals.real != 0, len(inst.constraints)) == 0
+    row = inst.owner >= 0
+    im_rows = np.bincount(inst.owner[row], inst.vals[row].real != 0, len(inst.constraints)) == 0
     left_out = (2 if kind == "nc" else 0) + (0 if g.m.imag.any() else int(im_rows.sum()))
     assert len(inst.constraints) == len(equal.constraints) + left_out
     want = sdp.solve(inst, 1e-7).primal_value
@@ -76,11 +76,11 @@ def test_multi_block_instances_solve(case):
         gram = getattr(relaxations, f"beta_{kind}_instance")(build()).side
         want = sdp.solve(inst, 1e-7).primal_value
         inst = _slack_first(inst, gram)
-        assert not inst.objective[:-gram].any()  # C lives on the Gram block, now last
+        assert not dense_objective(inst)[:-gram].any()  # C lives on the Gram block, now last
     sol = sdp.solve(inst, 1e-7)
     assert certify(inst, sol, 1e-6).passed
     assert sol.z.shape == (inst.side, inst.side)
-    value = np.vdot(inst.objective, sol.z).real
+    value = np.vdot(dense_objective(inst), sol.z).real
     assert abs(value - sol.primal_value) <= 1e-9 * max(1.0, abs(value))
     if case.endswith(":slack-first"):
         assert abs(sol.primal_value - want) <= 1e-6
