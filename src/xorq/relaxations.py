@@ -19,18 +19,23 @@ matrix; sdp.solve finds the finest block partition that its objective and
 rows allow (beta_os of a random game {X_R, Y_C} and {X_C, Y_R}, beta_os of
 T_k and C_k blocks of side 2 and 1).
 
-All three take one path. A relaxation is its rows plus its table of
-witness families (_families: base, size, conjugation, side). _solve_gram
-solves it, factors Z = W^+ W, cuts the families from W, re-evaluates the
-objective on them and returns the RelaxationResult. Every row comes from
+All three take one path: a builder gives the instance, and _solve_gram
+solves it and returns its value, refusing a solve that did not end
+optimal. The Gram indices are the families' entries, family after family
+at bases that are multiples of n^2: X then Y, or X_R, X_C, Y_R, Y_C for
+beta_os, entry (i, k) at base + i*n + k; beta_sdp's vectors x_s and y_t
+are indices s and n + t. Every row comes from
 a functional, a sum of real coefficients times entries Z[i, j], i <= j,
 equal to a real constant, given by index arithmetic over the family bases
 (_cap; np.divmod for beta_os's consistency); _table turns them into the
 instance's table: one row for the real part and, for a complex M and a
 functional with a term off the diagonal, one with rhs 0 for the imaginary
 part. C heads the table, owner -1, one entry per nonzero of M
-(_gram_objective) or of R. Each builder checks Z's side against the dense
-cap first: beta_os of n >= 33 is refused before its n^4 rows exist.
+(_gram_objective) or of R. Each builder checks side^2 against the dense
+cap first, as a bound on the table it builds: C's up to n^4 entries and
+beta_os's n^4 consistency rows, which it builds in full although pinching
+drops most of them; so beta_os of n >= 33 is refused before they exist.
+The solver's own cap counts Z packed on its classes.
 
 A real M needs no imaginary-part rows. Its objective C and every real-part
 row are real, so if Z is feasible so is its conjugate, on which the
@@ -74,13 +79,10 @@ from .errors import BadArgsError, FormatError, SdpError, check_dense
 from .games import GameMatrix
 from .report import CHAINS, BiasReport
 
-RANK_CUT = 1e-10
-
 
 @dataclass(frozen=True)
 class RelaxationResult:
     value: float
-    witness: dict
 
 
 # --- compilation -----------------------------------------------------------------
@@ -130,25 +132,6 @@ def _cap(n: int, base: int, rows: bool) -> tuple[np.ndarray, ...]:
     return i, j, (a == a2)[:, 0].astype(float)
 
 
-def _families(kind: str, n: int) -> dict:
-    """The witness families of relaxation beta_<kind> for local side n (the
-    game's n): {name: (base, size, conjugate, side)}.
-
-    Family `name` is the Gram indices base .. base + size - 1; its vectors
-    are those columns of the factor W of Z = W^+ W, conjugated for the X
-    families. With a side it is the (d, side, side) array X of d x side
-    matrices whose vector X[:, i, k] is index base + i*side + k; without
-    one, a matrix with one vector per row.
-    """
-    nn = n * n
-    return {
-        "sdp": {"x": (0, n, True, None), "y": (n, n, False, None)},
-        "nc": {"x": (0, nn, True, n), "y": (nn, nn, False, n)},
-        "os": {"x_r": (0, nn, True, n), "x_c": (nn, nn, True, n),
-               "y_r": (2 * nn, nn, False, n), "y_c": (3 * nn, nn, False, n)},
-    }[kind]
-
-
 def _gram_objective(g: GameMatrix, xb: int, yb: int) -> tuple[np.ndarray, ...]:
     """C's entries (i, j, v), v = conj(M[(c, e), (a, b)]) / 2 at i = xb + a*n
     + c and j = yb + b*n + e, one per nonzero of M: the game pairing the X
@@ -171,19 +154,18 @@ def _coefficients(g: GameMatrix) -> np.ndarray:
 
 def beta_sdp_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n, side = g.n, 2 * g.n
-    check_dense(side**2, f"beta_sdp of side {side}")
-    x, y = (base for base, _, _, _ in _families("sdp", n).values())
+    check_dense(side**2, f"beta_sdp of side {side}")  # bounds its table (see the module docstring)
     r = _coefficients(g)
     s, t = np.nonzero(r)
-    # Diagonal rows only: no imaginary parts, whatever the flag.
+    # X at 0 and Y at n. Diagonal rows only: no imaginary parts, whatever the flag.
     u = np.arange(side)[:, None]
-    return sdp_mod.SdpInstance(side, *_table((x + s, y + t, r[s, t] / 2), [(u, u, 1.0, 1.0)], real=True))
+    return sdp_mod.SdpInstance(side, *_table((s, n + t, r[s, t] / 2), [(u, u, 1.0, 1.0)], real=True))
 
 
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n, real, side = g.n, not g.m.imag.any(), 2 * g.n * g.n
-    check_dense(side**2, f"beta_nc of side {side}")
-    x, y = (base for base, _, _, _ in _families("nc", n).values())
+    check_dense(side**2, f"beta_nc of side {side}")  # bounds C's n^4 entries
+    x, y = 0, n * n
     # The last column-cap functional, the (n-1, n-1) diagonal, is implied by
     # the others (see the module docstring), so each family drops it.
     caps = []
@@ -197,7 +179,7 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n, real, side = g.n, not g.m.imag.any(), 4 * g.n * g.n
     check_dense(side**2, f"beta_os of side {side}")  # before its n^4 consistency rows
     nn = n * n
-    wr, wc, vr, vc = (base for base, _, _, _ in _families("os", n).values())
+    wr, wc, vr, vc = 0, nn, 2 * nn, 3 * nn
     # Consistency X_R . Y_C = X_C . Y_R, entrywise on the composite space.
     ac, be = np.divmod(np.arange(nn * nn), nn)
     consistency = (np.stack([wr + ac, wc + ac], 1), np.stack([vc + be, vr + be], 1), [1.0, -1.0], 0.0)
@@ -209,70 +191,35 @@ def beta_os_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
 # --- solving ----------------------------------------------------------------------
 
 
-def _solve_gram(
-    kind: str, n: int, inst: sdp_mod.SdpInstance, tol: float, objective
-) -> RelaxationResult:
-    """Solve beta_<kind>, factor its Gram matrix and read off the witness.
-
-    Z = W^+ W keeps the eigenvalues of Z above RANK_CUT times the largest,
-    one row of W each, and W is cut into the families of _families(kind,
-    n). objective(witness) re-evaluates the game's value on them; SdpError
-    when it drifts from the solver's value, or when the solve did not end
-    optimal (its best iterate is no value of the relaxation).
-    """
+def _solve_gram(kind: str, inst: sdp_mod.SdpInstance, tol: float) -> RelaxationResult:
+    """The value of beta_<kind>, solved on inst; SdpError when the solve did
+    not end optimal (its best iterate is no value of the relaxation)."""
     sol = sdp_mod.solve(inst, tol)
     if sol.status != "optimal":
         raise SdpError(
             f"beta_{kind} solve ended with status {sol.status!r} at iteration {sol.iterations}"
         )
-    z = sol.z
-    lam, vecs = np.linalg.eigh((z + z.conj().T) / 2)
-    keep = np.flatnonzero(lam > RANK_CUT * max(float(lam[-1]), 1e-300))[::-1]
-    w = (np.sqrt(lam[keep])[:, None] * vecs[:, keep].conj().T).astype(complex)
-    witness = {}
-    for name, (base, size, conjugate, side) in _families(kind, n).items():
-        part = np.conj(w[:, base:base + size]) if conjugate else w[:, base:base + size]
-        witness[name] = part.T if side is None else part.reshape(-1, side, side)
-    got, want = objective(witness), sol.primal_value
-    if abs(got - want) > 1e-5 * max(1.0, abs(want)):
-        raise SdpError(
-            f"beta_{kind} witness objective {got:.8g} drifted from solver value {want:.8g}"
-        )
-    return RelaxationResult(value=want, witness=witness)
-
-
-def nc_objective(g: GameMatrix, x: np.ndarray, y: np.ndarray) -> float:
-    """Re Tr((sum_r X_r (x) Y_r) M) = Re sum X_r[i, k] Y_r[j, l] M[(k, l), (i, j)]
-    for families x, y of shape (d, n, n): one matrix product over r,
-    G[(i, k), (j, l)] = sum_r X_r[i, k] Y_r[j, l], summed against M
-    transposed to (i, k, j, l) from M[(k, l), (i, j)]."""
-    nn = g.n * g.n
-    gram = x.reshape(-1, nn).T @ y.reshape(-1, nn)
-    return float(np.sum(gram * g.m.reshape((g.n,) * 4).transpose(2, 0, 3, 1).reshape(nn, nn)).real)
+    return RelaxationResult(value=sol.primal_value)
 
 
 def beta_sdp(g: GameMatrix, tol: float) -> RelaxationResult:
     """Vector relaxation of a classical XOR game, given as its diagonal
-    embedding M (FormatError when M is not diagonal); the witness rows x[s]
-    and y[t] are the vectors, and the value is Re sum_st R_st <conj x_s, y_t>
-    with R read from M's diagonal."""
-    r = _coefficients(g)
-    return _solve_gram("sdp", g.n, beta_sdp_instance(g), tol,
-                       lambda w: float(np.real(np.sum(r * (w["x"] @ w["y"].T)))))
+    embedding M (FormatError when M is not diagonal): the largest Re
+    sum_st R_st <conj x_s, y_t> over unit vectors, with R read from M's
+    diagonal."""
+    return _solve_gram("sdp", beta_sdp_instance(g), tol)
 
 
 def beta_nc(g: GameMatrix, tol: float) -> RelaxationResult:
     """Non-commutative Gram relaxation; upper bound on the maximally
     entangled bias, at most 2 sqrt(2) times the unentangled bias."""
-    return _solve_gram("nc", g.n, beta_nc_instance(g), tol,
-                       lambda w: nc_objective(g, w["x"], w["y"]))
+    return _solve_gram("nc", beta_nc_instance(g), tol)
 
 
 def beta_os(g: GameMatrix, tol: float) -> RelaxationResult:
     """Operator-space Gram relaxation; upper bound on the entangled bias
     within a factor 2."""
-    return _solve_gram("os", g.n, beta_os_instance(g), tol,
-                       lambda w: nc_objective(g, w["x_r"], w["y_c"]))
+    return _solve_gram("os", beta_os_instance(g), tol)
 
 
 # --- closed forms and chain checks ----------------------------------------------

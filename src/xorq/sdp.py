@@ -53,11 +53,13 @@ one packed buffer of its stacks (_Program), so each dense step (Cholesky,
 inverse, eigh, products, eigvalsh) runs once per distinct class side on a
 stack of small matrices. The start is block-diagonal on the classes, and
 so is every NT step taken from a block-diagonal iterate, so the iterates
-never leave the blocks. The solution is Z placed at the instance's side,
-so pinched to the classes, and y 0 on every dropped row: S = A^T y - C is
-the program's S and the pair is primal-dual for the instance as given.
-The dense cap counts the two dense arrays, Z at the instance's side and the
-Schur matrix of the kept rows, each before it or anything of its size exists.
+never leave the blocks. The solution is Z as it is solved, one stack per
+class side with each class's indices (so Z pinched to the classes, 0
+between them), and y 0 on every dropped row: S = A^T y - C is the program's
+S and the pair is primal-dual for the instance as given. The dense cap
+counts the two arrays that grow with the instance, Z packed on the classes
+(sum K s^2 entries) and the Schur matrix of the kept rows, right after the
+partition, before either or anything of its size exists.
 
 A real program, C and every entry of a kept row real (on the diagonal only
 the real part counts), is solved in real arithmetic, over real symmetric Z.
@@ -174,11 +176,14 @@ class IpmIteration:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """The primal matrix Z, of the instance's side, and the dual multipliers
-    y, one per row of the instance; objective values (dual_value is b^T y)
-    and the per-iteration trace (kept out of every serialized payload)."""
+    """The primal matrix Z per class side, widest first, as it is solved:
+    blocks = ((members, z), ...), members the (K, s) instance indices of
+    each class, ascending, and z the (K, s, s) stack of their blocks of Z,
+    which is 0 between classes. The dual multipliers y, one per row of the
+    instance; objective values (dual_value is b^T y) and the per-iteration
+    trace (kept out of every serialized payload)."""
 
-    z: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     y: np.ndarray
     primal_value: float
     dual_value: float
@@ -200,16 +205,17 @@ class _Program:
     others lie across classes with rhs 0, and pinching meets them). C's
     entries are summed into cobj; the kept rows' stored entries (r <= c) are
     in the instance's order, owners renumbered 0..m-1, and TooLargeError
-    when their Schur matrix is above the dense cap. witness is the trace
-    witness (_trace_witness) or None; solve refuses a program without one.
+    when their Schur matrix or the packed Z is above the dense cap. witness
+    is the trace witness (_trace_witness) or None; solve refuses a program
+    without one.
 
     The classes of one side s form one stack (K, s, s), in the order of
     their names, each class's indices ascending; the stacks, widest first,
     fill one packed buffer of size = sum K s^2 entries, stack (lo, hi,
-    shape) at lo:hi. Z, S, W, C and every direction are such buffers. pos is
-    each stored entry's packed position (at_pos adds its transpose's), diag
-    each index's diagonal entry's, and unpack each packed entry's flat
-    position at the instance's side.
+    shape) at lo:hi, and index holds each stack's (K, s) instance indices.
+    Z, S, W, C and every direction are such buffers. pos is each stored
+    entry's packed position (at_pos adds its transpose's) and diag each
+    index's diagonal entry's.
 
     F_q has v at (r, c) and conj(v) at (c, r), so A(Z)_q = Re sum of
     weight * Z[r, c] with weight 2 conj(v) off the diagonal and v on it, and
@@ -226,7 +232,13 @@ class _Program:
         self.label, self.kept = _classes(dim, c_rows, c_cols, rows[~obj], cols[~obj], owner[~obj], b)
         self.b = b[self.kept]
         self.dim, self.m = dim, self.b.size
+        # Each index's class, numbered in the order of their names (a name
+        # is its own label), and each class's side.
+        cls = (np.cumsum(self.label == np.arange(dim)) - 1)[self.label]
+        sides = np.bincount(cls)
+        self.size = int(sides @ sides)
         check_dense(self.m**2, f"the Schur matrix of the {self.m} rows kept of {b.size}")
+        check_dense(self.size, f"Z packed on its classes, the widest of side {sides.max()},")
         at = np.append(self.kept, False)[owner]  # the kept rows' entries; owner -1 reads the False
         self.dtype = complex if vals[at | obj].imag.any() else float
         rows, cols, vals = rows[at], cols[at], vals[at]
@@ -238,25 +250,20 @@ class _Program:
         self.weight = np.where(diag, 1.0, 2.0) * vals.conj()
         self.half = np.where(diag, 0.5, 1.0) * vals
 
-        # Each index's class, numbered in the order of their names (a name
-        # is its own label), its place in it, and each class's side and
-        # packed offset.
-        cls = (np.cumsum(self.label == np.arange(dim)) - 1)[self.label]
-        sides = np.bincount(cls)
+        # Each index's place in its class, and each class's packed offset.
         place = np.empty(dim, dtype=np.intp)
         place[np.argsort(cls, kind="stable")] = np.arange(dim) - np.repeat(np.cumsum(sides) - sides, sides)
         side, offset = sides[cls], np.empty(sides.size, dtype=np.intp)
-        self.stacks, unpack, lo = [], [], 0
+        self.stacks, self.index, lo = [], [], 0
         for s in np.flatnonzero(np.bincount(sides))[::-1].tolist():
             members = np.flatnonzero(sides == s)
             offset[members] = lo + np.arange(members.size) * s * s
             index = np.empty((members.size, s), dtype=np.intp)
             at = np.flatnonzero(side == s)
             index[np.searchsorted(members, cls[at]), place[at]] = at
-            unpack.append((index[:, :, None] * dim + index[:, None, :]).ravel())
+            self.index.append(index)
             self.stacks.append((lo, lo + members.size * s * s, (members.size, s, s)))
             lo = self.stacks[-1][1]
-        self.size, self.unpack = lo, np.concatenate(unpack)
         start = offset[cls] + place * side  # packed position of each index's row
         self.diag = start + place
         self.pos = start[rows] + place[cols]
@@ -658,15 +665,12 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
 
 
 def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
-    """The solution of the instance as given: Z, packed, placed at the
-    instance's side (so pinched to the classes, exactly 0 between them), and
-    y 0 on every dropped row."""
-    full = np.zeros(prog.dim * prog.dim, dtype=z.dtype)
-    full[prog.unpack] = z
+    """The solution of the instance as given: Z's stacks with their classes'
+    indices, and y 0 on every dropped row."""
     y_all = np.zeros(prog.kept.size)
     y_all[prog.kept] = y
     return SdpSolution(
-        z=full.reshape(prog.dim, prog.dim),
+        blocks=tuple(zip(prog.index, _views(prog, z))),
         y=y_all,
         primal_value=pobj,
         dual_value=dobj,
@@ -722,20 +726,20 @@ def solve(inst: SdpInstance, tol: float) -> SdpSolution:
     for STALL_ITERS iterations, a non-finite residual, mu or Newton step, mu
     below MU_FLOOR, or a Schur matrix that no ridge makes factorable); a
     non-finite start raises SdpError. A real program (C and every entry of
-    a kept row real) is solved over real symmetric Z, and Z is then a real
-    array. Raises TooLargeError when Z at the instance's side (checked
-    first) or the Schur matrix of the kept rows (checked once they are
-    known) is above the dense cap, before allocating either.
+    a kept row real) is solved over real symmetric Z, and its blocks are
+    then real arrays. Raises TooLargeError when Z packed on the classes or
+    the Schur matrix of the kept rows is above the dense cap, checked once
+    the partition is known and before allocating either.
 
     The program (_Program) solves on the classes of the finest partition
     that C and the rows allow, one stack per class side, and drops the rows
     that lie across them, all of rhs 0, which pinching Z to the classes
-    meets (see the module docstring). The returned Z is pinched, exactly 0
-    between classes, and y has one entry per row, 0 on each dropped row.
+    meets (see the module docstring). The returned Z is its blocks on the
+    classes (SdpSolution.blocks), and y has one entry per row, 0 on each
+    dropped row.
     """
     if not 0 < tol < math.inf:
         raise BadArgsError(f"tol must be positive and finite, got {tol!r}")
-    check_dense(inst.side**2, f"an SDP of side {inst.side}")
     prog = _Program(inst)
     bound = 0.0 if prog.witness is None else float(prog.witness @ prog.b)
     if not bound > 0:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from table import dense_objective
+from witness import dense_z
 from xorq.sdp import DEFAULT_TOL, SdpInstance, SdpSolution
 
 PSD_SLACK = 1e-8
@@ -34,7 +35,8 @@ class CertifyReport:
 
 def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> CertifyReport:
     """Recompute residuals, the PSD slack, the objective Re Tr(C^dagger Z)
-    against primal_value, and the duality gap of a solution."""
+    against primal_value, and the duality gap of a solution, on its Z at
+    the instance's side."""
     checks = []
 
     def at_most(name: str, value: float, bound: float):
@@ -43,7 +45,7 @@ def certify(inst: SdpInstance, sol: SdpSolution, tol: float = DEFAULT_TOL) -> Ce
     def at_least(name: str, value: float, bound: float):
         checks.append((name, value, bound, value >= bound))
 
-    z = sol.z
+    z = dense_z(sol, inst.side)
     # ||Z - Z^H|| <= 1e-9 max(1, ||Z||), measured on Z / s with s >= 1 its
     # largest real or imaginary part, so that neither norm overflows.
     s = max(1.0, float(np.max(np.abs([z.real, z.imag]), initial=0.0)))

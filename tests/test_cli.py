@@ -457,14 +457,6 @@ def test_cmd_bias_non_finite_tol_exits_2(tmp_path, capsys, tol, quantities):
     assert "tol must be positive and finite" in capsys.readouterr().err
 
 
-def test_cmd_bias_witness_drift_exits_4(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "t1.json"
-    run(["game", "--name", "tn", "--param", "1", "--out", str(path)])
-    monkeypatch.setattr(relaxations, "nc_objective", lambda g, x, y: 123.0)
-    assert run(["bias", str(path), "--quantities", "beta-nc"]) == cli.EXIT_SOLVER
-    assert "drifted from solver value" in capsys.readouterr().err
-
-
 def test_cmd_bias_seesaw_decrease_exits_4(tmp_path, monkeypatch, capsys):
     path = tmp_path / "h1.json"
     run(["game", "--name", "hn", "--param", "1", "--out", str(path)])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conftest import random_game, random_unitary
 from constructions import trace_norm
 from dense import odot, vvm_products
 from table import dense_objective
+from witness import families, nc_objective
 from xorq import games, heuristics, linalg, relaxations, sdp
 from xorq.errors import DimensionMismatchError, FormatError, TooLargeError
 from xorq.report import BiasReport
@@ -53,7 +55,7 @@ def test_nc_objective_matches_odot_oracle(rng, n, d):
     g = random_game(n, seed=n + d)
     x, y = _random_vvm(rng, n, d), _random_vvm(rng, n, d)
     want = float(np.real(np.trace(odot(x, y) @ g.m)))
-    assert abs(relaxations.nc_objective(g, x, y) - want) <= 1e-12
+    assert abs(nc_objective(g, x, y) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (2, 6), (3, 10), (4, 25)])
@@ -63,7 +65,7 @@ def test_nc_objective_matches_einsum_oracle(rng, n, d):
     for g in (random_game(n, seed=10 * n + d), games.t_game(n)):
         x, y = _random_vvm(rng, g.n, d), _random_vvm(rng, g.n, d)
         want = float(np.einsum("rik,rjl,klij->", x, y, g.m.reshape((g.n,) * 4)).real)
-        assert abs(relaxations.nc_objective(g, x, y) - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(nc_objective(g, x, y) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_vvm_products_unitary():
@@ -322,12 +324,31 @@ def test_beta_sdp_refuses_a_game_off_the_diagonal(monkeypatch, build):
 
 
 def test_beta_sdp_witness_feasible():
-    res = relaxations.beta_sdp(games.from_classical(games.chsh()), 1e-7)
-    xs, ys = res.witness["x"], res.witness["y"]
+    g = games.from_classical(games.chsh())
+    sol = sdp.solve(relaxations.beta_sdp_instance(g), 1e-7)
+    assert relaxations.beta_sdp(g, 1e-7).value == sol.primal_value
+    witness = families("sdp", g.n, sol)
+    xs, ys = witness["x"], witness["y"]
     assert np.all(np.linalg.norm(xs, axis=1) <= 1.0 + 1e-6)
     assert np.all(np.linalg.norm(ys, axis=1) <= 1.0 + 1e-6)
     val = float(np.real(np.sum(games.chsh() * (xs @ ys.T))))
-    assert abs(val - res.value) <= 1e-6
+    assert abs(val - sol.primal_value) <= 1e-6
+
+
+def test_beta_nc_t32_allocates_less_than_one_side_squared_array():
+    # The solution stays packed on its classes, {2: 64, 1: 2,050}: no array
+    # at the side, 2,178, is built, where one float64 array of side^2
+    # entries takes 36 MiB.
+    g = games.t_game(32)
+    side = 2 * g.n * g.n
+    tracemalloc.start()
+    try:
+        value = relaxations.beta_nc(g, sdp.DEFAULT_TOL).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 1 / math.sqrt(32)) <= 1e-6
+    assert peak < side * side * 8
 
 
 def test_beta_nc_t_family():
@@ -386,10 +407,12 @@ def test_gram_bounds_invariant_under_game_symmetries(n, seed):
 
 def test_beta_nc_witness_round_trip():
     g = games.h_game(1)
-    res = relaxations.beta_nc(g, 1e-7)
-    x, y = res.witness["x"], res.witness["y"]
-    val = relaxations.nc_objective(g, x, y)
-    assert abs(val - res.value) <= 1e-6
+    sol = sdp.solve(relaxations.beta_nc_instance(g), 1e-7)
+    assert relaxations.beta_nc(g, 1e-7).value == sol.primal_value
+    witness = families("nc", g.n, sol)
+    x, y = witness["x"], witness["y"]
+    val = nc_objective(g, x, y)
+    assert abs(val - sol.primal_value) <= 1e-6
     for v in (x, y):
         left, right = vvm_products(v)
         assert linalg.op_norm(left) <= 1.0 + 1e-6
@@ -403,7 +426,7 @@ def test_beta_nc_h1_explicit_witness():
     left, right = vvm_products(mats)
     assert np.allclose(left, np.eye(3), atol=1e-10)
     assert np.allclose(right, np.eye(3), atol=1e-10)
-    val = relaxations.nc_objective(games.h_game(1), mats, mats)
+    val = nc_objective(games.h_game(1), mats, mats)
     assert abs(val - 0.6) <= 1e-10
     assert relaxations.beta_nc(games.h_game(1), 1e-7).value >= val - 1e-6
 
@@ -441,17 +464,19 @@ def test_beta_os_t_explicit_witness():
         assert linalg.op_norm(vvm_products(yr)[0]) <= 1 + 1e-10
         assert linalg.op_norm(vvm_products(xc)[1]) <= 1 + 1e-10
         assert linalg.op_norm(vvm_products(yc)[1]) <= 1 + 1e-10
-        val = relaxations.nc_objective(g, xr, yc)
+        val = nc_objective(g, xr, yc)
         assert abs(val - 1.0) <= 1e-10
         assert relaxations.beta_os(g, 1e-6).value >= val - 1e-3
 
 
 def test_beta_os_witness_round_trip():
     g = games.h_game(1)
-    res = relaxations.beta_os(g, 1e-7)
-    xr, xc = res.witness["x_r"], res.witness["x_c"]
-    yr, yc = res.witness["y_r"], res.witness["y_c"]
-    assert abs(relaxations.nc_objective(g, xr, yc) - res.value) <= 1e-6
+    sol = sdp.solve(relaxations.beta_os_instance(g), 1e-7)
+    assert relaxations.beta_os(g, 1e-7).value == sol.primal_value
+    witness = families("os", g.n, sol)
+    xr, xc = witness["x_r"], witness["x_c"]
+    yr, yc = witness["y_r"], witness["y_c"]
+    assert abs(nc_objective(g, xr, yc) - sol.primal_value) <= 1e-6
     assert np.linalg.norm(
         odot(xr, yc) - odot(xc, yr)
     ) <= 1e-6

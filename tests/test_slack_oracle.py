@@ -10,6 +10,7 @@ from certify import certify
 from conftest import random_game
 from dense import vvm_products
 from table import dense_objective
+from witness import dense_z, families
 from xorq import games, relaxations, sdp
 
 CASES = {
@@ -79,16 +80,16 @@ def test_multi_block_instances_solve(case):
         assert not dense_objective(inst)[:-gram].any()  # C lives on the Gram block, now last
     sol = sdp.solve(inst, 1e-7)
     assert certify(inst, sol, 1e-6).passed
-    assert sol.z.shape == (inst.side, inst.side)
-    value = np.vdot(dense_objective(inst), sol.z).real
+    value = np.vdot(dense_objective(inst), dense_z(sol, inst.side)).real
     assert abs(value - sol.primal_value) <= 1e-9 * max(1.0, abs(value))
     if case.endswith(":slack-first"):
         assert abs(sol.primal_value - want) <= 1e-6
 
 
 def test_beta_nc_h1_witness_is_unitary():
-    res = relaxations.beta_nc(games.h_game(1), 1e-7)
-    for v in (res.witness["x"], res.witness["y"]):
+    g = games.h_game(1)
+    witness = families("nc", g.n, sdp.solve(relaxations.beta_nc_instance(g), 1e-7))
+    for v in (witness["x"], witness["y"]):
         left, right = vvm_products(v)
         assert np.abs(left - np.eye(v.shape[1])).max() <= 1e-6
         assert np.abs(right - np.eye(v.shape[1])).max() <= 1e-6
