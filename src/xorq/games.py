@@ -2,8 +2,8 @@
 
 A game on message dimension n is a Hermitian matrix M on C^n (x) C^n with
 trace norm at most 1. A classical XOR game is its n x n real coefficients
-R and embeds as the diagonal M of from_classical(R); the classical bound
-beta_sdp reads R back from that diagonal. The named families built here:
+R and embeds as the diagonal M of from_classical(R), on which beta_nc is
+the vector relaxation beta_sdp. The named families built here:
 
   t_game(n)  distinguish (|00> +/- |Psi_me>)/sqrt(2); unentangled bias
              1/sqrt(n) but entangled bias 1.

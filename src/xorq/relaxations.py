@@ -1,16 +1,20 @@
 """Efficiently solvable relaxations of the game biases.
 
-Three Gram-matrix semidefinite programs are compiled and solved, each from
-the GameMatrix:
+Three Gram-matrix semidefinite programs, each from the GameMatrix:
 
-  beta_sdp  classical games, given as their diagonal embedding
-            (games.from_classical), with R read from M's diagonal; unit
-            vectors replacing the +/-1 signs.
   beta_nc   vector-valued matrices X, Y with all four products
             XX^+, X^+X, YY^+, Y^+Y equal to the identity.
   beta_os   row/column-weighted families (X_R, X_C, Y_R, Y_C) with the
             consistency constraint X_R . Y_C = X_C . Y_R, upper-bounding
             the entangled bias.
+  beta_sdp  a classical game's relaxation to unit vectors, solved as
+            beta_nc of its diagonal embedding M (games.from_classical).
+
+beta_nc of M has beta_sdp's optimum: given unit vectors x_s and y_t, set
+X_ss = x_s, Y_tt = y_t and every other entry to 0; every cap holds, as the
+products off the diagonal vanish and the diagonal ones are |x_s|^2 = 1.
+Conversely, the row cap gives |X_ss| <= 1, and the objective reads only
+X_ss and Y_tt, so padding those vectors to unit norm changes nothing.
 
 The Gram variables are the conjugated X-entry vectors and the plain
 Y-entry vectors; maximizing the real part of the objective is exact by the
@@ -19,23 +23,23 @@ matrix; sdp.solve finds the finest block partition that its objective and
 rows allow (beta_os of a random game {X_R, Y_C} and {X_C, Y_R}, beta_os of
 T_k and C_k blocks of side 2 and 1).
 
-All three take one path: a builder gives the instance, and _solve_gram
-solves it and returns its value, refusing a solve that did not end
-optimal. The Gram indices are the families' entries, family after family
-at bases that are multiples of n^2: X then Y, or X_R, X_C, Y_R, Y_C for
-beta_os, entry (i, k) at base + i*n + k; beta_sdp's vectors x_s and y_t
-are indices s and n + t. Every row comes from
-a functional, a sum of real coefficients times entries Z[i, j], i <= j,
-equal to a real constant, given by index arithmetic over the family bases
-(_cap; np.divmod for beta_os's consistency); _table turns them into the
-instance's table: one row for the real part and, for a complex M and a
-functional with a term off the diagonal, one with rhs 0 for the imaginary
-part. C heads the table, owner -1, one entry per nonzero of M
-(_gram_objective) or of R. Each builder checks side^2 against the dense
-cap first, as a bound on the table it builds: C's up to n^4 entries and
-beta_os's n^4 consistency rows, which it builds in full although pinching
-drops most of them; so beta_os of n >= 33 is refused before they exist.
-The solver's own cap counts Z packed on its classes.
+All take one path: a builder gives the instance, and _solve_gram solves it
+and returns its value, refusing a solve that did not end optimal. The Gram
+indices are the families' entries, family after family at bases that are
+multiples of n^2: X then Y, or X_R, X_C, Y_R, Y_C for beta_os, entry (i, k)
+at base + i*n + k. Every row comes from a functional, a sum of real
+coefficients times entries Z[i, j], i <= j, equal to a real constant, given
+by index arithmetic over the family bases (_cap; np.divmod for beta_os's
+consistency); _table turns them into the instance's table: one row for the
+real part and, for a complex M and a functional with a term off the
+diagonal, one with rhs 0 for the imaginary part. C heads the table, owner
+-1, one entry per nonzero of M (_gram_objective). Each builder checks a
+bound on its table against the dense cap before building it: beta_nc
+nnz(M) + 4n^3, C's entries and the caps' 2n(n^2 + n - 1) terms (4n^3 - 2n
+with a complex M's imaginary-part rows); beta_os side^2, which bounds C and
+its n^4 consistency rows, built in full although pinching drops most of
+them, so beta_os of n >= 33 is refused before they exist. The solver's own
+cap counts Z packed on its classes and the Schur matrix of its kept rows.
 
 A real M needs no imaginary-part rows. Its objective C and every real-part
 row are real, so if Z is feasible so is its conjugate, on which the
@@ -58,7 +62,7 @@ sum_r Tr((X_r (x) Y_r) M) is unchanged, as every new coordinate is zero in
 the partner family, and so are beta_os's consistency products X_R . Y_C and
 X_C . Y_R. A beta_os family has only one cap, say the row one; there the
 coordinates i carrying X = sqrt(a_i) u_i e^+, e a fixed unit vector, fill
-it. For beta_sdp, pad each vector to unit norm with a coordinate of its own.
+it.
 
 Every constraint row is independent. A beta_nc family keeps both caps but
 not the (n-1, n-1) diagonal of the column one: the traces of both products
@@ -142,29 +146,19 @@ def _gram_objective(g: GameMatrix, xb: int, yb: int) -> tuple[np.ndarray, ...]:
     return xb + a * n + c, yb + b * n + e, np.conj(g.m[ce, ab]) / 2
 
 
-def _coefficients(g: GameMatrix) -> np.ndarray:
-    """The classical coefficients R of a diagonal M, M[(s, t), (s, t)] =
-    R[s, t]; FormatError when M has an entry off its diagonal. A validated
-    M has a real diagonal."""
-    off = g.m - np.diag(np.diag(g.m))
-    if np.linalg.norm(off) > 1e-10:
-        raise FormatError("beta-sdp requires a diagonal (classical) game matrix")
-    return np.real(np.diag(g.m)).reshape(g.n, g.n)
-
-
 def beta_sdp_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
-    n, side = g.n, 2 * g.n
-    check_dense(side**2, f"beta_sdp of side {side}")  # bounds its table (see the module docstring)
-    r = _coefficients(g)
-    s, t = np.nonzero(r)
-    # X at 0 and Y at n. Diagonal rows only: no imaginary parts, whatever the flag.
-    u = np.arange(side)[:, None]
-    return sdp_mod.SdpInstance(side, *_table((s, n + t, r[s, t] / 2), [(u, u, 1.0, 1.0)], real=True))
+    """beta_nc_instance of a classical game's diagonal embedding g (see the
+    module docstring); FormatError when M has an entry off its diagonal."""
+    r, c = np.nonzero(g.m)
+    if np.linalg.norm(g.m[r, c][r != c]) > 1e-10:
+        raise FormatError("beta-sdp requires a diagonal (classical) game matrix")
+    return beta_nc_instance(g)
 
 
 def beta_nc_instance(g: GameMatrix) -> sdp_mod.SdpInstance:
     n, real, side = g.n, not g.m.imag.any(), 2 * g.n * g.n
-    check_dense(side**2, f"beta_nc of side {side}")  # bounds C's n^4 entries
+    # C's and the caps' entries (see the module docstring).
+    check_dense(np.count_nonzero(g.m) + 4 * n**3, f"the beta_nc table of n = {n}")
     x, y = 0, n * n
     # The last column-cap functional, the (n-1, n-1) diagonal, is implied by
     # the others (see the module docstring), so each family drops it.
@@ -204,9 +198,9 @@ def _solve_gram(kind: str, inst: sdp_mod.SdpInstance, tol: float) -> RelaxationR
 
 def beta_sdp(g: GameMatrix, tol: float) -> RelaxationResult:
     """Vector relaxation of a classical XOR game, given as its diagonal
-    embedding M (FormatError when M is not diagonal): the largest Re
-    sum_st R_st <conj x_s, y_t> over unit vectors, with R read from M's
-    diagonal."""
+    embedding M, M[(s, t), (s, t)] = R_st (FormatError when M is not
+    diagonal): the largest Re sum_st R_st <conj x_s, y_t> over unit
+    vectors, solved as beta_nc of M."""
     return _solve_gram("sdp", beta_sdp_instance(g), tol)
 
 

@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import slack
 from certify import row_values
 from conftest import random_game, random_unitary
 from constructions import trace_norm
@@ -158,13 +159,6 @@ def test_functional_rows_are_real_and_imaginary_parts(rng, diagonal, upper):
 # as complex128, the rhs as float64, each in the machine's byte order on a
 # 64-bit intp): a reordered row or entry, or a zero of flipped sign, changes one.
 TABLE_HASHES = {
-    "CHSH/beta_sdp": (
-        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
-        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
-        "e1fd30e2981704910390655fb7727790af514458eb1a4d1f344381a27c6fa6cb",
-        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
-        "c914e8188e43fff1c96e25283e15b252af0d9f39b469f2d1518915802c756d18",
-    ),
     "T4/beta_nc": (
         "1321366c652d698d4eea121423b0ed0509703956a6640dace08db272fc4137b7",
         "5162da44b3e7399343960dbeebf2bfe38d7f0494db335f334b0ef014158c2451",
@@ -253,7 +247,7 @@ TABLE_HASHES = {
 
 
 def _table_instances() -> dict:
-    cases = {"CHSH/beta_sdp": relaxations.beta_sdp_instance(games.from_classical(games.chsh()))}
+    cases = {}
     named = {"T4": games.t_game(4), "C4": games.c_game(4), "H1": games.h_game(1), "H2": games.h_game(2),
              "random3": random_game(3, 7), "random2": random_game(2, 7)}
     for name, g in named.items():
@@ -273,6 +267,12 @@ def test_tables_keep_their_bits():
         got[name] = tuple(hashlib.sha256(np.ascontiguousarray(x, dtype=t).tobytes()).hexdigest()
                           for x, t in tables)
     assert got == TABLE_HASHES
+    # beta_sdp's table is beta_nc's, field by field.
+    chsh = games.from_classical(games.chsh())
+    sdp_inst, nc_inst = relaxations.beta_sdp_instance(chsh), relaxations.beta_nc_instance(chsh)
+    for field in fields(sdp.SdpInstance):
+        a, b = getattr(sdp_inst, field.name), getattr(nc_inst, field.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), field.name
 
 
 def test_gram_objective_matches_entrywise_loop():
@@ -327,8 +327,10 @@ def test_beta_sdp_witness_feasible():
     g = games.from_classical(games.chsh())
     sol = sdp.solve(relaxations.beta_sdp_instance(g), 1e-7)
     assert relaxations.beta_sdp(g, 1e-7).value == sol.primal_value
-    witness = families("sdp", g.n, sol)
-    xs, ys = witness["x"], witness["y"]
+    # The vectors x_s and y_t are the diagonals X[:, s, s] and Y[:, t, t].
+    witness = families("nc", g.n, sol)
+    s = np.arange(g.n)
+    xs, ys = witness["x"][:, s, s].T, witness["y"][:, s, s].T
     assert np.all(np.linalg.norm(xs, axis=1) <= 1.0 + 1e-6)
     assert np.all(np.linalg.norm(ys, axis=1) <= 1.0 + 1e-6)
     val = float(np.real(np.sum(games.chsh() * (xs @ ys.T))))
@@ -361,26 +363,35 @@ def test_beta_nc_h1():
     assert abs(relaxations.beta_nc(games.h_game(1), 1e-7).value - 0.6) <= 1e-4
 
 
-def test_beta_nc_equals_beta_sdp_on_classical():
-    g = games.from_classical(games.chsh())
-    v1 = relaxations.beta_sdp(g, 1e-7).value
-    v2 = relaxations.beta_nc(g, 1e-7).value
-    assert abs(v1 - v2) <= 2e-4
-
-
-def test_beta_nc_of_the_diagonal_embedding_is_beta_sdp():
-    # beta_nc(from_classical(R)) = beta_sdp(R) exactly (ROADMAP item 10); the
-    # two solves differ only within their gaps.
+def _classical_games() -> list:
+    """The coefficients R of CHSH and of seeded random classical games with
+    n = 2 to 5."""
     rng = np.random.default_rng(7)
     cases = [games.chsh()]
     for n in (2, 3, 4, 5):
         r = rng.standard_normal((n, n))
         cases.append(r / np.sum(np.abs(r)))
-    for c in cases:
+    return cases
+
+
+def test_beta_nc_equals_beta_sdp_on_classical():
+    for c in _classical_games():
         g = games.from_classical(c)
-        sdp_value = relaxations.beta_sdp(g, sdp.DEFAULT_TOL).value
-        nc_value = relaxations.beta_nc(g, sdp.DEFAULT_TOL).value
-        assert abs(sdp_value - nc_value) <= 2e-6, g.n
+        want = relaxations.beta_nc(g, sdp.DEFAULT_TOL).value
+        assert relaxations.beta_sdp(g, sdp.DEFAULT_TOL).value == want, g.n
+
+
+def test_beta_nc_of_the_diagonal_embedding_is_beta_sdp():
+    # beta_sdp, solved as beta_nc of the diagonal embedding, against the
+    # unit-vector program with slacks (tests/slack.py), side 4n; the two
+    # solves differ only within their gaps. At n = 46, beta_nc has side
+    # 4,232 and is let in by the cap on its table.
+    rng = np.random.default_rng(46)
+    r = rng.standard_normal((46, 46))
+    for c in _classical_games() + [r / np.sum(np.abs(r))]:
+        g = games.from_classical(c)
+        want = sdp.solve(slack.beta_sdp_instance(g), sdp.DEFAULT_TOL).primal_value
+        assert abs(relaxations.beta_sdp(g, sdp.DEFAULT_TOL).value - want) <= 2e-6, g.n
 
 
 def _transformed_games(g: games.GameMatrix, rng) -> dict:

@@ -368,7 +368,7 @@ def test_paper_table_solves_take_few_iterations():
 
 # (iterations, primal value) of each paper-table solve, in table order.
 PAPER_SOLVES = {
-    "CHSH/beta_sdp": (5, 0.7071066680495),
+    "CHSH/beta_sdp": (5, 0.7071061102085),
     "T1/beta_nc": (6, 0.9999999811160),
     "T1/beta_os": (6, 0.9999998345118),
     "T2/beta_nc": (6, 0.7071067616220),
@@ -422,10 +422,12 @@ def test_paper_table_solves_keep_their_iterations_and_values():
         ("os", lambda: games.tensor_games(games.c_game(3), games.c_game(3)), 2 / 9, 1e-6),
         ("nc", lambda: games.tensor_games(games.c_game(4), games.c_game(4)), 5 / 32, 1e-6),
         ("os", lambda: games.tensor_games(games.c_game(4), games.c_game(4)), 5 / 32, 1e-6),
+        # Side 4,232, let in by a cap that counts its table, not side^2.
+        ("nc", lambda: games.t_game(45), 1 / math.sqrt(45), 1e-6),
     ],
     ids=["T8/beta_nc", "T16/beta_nc", "T5/beta_os", "T6/beta_os", "C5/beta_os", "C6/beta_os",
          "H2/beta_os", "C2xC2/beta_os", "T8/beta_os", "C8/beta_os", "T32/beta_nc", "H3/beta_nc",
-         "C3xC3/beta_nc", "C3xC3/beta_os", "C4xC4/beta_nc", "C4xC4/beta_os"],
+         "C3xC3/beta_nc", "C3xC3/beta_os", "C4xC4/beta_nc", "C4xC4/beta_os", "T45/beta_nc"],
 )
 def test_closed_forms_beyond_the_paper_table(kind, game, value, tol):
     # beta_nc(T_k) = 1/sqrt(k), beta_os(T_k) = 1 and beta_os(C_k) = 1/k;
@@ -471,9 +473,9 @@ def test_partition_of_the_gram_relaxations():
     inst = relaxations.beta_nc_instance(g)
     prog = sdp._Program(inst)
     assert prog.kept.all() and prog.m == len(inst.constraints) and not prog.label.any()
-    # The diagonal embedding of a classical n = 5 game: beta_nc keeps 18 of
-    # 58 rows, on one class of side 10, the X_ss and Y_tt entries, which is
-    # beta_sdp's block, and 40 scalars.
+    # The diagonal embedding of a classical n = 5 game: beta_nc, which is
+    # beta_sdp there, keeps 18 of 58 rows, on one class of side 10, the X_ss
+    # and Y_tt entries, and 40 scalars.
     r = np.random.default_rng(5).standard_normal((5, 5))
     inst = relaxations.beta_nc_instance(games.from_classical(r / np.abs(r).sum()))
     prog = sdp._Program(inst)
@@ -499,8 +501,8 @@ def test_reduced_solve_retraces_the_full_one(monkeypatch):
     # The start and every NT step are block-diagonal on the classes, so the
     # reduced run takes the full run's iterations, to rounding; its Z,
     # pinched to the classes, and y, 0 on every dropped row, solve the
-    # instance as given. 14 of the 15 programs drop rows: all but
-    # beta_sdp(CHSH), whose rows and C pair every index.
+    # instance as given. Every one of the 15 programs drops rows, also
+    # beta_sdp(CHSH), beta_nc of its diagonal embedding, which keeps 6 of 10.
     unchanged = []
     for name, inst in _paper_table_instances().items():
         sol = sdp.solve(inst, sdp.DEFAULT_TOL)
@@ -518,7 +520,7 @@ def test_reduced_solve_retraces_the_full_one(monkeypatch):
         assert all((prog.label[index] == index[:, :1]).all() for index, _ in sol.blocks), name
         if prog.kept.all():
             unchanged.append(name)
-    assert unchanged == ["CHSH/beta_sdp"]
+    assert unchanged == []
 
 
 def _three_by_three(row: tuple, rhs: float) -> sdp.SdpInstance:

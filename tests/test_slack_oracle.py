@@ -13,20 +13,21 @@ from table import dense_objective
 from witness import dense_z, families
 from xorq import games, relaxations, sdp
 
-CASES = {
-    "CHSH/sdp": (lambda: games.from_classical(games.chsh()), "sdp"),
-    **{
-        f"{name}/{kind}": (build, kind)
-        for name, build in (
-            ("T2", lambda: games.t_game(2)),
-            ("H1", lambda: games.h_game(1)),
-            ("C2", lambda: games.c_game(2)),
-            ("R2", lambda: random_game(2, seed=81)),
-            ("R3", lambda: random_game(3, seed=82)),
-        )
-        for kind in ("nc", "os")
-    },
+# The equality-cap relaxations and their slack oracles. beta_sdp is compiled
+# as beta_nc of the diagonal embedding, so its oracle, the unit-vector
+# program with slacks, is checked against it in test_relaxations.py.
+EQUALITY_CASES = {
+    f"{name}/{kind}": (build, kind)
+    for name, build in (
+        ("T2", lambda: games.t_game(2)),
+        ("H1", lambda: games.h_game(1)),
+        ("C2", lambda: games.c_game(2)),
+        ("R2", lambda: random_game(2, seed=81)),
+        ("R3", lambda: random_game(3, seed=82)),
+    )
+    for kind in ("nc", "os")
 }
+CASES = {"CHSH/sdp": (lambda: games.from_classical(games.chsh()), "sdp"), **EQUALITY_CASES}
 
 
 def _slack_instance(case: str) -> sdp.SdpInstance:
@@ -50,9 +51,9 @@ def _slack_first(inst: sdp.SdpInstance, gram: int) -> sdp.SdpInstance:
     )
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(EQUALITY_CASES))
 def test_equality_caps_match_slack_oracle(case):
-    build, kind = CASES[case]
+    build, kind = EQUALITY_CASES[case]
     equal = getattr(relaxations, f"beta_{kind}_instance")(build())
     inst = _slack_instance(case)
     assert inst.side > equal.side  # the slack indices after the Gram ones

@@ -21,20 +21,17 @@ def dense_z(sol: SdpSolution, side: int) -> np.ndarray:
 
 def _layout(kind: str, n: int) -> dict:
     """The witness families of relaxation beta_<kind> for local side n (the
-    game's n): {name: (base, size, conjugate, side)}.
+    game's n): {name: (base, conjugate)}.
 
-    Family `name` is the Gram indices base .. base + size - 1; its vectors
+    Family `name` is the Gram indices base .. base + n^2 - 1; its vectors
     are those columns of the factor W of Z = W^+ W, conjugated for the X
-    families. With a side it is the (d, side, side) array X of d x side
-    matrices whose vector X[:, i, k] is index base + i*side + k; without
-    one, a matrix with one vector per row.
+    families, as the (d, n, n) array X of d x n matrices whose vector
+    X[:, i, k] is index base + i*n + k.
     """
     nn = n * n
     return {
-        "sdp": {"x": (0, n, True, None), "y": (n, n, False, None)},
-        "nc": {"x": (0, nn, True, n), "y": (nn, nn, False, n)},
-        "os": {"x_r": (0, nn, True, n), "x_c": (nn, nn, True, n),
-               "y_r": (2 * nn, nn, False, n), "y_c": (3 * nn, nn, False, n)},
+        "nc": {"x": (0, True), "y": (nn, False)},
+        "os": {"x_r": (0, True), "x_c": (nn, True), "y_r": (2 * nn, False), "y_c": (3 * nn, False)},
     }[kind]
 
 
@@ -43,15 +40,15 @@ def families(kind: str, n: int, sol: SdpSolution) -> dict:
     of local side n: Z = W^+ W keeps the eigenvalues of the dense Z above
     RANK_CUT times the largest, one row of W each, and W is cut into the
     families of _layout(kind, n)."""
-    layout = _layout(kind, n)
-    z = dense_z(sol, sum(size for _, size, _, _ in layout.values()))
+    layout, nn = _layout(kind, n), n * n
+    z = dense_z(sol, len(layout) * nn)
     lam, vecs = np.linalg.eigh((z + z.conj().T) / 2)
     keep = np.flatnonzero(lam > RANK_CUT * max(float(lam[-1]), 1e-300))[::-1]
     w = (np.sqrt(lam[keep])[:, None] * vecs[:, keep].conj().T).astype(complex)
     witness = {}
-    for name, (base, size, conjugate, side) in layout.items():
-        part = np.conj(w[:, base:base + size]) if conjugate else w[:, base:base + size]
-        witness[name] = part.T if side is None else part.reshape(-1, side, side)
+    for name, (base, conjugate) in layout.items():
+        part = w[:, base:base + nn]
+        witness[name] = (np.conj(part) if conjugate else part).reshape(-1, n, n)
     return witness
 
 
