@@ -24,7 +24,8 @@ iterate's for STALL_ITERS iterations.
 
 The linear algebra is NumPy's alone. _schur fills the lower triangle of the
 Schur matrix M, which np.linalg.cholesky reads, and gives the lower factor L
-with M = L L^T. dy takes a forward pass with L and an adjoint pass with L^T.
+with M = L L^T. dy = M^-1 rhs takes a forward pass with L and an adjoint pass
+with L^T.
 NumPy has no triangular solve, so each pass is a blocked substitution
 (_Triangular): the diagonal blocks, SUBSTITUTION_ROWS rows each, are
 inverted once per factor, and a pass takes matrix products only. A block
@@ -102,7 +103,6 @@ DEFAULT_TOL = 1e-6
 FEAS_TOL = 1e-8
 MAX_ITERS = 120
 MU_FLOOR = 1e-13
-SHORT_STEP = 0.1  # corrector step below which the centering direction is tried
 STALL_ITERS = 5  # iterations without a lower merit after which a run stops
 SCHUR_GROUP_ENTRIES = 1 << 15  # entries (512 KB if complex) of each array of one Schur chunk
 SUBSTITUTION_ROWS = 64  # rows of a diagonal block in a blocked triangular solve
@@ -158,7 +158,8 @@ class IpmIteration:
     """One interior-point iteration: the residuals, relative gap and mu of
     the iterate it starts from, the centering weight and step sizes it took,
     and the seconds it spent per phase. An iteration that stops the solver
-    takes no step and leaves the later fields at 0."""
+    takes no step: sigma and the step sizes stay 0, and so does the time of
+    each phase it did not reach."""
 
     pres: float
     dres: float
@@ -189,7 +190,7 @@ class SdpSolution:
     dual_value: float
     iterations: int  # iterations run, len(trace), whichever iterate is returned
     # "optimal", or "max_iterations" or "stalled" (best iterate, non-certified);
-    # "stalled" also when the merit has not improved for STALL_ITERS iterations
+    # "stalled" for every early stop, a failed factorization of Z among them (see solve)
     status: str
     trace: tuple[IpmIteration, ...] = ()
 
@@ -395,18 +396,15 @@ def _pack(prog: _Program, stacks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _ct(x: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of each matrix of a stack."""
-    return x.conj().swapaxes(-1, -2)
-
-
 def _hermitian(x: np.ndarray) -> np.ndarray:
-    return (x + _ct(x)) / 2
+    return (x + linalg.dagger(x)) / 2
 
 
 def _chol_psd(x: np.ndarray) -> np.ndarray:
     """The Cholesky factors of a stack, with one jitter for all of it when
-    some matrix is not numerically positive definite."""
+    some matrix is not numerically positive definite. LinAlgError when 12
+    tries (no jitter, then 11 growing ones) all fail, which stops the run
+    at its best iterate (_solve)."""
     jitter = 0.0
     base = max(float(np.trace(x, axis1=-2, axis2=-1).real.mean()) / x.shape[-1], 1e-300)
     for _ in range(12):
@@ -426,15 +424,15 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
     Returns W, G, G^-1 = diag(omega^1/4) Q^H L^-1 and lam, per matrix.
     """
     lz = _chol_psd(z)
-    omega, q = np.linalg.eigh(_hermitian(_ct(lz) @ s @ lz))
+    omega, q = np.linalg.eigh(_hermitian(linalg.dagger(lz) @ s @ lz))
     omega = np.clip(omega, 1e-300, None)
     g = lz @ (q * omega[:, None, :] ** -0.25)
-    g_inv = (omega**0.25)[:, :, None] * (_ct(q) @ np.linalg.inv(lz))
-    return _hermitian(g @ _ct(g)), g, g_inv, np.sqrt(omega)
+    g_inv = (omega**0.25)[:, :, None] * (linalg.dagger(q) @ np.linalg.inv(lz))
+    return _hermitian(g @ linalg.dagger(g)), g, g_inv, np.sqrt(omega)
 
 
 class _Triangular:
-    """A lower-triangular L, ready for solves with L and with L^H by blocked
+    """A lower-triangular L, ready for solves with L L^H by blocked
     substitution. The diagonal blocks, SUBSTITUTION_ROWS rows each (the last
     one shorter), are inverted once, here, all at once; a solve then takes
     matrix products only, block by block, with one refinement step per
@@ -470,26 +468,30 @@ class _Triangular:
         out[:, h:, :h] = -(halves[k:] @ stack[:, h:, :h]) @ halves[:k]
         return out
 
-    def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """L^-1 rhs, or L^-H rhs when adjoint; rhs is a vector or a matrix."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(L L^H)^-1 rhs, rhs a vector or a matrix: L u = rhs block by block
+        downwards, then L^H x = u block by block upwards."""
         l = self.l
-        x = np.empty(rhs.shape, dtype=np.result_type(l, rhs))
-        for lo, hi, inv, diag in reversed(self.blocks) if adjoint else self.blocks:
-            if adjoint:
-                inv, diag = inv.conj().T, diag.conj().T
-                r = rhs[lo:hi] - l[hi:, lo:hi].conj().T @ x[hi:]
-            else:
-                r = rhs[lo:hi] - l[lo:hi, :lo] @ x[:lo]
+        u = np.empty(rhs.shape, dtype=np.result_type(l, rhs))
+        for lo, hi, inv, diag in self.blocks:
+            r = rhs[lo:hi] - l[lo:hi, :lo] @ u[:lo]
+            uk = inv @ r
+            u[lo:hi] = uk + inv @ (r - diag @ uk)
+        x = np.empty_like(u)
+        for lo, hi, inv, diag in reversed(self.blocks):
+            inv, diag = inv.conj().T, diag.conj().T
+            r = u[lo:hi] - l[hi:, lo:hi].conj().T @ x[hi:]
             xk = inv @ r
             x[lo:hi] = xk + inv @ (r - diag @ xk)
         return x
 
 
-def _max_step(dx: list[np.ndarray]) -> float:
-    """Largest alpha with I + alpha dx >= 0 on every class, for a direction
-    scaled in the NT frame: Lam^-1/2 G^-1 dZ G^-H Lam^-1/2 for Z, Lam^-1/2 G^H
-    dS G Lam^-1/2 for S, one stack per class side."""
-    lam = min(float(np.linalg.eigvalsh(_hermitian(x))[:, 0].min()) for x in dx)
+def _max_step(frames: list[np.ndarray], dx: list[np.ndarray]) -> float:
+    """Largest alpha with I + alpha F dx F^H >= 0 on every class, for a
+    direction and its NT frame F, one stack per class side: Lam^-1/2 G^-1
+    for dZ, Lam^-1/2 G^H for dS."""
+    scaled = (f @ x @ linalg.dagger(f) for f, x in zip(frames, dx))
+    lam = min(float(np.linalg.eigvalsh(_hermitian(x))[:, 0].min()) for x in scaled)
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -516,17 +518,13 @@ def _schur(prog: _Program, w: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _lap(t0: float) -> tuple[float, float]:
-    """(now, seconds since t0), for the per-phase times of the trace."""
-    t = time.perf_counter()
-    return t, t - t0
-
-
 def _solve(prog: _Program, tol: float) -> SdpSolution:
     """The interior-point loop, over real symmetric Z for a real program,
     on packed buffers whose dense steps run per stack (_Program). The
     residuals are relative to 1 + max |b| and 1 + ||C||, the gap to
-    max(1, |primal|).
+    max(1, |primal|). Each iteration appends its record to the trace once,
+    as soon as its residuals are known, and adds its step and phase times
+    to it; every stop but "optimal" is a break to the best iterate.
 
     The start (see the module docstring) is Z = (u^T b / Tr D) I, y = lam u
     and S = A^T y - C = lam D - C, u the witness prog.witness with A^T u =
@@ -543,8 +541,15 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
     s = _at_of(prog, y) - prog.cobj
     trace = []
 
+    def lap(phase: str):
+        """Add the seconds since the last lap to this iteration's phase."""
+        nonlocal last
+        now = time.perf_counter()
+        record[phase] = record.get(phase, 0.0) + (now - last)
+        last = now
+
     best = None
-    best_merit, best_at = np.inf, 0  # the best iterate's merit and iteration
+    best_merit, best_at = np.inf, 0  # the best iterate's merit and len(trace) at it
     status = "stalled"  # each break below: the iterates can make no further progress
     for _ in range(MAX_ITERS):
         rp = b_vec - _a_of(prog, z)
@@ -557,73 +562,69 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         pres = float(np.linalg.norm(rp)) / scale_b
         dres = float(np.linalg.norm(rd)) / scale_c
         record = dict(pres=pres, dres=dres, rel_gap=rel_gap, mu=mu)
+        trace.append(record)
         if not all(map(math.isfinite, (pres, dres, mu))):
             if best is None:
                 raise SdpError("non-finite residual or mu at the start")
-            trace.append(IpmIteration(**record))
-            break  # the iterate overflowed: the best one so far is returned
+            break  # the iterate overflowed
         merit = max(pres, dres, rel_gap)
         if merit < best_merit:
             best_merit, best_at = merit, len(trace)
             best = (z, y.copy(), pobj, dobj)
         if pres <= FEAS_TOL and dres <= FEAS_TOL and rel_gap <= tol:
-            trace.append(IpmIteration(**record))
-            return _finish(prog, z, y, pobj, dobj, len(trace), "optimal", trace)
+            return _finish(prog, z, y, pobj, dobj, "optimal", trace)
         if mu / value_scale < MU_FLOOR or len(trace) - best_at >= STALL_ITERS:
-            trace.append(IpmIteration(**record))
             break  # numerical floor, or no progress for STALL_ITERS iterations
 
-        t = time.perf_counter()
-        ws, gs, g_invs, lams = zip(*map(_nt_scaling, _views(prog, z), _views(prog, s)))
-        w = _pack(prog, ws)
-        t, record["nt_s"] = _lap(t)
-        schur = _schur(prog, w)
-        t, record["schur_s"] = _lap(t)
-        diag = np.diag(schur).copy()
-        ridge = 1e-14 * max(float(np.max(diag)), 1e-300)
-        factor = None
-        for _ in range(10):
-            np.fill_diagonal(schur, diag + ridge)
-            try:
-                factor = _Triangular(np.linalg.cholesky(schur))
-                break
-            except np.linalg.LinAlgError:
-                ridge *= 100.0
-        t, record["chol_s"] = _lap(t)
-        if factor is None:
-            trace.append(IpmIteration(**record))
-            break
-
-        s_inv = _pack(prog, [(g / lam[:, None, :]) @ _ct(g) for g, lam in zip(gs, lams)])
-        roots = [lam**-0.5 for lam in lams]
-        frames_z = [root[:, :, None] * g_inv for root, g_inv in zip(roots, g_invs)]  # Lam^-1/2 G^-1
-        frames_s = [_ct(g * root[:, None, :]) for g, root in zip(gs, roots)]  # Lam^-1/2 G^H
-        w_rd_w = _pack(prog, [wk @ rk @ wk for wk, rk in zip(ws, _views(prog, rd))])
-
-        def newton(rc: np.ndarray):
-            """The NT direction with dZ + W dS W = rc."""
-            rhs = _a_of(prog, rc + w_rd_w) - rp
-            dy = factor.solve(factor.solve(rhs), adjoint=True)
-            if not np.isfinite(dy).all():
-                raise FloatingPointError("non-finite Newton step")
-            ds = _at_of(prog, dy) - rd
-            dz = [_hermitian(r - wk @ sk @ wk) for r, wk, sk in zip(_views(prog, rc), ws, _views(prog, ds))]
-            return _pack(prog, dz), dy, ds
-
-        def steps(dz: np.ndarray, ds: np.ndarray, fraction: float) -> tuple[float, float]:
-            return (
-                min(1.0, fraction * _max_step([f @ x @ _ct(f) for f, x in zip(frames_z, _views(prog, dz))])),
-                min(1.0, fraction * _max_step([f @ x @ _ct(f) for f, x in zip(frames_s, _views(prog, ds))])),
-            )
-
+        last = time.perf_counter()
         try:
+            ws, gs, g_invs, lams = zip(*map(_nt_scaling, _views(prog, z), _views(prog, s)))
+            w = _pack(prog, ws)
+            lap("nt_s")
+            schur = _schur(prog, w)
+            lap("schur_s")
+            diag = np.diag(schur).copy()
+            ridge = 1e-14 * max(float(np.max(diag)), 1e-300)
+            factor = None
+            for _ in range(10):
+                np.fill_diagonal(schur, diag + ridge)
+                try:
+                    factor = _Triangular(np.linalg.cholesky(schur))
+                    break
+                except np.linalg.LinAlgError:
+                    ridge *= 100.0
+            lap("chol_s")
+            if factor is None:
+                break  # no ridge makes the Schur matrix factorable
+
+            s_inv = _pack(prog, [(g / lam[:, None, :]) @ linalg.dagger(g) for g, lam in zip(gs, lams)])
+            roots = [lam**-0.5 for lam in lams]
+            frames_z = [root[:, :, None] * g_inv for root, g_inv in zip(roots, g_invs)]  # Lam^-1/2 G^-1
+            frames_s = [linalg.dagger(g * root[:, None, :]) for g, root in zip(gs, roots)]  # Lam^-1/2 G^H
+            w_rd_w = _pack(prog, [wk @ rk @ wk for wk, rk in zip(ws, _views(prog, rd))])
+
+            def newton(rc: np.ndarray):
+                """The NT direction with dZ + W dS W = rc."""
+                dy = factor.solve(_a_of(prog, rc + w_rd_w) - rp)
+                if not np.isfinite(dy).all():
+                    raise FloatingPointError("non-finite Newton step")
+                ds = _at_of(prog, dy) - rd
+                dz = [_hermitian(r - wk @ sk @ wk) for r, wk, sk in zip(_views(prog, rc), ws, _views(prog, ds))]
+                return _pack(prog, dz), dy, ds
+
+            def steps(dz: np.ndarray, ds: np.ndarray, fraction: float) -> tuple[float, float]:
+                return (
+                    min(1.0, fraction * _max_step(frames_z, _views(prog, dz))),
+                    min(1.0, fraction * _max_step(frames_s, _views(prog, ds))),
+                )
+
             # Predictor (affine direction) fixes the centering weight.
             dza, _, dsa = newton(-z)
-            t, record["newton_s"] = _lap(t)
+            lap("newton_s")
             ap, ad = steps(dza, dsa, 0.99)
             mu_aff = float(np.vdot(z + ap * dza, s + ad * dsa).real) / nu
             sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
-            t, record["step_s"] = _lap(t)
+            lap("step_s")
 
             # Corrector: centering plus Mehrotra's second-order term, in the NT
             # frame where Z and S are both diag(lam).
@@ -631,42 +632,28 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             for g, g_inv, lam, zk, sk in zip(gs, g_invs, lams, _views(prog, dza), _views(prog, dsa)):
                 x = _hermitian(g_inv @ zk @ sk @ g)
                 x = 2.0 * x / (lam[:, :, None] + lam[:, None, :])
-                second.append(g @ x @ _ct(g))
-            centering = sigma * mu * s_inv - z
-            dz, dy, ds = newton(centering - _pack(prog, second))
-            t, dt = _lap(t)
-            record["newton_s"] += dt
+                second.append(g @ x @ linalg.dagger(g))
+            dz, dy, ds = newton(sigma * mu * s_inv - z - _pack(prog, second))
+            lap("newton_s")
             ap, ad = steps(dz, ds, 0.98)
-            if min(ap, ad) < SHORT_STEP:
-                # Near the boundary the second-order term can block the step;
-                # the centering direction alone is taken when it goes further.
-                t, dt = _lap(t)
-                record["step_s"] += dt
-                fallback = newton(centering)
-                t, dt = _lap(t)
-                record["newton_s"] += dt
-                fallback_steps = steps(fallback[0], fallback[2], 0.98)
-                if min(fallback_steps) > min(ap, ad):
-                    (dz, dy, ds), (ap, ad) = fallback, fallback_steps
-        except FloatingPointError:  # from newton: the best iterate so far is returned
-            trace.append(IpmIteration(**record))
-            break
-        t, dt = _lap(t)
-        record["step_s"] += dt
+        except (np.linalg.LinAlgError, FloatingPointError):
+            break  # a failed factorization of Z or a non-finite Newton step
+        lap("step_s")
         z = z + ap * dz
         s = s + ad * ds
         y = y + ad * dy
-        trace.append(IpmIteration(sigma=sigma, alpha_p=ap, alpha_d=ad, **record))
+        record.update(sigma=sigma, alpha_p=ap, alpha_d=ad)
     else:
         status = "max_iterations"
 
     z, y, pobj, dobj = best
-    return _finish(prog, z, y, pobj, dobj, len(trace), status, trace)
+    return _finish(prog, z, y, pobj, dobj, status, trace)
 
 
-def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
+def _finish(prog, z, y, pobj, dobj, status, trace) -> SdpSolution:
     """The solution of the instance as given: Z's stacks with their classes'
-    indices, and y 0 on every dropped row."""
+    indices, y 0 on every dropped row, and the trace's records as
+    IpmIterations."""
     y_all = np.zeros(prog.kept.size)
     y_all[prog.kept] = y
     return SdpSolution(
@@ -674,9 +661,9 @@ def _finish(prog, z, y, pobj, dobj, iters, status, trace) -> SdpSolution:
         y=y_all,
         primal_value=pobj,
         dual_value=dobj,
-        iterations=iters,
+        iterations=len(trace),
         status=status,
-        trace=tuple(trace),
+        trace=tuple(IpmIteration(**record) for record in trace),
     )
 
 
@@ -724,12 +711,13 @@ def solve(inst: SdpInstance, tol: float) -> SdpSolution:
     A run returns its best iterate as "max_iterations" at the cap, and as
     "stalled" when it stops early (no lower merit max(pres, dres, rel_gap)
     for STALL_ITERS iterations, a non-finite residual, mu or Newton step, mu
-    below MU_FLOOR, or a Schur matrix that no ridge makes factorable); a
-    non-finite start raises SdpError. A real program (C and every entry of
-    a kept row real) is solved over real symmetric Z, and its blocks are
-    then real arrays. Raises TooLargeError when Z packed on the classes or
-    the Schur matrix of the kept rows is above the dense cap, checked once
-    the partition is known and before allocating either.
+    below MU_FLOOR, a Z that no jitter of _chol_psd makes factorable, or a
+    Schur matrix that no ridge makes factorable); a non-finite start raises
+    SdpError. A real program (C and every entry of a kept row real) is
+    solved over real symmetric Z, and its blocks are then real arrays.
+    Raises TooLargeError when Z packed on the classes or the Schur matrix of
+    the kept rows is above the dense cap, checked once the partition is
+    known and before allocating either.
 
     The program (_Program) solves on the classes of the finest partition
     that C and the rows allow, one stack per class side, and drops the rows

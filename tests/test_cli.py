@@ -470,19 +470,23 @@ def _nan_like(x):
 
 
 def _nan_newton_step(real):
-    """sdp._Triangular.solve with NaN from every adjoint pass: the second
-    pass of each Newton solve (the Schur factor is its only user)."""
+    """sdp._Triangular.solve with NaN from every call: every Newton solve
+    (the Schur factor is its only user)."""
 
-    def solve(self, rhs, adjoint=False):
-        x = real(self, rhs, adjoint)
-        return _nan_like(x) if adjoint else x
+    def solve(self, rhs):
+        return _nan_like(real(self, rhs))
 
     return solve
 
 
+def _not_positive_definite(x):
+    raise np.linalg.LinAlgError("matrix not positive definite")
+
+
 # A non-finite iterate at the start leaves nothing to return. One after the
-# start ends the solve with its best iterate (tests/test_sdp.py), which is no
-# value of the relaxation: beta_nc(T2) once printed that iterate, 0, for 1/sqrt(2).
+# start, or a failed factorization of Z, ends the solve with its best iterate
+# (tests/test_sdp.py), which is no value of the relaxation: beta_nc(T2) once
+# printed that iterate, 0, for 1/sqrt(2).
 @pytest.mark.parametrize(
     "target,name,wrap,message",
     [
@@ -490,8 +494,10 @@ def _nan_newton_step(real):
          "non-finite residual or mu at the start"),
         (sdp._Triangular, "solve", _nan_newton_step,
          "beta_nc solve ended with status 'stalled' at iteration 1"),
+        (sdp, "_chol_psd", lambda real: _not_positive_definite,
+         "beta_nc solve ended with status 'stalled' at iteration 1"),
     ],
-    ids=["residual", "newton-step"],
+    ids=["residual", "newton-step", "z-factor"],
 )
 def test_cmd_bias_non_finite_iterate_exits_4(
     tmp_path, monkeypatch, capsys, target, name, wrap, message
