@@ -12,19 +12,25 @@ the vector relaxation beta_sdp. The named families built here:
   c_game(n)  distinguish (|0,k> +/- |k,0>)/sqrt(2) over uniform k; breaks
              perfect parallel repetition.
 
+Every game's M is made in one place, _from_entries, which checks the n^4
+dense cap before M exists. The builders emit M's nonzero entries into it by
+index arithmetic (h_game's as products of its C_i's entries); only
+tensor_games forms a Kronecker product. When games are held as tables of
+their nonzeros (ROADMAP item 26 step 1), only _from_entries changes.
+
 Each game decomposes M once, by the connected components of its nonzero
 pattern (the graph on the n^2 basis indices with an edge wherever
 M[r, c] != 0): M is block diagonal on them, so its eigenpairs are those of
 the blocks. Components are ordered by their smallest index, with the
 indices ascending inside each one. The components of one size share one
-stacked eigvalsh, those of side 1 included, and a game whose pattern is one
-component takes eigvalsh of M itself, with no second copy of M. The
-tensor-product games are almost all zeros (C4 (x) C4: 625 basis indices,
-593 components), so no dense n^2 x n^2 matrix is factored for them.
-GameMatrix.eigenvalues keeps them, ascending (a stable sort of the
-components' eigenvalues, taken in component order), read by validation's
-trace-norm cap and the report's trace norm. For a classical game, whose M
-is diagonal, that cap is sum |R_st| <= 1.
+stacked eigvalsh (linalg.component_stacks), those of side 1 included, and a
+game whose pattern is one component takes eigvalsh of M itself, with no
+second copy of M. The tensor-product games are almost all zeros (C4 (x) C4:
+625 basis indices, 593 components), so no dense n^2 x n^2 matrix is
+factored for them. GameMatrix.eigenvalues keeps them, ascending (a stable
+sort of the components' eigenvalues, taken in component order), read by
+validation's trace-norm cap and the report's trace norm. For a classical
+game, whose M is diagonal, that cap is sum |R_st| <= 1.
 """
 
 from __future__ import annotations
@@ -57,17 +63,11 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     take one stacked eigvalsh per component size; a pattern of one component
     is eigvalsh(m) itself."""
     label = linalg.component_labels(m.shape[0], *np.nonzero(m))
-    dim = label.size
-    members = np.argsort(label, kind="stable")
-    size = np.bincount(label, minlength=dim)[label == np.arange(dim)]  # at each root
-    start = np.cumsum(size) - size
-    values = np.empty(dim)
-    for s in sorted(set(size.tolist())):
-        slots = start[size == s][:, None] + np.arange(s)
-        idx = members[slots]
-        block = m if s == dim else m[idx[:, :, None], idx[:, None, :]]
-        values[slots] = np.linalg.eigvalsh(block)
-    return np.sort(values, kind="stable")
+    values = np.empty(label.size)  # each component's eigenvalues at its nodes
+    for idx in linalg.component_stacks(label):
+        block = m if idx.shape[1] == label.size else m[idx[:, :, None], idx[:, None, :]]
+        values[idx] = np.linalg.eigvalsh(block)
+    return np.sort(values[np.argsort(label, kind="stable")], kind="stable")
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,16 @@ def validate(m: np.ndarray, n: int) -> GameMatrix:
     return g
 
 
+def _from_entries(n: int, rows, cols, vals) -> GameMatrix:
+    """The game on n levels whose M holds vals at (rows, cols), each position
+    given once, and 0 elsewhere: the one place a game's dense M is made,
+    refused above the dense cap before it exists."""
+    check_dense(n**4, f"a game with n = {n}")
+    m = np.zeros((n * n, n * n), dtype=complex)
+    m[rows, cols] = vals
+    return validate(m, n)
+
+
 def chsh() -> np.ndarray:
     """The CHSH game's coefficients R = [[1/4, 1/4], [1/4, -1/4]]."""
     return np.array([[0.25, 0.25], [0.25, -0.25]])
@@ -132,11 +142,8 @@ def from_classical(r) -> GameMatrix:
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimensionMismatchError(f"coefficients must be n x n, got shape {r.shape}")
-    n = r.shape[0]
-    m = np.zeros((n * n, n * n), dtype=complex)
-    idx = np.arange(n * n)
-    m[idx, idx] = r.reshape(-1)
-    return validate(m, n)
+    idx = np.arange(r.size)
+    return _from_entries(r.shape[0], idx, idx, r.reshape(-1))
 
 
 def _check_param(n: int):
@@ -154,30 +161,17 @@ def _check_param(n: int):
 def t_game(n: int) -> GameMatrix:
     """M = (1/(2 sqrt n)) sum_i (|00><ii| + |ii><00|) on n+1 levels."""
     _check_param(n)
-    loc = n + 1
-    check_dense(loc**4, f"a game with n = {loc}")
-    m = np.zeros((loc * loc, loc * loc), dtype=complex)
-    w = 1.0 / (2.0 * math.sqrt(n))
-    for i in range(1, n + 1):
-        ii = i * loc + i
-        m[0, ii] += w
-        m[ii, 0] += w
-    return validate(m, loc)
+    ii = np.arange(1, n + 1) * (n + 2)  # |ii> = i (n + 1) + i
+    zero = np.zeros(n, dtype=int)  # |00>
+    return _from_entries(n + 1, np.r_[zero, ii], np.r_[ii, zero], 1.0 / (2.0 * math.sqrt(n)))
 
 
 def c_game(n: int) -> GameMatrix:
     """M = (1/(2n)) sum_k (|0,k><k,0| + |k,0><0,k|) on n+1 levels."""
     _check_param(n)
-    loc = n + 1
-    check_dense(loc**4, f"a game with n = {loc}")
-    m = np.zeros((loc * loc, loc * loc), dtype=complex)
-    w = 1.0 / (2.0 * n)
-    for k in range(1, n + 1):
-        zk = 0 * loc + k
-        kz = k * loc + 0
-        m[zk, kz] += w
-        m[kz, zk] += w
-    return validate(m, loc)
+    zk = np.arange(1, n + 1)  # |0,k> = k
+    kz = zk * (n + 1)  # |k,0> = k (n + 1)
+    return _from_entries(n + 1, np.r_[zk, kz], np.r_[kz, zk], 1.0 / (2.0 * n))
 
 
 def h_subset_sign(i: int, subset: tuple[int, ...], universe: int) -> int:
@@ -211,16 +205,17 @@ def h_c_matrices(n: int) -> list[np.ndarray]:
 
 
 def h_game(n: int) -> GameMatrix:
-    """M = C(4n+1, 2n)^(-1) sum_i C_i (x) C_i on C(2n+1, n) levels."""
+    """M = C(4n+1, 2n)^(-1) sum_i C_i (x) C_i on C(2n+1, n) levels.
+
+    A term's entries are products of two of C_i's C(2n, n) entries +/-1, and
+    no two terms share one: i is in neither the row's nor the column's first subset."""
     _check_param(n)
     big = math.comb(2 * n + 1, n)
     check_dense(big**4, f"a game with n = {big}")
-    mats = h_c_matrices(n)
-    m = np.zeros((big * big, big * big), dtype=complex)
-    for c in mats:
-        m += np.kron(c, c)
-    m /= math.comb(4 * n + 1, 2 * n)
-    return validate(m, big)
+    c = np.array(h_c_matrices(n))
+    i, t, s = (x.reshape(2 * n + 1, -1, 1) for x in np.nonzero(c))  # C_i's entries
+    vals = c[i, t, s] * c[i, t, s].swapaxes(1, 2) / math.comb(4 * n + 1, 2 * n)
+    return _from_entries(big, big * t + t.swapaxes(1, 2), big * s + s.swapaxes(1, 2), vals)
 
 
 def tensor_games(g1: GameMatrix, g2: GameMatrix) -> GameMatrix:
@@ -251,25 +246,29 @@ def game_to_dict(g: GameMatrix) -> dict:
 
 
 def game_from_dict(data: dict) -> GameMatrix:
+    """The game of an xorq-game-v1 file; FormatError also for an entry listed twice."""
     if not isinstance(data, dict) or data.get("format") != GAME_FORMAT:
         raise FormatError(f"expected format {GAME_FORMAT!r}")
     try:
         n = json_int(data["n"])
         if n < 1:
             raise FormatError("n must be >= 1")
-        check_dense(n**4, f"a game with n = {n}")
-        m = np.zeros((n * n, n * n), dtype=complex)
+        entries = {}
         for e in data["entries"]:
             r, c = json_int(e["r"]), json_int(e["c"])
             if not (0 <= r < n * n and 0 <= c < n * n):
                 raise FormatError(f"entry index ({r}, {c}) out of range")
-            m[r, c] = json_float(e["re"]) + 1j * json_float(e["im"])
+            if (r, c) in entries:
+                raise FormatError(f"entry ({r}, {c}) is listed twice")
+            entries[r, c] = json_float(e["re"]) + 1j * json_float(e["im"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed game file: {exc}") from exc
+    vals = np.array(list(entries.values()), dtype=complex)
     # |M_rc| <= ||M||_1, and the check keeps overflow out of validate.
-    if np.max(np.abs(m)) > 1.0 + TRACE_NORM_SLACK:
+    if np.max(np.abs(vals), initial=0.0) > 1.0 + TRACE_NORM_SLACK:
         raise FormatError("game entry of modulus above 1: the trace norm exceeds 1")
-    return validate(m, n)
+    rows, cols = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T
+    return _from_entries(n, rows, cols, vals)
 
 
 def classical_game_from_dict(data) -> GameMatrix:
@@ -281,7 +280,6 @@ def classical_game_from_dict(data) -> GameMatrix:
         raise FormatError(f"malformed classical game file: {exc}") from exc
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
         raise FormatError(f"classical coefficients must be n x n, got shape {r.shape}")
-    check_dense(r.shape[0] ** 4, f"a game with n = {r.shape[0]}")
     # |R_st| <= ||M||_1, and the check keeps overflow out of validate.
     if np.max(np.abs(r)) > 1.0 + TRACE_NORM_SLACK:
         raise FormatError("classical coefficient of modulus above 1")

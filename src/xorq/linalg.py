@@ -1,11 +1,11 @@
 """Dense complex linear algebra used throughout the package.
 
 Factorizations, tensor-product utilities, register permutation,
-permutation signs and the connected components of a sparsity pattern. All
-functions are pure: inputs are never mutated and no global state is
-touched. The see-saw's steps (check_hermitian, sign_of_hermitian,
-polar_unitary, hermitian_part) also take a stack (..., s, s) and act on
-each matrix of it.
+permutation signs and the connected components of a sparsity pattern,
+grouped by size. All functions are pure: inputs are never mutated and no
+global state is touched. The see-saw's steps (check_hermitian,
+sign_of_hermitian, polar_unitary, hermitian_part) also take a stack
+(..., s, s) and act on each matrix of it.
 
 Index convention, fixed globally: the composite basis of C^a (x) C^b is
 ordered |i>|j> -> i*b + j, 0-based (numpy's kron order).
@@ -43,7 +43,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A^dagger) / 2, of one matrix or of each matrix of a stack."""
-    a = as_complex(a)
     return (a + dagger(a)) / 2
 
 
@@ -217,8 +216,7 @@ def sign_of_hermitian(k: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(check_hermitian(k))
     u = u[..., ::-1]  # descending, the order the products are summed in
     signs = np.where(w[..., ::-1] < -SIGN_ZERO_TOL, -1.0, 1.0)
-    x = (u * signs[..., None, :]) @ dagger(u)
-    return (x + dagger(x)) / 2
+    return hermitian_part((u * signs[..., None, :]) @ dagger(u))
 
 
 def polar_unitary(k: np.ndarray) -> np.ndarray:
@@ -256,6 +254,19 @@ def component_labels(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def component_stacks(label: np.ndarray) -> list[np.ndarray]:
+    """The components of a labelling, each node's named by its smallest node
+    (component_labels), grouped by size: one (K, s) array per component
+    size s, widest first, whose K rows are the components of that size in
+    the order of their names, each its nodes ascending."""
+    nodes = np.argsort(label, kind="stable")  # by component, ascending inside each
+    size = np.bincount(label)
+    size = size[size > 0]  # per component, in the order of their names
+    start = np.cumsum(size) - size
+    sides = np.flatnonzero(np.bincount(size))[::-1].tolist()
+    return [nodes[start[size == s][:, None] + np.arange(s)] for s in sides]
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

@@ -168,11 +168,11 @@ class IpmIteration:
     sigma: float = 0.0
     alpha_p: float = 0.0
     alpha_d: float = 0.0
-    nt_s: float = 0.0
-    schur_s: float = 0.0
-    chol_s: float = 0.0
-    newton_s: float = 0.0
-    step_s: float = 0.0
+    nt_s: float = 0.0  # the NT scaling and its frame's products: W, S^-1, the step frames, W R_d W
+    schur_s: float = 0.0  # the Schur matrix
+    chol_s: float = 0.0  # its Cholesky factor and _Triangular's block inverses
+    newton_s: float = 0.0  # the two Newton solves, the corrector's with its second-order term
+    step_s: float = 0.0  # the four step-length searches and sigma
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,21 @@ class _Program:
         self.label, self.kept = _classes(dim, c_rows, c_cols, rows[~obj], cols[~obj], owner[~obj], b)
         self.b = b[self.kept]
         self.dim, self.m = dim, self.b.size
-        # Each index's class, numbered in the order of their names (a name
-        # is its own label), and each class's side.
-        cls = (np.cumsum(self.label == np.arange(dim)) - 1)[self.label]
-        sides = np.bincount(cls)
-        self.size = int(sides @ sides)
+        # Each index's place in its class and its row's packed position,
+        # from the stacks of the classes.
+        self.index = linalg.component_stacks(self.label)
+        place, start = np.empty((2, dim), dtype=np.intp)
+        self.stacks, lo = [], 0
+        for index in self.index:
+            k, s = index.shape
+            hi = lo + k * s * s
+            place[index] = np.arange(s)
+            start[index] = np.arange(lo, hi, s).reshape(k, s)
+            self.stacks.append((lo, hi, (k, s, s)))
+            lo = hi
+        self.size = lo
         check_dense(self.m**2, f"the Schur matrix of the {self.m} rows kept of {b.size}")
-        check_dense(self.size, f"Z packed on its classes, the widest of side {sides.max()},")
+        check_dense(self.size, f"Z packed on its classes, the widest of side {self.index[0].shape[1]},")
         at = np.append(self.kept, False)[owner]  # the kept rows' entries; owner -1 reads the False
         self.dtype = complex if vals[at | obj].imag.any() else float
         rows, cols, vals = rows[at], cols[at], vals[at]
@@ -251,21 +259,6 @@ class _Program:
         self.weight = np.where(diag, 1.0, 2.0) * vals.conj()
         self.half = np.where(diag, 0.5, 1.0) * vals
 
-        # Each index's place in its class, and each class's packed offset.
-        place = np.empty(dim, dtype=np.intp)
-        place[np.argsort(cls, kind="stable")] = np.arange(dim) - np.repeat(np.cumsum(sides) - sides, sides)
-        side, offset = sides[cls], np.empty(sides.size, dtype=np.intp)
-        self.stacks, self.index, lo = [], [], 0
-        for s in np.flatnonzero(np.bincount(sides))[::-1].tolist():
-            members = np.flatnonzero(sides == s)
-            offset[members] = lo + np.arange(members.size) * s * s
-            index = np.empty((members.size, s), dtype=np.intp)
-            at = np.flatnonzero(side == s)
-            index[np.searchsorted(members, cls[at]), place[at]] = at
-            self.index.append(index)
-            self.stacks.append((lo, lo + members.size * s * s, (members.size, s, s)))
-            lo = self.stacks[-1][1]
-        start = offset[cls] + place * side  # packed position of each index's row
         self.diag = start + place
         self.pos = start[rows] + place[cols]
         self.at_pos = np.concatenate([self.pos, start[cols] + place[rows]])
@@ -275,7 +268,7 @@ class _Program:
         c_pos = np.concatenate([start[c_rows] + place[c_cols], (start[c_cols] + place[c_rows])[off]])
         self.cobj = _scatter(self, c_pos, np.concatenate([c_vals, c_vals[off].conj()]))
         self.witness = _trace_witness(self)
-        self.schur = _schur_plan(self, offset[cls[rows]], place)
+        self.schur = _schur_plan(self, start[rows], place)
 
 
 def _trace_witness(prog: _Program) -> np.ndarray | None:
@@ -303,9 +296,9 @@ def _trace_witness(prog: _Program) -> np.ndarray | None:
     return witness
 
 
-def _schur_plan(prog: _Program, block: np.ndarray, place: np.ndarray) -> list:
-    """The terms of the Schur matrix, per stack in chunks (see _schur): block
-    is each stored entry's class block's packed offset, place each index's
+def _schur_plan(prog: _Program, start: np.ndarray, place: np.ndarray) -> list:
+    """The terms of the Schur matrix, per stack in chunks (see _schur): start
+    is the packed position of each stored entry's row, place each index's
     place in its class.
 
     A part is the entries of one row inside one class. With U its stored
@@ -321,10 +314,10 @@ def _schur_plan(prog: _Program, block: np.ndarray, place: np.ndarray) -> list:
     m, cap = prog.m, SCHUR_GROUP_ENTRIES
     plan = []
     for lo, hi, (n_classes, s, _) in prog.stacks:
-        at = np.flatnonzero((lo <= block) & (block < hi))
+        at = np.flatnonzero((lo <= start) & (start < hi))
         if not at.size:
             continue
-        cls, q = (block[at] - lo) // (s * s), prog.owner[at]
+        cls, q = (start[at] - lo) // (s * s), prog.owner[at]  # a class's rows lie in its block
         r, c, half = place[prog.rows[at]], place[prog.cols[at]], prog.half[at]
         # The partners, by class and then row: positions in P and P^T, weights, rows.
         order = np.argsort(cls * m + q, kind="stable")
@@ -396,10 +389,6 @@ def _pack(prog: _Program, stacks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _hermitian(x: np.ndarray) -> np.ndarray:
-    return (x + linalg.dagger(x)) / 2
-
-
 def _chol_psd(x: np.ndarray) -> np.ndarray:
     """The Cholesky factors of a stack, with one jitter for all of it when
     some matrix is not numerically positive definite. LinAlgError when 12
@@ -424,11 +413,11 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
     Returns W, G, G^-1 = diag(omega^1/4) Q^H L^-1 and lam, per matrix.
     """
     lz = _chol_psd(z)
-    omega, q = np.linalg.eigh(_hermitian(linalg.dagger(lz) @ s @ lz))
+    omega, q = np.linalg.eigh(linalg.hermitian_part(linalg.dagger(lz) @ s @ lz))
     omega = np.clip(omega, 1e-300, None)
     g = lz @ (q * omega[:, None, :] ** -0.25)
     g_inv = (omega**0.25)[:, :, None] * (linalg.dagger(q) @ np.linalg.inv(lz))
-    return _hermitian(g @ linalg.dagger(g)), g, g_inv, np.sqrt(omega)
+    return linalg.hermitian_part(g @ linalg.dagger(g)), g, g_inv, np.sqrt(omega)
 
 
 class _Triangular:
@@ -491,7 +480,7 @@ def _max_step(frames: list[np.ndarray], dx: list[np.ndarray]) -> float:
     direction and its NT frame F, one stack per class side: Lam^-1/2 G^-1
     for dZ, Lam^-1/2 G^H for dS."""
     scaled = (f @ x @ linalg.dagger(f) for f, x in zip(frames, dx))
-    lam = min(float(np.linalg.eigvalsh(_hermitian(x))[:, 0].min()) for x in scaled)
+    lam = min(float(np.linalg.eigvalsh(linalg.hermitian_part(x))[:, 0].min()) for x in scaled)
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -580,6 +569,11 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
         try:
             ws, gs, g_invs, lams = zip(*map(_nt_scaling, _views(prog, z), _views(prog, s)))
             w = _pack(prog, ws)
+            s_inv = _pack(prog, [(g / lam[:, None, :]) @ linalg.dagger(g) for g, lam in zip(gs, lams)])
+            roots = [lam**-0.5 for lam in lams]
+            frames_z = [root[:, :, None] * g_inv for root, g_inv in zip(roots, g_invs)]  # Lam^-1/2 G^-1
+            frames_s = [linalg.dagger(g * root[:, None, :]) for g, root in zip(gs, roots)]  # Lam^-1/2 G^H
+            w_rd_w = _pack(prog, [wk @ rk @ wk for wk, rk in zip(ws, _views(prog, rd))])
             lap("nt_s")
             schur = _schur(prog, w)
             lap("schur_s")
@@ -597,19 +591,14 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             if factor is None:
                 break  # no ridge makes the Schur matrix factorable
 
-            s_inv = _pack(prog, [(g / lam[:, None, :]) @ linalg.dagger(g) for g, lam in zip(gs, lams)])
-            roots = [lam**-0.5 for lam in lams]
-            frames_z = [root[:, :, None] * g_inv for root, g_inv in zip(roots, g_invs)]  # Lam^-1/2 G^-1
-            frames_s = [linalg.dagger(g * root[:, None, :]) for g, root in zip(gs, roots)]  # Lam^-1/2 G^H
-            w_rd_w = _pack(prog, [wk @ rk @ wk for wk, rk in zip(ws, _views(prog, rd))])
-
             def newton(rc: np.ndarray):
                 """The NT direction with dZ + W dS W = rc."""
                 dy = factor.solve(_a_of(prog, rc + w_rd_w) - rp)
                 if not np.isfinite(dy).all():
                     raise FloatingPointError("non-finite Newton step")
                 ds = _at_of(prog, dy) - rd
-                dz = [_hermitian(r - wk @ sk @ wk) for r, wk, sk in zip(_views(prog, rc), ws, _views(prog, ds))]
+                dz = [linalg.hermitian_part(r - wk @ sk @ wk)
+                      for r, wk, sk in zip(_views(prog, rc), ws, _views(prog, ds))]
                 return _pack(prog, dz), dy, ds
 
             def steps(dz: np.ndarray, ds: np.ndarray, fraction: float) -> tuple[float, float]:
@@ -630,7 +619,7 @@ def _solve(prog: _Program, tol: float) -> SdpSolution:
             # frame where Z and S are both diag(lam).
             second = []
             for g, g_inv, lam, zk, sk in zip(gs, g_invs, lams, _views(prog, dza), _views(prog, dsa)):
-                x = _hermitian(g_inv @ zk @ sk @ g)
+                x = linalg.hermitian_part(g_inv @ zk @ sk @ g)
                 x = 2.0 * x / (lam[:, :, None] + lam[:, None, :])
                 second.append(g @ x @ linalg.dagger(g))
             dz, dy, ds = newton(sigma * mu * s_inv - z - _pack(prog, second))

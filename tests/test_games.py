@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -17,7 +18,7 @@ from constructions import (
     xor_to_rank_one,
 )
 from spectral import herm_eig
-from xorq import cli, games, linalg
+from xorq import cli, errors, games, linalg
 from xorq.errors import (
     DimensionMismatchError,
     FormatError,
@@ -495,6 +496,79 @@ def test_game_reader_rejects_oversized_and_huge_entries():
                 "entries": [{"r": r, "c": c, "re": x, "im": y} for r, c, x, y in entries]}
         with pytest.raises(FormatError, match="modulus above 1"):
             games.game_from_dict(data)
+
+
+def test_game_reader_refuses_an_entry_listed_twice(tmp_path, capsys):
+    # The later entry used to replace the earlier one: beta_nc read 0.25.
+    data = {"format": "xorq-game-v1", "n": 1, "entries": [
+        {"r": 0, "c": 0, "re": 0.9, "im": 0.0}, {"r": 0, "c": 0, "re": 0.25, "im": 0.0},
+    ]}
+    with pytest.raises(FormatError, match=r"entry \(0, 0\) is listed twice"):
+        games.game_from_dict(data)
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["bias", str(path), "--quantities", "omega,beta-nc"]) == cli.EXIT_ARGS
+    err = capsys.readouterr().err
+    assert "listed twice" in err and "Traceback" not in err
+
+
+def test_from_classical_refuses_games_above_the_dense_cap(monkeypatch):
+    # With a cap of 100 entries, n = 4 (256 entries) is refused before M exists.
+    monkeypatch.setattr(errors, "DENSE_AMPLITUDE_CAP", 100)
+    with pytest.raises(TooLargeError, match="a game with n = 4"):
+        games.from_classical(np.eye(4) / 4)
+    assert games.from_classical(np.eye(3) / 3).n == 3
+
+
+def _classical30() -> games.GameMatrix:
+    r = np.random.default_rng(2026).standard_normal((30, 30))
+    return games.from_classical(r / (np.abs(r).sum() * 1.000001))
+
+
+# SHA-256 of M's bytes, recorded when each builder still filled a dense M
+# of its own: a moved summation or a -0.0 entry changes them.
+GAME_DIGESTS = {
+    "CHSH": "6c3f7499143765414a1c21b9a42d568e5f24c097559eb3fa8562477f2dcee130",
+    "T1": "079da4b126f02dd4df823455fdb68869493b4d2f61ed4a5c9a73c6c8193e8597",
+    "T2": "5d308aa90327026769ee239d19bdb2decbb54455305e66ae189e69146cb44925",
+    "T3": "2b52e328c540b824f83a9039601f6ef10902db982636b3f773edb0ec208d3f0e",
+    "T4": "817fc573589c4a6d04113e896bf6d8f062c28fe176443f77bedc981df0d7c132",
+    "T5": "c767cc7356dffaf2438bae388dd094c3240742b71c230fe04f80074408775711",
+    "T6": "631ab63b9a53f1543fab24bbe3963286120090466a2ce3c4e5b69bd898a2fcef",
+    "T7": "7289f9928a24b1aad376232671d8549cbb57e7137570c6ac86d15f218d879ac3",
+    "T8": "86949f849dd08471bdf33debdb7ed43160cde18fbbfc787d396085a54927f9fc",
+    "T63": "4688bf195382627a61cab2353bbaecfeaf37e874ebb120eea149ff3501a6f524",
+    "C1": "2f509e42a147452735dce6250b0bec39512f5808139521ddfcbabe8cd5fc2871",
+    "C2": "8b0d63460bc3fcc0e34a6e17dc0721a38e645cba065300c24918547708e953f7",
+    "C3": "8dce6c31e8e61257e2252e0305f0cfda459895f9062512f746a79e1d3826862c",
+    "C4": "b1b791f22e0eac767696d1237cbb96c08ca80a57a8417ca34aa9466cf04f645c",
+    "C5": "7755e69a6f4f8f8d1170af8a7040271b39741c422620670850293f49367af643",
+    "C6": "5f9ae621424e8f77c8207557e0aebb886c304e1e6c38eed2bdeb80b1d4d09cd9",
+    "C7": "b3882d18516a15a016faf36538cba51504b7c1ad8cef99d289d26eaa02a31b01",
+    "C8": "c15b1aed68394789736e02202ff2e61f9e838935831845c2d57d399530e80e4c",
+    "C63": "4489796b6c1dda4a2abaaff7202c6b24939f124a7ed235c9074df845a481b368",
+    "H1": "05ed527f0eeef10fcede0556904d903b068f84285eb38de7f3c0c6b585fb6231",
+    "H2": "94f960e1e3f61dd736738fe8249f6fccc6456e4494e14d39f259ec0fb9e77acf",
+    "H3": "2f638a5bbd9babf2cb57faed04b54027d70c2a62df75146cbc44b2d68898c17f",
+    "C2xC2": "c204783d7eaa0bb33c1c79187ca9aba23b76a0308d34b630807e88394320140d",
+    "C3xC3": "f689f9f61a1d02f4dfbc6af47058365a31ff62b93a17481f39046d78aba87e47",
+    "C4xC4": "9a4591f24423c2a58a86c008d5ca805af5e8b7b53d5743f0e0743a6f9b263adb",
+    "classical30": "dc39a4c313be84f7d506cf2b0b221c88d827b7f2bc67fcf7a898d653da1bd2be",
+}
+
+
+def test_games_keep_their_bits():
+    builders = {
+        "CHSH": lambda: games.from_classical(games.chsh()),
+        **{f"T{k}": lambda k=k: games.t_game(k) for k in (*range(1, 9), 63)},
+        **{f"C{k}": lambda k=k: games.c_game(k) for k in (*range(1, 9), 63)},
+        **{f"H{k}": lambda k=k: games.h_game(k) for k in (1, 2, 3)},
+        **{f"C{k}xC{k}": lambda k=k: games.tensor_games(games.c_game(k), games.c_game(k))
+           for k in (2, 3, 4)},
+        "classical30": _classical30,
+    }
+    got = {name: hashlib.sha256(build().m.tobytes()).hexdigest() for name, build in builders.items()}
+    assert got == GAME_DIGESTS
 
 
 def test_classical_reader_rejects_huge_coefficients_without_overflow():

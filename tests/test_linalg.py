@@ -410,6 +410,26 @@ def _inversion_sign(perm):
     return -1 if inv % 2 else 1
 
 
+def test_component_stacks_group_classes_by_size(rng):
+    # Components {0, 4}, {1}, {2, 3, 6}, {5}, {7, 8}: widest first, then by
+    # name, each with its nodes ascending.
+    label = np.array([0, 1, 2, 2, 0, 5, 2, 7, 7])
+    stacks = linalg.component_stacks(label)
+    assert [x.tolist() for x in stacks] == [[[2, 3, 6]], [[0, 4], [7, 8]], [[1], [5]]]
+    # Against a plain grouping, on the labels of a random pattern.
+    rows, cols = rng.integers(0, 60, (2, 40))
+    label = linalg.component_labels(60, rows, cols)
+    members = {}
+    for node, name in enumerate(label.tolist()):
+        members.setdefault(name, []).append(node)
+    want = {}
+    for name in sorted(members):
+        want.setdefault(len(members[name]), []).append(members[name])
+    got = linalg.component_stacks(label)
+    assert [x.shape[1] for x in got] == sorted(want, reverse=True)
+    assert [x.tolist() for x in got] == [want[s] for s in sorted(want, reverse=True)]
+
+
 def test_permutation_sign_examples():
     assert linalg.permutation_sign([1, 2, 3]) == 1
     assert linalg.permutation_sign([2, 1, 3]) == -1

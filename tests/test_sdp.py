@@ -981,7 +981,7 @@ def test_blocked_substitution_matches_scipy(side, real, cond):
     # and several. On the factor of an SPD matrix of condition 1e12, the
     # solve with a vector or with the identity (M^-1) leaves at most 1.2
     # times scipy's residual in M. Without the refinement step it leaves up
-    # to 2.8 times, which the bound of 10 lets pass.
+    # to 2.8 times, and 3 of the 24 cases fail the bound of 2.
     import scipy.linalg
 
     rng = np.random.default_rng([side, real, int(math.log10(cond))])
@@ -999,7 +999,7 @@ def test_blocked_substitution_matches_scipy(side, real, cond):
 
     for rhs in (b, eye):
         got, want = tri.solve(rhs), scipy.linalg.cho_solve((l, True), rhs)
-        assert residual(got, rhs) <= 10 * residual(want, rhs), rhs.ndim
+        assert residual(got, rhs) <= 2 * residual(want, rhs), rhs.ndim
 
 
 def test_non_finite_newton_step_returns_the_best_iterate(monkeypatch):
